@@ -26,8 +26,13 @@ from repro.util.lru import LRUCache
 __all__ = ["OutOfCoreOracle"]
 
 #: Bound of the per-``(node, rows)`` plan memo; long sweeps revisit row
-#: counts constantly but must not grow memory without limit.
-DEFAULT_PLAN_CACHE_ENTRIES = 8192
+#: counts constantly but must not grow memory without limit.  The model
+#: consults the oracle only when it builds a per-``(node, rows)`` table,
+#: and keeps the table itself in a larger LRU
+#: (``DEFAULT_TABLE_CACHE_ENTRIES``), so plans beyond the most recent
+#: builds would only hold memory: a resident ``repro serve`` answering
+#: thousands of fresh layouts per model kept ~12 MB of them.
+DEFAULT_PLAN_CACHE_ENTRIES = 1024
 
 
 class OutOfCoreOracle:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -121,8 +122,12 @@ class ProgramStructure:
                 return v
         raise ProgramStructureError(f"{self.name}: no variable {name!r}")
 
-    @property
+    @functools.cached_property
     def variable_map(self) -> Dict[str, Variable]:
+        """``name -> Variable``, built once per program (treat it as
+        read-only: every caller shares it).  The cache lives in the
+        instance ``__dict__``, outside the dataclass fields, so equality,
+        hashing and content keys never see it."""
         return {v.name: v for v in self.variables}
 
     @property

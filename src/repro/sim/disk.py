@@ -27,7 +27,7 @@ queue behind whatever the disk is already doing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.cluster.node import NodeSpec
 from repro.exceptions import SimulationError
@@ -124,28 +124,50 @@ class DiskModel:
         """Seconds for a write-through of ``nbytes``."""
         return self._node.disk_write_seek + nbytes / self._node.disk_write_bw
 
-    def submit_read(self, now: float, name: str, nbytes: float) -> DiskOp:
-        """Queue a read; returns the scheduled operation.  The caller
-        blocks until ``op.done`` (synchronous) or continues computing and
-        waits later (prefetch)."""
+    def read_service(self, name: str, nbytes: float) -> Tuple[float, float]:
+        """Service one read of ``nbytes`` of ``name`` without queueing
+        it: returns ``(duration, cached_fraction)`` and advances the
+        variable's stream (page-cache warmth) exactly as
+        :meth:`submit_read` does.  The compiled emulation plans record
+        durations through this, then apply the queueing themselves."""
         frac = self.hit_fraction(name)
         duration = self.read_duration(name, nbytes)
         if self.slowdown != 1.0:
             duration *= self.slowdown
         self._advance_stream(name, nbytes)
+        return duration, frac
+
+    def write_service(self, nbytes: float) -> float:
+        """Service time of one write-through of ``nbytes``."""
+        duration = self.write_duration(nbytes)
+        if self.slowdown != 1.0:
+            duration *= self.slowdown
+        return duration
+
+    def stream_state(self) -> Dict[str, Tuple[float, bool]]:
+        """``name -> (bytes streamed, warm)`` for every registered
+        variable: the only disk state (besides the queue) that a later
+        operation's duration depends on."""
+        return {
+            name: (streamed, self._warm[name])
+            for name, streamed in self._streamed.items()
+        }
+
+    def _schedule(self, now: float, duration: float, nbytes: float,
+                  frac: float) -> DiskOp:
         start = max(now, self._free_at)
         self._free_at = start + duration
         return DiskOp(
             start=start, done=self._free_at, nbytes=nbytes, cached_fraction=frac
         )
 
+    def submit_read(self, now: float, name: str, nbytes: float) -> DiskOp:
+        """Queue a read; returns the scheduled operation.  The caller
+        blocks until ``op.done`` (synchronous) or continues computing and
+        waits later (prefetch)."""
+        duration, frac = self.read_service(name, nbytes)
+        return self._schedule(now, duration, nbytes, frac)
+
     def submit_write(self, now: float, name: str, nbytes: float) -> DiskOp:
         """Queue a write-through."""
-        duration = self.write_duration(nbytes)
-        if self.slowdown != 1.0:
-            duration *= self.slowdown
-        start = max(now, self._free_at)
-        self._free_at = start + duration
-        return DiskOp(
-            start=start, done=self._free_at, nbytes=nbytes, cached_fraction=0.0
-        )
+        return self._schedule(now, self.write_service(nbytes), nbytes, 0.0)

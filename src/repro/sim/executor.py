@@ -229,10 +229,44 @@ class _NodeCtx:
         yield from self.cpu(op.done - self.now)
         self.observe(Op.WRITE, it, section, tile, stage, var, start, nbytes, rows)
 
-    def compute(self, seconds, it, section, tile, stage):
+    def stage_seconds(self, base):
+        """Perturbed duration of one stage execution whose noise-free
+        cost is ``base``: draws the stage's computation noise (one draw
+        per stage execution, in program order) and background load."""
+        seconds = base * self.perturb.noise_factor() * self.perturb.background_factor()
+        if self.dyn_compute != 1.0:
+            seconds *= self.dyn_compute
+        return seconds
+
+    def compute(self, total, it, section, tile, stage, rows=1, of=1):
+        """Compute ``rows`` of the ``of`` rows a stage execution of
+        ``total`` seconds covers (the whole execution by default)."""
         start = self.now
-        yield from self.cpu(seconds)
+        yield from self.cpu(total * rows / of)
         self.observe(Op.COMPUTE, it, section, tile, stage, None, start)
+
+    def prefetch_issue(self, var, nbytes, it, section, tile, stage, rows):
+        """Issue an asynchronous read; returns when it will be done."""
+        start = self.now
+        yield from self.cpu(PREFETCH_ISSUE_OVERHEAD)
+        pending = self.disk.submit_read(self.now, var, nbytes)
+        self.observe(
+            Op.PREFETCH_ISSUE, it, section, tile, stage, var, start, nbytes, rows
+        )
+        return pending.done
+
+    def prefetch_wait(self, done, var, nbytes, it, section, tile, stage, rows):
+        """Block until the read issued by :meth:`prefetch_issue` is done."""
+        start = self.now
+        if done > self.now:
+            yield from self.cpu(done - self.now)
+        self.observe(
+            Op.PREFETCH_WAIT, it, section, tile, stage, var, start, nbytes, rows
+        )
+
+    def end_iteration(self, it):
+        self.iteration_ends.append(self.now)
+        self.observe(Op.ITERATION_END, it, "", 0, None, None, self.now)
 
     def send_msg(self, dst, tag, nbytes, it, section, disk_source=None):
         # Materialise the message from disk when it lives in an
@@ -319,29 +353,42 @@ class ClusterEmulator:
         ``iterations`` overrides the program's iteration count (the
         instrumented run uses 1).
 
-        ``fast_forward`` controls the steady-state cycle fast path
-        (:mod:`repro.sim.steady`): ``None`` follows the process-wide
-        default (on; see :func:`set_fast_forward_default`), ``False``
-        forces full event-by-event simulation.  The fast path engages
-        only for unobserved, deterministic, iteration-invariant,
-        *stationary* runs whose probe converges — everything else
-        (including any active cluster dynamics) falls back to full
-        simulation automatically.
+        A run takes one of two routes.  **Plan**: the configuration's
+        compiled :class:`~repro.sim.plan_sim.EmulationPlan` replays
+        per-rank op tapes with the engine's exact arithmetic — a noisy
+        run replays all of its iterations, a deterministic one replays
+        the probe window and, once
+        :func:`~repro.sim.steady.steady_deltas` finds it converged,
+        extrapolates the rest closed-form (``fast_forwarded``).  Either
+        way the result is bit-identical to the engine's.  **Engine**:
+        full event-by-event simulation.  The plan route needs a
+        stationary run: no observer, not instrumented, no cluster
+        dynamics or background load, a uniform iteration profile, the
+        program's own streaming style, offset 0 and more iterations
+        than the probe window.  Every other run, and any run the plan
+        cannot serve (a retired plan, a non-converging deterministic
+        probe), takes the engine; with ``telemetry`` each such run is
+        counted under ``sim/fallback/<reason>``.
+
+        ``fast_forward`` selects the routing: ``None`` follows the
+        process-wide default (on; see :func:`set_fast_forward_default`),
+        ``False`` forces the engine (the reference every plan-served
+        result equals).
 
         ``iteration_offset`` emulates a mid-run segment: iterations
         ``[offset, offset + n)`` of the global schedule.  Dynamics
         factors and iteration profiles are indexed globally, so a
         segment sees exactly the conditions those iterations of a
         continuous run would (modulo cold pipeline/page-cache state at
-        the segment boundary).  Offset segments never fast-forward.
+        the segment boundary).  Offset segments always take the engine.
 
         ``telemetry`` takes a :class:`repro.obs.Recorder` and records
         per-node phase totals (a :class:`PhaseAccumulator` chained into
-        ``_NodeCtx.observe``) plus the fast-forward decision.  The
-        accumulator does not count as an *observer* for fast-forward
-        gating — it rides along on whatever iterations are actually
-        simulated (the probe, under fast-forward), so enabling
-        telemetry never changes the simulated timing or the decision.
+        ``_NodeCtx.observe``) plus the routing decision.  The
+        accumulator does not count as an *observer* for routing — it
+        rides along on whatever the engine actually simulates (nothing,
+        on the plan route), so enabling telemetry never changes the
+        simulated timing or the route.
 
         ``instrumented=`` is a deprecated alias for
         ``io_mode="instrumented"`` (warns once per process).
@@ -369,90 +416,151 @@ class ClusterEmulator:
                 f"iteration_offset must be >= 0, got {iteration_offset}"
             )
         n_iter = iterations if iterations is not None else self.program.iterations
+        use_fast = _FAST_FORWARD_DEFAULT if fast_forward is None else fast_forward
+        reason = None
+        if use_fast:
+            reason = self._plan_refusal(
+                n_iter, observer, instr, io_override, iteration_offset
+            )
+            if reason is None:
+                result, reason = self._plan_result(
+                    distribution, n_iter, telemetry
+                )
+                if result is not None:
+                    if telemetry:
+                        telemetry.count("sim/plan_runs")
+                        self._record_run_telemetry(
+                            telemetry, None, result, engine=False
+                        )
+                    return result
+        return self._engine_run(
+            distribution, n_iter, instr, io_override, iteration_offset,
+            observer, telemetry, reason,
+        )
 
+    def _plan_refusal(
+        self,
+        n_iter: int,
+        observer: Optional[Observer],
+        instrumented: bool,
+        io_override: Optional[bool],
+        offset: int,
+    ) -> Optional[str]:
+        """Why a run may not take the plan route, or ``None`` when it
+        may (the structural half of the gate; see :meth:`run`)."""
+        if observer is not None:
+            return "observer"
+        if instrumented:
+            return "instrumented"
+        if self.dynamics is not None:
+            return "dynamics"
+        if self.perturbation.background_load > 0.0:
+            return "background_load"
+        if self.program.iteration_profile is not None:
+            return "iteration_profile"
+        # Plans are compiled for the program's own streaming style.
+        if io_override is not None and io_override != bool(self.program.prefetch):
+            return "io_mode"
+        if offset != 0:
+            return "offset"
+        if n_iter <= self.fast_forward_policy.probe_iterations:
+            return "short_run"
+        return None
+
+    def _plan_result(
+        self, distribution: GenBlock, n_iter: int, telemetry=None
+    ) -> Tuple[Optional[RunResult], Optional[str]]:
+        """Serve one run that passed :meth:`_plan_refusal` from the
+        compiled plan: ``(result, None)``, or ``(None, reason)`` when
+        the engine must run it."""
+        policy = self.fast_forward_policy
+        plan = self._emulation_plan
+        if plan is None or plan.policy != policy:
+            from repro.sim.plan_sim import get_emulation_plan
+
+            plan = get_emulation_plan(
+                self.cluster, self.program, self.perturbation, policy,
+                telemetry,
+            )
+            self._emulation_plan = plan
+        if not supports_fast_forward(self.program, self.perturbation):
+            # Noisy: every iteration draws, so replay all of them.
+            ends = plan.replay(distribution, n_iter)
+            if ends is None:
+                return None, "plan_dead"
+            per_node = [e[-1] for e in ends]
+            return RunResult(
+                total_seconds=max(per_node),
+                per_node_seconds=per_node,
+                iteration_ends=ends,
+                distribution=distribution,
+                iterations=n_iter,
+            ), None
+        probe_ends = plan.replay(distribution, policy.probe_iterations)
+        if probe_ends is None:
+            return None, "plan_dead"
+        deltas = steady_deltas(probe_ends, policy)
+        if deltas is None:
+            return None, "not_converged"
+        return self._extrapolated_result(
+            distribution, probe_ends, deltas, n_iter
+        ), None
+
+    def _engine_run(
+        self,
+        distribution: GenBlock,
+        n_iter: int,
+        instrumented: bool,
+        io_override: Optional[bool],
+        offset: int,
+        observer: Optional[Observer],
+        telemetry,
+        reason: Optional[str],
+    ) -> RunResult:
+        """Full event-by-event simulation; ``reason`` names why the
+        plan route did not serve it (``None`` when it was not asked)."""
         timeline: Optional[DynamicsTimeline] = None
         if self.dynamics is not None:
             timeline = self.dynamics.compile(
-                self.cluster.n_nodes, n_iter, iteration_offset
+                self.cluster.n_nodes, n_iter, offset
             )
-
         phase: Optional[PhaseAccumulator] = None
         sim_observer = observer
         if telemetry:
             phase = PhaseAccumulator()
             sim_observer = chain_observers(phase, observer)
-
-        use_fast = _FAST_FORWARD_DEFAULT if fast_forward is None else fast_forward
-        policy = self.fast_forward_policy
-        if (
-            use_fast
-            and iteration_offset == 0
-            and n_iter > policy.probe_iterations
-            and supports_fast_forward(
-                self.program,
-                self.perturbation,
-                observer=observer,
-                instrumented=instr,
-                dynamics=self.dynamics,
-            )
-        ):
-            # Compiled-plan replay first: when this configuration's
-            # EmulationPlan is live, the probe is a vectorised walk
-            # over precompiled schedules instead of an event-engine
-            # simulation; the convergence check and extrapolation are
-            # the same.  Any plan miss (retired plan, non-converged
-            # probe) falls through to the engine probe below.  Plans
-            # are compiled for the program's own streaming style, so a
-            # forced ``io_mode`` only rides them when it matches.
-            if io_override is None or io_override == bool(self.program.prefetch):
-                result = self._plan_fast_forward(
-                    distribution, n_iter, policy, telemetry
-                )
-                if result is not None:
-                    if telemetry:
-                        self._record_run_telemetry(telemetry, phase, result)
-                    return result
-            # Probe the first few iterations; the probe's prefix is
-            # identical to the full run's (messages never cross
-            # iteration boundaries and no RNG is drawn), so on
-            # convergence the tail extrapolates and on failure we
-            # simply simulate from scratch.
-            probe = self._simulate(
-                distribution, sim_observer, instr,
-                policy.probe_iterations, io_override=io_override,
-            )
-            deltas = steady_deltas(probe.iteration_ends, policy)
-            if deltas is not None:
-                result = self._fast_forward(probe, deltas, n_iter)
-                if telemetry:
-                    self._record_run_telemetry(telemetry, phase, result)
-                return result
+            if reason is not None:
+                telemetry.count(f"sim/fallback/{reason}")
         result = self._simulate(
-            distribution, sim_observer, instr, n_iter,
-            timeline=timeline, offset=iteration_offset,
-            io_override=io_override,
+            distribution, sim_observer, instrumented, n_iter,
+            timeline=timeline, offset=offset, io_override=io_override,
         )
         if telemetry:
-            self._record_run_telemetry(telemetry, phase, result)
+            self._record_run_telemetry(telemetry, phase, result, engine=True)
         return result
 
     @staticmethod
     def _record_run_telemetry(
-        rec, phase: Optional[PhaseAccumulator], result: RunResult
+        rec, phase: Optional[PhaseAccumulator], result: RunResult, *,
+        engine: bool,
     ) -> None:
         rec.count("sim/runs")
-        rec.count(
-            "sim/fast_forwarded" if result.fast_forwarded else "sim/full_runs"
-        )
+        if result.fast_forwarded:
+            rec.count("sim/fast_forwarded")
+        elif engine:
+            rec.count("sim/full_runs")
         rec.set("sim/iterations", result.iterations)
         rec.set("sim/total_seconds", result.total_seconds)
-        if phase is not None:
-            simulated = max(phase.iterations.values(), default=0)
-            # Under fast-forward only the probe prefix was simulated;
-            # phase totals cover those iterations (steady per-iteration
-            # means still follow by dividing by this count).
-            rec.set("sim/iterations_simulated", simulated)
-            phase.record_into(rec)
+        # Phase totals cover what the engine simulated: every iteration
+        # of an engine run, none of a plan-served one.
+        if phase is None:
+            rec.set("sim/iterations_simulated", 0)
+            return
+        rec.set(
+            "sim/iterations_simulated",
+            max(phase.iterations.values(), default=0),
+        )
+        phase.record_into(rec)
 
     def _simulate(
         self,
@@ -487,46 +595,6 @@ class ClusterEmulator:
             iterations=n_iter,
         )
 
-    def _fast_forward(
-        self, probe: RunResult, deltas: List[float], n_iter: int
-    ) -> RunResult:
-        """Extend a converged probe to ``n_iter`` iterations closed-form."""
-        return self._extrapolated_result(
-            probe.distribution, probe.iteration_ends, deltas, n_iter
-        )
-
-    def _plan_fast_forward(
-        self,
-        distribution: GenBlock,
-        n_iter: int,
-        policy: FastForwardPolicy,
-        telemetry=None,
-    ) -> Optional[RunResult]:
-        """Fast-forward via the compiled :class:`EmulationPlan`, or
-        ``None`` when the plan cannot serve this run (the caller then
-        takes the event-engine path).  Only called once the structural
-        gate (:func:`supports_fast_forward`) has passed."""
-        plan = self._emulation_plan
-        if plan is None or plan.policy != policy:
-            from repro.sim.plan_sim import get_emulation_plan
-
-            plan = get_emulation_plan(
-                self.cluster, self.program, self.perturbation, policy,
-                telemetry,
-            )
-            self._emulation_plan = plan
-        probe_ends = plan.probe_ends(distribution)
-        if probe_ends is None:
-            return None
-        deltas = steady_deltas(probe_ends, policy)
-        if deltas is None:
-            return None
-        if telemetry:
-            telemetry.count("sim/plan_runs")
-        return self._extrapolated_result(
-            distribution, probe_ends, deltas, n_iter
-        )
-
     def _extrapolated_result(
         self,
         distribution: GenBlock,
@@ -558,14 +626,15 @@ class ClusterEmulator:
         counts_label: str,
         observer: Optional[Observer],
         instrumented: bool,
+        factory=_NodeCtx,
     ) -> _NodeCtx:
         """Execution state for one node given its row count.
 
         Everything here depends only on ``(rank, rows)`` (the
-        ``counts_label`` only seeds RNG streams, which deterministic
-        runs never draw) — the compiled emulation plans
-        (:mod:`repro.sim.plan_sim`) rely on this to profile single
-        ranks standalone.
+        ``counts_label`` only seeds RNG streams) — the compiled
+        emulation plans (:mod:`repro.sim.plan_sim`) rely on this to
+        record single ranks standalone, passing their recording
+        context class as ``factory``.
         """
         program = self.program
         spec = self.cluster.nodes[rank]
@@ -589,25 +658,30 @@ class ClusterEmulator:
         for name, placement in plan.placements.items():
             if not placement.in_core:
                 disk.register_variable(name, placement.ocla_bytes)
-        perturb = PerturbationModel(
-            self.perturbation,
-            run_labels=(
-                self.cluster.name,
-                program.name,
-                counts_label,
-                rank,
-                "instr" if instrumented else "run",
-            ),
-        )
-        return _NodeCtx(
+        return factory(
             rank,
             spec,
             self.cluster.network,
             disk,
             plan,
             observer,
-            perturb,
+            self._perturbation_model(rank, counts_label, instrumented),
             program.replicated_bytes,
+        )
+
+    def _perturbation_model(
+        self, rank: int, counts_label: str, instrumented: bool
+    ) -> PerturbationModel:
+        """The RNG-bearing perturbation sampler of one node in one run."""
+        return PerturbationModel(
+            self.perturbation,
+            run_labels=(
+                self.cluster.name,
+                self.program.name,
+                counts_label,
+                rank,
+                "instr" if instrumented else "run",
+            ),
         )
 
     def _make_contexts(
@@ -641,10 +715,7 @@ class ClusterEmulator:
                     ctx, distribution, it, si, section, instrumented,
                     io_override,
                 )
-            ctx.iteration_ends.append(ctx.now)
-            ctx.observe(
-                Op.ITERATION_END, it, "", 0, None, None, ctx.now
-            )
+            ctx.end_iteration(it)
 
     def _run_section(
         self, ctx, distribution, it, si, section, instrumented,
@@ -774,11 +845,11 @@ class ClusterEmulator:
 
     # -- stages -------------------------------------------------------------------
 
-    def _stage_compute_seconds(
-        self, ctx, it, section, stage, tile_lo, tile_hi, node_rows
-    ) -> float:
-        """Ground-truth (perturbed) compute seconds for one stage on one
-        tile's rows during iteration ``it``.
+    def _stage_base_seconds(self, ctx, it, stage, tile_lo, tile_hi) -> float:
+        """Noise-free ground-truth compute seconds (nominal times the
+        deterministic cache factor) for one stage on one tile's rows
+        during iteration ``it``; :meth:`_NodeCtx.stage_seconds` adds
+        the stochastic effects.
 
         The stage's ``fixed_work`` is an aggregate cost distributed with
         the global rows (a zero-row node does none of it), keeping all
@@ -795,10 +866,7 @@ class ClusterEmulator:
             work *= program.iteration_multiplier(it)
         nominal = ctx.spec.compute_seconds(work)
         ws = self._working_set_bytes(ctx, stage)
-        seconds = ctx.perturb.perturb_compute(ctx.spec, nominal, ws)
-        if ctx.dyn_compute != 1.0:
-            seconds *= ctx.dyn_compute
-        return seconds
+        return nominal * ctx.perturb.compute_factor(ctx.spec, ws)
 
     def _working_set_bytes(self, ctx, stage: Stage) -> float:
         ws = float(ctx.replicated_bytes)
@@ -815,20 +883,19 @@ class ClusterEmulator:
     ):
         start_row, stop_row = distribution.rows_of(ctx.rank)
         tile_lo, tile_hi = _tile_bounds(start_row, stop_row, section.tiles, tile)
-        node_rows = stop_row - start_row
         for stage in section.stages:
             yield from self._run_stage(
-                ctx, it, section, stage, tile, tile_lo, tile_hi, node_rows,
+                ctx, it, section, stage, tile, tile_lo, tile_hi,
                 instrumented, io_override,
             )
 
     def _run_stage(
-        self, ctx, it, section, stage, tile, tile_lo, tile_hi, node_rows,
+        self, ctx, it, section, stage, tile, tile_lo, tile_hi,
         instrumented, io_override=None,
     ):
         program = self.program
-        total_compute = self._stage_compute_seconds(
-            ctx, it, section, stage, tile_lo, tile_hi, node_rows
+        total_compute = ctx.stage_seconds(
+            self._stage_base_seconds(ctx, it, stage, tile_lo, tile_hi)
         )
         var_map = program.variable_map
 
@@ -919,13 +986,14 @@ class ClusterEmulator:
         """
         row_bytes = self.program.variable(name).row_bytes
         blocks = self._blocks(ctx, name, tile_rows)
-        shares = [total_compute * b / tile_rows for b in blocks]
 
         if not use_prefetch or len(blocks) == 1:
-            for rows, share in zip(blocks, shares):
+            for rows in blocks:
                 nbytes = rows * row_bytes
                 yield from ctx.sync_read(name, nbytes, it, section, tile, stage, rows)
-                yield from ctx.compute(share, it, section, tile, stage)
+                yield from ctx.compute(
+                    total_compute, it, section, tile, stage, rows, tile_rows
+                )
                 if write_back:
                     yield from ctx.sync_write(
                         name, nbytes, it, section, tile, stage, rows
@@ -935,31 +1003,26 @@ class ClusterEmulator:
         # Unrolled prefetch loop.
         nbytes0 = blocks[0] * row_bytes
         yield from ctx.sync_read(name, nbytes0, it, section, tile, stage, blocks[0])
-        pending = None  # DiskOp for the block being prefetched
         for i in range(1, len(blocks)):
             nbytes = blocks[i] * row_bytes
-            issue_start = ctx.now
-            yield from ctx.cpu(PREFETCH_ISSUE_OVERHEAD)
-            pending = ctx.disk.submit_read(ctx.now, name, nbytes)
-            ctx.observe(
-                Op.PREFETCH_ISSUE, it, section, tile, stage, name,
-                issue_start, nbytes, blocks[i],
+            done = yield from ctx.prefetch_issue(
+                name, nbytes, it, section, tile, stage, blocks[i]
             )
             # Overlapping computation on the previous block.
-            yield from ctx.compute(shares[i - 1], it, section, tile, stage)
-            wait_start = ctx.now
-            if pending.done > ctx.now:
-                yield from ctx.cpu(pending.done - ctx.now)
-            ctx.observe(
-                Op.PREFETCH_WAIT, it, section, tile, stage, name,
-                wait_start, nbytes, blocks[i],
+            yield from ctx.compute(
+                total_compute, it, section, tile, stage, blocks[i - 1], tile_rows
+            )
+            yield from ctx.prefetch_wait(
+                done, name, nbytes, it, section, tile, stage, blocks[i]
             )
             if write_back:
                 prev_bytes = blocks[i - 1] * row_bytes
                 yield from ctx.sync_write(
                     name, prev_bytes, it, section, tile, stage, blocks[i - 1]
                 )
-        yield from ctx.compute(shares[-1], it, section, tile, stage)
+        yield from ctx.compute(
+            total_compute, it, section, tile, stage, blocks[-1], tile_rows
+        )
         if write_back:
             last_bytes = blocks[-1] * row_bytes
             yield from ctx.sync_write(
@@ -1128,17 +1191,17 @@ def emulate_many(
     """Emulate a whole population of candidates in one batched pass.
 
     The results are bit-identical to looping :func:`emulate` over
-    ``distributions`` (pinned by the golden batch suite): candidates
-    that the compiled :class:`~repro.sim.plan_sim.EmulationPlan` can
-    serve share one vectorised ``(B, P)`` probe walk, every other
-    candidate falls back to its own :meth:`ClusterEmulator.run` —
-    identical gating, convergence checks and extrapolation, only
-    amortised differently.
+    ``distributions`` (pinned by the golden batch suite): the batch
+    resolves the routing gate and the compiled
+    :class:`~repro.sim.plan_sim.EmulationPlan` once, candidates share
+    the plan's memoised per-rank op tapes, and every candidate the
+    plan cannot serve runs the engine — the routes of
+    :meth:`ClusterEmulator.run`, only amortised differently.
 
     Keywords mirror :func:`emulate` (``io_mode``, ``dynamics``,
-    ``iteration_offset``); dynamic-cluster batches take the
-    per-candidate fallback path since the compiled plan assumes a
-    stationary iteration.  The run cache is consulted up front
+    ``iteration_offset``); dynamic-cluster batches take the engine
+    since the compiled plan assumes a stationary iteration.  The run
+    cache is consulted up front
     (duplicates inside the batch are deduplicated too) and all fresh
     results land back in one
     :meth:`~repro.parallel.cache.RunCache.put_many`.  ``run_cache``
@@ -1149,7 +1212,8 @@ def emulate_many(
 
     Telemetry: one ``sim/batch/passes`` count per call — the
     coalesced-round invariant the serve verify path asserts — plus
-    candidate/hit/fallback counters under ``sim/batch/``.
+    candidate/hit/plan-run/fallback counters under ``sim/batch/``, and
+    each engine-run candidate under ``sim/fallback/<reason>``.
     """
     io_mode, run_cache = _legacy_emulate_kwargs(
         "emulate_many", io_mode, run_cache, _UNSET, cache
@@ -1209,44 +1273,24 @@ def emulate_many(
     plan_served = 0
     fallbacks = 0
     if pending:
-        policy = emulator.fast_forward_policy
-        batch_ends = None
-        if (
-            use_fast
-            and iteration_offset == 0
-            and n_iter > policy.probe_iterations
-            and (io_override is None or io_override == bool(program.prefetch))
-            and supports_fast_forward(
-                program, emulator.perturbation, instrumented=instr, dynamics=dyn
+        reason = None
+        if use_fast:
+            reason = emulator._plan_refusal(
+                n_iter, None, instr, io_override, iteration_offset
             )
-        ):
-            from repro.sim.plan_sim import get_emulation_plan
-
-            plan = get_emulation_plan(
-                cluster, program, emulator.perturbation, policy, telemetry
-            )
-            batch_ends = plan.probe_ends_batch(
-                [distributions[i] for i in pending]
-            )
-        for b, i in enumerate(pending):
+        for i in pending:
             dist = distributions[i]
             result = None
-            if batch_ends is not None:
-                probe_ends = batch_ends[b].tolist()
-                deltas = steady_deltas(probe_ends, policy)
-                if deltas is not None:
-                    result = emulator._extrapolated_result(
-                        dist, probe_ends, deltas, n_iter
-                    )
-                    plan_served += 1
-            if result is None:
-                result = emulator.run(
-                    dist,
-                    iterations=n_iter,
-                    io_mode=io_mode,
-                    fast_forward=use_fast,
-                    telemetry=telemetry,
-                    iteration_offset=iteration_offset,
+            if use_fast and reason is None:
+                result, why = emulator._plan_result(dist, n_iter, telemetry)
+            else:
+                why = reason
+            if result is not None:
+                plan_served += 1
+            else:
+                result = emulator._engine_run(
+                    dist, n_iter, instr, io_override, iteration_offset,
+                    None, telemetry, why,
                 )
                 fallbacks += 1
             results[i] = result

@@ -22,6 +22,7 @@ knob here, which the ablation benchmark flips one at a time:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -82,7 +83,6 @@ class PerturbationModel:
     run_labels: tuple = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        self._rng = stream(self.config.seed_label, *self.run_labels)
         # The background-load process samples its own dedicated RNG
         # stream (suffixed "background"), NOT the shared noise stream:
         # otherwise toggling ``compute_noise`` would shift which draws
@@ -99,6 +99,12 @@ class PerturbationModel:
             self._load = trace.sampler(*self.run_labels, "background")
         else:
             self._load = None
+
+    @functools.cached_property
+    def _rng(self) -> np.random.Generator:
+        # Seeded on first draw: deterministic runs never draw, and
+        # seeding (a SHA-256 plus generator set-up) is not free.
+        return stream(self.config.seed_label, *self.run_labels)
 
     # -- computation ------------------------------------------------------
 
@@ -122,6 +128,20 @@ class PerturbationModel:
             return 1.0
         sigma = self.config.noise_sigma
         return float(np.exp(self._rng.normal(0.0, sigma)))
+
+    def noise_factors(self, n: int) -> np.ndarray:
+        """The next ``n`` :meth:`noise_factor` values as one vector.
+
+        numpy's ``Generator.normal`` fills a vector with the same
+        sequence of draws as ``n`` scalar calls, and ``np.exp`` rounds
+        each element as it rounds a scalar, so the vector equals the
+        scalar draws bit for bit (the compiled emulation plans replay
+        noisy runs from it, and self-check that equality against the
+        event engine).
+        """
+        if not self.config.compute_noise:
+            return np.ones(n)
+        return np.exp(self._rng.normal(0.0, self.config.noise_sigma, n))
 
     def background_factor(self) -> float:
         """Slowdown from competing jobs on a non-dedicated node.

@@ -1,56 +1,69 @@
-"""Compiled emulation plans: specialize the emulator per configuration.
+"""Compiled emulation plans: replay the emulator from per-rank op tapes.
 
 The event-engine emulator re-interprets the program structure — section
 loops, tile bounds, disk block streaming, message tags — on every run,
-even though for a fixed ``(cluster, program, perturbation, policy)`` the
-*shape* of the computation never changes and only the per-segment
-durations depend on the candidate distribution.  An
-:class:`EmulationPlan` performs that interpretation once and lowers the
-fast-forward probe into three reusable artifacts:
+and pays a heap push, a generator resume and a request dispatch per
+event.  For a fixed ``(cluster, program, perturbation, policy)`` none of
+that depends on timing: what one rank does is a function of its row
+block alone.  An :class:`EmulationPlan` records it once as an **op
+tape** and replays tapes with the engine's exact arithmetic.
 
-1. **Skeleton** — every rank's per-iteration sequence of communication
-   operations (sends, receives, iteration ends).  Each message's
-   endpoints, tag and in-flight transfer time depend only on the program
-   structure and the cluster size, never on row counts (zero-row nodes
-   still run every exchange and ``message_bytes`` is a section
-   constant), so one skeleton serves every GEN_BLOCK candidate.
-2. **Schedule** — a flat, dependency-ordered instruction list over the
-   skeleton (computed by an advance-until-blocked sweep), so replaying a
-   probe needs no event heap: a send deposits into its channel slot, a
-   receive takes a ``max`` with it, and per-node clocks march forward.
-3. **Duration profiles** — the local time between consecutive
-   communication ops of one rank, obtained by driving the *actual*
-   executor node generator standalone (no engine) and accumulating its
-   ``Delay`` requests.  Every delay the generator yields is independent
-   of absolute time (disk ``free_at`` never exceeds the node clock at a
-   yield point), so the standalone drive reproduces the engine's
-   durations bit for bit.  Profiles are memoised per ``(rank, rows)`` —
-   or per ``(rank, start, stop)`` when sparse row weights make absolute
-   positions matter — so candidate populations share them.
+Lowering
+    A tape is recorded per ``(rank, rows)`` — or per ``(rank, start,
+    stop)`` when sparse row weights make absolute positions matter — by
+    driving the *real* node generator standalone with a recording node
+    context (:class:`_TapeRecorder`): its primitives append ops instead
+    of yielding engine requests.  The ops are ``cpu(d)``; ``io(d)``, a
+    synchronous read or write against the rank's disk ``free_at``;
+    ``prefetch_issue(d)`` / ``prefetch_wait``; ``compute(base, draw, b,
+    rows)``, one block's share of a stage execution whose noise-free
+    cost is ``base`` and whose noise is the rank's ``draw``-th draw of
+    the iteration; and ``send`` / ``recv`` on iteration-relative
+    message channels, and ``end``.  Deterministic plans record compute
+    shares as plain ``cpu`` ops.  The drive stops after three
+    iterations once the last two have equal tapes and every disk stream
+    the last one touched was already warm when it began: from then on
+    every iteration repeats it, so the tape stores the iterations up to
+    the repeating one and serves runs of any length.  Otherwise the
+    drive covers every iteration the run needs.
 
-Replaying the probe is then a vectorised recurrence over ``(B, P)``
-clock arrays (scalar for a single candidate, numpy for a batch, with an
-optional numba twin resolved under the same ``REPRO_PLAN_NUMBA`` gate as
-the prediction plans), followed by the ordinary
-:func:`repro.sim.steady.steady_deltas` convergence check and
-closed-form extrapolation in the executor.
+Replay
+    One walk serves every run: per iteration, ranks advance through
+    their tapes round-robin until each is blocked on an undelivered
+    message or done, with per-rank clock, disk ``free_at`` and pending
+    prefetch.  Each op repeats the engine's IEEE-double operations in
+    the engine's order — ``now + ((max(now, free_at) + d) - now)`` for
+    synchronous I/O, ``((base * noise) * b) / rows`` for compute
+    shares, ``max(now, deliver)`` for receives, every non-positive
+    delay skipped — so replayed iteration ends are *bit-identical* to
+    the engine's.  Noise is the rank's RNG stream drawn once per stage
+    execution in program order; it does not depend on timing, so a
+    noisy replay draws each rank's ``n_iter * K`` factors as one
+    vector (:meth:`~repro.sim.perturbation.PerturbationModel.noise_factors`).
 
-Safety: plans engage only where :func:`supports_fast_forward` already
-allows the engine fast path, the first compiled candidate is
-self-checked against a real event-engine probe to <= 1e-9, and any
-broken assumption (skeleton mismatch, unmatched message, deadlocked
-schedule) permanently retires the plan so the engine path takes over.
+Routes
+    :meth:`repro.sim.executor.ClusterEmulator.run` replays noisy
+    stationary runs in full and deterministic ones over the probe
+    window (then :func:`~repro.sim.steady.steady_deltas` and the
+    closed-form extrapolation); everything else runs the engine.
+
+Safety
+    The first candidate a plan sees is replayed over the probe window
+    and compared *for exact equality* with a real engine probe; any
+    mismatch, or any broken assumption later (a message channel or
+    comm skeleton that differs between candidates, a deadlocked walk),
+    retires the plan for good and the engine serves every later run.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sim.engine import Delay, Recv, Send
+from repro.sim.engine import Recv, Send
+from repro.sim.executor import PREFETCH_ISSUE_OVERHEAD, _NodeCtx
 from repro.sim.steady import FastForwardPolicy
 from repro.util.lru import LRUCache
 
@@ -58,110 +71,35 @@ __all__ = [
     "EmulationPlan",
     "emulation_plan_key",
     "get_emulation_plan",
-    "emulation_numba_active",
 ]
 
-#: Instruction kinds of the compiled schedule.
-_SEND, _RECV, _END = 0, 1, 2
+#: Tape op kinds.  Every op is ``(kind, arg, x, b, rows)``: ``arg`` is
+#: a channel id (send/recv) or a per-iteration draw index (compute),
+#: ``x`` a duration, noise-free compute cost or transfer time, and
+#: ``b``/``rows`` a compute share's block and tile row counts.
+_CPU, _IO, _PF_ISSUE, _PF_WAIT, _COMPUTE, _SEND, _RECV, _END = range(8)
 
-#: Memoised duration profiles kept per plan (one per (rank, rows) seen).
-PROFILE_CACHE_ENTRIES = 8192
+#: Packed storage of a tape: 21 bytes per op.
+_OP_DTYPE = np.dtype(
+    [("kind", "i1"), ("arg", "i4"), ("x", "f8"), ("b", "i4"), ("rows", "i4")]
+)
 
-#: Iterations a profile drive must simulate before the stationarity
-#: shortcut may replicate the rest of the probe (one cold pass plus two
-#: comparable warm iterations).
+#: Tapes kept per plan (one per (rank, rows) seen), least recently
+#: used evicted first.
+TAPE_CACHE_ENTRIES = 256
+
+#: Iterations a drive must record before it may stop at a repeating
+#: iteration (one cold pass plus two comparable warm iterations).
 _SHORTCUT_DRIVEN = 3
-
-#: Self-check tolerance: the compiled walk must reproduce a real engine
-#: probe of the first candidate to this relative accuracy, or the plan
-#: retires itself.
-_SELF_CHECK_RTOL = 1e-9
 
 
 class _PlanUnsupported(Exception):
     """Raised internally when a structural assumption breaks; the plan
-    is retired and the engine path handles the run."""
+    is retired and the engine handles the run."""
 
 
-# -- optional numba walk ------------------------------------------------------
-#
-# Same contract as repro.core.plan: strictly optional, resolved once,
-# disabled by REPRO_PLAN_NUMBA=0, silent numpy fallback, and the jitted
-# walk replays the numpy/scalar recurrence op for op (elementwise adds
-# and two-way max), so all three modes return bit-identical clocks.
-
-_numba_walk: Optional[Callable] = None
-_numba_tried = False
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("REPRO_PLAN_NUMBA", "").strip().lower() in (
-        "0", "false", "off", "no",
-    )
-
-
-def emulation_numba_active() -> bool:
-    """Whether batched emulation walks are currently numba-compiled."""
-    return _numba_walk is not None
-
-
-def _resolve_numba_walk() -> Optional[Callable]:
-    """Build (once) the jitted batched walk, or ``None`` when unavailable."""
-    global _numba_walk, _numba_tried
-    if _numba_tried:
-        return _numba_walk
-    _numba_tried = True
-    if _numba_disabled():
-        return None
-    try:
-        import numba
-    except Exception:
-        return None
-    try:
-        @numba.njit(cache=False)
-        def _walk_jit(op_rank, op_kind, op_a, op_transfer, durs, P,
-                      n_chan, n_iter):  # pragma: no cover - exercised
-            # when numba is installed (CI matrix leg); semantics pinned
-            # by the numpy twin in EmulationPlan._walk_batch.
-            B, N = durs.shape
-            clock = np.zeros((B, P))
-            deliver = np.zeros((B, n_chan))
-            ends = np.zeros((B, P, n_iter))
-            for i in range(N):
-                r = op_rank[i]
-                k = op_kind[i]
-                a = op_a[i]
-                for b in range(B):
-                    c = clock[b, r] + durs[b, i]
-                    if k == _SEND:
-                        deliver[b, a] = c + op_transfer[i]
-                    elif k == _RECV:
-                        d = deliver[b, a]
-                        if d > c:
-                            c = d
-                    else:
-                        ends[b, r, a] = c
-                    clock[b, r] = c
-            return ends
-
-        _walk_jit(
-            np.zeros(1, np.int64),
-            np.full(1, _END, np.int64),
-            np.zeros(1, np.int64),
-            np.zeros(1),
-            np.zeros((1, 1)),
-            1, 1, 1,
-        )  # warm the dispatcher so the first real walk pays no JIT
-        _numba_walk = _walk_jit
-    except Exception:
-        _numba_walk = None
-    return _numba_walk
-
-
-def _reset_numba_for_tests() -> None:
-    global _numba_walk, _numba_tried
-    _numba_walk = None
-    _numba_tried = False
+class _Repeating(Exception):
+    """Stops a drive: the tape's last iteration repeats from now on."""
 
 
 # -- keys and the shared plan LRU ---------------------------------------------
@@ -194,16 +132,181 @@ def get_emulation_plan(cluster, program, perturbation,
     )
 
 
+# -- tapes --------------------------------------------------------------------
+
+
+class _Tape:
+    """One rank's recorded ops, iteration by iteration.
+
+    ``bounds[i]:bounds[i + 1]`` delimits stored iteration ``i``; when
+    ``repeats`` is true the last stored iteration stands for every
+    later one, otherwise the tape covers exactly the stored ones.
+    """
+
+    __slots__ = ("ops", "bounds", "repeats", "draws")
+
+    def __init__(self, ops: list, bounds: List[int], repeats: bool,
+                 draws: int) -> None:
+        self.ops = np.array(ops, dtype=_OP_DTYPE)
+        self.bounds = tuple(bounds)
+        self.repeats = repeats
+        #: Noise draws per iteration (stage executions), K.
+        self.draws = draws
+
+    def covers(self, n_iter: int) -> bool:
+        return self.repeats or len(self.bounds) - 1 >= n_iter
+
+    def iterations(self) -> List[List[tuple]]:
+        """The stored iterations as lists of op tuples (walk form)."""
+        ops = self.ops
+        rows = list(zip(
+            ops["kind"].tolist(), ops["arg"].tolist(), ops["x"].tolist(),
+            ops["b"].tolist(), ops["rows"].tolist(),
+        ))
+        b = self.bounds
+        return [rows[b[i] : b[i + 1]] for i in range(len(b) - 1)]
+
+    def skeleton(self) -> tuple:
+        """The communication ops of one iteration (all stored
+        iterations must agree)."""
+        sigs = {
+            tuple(op[:3] for op in ops if op[0] >= _SEND)
+            for ops in self.iterations()
+        }
+        if len(sigs) != 1:
+            raise _PlanUnsupported("comm skeleton varies across iterations")
+        return sigs.pop()
+
+
+class _TapeRecorder(_NodeCtx):
+    """A node context that records a tape instead of simulating.
+
+    Its primitives are plain functions returning an empty tuple, so the
+    node generator's ``yield from ctx.cpu(...)`` and friends yield
+    nothing: the only requests that reach the recording loop are the
+    sends and receives of :meth:`_NodeCtx.send_msg` /
+    :meth:`_NodeCtx.recv_msg`.
+    """
+
+    __slots__ = (
+        "owner", "ops", "bounds", "noisy", "draws", "draws_per_it",
+        "it", "stream_state", "may_stop", "repeats",
+    )
+
+    def begin(self, owner: "EmulationPlan", may_stop: bool) -> None:
+        self.owner = owner
+        self.ops: list = []
+        self.bounds = [0]
+        self.noisy = owner.noisy
+        self.draws = 0
+        self.draws_per_it: Optional[int] = None
+        self.it = 0
+        self.stream_state = self.disk.stream_state()
+        self.may_stop = may_stop
+        self.repeats = False
+
+    def tape(self) -> _Tape:
+        return _Tape(self.ops, self.bounds, self.repeats,
+                     self.draws_per_it or 0)
+
+    # -- recorded primitives --------------------------------------------------
+
+    def cpu(self, seconds):
+        if seconds > 0.0:
+            self.ops.append((_CPU, 0, seconds, 0, 0))
+        return ()
+
+    def sync_read(self, var, nbytes, it, section, tile, stage, rows=0):
+        self.ops.append((_IO, 0, self.disk.read_service(var, nbytes)[0], 0, 0))
+        return ()
+
+    def sync_write(self, var, nbytes, it, section, tile, stage, rows=0):
+        self.ops.append((_IO, 0, self.disk.write_service(nbytes), 0, 0))
+        return ()
+
+    def prefetch_issue(self, var, nbytes, it, section, tile, stage, rows):
+        self.cpu(PREFETCH_ISSUE_OVERHEAD)
+        self.ops.append(
+            (_PF_ISSUE, 0, self.disk.read_service(var, nbytes)[0], 0, 0)
+        )
+        return ()
+
+    def prefetch_wait(self, done, var, nbytes, it, section, tile, stage, rows):
+        self.ops.append((_PF_WAIT, 0, 0.0, 0, 0))
+        return ()
+
+    def stage_seconds(self, base):
+        if not self.noisy:
+            # No draw is made: noise and background load are off.
+            return super().stage_seconds(base)
+        self.draws += 1
+        return base, self.draws - 1
+
+    def compute(self, total, it, section, tile, stage, rows=1, of=1):
+        if not self.noisy:
+            return self.cpu(total * rows / of)
+        base, draw = total
+        if base > 0.0:
+            first = self.it * (self.draws_per_it or 0)
+            self.ops.append((_COMPUTE, draw - first, base, rows, of))
+        return ()
+
+    def message(self, req) -> None:
+        """Record a send or receive on its iteration-relative channel
+        (tags are ``f"{iteration}:{rest}"``)."""
+        prefix, _, rest = req.tag.partition(":")
+        if prefix != str(self.it):
+            raise _PlanUnsupported(f"tag {req.tag!r} outside iteration {self.it}")
+        if type(req) is Send:
+            chan = self.owner._channel((self.rank, req.dst, rest))
+            self.ops.append((_SEND, chan, req.transfer, 0, 0))
+        elif type(req) is Recv:
+            chan = self.owner._channel((req.src, self.rank, rest))
+            self.ops.append((_RECV, chan, 0.0, 0, 0))
+        else:
+            raise _PlanUnsupported(
+                f"unsupported request {type(req).__name__} from rank {self.rank}"
+            )
+
+    def end_iteration(self, it):
+        self.ops.append((_END, 0, 0.0, 0, 0))
+        self.bounds.append(len(self.ops))
+        if self.noisy:
+            if self.draws_per_it is None:
+                self.draws_per_it = self.draws
+            elif self.draws != (self.it + 1) * self.draws_per_it:
+                raise _PlanUnsupported("noise draws vary across iterations")
+        before, after = self.stream_state, self.disk.stream_state()
+        self.stream_state = after
+        self.it += 1
+        if not self.may_stop or self.it < _SHORTCUT_DRIVEN:
+            return
+        # Iteration it-1 repeats forever when every stream it touched
+        # was warm before it began (durations depend on nothing else);
+        # if it also equals iteration it-2, that one is the cycle.
+        for name, (streamed, _warm) in after.items():
+            old = before.get(name)
+            if old is None or (streamed != old[0] and not old[1]):
+                return
+        b = self.bounds
+        if self.ops[b[-3] : b[-2]] != self.ops[b[-2] : b[-1]]:
+            return
+        del self.ops[b[-2] :]
+        b.pop()
+        self.repeats = True
+        raise _Repeating
+
+
 # -- the plan -----------------------------------------------------------------
 
 
 class EmulationPlan:
-    """One compiled probe replayer for ``(cluster, program,
+    """One compiled tape replayer for ``(cluster, program,
     perturbation, policy)``; see the module docstring for the lowering.
 
-    The constructor is cheap: skeleton discovery, schedule compilation
-    and the engine self-check happen lazily on the first
-    :meth:`probe_ends` call (they need a concrete candidate to drive).
+    The constructor is cheap: channel discovery and the engine
+    self-check happen lazily on the first :meth:`replay` (they need a
+    concrete candidate to drive).
     """
 
     def __init__(self, cluster, program, perturbation,
@@ -212,33 +315,29 @@ class EmulationPlan:
         self.program = program
         self.perturbation = perturbation
         self.policy = policy
+        #: Noisy plans replay noise draws; deterministic ones record
+        #: compute shares as plain delays.
+        self.noisy = bool(perturbation.compute_noise)
         #: Why the plan retired itself, or ``None`` while it is live.
         self.dead: Optional[str] = None
         self._lock = threading.RLock()
         self._compiled = False
         self._emulator = None
-        #: (rank, rows[,start,stop]) -> np.ndarray of segment durations.
-        self._profiles = LRUCache(PROFILE_CACHE_ENTRIES, threadsafe=True)
+        self._tapes = LRUCache(TAPE_CACHE_ENTRIES, threadsafe=True)
         # Absolute row positions only matter when the ground truth
         # weighs rows non-uniformly.
         self._position_dependent = bool(
             perturbation.sparse_weights and program.row_weights is not None
         )
-        # Compiled artifacts (filled by _compile).
-        self._rank_ops: List[List[tuple]] = []
-        self._sched: List[Tuple[int, int, int, int, float]] = []
-        self._positions: List[np.ndarray] = []
-        self._iter_slices: List[List[Tuple[int, int]]] = []
-        self._shortcut_ok: List[bool] = []
-        self._n_channels = 0
-        self._op_rank = self._op_kind = self._op_a = None
-        self._op_transfer = None
+        #: (src, dst, iteration-relative tag) -> channel id; filled
+        #: while discovering, read-only afterwards.
+        self._channels: Dict[tuple, int] = {}
+        self._skeleton: List[tuple] = []
         # Diagnostics.
-        self.executes = 0
-        self.batch_executes = 0
-        self.profile_hits = 0
-        self.profile_misses = 0
-        self.shortcut_drives = 0
+        self.replays = 0
+        self.tape_hits = 0
+        self.tape_misses = 0
+        self.repeating_drives = 0
         self.full_drives = 0
 
     # -- public API -----------------------------------------------------------
@@ -247,51 +346,11 @@ class EmulationPlan:
     def probe_iterations(self) -> int:
         return self.policy.probe_iterations
 
-    def probe_ends(self, distribution) -> Optional[List[List[float]]]:
-        """Replay the probe for one candidate; ``[node][iteration]``
-        completion times, or ``None`` when the plan cannot serve it."""
-        profs = self._prepare(distribution)
-        if profs is None:
-            return None
-        self.executes += 1
-        return self._walk_scalar(profs)
-
-    def probe_ends_batch(self, distributions) -> Optional[np.ndarray]:
-        """Replay the probe for a whole population in one pass; a
-        ``(B, P, probe_iterations)`` array of completion times, or
-        ``None`` when the plan cannot serve the batch."""
-        all_profs = []
-        for dist in distributions:
-            profs = self._prepare(dist)
-            if profs is None:
-                return None
-            all_profs.append(profs)
-        if not all_profs:
-            return None
-        self.batch_executes += 1
-        return self._walk_batch(all_profs)
-
-    @property
-    def stats(self) -> dict:
-        return {
-            "dead": self.dead or "",
-            "executes": self.executes,
-            "batch_executes": self.batch_executes,
-            "profiles": len(self._profiles),
-            "profile_hits": self.profile_hits,
-            "profile_misses": self.profile_misses,
-            "shortcut_drives": self.shortcut_drives,
-            "full_drives": self.full_drives,
-            "schedule_ops": len(self._sched),
-            "channels": self._n_channels,
-            "numba_active": emulation_numba_active(),
-        }
-
-    # -- profiling ------------------------------------------------------------
-
-    def _prepare(self, distribution) -> Optional[List[np.ndarray]]:
-        """Compile on first use, then gather the candidate's per-rank
-        duration profiles (memoised).  ``None`` retires or skips."""
+    def replay(self, distribution,
+               n_iter: int) -> Optional[List[List[float]]]:
+        """``[node][iteration]`` completion times of the first
+        ``n_iter`` iterations, bit-identical to the event engine, or
+        ``None`` when the plan cannot serve the candidate."""
         if self.dead is not None:
             return None
         if not self._compiled:
@@ -305,386 +364,191 @@ class EmulationPlan:
         if self.dead is not None:
             return None
         try:
-            return [
-                self._rank_profile(rank, distribution)
+            tapes = [
+                self._tape(rank, distribution, n_iter)
                 for rank in range(self.cluster.n_nodes)
             ]
+            ends = self._walk(tapes, n_iter, self._noise(distribution, tapes, n_iter))
         except _PlanUnsupported as exc:
             self.dead = str(exc)
             return None
+        self.replays += 1
+        return ends
 
-    def _profile_key(self, rank: int, distribution) -> tuple:
-        start, stop = distribution.rows_of(rank)
-        if self._position_dependent:
-            return (rank, start, stop)
-        return (rank, stop - start)
+    @property
+    def stats(self) -> dict:
+        return {
+            "dead": self.dead or "",
+            "replays": self.replays,
+            "tapes": len(self._tapes),
+            "tape_hits": self.tape_hits,
+            "tape_misses": self.tape_misses,
+            "repeating_drives": self.repeating_drives,
+            "full_drives": self.full_drives,
+            "channels": len(self._channels),
+        }
 
-    def _rank_profile(self, rank: int, distribution) -> np.ndarray:
-        key = self._profile_key(rank, distribution)
-        prof = self._profiles.get(key)
-        if prof is not None:
-            self.profile_hits += 1
-            return prof
-        self.profile_misses += 1
-        ops, durs = self._drive_rank(rank, distribution, shortcut=True)
-        if list(ops) != self._rank_ops[rank][: len(ops)]:
-            raise _PlanUnsupported(
-                f"rank {rank} skeleton changed across candidates"
-            )
-        prof = self._finish_profile(rank, ops, durs)
-        self._profiles.put(key, prof)
-        return prof
-
-    def _finish_profile(self, rank: int, ops: list,
-                        durs: List[float]) -> np.ndarray:
-        """Extend a (possibly shortcut) drive to the full probe length
-        by replicating the last driven iteration's durations."""
-        skeleton = self._rank_ops[rank]
-        if len(ops) == len(skeleton):
-            return np.asarray(durs, dtype=np.float64)
-        lo, hi = self._iter_slices[rank][_SHORTCUT_DRIVEN - 1]
-        cycle = durs[lo : hi + 1]
-        out = list(durs)
-        while len(out) < len(skeleton):
-            out.extend(cycle)
-        if len(out) != len(skeleton):
-            raise _PlanUnsupported(
-                f"rank {rank} shortcut replication misaligned"
-            )
-        return np.asarray(out, dtype=np.float64)
+    # -- recording ------------------------------------------------------------
 
     def _make_emulator(self):
         if self._emulator is None:
             from repro.sim.executor import ClusterEmulator
 
             self._emulator = ClusterEmulator(
-                self.cluster, self.program, self.perturbation, self.policy
+                self.cluster, self.program, self.perturbation, self.policy,
+                dynamics=False,
             )
         return self._emulator
 
-    def _drive_rank(self, rank: int, distribution, *,
-                    shortcut: bool) -> Tuple[list, List[float]]:
-        """Drive one rank's node generator standalone and split its
-        timeline into (comm ops, preceding local durations).
+    def _tape_key(self, rank: int, distribution) -> tuple:
+        start, stop = distribution.rows_of(rank)
+        if self._position_dependent:
+            return (rank, start, stop)
+        return (rank, stop - start)
 
-        The driver answers every ``Delay`` with the advanced local
-        clock and every ``Recv`` with the current clock (as if the
-        message were already there) — legitimate because all yielded
-        durations are independent of absolute time, so only the
-        *segments between* communication points are being measured; the
-        cross-node coupling is replayed later by the compiled walk.
+    def _tape(self, rank: int, distribution, n_iter: int) -> _Tape:
+        key = self._tape_key(rank, distribution)
+        tape = self._tapes.get(key)
+        if tape is not None and tape.covers(n_iter):
+            self.tape_hits += 1
+            return tape
+        self.tape_misses += 1
+        tape = self._record(rank, distribution, n_iter)
+        if tape.skeleton() != self._skeleton[rank]:
+            raise _PlanUnsupported(f"rank {rank} comm skeleton changed")
+        self._tapes.put(key, tape)
+        return tape
 
-        With ``shortcut`` enabled the drive stops after
-        ``_SHORTCUT_DRIVEN`` iterations when (a) this rank's skeleton
-        repeats structurally, (b) the last two driven iterations have
-        bitwise-identical durations, and (c) no disk stream is still
-        warming (a cold stream could cross its first-full-pass
-        threshold in a later probe iteration and change durations, so
-        it forces a full drive — mirroring what the engine probe would
-        observe).
-        """
+    def _channel(self, key: tuple) -> int:
+        chan = self._channels.get(key)
+        if chan is None:
+            if self._compiled:
+                raise _PlanUnsupported(f"unknown message channel {key}")
+            chan = self._channels[key] = len(self._channels)
+        return chan
+
+    def _record(self, rank: int, distribution, n_iter: int) -> _Tape:
+        """Drive one rank's node generator standalone for ``n_iter``
+        iterations (fewer once an iteration repeats) into a tape."""
         emulator = self._make_emulator()
-        label = "x".join(map(str, distribution.counts))
-        ctx = emulator._make_context(
-            rank, distribution[rank], label, None, False
+        rec = emulator._make_context(
+            rank, distribution[rank], "", None, False, factory=_TapeRecorder
         )
+        rec.begin(self, may_stop=n_iter > _SHORTCUT_DRIVEN)
         # The contexts argument of _node_process is unused by the body;
         # the generator only touches its own ctx and the distribution.
-        gen = emulator._node_process(
-            ctx, None, distribution, self.probe_iterations, False
-        )
-        ops: list = []
-        durs: List[float] = []
-        seg = 0.0
-        t = 0.0
-        ends_seen = 0
-        may_stop = (
-            shortcut
-            and self._shortcut_ok[rank]
-            and self.probe_iterations > _SHORTCUT_DRIVEN
-        )
+        gen = emulator._node_process(rec, None, distribution, n_iter, False)
         try:
             req = next(gen)
             while True:
-                while len(ctx.iteration_ends) > ends_seen:
-                    ops.append(("E", ends_seen))
-                    durs.append(seg)
-                    seg = 0.0
-                    ends_seen += 1
-                    if may_stop and ends_seen == _SHORTCUT_DRIVEN:
-                        if self._stationary(rank, ctx, durs):
-                            gen.close()
-                            self.shortcut_drives += 1
-                            return ops, durs
-                        may_stop = False
-                kind = type(req)
-                if kind is Delay:
-                    seg += req.seconds
-                    t += req.seconds
-                    req = gen.send(t)
-                elif kind is Send:
-                    ops.append(("S", ctx.rank, req.dst, req.tag, req.transfer))
-                    durs.append(seg)
-                    seg = 0.0
-                    req = gen.send(t)
-                elif kind is Recv:
-                    ops.append(("R", req.src, ctx.rank, req.tag))
-                    durs.append(seg)
-                    seg = 0.0
-                    req = gen.send(t)
-                else:
-                    raise _PlanUnsupported(
-                        f"unsupported request {kind.__name__} from rank {rank}"
-                    )
+                rec.message(req)
+                req = gen.send(0.0)
         except StopIteration:
-            pass
-        while len(ctx.iteration_ends) > ends_seen:
-            ops.append(("E", ends_seen))
-            durs.append(seg)
-            seg = 0.0
-            ends_seen += 1
-        if ends_seen != self.probe_iterations:
-            raise _PlanUnsupported(
-                f"rank {rank} produced {ends_seen} iteration ends, "
-                f"expected {self.probe_iterations}"
-            )
-        self.full_drives += 1
-        return ops, durs
-
-    def _stationary(self, rank: int, ctx, durs: List[float]) -> bool:
-        """May the remaining probe iterations be replicated from the
-        last driven one?  See :meth:`_drive_rank`."""
-        slices = self._iter_slices[rank]
-        (lo1, hi1) = slices[_SHORTCUT_DRIVEN - 2]
-        (lo2, hi2) = slices[_SHORTCUT_DRIVEN - 1]
-        if durs[lo1 : hi1 + 1] != durs[lo2 : hi2 + 1]:
-            return False
-        disk = ctx.disk
-        # Private DiskModel state, same package: a stream that has been
-        # touched but is not yet warm may flip mid-probe.
-        for name, streamed in disk._streamed.items():
-            if streamed > 0 and not disk._warm.get(name, False):
-                return False
-        return True
+            self.full_drives += 1
+        except _Repeating:
+            self.repeating_drives += 1
+        return rec.tape()
 
     # -- compilation ----------------------------------------------------------
 
     def _compile(self, distribution) -> None:
-        """Discover the skeleton from the first candidate, compile the
-        dependency-ordered schedule, and self-check against a real
-        engine probe."""
-        emulator = self._make_emulator()
+        """Discover the channels and comm skeleton from the first
+        candidate, then self-check its replayed probe against a real
+        engine probe for exact equality."""
         P = self.cluster.n_nodes
-        self._shortcut_ok = [False] * P  # no shortcut during discovery
-        self._iter_slices = [[] for _ in range(P)]
-        rank_ops: List[list] = []
-        rank_durs: List[List[float]] = []
-        for rank in range(P):
-            ops, durs = self._drive_rank(rank, distribution, shortcut=False)
-            rank_ops.append(ops)
-            rank_durs.append(durs)
-        self._rank_ops = rank_ops
-        self._iter_slices = [self._slice_iterations(ops) for ops in rank_ops]
-        self._shortcut_ok = [
-            self._structurally_repeating(rank) for rank in range(P)
-        ]
-        self._compile_schedule()
-        self._self_check(emulator, distribution, rank_durs)
-        # The discovery drives double as the first candidate's profiles.
-        for rank in range(P):
-            self._profiles.put(
-                self._profile_key(rank, distribution),
-                np.asarray(rank_durs[rank], dtype=np.float64),
-            )
+        probe = self.probe_iterations
+        tapes = [self._record(rank, distribution, probe) for rank in range(P)]
+        self._skeleton = [tape.skeleton() for tape in tapes]
+        ends = self._walk(tapes, probe, self._noise(distribution, tapes, probe))
+        engine = self._make_emulator()._simulate(distribution, None, False, probe)
+        if ends != engine.iteration_ends:
+            raise _PlanUnsupported("self-check: replay differs from the engine")
+        for rank, tape in enumerate(tapes):
+            self._tapes.put(self._tape_key(rank, distribution), tape)
 
-    def _slice_iterations(self, ops: list) -> List[Tuple[int, int]]:
-        """Per-iteration (first, last) op index ranges (END inclusive)."""
-        slices = []
-        start = 0
-        for i, op in enumerate(ops):
-            if op[0] == "E":
-                slices.append((start, i))
-                start = i + 1
-        return slices
+    # -- replay ---------------------------------------------------------------
 
-    def _iter_signature(self, ops: list, lo: int, hi: int) -> tuple:
-        """Tag-free structural signature of one iteration's ops."""
-        sig = []
-        for op in ops[lo : hi + 1]:
-            if op[0] == "S":
-                sig.append(("S", op[2], op[4]))  # dst, transfer
-            elif op[0] == "R":
-                sig.append(("R", op[1]))  # src
-            else:
-                sig.append(("E",))
-        return tuple(sig)
-
-    def _structurally_repeating(self, rank: int) -> bool:
-        """Do iterations ``_SHORTCUT_DRIVEN-1 .. probe-1`` share one
-        op structure, making duration replication well defined?"""
-        if self.probe_iterations <= _SHORTCUT_DRIVEN:
-            return False
-        ops = self._rank_ops[rank]
-        slices = self._iter_slices[rank]
-        ref = self._iter_signature(ops, *slices[_SHORTCUT_DRIVEN - 1])
-        return all(
-            self._iter_signature(ops, *slices[k]) == ref
-            for k in range(_SHORTCUT_DRIVEN - 2, len(slices))
-        )
-
-    def _compile_schedule(self) -> None:
-        """Lower the per-rank skeletons into one dependency-ordered
-        instruction list plus dense channel slots."""
-        P = len(self._rank_ops)
-        channels: Dict[tuple, int] = {}
-        sends: set = set()
-        recvs: set = set()
-
-        def chan_id(key: tuple) -> int:
-            if key not in channels:
-                channels[key] = len(channels)
-            return channels[key]
-
-        lowered: List[List[Tuple[int, int, float]]] = []
-        for rank, ops in enumerate(self._rank_ops):
-            row = []
-            for op in ops:
-                if op[0] == "S":
-                    key = (op[1], op[2], op[3])  # (src, dst, tag)
-                    if key in sends:
-                        raise _PlanUnsupported(f"channel {key} sent twice")
-                    sends.add(key)
-                    row.append((_SEND, chan_id(key), op[4]))
-                elif op[0] == "R":
-                    key = (op[1], op[2], op[3])
-                    if key in recvs:
-                        raise _PlanUnsupported(
-                            f"channel {key} received twice"
-                        )
-                    recvs.add(key)
-                    row.append((_RECV, chan_id(key), 0.0))
-                else:
-                    row.append((_END, op[1], 0.0))
-            lowered.append(row)
-        if not recvs <= sends:
-            raise _PlanUnsupported("receive without a matching send")
-        self._n_channels = max(len(channels), 1)
-
-        pos = [0] * P
-        delivered: set = set()
-        sched: List[Tuple[int, int, int, int, float]] = []
-        total = sum(len(row) for row in lowered)
-        while len(sched) < total:
-            progress = False
-            for rank in range(P):
-                row = lowered[rank]
-                while pos[rank] < len(row):
-                    kind, a, transfer = row[pos[rank]]
-                    if kind == _RECV and a not in delivered:
-                        break
-                    sched.append((rank, kind, a, pos[rank], transfer))
-                    if kind == _SEND:
-                        delivered.add(a)
-                    pos[rank] += 1
-                    progress = True
-            if not progress:
-                raise _PlanUnsupported("schedule deadlocked")
-        self._sched = sched
-        self._op_rank = np.fromiter(
-            (s[0] for s in sched), np.int64, len(sched)
-        )
-        self._op_kind = np.fromiter(
-            (s[1] for s in sched), np.int64, len(sched)
-        )
-        self._op_a = np.fromiter((s[2] for s in sched), np.int64, len(sched))
-        self._op_transfer = np.fromiter(
-            (s[4] for s in sched), np.float64, len(sched)
-        )
-        self._positions = [
-            np.fromiter(
-                (i for i, s in enumerate(sched) if s[0] == rank),
-                np.int64,
-                len(lowered[rank]),
-            )
-            for rank in range(P)
+    def _noise(self, distribution, tapes: List[_Tape],
+               n_iter: int) -> Optional[List[List[float]]]:
+        """Each rank's noise factors for ``n_iter`` iterations, drawn
+        from the stream its engine run would draw them from."""
+        if not self.noisy:
+            return None
+        emulator = self._make_emulator()
+        label = "x".join(map(str, distribution.counts))
+        return [
+            emulator._perturbation_model(rank, label, False)
+            .noise_factors(n_iter * tape.draws).tolist()
+            for rank, tape in enumerate(tapes)
         ]
 
-    def _self_check(self, emulator, distribution,
-                    rank_durs: List[List[float]]) -> None:
-        """Compare the compiled walk against one real engine probe."""
-        profs = [np.asarray(d, dtype=np.float64) for d in rank_durs]
-        plan_ends = self._walk_scalar(profs)
-        engine = emulator._simulate(
-            distribution, None, False, self.probe_iterations
-        )
-        for plan_row, engine_row in zip(plan_ends, engine.iteration_ends):
-            if len(plan_row) != len(engine_row):
-                raise _PlanUnsupported("self-check: iteration count differs")
-            for a, b in zip(plan_row, engine_row):
-                scale = max(abs(a), abs(b), 1e-30)
-                if abs(a - b) / scale > _SELF_CHECK_RTOL:
-                    raise _PlanUnsupported(
-                        f"self-check diverged: plan {a!r} vs engine {b!r}"
-                    )
-
-    # -- walks ----------------------------------------------------------------
-
-    def _walk_scalar(self, profs: Sequence[np.ndarray]) -> List[List[float]]:
-        """Replay the probe for one candidate with plain floats.
-
-        Bit-identical to one lane of :meth:`_walk_batch`: the op
-        sequence is the same and every step is an IEEE double add or
-        two-way max with no cross-lane interaction.
-        """
-        P = len(profs)
-        durs = [p.tolist() for p in profs]
+    def _walk(self, tapes: List[_Tape], n_iter: int,
+              noise: Optional[List[List[float]]]) -> List[List[float]]:
+        """Replay ``n_iter`` iterations; see the module docstring for
+        the arithmetic each op repeats."""
+        P = len(tapes)
+        iters = [tape.iterations() for tape in tapes]
+        last = [len(its) - 1 for its in iters]
+        draws = [tape.draws for tape in tapes]
+        n_chan = len(self._channels)
         clock = [0.0] * P
-        deliver = [0.0] * self._n_channels
-        ends: List[List[float]] = [
-            [0.0] * self.probe_iterations for _ in range(P)
-        ]
-        for rank, kind, a, idx, transfer in self._sched:
-            c = clock[rank] + durs[rank][idx]
-            if kind == _SEND:
-                deliver[a] = c + transfer
-            elif kind == _RECV:
-                d = deliver[a]
-                if d > c:
-                    c = d
-            else:
-                ends[rank][a] = c
-            clock[rank] = c
-        return ends
-
-    def _walk_batch(
-        self, all_profs: Sequence[Sequence[np.ndarray]]
-    ) -> np.ndarray:
-        """Replay the probe for ``B`` candidates over ``(B, P)`` clocks."""
-        B = len(all_profs)
-        P = len(self._positions)
-        N = len(self._sched)
-        durs = np.empty((B, N), dtype=np.float64)
-        for rank in range(P):
-            durs[:, self._positions[rank]] = np.stack(
-                [all_profs[b][rank] for b in range(B)]
-            )
-        walk = _resolve_numba_walk()
-        if walk is not None:
-            return walk(
-                self._op_rank, self._op_kind, self._op_a,
-                self._op_transfer, durs, P, self._n_channels,
-                self.probe_iterations,
-            )
-        clock = np.zeros((B, P))
-        deliver = np.zeros((B, self._n_channels))
-        ends = np.zeros((B, P, self.probe_iterations))
-        for i, (rank, kind, a, _idx, transfer) in enumerate(self._sched):
-            col = clock[:, rank]
-            col += durs[:, i]
-            if kind == _SEND:
-                deliver[:, a] = col + transfer
-            elif kind == _RECV:
-                np.maximum(col, deliver[:, a], out=col)
-            else:
-                ends[:, rank, a] = col
+        free = [0.0] * P
+        pend = [0.0] * P
+        ends: List[List[float]] = [[] for _ in range(P)]
+        for it in range(n_iter):
+            ops_of = [its[min(it, m)] for its, m in zip(iters, last)]
+            deliver: List[Optional[float]] = [None] * n_chan
+            pos = [0] * P
+            live = P
+            while live:
+                moved = False
+                for r in range(P):
+                    i = pos[r]
+                    if i < 0:
+                        continue
+                    ops = ops_of[r]
+                    now, fa, pf = clock[r], free[r], pend[r]
+                    nf = noise[r] if noise is not None else None
+                    off = it * draws[r]
+                    start = i
+                    while True:
+                        kind, arg, x, b, rows = ops[i]
+                        if kind == _CPU:
+                            now = now + x
+                        elif kind == _COMPUTE:
+                            d = ((x * nf[off + arg]) * b) / rows
+                            if d > 0.0:
+                                now = now + d
+                        elif kind == _IO:
+                            # max(now, fa), as the disk model takes it.
+                            fa = (fa if fa > now else now) + x
+                            d = fa - now
+                            if d > 0.0:
+                                now = now + d
+                        elif kind == _PF_ISSUE:
+                            fa = (fa if fa > now else now) + x
+                            pf = fa
+                        elif kind == _PF_WAIT:
+                            if pf > now:
+                                now = now + (pf - now)
+                        elif kind == _SEND:
+                            deliver[arg] = now + x
+                        elif kind == _RECV:
+                            dv = deliver[arg]
+                            if dv is None:
+                                break  # blocked: another rank first
+                            if dv > now:
+                                now = dv
+                        else:  # _END
+                            ends[r].append(now)
+                            live -= 1
+                            i = -1
+                            break
+                        i += 1
+                    if i != start:
+                        moved = True
+                    pos[r] = i
+                    clock[r], free[r], pend[r] = now, fa, pf
+                if not moved:
+                    raise _PlanUnsupported("tape walk deadlocked")
         return ends

@@ -10,8 +10,8 @@ then pure repetition.
 
 The fast path exploits this in two steps:
 
-1. **Probe**: simulate only the first ``warmup + stable + 1``
-   iterations through the full event loop.
+1. **Probe**: replay only the first ``warmup + stable + 1``
+   iterations (bit-identical to the event engine).
 2. **Detect + extrapolate**: if, past the warmup, the last ``stable``
    iteration-end deltas of *every* node agree within a tight tolerance,
    the remaining iterations are generated closed-form —
@@ -21,13 +21,22 @@ The fast path exploits this in two steps:
    it at <= 1e-9 relative).
 
 Eligibility is decided *structurally* first
-(:func:`supports_fast_forward`): any stochastic perturbation
-(computation noise, background load), a non-uniform iteration profile,
-an attached observer (which must see every event) or an instrumented
-run disqualifies the fast path up front.  Convergence detection is the
-second, empirical gate: a workload that passes the structural check but
-whose deltas have not settled in the probe window silently falls back
-to full simulation.
+(:func:`supports_fast_forward`): stochastic effects (computation
+noise, background load), a non-uniform iteration profile, cluster
+dynamics, an attached observer (which must see every event) or an
+instrumented run disqualify extrapolation up front.  Convergence
+detection is the second, empirical gate: a workload that passes the
+structural check but whose deltas have not settled in the probe window
+falls back to full simulation.
+
+Refusing extrapolation does not mean the event engine runs.  The
+probe is replayed by the compiled
+:class:`~repro.sim.plan_sim.EmulationPlan`, and a run whose only
+disqualifier is computation noise is replayed from the same plan over
+*all* of its iterations, bit-identical to the engine (the noise is a
+per-rank RNG stream drawn once per stage execution, independent of
+timing).  :meth:`repro.sim.executor.ClusterEmulator.run` documents
+the routing.
 """
 
 from __future__ import annotations
@@ -85,8 +94,9 @@ class FastForwardPolicy:
 def supports_fast_forward(program, perturbation, *, observer=None,
                           instrumented: bool = False,
                           dynamics=None) -> bool:
-    """Structural eligibility: is this run iteration-invariant and
-    unobserved, so that cycle fast-forward *could* apply?
+    """Structural eligibility for extrapolation: is this run
+    iteration-invariant and unobserved, so that cycle fast-forward
+    *could* apply?
 
     * An observer must see every event of every iteration; skipping
       iterations would drop records.
@@ -94,8 +104,11 @@ def supports_fast_forward(program, perturbation, *, observer=None,
     * A non-uniform ``iteration_profile`` changes the work per
       iteration — the schedule never repeats.
     * Computation noise and background load draw from the run's RNG
-      stream on every stage execution: iterations differ by design,
-      and skipping them would desynchronise the stream.
+      streams on every stage execution: iterations differ by design.
+      A noisy run is still plan-served — its every iteration replayed,
+      not extrapolated (see :meth:`ClusterEmulator.run
+      <repro.sim.executor.ClusterEmulator.run>`); background load
+      takes the engine.
     * Cluster dynamics (a truthy
       :class:`~repro.cluster.dynamics.DynamicsSpec`) make node speeds
       a function of the iteration index — the run is non-stationary

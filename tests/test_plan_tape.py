@@ -1,0 +1,282 @@
+"""Differential suite: compiled op-tape replay vs the event engine.
+
+The compiled :class:`~repro.sim.plan_sim.EmulationPlan` replays per-rank
+op tapes with the engine's exact arithmetic, so a plan-served noisy run
+must equal ``emulate(..., fast_forward=False)`` bit for bit, and a
+deterministic one must reproduce the engine's probe window bit for bit
+before extrapolating.  Hypothesis draws the app, the Table-1 cluster, a
+Dirichlet layout with a one-row node, the streaming style, the run
+length, noise and the batch size.  Every candidate the plan cannot
+serve is counted under ``sim/fallback/<reason>`` and still equals the
+engine; a forced noise mismatch retires the plan at its self-check.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.sim.executor as executor_mod
+import repro.sim.plan_sim as plan_sim
+from repro.apps import (
+    ConjugateGradientApp,
+    JacobiApp,
+    MultigridApp,
+    RnaPipelineApp,
+)
+from repro.cluster import dynamics_scenario, table1_configs
+from repro.distribution import GenBlock, block, largest_remainder_round
+from repro.obs import Recorder
+from repro.sim import (
+    FastForwardPolicy,
+    PerturbationConfig,
+    emulate,
+    emulate_many,
+)
+from repro.sim.perturbation import PerturbationModel
+from repro.sim.trace import TraceCollector
+
+SCALE = 0.05
+APPS = {
+    "jacobi": JacobiApp,
+    "cg": ConjugateGradientApp,
+    "rna": RnaPipelineApp,
+    "multigrid": MultigridApp,
+}
+PROBE = FastForwardPolicy().probe_iterations
+NOISY = PerturbationConfig()
+DETERMINISTIC = PerturbationConfig().without(compute_noise=False)
+
+
+def _program(app, prefetch, iterations):
+    application = APPS[app].paper(SCALE)
+    program = application.prefetching() if prefetch else application.structure
+    return program.with_iterations(iterations)
+
+
+def _layout(P, n_rows, seed, one_row):
+    """A Dirichlet layout whose node ``one_row`` owns exactly one row."""
+    shares = np.random.default_rng(seed).dirichlet(np.ones(P - 1))
+    rest = largest_remainder_round(shares, n_rows - 1, minimum=1)
+    counts = list(rest)
+    counts.insert(one_row, 1)
+    return GenBlock(tuple(int(c) for c in counts))
+
+
+def _engine(cluster, program, dist, perturbation, **kw):
+    return emulate(
+        cluster, program, dist, perturbation=perturbation,
+        fast_forward=False, run_cache=False, **kw,
+    )
+
+
+def _assert_identical(a, b):
+    assert a.total_seconds == b.total_seconds
+    assert a.per_node_seconds == b.per_node_seconds
+    assert a.iteration_ends == b.iteration_ends
+    assert a.fast_forwarded == b.fast_forwarded
+
+
+@settings(
+    deadline=None,
+    max_examples=8,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    app=st.sampled_from(sorted(APPS)),
+    config=st.sampled_from(["DC", "IO", "HY1", "HY2"]),
+    seed=st.integers(0, 2**16),
+    one_row=st.integers(0, 7),
+    prefetch=st.booleans(),
+    iterations=st.sampled_from([PROBE + 1, 3 * PROBE]),
+    noisy=st.booleans(),
+    batch=st.sampled_from([1, 3]),
+)
+def test_replay_matches_engine(app, config, seed, one_row, prefetch,
+                               iterations, noisy, batch):
+    cluster = table1_configs()[config]
+    program = _program(app, prefetch, iterations)
+    P = cluster.n_nodes
+    dists = [
+        _layout(P, program.n_rows, seed + b, (one_row + b) % P)
+        for b in range(batch)
+    ]
+    pert = NOISY if noisy else DETERMINISTIC
+    rec = Recorder()
+    batched = emulate_many(
+        cluster, program, dists, perturbation=pert, run_cache=False,
+        telemetry=rec,
+    )
+    assert rec.counters["sim/batch/plan_runs"] == batch
+    for dist, got in zip(dists, batched):
+        single = emulate(
+            cluster, program, dist, perturbation=pert, run_cache=False
+        )
+        _assert_identical(got, single)
+        ref = _engine(cluster, program, dist, pert)
+        if noisy:
+            # Full-length replay: the engine's result, bit for bit.
+            _assert_identical(got, ref)
+            continue
+        # Probe replayed exactly, the tail extrapolated closed-form.
+        assert got.fast_forwarded
+        for ends, ref_ends in zip(got.iteration_ends, ref.iteration_ends):
+            assert ends[:PROBE] == ref_ends[:PROBE]
+            np.testing.assert_allclose(ends, ref_ends, rtol=1e-9, atol=0)
+
+
+def test_forced_noise_mismatch_retires_the_plan(monkeypatch):
+    """One perturbed element of the vector noise draw makes the replay
+    disagree with the engine probe: the self-check retires the plan and
+    every candidate still gets the engine's result."""
+    real = PerturbationModel.noise_factors
+
+    def skewed(self, n):
+        factors = real(self, n)
+        factors[0] *= 2.0
+        return factors
+
+    monkeypatch.setattr(PerturbationModel, "noise_factors", skewed)
+    # A cluster no other test compiles a plan for.
+    cluster = dataclasses.replace(table1_configs()["HY1"], name="HY1-skewed")
+    program = _program("jacobi", False, 2 * PROBE)
+    dists = [
+        _layout(cluster.n_nodes, program.n_rows, seed, seed)
+        for seed in range(2)
+    ]
+    rec = Recorder()
+    got = emulate_many(
+        cluster, program, dists, perturbation=NOISY, run_cache=False,
+        telemetry=rec,
+    )
+    plan = plan_sim.get_emulation_plan(
+        cluster, program, NOISY, FastForwardPolicy()
+    )
+    assert plan.dead is not None and plan.dead.startswith("self-check")
+    assert rec.counters["sim/fallback/plan_dead"] == len(dists)
+    assert rec.counters.get("sim/batch/plan_runs", 0) == 0
+    for dist, result in zip(dists, got):
+        _assert_identical(result, _engine(cluster, program, dist, NOISY))
+
+
+# -- fallback reasons -----------------------------------------------------------
+
+
+def _jacobi_hy1(iterations=2 * PROBE):
+    return table1_configs()["HY1"], _program("jacobi", False, iterations)
+
+
+def _observer():
+    cluster, program = _jacobi_hy1()
+    return cluster, program, NOISY, {"observer": TraceCollector()}
+
+
+def _instrumented():
+    cluster, program = _jacobi_hy1()
+    return cluster, program, NOISY, {"io_mode": "instrumented"}
+
+
+def _dynamics():
+    cluster, program = _jacobi_hy1()
+    spec = dynamics_scenario("drift", cluster.n_nodes, start=2)
+    return cluster, program, NOISY, {"dynamics": spec}
+
+
+def _background_load():
+    cluster, program = _jacobi_hy1()
+    return cluster, program, NOISY.without(background_load=0.2), {}
+
+
+def _iteration_profile():
+    cluster, program = _jacobi_hy1()
+    profile = np.linspace(1.0, 2.0, program.iterations)
+    return cluster, program.with_iteration_profile(profile), NOISY, {}
+
+
+def _io_mode():
+    cluster, program = _jacobi_hy1()
+    return cluster, program, NOISY, {"io_mode": "prefetch"}
+
+
+def _offset():
+    cluster, program = _jacobi_hy1()
+    return cluster, program, NOISY, {"iteration_offset": 2}
+
+
+def _short_run():
+    cluster, program = _jacobi_hy1(iterations=PROBE)
+    return cluster, program, NOISY, {}
+
+
+def _plan_dead(monkeypatch):
+    cluster, program = _jacobi_hy1()
+    plan = plan_sim.get_emulation_plan(
+        cluster, program, NOISY, FastForwardPolicy()
+    )
+    monkeypatch.setattr(plan, "dead", "forced dead for test")
+    return cluster, program, NOISY, {}
+
+
+def _not_converged(monkeypatch):
+    monkeypatch.setattr(
+        executor_mod, "steady_deltas", lambda ends, policy: None
+    )
+    cluster, program = _jacobi_hy1()
+    return cluster, program, DETERMINISTIC, {}
+
+
+FALLBACKS = {
+    "observer": _observer,
+    "instrumented": _instrumented,
+    "dynamics": _dynamics,
+    "background_load": _background_load,
+    "iteration_profile": _iteration_profile,
+    "io_mode": _io_mode,
+    "offset": _offset,
+    "short_run": _short_run,
+    "plan_dead": _plan_dead,
+    "not_converged": _not_converged,
+}
+
+
+@pytest.mark.parametrize("reason", sorted(FALLBACKS))
+def test_fallback_is_counted_and_engine_identical(reason, monkeypatch):
+    setup = FALLBACKS[reason]
+    if reason in ("plan_dead", "not_converged"):
+        cluster, program, pert, kw = setup(monkeypatch)
+    else:
+        cluster, program, pert, kw = setup()
+    dists = [
+        block(cluster, program.n_rows),
+        _layout(cluster.n_nodes, program.n_rows, 7, 3),
+    ]
+    rec = Recorder()
+    singles = [
+        emulate(
+            cluster, program, d, perturbation=pert, run_cache=False,
+            telemetry=rec, **kw,
+        )
+        for d in dists
+    ]
+    expected = len(dists)
+    if "observer" not in kw:  # emulate_many takes no observer
+        batched = emulate_many(
+            cluster, program, dists, perturbation=pert, run_cache=False,
+            telemetry=rec, **kw,
+        )
+        for a, b in zip(batched, singles):
+            _assert_identical(a, b)
+        expected *= 2
+        assert rec.counters["sim/batch/fallbacks"] == len(dists)
+    counters = rec.counters
+    assert counters[f"sim/fallback/{reason}"] == expected
+    assert not [
+        k for k in counters
+        if k.startswith("sim/fallback/") and k != f"sim/fallback/{reason}"
+    ]
+    assert "sim/plan_runs" not in counters
+    for d, got in zip(dists, singles):
+        ref = _engine(cluster, program, d, pert, **kw)
+        _assert_identical(got, ref)

@@ -13,6 +13,7 @@ from repro.program import (
     Stage,
     Variable,
 )
+from tests.conftest import make_jacobi_like
 
 
 class TestVariable:
@@ -176,6 +177,30 @@ class TestProgramStructure:
 
     def test_distributed_row_bytes(self, cg_like):
         assert cg_like.distributed_row_bytes() == pytest.approx(16 * 12 + 8)
+
+    def test_variable_map_is_built_once(self, jacobi_like):
+        first = jacobi_like.variable_map
+        assert first is jacobi_like.variable_map
+        assert first == {v.name: v for v in jacobi_like.variables}
+
+    def test_variable_map_cache_leaves_content_keys_alone(self):
+        from repro.cluster import config_dc
+        from repro.distribution import block
+        from repro.parallel.cache import RunCache, content_key
+        from repro.sim import PerturbationConfig
+
+        untouched, touched = make_jacobi_like(), make_jacobi_like()
+        touched.variable_map  # fills the cache on this instance only
+        assert "variable_map" in vars(touched)
+        assert "variable_map" not in vars(untouched)
+        assert touched == untouched
+        assert content_key(touched) == content_key(untouched)
+        cluster = config_dc()
+        d = block(cluster, touched.n_rows)
+        pert = PerturbationConfig()
+        assert RunCache.key(cluster, touched, d, 3, pert) == RunCache.key(
+            cluster, untouched, d, 3, pert
+        )
 
     def test_variable_lookup_raises_on_unknown(self, jacobi_like):
         with pytest.raises(ProgramStructureError):
