@@ -7,7 +7,9 @@ the runtime's ICLA streaming loop exactly (including the final partial
 block and, for prefetching, the unrolled loop of paper Figure 6 where
 the disk seek of a prefetched block hides inside the overlap window).
 For equal-size blocks and ``To = 0`` both formulations coincide with
-Equation 1; the unit tests pin that equivalence down.
+Equation 1; the unit tests pin that equivalence down.  The fast kernels
+evaluate the same block loops in closed form over the row-count arrays
+of many (node, rows) pairs at once (:meth:`StageTimeModel.section_tile_times`).
 
 Computation scales with assigned work: ``Tc' = Tc * W'/W`` where ``W``
 is the row count the instrumented distribution assigned (Section 4.2.1).
@@ -129,6 +131,7 @@ class StageTimeModel:
             if prefetch_issue_overhead is not None
             else inputs.micro.prefetch_issue_overhead
         )
+        self._arrays: Optional[dict] = None
 
     # -- measured-cost lookups -------------------------------------------------
 
@@ -317,7 +320,7 @@ class StageTimeModel:
             p = placements.get(name)
             return p is not None and not p.in_core
 
-        tile_rows_all = self.section_tile_rows(rows, section.tiles)
+        tiles = section.tiles
         total = 0.0
         for stage in section.stages:
             reads_ooc = [v for v in stage.reads if _ooc(v)]
@@ -328,7 +331,8 @@ class StageTimeModel:
                 primary in stage.writes and variables[primary].writes_back
             )
             compute_total = self.scaled_compute(node, section, stage, rows)
-            for trows in tile_rows_all.tolist():
+            for t in range(tiles):
+                trows = (rows * (t + 1)) // tiles - (rows * t) // tiles
                 if trows == 0:
                     continue
                 tile_compute = (
@@ -339,141 +343,153 @@ class StageTimeModel:
                 )
         return total
 
-    # -- vectorized section kernel ----------------------------------------------
+    # -- batched section kernel -------------------------------------------------
     #
     # The scalar methods above walk tiles, then ICLA blocks, in Python.
     # Every block of one tile is full-sized except possibly the last, so
     # the per-tile streaming loops collapse to closed forms in the number
-    # of full blocks and the remainder — which makes all tiles of a
-    # section one set of array expressions.  These methods are the
-    # ``kernel="numpy"`` evaluation path; they agree with the scalar
-    # reference to rounding (associativity of the sums differs, nothing
-    # else), which the golden equivalence suite pins to <= 1e-12
-    # relative error.
+    # of full blocks and the remainder.  The methods below evaluate them
+    # over a ``(K, tiles)`` grid of ``K`` (node, rows) pairs sharing one
+    # in-core pattern, single-tile sections included, with node inputs
+    # gathered per pair from :meth:`_node_arrays`.  Operations are
+    # elementwise over pairs, and agree with the scalar reference to
+    # rounding (the order of the sums differs, nothing else), which the
+    # golden equivalence suite pins to <= 1e-12 relative error.
 
-    def section_tile_rows(self, rows: int, tiles: int) -> np.ndarray:
-        """Row counts of every tile at once (the vectorised counterpart
-        of the model's per-tile ``(rows * t) // tiles`` bounds)."""
-        bounds = (rows * np.arange(tiles + 1, dtype=np.int64)) // tiles
-        return bounds[1:] - bounds[:-1]
+    def _node_arrays(self) -> dict:
+        """Per-node measured inputs as arrays indexed by node, built once
+        through the scalar lookups (so a node whose stage costs cannot
+        be scaled raises the scalar path's error, in its node order)."""
+        if self._arrays is None:
+            P, disks = self._inputs.n_nodes, self._inputs.micro.disks
+            rows0 = [costs.rows0 for costs in self._inputs.nodes]
+            stages = [(sec, st) for sec in self._program.sections
+                      for st in sec.stages]
+            compute = np.array([
+                [self.scaled_compute(n, sec, st, rows0[n]) for sec, st in stages]
+                for n in range(P)
+            ]).reshape(P, len(stages))
+            names = [v.name for v in self._program.distributed_variables]
+
+            def per_node(cost):
+                return {v: np.array([cost(n, v) for n in range(P)])
+                        for v in names}
+
+            self._arrays = {
+                "compute": {(sec.name, st.name): compute[:, i]
+                            for i, (sec, st) in enumerate(stages)},
+                "rows0": np.array(rows0),
+                "read_seek": np.array([d.read_seek for d in disks]),
+                "write_seek": np.array([d.write_seek for d in disks]),
+                "read_pb": per_node(self._read_pb),
+                "write_pb": per_node(self._write_pb),
+            }
+        return self._arrays
 
     def section_tile_times(
         self,
-        node: int,
-        rows: int,
+        nodes: np.ndarray,
+        rows: np.ndarray,
         section: ParallelSection,
-        plan: MemoryPlan,
+        block_rows: dict,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-tile ``(totals, computes)`` for every stage of ``section``
-        summed, as float64 arrays of length ``section.tiles``."""
-        tiles = section.tiles
-        tile_rows = self.section_tile_rows(rows, tiles)
-        variables = self._program.variable_map
-        placements = plan.placements
+        """Per-tile ``(totals, computes)`` of every stage of ``section``
+        summed, as ``(K, tiles)`` float64 arrays, for ``K`` pairs whose
+        out-of-core variables are exactly the keys of ``block_rows``
+        (each mapped to its ``(K,)`` ICLA row counts)."""
+        arrays = self._node_arrays()
+        # Every tile's rows: the model's per-tile (rows * t) // tiles bounds.
+        bounds = (rows[:, None] * np.arange(section.tiles + 1)) // section.tiles
+        tile_rows = bounds[:, 1:] - bounds[:, :-1]
+        ratio = tile_rows / np.maximum(rows, 1)[:, None]
+        scale = rows / arrays["rows0"][nodes]
 
-        def _ooc(name: str) -> bool:
-            p = placements.get(name)
-            return p is not None and not p.in_core
+        def stream(name, read, write):
+            return self._stream_seconds_array(
+                nodes, name, block_rows[name], tile_rows, read, write
+            )
 
-        totals = np.zeros(tiles)
-        computes = np.zeros(tiles)
+        # Adding to an exact 0.0 start leaves the first term unchanged,
+        # so these sums match the scalar kernel's per-term accumulation.
+        totals = computes = 0.0
         for stage in section.stages:
-            compute_total = self.scaled_compute(node, section, stage, rows)
-            if rows > 0:
-                tile_compute = compute_total * (tile_rows / rows)
-            else:
-                tile_compute = np.zeros(tiles)
-            reads_ooc = [v for v in stage.reads if _ooc(v)]
-            writes_ooc = [v for v in stage.writes if _ooc(v)]
+            compute = arrays["compute"][(section.name, stage.name)][nodes]
+            tile_compute = (compute * scale)[:, None] * ratio
+            reads_ooc = [v for v in stage.reads if v in block_rows]
             primary = reads_ooc[0] if reads_ooc else None
-            io = np.zeros(tiles)
-            if primary is None:
-                for name in writes_ooc:
-                    io = io + self._stream_seconds_array(
-                        node, name, plan, tile_rows, read=False, write=True
-                    )
-            else:
-                for name in reads_ooc[1:]:
-                    io = io + self._stream_seconds_array(
-                        node, name, plan, tile_rows, read=True, write=False
-                    )
+            io = 0.0
+            for name in reads_ooc[1:]:
+                io = io + stream(name, True, False)
+            if primary is not None:
                 write_back = (
-                    primary in stage.writes and variables[primary].writes_back
+                    primary in stage.writes
+                    and self._program.variable_map[primary].writes_back
                 )
                 if self._program.prefetch:
                     io = io + self._prefetch_loop_seconds_array(
-                        node, primary, plan, tile_rows, tile_compute,
-                        write_back,
+                        nodes, primary, block_rows[primary], tile_rows,
+                        tile_compute, write_back,
                     )
                 else:
-                    io = io + self._stream_seconds_array(
-                        node, primary, plan, tile_rows,
-                        read=True, write=write_back,
-                    )
-                for name in writes_ooc:
-                    if name == primary:
-                        continue
-                    io = io + self._stream_seconds_array(
-                        node, name, plan, tile_rows, read=False, write=True
-                    )
+                    io = io + stream(primary, True, write_back)
+            for name in stage.writes:
+                if name in block_rows and name != primary:
+                    io = io + stream(name, False, True)
             computes = computes + tile_compute
             totals = totals + (tile_compute + io)
         return totals, computes
 
-    def _block_split(self, placement, tile_rows: np.ndarray):
-        """Full-block count and remainder rows of every tile's ICLA
-        stream (the closed form of :func:`_block_rows`)."""
-        block = placement.block_rows
-        n_full = tile_rows // block
-        rem = tile_rows - n_full * block
-        return block, n_full, rem
-
     def _stream_seconds_array(
-        self, node, name, plan, tile_rows: np.ndarray, *, read: bool,
+        self, nodes, name, block, tile_rows: np.ndarray, read: bool,
         write: bool,
     ) -> np.ndarray:
-        """Closed form of :meth:`_stream_seconds` over all tiles."""
-        block, n_full, rem = self._block_split(plan.placements[name], tile_rows)
-        row_bytes = self._program.variable(name).row_bytes
-        disk = self._inputs.micro.disks[node]
+        """Closed form of :meth:`_stream_seconds` over ``(K, tiles)``:
+        full blocks and a remainder (the closed form of :func:`_block_rows`)."""
+        block = block[:, None]
+        n_full = tile_rows // block
+        rem = tile_rows - n_full * block
+        row_bytes = self._program.variable_map[name].row_bytes
+        arrays = self._node_arrays()
         has_rem = rem > 0
         n_full_f = n_full.astype(np.float64)
-        total = np.zeros(len(tile_rows))
-        if read:
-            pb = self._read_pb(node, name)
-            full = disk.read_seek + (block * row_bytes) * pb
-            partial = disk.read_seek + (rem * row_bytes) * pb
-            total = total + (n_full_f * full + has_rem * partial)
-        if write:
-            pb = self._write_pb(node, name)
-            full = disk.write_seek + (block * row_bytes) * pb
-            partial = disk.write_seek + (rem * row_bytes) * pb
-            total = total + (n_full_f * full + has_rem * partial)
+        total = 0.0
+        for on, kind in ((read, "read"), (write, "write")):
+            if on:
+                seek = arrays[kind + "_seek"][nodes][:, None]
+                pb = arrays[kind + "_pb"][name][nodes][:, None]
+                full = seek + (block * row_bytes) * pb
+                partial = seek + (rem * row_bytes) * pb
+                total = total + (n_full_f * full + has_rem * partial)
         return total
 
     def _prefetch_loop_seconds_array(
-        self, node, name, plan, tile_rows: np.ndarray,
+        self, nodes, name, block, tile_rows: np.ndarray,
         tile_compute: np.ndarray, write_back: bool,
     ) -> np.ndarray:
-        """Closed form of :meth:`_prefetch_loop_seconds` over all tiles.
+        """Closed form of :meth:`_prefetch_loop_seconds` over
+        ``(K, tiles)``.
 
-        With ``K`` blocks (all full-sized except possibly the last), the
-        unrolled loop is: one cold read, ``K - 2`` full reads each
+        With ``n`` blocks (all full-sized except possibly the last), the
+        unrolled loop is: one cold read, ``n - 2`` full reads each
         overlapped by a full block's computation share, one last read
         (full or partial) overlapped the same way, plus synchronous
         write-backs of every block.  Tiles streaming a single block fall
         back to the synchronous form, exactly like the scalar path.
         """
-        block, n_full, rem = self._block_split(plan.placements[name], tile_rows)
-        row_bytes = self._program.variable(name).row_bytes
-        disk = self._inputs.micro.disks[node]
-        rpb = self._read_pb(node, name)
+        sync = self._stream_seconds_array(
+            nodes, name, block, tile_rows, True, write_back
+        )
+        block = block[:, None]
+        n_full = tile_rows // block
+        rem = tile_rows - n_full * block
+        row_bytes = self._program.variable_map[name].row_bytes
+        arrays = self._node_arrays()
+        seek = arrays["read_seek"][nodes][:, None]
+        rpb = arrays["read_pb"][name][nodes][:, None]
         has_rem = rem > 0
-        n_blocks = n_full + has_rem
-        read_full = disk.read_seek + (block * row_bytes) * rpb
-        read_partial = disk.read_seek + (rem * row_bytes) * rpb
-        safe_rows = np.where(tile_rows > 0, tile_rows, 1)
-        share_full = tile_compute * block / safe_rows
+        read_full = seek + (block * row_bytes) * rpb
+        read_partial = seek + (rem * row_bytes) * rpb
+        share_full = tile_compute * block / np.maximum(tile_rows, 1)
         issue = self._issue_overhead
         hidden_full = np.maximum(0.0, read_full - share_full)
         hidden_last = np.maximum(0.0, read_partial - share_full)
@@ -484,14 +500,12 @@ class StageTimeModel:
             + has_rem * (issue + hidden_last)
         )
         if write_back:
-            wpb = self._write_pb(node, name)
-            write_full = disk.write_seek + (block * row_bytes) * wpb
-            write_partial = disk.write_seek + (rem * row_bytes) * wpb
+            wseek = arrays["write_seek"][nodes][:, None]
+            wpb = arrays["write_pb"][name][nodes][:, None]
+            write_full = wseek + (block * row_bytes) * wpb
+            write_partial = wseek + (rem * row_bytes) * wpb
             prefetched = prefetched + (
                 n_full.astype(np.float64) * write_full
                 + has_rem * write_partial
             )
-        sync = self._stream_seconds_array(
-            node, name, plan, tile_rows, read=True, write=write_back
-        )
-        return np.where(n_blocks >= 2, prefetched, sync)
+        return np.where(n_full + has_rem >= 2, prefetched, sync)

@@ -14,8 +14,9 @@ Two evaluation kernels produce those clocks:
   per-stage, per-block Python loops, kept exactly as originally
   written so the fast path always has a bit-stable baseline to be
   checked against.
-* ``kernel="numpy"`` (default) — the vectorised kernel: each node's
-  tiles x stages become closed-form array expressions
+* ``kernel="numpy"`` (default) — the vectorised kernel: every missing
+  ``(node, rows)`` table of a call is built in one batched pass of
+  closed-form array expressions over ``(pairs, tiles)``
   (:meth:`StageTimeModel.section_tile_times`) and the communication
   timeline advances ``np.ndarray`` clocks
   (:meth:`SectionTimeline.advance_arrays`).  It agrees with the scalar
@@ -508,8 +509,9 @@ class MhetaModel:
 
         The candidates' GEN_BLOCK row counts stack into a ``(B, P)``
         matrix; each distinct ``(node, rows)`` pair across the *whole
-        batch* is looked up (or built) in the shared table LRU exactly
-        once; and the numpy kernel — stage-table assembly, max-plus
+        batch* is looked up in the shared table LRU once, and every miss
+        is built in one batched table pass (:meth:`_build_tables`); then
+        the numpy kernel — stage-table assembly, max-plus
         section matrices and their composition, the steady-state clock
         walk — evaluates every section over the candidate axis in a
         single array pass instead of once per candidate.  Candidates
@@ -527,29 +529,18 @@ class MhetaModel:
         if not dists:
             return np.empty(0)
         P = self.n_nodes
+        counts = self._batch_counts(dists)
+        n_iter = (
+            iterations if iterations is not None else self.program.iterations
+        )
         if (
             self.kernel == "plan"
             and self.program.iteration_profile is None
         ):
-            counts = self._batch_counts(dists)
-            n_iter = (
-                iterations
-                if iterations is not None
-                else self.program.iterations
-            )
             plan = self._plan
             if plan is None:
                 plan = self.ensure_plan(telemetry)
             return plan.execute(counts, n_iter)
-        for d in dists:
-            if d.n_nodes != P:
-                raise ModelError(
-                    "distribution does not match the model's nodes"
-                )
-            if d.n_rows != self.program.n_rows:
-                raise ModelError(
-                    "distribution does not cover the program's rows"
-                )
         if (
             self.kernel != "numpy"
             or self.program.iteration_profile is not None
@@ -560,35 +551,20 @@ class MhetaModel:
                     for d in dists
                 ]
             )
-        n_iter = (
-            iterations if iterations is not None else self.program.iterations
-        )
         B = len(dists)
-        counts = np.array([d.counts for d in dists], dtype=np.int64)
-        cache = self._tables_cache
-        if cache is None:
-            # Same transient-bound policy as predict_many: the batch
-            # shares tables without growing memory past the default cap.
-            cache = LRUCache(DEFAULT_TABLE_CACHE_ENTRIES)
         sections = self.program.sections
-        all_totals = np.empty((B, P, self._total_tiles))
-        all_source = np.empty((B, P, len(sections)))
-        for n in range(P):
-            uniq, inverse = np.unique(counts[:, n], return_inverse=True)
-            node_totals = np.empty((len(uniq), self._total_tiles))
-            node_source = np.empty((len(uniq), len(sections)))
-            for u, rows in enumerate(uniq):
-                rows = int(rows)
-                entry = cache.get((n, rows))
-                if entry is None:
-                    entry = self._node_tables_numpy(
-                        n, rows, self.oracle.plan(n, rows)
-                    )
-                    cache.put((n, rows), entry)
-                node_totals[u] = entry[0]
-                node_source[u] = entry[2]
-            all_totals[:, n, :] = node_totals[inverse]
-            all_source[:, n, :] = node_source[inverse]
+        # Each distinct (node, rows) pair of the batch, keyed as one int.
+        stride = self.program.n_rows + 1
+        keys, inverse = np.unique(
+            counts + stride * np.arange(P), return_inverse=True
+        )
+        flat = self._tables(
+            (keys // stride).tolist(), (keys % stride).tolist(),
+            self._tables_cache,
+        )[inverse.reshape(B, P)]
+        T = self._total_tiles
+        all_totals = flat[:, :, :T]
+        all_source = flat[:, :, 2 * T:]
 
         timeline = self.timeline
         offsets = self._tile_offsets
@@ -722,46 +698,76 @@ class MhetaModel:
             out.append((totals, computes, self._source_read(n, section, plan)))
         return out
 
-    def _node_tables_numpy(self, n: int, rows: int, plan):
-        """Vectorised counterpart of :meth:`_node_tables`: one array
-        kernel call per section instead of tiles x stages Python loops.
-        Sections are packed along one flat tile axis (layout in
-        ``self._tile_offsets``) so assembling a distribution's ``(P,
-        tiles)`` tables costs one row copy per node.
+    def _build_tables(self, nodes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Stage-time tables of ``K`` (node, rows) pairs in one batched
+        pass, as ``(K, 2 * total_tiles + sections)`` rows laid out
+        ``[totals | computes | source_read]`` (sections packed along the
+        flat tile axes, layout in ``self._tile_offsets``).
 
-        Single-tile sections go through the scalar per-stage
-        accumulation: the closed-form array kernel only amortises its
-        call overhead across many tiles, and the scalar path is exact
-        against the reference by construction.
+        Pairs are grouped by their in-core bitmask: within a group every
+        stage has one I/O formula, evaluated in closed form over the
+        group's ``(pairs, tiles)`` grid.  Every operation is elementwise
+        over pairs, so a pair's tables do not depend on its batch.
         """
-        totals = np.empty(self._total_tiles)
-        computes = np.empty(self._total_tiles)
-        source_read = np.empty(len(self.program.sections))
-        for si, section in enumerate(self.program.sections):
-            lo, hi = self._tile_offsets[si], self._tile_offsets[si + 1]
-            if section.tiles == 1:
-                c_sum = 0.0
-                t_sum = 0.0
-                for stage in section.stages:
-                    st = self.stage_model.tile_stage_times(
-                        n, rows, section, stage, rows, plan
+        arrays = self.stage_model._node_arrays()
+        placed = self.oracle.plan_arrays(nodes, rows)
+        names = placed.names
+        masks = (
+            (~placed.in_core).astype(np.int64)
+            << np.arange(len(names))[:, None]
+        ).sum(axis=0)
+        T, offsets = self._total_tiles, self._tile_offsets
+        out = np.empty((len(rows), 2 * T + len(self.program.sections)))
+        for mask in np.unique(masks).tolist():
+            sel = np.flatnonzero(masks == mask)
+            g_nodes = nodes[sel]
+            ooc = [j for j in range(len(names)) if mask >> j & 1]
+            blocks = {names[j]: placed.block_rows[j, sel] for j in ooc}
+            for si, section in enumerate(self.program.sections):
+                lo, hi = offsets[si], offsets[si + 1]
+                (out[sel, lo:hi], out[sel, T + lo:T + hi]) = (
+                    self.stage_model.section_tile_times(
+                        g_nodes, rows[sel], section, blocks
                     )
-                    c_sum += st.compute_seconds
-                    t_sum += st.total
-                totals[lo] = t_sum
-                computes[lo] = c_sum
-            else:
-                t, c = self.stage_model.section_tile_times(
-                    n, rows, section, plan
                 )
-                totals[lo:hi] = t
-                computes[lo:hi] = c
-            source_read[si] = self._source_read(n, section, plan)
-        # Cached entries are shared across predictions; freeze them.
-        totals.setflags(write=False)
-        computes.setflags(write=False)
-        source_read.setflags(write=False)
-        return (totals, computes, source_read)
+                # Disk read charged for materialising one outgoing
+                # neighbour message from an out-of-core source.
+                src = section.comm.source_variable
+                out[sel, 2 * T + si] = (
+                    arrays["read_seek"][g_nodes]
+                    + section.comm.message_bytes
+                    * arrays["read_pb"][src][g_nodes]
+                    if src in blocks
+                    and section.comm.pattern is CommPattern.NEAREST_NEIGHBOR
+                    else 0.0
+                )
+        return out
+
+    def _tables(
+        self, nodes: Sequence[int], rows: Sequence[int], cache
+    ) -> np.ndarray:
+        """Stacked :meth:`_build_tables` rows of every ``(node, rows)``
+        pair: from ``cache`` where present, all misses built in one pass.
+        Each new entry is its own compact read-only row (it never pins
+        the batch arrays), shared by every later prediction."""
+        keys = list(zip(nodes, rows))
+        entries = (
+            cache.get_many(keys) if cache is not None else [None] * len(keys)
+        )
+        missing = [i for i, e in enumerate(entries) if e is None]
+        if missing:
+            idx = np.array(missing)
+            built = self._build_tables(
+                np.asarray(nodes, dtype=np.int64)[idx],
+                np.asarray(rows, dtype=np.int64)[idx],
+            )
+            for row, i in zip(built, missing):
+                entry = row.copy()
+                entry.setflags(write=False)
+                entries[i] = entry
+                if cache is not None:
+                    cache.put(keys[i], entry)
+        return np.stack(entries)
 
     def _section_tables(
         self,
@@ -776,36 +782,28 @@ class MhetaModel:
         override), shared across every prediction."""
         P = self.n_nodes
         cache = table_cache if table_cache is not None else self._tables_cache
-        build = (
-            self._node_tables
-            if self.kernel == "scalar"
-            else self._node_tables_numpy
-        )
         counts = distribution.counts
-        per_node = []
-        for n in range(P):
-            rows = counts[n]
-            if cache is None:
-                per_node.append(build(n, rows, self.oracle.plan(n, rows)))
-            else:
-                key = (n, rows)
-                entry = cache.get(key)
+        if self.kernel != "scalar":
+            per_node = self._tables(range(P), counts, cache)
+        else:
+            per_node = []
+            for n in range(P):
+                key = (n, counts[n])
+                entry = cache.get(key) if cache is not None else None
                 if entry is None:
-                    entry = build(n, rows, self.oracle.plan(n, rows))
-                    cache.put(key, entry)
+                    entry = self._node_tables(
+                        n, counts[n], self.oracle.plan(n, counts[n])
+                    )
+                    if cache is not None:
+                        cache.put(key, entry)
                 per_node.append(entry)
         tables = []
         if self.kernel != "scalar":
-            # One row copy per node into the flat (P, total_tiles)
-            # tables, then per-section column views — no re-stacking.
-            all_totals = np.empty((P, self._total_tiles))
-            all_compute = np.empty((P, self._total_tiles))
-            all_source = np.empty((P, len(self.program.sections)))
-            for n in range(P):
-                entry = per_node[n]
-                all_totals[n] = entry[0]
-                all_compute[n] = entry[1]
-                all_source[n] = entry[2]
+            # Per-section column views of the stacked (P, ...) tables.
+            T = self._total_tiles
+            all_totals = per_node[:, :T]
+            all_compute = per_node[:, T:2 * T]
+            all_source = per_node[:, 2 * T:]
             for si, section in enumerate(self.program.sections):
                 lo, hi = self._tile_offsets[si], self._tile_offsets[si + 1]
                 tile_totals = all_totals[:, lo:hi]
@@ -1020,89 +1018,6 @@ class MhetaModel:
         totals = last + steady_now * (n_iter - simulate)
         return totals, steady_now
 
-    def _predict_seconds_lean(
-        self,
-        distribution: GenBlock,
-        n_iter: int,
-        table_cache: Optional[LRUCache],
-    ) -> float:
-        """The search hot path: numpy kernel, scalar result, steady
-        iterations.  Builds the fused iteration ops straight from the
-        per-``(node, rows)`` cache entries — no compute-share tables,
-        no per-section report structures."""
-        P = self.n_nodes
-        cache = table_cache if table_cache is not None else self._tables_cache
-        counts = distribution.counts
-        if cache is None:
-            per_node = [
-                self._node_tables_numpy(
-                    n, counts[n], self.oracle.plan(n, counts[n])
-                )
-                for n in range(P)
-            ]
-        else:
-            per_node = cache.get_many(
-                [(n, counts[n]) for n in range(P)]
-            )
-            for n, entry in enumerate(per_node):
-                if entry is None:
-                    entry = self._node_tables_numpy(
-                        n, counts[n], self.oracle.plan(n, counts[n])
-                    )
-                    cache.put((n, counts[n]), entry)
-                    per_node[n] = entry
-        sections = self.program.sections
-        all_totals = np.empty((P, self._total_tiles))
-        all_source = np.empty((P, len(sections)))
-        for n in range(P):
-            entry = per_node[n]
-            all_totals[n] = entry[0]
-            all_source[n] = entry[2]
-        timeline = self.timeline
-        offsets = self._tile_offsets
-
-        def matrix_op(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            return lambda clocks: (A + clocks).max(axis=1)
-
-        ops: List[Callable[[np.ndarray], np.ndarray]] = []
-        pending: Optional[np.ndarray] = None
-        for si, section in enumerate(sections):
-            lo, hi = offsets[si], offsets[si + 1]
-            tile_totals = all_totals[:, lo:hi]
-            tile_sums = (
-                tile_totals[:, 0] if hi - lo == 1 else tile_totals.sum(axis=1)
-            )
-            matrix = timeline.compile_matrix(
-                section.comm.pattern,
-                tile_totals,
-                section.comm.message_bytes,
-                all_source[:, si],
-                tile_sums,
-            )
-            if matrix is not None:
-                pending = (
-                    matrix
-                    if pending is None
-                    else maxplus_compose(matrix, pending)
-                )
-            else:
-                if pending is not None:
-                    ops.append(matrix_op(pending))
-                    pending = None
-                ops.append(
-                    timeline.compile_advance(
-                        section.comm.pattern,
-                        tile_totals,
-                        section.comm.message_bytes,
-                        all_source[:, si],
-                        tile_sums,
-                    )
-                )
-        if pending is not None:
-            ops.append(matrix_op(pending))
-        totals, _ = self._steady_walk(ops, n_iter)
-        return float(totals.max())
-
     def _walk_arrays(
         self, tables: List[_SectionTables], n_iter: int
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -1161,10 +1076,6 @@ class MhetaModel:
             iterations if iterations is not None else self.program.iterations
         )
         if not want_report and self.program.iteration_profile is None:
-            if self.kernel == "numpy":
-                return self._predict_seconds_lean(
-                    distribution, n_iter, table_cache
-                )
             if self.kernel == "plan":
                 plan = self._plan
                 if plan is None:

@@ -17,21 +17,17 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.distribution.genblock import GenBlock
+import numpy as np
+
 from repro.exceptions import ModelError
-from repro.placement import MemoryPlan, plan_memory
+from repro.placement import MemoryPlan, PlacementArrays, plan_memory_arrays
 from repro.program.structure import ProgramStructure
 from repro.util.lru import LRUCache
 
 __all__ = ["OutOfCoreOracle"]
 
-#: Bound of the per-``(node, rows)`` plan memo; long sweeps revisit row
-#: counts constantly but must not grow memory without limit.  The model
-#: consults the oracle only when it builds a per-``(node, rows)`` table,
-#: and keeps the table itself in a larger LRU
-#: (``DEFAULT_TABLE_CACHE_ENTRIES``), so plans beyond the most recent
-#: builds would only hold memory: a resident ``repro serve`` answering
-#: thousands of fresh layouts per model kept ~12 MB of them.
+#: Bound of the :meth:`OutOfCoreOracle.plan` memo (reports, telemetry);
+#: the model's batched table pass reads :meth:`~OutOfCoreOracle.plan_arrays`.
 DEFAULT_PLAN_CACHE_ENTRIES = 1024
 
 
@@ -57,6 +53,7 @@ class OutOfCoreOracle:
             raise ModelError("oracle needs at least one node's memory size")
         self._program = program
         self._memory = [int(m) for m in memory_bytes]
+        self._memory_array = np.array(self._memory, dtype=np.float64)
         self._cache = LRUCache(cache_entries)
 
     @property
@@ -70,17 +67,18 @@ class OutOfCoreOracle:
         key = (node, rows)
         plan = self._cache.get(key)
         if plan is None:
-            plan = plan_memory(self._program, rows, self._memory[node])
+            plan = self.plan_arrays(np.array([node]), [rows]).plans()[0]
             self._cache.put(key, plan)
         return plan
 
-    def plans(self, distribution: GenBlock) -> list:
-        """Placements for every node under ``distribution``."""
-        if distribution.n_nodes != self.n_nodes:
-            raise ModelError(
-                "distribution node count does not match the oracle's"
-            )
-        return [self.plan(n, distribution[n]) for n in range(self.n_nodes)]
+    def plan_arrays(
+        self, nodes: np.ndarray, rows: Sequence[int]
+    ) -> PlacementArrays:
+        """Placements for ``K`` (node, rows) pairs in one vectorised
+        pass (``nodes`` must be valid node indices)."""
+        return plan_memory_arrays(
+            self._program, rows, self._memory_array[nodes]
+        )
 
     def is_out_of_core(self, node: int, rows: int, variable: str) -> bool:
         """The heuristic's verdict for one variable."""

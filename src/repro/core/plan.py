@@ -895,26 +895,18 @@ class EvaluationPlan:
         return idx
 
     def _fill_missing(self, counts: np.ndarray, idx: np.ndarray) -> None:
+        """Insert every store row the batch lacks: distinct missing
+        ``(node, rows)`` pairs come from the model's table LRU, and its
+        misses are built in one batched table pass."""
+        b, n = np.nonzero(idx < 0)
+        pairs = sorted(set(zip(n.tolist(), counts[b, n].tolist())))
         model = self._model
-        cache = model._tables_cache
-        for b, n in np.argwhere(idx < 0):
-            n = int(n)
-            rows = int(counts[b, n])
-            if self._index is not None:
-                if self._index[n, rows] >= 0:
-                    continue
-            elif (n, rows) in self._index_dict:
-                continue
-            entry = cache.get((n, rows)) if cache is not None else None
-            if entry is None:
-                entry = model._node_tables_numpy(
-                    n, rows, model.oracle.plan(n, rows)
-                )
-                if cache is not None:
-                    cache.put((n, rows), entry)
-            self._insert(n, rows, entry)
+        flat = model._tables(*zip(*pairs), model._tables_cache)
+        T = model._total_tiles
+        for (n, r), entry in zip(pairs, flat):
+            self._insert(n, r, entry[:T], entry[2 * T:])
 
-    def _insert(self, n: int, rows: int, entry) -> None:
+    def _insert(self, n: int, rows: int, totals, source) -> None:
         if self._used >= MAX_STORE_ROWS:
             # Reset rather than grow without bound; the model's table
             # LRU keeps the expensive closed-form work warm.
@@ -930,7 +922,6 @@ class EvaluationPlan:
             )
             grown[: self._used] = self._data[: self._used]
             self._data = grown
-        totals, _computes, source = entry
         vec = self._data[self._used]
         for kind, si, lo, hi, c0 in self._col_specs:
             if kind == _TRI:

@@ -72,7 +72,7 @@ class GenBlock:
             counts_arr = rounded.astype(np.int64)
         if (counts_arr < 0).any():
             raise DistributionError("counts must be non-negative")
-        object.__setattr__(self, "counts", tuple(int(c) for c in counts_arr))
+        object.__setattr__(self, "counts", tuple(counts_arr.tolist()))
         # Read-only int64 mirror of ``counts`` for hot paths that stack
         # whole candidate batches (the plan kernel): row-assigning a
         # cached array is ~3x cheaper than re-converting the tuple.

@@ -213,9 +213,11 @@ class SweepCache:
         every later run)."""
         try:
             raw = json.loads(self.path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
+            return {k: (float(a), float(p)) for k, (a, p) in raw.items()}
+        except (OSError, ValueError, TypeError, AttributeError):
+            # Undecodable bytes and bad JSON are ValueErrors; a top-level
+            # non-object or a wrong-shaped entry fails the unpacking.
             return {}
-        return {k: (float(a), float(p)) for k, (a, p) in raw.items()}
 
     def _put(self, key: str, pair: Tuple[float, float]) -> None:
         if isinstance(self._store, LRUCache):
@@ -580,7 +582,7 @@ class RunCache:
         try:
             raw = json.loads(self.path.read_text(encoding="utf-8"))
             return {k: self._deserialize(v) for k, v in raw.items()}
-        except (OSError, ValueError, TypeError, KeyError):
+        except (OSError, ValueError, TypeError, KeyError, AttributeError):
             return {}
 
     def save(self) -> None:

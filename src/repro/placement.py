@@ -19,18 +19,30 @@ variables are considered smallest-first; each fits in core while memory
 remains (keeping at least one block row per remaining variable); the
 leftover memory is divided among the out-of-core variables pro rata to
 their local sizes, giving each its ICLA.
+
+One vectorised implementation, :func:`plan_memory_arrays`, places
+``K`` (rows, memory) pairs at once with elementwise array operations;
+:func:`plan_memory` is its one-row case as a :class:`MemoryPlan`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.program.structure import ProgramStructure
 from repro.program.variables import Variable
 
-__all__ = ["VariablePlacement", "MemoryPlan", "plan_memory"]
+__all__ = [
+    "VariablePlacement",
+    "MemoryPlan",
+    "PlacementArrays",
+    "plan_memory",
+    "plan_memory_arrays",
+]
 
 
 @dataclass(frozen=True)
@@ -68,10 +80,6 @@ class MemoryPlan:
         return any(not p.in_core for p in self.placements.values())
 
     @property
-    def out_of_core_bytes(self) -> float:
-        return sum(p.ocla_bytes for p in self.placements.values())
-
-    @property
     def resident_bytes(self) -> float:
         """Bytes of distributed data resident in memory (full in-core
         arrays plus one ICLA per streamed variable)."""
@@ -81,10 +89,61 @@ class MemoryPlan:
         )
 
 
+@dataclass(frozen=True)
+class PlacementArrays:
+    """Placements of ``K`` pairs: ``(K,)`` per-pair arrays and ``(V,
+    K)`` per-variable ones (row ``j`` is ``names[j]``); ``order[:, k]``
+    is pair ``k``'s consideration order."""
+
+    names: Tuple[str, ...]
+    local_rows: np.ndarray
+    available: np.ndarray  #: memory usable for distributed data
+    order: np.ndarray
+    local_bytes: np.ndarray
+    in_core: np.ndarray
+    icla_bytes: np.ndarray
+    block_rows: np.ndarray
+    n_io: np.ndarray
+
+    def plans(self) -> List[MemoryPlan]:
+        """Every pair as a :class:`MemoryPlan`."""
+        fields = [
+            a.T.tolist()
+            for a in (self.local_bytes, self.in_core, self.icla_bytes,
+                      self.block_rows, self.n_io)
+        ]
+        out = []
+        for k, (rows, available, order) in enumerate(zip(
+            self.local_rows.tolist(), self.available.tolist(),
+            self.order.T.tolist(),
+        )):
+            row = [f[k] for f in fields]
+            out.append(MemoryPlan("", rows, available, {
+                self.names[j]: VariablePlacement(
+                    self.names[j], rows, *(f[j] for f in row)
+                )
+                for j in order
+            }))
+        return out
+
+
 def plan_memory(
     program: ProgramStructure,
     local_rows: int,
     memory_bytes: float,
+    **policy,
+) -> MemoryPlan:
+    """Compute variable placements for one node: the one-row case of
+    :func:`plan_memory_arrays`, which documents the parameters."""
+    return plan_memory_arrays(
+        program, [local_rows], [memory_bytes], **policy
+    ).plans()[0]
+
+
+def plan_memory_arrays(
+    program: ProgramStructure,
+    local_rows: Sequence[int],
+    memory_bytes: Sequence[float],
     *,
     reserved_bytes: float = 0.0,
     icla_reserved_bytes: float = 0.0,
@@ -93,8 +152,8 @@ def plan_memory(
     variables: Optional[Sequence[Variable]] = None,
     order_policy: str = "size",
     share_policy: str = "prorata",
-) -> MemoryPlan:
-    """Compute variable placements for a node.
+) -> PlacementArrays:
+    """Compute variable placements for ``K`` (rows, memory) pairs.
 
     Parameters
     ----------
@@ -102,9 +161,9 @@ def plan_memory(
         The application structure (provides variables and replicated
         sizes).
     local_rows:
-        Rows assigned to this node by the distribution.
+        Rows assigned to each node by the distribution, shape ``(K,)``.
     memory_bytes:
-        The node's application memory.
+        Each pair's application memory, shape ``(K,)``.
     reserved_bytes:
         Memory subtracted before the in-core determination.  Both the
         model's oracle and the emulated runtime pass 0 here: a local
@@ -135,104 +194,101 @@ def plan_memory(
         variables of the program).
     order_policy:
         Order in which variables are considered for in-core placement:
-        ``"size"`` (smallest first — the model heuristic's assumption) or
-        ``"declaration"`` (program order — what the runtime actually
-        does).  The divergence between the two is part of why MHETA's
-        out-of-core heuristic is "not sophisticated" (Section 5.4).
+        ``"size"`` (smallest first, stable — the model heuristic's
+        assumption) or ``"declaration"`` (program order — what the
+        runtime actually does).  The divergence between the two is part
+        of why MHETA's out-of-core heuristic is "not sophisticated"
+        (Section 5.4).
     share_policy:
         How leftover memory is split among out-of-core variables:
         ``"prorata"`` to local sizes (model) or ``"equal"`` (runtime).
-    """
-    if local_rows < 0:
-        raise SimulationError("local_rows must be non-negative")
-    if variables is None:
-        variables = program.distributed_variables
-    available = max(
-        0.0, memory_bytes - program.replicated_bytes - reserved_bytes
-    )
 
-    locals_: Dict[str, float] = {
-        v.name: v.local_bytes(local_rows) for v in variables
-    }
-    if order_policy == "size":
-        order = sorted(variables, key=lambda v: locals_[v.name])
-    elif order_policy == "declaration":
-        order = list(variables)
-    else:
+    Every operation is elementwise over the pair axis, and sums run
+    left to right in consideration order, so each row equals the
+    single-pair plan bit for bit whatever batch it is planned in.
+    """
+    rows = np.asarray(local_rows, dtype=np.int64).reshape(-1)
+    if rows.size and rows.min() < 0:
+        raise SimulationError("local_rows must be non-negative")
+    if order_policy not in ("size", "declaration"):
         raise SimulationError(f"unknown order_policy {order_policy!r}")
     if share_policy not in ("prorata", "equal"):
         raise SimulationError(f"unknown share_policy {share_policy!r}")
-
-    in_core: Dict[str, bool] = {}
-    remaining = available
-    pending = list(order)
-    if forced_out_of_core:
-        for v in order:
-            in_core[v.name] = False
+    if variables is None:
+        variables = program.distributed_variables
+    variables = tuple(variables)
+    V, K = len(variables), len(rows)
+    memory = np.asarray(memory_bytes, dtype=np.float64)
+    available = np.maximum(
+        (memory - program.replicated_bytes) - reserved_bytes, 0.0
+    )
+    row_bytes = np.array([[v.row_bytes] for v in variables]).reshape(V, 1)
+    local = row_bytes * rows
+    for j, v in enumerate(variables):
+        if not v.distributed:
+            local[j] = v.local_bytes(0)
+    if order_policy == "size":
+        order = np.argsort(local, axis=0, kind="stable")
     else:
-        largest = max(locals_.values(), default=0.0)
-        for i, v in enumerate(order):
-            size = locals_[v.name]
-            # Keep at least one row's worth of memory for every variable
-            # still to be placed, so ICLAs never collapse to zero.
-            tail_reserve = sum(
-                max(w.row_bytes, 1.0) for w in order[i + 1 :]
-            )
-            headroom = (
-                0.0 if size >= largest else conservative_reserved_bytes
-            )
-            if size <= remaining - tail_reserve - headroom:
-                in_core[v.name] = True
-                remaining -= size
-            else:
-                in_core[v.name] = False
-        pending = [v for v in order if not in_core[v.name]]
+        order = np.repeat(np.arange(V)[:, None], K, axis=1)
+    pick = order, np.arange(K)
+    size_o = local[pick]
+
+    # Greedy in-core pass in consideration order: position ``i`` of
+    # every pair at once (rows of ``*_o`` arrays are order positions).
+    # Python's ``sum`` adds left to right from an exact 0, and adding or
+    # subtracting an exact 0.0 leaves a float unchanged, so these masked
+    # updates equal the one-variable-at-a-time rule bit for bit.
+    remaining = available
+    in_core_o = np.zeros((V, K), dtype=bool)
+    if not forced_out_of_core and V:
+        # Keep at least one row's worth of memory for every variable
+        # still to be placed, so ICLAs never collapse to zero.
+        tail_o = np.maximum(row_bytes, 1.0)[order, 0]
+        headroom_o = (size_o < local.max(axis=0)) * conservative_reserved_bytes
+        for i in range(V):
+            budget = (remaining - sum(tail_o[i + 1:])) - headroom_o[i]
+            in_core_o[i] = size_o[i] <= budget
+            remaining = remaining - in_core_o[i] * size_o[i]
 
     # Divide what is left among the out-of-core variables (minus the
     # runtime's buffer reservation, which only squeezes ICLA sizes; on
     # very tight nodes the runtime shrinks its buffers rather than
     # letting ICLAs collapse into seek-thrashing slivers, so the
     # reservation never takes more than half of what is left).
-    remaining = max(remaining - min(icla_reserved_bytes, 0.5 * remaining), 0.0)
-    ooc_total = sum(locals_[v.name] for v in pending)
-    placements: Dict[str, VariablePlacement] = {}
-    for v in order:
-        size = locals_[v.name]
-        if in_core.get(v.name, False) or local_rows == 0 or size == 0.0:
-            placements[v.name] = VariablePlacement(
-                name=v.name,
-                local_rows=local_rows,
-                local_bytes=size,
-                in_core=True,
-                icla_bytes=size,
-                block_rows=max(local_rows, 1),
-                n_io=1,
-            )
-            continue
-        if share_policy == "prorata":
-            share = (
-                remaining * (size / ooc_total) if ooc_total > 0 else remaining
-            )
-        else:  # equal split among out-of-core variables
-            share = remaining / max(len(pending), 1)
-        block_rows = max(1, int(share // max(v.row_bytes, 1e-12)))
-        if forced_out_of_core:
-            # At most half the local array per piece => at least 2 passes.
-            block_rows = max(1, min(block_rows, local_rows // 2 or 1))
-        block_rows = min(block_rows, local_rows)
-        n_io = -(-local_rows // block_rows)  # ceil division
-        placements[v.name] = VariablePlacement(
-            name=v.name,
-            local_rows=local_rows,
-            local_bytes=size,
-            in_core=False,
-            icla_bytes=block_rows * v.row_bytes,
-            block_rows=block_rows,
-            n_io=n_io,
+    remaining = np.maximum(
+        remaining - np.minimum(icla_reserved_bytes, 0.5 * remaining), 0.0
+    )
+    in_core = np.empty((V, K), dtype=bool)
+    in_core[pick] = in_core_o
+    if share_policy == "prorata":
+        ooc_total = sum(size_o * ~in_core_o)
+        spread = ooc_total > 0
+        share = np.where(
+            spread,
+            remaining * (local / np.where(spread, ooc_total, 1.0)),
+            remaining,
         )
-    return MemoryPlan(
-        node_name="",
-        local_rows=local_rows,
-        available_bytes=available,
-        placements=placements,
+    else:  # equal split among out-of-core variables
+        share = remaining / np.maximum(V - in_core_o.sum(axis=0), 1)
+    # No piece exceeds the local array (clamped before the integer cast,
+    # so a huge share cannot overflow it).
+    block = np.minimum(np.floor_divide(share, np.maximum(row_bytes, 1e-12)), rows)
+    block = np.maximum(block.astype(np.int64), 1)
+    if forced_out_of_core:
+        # At most half the local array per piece => at least 2 passes.
+        halves = rows // 2
+        block = np.maximum(np.minimum(block, np.where(halves, halves, 1)), 1)
+    resident = in_core | (rows == 0) | (local == 0.0)
+    block = np.where(resident, np.maximum(rows, 1), block)
+    return PlacementArrays(
+        names=tuple(v.name for v in variables),
+        local_rows=rows,
+        available=available,
+        order=order,
+        local_bytes=local,
+        in_core=resident,
+        icla_bytes=np.where(resident, local, block * row_bytes),
+        block_rows=block,
+        n_io=np.where(resident, 1, -(-rows // block)),
     )

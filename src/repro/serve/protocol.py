@@ -27,6 +27,7 @@ error travels back to the offending client only.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -137,8 +138,10 @@ class Query:
             scale = float(payload.get("scale", 0.1))
         except (TypeError, ValueError):
             raise ServeError(f"bad scale {payload.get('scale')!r}") from None
-        if not scale > 0:
-            raise ServeError(f"scale must be positive, got {scale!r}")
+        if not (scale > 0 and math.isfinite(scale)):
+            raise ServeError(
+                f"scale must be positive and finite, got {scale!r}"
+            )
         counts: Optional[Tuple[int, ...]] = None
         dist: Optional[str] = None
         budget = 150
@@ -168,10 +171,14 @@ class Query:
         else:  # predict / verify
             raw = payload.get("counts")
             if raw is not None:
-                try:
-                    counts = tuple(int(c) for c in raw)
-                except (TypeError, ValueError):
-                    raise ServeError(f"bad counts {raw!r}") from None
+                # Integral floats (3.0) pass; strings, bools do not.
+                if not isinstance(raw, list) or not all(
+                    isinstance(c, int) and not isinstance(c, bool)
+                    or isinstance(c, float) and c.is_integer()
+                    for c in raw
+                ):
+                    raise ServeError(f"bad counts {raw!r}")
+                counts = tuple(int(c) for c in raw)
                 if not counts or any(c < 1 for c in counts):
                     raise ServeError(
                         "counts must be a non-empty list of positive ints"

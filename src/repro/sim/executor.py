@@ -21,13 +21,13 @@ from repro.cluster.dynamics import DynamicsSpec, DynamicsTimeline
 from repro.distribution.genblock import GenBlock
 from repro.exceptions import SimulationError
 from repro.obs.deprecation import warn_once
-from repro.placement import MemoryPlan
+from repro.placement import MemoryPlan, plan_memory_arrays
 from repro.program.sections import CommPattern
 from repro.program.stages import Stage
 from repro.program.structure import ProgramStructure
 from repro.sim.disk import DiskModel
 from repro.sim.engine import Delay, Engine, Recv, Send
-from repro.sim.memory import emulator_plan, plan_memory
+from repro.sim.memory import emulator_policy
 from repro.sim.perturbation import PerturbationConfig, PerturbationModel
 from repro.sim.steady import (
     FastForwardPolicy,
@@ -627,6 +627,7 @@ class ClusterEmulator:
         observer: Optional[Observer],
         instrumented: bool,
         factory=_NodeCtx,
+        plan: Optional[MemoryPlan] = None,
     ) -> _NodeCtx:
         """Execution state for one node given its row count.
 
@@ -638,17 +639,8 @@ class ClusterEmulator:
         """
         program = self.program
         spec = self.cluster.nodes[rank]
-        if self.perturbation.runtime_overhead:
-            plan = emulator_plan(
-                spec, program, rows, forced_out_of_core=instrumented
-            )
-        else:
-            plan = plan_memory(
-                program,
-                rows,
-                spec.memory_bytes,
-                forced_out_of_core=instrumented,
-            )
+        if plan is None:
+            plan = self._plans([rank], [rows], instrumented)[0]
         resident = plan.resident_bytes + program.replicated_bytes
         disk = DiskModel(
             spec,
@@ -691,12 +683,25 @@ class ClusterEmulator:
         instrumented: bool,
     ) -> List[_NodeCtx]:
         label = "x".join(map(str, distribution.counts))
+        ranks = range(self.cluster.n_nodes)
+        plans = self._plans(ranks, distribution.counts, instrumented)
         return [
             self._make_context(
-                rank, distribution[rank], label, observer, instrumented
+                rank, distribution[rank], label, observer, instrumented,
+                plan=plans[rank],
             )
-            for rank in range(self.cluster.n_nodes)
+            for rank in ranks
         ]
+
+    def _plans(self, ranks, rows, instrumented: bool) -> List[MemoryPlan]:
+        """Memory plans of ``ranks`` holding ``rows``, in one pass."""
+        overhead = self.perturbation.runtime_overhead
+        return plan_memory_arrays(
+            self.program, rows,
+            [self.cluster.nodes[r].memory_bytes for r in ranks],
+            forced_out_of_core=instrumented,
+            **(emulator_policy(self.program) if overhead else {}),
+        ).plans()
 
     # -- node program ---------------------------------------------------------------
 

@@ -17,6 +17,7 @@ __all__ = [
     "MemoryPlan",
     "VariablePlacement",
     "plan_memory",
+    "emulator_policy",
     "runtime_reserved_bytes",
 ]
 
@@ -32,11 +33,29 @@ CONSERVATIVE_BYTES = 1024 * 1024
 
 
 def runtime_reserved_bytes(node: NodeSpec, program: ProgramStructure) -> float:
-    """Memory the emulated runtime reserves on ``node`` for ``program``."""
+    """Memory the emulated runtime reserves on ``node`` for ``program``
+    (the same on every node)."""
     max_message = max(
         (s.comm.message_bytes for s in program.sections), default=0.0
     )
     return RUNTIME_FIXED_BYTES + MESSAGE_BUFFER_COPIES * max_message
+
+
+def emulator_policy(program: ProgramStructure) -> dict:
+    """Placement keywords of the emulated runtime, the same on every node.
+
+    Differs from MHETA's oracle in three documented ways (limitation 2 of
+    paper Section 5.4): its buffer reservation squeezes the ICLA sizes of
+    out-of-core variables, it demands extra headroom before pinning a
+    secondary (non-largest) variable in core, and it splits leftover
+    memory equally among streamed variables (the oracle assumes
+    pro-rata).
+    """
+    return dict(
+        icla_reserved_bytes=runtime_reserved_bytes(None, program),
+        conservative_reserved_bytes=CONSERVATIVE_BYTES,
+        share_policy="equal",
+    )
 
 
 def emulator_plan(
@@ -46,21 +65,8 @@ def emulator_plan(
     *,
     forced_out_of_core: bool = False,
 ) -> MemoryPlan:
-    """The emulated runtime's (ground-truth) memory plan for one node.
-
-    Differs from MHETA's oracle in three documented ways (limitation 2 of
-    paper Section 5.4): its buffer reservation squeezes the ICLA sizes of
-    out-of-core variables, it demands extra headroom before pinning a
-    secondary (non-largest) variable in core, and it splits leftover
-    memory equally among streamed variables (the oracle assumes
-    pro-rata).
-    """
+    """The emulated runtime's (ground-truth) memory plan for one node."""
     return plan_memory(
-        program,
-        local_rows,
-        node.memory_bytes,
-        icla_reserved_bytes=runtime_reserved_bytes(node, program),
-        conservative_reserved_bytes=CONSERVATIVE_BYTES,
-        forced_out_of_core=forced_out_of_core,
-        share_policy="equal",
+        program, local_rows, node.memory_bytes,
+        forced_out_of_core=forced_out_of_core, **emulator_policy(program),
     )

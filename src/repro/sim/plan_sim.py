@@ -427,12 +427,12 @@ class EmulationPlan:
             chan = self._channels[key] = len(self._channels)
         return chan
 
-    def _record(self, rank: int, distribution, n_iter: int) -> _Tape:
+    def _record(self, rank: int, distribution, n_iter: int, plan=None) -> _Tape:
         """Drive one rank's node generator standalone for ``n_iter``
         iterations (fewer once an iteration repeats) into a tape."""
         emulator = self._make_emulator()
         rec = emulator._make_context(
-            rank, distribution[rank], "", None, False, factory=_TapeRecorder
+            rank, distribution[rank], "", None, False, _TapeRecorder, plan
         )
         rec.begin(self, may_stop=n_iter > _SHORTCUT_DRIVEN)
         # The contexts argument of _node_process is unused by the body;
@@ -457,10 +457,12 @@ class EmulationPlan:
         engine probe for exact equality."""
         P = self.cluster.n_nodes
         probe = self.probe_iterations
-        tapes = [self._record(rank, distribution, probe) for rank in range(P)]
+        emulator = self._make_emulator()
+        plans = emulator._plans(range(P), distribution.counts, False)
+        tapes = [self._record(r, distribution, probe, plans[r]) for r in range(P)]
         self._skeleton = [tape.skeleton() for tape in tapes]
         ends = self._walk(tapes, probe, self._noise(distribution, tapes, probe))
-        engine = self._make_emulator()._simulate(distribution, None, False, probe)
+        engine = emulator._simulate(distribution, None, False, probe)
         if ends != engine.iteration_ends:
             raise _PlanUnsupported("self-check: replay differs from the engine")
         for rank, tape in enumerate(tapes):

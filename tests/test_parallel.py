@@ -211,6 +211,26 @@ class TestSweepCache:
         cache.save()
         assert SweepCache(path).lookup(cluster, program, d) == (1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"[1, 2]", b'{"k": [1]}', b'{"k": ["x", 1]}', b'{"k": 5}',
+         b'{"k": [1, 2]', b"\xff\xfe{}"],
+        ids=["list", "short-entry", "non-numeric", "scalar-entry",
+             "truncated", "bad-utf8"],
+    )
+    def test_malformed_disk_file_loads_empty(self, tmp_path, content):
+        path = tmp_path / "malformed.json"
+        path.write_bytes(content)
+        cache = SweepCache(path)
+        assert len(cache) == 0
+        # ...and the next save replaces the file with a readable one.
+        cluster = config_dc()
+        program = JacobiApp.paper(scale=SCALE).structure
+        d = block(cluster, program.n_rows)
+        cache.store(cluster, program, d, 1.0, 1.0)
+        cache.save()
+        assert SweepCache(path).lookup(cluster, program, d) == (1.0, 1.0)
+
     def test_bounded_counters_single_source_of_truth(self):
         # Regression: a bounded SweepCache used to increment its own
         # hit/miss counters *and* the backing LRU's, so `repro stats`

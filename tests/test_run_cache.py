@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.apps import JacobiApp
 from repro.cluster import table1_configs
 from repro.distribution import block
@@ -143,6 +145,19 @@ class TestDiskTier:
     def test_corrupt_file_ignored(self, tmp_path):
         path = tmp_path / "runs.json"
         path.write_text("{not json")
+        store = RunCache(path=path)
+        assert len(store) == 0
+        assert store.loaded_from_disk == 0
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"[1, 2]", b'{"k": [1]}', b'{"k": {"total_seconds": "x"}}',
+         b"\xff\xfe{}"],
+        ids=["list", "list-entry", "bad-entry", "bad-utf8"],
+    )
+    def test_malformed_file_loads_empty(self, tmp_path, content):
+        path = tmp_path / "runs.json"
+        path.write_bytes(content)
         store = RunCache(path=path)
         assert len(store) == 0
         assert store.loaded_from_disk == 0

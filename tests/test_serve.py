@@ -71,6 +71,32 @@ class TestProtocol:
                     {"op": "predict", "app": "jacobi", "counts": counts}
                 )
 
+    @pytest.mark.parametrize(
+        "counts", ["1234", [2.7, 3.9], [True, True], [1, float("inf")],
+                   [1, float("nan")], [None], (1, 2)],
+    )
+    def test_malformed_counts_rejected(self, counts):
+        """No silent conversions: strings, fractional floats, bools and
+        non-list containers are errors, not counts."""
+        with pytest.raises(ServeError, match="bad counts"):
+            Query.from_payload(
+                {"op": "predict", "app": "jacobi", "counts": counts}
+            )
+
+    def test_integral_float_counts_accepted(self):
+        q = Query.from_payload(
+            {"op": "verify", "app": "jacobi", "counts": [3.0, 5, 2.0]}
+        )
+        assert q.counts == (3, 5, 2)
+        assert all(type(c) is int for c in q.counts)
+
+    @pytest.mark.parametrize("scale", ["inf", float("inf"), "nan", "-inf"])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ServeError, match="scale"):
+            Query.from_payload(
+                {"op": "predict", "app": "jacobi", "scale": scale}
+            )
+
     def test_bad_search_budget_rejected(self):
         with pytest.raises(ServeError):
             Query.from_payload(
