@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.apps import JacobiApp
 from repro.cluster import config_hy1
-from repro.core.plan import numba_active
 from repro.distribution import spectrum
 from repro.parallel.cache import RunCache
 from repro.sim import ClusterEmulator, PerturbationConfig, emulate, emulate_many
@@ -250,9 +249,6 @@ def test_emulator_fast_path_speed(benchmark, save_result):
         "prefetch": prefetch_rows,
         "plan_sync": plan_sync,
         "plan_prefetch": plan_prefetch,
-        # The emulation plans have no numba walk; compiling one resolves
-        # the prediction plans' twin, which the CI numba leg checks.
-        "plan_numba_active": numba_active(),
         "cached_emulate": cached,
         "engine_microbench": engine,
         "speedup": {

@@ -1,20 +1,20 @@
 """Bench N2: 2-D prediction-kernel speed — and what that speed buys.
 
 The paper declined 2-D distributions because "the search space increases
-greatly"; the batched/plan 2-D kernel exists to make that search space
-affordable.  This benchmark measures the three kernels — the ``scalar``
-per-rank reference loop, the vectorized ``numpy`` kernel, and the
-compiled ``plan`` kernel — *interleaved* so host noise hits them
-equally, and writes the machine-readable scoreboard
-``BENCH_twod_speed.json`` at the repo root:
+greatly"; the batched 2-D kernel exists to make that search space
+affordable.  This benchmark measures the two kernels — the ``scalar``
+per-rank reference loop and the vectorized ``numpy`` kernel —
+*interleaved* so host noise hits them equally, and writes the
+machine-readable scoreboard ``BENCH_twod_speed.json`` at the repo root:
 
 * ``evaluations_per_second`` per kernel, serial and through
   ``predict(batch=True)``,
 * the golden-equivalence figure (worst relative disagreement of the
-  batched kernels against the scalar reference; must be <= 1e-12),
-* the headline batched speedups — the hard CI gate asserts the
-  batched/plan kernel beats the scalar loop by >= 5x in whichever
-  numba mode this run is in (the recorded target is 10x),
+  batched numpy kernel against the scalar reference; must be
+  <= 1e-12),
+* the headline batched speedup — the hard CI gate asserts the batched
+  numpy kernel beats the scalar loop by >= 5x (the recorded target is
+  10x),
 * a cluster configuration where the best genuinely-2-D layout beats
   the best 1-D strip spectrum — the payoff the kernel speed pays for.
 """
@@ -45,8 +45,8 @@ from repro.twod import (
 
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_twod_speed.json"
 
-#: Hard CI gate: the batched plan kernel must beat the batched scalar
-#: reference loop by at least this factor, numba or not.
+#: Hard CI gate: the batched numpy kernel must beat the batched scalar
+#: reference loop by at least this factor.
 REQUIRED_BATCHED_SPEEDUP = 5.0
 
 #: The headline target the scoreboard records against.
@@ -55,13 +55,10 @@ TARGET_BATCHED_SPEEDUP = 10.0
 #: Golden equivalence bar for the batched kernels vs the scalar loop.
 GOLDEN_REL_TOL = 1e-12
 
-CONFIGS = ("scalar", "numpy", "plan")
+CONFIGS = ("scalar", "numpy")
 
 
 def _setup():
-    from repro.core.plan import reset_plan_cache
-
-    reset_plan_cache()  # clean compile/hit counters for the JSON report
     cluster = config_dc()
     spec = Jacobi2DSpec(n_rows=1024, n_cols=1024, iterations=50)
     d0 = block2d(spec.n_rows, spec.n_cols, (2, 4))
@@ -98,7 +95,7 @@ def _setup():
 def _interleaved_throughput(models, candidates, reps=10):
     """Per-kernel evaluations/second through the serial call,
     alternating kernels each rep so host noise spreads evenly."""
-    for model in models.values():  # warm plans, tables, bytecode
+    for model in models.values():  # warm plans and bytecode
         for d in candidates:
             model.predict(d)
     spent = {label: 0.0 for label in models}
@@ -145,14 +142,11 @@ def _batched_throughput(models, candidates, reps=10, burst=3):
 
 
 def _golden_equivalence(models, candidates):
-    """Worst relative disagreement of each batched kernel against the
-    scalar reference, over the full candidate set."""
+    """Worst relative disagreement of the batched numpy kernel against
+    the scalar reference, over the full candidate set."""
     want = np.array([models["scalar"].predict(d) for d in candidates])
-    out = {}
-    for label in ("numpy", "plan"):
-        got = np.asarray(models[label].predict(candidates, batch=True))
-        out[label] = float(np.max(np.abs(got - want) / np.abs(want)))
-    return out
+    got = np.asarray(models["numpy"].predict(candidates, batch=True))
+    return {"numpy": float(np.max(np.abs(got - want) / np.abs(want)))}
 
 
 def _twod_beats_one_d():
@@ -180,7 +174,6 @@ def _twod_beats_one_d():
         d0,
         perturbation=PerturbationConfig.none(),
         measurement=MeasurementConfig.perfect(),
-        kernel="plan",
     )
     result = TwoDGbs(model).search(budget=400)
     strips = min(
@@ -214,13 +207,10 @@ def test_twod_kernel_throughput(benchmark, save_result):
     golden = _golden_equivalence(models, candidates)
     payoff = _twod_beats_one_d()
 
-    from repro.core.plan import numba_active, plan_cache_stats
-
     scalar = batched["scalar"]["evaluations_per_second"]
     numpy_speedup = batched["numpy"]["evaluations_per_second"] / scalar
-    plan_speedup = batched["plan"]["evaluations_per_second"] / scalar
-    serial_plan_speedup = (
-        throughput["plan"]["evaluations_per_second"]
+    serial_numpy_speedup = (
+        throughput["numpy"]["evaluations_per_second"]
         / throughput["scalar"]["evaluations_per_second"]
     )
 
@@ -237,14 +227,11 @@ def test_twod_kernel_throughput(benchmark, save_result):
         "golden_required_rel": GOLDEN_REL_TOL,
         "speedup": {
             "batched_numpy_vs_scalar": numpy_speedup,
-            "batched_plan_vs_scalar": plan_speedup,
-            "serial_plan_vs_scalar": serial_plan_speedup,
+            "serial_numpy_vs_scalar": serial_numpy_speedup,
             "required": REQUIRED_BATCHED_SPEEDUP,
             "target": TARGET_BATCHED_SPEEDUP,
         },
         "two_d_vs_one_d": payoff,
-        "plan_cache_stats": plan_cache_stats(),
-        "plan_numba_active": numba_active(),
     }
     JSON_PATH.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n",
@@ -264,15 +251,13 @@ def test_twod_kernel_throughput(benchmark, save_result):
             f"({brow['mean_ms']:.3f} ms)"
         )
     lines.append(
-        f"  batched speedup vs scalar: numpy {numpy_speedup:.1f}x, "
-        f"plan {plan_speedup:.1f}x "
+        f"  batched speedup vs scalar: numpy {numpy_speedup:.1f}x "
         f"(required >= {REQUIRED_BATCHED_SPEEDUP:.0f}x, "
-        f"target {TARGET_BATCHED_SPEEDUP:.0f}x; "
-        f"numba {'on' if numba_active() else 'off'})"
+        f"target {TARGET_BATCHED_SPEEDUP:.0f}x)"
     )
     lines.append(
-        f"  golden equivalence: numpy {golden['numpy']:.2e}, "
-        f"plan {golden['plan']:.2e} (required <= {GOLDEN_REL_TOL:.0e})"
+        f"  golden equivalence: numpy {golden['numpy']:.2e} "
+        f"(required <= {GOLDEN_REL_TOL:.0e})"
     )
     lines.append(
         f"  payoff on {payoff['cluster']}: best 2-D "
@@ -283,17 +268,15 @@ def test_twod_kernel_throughput(benchmark, save_result):
     )
     save_result("twod_speed", "\n".join(lines))
 
-    # The batched kernels must be *exact* (to fp tolerance) ...
-    for label, worst in golden.items():
-        assert worst <= GOLDEN_REL_TOL, (
-            f"{label} kernel disagrees with the scalar reference by "
-            f"{worst:.2e} (> {GOLDEN_REL_TOL:.0e})"
-        )
-    # ... and fast: the hard gate holds in numba and fallback modes.
-    assert plan_speedup >= REQUIRED_BATCHED_SPEEDUP, (
-        f"batched plan speedup {plan_speedup:.2f}x vs the scalar loop is "
-        f"below the {REQUIRED_BATCHED_SPEEDUP}x hard gate "
-        f"(numba_active={numba_active()})"
+    # The batched kernel must be *exact* (to fp tolerance) ...
+    assert golden["numpy"] <= GOLDEN_REL_TOL, (
+        f"numpy kernel disagrees with the scalar reference by "
+        f"{golden['numpy']:.2e} (> {GOLDEN_REL_TOL:.0e})"
+    )
+    # ... and fast.
+    assert numpy_speedup >= REQUIRED_BATCHED_SPEEDUP, (
+        f"batched numpy speedup {numpy_speedup:.2f}x vs the scalar loop "
+        f"is below the {REQUIRED_BATCHED_SPEEDUP}x hard gate"
     )
     # And the speed must buy the paper's declined result: a cluster
     # where a genuinely 2-D layout beats every 1-D strip.

@@ -31,7 +31,7 @@ def sweep(cluster, program):
     out = []
     for point in spectrum(cluster, program, steps_per_leg=2):
         actual = emulator.run(point.distribution).total_seconds
-        predicted = model.predict_seconds(point.distribution)
+        predicted = model.predict(point.distribution)
         out.append((point.label, actual, predicted))
     return out
 

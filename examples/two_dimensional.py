@@ -11,7 +11,7 @@ This example demonstrates both halves:
    a heterogeneous cluster, including the case where a 2x4 grid beats
    8x1 strips because square-ish tiles halve the halo traffic;
 2. the search-space explosion that justified the paper's 1-D focus —
-   and the batched/plan-compiled 2-D kernel that pays for it, driving
+   and the batched 2-D kernel that pays for it, driving
    a full layout search over every grid shape.
 
 Run time: a few seconds (``--full`` for the paper-scale grid).
@@ -102,13 +102,11 @@ def main() -> None:
     print(search_space_growth().describe())
 
     # -- 3: ...and the batched kernel that pays for it --------------------
-    search_model = build_2d_model(
-        cluster, spec, block2d(n, n, (2, 4)), kernel="plan"
-    )
+    search_model = build_2d_model(cluster, spec, block2d(n, n, (2, 4)))
     result = TwoDGbs(search_model).search(budget=400)
     print(
         f"\nBatched 2-D search over all grid shapes ({result.evaluations} "
-        f"evaluations through the compiled kernel):\n  {result}"
+        f"evaluations through the batched kernel):\n  {result}"
     )
     for shape, value in sorted(result.per_shape.items()):
         marker = " <-" if shape == result.best.grid_shape else ""

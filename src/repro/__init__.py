@@ -94,7 +94,6 @@ from repro.obs import (
     NullRecorder,
     Recorder,
     as_recorder,
-    reset_warnings,
 )
 from repro.apps import (
     Application,
@@ -182,7 +181,6 @@ __all__ = [
     "NullRecorder",
     "NULL_RECORDER",
     "as_recorder",
-    "reset_warnings",
     # apps
     "Application",
     "AppConfig",

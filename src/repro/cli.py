@@ -35,6 +35,7 @@ import sys
 from typing import List, Optional
 
 from repro.cluster import table1_configs
+from repro.core.model import KERNELS
 from repro.apps import application_by_name
 from repro.distribution import balanced, block, in_core, in_core_balanced
 from repro.experiments import (
@@ -140,11 +141,9 @@ def _dynamics_spec(args, cluster):
 
 def _add_kernel(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--kernel", choices=("numpy", "scalar", "plan"), default="numpy",
-        help="MHETA evaluation kernel: vectorised (numpy, default), "
-        "the scalar reference, or the compiled evaluation plan "
-        "(plan; JIT-compiled when numba is available); predictions "
-        "agree to <= 1e-12 relative",
+        "--kernel", choices=KERNELS, default="numpy",
+        help="MHETA evaluation kernel: vectorised (numpy, default) or "
+        "the scalar reference; predictions agree to <= 1e-12 relative",
     )
 
 

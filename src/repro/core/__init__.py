@@ -21,7 +21,7 @@ from repro.core.oracle import OutOfCoreOracle
 from repro.core.io_model import StageTimeModel, sync_io_seconds, prefetch_io_seconds
 from repro.core.comm import SectionTimeline
 from repro.core.model import MhetaModel
-from repro.core.plan import EvaluationPlan, plan_cache_stats
+from repro.core.plan import plan_cache_stats
 from repro.core.report import PredictionReport, NodePrediction, SectionBreakdown
 from repro.core import equations
 
@@ -32,7 +32,6 @@ __all__ = [
     "prefetch_io_seconds",
     "SectionTimeline",
     "MhetaModel",
-    "EvaluationPlan",
     "plan_cache_stats",
     "PredictionReport",
     "NodePrediction",

@@ -27,7 +27,7 @@ The per-node stage tables depend only on ``(node, rows)`` — not on what
 the *other* nodes were assigned — so a bounded LRU inside the model
 reuses them across *every* prediction: a hill-climb move changes two
 nodes' row counts, so P-2 nodes hit the cache even through
-single-candidate :meth:`predict_seconds` calls.
+single-candidate :meth:`predict` calls.
 
 The model deliberately knows nothing about relative CPU powers, disk
 bandwidths, page caches, or per-row work variation: everything
@@ -39,7 +39,6 @@ needs them (Section 4.2.1).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -61,19 +60,17 @@ from repro.core.report import (
 from repro.distribution.genblock import GenBlock
 from repro.exceptions import ModelError
 from repro.instrument.inputs import MhetaInputs
-from repro.obs import Recorder, warn_once
+from repro.obs import Recorder
 from repro.program.sections import CommPattern, ParallelSection
 from repro.program.structure import ProgramStructure
 from repro.util.lru import LRUCache
 
 __all__ = ["MhetaModel", "KERNELS", "DEFAULT_TABLE_CACHE_ENTRIES"]
 
-#: Selectable evaluation kernels.  ``"plan"`` evaluates through a
-#: compiled :class:`repro.core.plan.EvaluationPlan` (one-time lowering
-#: of the (app structure, cluster shape) triple, JIT-compiled with
-#: numba when available) and falls back to the numpy machinery for
-#: reports and iteration-profile programs.
-KERNELS = ("numpy", "scalar", "plan")
+#: Selectable evaluation kernels, shared by the 1-D and 2-D models, the
+#: CLI and the serve protocol: ``"numpy"`` is the vectorised fast path,
+#: ``"scalar"`` the per-node reference loop it is tested against.
+KERNELS = ("numpy", "scalar")
 
 #: Default bound of the per-``(node, rows)`` table cache.  Generous for
 #: any search (a 200-evaluation sweep over 8 nodes touches at most 1600
@@ -192,8 +189,8 @@ class MhetaModel:
     table_cache:
         Bound of the persistent ``(node, rows) -> tables`` LRU shared by
         every prediction this model makes.  ``0`` disables cross-call
-        reuse (each :meth:`predict_many` batch still shares a transient
-        bounded memo).
+        reuse (each ``predict(..., batch="serial")`` call still shares a
+        transient bounded memo).
     """
 
     def __init__(
@@ -241,10 +238,6 @@ class MhetaModel:
         for t in tiles:
             self._tile_offsets.append(self._tile_offsets[-1] + t)
         self._total_tiles = self._tile_offsets[-1]
-        # Compiled evaluation plan (kernel="plan"): resolved lazily via
-        # ensure_plan / the process-wide plan LRU, dropped on pickling.
-        self._plan = None
-        self._fingerprint: Optional[str] = None
 
     @property
     def n_nodes(self) -> int:
@@ -257,78 +250,6 @@ class MhetaModel:
             return {"size": 0, "maxsize": 0, "hits": 0, "misses": 0,
                     "evictions": 0}
         return self._tables_cache.stats
-
-    # -- compiled evaluation plans ----------------------------------------------
-
-    @property
-    def fingerprint(self) -> str:
-        """Content hash of the (app structure, cluster shape, kernel
-        options) triple — the key under which compiled plans are shared
-        process-wide.  Two models with equal fingerprints produce
-        identical predictions, so they may share one plan."""
-        if self._fingerprint is None:
-            p = self.program
-            h = hashlib.sha256()
-            h.update(
-                repr(
-                    (
-                        p.name,
-                        p.n_rows,
-                        p.iterations,
-                        p.prefetch,
-                        tuple(
-                            (
-                                s.name,
-                                s.tiles,
-                                repr(s.stages),
-                                s.comm.pattern.value,
-                                s.comm.message_bytes,
-                                s.comm.source_variable,
-                            )
-                            for s in p.sections
-                        ),
-                        repr(p.variables),
-                        tuple(self.oracle._memory),
-                    )
-                ).encode()
-            )
-            if p.row_weights is not None:
-                h.update(np.ascontiguousarray(p.row_weights).tobytes())
-            if p.iteration_profile is not None:
-                h.update(
-                    np.ascontiguousarray(p.iteration_profile).tobytes()
-                )
-            h.update(self.inputs.to_json().encode())
-            self._fingerprint = h.hexdigest()
-        return self._fingerprint
-
-    def ensure_plan(self, telemetry: Optional[Recorder] = None):
-        """Resolve this model's compiled evaluation plan (a plan-LRU
-        hit, or a fresh compile under ``span/plan/compile``).  Public so
-        long-lived holders — the serve coordinator's resident models —
-        can warm the plan ahead of the first scoring pass."""
-        if self._plan is None:
-            from repro.core.plan import get_plan
-
-            self._plan = get_plan(self, telemetry=telemetry)
-        return self._plan
-
-    def release_plan(self) -> None:
-        """Drop this model's compiled plan from the process-wide plan
-        LRU (resident-model eviction must not leak plans across cache
-        tiers)."""
-        if self._plan is not None:
-            from repro.core.plan import discard_plan
-
-            discard_plan(self._plan.fingerprint)
-            self._plan = None
-
-    def __getstate__(self) -> dict:
-        # Plans hold closures and scratch buffers; workers recompile (or
-        # hit their own process's plan LRU) lazily after unpickling.
-        state = self.__dict__.copy()
-        state["_plan"] = None
-        return state
 
     # -- prediction -------------------------------------------------------------
 
@@ -389,7 +310,7 @@ class MhetaModel:
                     self._record_cache_gauges(telemetry)
                     telemetry.count("model/predictions", len(dists))
                 return out
-            out = self._predict_batch(dists, iterations, telemetry=telemetry)
+            out = self._predict_batch(dists, iterations)
             if telemetry:
                 telemetry.count("model/batch_predictions")
                 telemetry.observe("model/batch_size", len(dists))
@@ -404,61 +325,12 @@ class MhetaModel:
             self._record_cache_gauges(telemetry)
         return result
 
-    # -- deprecated aliases (thin shims; each warns once per process) --------
-
-    def predict_seconds(
-        self,
-        distribution: GenBlock,
-        iterations: Optional[int] = None,
-    ) -> float:
-        """Deprecated alias for :meth:`predict`."""
-        warn_once(
-            "MhetaModel.predict_seconds", "MhetaModel.predict(distribution)"
-        )
-        return self.predict(distribution, iterations)
-
-    def predict_many(
-        self,
-        distributions: Sequence[GenBlock],
-        iterations: Optional[int] = None,
-    ) -> List[float]:
-        """Deprecated alias for ``predict(dists, batch="serial")``."""
-        warn_once(
-            "MhetaModel.predict_many",
-            'MhetaModel.predict(distributions, batch="serial")',
-        )
-        return self.predict(distributions, iterations, batch="serial")
-
-    def predict_seconds_batch(
-        self,
-        distributions: Sequence[GenBlock],
-        iterations: Optional[int] = None,
-    ) -> np.ndarray:
-        """Deprecated alias for ``predict(dists, batch=True)``."""
-        warn_once(
-            "MhetaModel.predict_seconds_batch",
-            "MhetaModel.predict(distributions, batch=True)",
-        )
-        return self.predict(distributions, iterations, batch=True)
-
     def _record_cache_gauges(self, rec: Recorder) -> None:
         stats = self.table_cache_stats
         rec.set("model/table_cache/size", stats["size"])
         rec.set("model/table_cache/hits", stats["hits"])
         rec.set("model/table_cache/misses", stats["misses"])
         rec.set("model/table_cache/evictions", stats["evictions"])
-        if self.kernel == "plan":
-            from repro.core.plan import plan_cache_stats
-
-            pstats = plan_cache_stats()
-            rec.set("model/plan_cache/size", pstats["size"])
-            rec.set("model/plan_cache/hits", pstats["hits"])
-            rec.set("model/plan_cache/misses", pstats["misses"])
-            rec.set("model/plan_cache/compiles", pstats["compiles"])
-            rec.set(
-                "model/plan_cache/compile_seconds",
-                pstats["compile_seconds"],
-            )
 
     def _batch_counts(self, dists: Sequence[GenBlock]) -> np.ndarray:
         """Stack and validate candidate row counts as ``(B, P)`` int64.
@@ -503,7 +375,6 @@ class MhetaModel:
         self,
         distributions: Sequence[GenBlock],
         iterations: Optional[int] = None,
-        telemetry: Optional[Recorder] = None,
     ) -> np.ndarray:
         """Score a whole candidate population in one vectorized pass.
 
@@ -516,7 +387,7 @@ class MhetaModel:
         walk — evaluates every section over the candidate axis in a
         single array pass instead of once per candidate.  Candidates
         never mix (no reduction crosses the batch axis), so entry ``b``
-        agrees with ``predict_seconds(distributions[b])`` to within the
+        agrees with ``predict(distributions[b])`` to within the
         kernel contract (<= 1e-12 relative; pinned by
         ``tests/test_batch_equivalence.py``).
 
@@ -533,14 +404,6 @@ class MhetaModel:
         n_iter = (
             iterations if iterations is not None else self.program.iterations
         )
-        if (
-            self.kernel == "plan"
-            and self.program.iteration_profile is None
-        ):
-            plan = self._plan
-            if plan is None:
-                plan = self.ensure_plan(telemetry)
-            return plan.execute(counts, n_iter)
         if (
             self.kernel != "numpy"
             or self.program.iteration_profile is not None
@@ -1075,13 +938,6 @@ class MhetaModel:
         n_iter = (
             iterations if iterations is not None else self.program.iterations
         )
-        if not want_report and self.program.iteration_profile is None:
-            if self.kernel == "plan":
-                plan = self._plan
-                if plan is None:
-                    plan = self.ensure_plan(telemetry)
-                counts = np.array([distribution.counts], dtype=np.int64)
-                return float(plan.execute(counts, n_iter)[0])
         P = self.n_nodes
         tables = self._section_tables(distribution, table_cache)
 

@@ -2,7 +2,7 @@
 
 Create a :class:`Recorder`, pass it as the ``telemetry=`` keyword of
 any entry point (``MhetaModel.predict``, ``Searcher.search``,
-``emulate``, ``run_spectrum``, ``predict_seconds_sharded``, ...), and
+``emulate``, ``run_spectrum``, ``predict_sharded``, ...), and
 read the result with :meth:`Recorder.describe`, ``to_json`` or
 ``to_csv``::
 
@@ -15,7 +15,6 @@ Passing ``telemetry=None`` (the default everywhere) keeps every
 instrumented path a near-no-op.
 """
 
-from repro.obs.deprecation import reset_warnings, warn_once
 from repro.obs.recorder import NULL_RECORDER, NullRecorder, Recorder, as_recorder
 
 __all__ = [
@@ -23,6 +22,4 @@ __all__ = [
     "NullRecorder",
     "NULL_RECORDER",
     "as_recorder",
-    "warn_once",
-    "reset_warnings",
 ]

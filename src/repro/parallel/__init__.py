@@ -14,7 +14,7 @@ parallel.  This package provides the shared machinery:
   predicted)`` pairs, in memory and optionally on disk;
 * :func:`verify_distributions` — parallel emulator verification of
   search winners;
-* :func:`predict_seconds_sharded` — shard a large candidate batch
+* :func:`predict_sharded` — shard a large candidate batch
   across workers, each scoring its slice with the vectorized
   ``predict(batch=True)`` kernel.
 
@@ -32,7 +32,7 @@ from repro.parallel.cache import (
     content_key,
     default_run_cache,
 )
-from repro.parallel.predict import predict_2d_sharded, predict_seconds_sharded
+from repro.parallel.predict import predict_2d_sharded, predict_sharded
 from repro.parallel.verify import verify_distributions
 
 __all__ = [
@@ -43,7 +43,7 @@ __all__ = [
     "SweepCache",
     "content_key",
     "default_run_cache",
-    "predict_seconds_sharded",
+    "predict_sharded",
     "predict_2d_sharded",
     "verify_distributions",
 ]

@@ -17,7 +17,7 @@ from repro.distribution.genblock import GenBlock
 from repro.obs import Recorder, as_recorder
 from repro.parallel.runner import ParallelRunner, split_shards
 
-__all__ = ["predict_seconds_sharded", "predict_2d_sharded"]
+__all__ = ["predict_sharded", "predict_2d_sharded"]
 
 
 def _predict_shard_task(spec) -> List[float]:
@@ -34,7 +34,7 @@ def _predict_shard_task_2d(spec) -> List[float]:
     return [float(v) for v in model.predict(dists, iterations, batch=True)]
 
 
-def predict_seconds_sharded(
+def predict_sharded(
     model,
     distributions: Sequence[GenBlock],
     jobs: int = 1,
@@ -80,13 +80,13 @@ def predict_2d_sharded(
     iterations: Optional[int] = None,
     telemetry: Optional[Recorder] = None,
 ) -> List[float]:
-    """The 2-D sibling of :func:`predict_seconds_sharded`: score a
+    """The 2-D sibling of :func:`predict_sharded`: score a
     ``GenBlock2D`` population across worker processes, in input order.
 
     Each worker rebuilds its shard's distributions from (row bands,
     column bands) tuples and scores them with the vectorized 2-D kernel
-    (``TwoDModel.__getstate__`` drops compiled plans, so workers compile
-    — or hit their own process's plan LRU — lazily).  Results are
+    (``TwoDModel.__getstate__`` drops the model's plans, so workers
+    rebuild them lazily).  Results are
     bit-identical to the serial batch regardless of ``jobs``.
     """
     payload: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = [

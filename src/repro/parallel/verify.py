@@ -49,9 +49,6 @@ def _verify_batch_task(
     return [r.total_seconds for r in results]
 
 
-_UNSET = object()
-
-
 def verify_distributions(
     cluster: ClusterSpec,
     program: ProgramStructure,
@@ -62,7 +59,6 @@ def verify_distributions(
     dynamics=None,
     run_cache=None,
     telemetry: Optional[Recorder] = None,
-    cache=_UNSET,
 ) -> List[float]:
     """Actual (emulated) execution time of each distribution, in order.
 
@@ -72,16 +68,8 @@ def verify_distributions(
     use ``cluster.dynamics``, ``False`` = force static, or an explicit
     :class:`~repro.cluster.dynamics.DynamicsSpec`).  ``run_cache`` is
     forwarded to :func:`emulate_many` (``None`` means the process
-    default :class:`RunCache`, ``False`` disables caching); ``cache=``
-    is the deprecated alias (warns once).
+    default :class:`RunCache`, ``False`` disables caching).
     """
-    if cache is not _UNSET:
-        from repro.obs.deprecation import warn_once
-
-        warn_once(
-            "verify_distributions(cache=)", "verify_distributions(run_cache=)"
-        )
-        run_cache = cache
     rec = as_recorder(telemetry)
     if jobs == 1 or len(distributions) <= 1:
         from repro.sim.executor import emulate_many

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -173,6 +174,9 @@ class BudgetedEvaluator:
         self._trajectory = trajectory
         self._telemetry = as_recorder(telemetry)
         self._reports: Dict[Tuple[int, ...], PredictionReport] = {}
+        # Models whose predict() takes batch= score a round's misses in
+        # one call; scalar-only stubs are called per candidate.
+        self._batched = "batch" in inspect.signature(model.predict).parameters
 
     def _guard(self, key: Tuple[int, ...]) -> None:
         if key not in self._cache and self._cache.evaluations >= self._budget:
@@ -249,22 +253,10 @@ class BudgetedEvaluator:
             rec.observe("search/round_candidates", len(dists))
             rec.observe("search/round_distinct_misses", len(to_evaluate))
         if to_evaluate:
-            if isinstance(self._model, MhetaModel):
+            if self._batched:
                 values = self._model.predict(to_evaluate, batch=True)
             else:
-                # Stub and wrapper models keep working through whatever
-                # surface they expose: a (possibly legacy) batched entry
-                # point, else per-candidate calls.
-                batch_predict = getattr(
-                    self._model, "predict_seconds_batch", None
-                )
-                if batch_predict is not None:
-                    values = batch_predict(to_evaluate)
-                else:
-                    scalar = getattr(
-                        self._model, "predict", None
-                    ) or self._model.predict_seconds
-                    values = [scalar(d) for d in to_evaluate]
+                values = [self._model.predict(d) for d in to_evaluate]
             self._cache.put_many(
                 [d.counts for d in to_evaluate],
                 [float(v) for v in values],

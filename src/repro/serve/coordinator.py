@@ -39,6 +39,7 @@ recorders are merged back after each call returns.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
@@ -138,15 +139,7 @@ class ServeCoordinator:
         self.sweep_cache = sweep_cache
         self.run_cache = run_cache
         self.telemetry = as_recorder(telemetry)
-        # Eviction must also drop the model's compiled evaluation plan
-        # from the process-wide plan LRU: a resident model is the only
-        # holder keeping that plan warm, and leaking it across cache
-        # tiers would let dead plans crowd out live ones.
-        self._models = LRUCache(
-            model_cache_entries,
-            threadsafe=True,
-            on_evict=lambda key, entry: entry.model.release_plan(),
-        )
+        self._models = LRUCache(model_cache_entries, threadsafe=True)
         self._model_locks: Dict[Tuple, asyncio.Lock] = {}
         # One worker thread: passes serialise, the loop keeps gathering.
         self._executor = ThreadPoolExecutor(
@@ -200,15 +193,7 @@ class ServeCoordinator:
 
         cluster = table1_configs()[query.config]
         program = application_by_name(query.app, query.scale).structure
-        model = build_model(
-            cluster, program, kernel=query.kernel or self.kernel
-        )
-        if model.kernel == "plan":
-            # Warm the compiled plan with the model build (still on the
-            # executor thread), so the first query pays compile cost
-            # here rather than inside its scoring pass.  Compile time
-            # lands in the plan-cache counters either way.
-            model.ensure_plan()
+        model = build_model(cluster, program, kernel=query.kernel)
         return _ModelEntry(model, cluster, program)
 
     async def _run_blocking(self, fn, *args):
@@ -220,6 +205,10 @@ class ServeCoordinator:
 
     async def handle(self, query: Query) -> Dict[str, Any]:
         """Answer one parsed query (the transport-independent core)."""
+        if query.kernel is None:
+            # Name the default kernel, so a query that omits it shares
+            # the resident model and coalesce key of one that names it.
+            query = dataclasses.replace(query, kernel=self.kernel)
         rec = self.telemetry
         started = time.perf_counter()
         try:
@@ -557,7 +546,7 @@ class ServeCoordinator:
             if entry is None:
                 continue
             app, config, scale, kernel = key
-            models["/".join([app, config, str(scale), kernel or self.kernel])] = {
+            models["/".join([app, config, str(scale), kernel])] = {
                 "table_cache": entry.model.table_cache_stats,
                 "eval_cache_entries": len(entry.eval_cache),
                 "eval_cache_hits": entry.eval_cache.hits,

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from repro.core.model import KERNELS
 from repro.exceptions import ServeError
 
 __all__ = [
@@ -132,8 +133,10 @@ class Query:
         app = _require_choice(payload, "app", APPS)
         config = _require_choice(payload, "config", CONFIGS, default="HY1")
         kernel = payload.get("kernel")
-        if kernel is not None and kernel not in ("numpy", "scalar", "plan"):
-            raise ServeError(f"unknown kernel {kernel!r}")
+        if kernel is not None and kernel not in KERNELS:
+            raise ServeError(
+                f"unknown kernel {kernel!r}; choose from {KERNELS}"
+            )
         try:
             scale = float(payload.get("scale", 0.1))
         except (TypeError, ValueError):

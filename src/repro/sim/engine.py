@@ -287,7 +287,8 @@ class _RecvResult:
     payload: Any
 
     def __float__(self) -> float:
-        return self.time
+        # The clock may be a numpy scalar; __float__ must return a float.
+        return float(self.time)
 
 
 def run_processes(processes: Iterable[Tuple[int, Process]]) -> float:

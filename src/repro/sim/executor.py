@@ -20,7 +20,6 @@ from repro.cluster.cluster import ClusterSpec
 from repro.cluster.dynamics import DynamicsSpec, DynamicsTimeline
 from repro.distribution.genblock import GenBlock
 from repro.exceptions import SimulationError
-from repro.obs.deprecation import warn_once
 from repro.placement import MemoryPlan, plan_memory_arrays
 from repro.program.sections import CommPattern
 from repro.program.stages import Stage
@@ -73,10 +72,6 @@ def fast_forward_default() -> bool:
     """The current process-wide fast-forward default."""
     return _FAST_FORWARD_DEFAULT
 
-
-#: Sentinel distinguishing "not passed" from any real value in the
-#: deprecated-keyword shims.
-_UNSET = object()
 
 #: Valid ``io_mode`` values for the consolidated emulation API.
 IO_MODES = ("auto", "sync", "prefetch", "instrumented")
@@ -340,7 +335,6 @@ class ClusterEmulator:
         observer: Optional[Observer] = None,
         telemetry=None,
         iteration_offset: int = 0,
-        instrumented=_UNSET,
     ) -> RunResult:
         """Run the program and return timing.
 
@@ -389,17 +383,7 @@ class ClusterEmulator:
         rides along on whatever the engine actually simulates (nothing,
         on the plan route), so enabling telemetry never changes the
         simulated timing or the route.
-
-        ``instrumented=`` is a deprecated alias for
-        ``io_mode="instrumented"`` (warns once per process).
         """
-        if instrumented is not _UNSET:
-            warn_once(
-                "ClusterEmulator.run(instrumented=)",
-                'ClusterEmulator.run(io_mode="instrumented")',
-            )
-            if instrumented:
-                io_mode = "instrumented"
         instr, io_override = _resolve_io_mode(io_mode)
         if distribution.n_nodes != self.cluster.n_nodes:
             raise SimulationError(
@@ -1047,21 +1031,6 @@ def _copy_result(result: RunResult) -> RunResult:
     )
 
 
-def _legacy_emulate_kwargs(entry, io_mode, run_cache, instrumented, cache):
-    """Map the deprecated ``instrumented=``/``cache=`` keywords onto the
-    consolidated ``io_mode=``/``run_cache=`` ones, warning once each."""
-    if instrumented is not _UNSET:
-        warn_once(
-            f"{entry}(instrumented=)", f'{entry}(io_mode="instrumented")'
-        )
-        if instrumented:
-            io_mode = "instrumented"
-    if cache is not _UNSET:
-        warn_once(f"{entry}(cache=)", f"{entry}(run_cache=)")
-        run_cache = cache
-    return io_mode, run_cache
-
-
 def emulate(
     cluster: ClusterSpec,
     program: ProgramStructure,
@@ -1076,8 +1045,6 @@ def emulate(
     telemetry=None,
     observer: Optional[Observer] = None,
     iteration_offset: int = 0,
-    instrumented=_UNSET,
-    cache=_UNSET,
 ) -> RunResult:
     """One emulated run, memoised in the shared content-keyed run cache.
 
@@ -1110,13 +1077,7 @@ def emulate(
     hit/miss counters land under ``sim/run_cache/``, and cache misses
     record the run's phase telemetry (see :meth:`ClusterEmulator.run`).
     A hit performs no simulation, so only the counters move.
-
-    ``instrumented=`` and ``cache=`` are deprecated aliases for
-    ``io_mode="instrumented"`` and ``run_cache=`` (each warns once).
     """
-    io_mode, run_cache = _legacy_emulate_kwargs(
-        "emulate", io_mode, run_cache, instrumented, cache
-    )
     instr, _ = _resolve_io_mode(io_mode)
     dyn = _resolve_dynamics(cluster, dynamics)
     # dyn is fully resolved; False stops the emulator's own
@@ -1191,7 +1152,6 @@ def emulate_many(
     run_cache: Union[None, bool, "object"] = None,
     telemetry=None,
     iteration_offset: int = 0,
-    cache=_UNSET,
 ) -> List[RunResult]:
     """Emulate a whole population of candidates in one batched pass.
 
@@ -1212,17 +1172,13 @@ def emulate_many(
     :meth:`~repro.parallel.cache.RunCache.put_many`.  ``run_cache``
     follows :func:`emulate`: ``None`` for the process-wide store,
     ``False`` to bypass, or an explicit
-    :class:`~repro.parallel.cache.RunCache`.  ``cache=`` is the
-    deprecated alias for ``run_cache=`` (warns once).
+    :class:`~repro.parallel.cache.RunCache`.
 
     Telemetry: one ``sim/batch/passes`` count per call — the
     coalesced-round invariant the serve verify path asserts — plus
     candidate/hit/plan-run/fallback counters under ``sim/batch/``, and
     each engine-run candidate under ``sim/fallback/<reason>``.
     """
-    io_mode, run_cache = _legacy_emulate_kwargs(
-        "emulate_many", io_mode, run_cache, _UNSET, cache
-    )
     instr, io_override = _resolve_io_mode(io_mode)
     dyn = _resolve_dynamics(cluster, dynamics)
     distributions = list(distributions)

@@ -117,18 +117,14 @@ def get_emulation_plan(cluster, program, perturbation,
                        policy: FastForwardPolicy,
                        telemetry=None) -> "EmulationPlan":
     """The process-wide :class:`EmulationPlan` for the configuration,
-    compiled on first use and cached in the same LRU (and with the same
-    compile telemetry) as the prediction plans."""
+    compiled on first use and cached in the shared plan LRU
+    (:mod:`repro.core.plan`)."""
     from repro.core.plan import get_plan
 
-    key = emulation_plan_key(cluster, program, perturbation, policy)
     return get_plan(
-        None,
-        telemetry,
-        key=key,
-        factory=lambda _model: EmulationPlan(
-            cluster, program, perturbation, policy
-        ),
+        key=emulation_plan_key(cluster, program, perturbation, policy),
+        factory=lambda: EmulationPlan(cluster, program, perturbation, policy),
+        telemetry=telemetry,
     )
 
 

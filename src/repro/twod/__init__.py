@@ -38,7 +38,7 @@ from repro.twod.jacobi2d import (
     TwoDReport,
     build_2d_model,
 )
-from repro.twod.plan2d import EvaluationPlan2D, get_plan2d
+from repro.twod.plan2d import EvaluationPlan2D
 from repro.twod.search_space import SearchSpaceComparison, search_space_growth
 from repro.twod.search2d import (
     SEARCHER_2D_FAMILIES,
@@ -61,7 +61,6 @@ __all__ = [
     "TwoDNodeReport",
     "build_2d_model",
     "EvaluationPlan2D",
-    "get_plan2d",
     "SearchSpaceComparison",
     "search_space_growth",
     "SEARCHER_2D_FAMILIES",

@@ -18,7 +18,6 @@ it.
 
 from __future__ import annotations
 
-import hashlib
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -31,7 +30,7 @@ from repro.core.model import KERNELS
 from repro.exceptions import ModelError, SimulationError
 from repro.instrument.collect import MeasurementConfig
 from repro.instrument.microbench import Microbenchmarks, run_microbenchmarks
-from repro.obs import Recorder, as_recorder, warn_once
+from repro.obs import Recorder, as_recorder
 from repro.sim.disk import DiskModel
 from repro.sim.engine import Delay, Engine, Recv, Send
 from repro.sim.perturbation import PerturbationConfig, PerturbationModel
@@ -130,17 +129,13 @@ class TwoDEmulator:
         telemetry: Optional[Recorder] = None,
         iteration_offset: int = 0,
         policy: Optional[FastForwardPolicy] = None,
-        instrumented=None,
-        collector=None,
     ) -> float:
         """Total emulated seconds of ``n_iter`` 2-D Jacobi iterations.
 
         The keyword surface mirrors :meth:`ClusterEmulator.run`
         (``io_mode``, ``observer``, ``iteration_offset``); the 2-D
         kernel streams synchronously, so ``io_mode="prefetch"`` is
-        rejected.  ``instrumented=``/``collector=`` are deprecated
-        aliases for ``io_mode="instrumented"``/``observer=`` (each
-        warns once).
+        rejected.
 
         Fast-forward follows the 1-D emulator exactly: structurally
         eligible runs (:func:`supports_fast_forward` — an observer or
@@ -149,18 +144,6 @@ class TwoDEmulator:
         the rest is extrapolated closed-form; anything else falls back
         to the full event loop, bit for bit.
         """
-        if instrumented is not None:
-            warn_once(
-                "TwoDEmulator.run(instrumented=)",
-                'TwoDEmulator.run(io_mode="instrumented")',
-            )
-            if instrumented:
-                io_mode = "instrumented"
-        if collector is not None:
-            warn_once(
-                "TwoDEmulator.run(collector=)", "TwoDEmulator.run(observer=)"
-            )
-            observer = collector
         from repro.sim.executor import _resolve_io_mode
 
         instr, io_override = _resolve_io_mode(io_mode)
@@ -455,12 +438,11 @@ class TwoDModel:
 
     Mirrors :class:`repro.core.model.MhetaModel`'s surface: the
     consolidated :meth:`predict` entry point (scalar, ``report=True``,
-    ``batch=True``/``"serial"``), the ``kernel="scalar"|"numpy"|"plan"``
-    knob, a content :attr:`fingerprint`, and compiled plans shared
-    through the process-wide plan LRU (``kernel="plan"``).  The scalar
-    kernel is the per-rank reference loop; the numpy and plan kernels
-    score whole candidate populations through the max-plus iteration
-    matrices of :mod:`repro.twod.plan2d`.
+    ``batch=True``/``"serial"``) and the ``kernel="numpy"|"scalar"``
+    knob.  The scalar kernel is the per-rank reference loop; the numpy
+    kernel scores whole candidate populations through the max-plus
+    iteration matrices of :mod:`repro.twod.plan2d`, one private plan
+    per grid shape.
     """
 
     def __init__(
@@ -480,78 +462,35 @@ class TwoDModel:
         self.inputs = inputs
         self.kernel = kernel
         self._timeline = SectionTimeline(inputs.micro, cluster.n_nodes)
-        self._fingerprint: Optional[str] = None
-        # grid shape -> plan.  ``kernel="plan"`` entries come from the
-        # process-wide plan LRU; ``kernel="numpy"`` builds private ones
-        # (vectorized, but no numba and no cross-model sharing).
+        # grid shape -> this model's evaluation plan for that shape.
         self._plans: Dict[Tuple[int, int], object] = {}
 
     @property
     def n_nodes(self) -> int:
         return self.cluster.n_nodes
 
-    @property
-    def fingerprint(self) -> str:
-        """Content hash of the (workload spec, cluster, instrumented
-        inputs) triple; compiled 2-D plans are shared process-wide under
-        this key qualified by the grid shape."""
-        if self._fingerprint is None:
-            h = hashlib.sha256()
-            d0 = self.inputs.distribution0
-            h.update(
-                repr(
-                    (
-                        self.cluster.name,
-                        tuple(self.cluster.cpu_powers),
-                        tuple(self.cluster.memory_bytes),
-                        self.spec,
-                        d0.row_counts,
-                        d0.col_counts,
-                        self.inputs.compute_seconds,
-                        self.inputs.read_per_byte,
-                        self.inputs.write_per_byte,
-                        self.inputs.micro,
-                    )
-                ).encode()
-            )
-            self._fingerprint = h.hexdigest()
-        return self._fingerprint
+    # -- evaluation plans -------------------------------------------------------
 
-    # -- compiled plans ---------------------------------------------------------
-
-    def ensure_plan(
-        self,
-        grid_shape: Optional[Tuple[int, int]] = None,
-        telemetry: Optional[Recorder] = None,
-    ):
+    def ensure_plan(self, grid_shape: Optional[Tuple[int, int]] = None):
         """Resolve the evaluation plan for ``grid_shape`` (default: the
-        instrumented baseline's shape) under the current kernel."""
+        instrumented baseline's shape), building it on first use."""
         if grid_shape is None:
             grid_shape = self.inputs.distribution0.grid_shape
         plan = self._plans.get(grid_shape)
         if plan is None:
-            from repro.twod.plan2d import EvaluationPlan2D, get_plan2d
+            from repro.twod.plan2d import EvaluationPlan2D
 
-            if self.kernel == "plan":
-                plan = get_plan2d(self, grid_shape, telemetry)
-            else:
-                plan = EvaluationPlan2D(self, grid_shape)
+            plan = EvaluationPlan2D(self, grid_shape)
             self._plans[grid_shape] = plan
         return plan
 
     def release_plans(self) -> None:
-        """Drop this model's plans (and, for ``kernel="plan"``, their
-        process-wide LRU entries)."""
-        if self.kernel == "plan" and self._plans:
-            from repro.core.plan import discard_plan
-
-            for plan in self._plans.values():
-                discard_plan(plan.fingerprint)
+        """Drop this model's plans (they rebuild lazily on next use)."""
         self._plans = {}
 
     def __getstate__(self) -> dict:
-        # Plans hold scratch and memo buffers; workers recompile (or hit
-        # their own process's plan LRU) lazily after unpickling.
+        # Plans hold scratch and memo buffers; workers rebuild them
+        # lazily after unpickling.
         state = self.__dict__.copy()
         state["_plans"] = {}
         return state
@@ -622,12 +561,11 @@ class TwoDModel:
             if batch == "serial":
                 out = [self._predict_one(d, iterations) for d in dists]
             else:
-                out = self._predict_batch(dists, iterations, telemetry=rec)
+                out = self._predict_batch(dists, iterations)
             if rec:
                 rec.count("model/predictions", len(dists))
                 rec.count("model/batch_predictions")
                 rec.observe("model/batch_size", len(dists))
-                self._record_plan_gauges(rec)
             return out
         if report:
             result = self._report(distribution, iterations)
@@ -635,27 +573,7 @@ class TwoDModel:
             result = self._predict_one(distribution, iterations)
         if rec:
             rec.count("model/predictions")
-            self._record_plan_gauges(rec)
         return result
-
-    def predict_seconds(
-        self, dist: GenBlock2D, iterations: Optional[int] = None
-    ) -> float:
-        """Deprecated alias for :meth:`predict`."""
-        warn_once(
-            "TwoDModel.predict_seconds", "TwoDModel.predict(distribution)"
-        )
-        return self.predict(dist, iterations)
-
-    def _record_plan_gauges(self, rec: Recorder) -> None:
-        if self.kernel == "plan":
-            from repro.core.plan import plan_cache_stats
-
-            stats = plan_cache_stats()
-            rec.set("model/plan_cache/size", stats["size"])
-            rec.set("model/plan_cache/hits", stats["hits"])
-            rec.set("model/plan_cache/misses", stats["misses"])
-            rec.set("model/plan_cache/compiles", stats["compiles"])
 
     def _validate(self, dist: GenBlock2D) -> None:
         if dist.n_nodes != self.cluster.n_nodes:
@@ -682,13 +600,7 @@ class TwoDModel:
             plan = self.ensure_plan(dist.grid_shape)
             rowc = np.asarray([dist.row_counts], dtype=np.int64)
             colc = np.asarray([dist.col_counts], dtype=np.int64)
-            totals = plan.execute(
-                rowc,
-                colc,
-                n_iter,
-                allow_numba=self.kernel == "plan",
-                reduce=False,
-            )[0]
+            totals = plan.execute(rowc, colc, n_iter, reduce=False)[0]
         nodes = tuple(
             TwoDNodeReport(
                 rank=r,
@@ -708,7 +620,6 @@ class TwoDModel:
         self,
         dists: Sequence[GenBlock2D],
         iterations: Optional[int] = None,
-        telemetry: Optional[Recorder] = None,
     ) -> np.ndarray:
         """Score a candidate population, one vectorized pass per grid
         shape (populations may mix shapes; results come back in input
@@ -724,16 +635,14 @@ class TwoDModel:
             self._validate(d)
             groups.setdefault(d.grid_shape, []).append(i)
         for shape, idxs in groups.items():
-            plan = self.ensure_plan(shape, telemetry)
+            plan = self.ensure_plan(shape)
             rowc = np.asarray(
                 [dists[i].row_counts for i in idxs], dtype=np.int64
             )
             colc = np.asarray(
                 [dists[i].col_counts for i in idxs], dtype=np.int64
             )
-            out[idxs] = plan.execute(
-                rowc, colc, n_iter, allow_numba=self.kernel == "plan"
-            )
+            out[idxs] = plan.execute(rowc, colc, n_iter)
         return out
 
     def _scalar_totals(

@@ -16,21 +16,19 @@ the in-flight transfer + the receiver's remaining receive overheads) and
 extracts via basis replay.  :class:`EvaluationPlan2D` lowers one
 *(spec, cluster, grid shape)* triple into the index tables that build
 ``A`` for a whole ``(B, P)`` candidate population in a handful of array
-operations, then walks ``M`` with the exact steady-state freezing and
-closed-form extrapolation of :mod:`repro.core.plan` — the same
-tolerances, the same numba-JIT walk when available, the same pairwise
-tree-max fold over nodes.
+operations, then walks ``M`` with the steady-state freezing and
+closed-form extrapolation of the 1-D kernel
+(:meth:`repro.core.model.MhetaModel._steady_walk_batch`: the same
+tolerances), and folds the per-rank totals with a pairwise tree max.
 
-Unlike the 1-D plan there is no per-``(node, rows)`` row store: the 2-D
-stage quantities are cheap closed forms (the instrumented per-element
-compute rate scaled by tile area, plus the streaming-I/O terms), so the
-plan instead memoizes the *composed iteration matrices* per candidate
-batch — a repeated population (GBS re-scoring a grid, hill climbs
-revisiting neighbours) costs one gather instead of a rebuild.  Plans are
-cached in the same process-wide LRU as the 1-D plans
-(:func:`repro.core.plan.get_plan` with a shape-qualified key), so
-``plan_cache_stats`` and the ``model/plan_cache/*`` telemetry cover both
-kernels.
+There is no per-``(node, rows)`` table store: the 2-D stage quantities
+are cheap closed forms (the instrumented per-element compute rate
+scaled by tile area, plus the streaming-I/O terms), so the plan instead
+memoizes the *composed iteration matrices* per candidate batch — a
+repeated population (GBS re-scoring a grid, hill climbs revisiting
+neighbours) costs one gather instead of a rebuild.  Each
+:class:`~repro.twod.jacobi2d.TwoDModel` holds its own plans, one per
+grid shape.
 """
 
 from __future__ import annotations
@@ -39,13 +37,16 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core import plan as planmod
 from repro.core.comm import maxplus_compose_batch
 from repro.exceptions import ModelError
-from repro.obs import Recorder
 from repro.program.sections import CommPattern
 
-__all__ = ["EvaluationPlan2D", "get_plan2d"]
+__all__ = ["EvaluationPlan2D"]
+
+# Convergence tolerances of the steady-state walk — those of
+# MhetaModel._steady_walk_batch.
+_ATOL = 1e-12
+_RTOL = 1e-9
 
 #: Direction axis per direction index (north/south move rows — the halo
 #: is a tile *row* of ``cols`` elements; west/east move columns).
@@ -76,7 +77,6 @@ class EvaluationPlan2D:
             )
         self.grid_shape = (R, C)
         self.P = P
-        self.fingerprint = f"{model.fingerprint}:2d:{R}x{C}"
         micro = inputs.micro
 
         # -- per-rank constants (float64 row vectors) ----------------------
@@ -216,7 +216,6 @@ class EvaluationPlan2D:
         colc: np.ndarray,
         n_iter: int,
         *,
-        allow_numba: bool = True,
         reduce: bool = True,
     ) -> np.ndarray:
         """Score a validated candidate population.
@@ -234,14 +233,7 @@ class EvaluationPlan2D:
                 if len(self._m_memo) >= 8:
                     self._m_memo.pop(next(iter(self._m_memo)))
                 self._m_memo[key] = M
-        walk = planmod._numba_walk if allow_numba else None
-        if walk is not None:
-            try:
-                totals = walk(np.ascontiguousarray(M), n_iter)
-            except Exception:
-                totals = _walk_dense(M, n_iter)
-        else:
-            totals = _walk_dense(M, n_iter)
+        totals = _walk_dense(M, n_iter)
         if not reduce:
             return totals
         P = self.P
@@ -259,7 +251,7 @@ class EvaluationPlan2D:
 
     @property
     def stats(self) -> dict:
-        """Per-plan diagnostics, in the 1-D plan's shape."""
+        """Per-plan diagnostics."""
         return {
             "mode": "matrix2d",
             "grid_shape": self.grid_shape,
@@ -269,11 +261,9 @@ class EvaluationPlan2D:
 
 
 def _walk_dense(M: np.ndarray, n_iter: int) -> np.ndarray:
-    """Pure-numpy steady-state walk over dense ``(B, P, P)`` iteration
-    matrices — the bit-identical twin of the 1-D plan's jitted walk
-    (:func:`repro.core.plan._resolve_numba_walk`): the same per-candidate
-    freezing tolerances, the same ``last + steady * k`` extrapolation,
-    the same final fallback."""
+    """Steady-state walk over dense ``(B, P, P)`` iteration matrices:
+    per-candidate freezing, ``last + steady * k`` extrapolation, and
+    the last clocks for candidates that never converge."""
     B, P = M.shape[0], M.shape[1]
     clocks = np.zeros((B, P))
     totals = np.empty((B, P))
@@ -291,15 +281,15 @@ def _walk_dense(M: np.ndarray, n_iter: int) -> np.ndarray:
             steady_now = last - second_last
             if prev_steady is not None:
                 diff = np.abs(steady_now - prev_steady)
-                # Certain-convergence shortcut (see plan._walk_ops): a
-                # max abs diff within _ATOL converges every candidate
-                # at this same freeze point.
-                if frozen_none and diff.max() <= planmod._ATOL:
+                # Certain-convergence shortcut: a max abs diff within
+                # _ATOL converges every candidate at this same freeze
+                # point.
+                if frozen_none and diff.max() <= _ATOL:
                     totals[:] = last
                     totals += steady_now * (n_iter - simulate)
                     return totals
                 converged = (
-                    diff <= planmod._ATOL + planmod._RTOL * np.abs(prev_steady)
+                    diff <= _ATOL + _RTOL * np.abs(prev_steady)
                 ).all(axis=1)
                 newly = active & converged
                 if newly.any():
@@ -314,19 +304,3 @@ def _walk_dense(M: np.ndarray, n_iter: int) -> np.ndarray:
     totals[active] = last[active]
     return totals
 
-
-def get_plan2d(
-    model,
-    grid_shape: Tuple[int, int],
-    telemetry: Optional[Recorder] = None,
-) -> EvaluationPlan2D:
-    """The compiled 2-D plan for ``model`` at ``grid_shape``, through
-    the process-wide plan LRU (shape-qualified key, shared compile
-    telemetry and hit/miss counters)."""
-    R, C = grid_shape
-    return planmod.get_plan(
-        model,
-        telemetry,
-        key=f"{model.fingerprint}:2d:{R}x{C}",
-        factory=lambda m: EvaluationPlan2D(m, (R, C)),
-    )

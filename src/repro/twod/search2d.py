@@ -242,9 +242,8 @@ class _ShapeAdapter:
     — crossover blends, annealing moves across the axis boundary —
     decodes to a valid layout, deterministically.
 
-    ``predict(joint)`` and ``predict(joints, batch=True)``-equivalent
-    :meth:`predict_seconds_batch` score through the underlying batched
-    kernel; ``predict(joint, report=True)`` aggregates the per-rank
+    ``predict(joint)`` and ``predict(joints, batch=True)`` score through
+    the underlying batched kernel; ``predict(joint, report=True)`` aggregates the per-rank
     clock totals to per-band ones (row band i = the slowest rank in grid
     row i, and symmetrically for columns) so GBS's bottleneck hill climb
     moves band units away from the slowest band.
@@ -289,9 +288,14 @@ class _ShapeAdapter:
         joint,
         iterations: Optional[int] = None,
         *,
+        batch: bool = False,
         report: bool = False,
         telemetry: Optional[Recorder] = None,
     ):
+        if batch:
+            return self._model.predict(
+                [self.decode(j) for j in joint], iterations, batch=True
+            )
         dist = self.decode(joint)
         if not report:
             return self._model.predict(dist, iterations, telemetry=telemetry)
@@ -302,11 +306,6 @@ class _ShapeAdapter:
         return _JointReport(
             total_seconds=rep.total_seconds,
             nodes=tuple(_JointNodeReport(float(t)) for t in axis_totals),
-        )
-
-    def predict_seconds_batch(self, joints: Sequence[GenBlock]) -> np.ndarray:
-        return self._model.predict(
-            [self.decode(j) for j in joints], batch=True
         )
 
 

@@ -184,6 +184,6 @@ class TestMultigrid:
         )
         model = MhetaModel(program, base_cluster, inputs)
         actual = ClusterEmulator(base_cluster, program, ideal).run(d0)
-        assert model.predict_seconds(d0) == pytest.approx(
+        assert model.predict(d0) == pytest.approx(
             actual.total_seconds, rel=1e-9
         )

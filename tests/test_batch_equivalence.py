@@ -1,10 +1,10 @@
 """Golden equivalence: batched candidate scoring vs sequential calls.
 
-``MhetaModel.predict_seconds_batch`` evaluates a whole population of
-GEN_BLOCK candidates in one vectorized pass — clocks become ``(B, P)``,
-section matrices ``(B, P, P)``.  No reduction ever crosses the candidate
-axis, so every candidate's figure must agree with a sequential
-``predict_seconds`` call on the same model to within ``REL_TOL = 1e-12``
+``MhetaModel.predict(dists, batch=True)`` evaluates a whole population
+of GEN_BLOCK candidates in one vectorized pass — clocks become
+``(B, P)``, section matrices ``(B, P, P)``.  No reduction ever crosses
+the candidate axis, so every candidate's figure must agree with a
+sequential ``predict`` call on the same model to within ``REL_TOL = 1e-12``
 relative (in practice the lean numpy path is bit-identical) — on every
 seed app, every seed cluster, the prefetch variant, iteration-profile
 programs (loop fallback), the scalar kernel (loop fallback), and
@@ -35,6 +35,10 @@ from repro.instrument.collect import collect_inputs
 REL_TOL = 1e-12
 SCALE = 0.05
 
+#: The fast kernels held to the batch contract (the scalar reference
+#: batches by looping, see test_scalar_kernel_batch_is_loop_fallback).
+FAST_KERNELS = ("numpy",)
+
 APPS = {
     "jacobi": JacobiApp,
     "cg": ConjugateGradientApp,
@@ -64,11 +68,11 @@ def _candidates(cluster, program):
 
 
 def _assert_batch_matches_sequential(model, cands):
-    batch = model.predict_seconds_batch(cands)
+    batch = model.predict(cands, batch=True)
     assert isinstance(batch, np.ndarray)
     assert batch.shape == (len(cands),)
     for dist, got in zip(cands, batch):
-        want = model.predict_seconds(dist)
+        want = model.predict(dist)
         assert want > 0 and got > 0
         assert abs(got - want) <= REL_TOL * max(abs(got), abs(want)), (
             f"batch diverges from sequential for {dist.counts}: "
@@ -80,7 +84,7 @@ def _assert_batch_matches_sequential(model, cands):
 # -- golden sweep: every seed app on every seed cluster ----------------------
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "plan"])
+@pytest.mark.parametrize("kernel", FAST_KERNELS)
 @pytest.mark.parametrize("cluster_name", sorted(CLUSTERS))
 @pytest.mark.parametrize("app_name", sorted(APPS))
 def test_batch_equivalence(app_name, cluster_name, kernel):
@@ -103,7 +107,7 @@ def test_batch_equivalence_prefetch(app_name, cluster_name):
 @pytest.mark.parametrize("cluster_name", ["DC", "HY2"])
 def test_batch_equivalence_iteration_profile(cluster_name):
     """Iteration-profile programs take the loop fallback inside
-    ``predict_seconds_batch`` — same contract, same tolerance."""
+    ``predict(batch=True)`` — same contract, same tolerance."""
     cluster = CLUSTERS[cluster_name]()
     base = JacobiApp.paper(SCALE).structure
     profile = 1.0 + 0.5 * np.sin(np.arange(base.iterations))
@@ -112,7 +116,7 @@ def test_batch_equivalence_iteration_profile(cluster_name):
     _assert_batch_matches_sequential(model, _candidates(cluster, program))
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "plan"])
+@pytest.mark.parametrize("kernel", FAST_KERNELS)
 def test_batch_matches_scalar_kernel(kernel):
     """The batch must also satisfy the cross-kernel golden contract:
     within 1e-12 relative of the scalar reference."""
@@ -121,24 +125,10 @@ def test_batch_matches_scalar_kernel(kernel):
     scalar = _model(cluster, program, kernel="scalar", table_cache=0)
     vector = _model(cluster, program, kernel=kernel)
     cands = _candidates(cluster, program)
-    batch = vector.predict_seconds_batch(cands)
+    batch = vector.predict(cands, batch=True)
     for dist, got in zip(cands, batch):
-        want = scalar.predict_seconds(dist)
+        want = scalar.predict(dist)
         assert abs(got - want) <= REL_TOL * max(abs(got), abs(want))
-
-
-def test_plan_batch_matches_numpy_batch():
-    """``kernel="plan"`` and the numpy batch agree on the whole
-    population at the golden tolerance (one vectorized pass each)."""
-    cluster = configs.config_hy1()
-    program = MultigridApp.paper(SCALE).structure
-    vector = _model(cluster, program)
-    plan = _model(cluster, program, kernel="plan")
-    cands = _candidates(cluster, program)
-    a = vector.predict_seconds_batch(cands)
-    b = plan.predict_seconds_batch(cands)
-    rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
-    assert rel.max() <= REL_TOL
 
 
 def test_scalar_kernel_batch_is_loop_fallback():
@@ -148,20 +138,20 @@ def test_scalar_kernel_batch_is_loop_fallback():
     program = LanczosApp.paper(SCALE).structure
     model = _model(cluster, program, kernel="scalar", table_cache=0)
     cands = _candidates(cluster, program)[:4]
-    batch = model.predict_seconds_batch(cands)
-    assert list(batch) == [model.predict_seconds(d) for d in cands]
+    batch = model.predict(cands, batch=True)
+    assert list(batch) == [model.predict(d) for d in cands]
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "plan"])
+@pytest.mark.parametrize("kernel", FAST_KERNELS)
 def test_empty_batch(kernel):
     cluster = configs.config_dc()
     program = JacobiApp.paper(SCALE).structure
     model = _model(cluster, program, kernel=kernel)
-    out = model.predict_seconds_batch([])
+    out = model.predict([], batch=True)
     assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "plan"])
+@pytest.mark.parametrize("kernel", FAST_KERNELS)
 def test_batch_validates_every_candidate(kernel):
     cluster = configs.config_dc()
     program = JacobiApp.paper(SCALE).structure
@@ -169,32 +159,32 @@ def test_batch_validates_every_candidate(kernel):
     good = block(cluster, program.n_rows)
     bad = GenBlock((program.n_rows,))  # wrong node count
     with pytest.raises(ModelError, match="does not match the model"):
-        model.predict_seconds_batch([good, bad])
+        model.predict([good, bad], batch=True)
     short = GenBlock(tuple(good.counts[:-1]) + (good.counts[-1] - 1,))
     with pytest.raises(ModelError, match="does not cover the program"):
-        model.predict_seconds_batch([good, short])
+        model.predict([good, short], batch=True)
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "plan"])
+@pytest.mark.parametrize("kernel", FAST_KERNELS)
 def test_batch_iterations_override(kernel):
     cluster = configs.config_hy2()
     program = JacobiApp.paper(SCALE).structure
     model = _model(cluster, program, kernel=kernel)
     cands = _candidates(cluster, program)[:3]
-    batch = model.predict_seconds_batch(cands, iterations=7)
+    batch = model.predict(cands, iterations=7, batch=True)
     for dist, got in zip(cands, batch):
-        want = model.predict_seconds(dist, iterations=7)
+        want = model.predict(dist, iterations=7)
         assert abs(got - want) <= REL_TOL * max(abs(got), abs(want))
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "plan"])
+@pytest.mark.parametrize("kernel", FAST_KERNELS)
 def test_duplicate_candidates_in_one_batch(kernel):
     """Duplicates inside one batch score identically (shared tables)."""
     cluster = configs.config_hy1()
     program = ConjugateGradientApp.paper(SCALE).structure
     model = _model(cluster, program, kernel=kernel)
     d = block(cluster, program.n_rows)
-    batch = model.predict_seconds_batch([d, d, d])
+    batch = model.predict([d, d, d], batch=True)
     assert batch[0] == batch[1] == batch[2]
 
 
@@ -205,8 +195,8 @@ def test_batch_without_table_cache():
     cached = _model(cluster, program)
     uncached = _model(cluster, program, table_cache=0)
     cands = _candidates(cluster, program)
-    a = cached.predict_seconds_batch(cands)
-    b = uncached.predict_seconds_batch(cands)
+    a = cached.predict(cands, batch=True)
+    b = uncached.predict(cands, batch=True)
     assert list(a) == list(b)
 
 
@@ -251,17 +241,16 @@ def test_random_batches_agree(batch, cluster_name):
 # -- sharded fan-out ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "plan"])
+@pytest.mark.parametrize("kernel", FAST_KERNELS)
 def test_sharded_prediction_matches_serial(kernel):
-    """``predict_seconds_sharded`` is bit-identical across job counts
-    (plan models recompile their plan in each worker process)."""
-    from repro.parallel import predict_seconds_sharded
+    """``predict_sharded`` is bit-identical across job counts."""
+    from repro.parallel import predict_sharded
 
     cluster = configs.config_hy1()
     program = JacobiApp.paper(SCALE).structure
     model = _model(cluster, program, kernel=kernel)
     cands = _candidates(cluster, program)
-    serial = predict_seconds_sharded(model, cands, jobs=1)
-    assert serial == [float(v) for v in model.predict_seconds_batch(cands)]
-    sharded = predict_seconds_sharded(model, cands, jobs=2)
+    serial = predict_sharded(model, cands, jobs=1)
+    assert serial == [float(v) for v in model.predict(cands, batch=True)]
+    sharded = predict_sharded(model, cands, jobs=2)
     assert sharded == serial

@@ -27,6 +27,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "fft"])
 
+    def test_removed_plan_kernel_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "jacobi", "--config", "DC", "--kernel", "plan"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'plan'" in err
+        assert "'numpy', 'scalar'" in err
+
 
 class TestCommands:
     def test_table1(self, capsys):
@@ -172,10 +180,10 @@ class TestTwoDCli:
         out = run_cli(
             capsys,
             "predict", "jacobi", "--config", "DC",
-            "--twod", "2x4", "--kernel", "plan", "--verify", *SCALE,
+            "--twod", "2x4", "--kernel", "numpy", "--verify", *SCALE,
         )
         assert "2x4 grid" in out
-        assert "kernel=plan" in out
+        assert "kernel=numpy" in out
         assert "predicted:" in out
         assert "rank 7" in out  # per-rank report lines
         assert "error" in out  # --verify ran the 2-D emulator
@@ -219,7 +227,7 @@ class TestTwoDCli:
         out = run_cli(
             capsys,
             "search", "jacobi", "--config", "DC",
-            "--twod", "all", "--kernel", "plan",
+            "--twod", "all", "--kernel", "numpy",
             "--budget", "60", "--telemetry", "text", *SCALE,
         )
         for shape in ("1x8", "2x4", "4x2", "8x1"):

@@ -248,7 +248,7 @@ class TestMhetaModelExactness:
         model = ideal_model(cluster, program)
         for d in distributions:
             actual = emulator.run(d).total_seconds
-            predicted = model.predict_seconds(d)
+            predicted = model.predict(d)
             assert predicted == pytest.approx(actual, rel=1e-9), d
 
     def test_jacobi_in_core(self, base_cluster, jacobi_like):
@@ -350,16 +350,16 @@ class TestMhetaModelApi:
     def test_iterations_override(self, base_cluster, jacobi_like):
         model = ideal_model(base_cluster, jacobi_like)
         d = block(base_cluster, jacobi_like.n_rows)
-        t1 = model.predict_seconds(d, iterations=1)
-        t10 = model.predict_seconds(d, iterations=10)
+        t1 = model.predict(d, iterations=1)
+        t10 = model.predict(d, iterations=10)
         assert t10 > 5 * t1
 
     def test_wrong_distribution_raises(self, base_cluster, jacobi_like):
         model = ideal_model(base_cluster, jacobi_like)
         with pytest.raises(ModelError):
-            model.predict_seconds(GenBlock([jacobi_like.n_rows]))
+            model.predict(GenBlock([jacobi_like.n_rows]))
         with pytest.raises(ModelError):
-            model.predict_seconds(block(base_cluster, jacobi_like.n_rows + 8))
+            model.predict(block(base_cluster, jacobi_like.n_rows + 8))
 
     def test_mismatched_program_raises(self, base_cluster, jacobi_like, cg_like):
         d0 = block(base_cluster, jacobi_like.n_rows)

@@ -12,12 +12,10 @@ The golden guarantees this file pins down:
   ``emulate_many`` agree bitwise;
 * mid-run segments (``iteration_offset``) replay exactly the factors
   the same global iterations of a continuous run see;
-* the deprecated keyword shims still work and warn exactly once;
+* an unknown ``io_mode`` is rejected;
 * the background-load process no longer shares the compute-noise RNG
   stream (toggling ``compute_noise`` must not move the load trajectory).
 """
-
-import warnings
 
 import pytest
 
@@ -293,71 +291,10 @@ class TestSegmentReplay:
 
 
 # ---------------------------------------------------------------------------
-# deprecated keyword shims
+# keyword validation
 
 
-class TestDeprecationShims:
-    def _single_warning(self, record):
-        deps = [w for w in record if issubclass(w.category, DeprecationWarning)]
-        return deps
-
-    def test_emulate_instrumented_alias(self):
-        from repro.obs import deprecation
-
-        cluster = config_dc()
-        program = _program()
-        d = block(cluster, program.n_rows)
-        golden = emulate(
-            cluster, program, d, io_mode="instrumented", iterations=1,
-            run_cache=False,
-        )
-        deprecation._WARNED.discard("emulate(instrumented=)")
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            legacy = emulate(
-                cluster, program, d, instrumented=True, iterations=1,
-                run_cache=False,
-            )
-            legacy2 = emulate(
-                cluster, program, d, instrumented=True, iterations=1,
-                run_cache=False,
-            )
-        assert legacy.total_seconds == golden.total_seconds
-        assert legacy2.total_seconds == golden.total_seconds
-        assert len(self._single_warning(record)) == 1  # warns once
-
-    def test_run_instrumented_alias(self):
-        from repro.obs import deprecation
-
-        cluster = config_dc()
-        program = _program()
-        d = block(cluster, program.n_rows)
-        emulator = ClusterEmulator(cluster, program)
-        golden = emulator.run(d, io_mode="instrumented", iterations=1)
-        deprecation._WARNED.discard("ClusterEmulator.run(instrumented=)")
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            legacy = emulator.run(d, instrumented=True, iterations=1)
-        assert legacy.total_seconds == golden.total_seconds
-        assert len(self._single_warning(record)) == 1
-
-    def test_cache_alias(self):
-        from repro.obs import deprecation
-        from repro.parallel import verify_distributions
-
-        cluster = config_dc()
-        program = _program()
-        dists = [block(cluster, program.n_rows)]
-        golden = verify_distributions(
-            cluster, program, dists, run_cache=False
-        )
-        deprecation._WARNED.discard("verify_distributions(cache=)")
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            legacy = verify_distributions(cluster, program, dists, cache=False)
-        assert legacy == golden
-        assert len(self._single_warning(record)) == 1
-
+class TestEmulationKeywords:
     def test_unknown_io_mode_rejected(self):
         cluster = config_dc()
         program = _program()

@@ -84,12 +84,12 @@ class TestGoldenBatchEquivalence:
         dists = _population(cluster, program, n=4)
         batch = emulate_many(
             cluster, program, dists,
-            perturbation=DETERMINISTIC, cache=False,
+            perturbation=DETERMINISTIC, run_cache=False,
         )
         loop = [
             emulate(
                 cluster, program, d,
-                perturbation=DETERMINISTIC, cache=False,
+                perturbation=DETERMINISTIC, run_cache=False,
             )
             for d in dists
         ]
@@ -104,7 +104,7 @@ class TestGoldenBatchEquivalence:
         d = block(cluster, program.n_rows)
         batch = emulate_many(
             cluster, program, [d, d, d],
-            perturbation=DETERMINISTIC, cache=False,
+            perturbation=DETERMINISTIC, run_cache=False,
         )
         assert (
             batch[0].total_seconds
@@ -118,7 +118,7 @@ class TestGoldenBatchEquivalence:
     def test_empty_population(self):
         cluster = table1_configs()["HY1"]
         program = JacobiApp.paper(SCALE).structure.with_iterations(ITERATIONS)
-        assert emulate_many(cluster, program, [], cache=False) == []
+        assert emulate_many(cluster, program, [], run_cache=False) == []
 
 
 class TestBatchFallbacks:
@@ -134,12 +134,12 @@ class TestBatchFallbacks:
         dists = _population(cluster, program, n=3)
         batch = emulate_many(
             cluster, program, dists,
-            perturbation=PerturbationConfig(), cache=False,
+            perturbation=PerturbationConfig(), run_cache=False,
         )
         loop = [
             emulate(
                 cluster, program, d,
-                perturbation=PerturbationConfig(), cache=False,
+                perturbation=PerturbationConfig(), run_cache=False,
             )
             for d in dists
         ]
@@ -151,12 +151,12 @@ class TestBatchFallbacks:
         dists = _population(cluster, program, n=2)
         batch = emulate_many(
             cluster, program, dists,
-            perturbation=DETERMINISTIC, iterations=3, cache=False,
+            perturbation=DETERMINISTIC, iterations=3, run_cache=False,
         )
         loop = [
             emulate(
                 cluster, program, d,
-                perturbation=DETERMINISTIC, iterations=3, cache=False,
+                perturbation=DETERMINISTIC, iterations=3, run_cache=False,
             )
             for d in dists
         ]
@@ -171,13 +171,13 @@ class TestBatchFallbacks:
         )
         batch = emulate_many(
             cluster, program, dists,
-            perturbation=DETERMINISTIC, cache=False,
+            perturbation=DETERMINISTIC, run_cache=False,
         )
         assert not any(b.fast_forwarded for b in batch)
         full = [
             emulate(
                 cluster, program, d, perturbation=DETERMINISTIC,
-                fast_forward=False, cache=False,
+                fast_forward=False, run_cache=False,
             )
             for d in dists
         ]
@@ -195,12 +195,12 @@ class TestBatchFallbacks:
             dists = _population(cluster, program, n=2)
             batch = emulate_many(
                 cluster, program, dists,
-                perturbation=DETERMINISTIC, cache=False,
+                perturbation=DETERMINISTIC, run_cache=False,
             )
             loop = [
                 emulate(
                     cluster, program, d,
-                    perturbation=DETERMINISTIC, cache=False,
+                    perturbation=DETERMINISTIC, run_cache=False,
                 )
                 for d in dists
             ]
@@ -221,13 +221,13 @@ class TestBatchCacheInteraction:
         store = RunCache()
         first = emulate_many(
             cluster, program, dists,
-            perturbation=DETERMINISTIC, cache=store,
+            perturbation=DETERMINISTIC, run_cache=store,
         )
         assert len(store) == len(dists)
         rec = Recorder()
         second = emulate_many(
             cluster, program, dists,
-            perturbation=DETERMINISTIC, cache=store, telemetry=rec,
+            perturbation=DETERMINISTIC, run_cache=store, telemetry=rec,
         )
         _assert_bitwise(second, first)
         counters = rec.snapshot()["counters"]
@@ -240,12 +240,12 @@ class TestBatchCacheInteraction:
         store = RunCache()
         batch = emulate_many(
             cluster, program, dists,
-            perturbation=DETERMINISTIC, cache=store,
+            perturbation=DETERMINISTIC, run_cache=store,
         )
         for d, expected in zip(dists, batch):
             single = emulate(
                 cluster, program, d,
-                perturbation=DETERMINISTIC, cache=store,
+                perturbation=DETERMINISTIC, run_cache=store,
             )
             assert single.total_seconds == expected.total_seconds
 
@@ -255,7 +255,7 @@ class TestBatchCacheInteraction:
         rec = Recorder()
         emulate_many(
             cluster, program, dists,
-            perturbation=DETERMINISTIC, cache=False, telemetry=rec,
+            perturbation=DETERMINISTIC, run_cache=False, telemetry=rec,
         )
         counters = rec.snapshot()["counters"]
         assert counters["sim/batch/passes"] == 1
@@ -281,10 +281,10 @@ class TestEventRecordAllocationPin:
         d = block(cluster, program.n_rows)
         emulate(
             cluster, program, d,
-            perturbation=DETERMINISTIC, fast_forward=False, cache=False,
+            perturbation=DETERMINISTIC, fast_forward=False, run_cache=False,
         )
         emulate_many(
             cluster, program, [d],
-            perturbation=DETERMINISTIC, cache=False,
+            perturbation=DETERMINISTIC, run_cache=False,
         )
         assert constructed == []

@@ -68,7 +68,7 @@ class TestLargeClusterExactness:
         )
         model = MhetaModel(program, cluster, inputs)
         actual = ClusterEmulator(cluster, program, IDEAL).run(d0)
-        assert model.predict_seconds(d0) == pytest.approx(
+        assert model.predict(d0) == pytest.approx(
             actual.total_seconds, rel=1e-9
         )
 
@@ -82,7 +82,7 @@ class TestLargeClusterExactness:
         )
         model = MhetaModel(program, cluster, inputs)
         actual = ClusterEmulator(cluster, program, IDEAL).run(d0)
-        assert model.predict_seconds(d0) == pytest.approx(
+        assert model.predict(d0) == pytest.approx(
             actual.total_seconds, rel=1e-9
         )
 
@@ -98,7 +98,7 @@ class TestLargeClusterExactness:
         )
         model = MhetaModel(program, cluster, inputs)
         actual = ClusterEmulator(cluster, program, IDEAL).run(d0)
-        assert model.predict_seconds(d0) == pytest.approx(
+        assert model.predict(d0) == pytest.approx(
             actual.total_seconds, rel=1e-9
         )
 
@@ -113,6 +113,6 @@ class TestLargeClusterExactness:
         )
         model = MhetaModel(program, cluster, inputs)
         actual = ClusterEmulator(cluster, program, IDEAL).run(d0)
-        assert model.predict_seconds(d0) == pytest.approx(
+        assert model.predict(d0) == pytest.approx(
             actual.total_seconds, rel=1e-9
         )

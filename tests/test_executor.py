@@ -164,7 +164,7 @@ class TestPrefetchExecution:
         ClusterEmulator(base_cluster, program.with_prefetch(), IDEAL).run(
             block(base_cluster, program.n_rows),
             observer=trace,
-            instrumented=True,
+            io_mode="instrumented",
             iterations=1,
         )
         assert not trace.of_kind(Op.PREFETCH_ISSUE)

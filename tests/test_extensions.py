@@ -101,7 +101,7 @@ class TestNonUniformIterations:
         )
         model = MhetaModel(program, cluster, inputs)
         actual = ClusterEmulator(cluster, program, IDEAL).run(d0)
-        assert model.predict_seconds(d0) == pytest.approx(
+        assert model.predict(d0) == pytest.approx(
             actual.total_seconds, rel=1e-9
         )
 

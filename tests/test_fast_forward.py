@@ -245,10 +245,10 @@ class TestEmulateAndRunCache:
         cluster, program, d = self._workload()
         cache = RunCache()
         first = emulate(
-            cluster, program, d, perturbation=DETERMINISTIC, cache=cache
+            cluster, program, d, perturbation=DETERMINISTIC, run_cache=cache
         )
         second = emulate(
-            cluster, program, d, perturbation=DETERMINISTIC, cache=cache
+            cluster, program, d, perturbation=DETERMINISTIC, run_cache=cache
         )
         assert cache.hits == 1 and cache.misses == 1
         assert second.total_seconds == first.total_seconds
@@ -258,12 +258,12 @@ class TestEmulateAndRunCache:
         cluster, program, d = self._workload()
         cache = RunCache()
         first = emulate(
-            cluster, program, d, perturbation=DETERMINISTIC, cache=cache
+            cluster, program, d, perturbation=DETERMINISTIC, run_cache=cache
         )
         first.iteration_ends[0][0] = -1.0
         first.per_node_seconds[0] = -1.0
         second = emulate(
-            cluster, program, d, perturbation=DETERMINISTIC, cache=cache
+            cluster, program, d, perturbation=DETERMINISTIC, run_cache=cache
         )
         assert second.iteration_ends[0][0] != -1.0
         assert second.per_node_seconds[0] != -1.0
@@ -287,14 +287,14 @@ class TestEmulateAndRunCache:
         cluster, program, d = self._workload()
         cache = RunCache()
         fast = emulate(
-            cluster, program, d, perturbation=DETERMINISTIC, cache=cache
+            cluster, program, d, perturbation=DETERMINISTIC, run_cache=cache
         )
         full = emulate(
             cluster,
             program,
             d,
             perturbation=DETERMINISTIC,
-            cache=cache,
+            run_cache=cache,
             fast_forward=False,
         )
         assert cache.hits == 0 and cache.misses == 2
@@ -304,20 +304,20 @@ class TestEmulateAndRunCache:
     def test_cache_false_bypasses(self):
         cluster, program, d = self._workload()
         cache = RunCache()
-        emulate(cluster, program, d, perturbation=DETERMINISTIC, cache=False)
+        emulate(cluster, program, d, perturbation=DETERMINISTIC, run_cache=False)
         assert len(cache) == 0
 
     def test_observer_bypasses_cache(self):
         cluster, program, d = self._workload()
         cache = RunCache()
-        emulate(cluster, program, d, perturbation=DETERMINISTIC, cache=cache)
+        emulate(cluster, program, d, perturbation=DETERMINISTIC, run_cache=cache)
         trace = TraceCollector()
         emulate(
             cluster,
             program,
             d,
             perturbation=DETERMINISTIC,
-            cache=cache,
+            run_cache=cache,
             observer=trace,
         )
         # The observed run simulated for real: records exist and the

@@ -43,7 +43,7 @@ class TestModelMirrorsEmulatorExactly:
         emulator = ClusterEmulator(cluster, program, ideal)
         for point in spectrum(cluster, program, steps_per_leg=1):
             actual = emulator.run(point.distribution).total_seconds
-            predicted = model.predict_seconds(point.distribution)
+            predicted = model.predict(point.distribution)
             assert predicted == pytest.approx(actual, rel=1e-9), point.label
 
 
@@ -69,7 +69,7 @@ class TestAccuracyAtSmallScale:
         model = build_model(cluster, program)
         d0 = block(cluster, program.n_rows)
         actual = ClusterEmulator(cluster, program).run(d0).total_seconds
-        predicted = model.predict_seconds(d0)
+        predicted = model.predict(d0)
         assert abs(predicted - actual) / actual < 0.03
 
 
@@ -87,7 +87,7 @@ class TestSearchIntegration:
         program = JacobiApp.paper(scale=SCALE).structure.with_iterations(5)
         model = build_model(cluster, program)
         result = GeneralizedBinarySearch(model, cluster).search(budget=120)
-        blk_pred = model.predict_seconds(block(cluster, program.n_rows))
+        blk_pred = model.predict(block(cluster, program.n_rows))
         assert result.predicted_seconds <= blk_pred
 
     def test_search_winner_verified_by_emulator(self):

@@ -34,6 +34,9 @@ from tests.placement_reference import plan_memory_reference
 REL_TOL = 1e-12
 SCALE = 0.05
 
+#: The fast kernels pinned to the scalar reference.
+FAST_KERNELS = ("numpy",)
+
 APPS = {
     "jacobi": JacobiApp,
     "cg": ConjugateGradientApp,
@@ -50,11 +53,7 @@ CLUSTERS = {
 
 
 def _model_pair(cluster, program, kernel="numpy"):
-    """(scalar reference, vectorized kernel) over identical inputs.
-
-    ``kernel`` selects the candidate under test: the numpy path or the
-    compiled evaluation plan (``kernel="plan"``) — both are pinned to
-    the same scalar reference at the same tolerance."""
+    """(scalar reference, vectorized kernel) over identical inputs."""
     inputs = collect_inputs(cluster, program, block(cluster, program.n_rows))
     scalar = MhetaModel(program, cluster, inputs, kernel="scalar",
                         table_cache=0)
@@ -81,7 +80,7 @@ def _candidates(cluster, program):
 # -- golden sweep: every seed app on every seed cluster ----------------------
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "plan"])
+@pytest.mark.parametrize("kernel", FAST_KERNELS)
 @pytest.mark.parametrize("cluster_name", sorted(CLUSTERS))
 @pytest.mark.parametrize("app_name", sorted(APPS))
 def test_golden_equivalence(app_name, cluster_name, kernel):
@@ -89,11 +88,11 @@ def test_golden_equivalence(app_name, cluster_name, kernel):
     program = APPS[app_name].paper(SCALE).structure
     scalar, vector = _model_pair(cluster, program, kernel)
     for dist in _candidates(cluster, program):
-        _assert_close(scalar.predict_seconds(dist),
-                      vector.predict_seconds(dist))
+        _assert_close(scalar.predict(dist),
+                      vector.predict(dist))
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "plan"])
+@pytest.mark.parametrize("kernel", FAST_KERNELS)
 @pytest.mark.parametrize("cluster_name", ["IO", "HY1"])
 @pytest.mark.parametrize("app_name", ["jacobi", "rna"])
 def test_golden_equivalence_prefetch(app_name, cluster_name, kernel):
@@ -102,24 +101,23 @@ def test_golden_equivalence_prefetch(app_name, cluster_name, kernel):
     program = APPS[app_name].paper(SCALE).prefetching()
     scalar, vector = _model_pair(cluster, program, kernel)
     for dist in _candidates(cluster, program):
-        _assert_close(scalar.predict_seconds(dist),
-                      vector.predict_seconds(dist))
+        _assert_close(scalar.predict(dist),
+                      vector.predict(dist))
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "plan"])
+@pytest.mark.parametrize("kernel", FAST_KERNELS)
 @pytest.mark.parametrize("cluster_name", ["DC", "HY2"])
 def test_golden_equivalence_iteration_profile(cluster_name, kernel):
     """Per-iteration work profiles force the full iteration walk (no
-    steady-state extrapolation) in both kernels; ``kernel="plan"``
-    models loop the numpy walk for profile programs."""
+    steady-state extrapolation) in both kernels."""
     cluster = CLUSTERS[cluster_name]()
     base = JacobiApp.paper(SCALE).structure
     profile = 1.0 + 0.5 * np.sin(np.arange(base.iterations))
     program = base.with_iteration_profile(profile)
     scalar, vector = _model_pair(cluster, program, kernel)
     for dist in _candidates(cluster, program):
-        _assert_close(scalar.predict_seconds(dist),
-                      vector.predict_seconds(dist))
+        _assert_close(scalar.predict(dist),
+                      vector.predict(dist))
 
 
 def test_golden_equivalence_report_totals():
@@ -141,8 +139,8 @@ def test_predict_many_matches_serial_calls():
     program = JacobiApp.paper(SCALE).structure
     _, vector = _model_pair(cluster, program)
     cands = _candidates(cluster, program)
-    serial = [vector.predict_seconds(d) for d in cands]
-    assert vector.predict_many(cands) == serial
+    serial = [vector.predict(d) for d in cands]
+    assert vector.predict(cands, batch="serial") == serial
 
 
 def test_table_cache_does_not_change_results():
@@ -154,7 +152,7 @@ def test_table_cache_does_not_change_results():
     uncached = MhetaModel(program, cluster, inputs, kernel="numpy",
                           table_cache=0)
     for dist in _candidates(cluster, program):
-        assert cached.predict_seconds(dist) == uncached.predict_seconds(dist)
+        assert cached.predict(dist) == uncached.predict(dist)
     stats = cached.table_cache_stats
     assert stats["hits"] > 0
 
@@ -169,8 +167,7 @@ def _jacobi_pair(cluster_name):
         cluster = CLUSTERS[cluster_name]()
         program = JacobiApp.paper(SCALE).structure
         scalar, vector = _model_pair(cluster, program)
-        _, plan = _model_pair(cluster, program, "plan")
-        _JACOBI_FIXTURES[cluster_name] = (program, scalar, vector, plan)
+        _JACOBI_FIXTURES[cluster_name] = (program, scalar, vector)
     return _JACOBI_FIXTURES[cluster_name]
 
 
@@ -186,19 +183,18 @@ def _jacobi_pair(cluster_name):
 def test_random_distributions_agree(weights, cluster_name):
     """Arbitrary GEN_BLOCK shapes — including wildly skewed ones a search
     would never visit — keep the kernels within tolerance."""
-    program, scalar, vector, plan = _jacobi_pair(cluster_name)
+    program, scalar, vector = _jacobi_pair(cluster_name)
     counts = largest_remainder_round(
         np.array(weights), program.n_rows, minimum=1
     )
     dist = GenBlock(counts)
-    reference = scalar.predict_seconds(dist)
-    _assert_close(reference, vector.predict_seconds(dist))
-    _assert_close(reference, plan.predict_seconds(dist))
+    reference = scalar.predict(dist)
+    _assert_close(reference, vector.predict(dist))
 
 
 # -- batched table pass and vectorised placement -----------------------------
 #
-# The numpy and plan kernels build every missing (node, rows) stage-time
+# The numpy kernel builds every missing (node, rows) stage-time
 # table of a predict call in one ``MhetaModel._build_tables`` pass, over
 # ``plan_memory_arrays``.  These cases pin that pass to the scalar
 # per-pair tables, to itself across batches, and the vectorised

@@ -129,7 +129,7 @@ def test_exact_agreement_on_random_cases(cluster_spec, program, shares):
     emulator = ClusterEmulator(cluster, program, IDEAL)
 
     actual = emulator.run(distribution).total_seconds
-    predicted = model.predict_seconds(distribution)
+    predicted = model.predict(distribution)
     assert predicted == pytest.approx(actual, rel=1e-9, abs=1e-12)
 
 
@@ -164,5 +164,5 @@ def test_cross_distribution_prediction(cluster_spec, program, shares_a, shares_b
     model = MhetaModel(program, cluster, inputs)
     emulator = ClusterEmulator(cluster, program, IDEAL)
     actual = emulator.run(target).total_seconds
-    predicted = model.predict_seconds(target)
+    predicted = model.predict(target)
     assert predicted == pytest.approx(actual, rel=1e-9, abs=1e-12)

@@ -9,8 +9,6 @@ from repro.obs import (
     NullRecorder,
     Recorder,
     as_recorder,
-    reset_warnings,
-    warn_once,
 )
 
 
@@ -156,22 +154,3 @@ class TestExport:
             assert name in text
         assert Recorder().describe() == "(no telemetry recorded)"
 
-
-class TestWarnOnce:
-    def test_warns_exactly_once_per_alias(self):
-        reset_warnings()
-        with pytest.warns(DeprecationWarning, match="old_name"):
-            warn_once("old_name", "new_name")
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("error")
-            warn_once("old_name", "new_name")  # silent second call
-
-    def test_reset_allows_rewarning(self):
-        reset_warnings()
-        with pytest.warns(DeprecationWarning):
-            warn_once("again", "new")
-        reset_warnings()
-        with pytest.warns(DeprecationWarning):
-            warn_once("again", "new")

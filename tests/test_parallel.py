@@ -9,7 +9,7 @@ from repro.parallel import (
     ParallelRunner,
     SweepCache,
     content_key,
-    predict_seconds_sharded,
+    predict_sharded,
     resolve_jobs,
     split_shards,
     verify_distributions,
@@ -79,11 +79,11 @@ class TestShards:
             balanced(cluster, program.n_rows),
             block(cluster, program.n_rows).moved(0, 1, 3),
         ]
-        serial = predict_seconds_sharded(model, dists, jobs=1)
+        serial = predict_sharded(model, dists, jobs=1)
         assert serial == [
-            float(v) for v in model.predict_seconds_batch(dists)
+            float(v) for v in model.predict(dists, batch=True)
         ]
-        assert predict_seconds_sharded(model, dists, jobs=2) == serial
+        assert predict_sharded(model, dists, jobs=2) == serial
 
 
 class TestContentKey:
@@ -271,8 +271,8 @@ class TestPredictMany:
             balanced(cluster, program.n_rows),
             block(cluster, program.n_rows),  # shared row counts hit the memo
         ]
-        batched = model.predict_many(candidates)
-        assert batched == [model.predict_seconds(d) for d in candidates]
+        batched = model.predict(candidates, batch="serial")
+        assert batched == [model.predict(d) for d in candidates]
 
 
 def _points(run):

@@ -1,36 +1,27 @@
-"""Compiled evaluation plans: the specializer, its cache, its contract.
+"""The process-wide plan LRU (``repro.core.plan``).
 
-``repro.core.plan`` lowers an (app structure, cluster shape, kernel
-options) triple once into a flat :class:`EvaluationPlan`; predictions
-then run as a short sequence of vectorized ops.  These tests pin the
-behaviours around the kernel itself (the golden numerical contract
-lives in ``test_kernel_equivalence.py`` / ``test_batch_equivalence.py``):
-plan sharing through the process-wide LRU, compile telemetry, the
-gather memo, store resets, pickling, and the numba opt-in gate.
+Compiled :class:`~repro.sim.plan_sim.EmulationPlan` objects are shared
+through one bounded LRU keyed by a content key of the configuration.
+These tests pin the LRU itself: sharing between equivalent
+configurations, distinct keys for distinct ones, ``discard_plan``, the
+``plan_cache_stats`` keys, and the compile counter and span.  The
+replay contract of the plans lives in ``test_plan_tape.py``.
 """
 
 from __future__ import annotations
 
-import pickle
-
-import numpy as np
 import pytest
 
-from repro.apps import ConjugateGradientApp, JacobiApp, RnaPipelineApp
+from repro.apps import ConjugateGradientApp, JacobiApp
 from repro.cluster import configs
-from repro.core import plan as planmod
-from repro.core.model import MhetaModel
 from repro.core.plan import discard_plan, plan_cache_stats, reset_plan_cache
-from repro.distribution import (
-    GenBlock,
-    block,
-    largest_remainder_round,
-    spectrum,
-)
-from repro.instrument.collect import collect_inputs
+from repro.distribution import block
 from repro.obs import Recorder
+from repro.sim import FastForwardPolicy, PerturbationConfig, emulate_many
+from repro.sim.plan_sim import emulation_plan_key, get_emulation_plan
 
 SCALE = 0.05
+NOISY = PerturbationConfig()
 
 
 @pytest.fixture(autouse=True)
@@ -40,36 +31,16 @@ def _clean_plan_cache():
     reset_plan_cache()
 
 
-def _setup(app=JacobiApp, config=configs.config_hy1, steps_per_leg=3):
-    """(plan-kernel model, candidate distributions) for one triple."""
-    cluster = config()
-    program = app.paper(SCALE).structure
-    inputs = collect_inputs(cluster, program, block(cluster, program.n_rows))
-    model = MhetaModel(program, cluster, inputs, kernel="plan")
-    cands = [block(cluster, program.n_rows)]
-    cands += [
-        p.distribution
-        for p in spectrum(cluster, program, steps_per_leg=steps_per_leg)
-    ]
-    return model, cands
-
-
-def _model(app=JacobiApp, config=configs.config_hy1):
-    return _setup(app, config)[0]
-
-
-# -- plan cache ---------------------------------------------------------------
+def _config(app=JacobiApp, config=configs.config_hy1):
+    return config(), app.paper(SCALE).structure, NOISY, FastForwardPolicy()
 
 
 def test_equivalent_models_share_one_plan():
-    """Two models with the same (structure, cluster) fingerprint hit
-    the same compiled plan: exactly one compile."""
-    a = _model()
-    b = _model()
-    assert a.fingerprint == b.fingerprint
-    pa = a.ensure_plan()
-    pb = b.ensure_plan()
-    assert pa is pb
+    """Two equal configurations hit the same plan: exactly one
+    compile."""
+    a = get_emulation_plan(*_config())
+    b = get_emulation_plan(*_config())
+    assert a is b
     stats = plan_cache_stats()
     assert stats["compiles"] == 1
     assert stats["hits"] == 1
@@ -77,133 +48,40 @@ def test_equivalent_models_share_one_plan():
 
 
 def test_distinct_triples_compile_distinct_plans():
-    a = _model(JacobiApp, configs.config_hy1)
-    b = _model(JacobiApp, configs.config_dc)
-    c = _model(ConjugateGradientApp, configs.config_hy1)
-    plans = {id(m.ensure_plan()) for m in (a, b, c)}
+    configs_ = [
+        _config(JacobiApp, configs.config_hy1),
+        _config(JacobiApp, configs.config_dc),
+        _config(ConjugateGradientApp, configs.config_hy1),
+    ]
+    assert len({emulation_plan_key(*c) for c in configs_}) == 3
+    plans = {id(get_emulation_plan(*c)) for c in configs_}
     assert len(plans) == 3
     assert plan_cache_stats()["compiles"] == 3
 
 
-def test_release_plan_discards_cache_entry():
-    model = _model()
-    model.ensure_plan()
+def test_discard_plan_drops_cache_entry():
+    config = _config()
+    first = get_emulation_plan(*config)
     assert plan_cache_stats()["size"] == 1
-    model.release_plan()
-    assert model._plan is None
+    assert discard_plan(emulation_plan_key(*config))
     assert plan_cache_stats()["size"] == 0
-    # Releasing twice is a no-op, and discard of a gone key reports it.
-    model.release_plan()
-    assert not discard_plan("no-such-fingerprint")
-
-
-def test_plan_results_survive_release_and_recompile():
-    model, cands = _setup()
-    before = model.predict(cands, batch=True)
-    model.release_plan()
-    after = model.predict(cands, batch=True)
-    assert (before == after).all()
+    # Discarding a gone key reports it; the next use recompiles.
+    assert not discard_plan(emulation_plan_key(*config))
+    assert get_emulation_plan(*config) is not first
     assert plan_cache_stats()["compiles"] == 2
 
 
-def test_pickled_model_drops_plan_and_recompiles():
-    model, cands = _setup()
-    want = model.predict(cands, batch=True)
-    clone = pickle.loads(pickle.dumps(model))
-    assert clone._plan is None
-    got = clone.predict(cands, batch=True)
-    assert (want == got).all()
-
-
-# -- execution behaviours -----------------------------------------------------
-
-
-def test_single_call_is_bitwise_equal_to_batch_row():
-    model, cands = _setup(RnaPipelineApp)
-    batch = model.predict(cands, batch=True)
-    for d, want in zip(cands, batch):
-        assert model.predict(d) == want
-
-
-def test_repeated_batches_are_bitwise_stable():
-    """The gather memo returns identical rows for a repeated
-    population — results are bit-for-bit stable across calls."""
-    model, cands = _setup()
-    a = model.predict(cands, batch=True)
-    b = model.predict(cands, batch=True)
-    assert (a == b).all()
-    plan = model.ensure_plan()
-    assert plan._g_memo  # the repeated batch went through the memo
-
-
-def test_gather_memo_is_bounded():
-    model, cands = _setup()
-    plan = model.ensure_plan()
-    n_rows = sum(cands[0].counts)
-    width = len(cands[0].counts)
-    rng = np.random.RandomState(7)
-    seen = set()
-    while len(seen) < 12:
-        counts = largest_remainder_round(
-            rng.uniform(0.5, 2.0, size=width), n_rows, minimum=1
-        )
-        if tuple(counts) in seen:
-            continue
-        seen.add(tuple(counts))
-        model.predict([GenBlock(counts)], batch=True)
-    assert len(plan._g_memo) <= 8
-
-
-def test_iterations_override_changes_result():
-    model, cands = _setup()
-    d = cands[0]
-    full = model.predict(d)
-    short = model.predict(d, iterations=3)
-    assert 0 < short < full
-
-
-def test_plan_stats_shape():
-    model, cands = _setup()
-    model.predict(cands, batch=True)
-    stats = model.ensure_plan().stats
-    assert stats["mode"] in ("matrix", "ops")
-    assert stats["executes"] >= 1
-    assert stats["store_rows"] > 0
-    assert stats["store_resets"] == 0
-
-
-def test_ops_mode_apps_compile_and_run():
-    """Multi-op structures (collective chains, pipelines) lower to the
-    generic ops walk rather than a single matrix."""
-    model, cands = _setup(RnaPipelineApp)
-    plan = model.ensure_plan()
-    assert plan.stats["mode"] == "ops"
-    out = model.predict(cands, batch=True)
-    assert (out > 0).all()
-
-
-def test_store_reset_keeps_results(monkeypatch):
-    """Overflowing MAX_STORE_ROWS resets the store; warmth is lost but
-    results are unchanged."""
-    monkeypatch.setattr(planmod, "MAX_STORE_ROWS", 32)
-    model, cands = _setup(steps_per_leg=4)
-    first = model.predict(cands, batch=True)
-    again = model.predict(cands, batch=True)
-    assert (first == again).all()
-    plan = model.ensure_plan()
-    assert plan.stats["store_resets"] >= 1
-
-
-# -- telemetry ----------------------------------------------------------------
-
-
 def test_compile_span_and_counters_recorded():
-    model, cands = _setup()
+    cluster, program, perturbation, _ = _config()
     rec = Recorder()
-    model.predict(cands, batch=True, telemetry=rec)
+    emulate_many(
+        cluster, program, [block(cluster, program.n_rows)],
+        perturbation=perturbation, run_cache=False, telemetry=rec,
+    )
     flat = str(rec.snapshot())
     assert "plan/compile" in flat
     assert "model/plan_cache/compiles" in flat
+    assert plan_cache_stats()["compiles"] == 1
 
 
 def test_plan_cache_stats_keys():
@@ -211,34 +89,4 @@ def test_plan_cache_stats_keys():
     for key in ("hits", "misses", "compiles", "compile_seconds",
                 "numba_active", "size", "maxsize"):
         assert key in stats
-    assert stats["numba_active"] in (True, False)
-
-
-# -- numba gate ---------------------------------------------------------------
-
-
-def test_numba_disabled_by_env(monkeypatch):
-    monkeypatch.setenv("REPRO_PLAN_NUMBA", "0")
-    planmod._reset_numba_for_tests()
-    try:
-        assert planmod._resolve_numba_walk() is None
-        assert not planmod.numba_active()
-        # The pure-numpy path still serves predictions.
-        model, cands = _setup()
-        assert model.predict(cands[0]) > 0
-    finally:
-        planmod._reset_numba_for_tests()
-
-
-def test_numba_absent_falls_back_cleanly(monkeypatch):
-    """Whatever the environment, resolution never raises and the plan
-    path works; when numba is missing the walk resolves to None."""
-    planmod._reset_numba_for_tests()
-    try:
-        walk = planmod._resolve_numba_walk()
-        assert walk is None or callable(walk)
-        model, cands = _setup()
-        out = model.predict(cands, batch=True)
-        assert (out > 0).all()
-    finally:
-        planmod._reset_numba_for_tests()
+    assert stats["numba_active"] is False

@@ -1,18 +1,15 @@
-"""Public-API contract tests for the PR-5 consolidation.
+"""Public-API contract tests for the consolidated ``predict`` surface.
 
-Three guarantees:
+Two guarantees:
 
 * the ``repro`` namespace is exactly the snapshot below (additions and
   removals must be deliberate);
-* the deprecated aliases still return the same numbers as the
-  consolidated ``predict`` and warn exactly once per process;
-* the consolidated paths match the legacy paths to 1e-12 on a seed
-  application x cluster grid, and the telemetry phase breakdown sums
-  to the predicted total.
+* the one-candidate and batched ``predict`` paths agree to 1e-12 on a
+  seed application x cluster grid, and the telemetry phase breakdown
+  sums to the predicted total.
 """
 
 import inspect
-import warnings
 
 import pytest
 
@@ -24,7 +21,6 @@ from repro import (
     Recorder,
     SimulatedAnnealingSearch,
     SpectrumSweep,
-    reset_warnings,
 )
 from repro.apps import ConjugateGradientApp, JacobiApp
 from repro.cluster import configs
@@ -60,7 +56,6 @@ EXPECTED_ALL = {
     "MhetaModel", "PredictionReport",
     # obs
     "Recorder", "NullRecorder", "NULL_RECORDER", "as_recorder",
-    "reset_warnings",
     # apps
     "Application", "AppConfig", "JacobiApp", "ConjugateGradientApp",
     "RnaPipelineApp", "LanczosApp", "MultigridApp",
@@ -100,39 +95,6 @@ class TestNamespaceSnapshot:
             assert getattr(repro, name, None) is not None, name
 
 
-class TestDeprecatedAliases:
-    def test_aliases_match_consolidated_paths(self, seed_setup):
-        cluster, program, model = seed_setup
-        cands = [
-            p.distribution for p in spectrum(cluster, program, 1)
-        ]
-        d = cands[0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert model.predict_seconds(d) == model.predict(d)
-            assert list(model.predict_seconds_batch(cands)) == list(
-                model.predict(cands, batch=True)
-            )
-            assert model.predict_many(cands) == model.predict(
-                cands, batch="serial"
-            )
-
-    def test_each_alias_warns_exactly_once(self, seed_setup):
-        cluster, program, model = seed_setup
-        d = block(cluster, program.n_rows)
-        reset_warnings()
-        for call in (
-            lambda: model.predict_seconds(d),
-            lambda: model.predict_many([d]),
-            lambda: model.predict_seconds_batch([d]),
-        ):
-            with pytest.warns(DeprecationWarning):
-                call()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                call()  # second use is silent
-
-
 class TestConsolidatedPredict:
     def test_serial_batch_and_vector_batch_agree(self, seed_setup):
         cluster, program, model = seed_setup
@@ -161,16 +123,14 @@ class TestConsolidatedPredict:
     @pytest.mark.parametrize("config_name", ["HY1", "DC"])
     @pytest.mark.parametrize("app", [JacobiApp, ConjugateGradientApp])
     def test_grid_old_equals_new(self, app, config_name):
+        """The one-candidate path and the batched pass agree."""
         cluster = configs.table1_configs()[config_name]
         program = app.paper(SCALE).structure
         model = build_model(cluster, program)
         cands = [p.distribution for p in spectrum(cluster, program, 1)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for d in cands:
-                assert model.predict(d) == pytest.approx(
-                    model.predict_seconds(d), rel=1e-12
-                )
+        batch = model.predict(cands, batch=True)
+        for d, got in zip(cands, batch):
+            assert got == pytest.approx(model.predict(d), rel=1e-12)
 
 
 class TestTelemetryContract:

@@ -27,7 +27,7 @@ class TestFrozenPayloads:
         store = RunCache()
         first = emulate(
             cluster, program, d,
-            perturbation=DETERMINISTIC, cache=store,
+            perturbation=DETERMINISTIC, run_cache=store,
         )
         pristine_total = first.total_seconds
         pristine_node0 = first.per_node_seconds[0]
@@ -37,7 +37,7 @@ class TestFrozenPayloads:
         first.iteration_ends[0][0] = -1.0
         second = emulate(
             cluster, program, d,
-            perturbation=DETERMINISTIC, cache=store,
+            perturbation=DETERMINISTIC, run_cache=store,
         )
         assert second.total_seconds == pristine_total
         assert second.per_node_seconds[0] == pristine_node0
@@ -45,7 +45,7 @@ class TestFrozenPayloads:
         # And hits hand out private copies, not shared state.
         third = emulate(
             cluster, program, d,
-            perturbation=DETERMINISTIC, cache=store,
+            perturbation=DETERMINISTIC, run_cache=store,
         )
         second.per_node_seconds[0] = -2.0
         assert third.per_node_seconds[0] == pristine_node0
@@ -53,9 +53,9 @@ class TestFrozenPayloads:
     def test_hit_returns_mutable_lists(self):
         cluster, program, d = _setup()
         store = RunCache()
-        emulate(cluster, program, d, perturbation=DETERMINISTIC, cache=store)
+        emulate(cluster, program, d, perturbation=DETERMINISTIC, run_cache=store)
         hit = emulate(
-            cluster, program, d, perturbation=DETERMINISTIC, cache=store,
+            cluster, program, d, perturbation=DETERMINISTIC, run_cache=store,
         )
         assert isinstance(hit.per_node_seconds, list)
         assert isinstance(hit.iteration_ends[0], list)
@@ -100,7 +100,7 @@ class TestDiskTier:
         path = tmp_path / "runs.json"
         store = RunCache(path=path)
         result = emulate(
-            cluster, program, d, perturbation=DETERMINISTIC, cache=store,
+            cluster, program, d, perturbation=DETERMINISTIC, run_cache=store,
         )
         store.save()
         assert path.exists()
@@ -126,7 +126,7 @@ class TestDiskTier:
         path = tmp_path / "runs.json"
         a = RunCache(path=path)
         result = emulate(
-            cluster, program, d, perturbation=DETERMINISTIC, cache=a,
+            cluster, program, d, perturbation=DETERMINISTIC, run_cache=a,
         )
         a.save()
         b = RunCache(path=path)

@@ -47,7 +47,7 @@ def search_setup():
 class TestEvaluationCache:
     def test_caches_repeats(self, search_setup):
         cluster, program, model = search_setup
-        cache = EvaluationCache(model.predict_seconds)
+        cache = EvaluationCache(model.predict)
         d = block(cluster, program.n_rows)
         cache(d)
         cache(d)
@@ -56,7 +56,7 @@ class TestEvaluationCache:
 
     def test_distinct_candidates_counted(self, search_setup):
         cluster, program, model = search_setup
-        cache = EvaluationCache(model.predict_seconds)
+        cache = EvaluationCache(model.predict)
         cache(block(cluster, program.n_rows))
         cache(balanced(cluster, program.n_rows))
         assert cache.evaluations == 2
@@ -81,7 +81,7 @@ class TestAllAlgorithms:
     @pytest.mark.parametrize("name", ALGORITHMS)
     def test_beats_block_distribution(self, name, search_setup):
         cluster, program, model = search_setup
-        blk_time = model.predict_seconds(block(cluster, program.n_rows))
+        blk_time = model.predict(block(cluster, program.n_rows))
         result = make_search(name, model, cluster).search(budget=120)
         assert result.predicted_seconds <= blk_time
         assert result.best.n_rows == program.n_rows
@@ -121,7 +121,7 @@ class TestGbsQuality:
     def test_gbs_finds_balanced_for_cpu_only_heterogeneity(self, search_setup):
         cluster, program, model = search_setup
         result = GeneralizedBinarySearch(model, cluster).search(budget=150)
-        bal_time = model.predict_seconds(
+        bal_time = model.predict(
             balanced(cluster, program.n_rows)
         )
         assert result.predicted_seconds <= bal_time * 1.02
@@ -188,17 +188,6 @@ class _CountingModel:
     def __getattr__(self, name):
         return getattr(self._model, name)
 
-    def predict_seconds(self, distribution, iterations=None):
-        key = distribution.counts
-        self.scalar_calls[key] = self.scalar_calls.get(key, 0) + 1
-        return self._model.predict(distribution, iterations)
-
-    def predict_seconds_batch(self, distributions, iterations=None):
-        for distribution in distributions:
-            key = distribution.counts
-            self.scalar_calls[key] = self.scalar_calls.get(key, 0) + 1
-        return self._model.predict(distributions, iterations, batch=True)
-
     def predict(
         self,
         distribution,
@@ -209,7 +198,11 @@ class _CountingModel:
         telemetry=None,
     ):
         if batch:
-            return self.predict_seconds_batch(distribution, iterations)
+            for d in distribution:
+                self.scalar_calls[d.counts] = (
+                    self.scalar_calls.get(d.counts, 0) + 1
+                )
+            return self._model.predict(distribution, iterations, batch=True)
         key = distribution.counts
         if report:
             self.report_calls[key] = self.report_calls.get(key, 0) + 1
@@ -239,7 +232,7 @@ class TestGbsEvaluationAccounting:
         from repro.search.base import _BudgetExhausted
 
         cluster, program, model = search_setup
-        cache = EvaluationCache(model.predict_seconds)
+        cache = EvaluationCache(model.predict)
         evaluator = BudgetedEvaluator(model, cache, budget=1, trajectory=[])
         report = evaluator.report(block(cluster, program.n_rows))
         assert report.total_seconds > 0
@@ -273,7 +266,7 @@ class TestBatchedEvaluation:
     """``BudgetedEvaluator.batch``: dedup, accounting, hard budget."""
 
     def _evaluator(self, model, budget):
-        cache = EvaluationCache(model.predict_seconds)
+        cache = EvaluationCache(model.predict)
         trajectory = []
         from repro.search.base import BudgetedEvaluator
 
@@ -284,7 +277,7 @@ class TestBatchedEvaluation:
         evaluator, cache, _ = self._evaluator(model, budget=10)
         cands = [block(cluster, program.n_rows), balanced(cluster, program.n_rows)]
         values = evaluator.batch(cands)
-        assert values == [model.predict_seconds(d) for d in cands]
+        assert values == [model.predict(d) for d in cands]
 
     def test_batch_dedup_within_batch(self, search_setup):
         cluster, program, model = search_setup
@@ -348,7 +341,8 @@ class TestBatchedEvaluation:
         assert trajectory[1] <= trajectory[0]
 
     def test_batch_falls_back_without_vectorized_model(self, search_setup):
-        """Models lacking ``predict_seconds_batch`` loop per candidate."""
+        """Models whose ``predict`` takes no ``batch=`` loop per
+        candidate."""
         cluster, program, model = search_setup
 
         class ScalarOnly:
@@ -356,24 +350,24 @@ class TestBatchedEvaluation:
                 self._inner = inner
                 self.calls = 0
 
-            def predict_seconds(self, distribution, iterations=None):
+            def predict(self, distribution, iterations=None):
                 self.calls += 1
-                return self._inner.predict_seconds(distribution, iterations)
+                return self._inner.predict(distribution, iterations)
 
         scalar_only = ScalarOnly(model)
         evaluator, cache, _ = self._evaluator(scalar_only, budget=10)
         cands = [block(cluster, program.n_rows), balanced(cluster, program.n_rows)]
         values = evaluator.batch(cands)
         assert scalar_only.calls == 2
-        assert values == [model.predict_seconds(d) for d in cands]
+        assert values == [model.predict(d) for d in cands]
 
     def test_evaluate_batch_helper_with_bare_callable(self, search_setup):
         from repro.search import evaluate_batch
 
         cluster, program, model = search_setup
         cands = [block(cluster, program.n_rows), balanced(cluster, program.n_rows)]
-        values = evaluate_batch(model.predict_seconds, cands)
-        assert values == [model.predict_seconds(d) for d in cands]
+        values = evaluate_batch(model.predict, cands)
+        assert values == [model.predict(d) for d in cands]
 
     def test_batch_size_validation(self, search_setup):
         cluster, program, model = search_setup
@@ -386,7 +380,7 @@ class TestReportTrajectory:
         """Regression: a budget-charged report used to skip the
         trajectory, desynchronising it from the evaluation count."""
         cluster, program, model = search_setup
-        cache = EvaluationCache(model.predict_seconds)
+        cache = EvaluationCache(model.predict)
         trajectory = []
         evaluator = BudgetedEvaluator(model, cache, budget=5, trajectory=trajectory)
         evaluator.report(block(cluster, program.n_rows))
@@ -405,7 +399,7 @@ class TestReportTrajectory:
 class TestRunningBest:
     def test_best_is_tracked_on_insert(self, search_setup):
         cluster, program, model = search_setup
-        cache = EvaluationCache(model.predict_seconds)
+        cache = EvaluationCache(model.predict)
         assert cache.best() is None
         cache.put((1, 2), 2.0)
         cache.put((3, 4), 1.0)
@@ -414,21 +408,21 @@ class TestRunningBest:
 
     def test_best_keeps_earliest_key_on_tie(self, search_setup):
         cluster, program, model = search_setup
-        cache = EvaluationCache(model.predict_seconds)
+        cache = EvaluationCache(model.predict)
         cache.put((1, 2), 1.0)
         cache.put((3, 4), 1.0)
         assert cache.best() == ((1, 2), 1.0)
 
     def test_put_many_records_all(self, search_setup):
         cluster, program, model = search_setup
-        cache = EvaluationCache(model.predict_seconds)
+        cache = EvaluationCache(model.predict)
         cache.put_many([(1, 2), (3, 4)], [2.0, 1.5])
         assert cache.evaluations == 2
         assert cache.best() == ((3, 4), 1.5)
 
     def test_put_many_length_mismatch_raises(self, search_setup):
         cluster, program, model = search_setup
-        cache = EvaluationCache(model.predict_seconds)
+        cache = EvaluationCache(model.predict)
         with pytest.raises(SearchError):
             cache.put_many([(1, 2)], [1.0, 2.0])
 
@@ -436,7 +430,7 @@ class TestRunningBest:
 class TestEvaluationCachePut:
     def test_put_records_external_evaluation(self, search_setup):
         cluster, program, model = search_setup
-        cache = EvaluationCache(model.predict_seconds)
+        cache = EvaluationCache(model.predict)
         d = block(cluster, program.n_rows)
         cache.put(d.counts, 1.25)
         assert cache(d) == 1.25  # served from cache, not re-evaluated
@@ -444,7 +438,7 @@ class TestEvaluationCachePut:
 
     def test_put_matching_value_is_noop(self, search_setup):
         cluster, program, model = search_setup
-        cache = EvaluationCache(model.predict_seconds)
+        cache = EvaluationCache(model.predict)
         d = block(cluster, program.n_rows)
         value = cache(d)
         cache.put(d.counts, value)  # exact repeat
@@ -453,7 +447,7 @@ class TestEvaluationCachePut:
 
     def test_put_conflicting_value_raises(self, search_setup):
         cluster, program, model = search_setup
-        cache = EvaluationCache(model.predict_seconds)
+        cache = EvaluationCache(model.predict)
         d = block(cluster, program.n_rows)
         value = cache(d)
         with pytest.raises(SearchError, match="conflicting evaluations"):

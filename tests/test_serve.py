@@ -97,6 +97,14 @@ class TestProtocol:
                 {"op": "predict", "app": "jacobi", "scale": scale}
             )
 
+    def test_removed_plan_kernel_rejected(self):
+        with pytest.raises(
+            ServeError, match=r"unknown kernel 'plan'; choose from .*numpy"
+        ):
+            Query.from_payload(
+                {"op": "predict", "app": "jacobi", "kernel": "plan"}
+            )
+
     def test_bad_search_budget_rejected(self):
         with pytest.raises(ServeError):
             Query.from_payload(
@@ -494,78 +502,27 @@ class TestCoordinator:
         assert isinstance(bad, ServeError)
         assert isinstance(good, dict) and good["predicted_seconds"] > 0
 
-    def test_plan_kernel_round_compiles_once(self):
-        """A coalesced round against a plan-kernel server compiles one
-        evaluation plan per resident (app, config, scale, kernel) model
-        — never one per request — and answers match the library path."""
-        from repro.core.plan import plan_cache_stats, reset_plan_cache
-
-        reset_plan_cache()
+    def test_default_kernel_query_shares_resident_model(self):
+        """A query naming the server's default kernel and one naming no
+        kernel run against the same resident model."""
         rec = Recorder()
-        coordinator = ServeCoordinator(
-            kernel="plan", window_seconds=0.02, telemetry=rec
-        )
-        cluster = config_dc()
-        program = application_by_name("jacobi", SCALE).structure
-        model = build_model(cluster, program, kernel="plan")
-        compiles_baseline = plan_cache_stats()["compiles"]
+        coordinator = ServeCoordinator(window_seconds=0.005, telemetry=rec)
 
         async def main():
             async with _serve_fixture(coordinator) as client:
-                tasks = [
-                    client.predict(
-                        "jacobi", config="DC", scale=SCALE, dist="blk",
-                        kernel="plan",
-                    )
-                    for _ in range(6)
-                ]
-                tasks += [
-                    client.predict(
-                        "jacobi", config="DC", scale=SCALE, dist="bal",
-                        kernel="plan",
-                    )
-                    for _ in range(3)
-                ]
-                results = await asyncio.gather(*tasks)
-                return results, await client.stats()
-
-        results, stats = run(main())
-        # One resident model, hence one plan compile for the whole round
-        # (model construction is lazy: the library model above has not
-        # compiled anything yet).
-        assert plan_cache_stats()["compiles"] == compiles_baseline + 1
-        assert stats["plan_cache"]["size"] >= 1
-        # The library model shares the same fingerprint, so its predict
-        # hits the very plan the server compiled.
-        one_shot = model.predict(block(cluster, program.n_rows))
-        assert plan_cache_stats()["compiles"] == compiles_baseline + 1
-        rel = abs(results[0]["predicted_seconds"] - one_shot) / one_shot
-        assert rel <= 1e-12
-
-    def test_model_eviction_releases_compiled_plan(self):
-        """Evicting a resident model drops its plan from the shared plan
-        LRU — dead plans must not crowd out live ones."""
-        from repro.core.plan import plan_cache_stats, reset_plan_cache
-
-        reset_plan_cache()
-        coordinator = ServeCoordinator(
-            kernel="plan", window_seconds=0.005, model_cache_entries=1
-        )
-
-        async def main():
-            async with _serve_fixture(coordinator) as client:
-                await client.predict(
+                named = await client.predict(
+                    "jacobi", config="DC", scale=SCALE, dist="blk",
+                    kernel="numpy",
+                )
+                default = await client.predict(
                     "jacobi", config="DC", scale=SCALE, dist="blk",
                 )
-                first = plan_cache_stats()["size"]
-                await client.predict(  # evicts the jacobi model
-                    "cg", config="DC", scale=SCALE, dist="blk",
-                )
-                return first, plan_cache_stats()["size"]
+                return named, default, await client.stats()
 
-        first, second = run(main())
-        assert first == 1
-        assert second == 1  # cg's plan resident, jacobi's released
+        named, default, stats = run(main())
+        assert rec.counters["serve/models_built"] == 1
+        assert stats["models_resident"] == len(stats["models"]) == 1
+        assert named["predicted_seconds"] == default["predicted_seconds"]
 
     def test_stats_snapshot_reports_residency(self):
         coordinator = ServeCoordinator(window_seconds=0.005)

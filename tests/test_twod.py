@@ -392,7 +392,7 @@ class TestTwoDFastForward:
         collector = _TwoDCollector(PERFECT, stream("t2dff", 0))
         rec2 = Recorder()
         emulator.run(
-            dist, fast_forward=True, collector=collector, telemetry=rec2
+            dist, fast_forward=True, observer=collector, telemetry=rec2
         )
         assert "sim/twod/fast_forwards" not in rec2.counters
 

@@ -1,12 +1,12 @@
-"""Golden equivalence and plan-cache contract for the batched 2-D kernel.
+"""Golden equivalence and plan contract for the batched 2-D kernel.
 
-The 2-D analogue of ``test_kernel_equivalence.py`` + ``test_plan.py``:
-the scalar reference loop, the vectorized numpy kernel, and the compiled
-plan kernel must agree to <= 1e-12 relative on any valid ``GenBlock2D``,
-across cluster configurations (including heterogeneous memory where some
-tiles stream out-of-core); batched scoring must be bitwise equal to the
-serial path; and compiled 2-D plans share the process-wide LRU exactly
-like their 1-D siblings.
+The 2-D analogue of ``test_kernel_equivalence.py``: the scalar
+reference loop and the vectorized numpy kernel must agree to <= 1e-12
+relative on any valid ``GenBlock2D``, across cluster configurations
+(including heterogeneous memory where some tiles stream out-of-core);
+batched scoring must be bitwise equal to the serial path; and each
+model keeps its own per-shape evaluation plans, outside the
+process-wide plan LRU.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import baseline_cluster, config_dc
-from repro.core import plan as planmod
-from repro.core.plan import discard_plan, plan_cache_stats, reset_plan_cache
+from repro.core.plan import plan_cache_stats, reset_plan_cache
 from repro.distribution import largest_remainder_round
 from repro.exceptions import ModelError
 from repro.instrument.collect import MeasurementConfig
@@ -71,7 +70,7 @@ _MODEL_CACHE = {}
 
 
 def _models(cluster_name="mixed2d"):
-    """(scalar, numpy, plan) sibling models over identical inputs."""
+    """(scalar, numpy) sibling models over identical inputs."""
     if cluster_name not in _MODEL_CACHE:
         cluster = CLUSTERS[cluster_name]()
         spec = Jacobi2DSpec(n_rows=512, n_cols=384, iterations=4)
@@ -81,13 +80,11 @@ def _models(cluster_name="mixed2d"):
         )
         _MODEL_CACHE[cluster_name] = tuple(
             TwoDModel(cluster, spec, base.inputs, kernel=k)
-            for k in ("scalar", "numpy", "plan")
+            for k in ("scalar", "numpy")
         )
-    scalar, numpy_m, plan = _MODEL_CACHE[cluster_name]
-    # Plans may reference the (reset) process-wide LRU: start fresh.
-    plan.release_plans()
-    numpy_m.release_plans()
-    return scalar, numpy_m, plan
+    scalar, numpy_m = _MODEL_CACHE[cluster_name]
+    numpy_m.release_plans()  # every test starts with no plans built
+    return scalar, numpy_m
 
 
 def _dists(scalar, rng_seed=0, per_shape=3):
@@ -112,12 +109,11 @@ def _dists(scalar, rng_seed=0, per_shape=3):
 
 
 @pytest.mark.parametrize("cluster_name", sorted(CLUSTERS))
-def test_three_kernels_agree(cluster_name):
-    scalar, numpy_m, plan = _models(cluster_name)
+def test_numpy_kernel_matches_scalar(cluster_name):
+    scalar, numpy_m = _models(cluster_name)
     for d in _dists(scalar):
         want = scalar.predict(d)
         assert numpy_m.predict(d) == pytest.approx(want, rel=REL_TOL)
-        assert plan.predict(d) == pytest.approx(want, rel=REL_TOL)
 
 
 @COMMON
@@ -131,7 +127,7 @@ def test_three_kernels_agree(cluster_name):
     ),
 )
 def test_kernels_agree_on_generated_layouts(shape_i, row_w, col_w):
-    scalar, numpy_m, plan = _models()
+    scalar, numpy_m = _models()
     spec = scalar.spec
     shapes = factor_pairs(scalar.n_nodes)
     R, C = shapes[shape_i % len(shapes)]
@@ -143,33 +139,32 @@ def test_kernels_agree_on_generated_layouts(shape_i, row_w, col_w):
             np.array(col_w[:C]), spec.n_cols, minimum=1
         ),
     )
-    want = scalar.predict(d)
-    assert numpy_m.predict(d) == pytest.approx(want, rel=REL_TOL)
-    assert plan.predict(d) == pytest.approx(want, rel=REL_TOL)
+    assert numpy_m.predict(d) == pytest.approx(
+        scalar.predict(d), rel=REL_TOL
+    )
 
 
 def test_batch_is_bitwise_equal_to_serial():
-    _, numpy_m, plan = _models()
+    _, numpy_m = _models()
     dists = _dists(numpy_m, rng_seed=1)
-    for model in (numpy_m, plan):
-        batched = model.predict(dists, batch=True)
-        serial = model.predict(dists, batch="serial")
-        assert isinstance(batched, np.ndarray)
-        assert batched.tolist() == serial
+    batched = numpy_m.predict(dists, batch=True)
+    serial = numpy_m.predict(dists, batch="serial")
+    assert isinstance(batched, np.ndarray)
+    assert batched.tolist() == serial
 
 
 def test_single_call_is_bitwise_equal_to_batch_row():
-    _, _, plan = _models()
-    dists = _dists(plan, rng_seed=2)
-    batched = plan.predict(dists, batch=True)
+    _, model = _models()
+    dists = _dists(model, rng_seed=2)
+    batched = model.predict(dists, batch=True)
     for d, want in zip(dists, batched):
-        assert plan.predict(d) == want
+        assert model.predict(d) == want
 
 
 def test_report_totals_match_prediction():
-    scalar, _, plan = _models()
+    scalar, numpy_m = _models()
     d = block2d(scalar.spec.n_rows, scalar.spec.n_cols, (4, 2))
-    for model in (scalar, plan):
+    for model in (scalar, numpy_m):
         rep = model.predict(d, report=True)
         assert len(rep.nodes) == model.n_nodes
         worst = max(n.total_seconds for n in rep.nodes)
@@ -180,45 +175,26 @@ def test_report_totals_match_prediction():
 
 
 def test_iterations_override_changes_result():
-    _, _, plan = _models()
-    d = block2d(plan.spec.n_rows, plan.spec.n_cols, (2, 4))
-    full = plan.predict(d)
-    short = plan.predict(d, iterations=1)
+    _, model = _models()
+    d = block2d(model.spec.n_rows, model.spec.n_cols, (2, 4))
+    full = model.predict(d)
+    short = model.predict(d, iterations=1)
     assert 0 < short < full
 
 
-# -- plan cache ---------------------------------------------------------------
-
-
-def test_equivalent_models_share_one_plan_per_shape():
-    _, _, plan = _models()
-    twin = TwoDModel(plan.cluster, plan.spec, plan.inputs, kernel="plan")
-    assert twin.fingerprint == plan.fingerprint
-    pa = plan.ensure_plan((2, 4))
-    pb = twin.ensure_plan((2, 4))
-    assert pa is pb
-    stats = plan_cache_stats()
-    assert stats["compiles"] == 1
-    assert stats["hits"] == 1
+# -- per-model plans -----------------------------------------------------------
 
 
 def test_distinct_shapes_compile_distinct_plans():
-    _, _, plan = _models()
-    plans = {
-        id(plan.ensure_plan(shape))
-        for shape in factor_pairs(plan.n_nodes)
-    }
-    assert len(plans) == len(factor_pairs(plan.n_nodes))
-    assert plan_cache_stats()["compiles"] == len(plans)
-    # Shape-qualified fingerprints keep entries distinct in the LRU.
-    fps = {plan.ensure_plan(s).fingerprint for s in factor_pairs(8)}
-    assert len(fps) == len(plans)
-    for fp in fps:
-        assert ":2d:" in fp
+    _, model = _models()
+    shapes = factor_pairs(model.n_nodes)
+    plans = {id(model.ensure_plan(shape)) for shape in shapes}
+    assert len(plans) == len(shapes)
+    assert model.ensure_plan(shapes[0]) is model.ensure_plan(shapes[0])
 
 
 def test_numpy_kernel_builds_private_plans():
-    _, numpy_m, _ = _models()
+    _, numpy_m = _models()
     numpy_m.predict(
         [block2d(numpy_m.spec.n_rows, numpy_m.spec.n_cols, (2, 4))],
         batch=True,
@@ -227,41 +203,39 @@ def test_numpy_kernel_builds_private_plans():
 
 
 def test_release_plans_discards_cache_entries():
-    _, _, plan = _models()
-    plan.ensure_plan((2, 4))
-    plan.ensure_plan((4, 2))
-    assert plan_cache_stats()["size"] == 2
-    plan.release_plans()
-    assert plan._plans == {}
-    assert plan_cache_stats()["size"] == 0
-    plan.release_plans()  # releasing twice is a no-op
-    assert not discard_plan("no-such-fingerprint")
+    _, model = _models()
+    model.ensure_plan((2, 4))
+    model.ensure_plan((4, 2))
+    assert len(model._plans) == 2
+    model.release_plans()
+    assert model._plans == {}
+    model.release_plans()  # releasing twice is a no-op
 
 
 def test_plan_results_survive_release_and_recompile():
-    _, _, plan = _models()
-    dists = _dists(plan, rng_seed=3)
-    before = plan.predict(dists, batch=True)
-    plan.release_plans()
-    after = plan.predict(dists, batch=True)
+    _, model = _models()
+    dists = _dists(model, rng_seed=3)
+    before = model.predict(dists, batch=True)
+    model.release_plans()
+    after = model.predict(dists, batch=True)
     assert (before == after).all()
 
 
 def test_pickled_model_drops_plans_and_recompiles():
-    _, _, plan = _models()
-    dists = _dists(plan, rng_seed=4)
-    want = plan.predict(dists, batch=True)
-    clone = pickle.loads(pickle.dumps(plan))
+    _, model = _models()
+    dists = _dists(model, rng_seed=4)
+    want = model.predict(dists, batch=True)
+    clone = pickle.loads(pickle.dumps(model))
     assert clone._plans == {}
     got = clone.predict(dists, batch=True)
     assert (want == got).all()
 
 
 def test_matrix_memo_is_bounded():
-    _, _, plan = _models()
-    spec = plan.spec
+    _, model = _models()
+    spec = model.spec
     rng = np.random.RandomState(11)
-    compiled = plan.ensure_plan((2, 4))
+    compiled = model.ensure_plan((2, 4))
     seen = set()
     while len(seen) < 12:
         rows = tuple(
@@ -277,16 +251,16 @@ def test_matrix_memo_is_bounded():
         if (rows, cols) in seen:
             continue
         seen.add((rows, cols))
-        plan.predict([GenBlock2D(rows, cols)], batch=True)
+        model.predict([GenBlock2D(rows, cols)], batch=True)
     assert len(compiled._m_memo) <= 8
 
 
 def test_plan_stats_shape():
-    _, _, plan = _models()
-    plan.predict(
-        _dists(plan, rng_seed=5, per_shape=1), batch=True
+    _, model = _models()
+    model.predict(
+        _dists(model, rng_seed=5, per_shape=1), batch=True
     )
-    stats = plan.ensure_plan((2, 4)).stats
+    stats = model.ensure_plan((2, 4)).stats
     assert stats["mode"] == "matrix2d"
     assert stats["grid_shape"] == (2, 4)
     assert stats["executes"] >= 1
@@ -296,67 +270,36 @@ def test_plan_stats_shape():
 
 
 def test_unknown_kernel_rejected():
-    _, _, plan = _models()
-    with pytest.raises(ModelError):
-        TwoDModel(plan.cluster, plan.spec, plan.inputs, kernel="cuda")
+    _, model = _models()
+    for kernel in ("cuda", "plan"):
+        with pytest.raises(ModelError, match="choose from"):
+            TwoDModel(model.cluster, model.spec, model.inputs, kernel=kernel)
 
 
 def test_wrong_coverage_rejected():
-    _, _, plan = _models()
+    _, model = _models()
     with pytest.raises(ModelError):
-        plan.predict(block2d(plan.spec.n_rows, plan.spec.n_cols, (2, 2)))
+        model.predict(block2d(model.spec.n_rows, model.spec.n_cols, (2, 2)))
     with pytest.raises(ModelError):
-        plan.ensure_plan((3, 3))
+        model.ensure_plan((3, 3))
 
 
 def test_report_plus_batch_rejected():
-    _, _, plan = _models()
-    d = block2d(plan.spec.n_rows, plan.spec.n_cols, (2, 4))
+    _, model = _models()
+    d = block2d(model.spec.n_rows, model.spec.n_cols, (2, 4))
     with pytest.raises(ModelError):
-        plan.predict([d], batch=True, report=True)
+        model.predict([d], batch=True, report=True)
 
 
 # -- telemetry ----------------------------------------------------------------
 
 
-def test_batch_telemetry_and_plan_gauges():
-    _, _, plan = _models()
+def test_batch_telemetry_counters():
+    _, model = _models()
     rec = Recorder()
-    dists = _dists(plan, rng_seed=6, per_shape=1)
-    plan.predict(dists, batch=True, telemetry=rec)
+    dists = _dists(model, rng_seed=6, per_shape=1)
+    model.predict(dists, batch=True, telemetry=rec)
     assert rec.counters["model/predictions"] == len(dists)
     assert rec.counters["model/batch_predictions"] == 1
-    assert rec.gauges["model/plan_cache/size"] >= 1
-    assert rec.gauges["model/plan_cache/compiles"] >= 1
-    flat = str(rec.snapshot())
-    assert "plan/compile" in flat
-
-
-# -- numba gate ---------------------------------------------------------------
-
-
-def test_numba_disabled_by_env(monkeypatch):
-    monkeypatch.setenv("REPRO_PLAN_NUMBA", "0")
-    planmod._reset_numba_for_tests()
-    try:
-        assert planmod._resolve_numba_walk() is None
-        _, _, plan = _models()
-        d = block2d(plan.spec.n_rows, plan.spec.n_cols, (2, 4))
-        assert plan.predict(d) > 0
-    finally:
-        planmod._reset_numba_for_tests()
-
-
-def test_numba_walk_matches_dense_fallback():
-    """Whatever the environment, the plan kernel's answer must equal the
-    pure-numpy walk's (when numba is present they share results; when
-    absent this is trivially the same code path)."""
-    planmod._reset_numba_for_tests()
-    try:
-        scalar, _, plan = _models()
-        dists = _dists(plan, rng_seed=7, per_shape=2)
-        out = plan.predict(dists, batch=True)
-        want = np.array([scalar.predict(d) for d in dists])
-        np.testing.assert_allclose(out, want, rtol=REL_TOL)
-    finally:
-        planmod._reset_numba_for_tests()
+    # Per-model plans: nothing process-wide to report.
+    assert not any(k.startswith("model/plan_cache") for k in rec.gauges)
