@@ -9,7 +9,8 @@ hits them equally — and writes the machine-readable scoreboard
 ``BENCH_model_speed.json`` at the repo root:
 
 * ``evaluations_per_second`` for each kernel/cache configuration,
-  through the serial call and through ``predict(batch=True)``,
+  through single ``predict(d)`` calls (for the numpy kernel, a batch of
+  one) and through ``predict(batch=True)`` over the whole population,
 * wall-time of a batched-GBS search per kernel,
 * the headline speedups (numpy, cached — the default configuration —
   over the scalar seed behaviour); the *search-level* speedup is the
@@ -64,8 +65,9 @@ def _setup():
 
 
 def _interleaved_throughput(models, candidates, reps=30):
-    """Per-config evaluations/second, alternating configs each rep so a
-    noisy host perturbs every kernel equally."""
+    """Per-config evaluations/second of single ``predict(d)`` calls (a
+    batch of one for the numpy kernel), alternating configs each rep so
+    a noisy host perturbs every kernel equally."""
     for model in models.values():  # warm caches and bytecode
         for d in candidates:
             model.predict(d)
@@ -90,7 +92,7 @@ def _interleaved_throughput(models, candidates, reps=30):
 def _batched_throughput(models, candidates, reps=30, burst=3):
     """Per-config evaluations/second through ``predict(batch=True)``
     (the scalar configs loop internally — the honest baseline for the
-    vectorized pass), interleaved like the serial loop.
+    vectorized pass), interleaved like the single-call loop.
 
     Each round times a short *burst* of consecutive calls per config:
     a single interleaved call mostly measures the cache refill forced
@@ -122,7 +124,8 @@ def _batched_throughput(models, candidates, reps=30, burst=3):
 
 def _telemetry_overhead(model, candidates, reps=60):
     """Relative cost of passing a *disabled* recorder versus no
-    telemetry at all, on the default model's serial hot path.
+    telemetry at all, on the default model's single-call hot path (a
+    batch of one).
 
     Interleaved A/B like the kernel loops; the issue's acceptance gate
     is <= 5% overhead, i.e. a disabled recorder must be near-free.

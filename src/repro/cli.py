@@ -406,12 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinct queries per shared pass before an early flush",
     )
     p.add_argument(
-        "--batch-mode", choices=("vector", "serial"), default="vector",
-        help="score coalesced rounds with the vectorized kernel "
-        "(<= 1e-12 relative vs one-shot predict; default) or the "
-        "bit-identical serial path",
-    )
-    p.add_argument(
         "--model-cache", type=int, default=16, metavar="N",
         help="resident (app, config, scale, kernel) models kept warm",
     )
@@ -999,7 +993,6 @@ def _cmd_serve(args) -> str:
         kernel=args.kernel,
         window_seconds=args.window_ms / 1000.0,
         max_batch=args.max_batch,
-        batch_mode=args.batch_mode,
         jobs=args.jobs,
         sweep_cache=cache,
         run_cache=run_cache,

@@ -27,26 +27,19 @@ from repro.program.sections import CommPattern
 
 __all__ = [
     "SectionTimeline",
-    "maxplus_compose",
     "maxplus_compose_batch",
     "nearest_neighbor_wait",
     "pipeline_waits",
 ]
 
 
-def maxplus_compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Max-plus matrix product ``(outer o inner)[n, j] = max_k(outer[n,
-    k] + inner[k, j])``: the matrix of the composed map "apply
-    ``inner``, then ``outer``".  Absent edges are ``-inf``."""
-    return (outer[:, :, None] + inner[None, :, :]).max(axis=1)
-
-
 def maxplus_compose_batch(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """:func:`maxplus_compose` over a leading candidate axis: ``outer``
+    """Max-plus matrix product over a leading candidate axis: ``outer``
     and ``inner`` are ``(B, P, P)`` stacks of per-candidate section
-    matrices.  The per-candidate arithmetic is element-for-element the
-    single-candidate product (additions are elementwise, ``max`` is
-    exact), so each slice agrees with composing that candidate alone."""
+    matrices, and ``(outer o inner)[b, n, j] = max_k(outer[b, n, k] +
+    inner[b, k, j])`` is the matrix of "apply ``inner``, then
+    ``outer``".  Absent edges are ``-inf``.  Candidates never mix, so
+    each slice is exactly the product of that candidate alone."""
     return (outer[:, :, :, None] + inner[:, None, :, :]).max(axis=2)
 
 
@@ -107,10 +100,8 @@ class SectionTimeline:
         self.n_nodes = n_nodes
         # Interior nodes of the 1-D neighbour chain post two messages
         # (left then right); the ends post one.
-        extra = np.zeros(n_nodes)
-        extra[1:-1] = 1.0
-        self._nn_extra_posts = extra
-        self._nn_post_mult = 1.0 + extra
+        self._nn_post_mult = np.full(n_nodes, 2.0)
+        self._nn_post_mult[[0, -1]] = 1.0
         or_ = micro.recv_overhead
         or1 = np.full(n_nodes, or_)
         or1[0] = 0.0  # no left neighbour to receive from
@@ -118,12 +109,9 @@ class SectionTimeline:
         or2[-1] = 0.0  # no right neighbour to receive from
         self._nn_or12 = or1 + or2
         self._nn_or2_tail = or_ + or2[1:]
-        self._idx = np.arange(n_nodes)
-        # -inf-filled template and flat band positions (diagonal,
-        # sub-diagonal, super-diagonal) for building tridiagonal
-        # matrices with one copy and one scatter.
-        self._tri_template = np.full((n_nodes, n_nodes), -np.inf)
-        idx = self._idx
+        # Flat positions of the diagonal, sub-diagonal and
+        # super-diagonal, for scattering tridiagonal matrices.
+        idx = self._idx = np.arange(n_nodes)
         self._tri_flat = np.concatenate(
             (
                 idx * n_nodes + idx,
@@ -179,45 +167,6 @@ class SectionTimeline:
             return self._allgather(stage_end, message_bytes)
         raise ModelError(f"unknown communication pattern: {pattern}")
 
-    # -- vectorized patterns (the ``kernel="numpy"`` path) -------------------
-    #
-    # The array methods mirror the scalar ones max-for-max and
-    # overhead-for-overhead; only the association of sums differs (numpy
-    # reductions vs left-to-right Python loops), so the two agree to
-    # rounding.  ``advance_arrays`` takes and returns ``np.ndarray``
-    # clocks; ``tile_sums`` lets the caller pass precomputed per-node
-    # section totals so steady-state walks skip the per-iteration
-    # reduction entirely.
-
-    def advance_arrays(
-        self,
-        pattern: CommPattern,
-        start: np.ndarray,
-        tile_seconds: np.ndarray,
-        message_bytes: float,
-        source_read: np.ndarray,
-        tile_sums: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Vectorised :meth:`advance`: ``tile_seconds`` is a ``(P,
-        tiles)`` array, clocks are float64 arrays."""
-        if len(start) != self.n_nodes or len(tile_seconds) != self.n_nodes:
-            raise ModelError("timeline inputs do not match node count")
-        if pattern is CommPattern.PIPELINE:
-            return self._pipeline_arrays(start, tile_seconds, message_bytes)
-        if tile_sums is None:
-            tile_sums = tile_seconds.sum(axis=1)
-        stage_end = start + tile_sums
-        if self.n_nodes == 1 or pattern is CommPattern.NONE:
-            return stage_end
-        if pattern is CommPattern.NEAREST_NEIGHBOR:
-            return self._nearest_neighbor_arrays(
-                stage_end, message_bytes, source_read
-            )
-        if pattern in (CommPattern.REDUCTION, CommPattern.ALLGATHER):
-            A = self._maxplus_matrix(pattern, message_bytes)
-            return (A + stage_end).max(axis=1)
-        raise ModelError(f"unknown communication pattern: {pattern}")
-
     # -- max-plus collective matrices ----------------------------------------
     #
     # Every collective here applies only ``max`` and ``+ constant`` to
@@ -228,9 +177,9 @@ class SectionTimeline:
     # in floating point, so applying the matrix agrees with replaying
     # the schedule up to the association of the per-hop overhead sums
     # (a few ulp).  ``A`` is extracted by pushing the max-plus basis
-    # vectors (0 at one node, -inf elsewhere) through the schedule
-    # replay once, then every advance costs two array operations
-    # instead of a Python-level tree walk.
+    # vectors (0 at one node, -inf elsewhere) through the scalar
+    # schedule replay once, then every advance costs two array
+    # operations instead of a Python-level tree walk.
 
     def _maxplus_matrix(
         self, pattern: CommPattern, nbytes: float
@@ -239,61 +188,18 @@ class SectionTimeline:
         A = self._maxplus.get(key)
         if A is None:
             replay = (
-                self._reduce_broadcast_arrays
+                self._reduce_broadcast
                 if pattern is CommPattern.REDUCTION
-                else self._allgather_arrays
+                else self._allgather
             )
             P = self.n_nodes
             A = np.empty((P, P))
             for j in range(P):
-                basis = np.full(P, -np.inf)
+                basis = [-np.inf] * P
                 basis[j] = 0.0
                 A[:, j] = replay(basis, nbytes)
             self._maxplus[key] = A
         return A
-
-    def compile_advance(
-        self,
-        pattern: CommPattern,
-        tile_seconds: np.ndarray,
-        message_bytes: float,
-        source_read: np.ndarray,
-        tile_sums: Optional[np.ndarray] = None,
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        """Build a ``clocks -> clocks`` closure for one section.
-
-        Steady-state walks replay the same section advance every
-        iteration with identical tables, so the per-distribution
-        constants — stage totals, collective matrices, neighbour-chain
-        band vectors — are folded in once here and each iteration pays
-        only the closure's two-to-six array operations.
-        """
-        P = self.n_nodes
-        if tile_sums is None:
-            tile_sums = tile_seconds.sum(axis=1)
-        if P == 1 or pattern is CommPattern.NONE:
-            inc = tile_sums
-            return lambda clocks: clocks + inc
-        if pattern is CommPattern.PIPELINE:
-            return lambda clocks: self._pipeline_arrays(
-                clocks, tile_seconds, message_bytes
-            )
-        if pattern in (CommPattern.REDUCTION, CommPattern.ALLGATHER):
-            A = self._maxplus_matrix(pattern, message_bytes) + tile_sums
-            return lambda clocks: (A + clocks).max(axis=1)
-        if pattern is CommPattern.NEAREST_NEIGHBOR:
-            diag, from_left, from_right = self._nn_bands(
-                message_bytes, source_read, tile_sums
-            )
-
-            def nn_advance(clocks: np.ndarray) -> np.ndarray:
-                end = clocks + diag
-                np.maximum(end[1:], clocks[:-1] + from_left, out=end[1:])
-                np.maximum(end[:-1], clocks[1:] + from_right, out=end[:-1])
-                return end
-
-            return nn_advance
-        raise ModelError(f"unknown communication pattern: {pattern}")
 
     def _nn_bands(
         self,
@@ -304,17 +210,14 @@ class SectionTimeline:
         """Band vectors of the neighbour exchange's tridiagonal max-plus
         matrix (self / from-left / from-right), derived by distributing
         the receive overheads over the two receive steps of
-        :meth:`_nearest_neighbor_arrays`.
-
-        ``source_read`` and ``tile_sums`` may carry a leading candidate
-        axis (``(B, P)`` instead of ``(P,)``); every operation is
-        elementwise or a node-axis slice, so the batched bands are
-        per-candidate identical to the single-candidate ones.
+        :meth:`_nearest_neighbor`.  ``source_read`` and ``tile_sums``
+        are ``(B, P)``; every operation is elementwise or a node-axis
+        slice, so candidates never mix.
         """
         os_ = self._micro.send_overhead
         or_ = self._micro.recv_overhead
         x = self._transfer(nbytes)
-        post = np.asarray(source_read) + os_
+        post = source_read + os_
         selfc = self._nn_post_mult * post
         local = tile_sums + selfc
         diag = local + self._nn_or12
@@ -328,55 +231,15 @@ class SectionTimeline:
         from_right = (tile_sums + post)[..., 1:] + (x + or_)
         return diag, from_left, from_right
 
-    def compile_matrix(
-        self,
-        pattern: CommPattern,
-        tile_seconds: np.ndarray,
-        message_bytes: float,
-        source_read: np.ndarray,
-        tile_sums: Optional[np.ndarray] = None,
-    ) -> Optional[np.ndarray]:
-        """This section's full max-plus matrix ``A`` (``end = max_j(
-        clocks[j] + A[n, j])``), or ``None`` for patterns that have no
-        clock-independent matrix (the pipeline's waits depend on
-        per-tile interleaving, so it stays a replay closure).
-
-        Consecutive section matrices compose with
-        :func:`maxplus_compose` into a single per-iteration matrix, so
-        a steady-state walk costs two array operations per iteration
-        regardless of the number of sections.
-        """
-        P = self.n_nodes
-        if tile_sums is None:
-            tile_sums = tile_seconds.sum(axis=1)
-        if P == 1 or pattern is CommPattern.NONE:
-            A = self._tri_template.copy()
-            np.fill_diagonal(A, tile_sums)
-            return A
-        if pattern is CommPattern.PIPELINE:
-            return None
-        if pattern in (CommPattern.REDUCTION, CommPattern.ALLGATHER):
-            return self._maxplus_matrix(pattern, message_bytes) + tile_sums
-        if pattern is CommPattern.NEAREST_NEIGHBOR:
-            diag, from_left, from_right = self._nn_bands(
-                message_bytes, source_read, tile_sums
-            )
-            A = self._tri_template.copy()
-            A.flat[self._tri_flat] = np.concatenate(
-                (diag, from_left, from_right)
-            )
-            return A
-        raise ModelError(f"unknown communication pattern: {pattern}")
-
-    # -- batched sections (the ``predict(batch=True)`` path) -----------------
+    # -- batched sections (the ``kernel="numpy"`` path) ----------------------
     #
     # A whole population of candidate distributions advances together:
-    # clocks become ``(B, P)`` arrays, section matrices ``(B, P, P)``
-    # stacks.  Every batched expression applies the exact per-candidate
-    # arithmetic of the single-candidate methods with a leading batch
-    # axis broadcast over it — candidates never mix (no reduction runs
-    # across the batch axis), so slice ``b`` of every result equals the
-    # single-candidate computation for candidate ``b``.
+    # clocks are ``(B, P)`` arrays, section matrices ``(B, P, P)``
+    # stacks; a single prediction is a batch of one.  Candidates never
+    # mix (no reduction runs across the batch axis), so slice ``b`` of
+    # every result depends on candidate ``b`` alone.  The array forms
+    # agree with the scalar replays above to rounding: only the
+    # association of sums differs.
 
     def compile_matrix_batch(
         self,
@@ -385,12 +248,14 @@ class SectionTimeline:
         source_read: np.ndarray,
         tile_sums: np.ndarray,
     ) -> Optional[np.ndarray]:
-        """Batched :meth:`compile_matrix`: the ``(B, P, P)`` stack of one
-        section's per-candidate max-plus matrices, or ``None`` for
-        patterns with no clock-independent matrix (pipelines).
+        """The ``(B, P, P)`` stack of one section's per-candidate
+        max-plus matrices (``end[b, n] = max_j(clocks[b, j] + A[b, n,
+        j])``), or ``None`` for patterns with no clock-independent
+        matrix (the pipeline's waits depend on per-tile interleaving).
 
         ``source_read`` and ``tile_sums`` are ``(B, P)`` — one row per
-        candidate distribution.
+        candidate distribution.  Consecutive section matrices compose
+        with :func:`maxplus_compose_batch` into one per-iteration matrix.
         """
         P = self.n_nodes
         B = tile_sums.shape[0]
@@ -421,25 +286,29 @@ class SectionTimeline:
         tile_seconds: np.ndarray,
         message_bytes: float,
     ) -> Callable[[np.ndarray], np.ndarray]:
-        """Batched :meth:`compile_advance` for the patterns that have no
-        max-plus matrix — today only the pipeline, whose per-tile
-        interleaving depends on the clocks.  ``tile_seconds`` is
+        """A ``clocks -> clocks`` closure for the patterns that have no
+        max-plus matrix — only the pipeline.  ``tile_seconds`` is
         ``(B, P, tiles)``; the closure maps ``(B, P)`` clocks."""
         if pattern is CommPattern.PIPELINE:
-            return lambda clocks: self._pipeline_arrays_batch(
+            return lambda clocks: self._pipeline_batch(
                 clocks, tile_seconds, message_bytes
             )
         raise ModelError(
             f"pattern {pattern} compiles to a matrix, not an advance"
         )
 
-    def _pipeline_arrays_batch(
+    def _pipeline_batch(
         self, start: np.ndarray, tile_seconds: np.ndarray, nbytes: float
     ) -> np.ndarray:
-        """:meth:`_pipeline_arrays` with a leading candidate axis: the
-        per-node prefix scan runs on ``(B, tiles)`` slabs (cumsum and
-        ``maximum.accumulate`` along the tile axis), so slice ``b``
-        replays candidate ``b``'s pipeline exactly."""
+        """Equation 4 as a per-node prefix scan over tiles.
+
+        Node ``n``'s recurrence ``now_t = max(now_{t-1}, d_t) + c_t``
+        (arrival ``d_t`` from upstream, local cost ``c_t``) has the
+        closed form ``now_t = C_t + max(start, max_{j<=t}(d_j -
+        C_{j-1}))`` with ``C`` the prefix sums of ``c`` — one cumsum and
+        one ``maximum.accumulate`` along the tile axis of a ``(B,
+        tiles)`` slab per node instead of a tiles x nodes Python loop.
+        """
         P = self.n_nodes
         os_ = self._micro.send_overhead
         or_ = self._micro.recv_overhead
@@ -470,124 +339,6 @@ class SectionTimeline:
                 upstream_arrival = now + x
             end[:, n] = now[:, -1]
         return end
-
-    def _nearest_neighbor_arrays(
-        self, stage_end: np.ndarray, nbytes: float, source_read: np.ndarray
-    ) -> np.ndarray:
-        """Boundary exchange on arrays: shifted-neighbour maxima replace
-        the per-node loops of :meth:`_nearest_neighbor`."""
-        os_ = self._micro.send_overhead
-        or_ = self._micro.recv_overhead
-        x = self._transfer(nbytes)
-        post = source_read + os_  # cost of posting one message
-        first_send = stage_end + post
-        # Sends are posted left then right, so the message towards the
-        # left neighbour leaves after one post everywhere; the one
-        # towards the right leaves after two posts on interior nodes.
-        ready = first_send + self._nn_extra_posts * post
-        deliver_left = first_send + x  # valid for senders n >= 1
-        deliver_right = ready + x
-        end = ready.copy()
-        # Receive left then right, mirroring the scalar order.
-        end[1:] = np.maximum(end[1:], deliver_right[:-1]) + or_
-        end[:-1] = np.maximum(end[:-1], deliver_left[1:]) + or_
-        return end
-
-    def _pipeline_arrays(
-        self, start: np.ndarray, tile_seconds: np.ndarray, nbytes: float
-    ) -> np.ndarray:
-        """Equation 4 as a per-node prefix scan over tiles.
-
-        Node ``n``'s recurrence ``now_t = max(now_{t-1}, d_t) + c_t``
-        (arrival ``d_t`` from upstream, local cost ``c_t``) has the
-        closed form ``now_t = C_t + max(start, max_{j<=t}(d_j -
-        C_{j-1}))`` with ``C`` the prefix sums of ``c`` — one
-        ``maximum.accumulate`` per node instead of a tiles x nodes
-        Python loop.
-        """
-        P = self.n_nodes
-        os_ = self._micro.send_overhead
-        or_ = self._micro.recv_overhead
-        x = self._transfer(nbytes)
-        tiles = tile_seconds.shape[1]
-        for ts in tile_seconds:
-            if len(ts) != tiles:
-                raise ModelError("nodes disagree on tile count")
-        end = np.empty(P)
-        upstream_arrival: Optional[np.ndarray] = None
-        for n in range(P):
-            cost = tile_seconds[n].astype(np.float64, copy=True)
-            if n < P - 1:
-                cost += os_
-            if n > 0:
-                cost += or_
-            prefix = np.cumsum(cost)
-            if upstream_arrival is None:
-                now = start[n] + prefix
-            else:
-                offsets = np.empty(tiles)
-                offsets[0] = 0.0
-                offsets[1:] = prefix[:-1]
-                frontier = np.maximum.accumulate(upstream_arrival - offsets)
-                now = prefix + np.maximum(start[n], frontier)
-            if n < P - 1:
-                upstream_arrival = now + x
-            end[n] = now[-1]
-        return end
-
-    def _reduce_broadcast_arrays(
-        self, stage_end: np.ndarray, nbytes: float
-    ) -> np.ndarray:
-        """Binomial reduce + broadcast with boolean level masks."""
-        P = self.n_nodes
-        os_ = self._micro.send_overhead
-        or_ = self._micro.recv_overhead
-        x = self._transfer(nbytes)
-        now = stage_end.astype(np.float64, copy=True)
-        idx = np.arange(P)
-        exited = np.zeros(P, dtype=bool)
-        mask = 1
-        while mask < P:
-            senders = ~exited & ((idx & mask) != 0)
-            now[senders] += os_
-            arrival = now + x
-            exited |= senders
-            receivers = ~exited & ((idx & mask) == 0) & (idx + mask < P)
-            now[receivers] = (
-                np.maximum(now[receivers], arrival[idx[receivers] + mask])
-                + or_
-            )
-            mask <<= 1
-        pot = 1
-        while pot < P:
-            pot <<= 1
-        mask = pot >> 1
-        while mask > 0:
-            senders = (idx % (2 * mask) == 0) & (idx + mask < P)
-            now[senders] += os_
-            arrival = now + x
-            receivers = idx % (2 * mask) == mask
-            now[receivers] = (
-                np.maximum(now[receivers], arrival[idx[receivers] - mask])
-                + or_
-            )
-            mask >>= 1
-        return now
-
-    def _allgather_arrays(
-        self, stage_end: np.ndarray, nbytes: float
-    ) -> np.ndarray:
-        """Ring allgather: P-1 lockstep shift steps on arrays."""
-        P = self.n_nodes
-        os_ = self._micro.send_overhead
-        or_ = self._micro.recv_overhead
-        x = self._transfer(nbytes)
-        now = stage_end.astype(np.float64, copy=True)
-        for _ in range(P - 1):
-            now += os_
-            deliver = now + x
-            now = np.maximum(now, np.roll(deliver, 1)) + or_
-        return now
 
     def _nearest_neighbor(
         self,

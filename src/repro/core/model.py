@@ -14,14 +14,17 @@ Two evaluation kernels produce those clocks:
   per-stage, per-block Python loops, kept exactly as originally
   written so the fast path always has a bit-stable baseline to be
   checked against.
-* ``kernel="numpy"`` (default) — the vectorised kernel: every missing
-  ``(node, rows)`` table of a call is built in one batched pass of
-  closed-form array expressions over ``(pairs, tiles)``
-  (:meth:`StageTimeModel.section_tile_times`) and the communication
-  timeline advances ``np.ndarray`` clocks
-  (:meth:`SectionTimeline.advance_arrays`).  It agrees with the scalar
-  reference to rounding (<= 1e-12 relative, pinned by the golden
-  equivalence suite in ``tests/test_kernel_equivalence.py``).
+* ``kernel="numpy"`` (default) — the vectorised kernel, which scores a
+  whole candidate population at once: every missing ``(node, rows)``
+  table of a call is built in one batched pass of closed-form array
+  expressions over ``(pairs, tiles)``
+  (:meth:`StageTimeModel.section_tile_times`), sections become ``(B,
+  P, P)`` max-plus matrices (:meth:`SectionTimeline.compile_matrix_batch`)
+  and :func:`steady_walk` advances ``(B, P)`` clocks.  A single
+  prediction is a batch of one, so ``predict(d)`` equals its row of
+  any batch bit for bit.  The kernel agrees with the scalar reference
+  to rounding (<= 1e-12 relative, pinned by the golden equivalence
+  suite in ``tests/test_kernel_equivalence.py``).
 
 The per-node stage tables depend only on ``(node, rows)`` — not on what
 the *other* nodes were assigned — so a bounded LRU inside the model
@@ -45,11 +48,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.cluster.cluster import ClusterSpec
-from repro.core.comm import (
-    SectionTimeline,
-    maxplus_compose,
-    maxplus_compose_batch,
-)
+from repro.core.comm import SectionTimeline, maxplus_compose_batch
 from repro.core.io_model import StageTimeModel
 from repro.core.oracle import OutOfCoreOracle
 from repro.core.report import (
@@ -65,7 +64,12 @@ from repro.program.sections import CommPattern, ParallelSection
 from repro.program.structure import ProgramStructure
 from repro.util.lru import LRUCache
 
-__all__ = ["MhetaModel", "KERNELS", "DEFAULT_TABLE_CACHE_ENTRIES"]
+__all__ = [
+    "MhetaModel",
+    "KERNELS",
+    "DEFAULT_TABLE_CACHE_ENTRIES",
+    "steady_walk",
+]
 
 #: Selectable evaluation kernels, shared by the 1-D and 2-D models, the
 #: CLI and the serve protocol: ``"numpy"`` is the vectorised fast path,
@@ -149,29 +153,85 @@ def _pattern_message_counts(
     raise ModelError(f"unknown communication pattern: {pattern}")
 
 
+#: Convergence tolerances of every steady-state walk (scalar, 1-D and
+#: 2-D): an increment vector has repeated once each component is within
+#: ``_ATOL + _RTOL * |previous|`` of the previous iteration's.
+_ATOL = 1e-12
+_RTOL = 1e-9
+
+
+def steady_walk(
+    ops: Sequence[Callable[[np.ndarray], np.ndarray]],
+    n_iter: int,
+    shape: Tuple[int, int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Walk ``(B, P)`` clocks, zero at entry, through one iteration's
+    fused ``ops`` until each candidate's increment vector repeats, then
+    extrapolate linearly.
+
+    Candidates converge individually, by the scalar walk's rule and
+    tolerances: the moment candidate ``b``'s increment repeats, its
+    totals ``last + steady * (iterations left)`` are frozen while the
+    rest keep walking.  Frozen rows keep advancing (max-plus ops are
+    stable), but their recorded result no longer changes, so a
+    candidate's result does not depend on its batch.  While nothing has
+    frozen, a largest increment change within ``_ATOL`` converges every
+    candidate at this same point, so the walk returns at once.  A
+    candidate that never converges reports its final clocks.
+
+    Returns ``(totals, steady)``: the per-node predicted totals and the
+    steady-iteration increments (the clocks themselves when only one
+    iteration ran).
+    """
+    clocks = np.zeros(shape)
+    totals = np.empty(shape)
+    steady = np.empty(shape)
+    active = np.ones(shape[0], dtype=bool)
+    frozen_any = False
+    last = prev_steady = None
+    simulate = 0
+    while simulate < n_iter:
+        for op in ops:
+            clocks = op(clocks)
+        second_last, last = last, clocks
+        simulate += 1
+        if second_last is None:
+            steady_now = last
+            continue
+        steady_now = last - second_last
+        if prev_steady is not None:
+            diff = np.abs(steady_now - prev_steady)
+            left = n_iter - simulate
+            if not frozen_any and diff.max() <= _ATOL:
+                return last + steady_now * left, steady_now
+            newly = active & (
+                diff <= _ATOL + _RTOL * np.abs(prev_steady)
+            ).all(axis=1)
+            if newly.any():
+                frozen_any = True
+                totals[newly] = last[newly] + steady_now[newly] * left
+                steady[newly] = steady_now[newly]
+                active[newly] = False
+                if not active.any():
+                    return totals, steady
+        prev_steady = steady_now
+    totals[active] = last[active]
+    steady[active] = steady_now[active]
+    return totals, steady
+
+
 @dataclass(frozen=True)
 class _SectionTables:
-    """Precomputed per-section evaluation tables for one distribution.
-
-    ``tile_totals``/``tile_compute`` are per-node, per-tile stage-time
-    tables: nested lists for the scalar kernel, ``(P, tiles)`` float64
-    arrays for the numpy kernel (with ``tile_sums`` the per-node section
-    totals, precomputed so steady-state walks skip the reduction).
-    For the numpy kernel, exactly one of ``matrix``/``advance`` is set:
-    ``matrix`` is the section's max-plus matrix
-    (:meth:`SectionTimeline.compile_matrix`), which the steady-state
-    walk composes with its neighbours into one per-iteration matrix;
-    ``advance`` is the compiled replay closure for sections with no
-    clock-independent matrix (pipelines).
-    """
+    """One section's evaluation tables for one distribution: per-node,
+    per-tile stage times (total and compute-only) and the per-node
+    message source-read cost.  Nested lists for the scalar kernel,
+    ``(P, tiles)`` / ``(P,)`` array views for the numpy kernel's
+    report."""
 
     section: ParallelSection
     tile_totals: Sequence
     tile_compute: Sequence
     source_read: Sequence
-    tile_sums: Optional[np.ndarray] = None
-    matrix: Optional[np.ndarray] = None
-    advance: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 class MhetaModel:
@@ -189,8 +249,7 @@ class MhetaModel:
     table_cache:
         Bound of the persistent ``(node, rows) -> tables`` LRU shared by
         every prediction this model makes.  ``0`` disables cross-call
-        reuse (each ``predict(..., batch="serial")`` call still shares a
-        transient bounded memo).
+        reuse: every call builds the tables it needs afresh.
     """
 
     def __init__(
@@ -258,7 +317,7 @@ class MhetaModel:
         distribution,
         iterations: Optional[int] = None,
         *,
-        batch=False,
+        batch: bool = False,
         report: bool = False,
         telemetry: Optional[Recorder] = None,
     ):
@@ -271,46 +330,31 @@ class MhetaModel:
             breakdowns.
         ``predict(dists, batch=True)``
             an ``np.ndarray`` scoring a whole candidate population in
-            one vectorized pass (``<= 1e-12`` relative vs. the serial
-            path).
-        ``predict(dists, batch="serial")``
-            a ``List[float]`` from the bit-identical serial loop
-            (what spectrum sweeps use: exact per-candidate equality
-            with single calls, tables shared through the LRU).
+            one vectorized pass.  A single prediction is a batch of
+            one, so entry ``b`` equals ``predict(dists[b])`` bit for
+            bit.
 
+        ``iterations`` overrides the program's iteration count (>= 1).
         ``telemetry`` takes a :class:`repro.obs.Recorder`; with
         ``report=True`` it additionally records the per-node phase
         breakdown (comp / sync-I/O / prefetch-I/O / send+recv overhead /
         blocked) whose components sum exactly to each node's predicted
         total.  ``telemetry=None`` (default) costs one truthiness check.
         """
+        if batch not in (False, True):
+            raise ModelError(f"batch must be True or False, not {batch!r}")
+        if iterations is not None and iterations < 1:
+            raise ModelError("iterations must be >= 1")
+        n_iter = (
+            iterations if iterations is not None else self.program.iterations
+        )
         if batch:
             if report:
                 raise ModelError(
                     "report=True is only available for single predictions"
                 )
             dists = list(distribution)
-            if batch == "serial":
-                if telemetry:
-                    telemetry.count("model/serial_batches")
-                    telemetry.observe("model/serial_batch_size", len(dists))
-                transient = (
-                    LRUCache(DEFAULT_TABLE_CACHE_ENTRIES)
-                    if self._tables_cache is None
-                    else None
-                )
-                out = [
-                    self._predict(
-                        d, iterations, want_report=False,
-                        table_cache=transient,
-                    )
-                    for d in dists
-                ]
-                if telemetry:
-                    self._record_cache_gauges(telemetry)
-                    telemetry.count("model/predictions", len(dists))
-                return out
-            out = self._predict_batch(dists, iterations)
+            out = self._predict_batch(dists, n_iter)
             if telemetry:
                 telemetry.count("model/batch_predictions")
                 telemetry.observe("model/batch_size", len(dists))
@@ -318,7 +362,7 @@ class MhetaModel:
                 self._record_cache_gauges(telemetry)
             return out
         result = self._predict(
-            distribution, iterations, want_report=report, telemetry=telemetry
+            distribution, n_iter, want_report=report, telemetry=telemetry
         )
         if telemetry:
             telemetry.count("model/predictions")
@@ -332,25 +376,18 @@ class MhetaModel:
         rec.set("model/table_cache/misses", stats["misses"])
         rec.set("model/table_cache/evictions", stats["evictions"])
 
+    def _check(self, distribution: GenBlock) -> None:
+        if distribution.n_nodes != self.n_nodes:
+            raise ModelError("distribution does not match the model's nodes")
+        if distribution.n_rows != self.program.n_rows:
+            raise ModelError("distribution does not cover the program's rows")
+
     def _batch_counts(self, dists: Sequence[GenBlock]) -> np.ndarray:
         """Stack and validate candidate row counts as ``(B, P)`` int64.
 
-        Validation is vectorized (one shape check, one row-sum check);
-        only on failure does it fall back to the per-candidate loop, so
-        the error messages match the sequential path exactly."""
+        Only on failure does it fall back to the per-candidate
+        :meth:`_check` loop, for its error messages."""
         P = self.n_nodes
-
-        def _validate_loop() -> None:
-            for d in dists:
-                if d.n_nodes != P:
-                    raise ModelError(
-                        "distribution does not match the model's nodes"
-                    )
-                if d.n_rows != self.program.n_rows:
-                    raise ModelError(
-                        "distribution does not cover the program's rows"
-                    )
-
         n_rows = self.program.n_rows
         counts = np.empty((len(dists), P), dtype=np.int64)
         try:
@@ -358,8 +395,7 @@ class MhetaModel:
             # cheapest exact stacking; the explicit length check (a
             # length-1 array would broadcast silently) and the cached
             # row total validate each candidate in-loop.  Any mismatch
-            # or a foreign distribution type falls back to the loop
-            # whose messages match the sequential path.
+            # or a foreign distribution type falls back to the loop.
             for i, d in enumerate(dists):
                 mirror = d.counts_np
                 if len(mirror) != P or d._n_rows != n_rows:
@@ -368,54 +404,44 @@ class MhetaModel:
             return counts
         except (ValueError, TypeError, AttributeError):
             pass
-        _validate_loop()
+        for d in dists:
+            self._check(d)
         return np.array([d.counts for d in dists], dtype=np.int64)
 
     def _predict_batch(
-        self,
-        distributions: Sequence[GenBlock],
-        iterations: Optional[int] = None,
+        self, distributions: Sequence[GenBlock], n_iter: int
     ) -> np.ndarray:
-        """Score a whole candidate population in one vectorized pass.
-
-        The candidates' GEN_BLOCK row counts stack into a ``(B, P)``
-        matrix; each distinct ``(node, rows)`` pair across the *whole
-        batch* is looked up in the shared table LRU once, and every miss
-        is built in one batched table pass (:meth:`_build_tables`); then
-        the numpy kernel — stage-table assembly, max-plus
-        section matrices and their composition, the steady-state clock
-        walk — evaluates every section over the candidate axis in a
-        single array pass instead of once per candidate.  Candidates
-        never mix (no reduction crosses the batch axis), so entry ``b``
-        agrees with ``predict(distributions[b])`` to within the
-        kernel contract (<= 1e-12 relative; pinned by
-        ``tests/test_batch_equivalence.py``).
-
-        ``kernel="scalar"`` models fall back to a loop of scalar
-        predictions, preserving the golden-equivalence contract
-        bit-for-bit; iteration-profile programs (no steady state to
-        extrapolate) loop the per-candidate numpy walk.
-        """
+        """Score a whole candidate population: one :meth:`_evaluate`
+        pass for the numpy kernel, a loop of scalar predictions (the
+        golden reference, bit for bit) for ``kernel="scalar"``."""
         dists = list(distributions)
         if not dists:
             return np.empty(0)
-        P = self.n_nodes
-        counts = self._batch_counts(dists)
-        n_iter = (
-            iterations if iterations is not None else self.program.iterations
-        )
-        if (
-            self.kernel != "numpy"
-            or self.program.iteration_profile is not None
-        ):
+        if self.kernel == "scalar":
             return np.array(
-                [
-                    self._predict(d, iterations, want_report=False)
-                    for d in dists
-                ]
+                [self._predict(d, n_iter, want_report=False) for d in dists]
             )
-        B = len(dists)
-        sections = self.program.sections
+        return self._evaluate(self._batch_counts(dists), n_iter)[1].max(
+            axis=1
+        )
+
+    def _evaluate(
+        self, counts: np.ndarray, n_iter: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The numpy kernel over a validated ``(B, P)`` row-count matrix.
+
+        Each distinct ``(node, rows)`` pair across the *whole batch* is
+        looked up in the shared table LRU once, and every miss is built
+        in one batched table pass (:meth:`_tables`); then every section
+        is evaluated over the candidate axis in a single array pass.
+        Candidates never mix (no reduction crosses the batch axis), so a
+        candidate's row does not depend on the rest of its batch.
+
+        Returns ``(tables, totals, steady)``: the ``(B, P, columns)``
+        per-node tables (layout in :meth:`_build_tables`), and the
+        ``(B, P)`` per-node predicted totals and steady increments.
+        """
+        B, P = counts.shape
         # Each distinct (node, rows) pair of the batch, keyed as one int.
         stride = self.program.n_rows + 1
         keys, inverse = np.unique(
@@ -426,9 +452,40 @@ class MhetaModel:
             self._tables_cache,
         )[inverse.reshape(B, P)]
         T = self._total_tiles
-        all_totals = flat[:, :, :T]
-        all_source = flat[:, :, 2 * T:]
+        tile_totals = flat[:, :, :T]
+        source = flat[:, :, 2 * T:]
+        if self.program.iteration_profile is None:
+            totals, steady = steady_walk(
+                self._batch_ops(tile_totals, source), n_iter, (B, P)
+            )
+            return flat, totals, steady
+        # Non-uniform iterations: each iteration's ops scale the
+        # computation share (see _walk_scalar) and every iteration is
+        # walked explicitly.
+        tile_compute = flat[:, :, T:2 * T]
+        clocks = np.zeros((B, P))
+        for scale in self._iteration_scales(n_iter):
+            previous = clocks
+            for op in self._batch_ops(
+                tile_totals + (scale - 1.0) * tile_compute, source
+            ):
+                clocks = op(clocks)
+        return flat, clocks, clocks - previous
 
+    def _batch_ops(
+        self, tile_totals: np.ndarray, source: np.ndarray
+    ) -> List[Callable[[np.ndarray], np.ndarray]]:
+        """One iteration's section advances over ``(B, P)`` clocks.
+
+        ``tile_totals`` is the ``(B, P, total_tiles)`` stage-time table
+        and ``source`` the ``(B, P, sections)`` message source-read
+        costs.  Runs of consecutive max-plus section matrices compose
+        into a single matrix (:func:`maxplus_compose_batch`), so an
+        all-matrix program — any mix of NONE / nearest-neighbour /
+        reduction / allgather sections — walks each iteration with one
+        ``(A + clocks).max``.  Pipeline sections stay replay closures,
+        splitting the composition.
+        """
         timeline = self.timeline
         offsets = self._tile_offsets
 
@@ -437,18 +494,18 @@ class MhetaModel:
 
         ops: List[Callable[[np.ndarray], np.ndarray]] = []
         pending: Optional[np.ndarray] = None
-        for si, section in enumerate(sections):
+        for si, section in enumerate(self.program.sections):
             lo, hi = offsets[si], offsets[si + 1]
-            tile_totals = all_totals[:, :, lo:hi]
+            section_totals = tile_totals[:, :, lo:hi]
             tile_sums = (
-                tile_totals[:, :, 0]
+                section_totals[:, :, 0]
                 if hi - lo == 1
-                else tile_totals.sum(axis=2)
+                else section_totals.sum(axis=2)
             )
             matrix = timeline.compile_matrix_batch(
                 section.comm.pattern,
                 section.comm.message_bytes,
-                all_source[:, :, si],
+                source[:, :, si],
                 tile_sums,
             )
             if matrix is not None:
@@ -464,63 +521,30 @@ class MhetaModel:
                 ops.append(
                     timeline.compile_advance_batch(
                         section.comm.pattern,
-                        tile_totals,
+                        section_totals,
                         section.comm.message_bytes,
                     )
                 )
         if pending is not None:
             ops.append(matrix_op(pending))
-        totals = self._steady_walk_batch(ops, n_iter, B)
-        return totals.max(axis=1)
+        return ops
 
-    def _steady_walk_batch(
-        self,
-        ops: List[Callable[[np.ndarray], np.ndarray]],
-        n_iter: int,
-        batch: int,
-    ) -> np.ndarray:
-        """Batched :meth:`_steady_walk`: ``(B, P)`` clocks advance
-        through the fused per-iteration ops together, but each candidate
-        converges *individually* — the moment candidate ``b``'s
-        increment vector repeats (the scalar walk's convergence rule,
-        same tolerances), its extrapolated totals are frozen while the
-        rest keep walking.  Frozen rows keep advancing numerically
-        (max-plus ops are stable) but their recorded result no longer
-        changes, so per-candidate results match the sequential walk."""
-        P = self.n_nodes
-        clocks = np.zeros((batch, P))
-        totals = np.empty((batch, P))
-        active = np.ones(batch, dtype=bool)
-        second_last: Optional[np.ndarray] = None
-        last: Optional[np.ndarray] = None
-        prev_steady: Optional[np.ndarray] = None
-        simulate = 0
-        while simulate < n_iter:
-            for op in ops:
-                clocks = op(clocks)
-            second_last, last = last, clocks
-            simulate += 1
-            if second_last is not None:
-                steady_now = last - second_last
-                if prev_steady is not None:
-                    converged = (
-                        np.abs(steady_now - prev_steady)
-                        <= 1e-12 + 1e-9 * np.abs(prev_steady)
-                    ).all(axis=1)
-                    newly = active & converged
-                    if newly.any():
-                        totals[newly] = (
-                            last[newly]
-                            + steady_now[newly] * (n_iter - simulate)
-                        )
-                        active[newly] = False
-                        if not active.any():
-                            return totals
-                prev_steady = steady_now
-        # Walked every iteration without (all candidates) converging:
-        # the remaining rows' totals are simply their final clocks.
-        totals[active] = last[active]
-        return totals
+    def _iteration_scales(self, n_iter: int) -> List[float]:
+        """Per-iteration computation scale of an iteration-profile
+        program (paper Section 3.1's deferred case): the instrumented
+        iteration measured computation at the profile's first
+        multiplier, and each iteration scales it by its own."""
+        program = self.program
+        m0 = program.iteration_multiplier(0)
+        return [
+            (
+                program.iteration_multiplier(it)
+                if it < program.iterations
+                else 1.0
+            )
+            / m0
+            for it in range(n_iter)
+        ]
 
     # -- table construction -----------------------------------------------------
 
@@ -632,93 +656,53 @@ class MhetaModel:
                     cache.put(keys[i], entry)
         return np.stack(entries)
 
-    def _section_tables(
-        self,
-        distribution: GenBlock,
-        table_cache: Optional[LRUCache] = None,
-    ) -> List[_SectionTables]:
-        """Precompute, per section: tile stage-times (split by compute
-        and I/O) and per-node message source-read costs.  These are the
-        same for every iteration, so the iteration loop only replays the
-        communication timeline.  Per-``(node, rows)`` work is memoised
-        in the model's bounded LRU (or the explicit ``table_cache``
-        override), shared across every prediction."""
+    def _section_tables(self, distribution: GenBlock) -> List[_SectionTables]:
+        """Scalar kernel: per section, the per-node tile stage-times
+        (split by compute and I/O) and message source-read costs.  These
+        are the same for every iteration, so the iteration loop only
+        replays the communication timeline.  Per-``(node, rows)`` work
+        is memoised in the model's bounded LRU."""
         P = self.n_nodes
-        cache = table_cache if table_cache is not None else self._tables_cache
+        cache = self._tables_cache
         counts = distribution.counts
-        if self.kernel != "scalar":
-            per_node = self._tables(range(P), counts, cache)
-        else:
-            per_node = []
-            for n in range(P):
-                key = (n, counts[n])
-                entry = cache.get(key) if cache is not None else None
-                if entry is None:
-                    entry = self._node_tables(
-                        n, counts[n], self.oracle.plan(n, counts[n])
-                    )
-                    if cache is not None:
-                        cache.put(key, entry)
-                per_node.append(entry)
-        tables = []
-        if self.kernel != "scalar":
-            # Per-section column views of the stacked (P, ...) tables.
-            T = self._total_tiles
-            all_totals = per_node[:, :T]
-            all_compute = per_node[:, T:2 * T]
-            all_source = per_node[:, 2 * T:]
-            for si, section in enumerate(self.program.sections):
-                lo, hi = self._tile_offsets[si], self._tile_offsets[si + 1]
-                tile_totals = all_totals[:, lo:hi]
-                tile_compute = all_compute[:, lo:hi]
-                source_read = all_source[:, si]
-                tile_sums = (
-                    tile_totals[:, 0]
-                    if hi - lo == 1
-                    else tile_totals.sum(axis=1)
+        per_node = []
+        for n in range(P):
+            key = (n, counts[n])
+            entry = cache.get(key) if cache is not None else None
+            if entry is None:
+                entry = self._node_tables(
+                    n, counts[n], self.oracle.plan(n, counts[n])
                 )
-                matrix = self.timeline.compile_matrix(
-                    section.comm.pattern,
-                    tile_totals,
-                    section.comm.message_bytes,
-                    source_read,
-                    tile_sums,
-                )
-                advance = (
-                    None
-                    if matrix is not None
-                    else self.timeline.compile_advance(
-                        section.comm.pattern,
-                        tile_totals,
-                        section.comm.message_bytes,
-                        source_read,
-                        tile_sums,
-                    )
-                )
-                tables.append(
-                    _SectionTables(
-                        section=section,
-                        tile_totals=tile_totals,
-                        tile_compute=tile_compute,
-                        source_read=source_read,
-                        tile_sums=tile_sums,
-                        matrix=matrix,
-                        advance=advance,
-                    )
-                )
-            return tables
-        for si, section in enumerate(self.program.sections):
-            tables.append(
-                _SectionTables(
-                    section=section,
-                    tile_totals=[per_node[n][si][0] for n in range(P)],
-                    tile_compute=[per_node[n][si][1] for n in range(P)],
-                    source_read=[per_node[n][si][2] for n in range(P)],
-                )
+                if cache is not None:
+                    cache.put(key, entry)
+            per_node.append(entry)
+        return [
+            _SectionTables(
+                section=section,
+                tile_totals=[per_node[n][si][0] for n in range(P)],
+                tile_compute=[per_node[n][si][1] for n in range(P)],
+                source_read=[per_node[n][si][2] for n in range(P)],
             )
-        return tables
+            for si, section in enumerate(self.program.sections)
+        ]
 
-    # -- iteration walks --------------------------------------------------------
+    def _table_views(self, per_node: np.ndarray) -> List[_SectionTables]:
+        """Numpy kernel: per-section views of one candidate's stacked
+        ``(P, columns)`` tables, for the report."""
+        T, offsets = self._total_tiles, self._tile_offsets
+        return [
+            _SectionTables(
+                section=section,
+                tile_totals=per_node[:, lo:hi],
+                tile_compute=per_node[:, T + lo:T + hi],
+                source_read=per_node[:, 2 * T + si],
+            )
+            for si, (section, lo, hi) in enumerate(
+                zip(self.program.sections, offsets, offsets[1:])
+            )
+        ]
+
+    # -- the scalar walk --------------------------------------------------------
 
     def _walk_scalar(
         self, tables: List[_SectionTables], n_iter: int
@@ -753,7 +737,7 @@ class MhetaModel:
                         iter_ends[-1][n] - iter_ends[-2][n] for n in range(P)
                     ]
                     if prev_steady is not None and all(
-                        abs(a - b) <= 1e-12 + 1e-9 * abs(b)
+                        abs(a - b) <= _ATOL + _RTOL * abs(b)
                         for a, b in zip(steady_now, prev_steady)
                     ):
                         break
@@ -771,17 +755,10 @@ class MhetaModel:
                 ]
             return totals, steady
         # Non-uniform iterations (paper Section 3.1's deferred case):
-        # the instrumented iteration measured computation at the
-        # profile's first multiplier; each later iteration scales its
-        # computation share accordingly.  Every iteration is walked
-        # explicitly — no steady state exists to extrapolate.
-        m0 = self.program.iteration_multiplier(0)
-        for it in range(n_iter):
-            mult = (
-                self.program.iteration_multiplier(it)
-                if it < self.program.iterations
-                else 1.0
-            ) / m0
+        # each iteration scales its computation share, and every
+        # iteration is walked explicitly — no steady state exists to
+        # extrapolate.
+        for mult in self._iteration_scales(n_iter):
             for t in tables:
                 scaled = [
                     [
@@ -809,111 +786,6 @@ class MhetaModel:
             steady = list(iter_ends[0])
         return totals, steady
 
-    @staticmethod
-    def _iteration_ops(
-        tables: List[_SectionTables],
-    ) -> List[Callable[[np.ndarray], np.ndarray]]:
-        """Fuse one iteration's section advances for the numpy kernel.
-
-        Runs of consecutive max-plus matrices compose into a single
-        matrix (:func:`maxplus_compose`), so an all-matrix program —
-        any mix of NONE / nearest-neighbour / reduction / allgather
-        sections — walks each steady-state iteration with one ``(A +
-        clocks).max(axis=1)``.  Pipeline sections stay as their replay
-        closures, splitting the composition.
-        """
-
-        def matrix_op(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            return lambda clocks: (A + clocks).max(axis=1)
-
-        ops: List[Callable[[np.ndarray], np.ndarray]] = []
-        pending: Optional[np.ndarray] = None
-        for t in tables:
-            if t.matrix is not None:
-                pending = (
-                    t.matrix
-                    if pending is None
-                    else maxplus_compose(t.matrix, pending)
-                )
-            else:
-                if pending is not None:
-                    ops.append(matrix_op(pending))
-                    pending = None
-                ops.append(t.advance)
-        if pending is not None:
-            ops.append(matrix_op(pending))
-        return ops
-
-    def _steady_walk(
-        self,
-        ops: List[Callable[[np.ndarray], np.ndarray]],
-        n_iter: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Iterate the fused per-iteration ops until the increment
-        vector repeats (same convergence rule as the scalar walk), then
-        extrapolate linearly.  Only the last two clock vectors are
-        retained; the increment comparison runs on Python floats —
-        cheaper than array ops at typical node counts.  Returns
-        ``(totals, steady)``."""
-        clocks = np.zeros(self.n_nodes)
-        second_last: Optional[np.ndarray] = None
-        last: Optional[np.ndarray] = None
-        prev_steady: Optional[List[float]] = None
-        steady_now: Optional[np.ndarray] = None
-        simulate = 0
-        while simulate < n_iter:
-            for op in ops:
-                clocks = op(clocks)
-            second_last, last = last, clocks
-            simulate += 1
-            if second_last is not None:
-                steady_now = last - second_last
-                steady_list = steady_now.tolist()
-                if prev_steady is not None:
-                    for a, b in zip(steady_list, prev_steady):
-                        if abs(a - b) > 1e-12 + 1e-9 * abs(b):
-                            break
-                    else:
-                        break
-                prev_steady = steady_list
-        if n_iter == 1 or second_last is None:
-            return last, last
-        totals = last + steady_now * (n_iter - simulate)
-        return totals, steady_now
-
-    def _walk_arrays(
-        self, tables: List[_SectionTables], n_iter: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorised clock walk: same control flow as
-        :meth:`_walk_scalar`, per-node arithmetic on float64 arrays."""
-        clocks = np.zeros(self.n_nodes)
-        iter_ends: List[np.ndarray] = []
-        profile = self.program.iteration_profile
-        if profile is None:
-            return self._steady_walk(self._iteration_ops(tables), n_iter)
-        m0 = self.program.iteration_multiplier(0)
-        for it in range(n_iter):
-            mult = (
-                self.program.iteration_multiplier(it)
-                if it < self.program.iterations
-                else 1.0
-            ) / m0
-            for t in tables:
-                scaled = t.tile_totals + (mult - 1.0) * t.tile_compute
-                clocks = self.timeline.advance_arrays(
-                    t.section.comm.pattern,
-                    clocks,
-                    scaled,
-                    t.section.comm.message_bytes,
-                    t.source_read,
-                )
-            iter_ends.append(clocks)
-        totals = iter_ends[-1]
-        steady = (
-            iter_ends[-1] - iter_ends[-2] if n_iter >= 2 else iter_ends[0]
-        )
-        return totals, steady
-
     # -- assembly ---------------------------------------------------------------
 
     @staticmethod
@@ -926,29 +798,26 @@ class MhetaModel:
     def _predict(
         self,
         distribution: GenBlock,
-        iterations: Optional[int],
+        n_iter: int,
         want_report: bool,
-        table_cache: Optional[LRUCache] = None,
         telemetry: Optional[Recorder] = None,
     ):
-        if distribution.n_nodes != self.n_nodes:
-            raise ModelError("distribution does not match the model's nodes")
-        if distribution.n_rows != self.program.n_rows:
-            raise ModelError("distribution does not cover the program's rows")
-        n_iter = (
-            iterations if iterations is not None else self.program.iterations
-        )
-        P = self.n_nodes
-        tables = self._section_tables(distribution, table_cache)
-
-        if self.kernel != "scalar":
-            totals, steady = self._walk_arrays(tables, n_iter)
-            if not want_report:
-                return float(totals.max())
-        else:
+        if self.kernel == "scalar":
+            self._check(distribution)
+            tables = self._section_tables(distribution)
             totals, steady = self._walk_scalar(tables, n_iter)
             if not want_report:
                 return max(totals)
+        else:
+            # A single prediction is a batch of one.
+            flat, totals, steady = self._evaluate(
+                self._batch_counts([distribution]), n_iter
+            )
+            if not want_report:
+                return float(totals[0].max())
+            tables = self._table_views(flat[0])
+            totals, steady = totals[0], steady[0]
+        P = self.n_nodes
 
         nodes = []
         for n in range(P):
@@ -1053,20 +922,10 @@ class MhetaModel:
         micro = self.inputs.micro
         counts = distribution.counts
         sections = self.program.sections
-        profile = self.program.iteration_profile
-        if profile is None:
+        if self.program.iteration_profile is None:
             comp_scale = float(n_iter)
         else:
-            m0 = self.program.iteration_multiplier(0)
-            comp_scale = sum(
-                (
-                    self.program.iteration_multiplier(it)
-                    if it < self.program.iterations
-                    else 1.0
-                )
-                / m0
-                for it in range(n_iter)
-            )
+            comp_scale = sum(self._iteration_scales(n_iter))
         sec_counts = [
             _pattern_message_counts(s.comm.pattern, P, s.tiles)
             for s in sections

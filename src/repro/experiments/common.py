@@ -205,9 +205,9 @@ def run_spectrum(
             model = build_model(cluster, program, perturbation)
         predicted = model.predict(
             [GenBlock(k) for k in pending],
-            batch="serial",
+            batch=True,
             telemetry=telemetry,
-        )
+        ).tolist()
         actual = ParallelRunner(jobs, telemetry=telemetry).map(
             _emulate_task,
             [(cluster, program, perturbation, k) for k in pending],

@@ -92,11 +92,6 @@ class ServeCoordinator:
     window_seconds / max_batch:
         Gather window and distinct-key ceiling of the predict/verify
         micro-batcher.
-    batch_mode:
-        ``"vector"`` (default) scores a round's distinct candidates with
-        one ``predict(batch=True)`` pass (<= 1e-12 relative vs. serial);
-        ``"serial"`` uses ``predict(batch="serial")`` — bit-identical to
-        one-shot calls, for callers that need exact equality.
     jobs:
         Worker processes for the emulator fan-out of ``verify`` rounds
         (:func:`repro.parallel.verify_distributions`); ``1`` = serial.
@@ -124,17 +119,13 @@ class ServeCoordinator:
         kernel: str = "numpy",
         window_seconds: float = 0.002,
         max_batch: int = 256,
-        batch_mode: str = "vector",
         jobs: int = 1,
         sweep_cache=None,
         run_cache=None,
         model_cache_entries: int = 16,
         telemetry: Optional[Recorder] = None,
     ) -> None:
-        if batch_mode not in ("vector", "serial"):
-            raise ServeError(f"unknown batch_mode {batch_mode!r}")
         self.kernel = kernel
-        self.batch_mode = batch_mode
         self.jobs = jobs
         self.sweep_cache = sweep_cache
         self.run_cache = run_cache
@@ -362,12 +353,9 @@ class ServeCoordinator:
             results[i] = result
 
     def _predict_batch(self, model, dists) -> List[float]:
-        """Executor-side kernel pass over a round's distinct misses."""
-        if self.batch_mode == "serial" or len(dists) == 1:
-            # Single candidates and serial mode go through the scalar
-            # path: bit-identical to a one-shot ``model.predict(d)``.
-            return [float(model.predict(d)) for d in dists]
-        return [float(v) for v in model.predict(dists, batch=True)]
+        """Executor-side kernel pass over a round's distinct misses; each
+        answer is bit-identical to a one-shot ``model.predict(d)``."""
+        return model.predict(dists, batch=True).tolist()
 
     @staticmethod
     def _dynamics_spec(entry: _ModelEntry, scenario: Optional[str]):

@@ -437,12 +437,12 @@ class TwoDModel:
     """The MHETA equations over 2-D tiles.
 
     Mirrors :class:`repro.core.model.MhetaModel`'s surface: the
-    consolidated :meth:`predict` entry point (scalar, ``report=True``,
-    ``batch=True``/``"serial"``) and the ``kernel="numpy"|"scalar"``
-    knob.  The scalar kernel is the per-rank reference loop; the numpy
-    kernel scores whole candidate populations through the max-plus
-    iteration matrices of :mod:`repro.twod.plan2d`, one private plan
-    per grid shape.
+    consolidated :meth:`predict` entry point (single, ``report=True``,
+    ``batch=True``) and the ``kernel="numpy"|"scalar"`` knob.  The
+    scalar kernel is the per-rank reference loop; the numpy kernel
+    scores whole candidate populations through the max-plus iteration
+    matrices of :mod:`repro.twod.plan2d`, one private plan per grid
+    shape, and answers a single prediction as a batch of one.
     """
 
     def __init__(
@@ -546,11 +546,16 @@ class TwoDModel:
             a :class:`TwoDReport` with per-rank clock totals.
         ``predict(dists, batch=True)``
             an ``np.ndarray`` scoring a whole candidate population in
-            one vectorized pass per grid shape (``<= 1e-12`` relative
-            vs. the serial path).
-        ``predict(dists, batch="serial")``
-            a ``List[float]`` from the per-candidate loop.
+            one vectorized pass per grid shape; entry ``b`` equals
+            ``predict(dists[b])`` bit for bit.
+
+        ``iterations`` overrides the spec's iteration count (>= 1).
         """
+        if batch not in (False, True):
+            raise ModelError(f"batch must be True or False, not {batch!r}")
+        if iterations is not None and iterations < 1:
+            raise ModelError("iterations must be >= 1")
+        n_iter = iterations if iterations is not None else self.spec.iterations
         rec = as_recorder(telemetry)
         if batch:
             if report:
@@ -558,19 +563,16 @@ class TwoDModel:
                     "report=True is only available for single predictions"
                 )
             dists = list(distribution)
-            if batch == "serial":
-                out = [self._predict_one(d, iterations) for d in dists]
-            else:
-                out = self._predict_batch(dists, iterations)
+            out = self._predict_batch(dists, n_iter)
             if rec:
                 rec.count("model/predictions", len(dists))
                 rec.count("model/batch_predictions")
                 rec.observe("model/batch_size", len(dists))
             return out
         if report:
-            result = self._report(distribution, iterations)
+            result = self._report(distribution, n_iter)
         else:
-            result = self._predict_one(distribution, iterations)
+            result = self._predict_one(distribution, n_iter)
         if rec:
             rec.count("model/predictions")
         return result
@@ -578,25 +580,20 @@ class TwoDModel:
     def _validate(self, dist: GenBlock2D) -> None:
         if dist.n_nodes != self.cluster.n_nodes:
             raise ModelError("grid shape does not cover the cluster")
+        if dist.n_rows != self.spec.n_rows or dist.n_cols != self.spec.n_cols:
+            raise ModelError("distribution does not cover the array")
 
-    def _predict_one(
-        self, dist: GenBlock2D, iterations: Optional[int]
-    ) -> float:
+    def _predict_one(self, dist: GenBlock2D, n_iter: int) -> float:
         if self.kernel == "scalar":
-            return max(self._scalar_totals(dist, iterations))
+            return max(self._scalar_totals(dist, n_iter))
         # Batch of one: bitwise equal to that candidate's batch row.
-        return float(self._predict_batch([dist], iterations)[0])
+        return float(self._predict_batch([dist], n_iter)[0])
 
-    def _report(
-        self, dist: GenBlock2D, iterations: Optional[int]
-    ) -> TwoDReport:
+    def _report(self, dist: GenBlock2D, n_iter: int) -> TwoDReport:
         if self.kernel == "scalar":
-            totals = self._scalar_totals(dist, iterations)
+            totals = self._scalar_totals(dist, n_iter)
         else:
             self._validate(dist)
-            n_iter = (
-                iterations if iterations is not None else self.spec.iterations
-            )
             plan = self.ensure_plan(dist.grid_shape)
             rowc = np.asarray([dist.row_counts], dtype=np.int64)
             colc = np.asarray([dist.col_counts], dtype=np.int64)
@@ -617,18 +614,15 @@ class TwoDModel:
         )
 
     def _predict_batch(
-        self,
-        dists: Sequence[GenBlock2D],
-        iterations: Optional[int] = None,
+        self, dists: Sequence[GenBlock2D], n_iter: int
     ) -> np.ndarray:
         """Score a candidate population, one vectorized pass per grid
         shape (populations may mix shapes; results come back in input
         order)."""
-        n_iter = iterations if iterations is not None else self.spec.iterations
         out = np.empty(len(dists))
         if self.kernel == "scalar":
             for i, d in enumerate(dists):
-                out[i] = max(self._scalar_totals(d, iterations))
+                out[i] = max(self._scalar_totals(d, n_iter))
             return out
         groups: Dict[Tuple[int, int], List[int]] = {}
         for i, d in enumerate(dists):
@@ -645,13 +639,10 @@ class TwoDModel:
             out[idxs] = plan.execute(rowc, colc, n_iter)
         return out
 
-    def _scalar_totals(
-        self, dist: GenBlock2D, iterations: Optional[int] = None
-    ) -> List[float]:
+    def _scalar_totals(self, dist: GenBlock2D, n_iter: int) -> List[float]:
         """The per-rank reference loop: every rank's predicted clock
         total (the scalar prediction is their max)."""
         self._validate(dist)
-        n_iter = iterations if iterations is not None else self.spec.iterations
         P = self.cluster.n_nodes
         net = self.inputs.micro
         stage = [self._stage_seconds(rank, dist) for rank in range(P)]

@@ -16,10 +16,9 @@ the in-flight transfer + the receiver's remaining receive overheads) and
 extracts via basis replay.  :class:`EvaluationPlan2D` lowers one
 *(spec, cluster, grid shape)* triple into the index tables that build
 ``A`` for a whole ``(B, P)`` candidate population in a handful of array
-operations, then walks ``M`` with the steady-state freezing and
-closed-form extrapolation of the 1-D kernel
-(:meth:`repro.core.model.MhetaModel._steady_walk_batch`: the same
-tolerances), and folds the per-rank totals with a pairwise tree max.
+operations, then walks ``M`` with the 1-D kernel's steady-state walk
+(:func:`repro.core.model.steady_walk`), and folds the per-rank totals
+with a pairwise tree max.
 
 There is no per-``(node, rows)`` table store: the 2-D stage quantities
 are cheap closed forms (the instrumented per-element compute rate
@@ -38,15 +37,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.comm import maxplus_compose_batch
+from repro.core.model import steady_walk
 from repro.exceptions import ModelError
 from repro.program.sections import CommPattern
 
 __all__ = ["EvaluationPlan2D"]
-
-# Convergence tolerances of the steady-state walk — those of
-# MhetaModel._steady_walk_batch.
-_ATOL = 1e-12
-_RTOL = 1e-9
 
 #: Direction axis per direction index (north/south move rows — the halo
 #: is a tile *row* of ``cols`` elements; west/east move columns).
@@ -233,7 +228,11 @@ class EvaluationPlan2D:
                 if len(self._m_memo) >= 8:
                     self._m_memo.pop(next(iter(self._m_memo)))
                 self._m_memo[key] = M
-        totals = _walk_dense(M, n_iter)
+        totals, _ = steady_walk(
+            [lambda clocks: (M + clocks[:, None, :]).max(axis=2)],
+            n_iter,
+            M.shape[:2],
+        )
         if not reduce:
             return totals
         P = self.P
@@ -258,49 +257,3 @@ class EvaluationPlan2D:
             "memo_entries": len(self._m_memo),
             "executes": self.executes,
         }
-
-
-def _walk_dense(M: np.ndarray, n_iter: int) -> np.ndarray:
-    """Steady-state walk over dense ``(B, P, P)`` iteration matrices:
-    per-candidate freezing, ``last + steady * k`` extrapolation, and
-    the last clocks for candidates that never converge."""
-    B, P = M.shape[0], M.shape[1]
-    clocks = np.zeros((B, P))
-    totals = np.empty((B, P))
-    active = np.ones(B, dtype=bool)
-    frozen_none = True
-    second_last = None
-    last = None
-    prev_steady = None
-    simulate = 0
-    while simulate < n_iter:
-        clocks = (M + clocks[:, None, :]).max(axis=2)
-        second_last, last = last, clocks
-        simulate += 1
-        if second_last is not None:
-            steady_now = last - second_last
-            if prev_steady is not None:
-                diff = np.abs(steady_now - prev_steady)
-                # Certain-convergence shortcut: a max abs diff within
-                # _ATOL converges every candidate at this same freeze
-                # point.
-                if frozen_none and diff.max() <= _ATOL:
-                    totals[:] = last
-                    totals += steady_now * (n_iter - simulate)
-                    return totals
-                converged = (
-                    diff <= _ATOL + _RTOL * np.abs(prev_steady)
-                ).all(axis=1)
-                newly = active & converged
-                if newly.any():
-                    frozen_none = False
-                    totals[newly] = (
-                        last[newly] + steady_now[newly] * (n_iter - simulate)
-                    )
-                    active[newly] = False
-                    if not active.any():
-                        return totals
-            prev_steady = steady_now
-    totals[active] = last[active]
-    return totals
-

@@ -1,15 +1,16 @@
-"""Golden equivalence: batched candidate scoring vs sequential calls.
+"""Bitwise identity: a single prediction is a batch of one.
 
 ``MhetaModel.predict(dists, batch=True)`` evaluates a whole population
 of GEN_BLOCK candidates in one vectorized pass — clocks become
-``(B, P)``, section matrices ``(B, P, P)``.  No reduction ever crosses
-the candidate axis, so every candidate's figure must agree with a
-sequential ``predict`` call on the same model to within ``REL_TOL = 1e-12``
-relative (in practice the lean numpy path is bit-identical) — on every
-seed app, every seed cluster, the prefetch variant, iteration-profile
-programs (loop fallback), the scalar kernel (loop fallback), and
-hypothesis-randomized batches.  The sharded fan-out must preserve the
-same figures across process boundaries.
+``(B, P)``, section matrices ``(B, P, P)`` — and ``predict(d)`` /
+``predict(d, report=True)`` run that same pass on a batch of one.  No
+reduction ever crosses the candidate axis, so for every candidate
+``predict(d) == predict(d, report=True).total_seconds ==
+predict(cands, batch=True)[i]`` exactly — on every seed app, every seed
+cluster, the prefetch variant, iteration-profile programs, the 2-D
+model, and hypothesis-randomized batches.  The scalar kernel batches by
+looping its reference path; the sharded fan-out must preserve the same
+figures across process boundaries.
 """
 
 from __future__ import annotations
@@ -67,18 +68,21 @@ def _candidates(cluster, program):
     return cands
 
 
-def _assert_batch_matches_sequential(model, cands):
+def _assert_bitwise_identical(model, cands, report=True):
+    """``predict(d) == predict(d, report=True).total_seconds ==
+    predict(cands, batch=True)[i]`` bit for bit, for every candidate."""
     batch = model.predict(cands, batch=True)
     assert isinstance(batch, np.ndarray)
     assert batch.shape == (len(cands),)
     for dist, got in zip(cands, batch):
         want = model.predict(dist)
-        assert want > 0 and got > 0
-        assert abs(got - want) <= REL_TOL * max(abs(got), abs(want)), (
-            f"batch diverges from sequential for {dist.counts}: "
-            f"sequential={want!r} batch={got!r} "
-            f"rel={abs(got - want) / max(abs(got), abs(want)):.3e}"
+        assert want > 0
+        assert got == want, (
+            f"batch diverges from single call for {dist}: "
+            f"single={want!r} batch={got!r}"
         )
+        if report:
+            assert model.predict(dist, report=True).total_seconds == want
 
 
 # -- golden sweep: every seed app on every seed cluster ----------------------
@@ -91,7 +95,7 @@ def test_batch_equivalence(app_name, cluster_name, kernel):
     cluster = CLUSTERS[cluster_name]()
     program = APPS[app_name].paper(SCALE).structure
     model = _model(cluster, program, kernel=kernel)
-    _assert_batch_matches_sequential(model, _candidates(cluster, program))
+    _assert_bitwise_identical(model, _candidates(cluster, program))
 
 
 @pytest.mark.parametrize("cluster_name", ["IO", "HY1"])
@@ -101,19 +105,41 @@ def test_batch_equivalence_prefetch(app_name, cluster_name):
     cluster = CLUSTERS[cluster_name]()
     program = APPS[app_name].paper(SCALE).prefetching()
     model = _model(cluster, program)
-    _assert_batch_matches_sequential(model, _candidates(cluster, program))
+    _assert_bitwise_identical(model, _candidates(cluster, program))
 
 
 @pytest.mark.parametrize("cluster_name", ["DC", "HY2"])
 def test_batch_equivalence_iteration_profile(cluster_name):
-    """Iteration-profile programs take the loop fallback inside
-    ``predict(batch=True)`` — same contract, same tolerance."""
+    """Iteration-profile programs walk every iteration's section ops
+    over the batch — same contract."""
     cluster = CLUSTERS[cluster_name]()
     base = JacobiApp.paper(SCALE).structure
     profile = 1.0 + 0.5 * np.sin(np.arange(base.iterations))
     program = base.with_iteration_profile(profile)
     model = _model(cluster, program)
-    _assert_batch_matches_sequential(model, _candidates(cluster, program))
+    _assert_bitwise_identical(model, _candidates(cluster, program))
+
+
+@pytest.mark.parametrize("cluster_name", ["DC", "HY1"])
+def test_batch_equivalence_twod(cluster_name):
+    """The 2-D model answers single and report calls as a batch of one
+    too, across every grid shape of the cluster."""
+    from repro.twod import (
+        GenBlock2D, Jacobi2DSpec, block2d, build_2d_model, factor_pairs,
+    )
+
+    cluster = CLUSTERS[cluster_name]()
+    spec = Jacobi2DSpec(n_rows=256, n_cols=192, iterations=20)
+    model = build_2d_model(cluster, spec, block2d(256, 192, (2, 4)))
+    rng = np.random.RandomState(3)
+    cands = []
+    for R, C in factor_pairs(cluster.n_nodes):
+        cands.append(block2d(256, 192, (R, C)))
+        cands.append(GenBlock2D(
+            largest_remainder_round(rng.uniform(0.5, 2, R), 256, minimum=1),
+            largest_remainder_round(rng.uniform(0.5, 2, C), 192, minimum=1),
+        ))
+    _assert_bitwise_identical(model, cands)
 
 
 @pytest.mark.parametrize("kernel", FAST_KERNELS)
@@ -172,9 +198,39 @@ def test_batch_iterations_override(kernel):
     model = _model(cluster, program, kernel=kernel)
     cands = _candidates(cluster, program)[:3]
     batch = model.predict(cands, iterations=7, batch=True)
-    for dist, got in zip(cands, batch):
-        want = model.predict(dist, iterations=7)
-        assert abs(got - want) <= REL_TOL * max(abs(got), abs(want))
+    assert batch.tolist() == [model.predict(d, iterations=7) for d in cands]
+
+
+@pytest.mark.parametrize("kernel", ["numpy", "scalar"])
+def test_iterations_below_one_rejected(kernel):
+    """Single, report and batch calls refuse ``iterations < 1``, with
+    and without an iteration profile."""
+    cluster = configs.config_dc()
+    program = JacobiApp.paper(SCALE).structure
+    profiled = program.with_iteration_profile(
+        1.0 + 0.5 * np.sin(np.arange(program.iterations))
+    )
+    d = block(cluster, program.n_rows)
+    for prog in (program, profiled):
+        model = _model(cluster, prog, kernel=kernel)
+        for iterations in (0, -2):
+            for call in (
+                lambda: model.predict(d, iterations),
+                lambda: model.predict(d, iterations, report=True),
+                lambda: model.predict([d], iterations, batch=True),
+            ):
+                with pytest.raises(
+                    ModelError, match="iterations must be >= 1"
+                ):
+                    call()
+
+
+def test_removed_serial_batch_rejected():
+    cluster = configs.config_dc()
+    program = JacobiApp.paper(SCALE).structure
+    model = _model(cluster, program)
+    with pytest.raises(ModelError, match="batch must be True or False"):
+        model.predict([block(cluster, program.n_rows)], batch="serial")
 
 
 @pytest.mark.parametrize("kernel", FAST_KERNELS)
@@ -227,7 +283,7 @@ def _jacobi_model(cluster_name):
 )
 def test_random_batches_agree(batch, cluster_name):
     """Arbitrary GEN_BLOCK populations — skewed shapes, duplicates,
-    any batch size — agree with sequential scoring."""
+    any batch size — agree with single calls bit for bit."""
     program, model = _jacobi_model(cluster_name)
     cands = [
         GenBlock(largest_remainder_round(
@@ -235,7 +291,7 @@ def test_random_batches_agree(batch, cluster_name):
         ))
         for weights in batch
     ]
-    _assert_batch_matches_sequential(model, cands)
+    _assert_bitwise_identical(model, cands, report=False)
 
 
 # -- sharded fan-out ----------------------------------------------------------

@@ -1,5 +1,9 @@
 """Unit tests for the MHETA core: oracle, equations, timelines, model."""
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 
 from repro.core import MhetaModel, equations
@@ -211,6 +215,42 @@ class TestSectionTimeline:
         tl, _ = timeline
         with pytest.raises(ModelError):
             tl.advance(CommPattern.NONE, [0.0], [[1.0]] * 8, 0.0, [0.0] * 8)
+
+    @pytest.mark.parametrize(
+        "pattern", [CommPattern.REDUCTION, CommPattern.ALLGATHER]
+    )
+    def test_collective_matrix_is_the_scalar_schedule(self, timeline, pattern):
+        """Column ``j`` of a collective's max-plus matrix is the scalar
+        schedule replayed on basis vector ``j`` (0 at node ``j``, -inf
+        elsewhere), bit for bit; and with exactly representable costs
+        the batched matrix form reproduces the scalar replay exactly."""
+        _, micro = timeline
+        dyadic = dataclasses.replace(
+            micro, send_overhead=2.0**-10, recv_overhead=2.0**-11,
+            byte_latency=2.0**-20, fixed_latency=2.0**-8,
+        )
+        for P in (2, 3, 5, 8, 12):
+            for nbytes in (8.0, 4096.0):
+                tl = SectionTimeline(micro, P)
+                A = tl._maxplus_matrix(pattern, nbytes)
+                for j in range(P):
+                    basis = [-math.inf] * P
+                    basis[j] = 0.0
+                    assert A[:, j].tolist() == tl.advance(
+                        pattern, basis, [[0.0]] * P, nbytes, [0.0] * P
+                    )
+                exact = SectionTimeline(dyadic, P)
+                start = [float((5 * n) % 7) for n in range(P)]
+                stage = [float(n % 3) + 0.5 for n in range(P)]
+                M = exact.compile_matrix_batch(
+                    pattern, nbytes, np.zeros((1, P)), np.array([stage])
+                )[0]
+                assert (M + np.array(start)).max(axis=1).tolist() == (
+                    exact.advance(
+                        pattern, start, [[t] for t in stage], nbytes,
+                        [0.0] * P,
+                    )
+                )
 
 
 class TestOracle:

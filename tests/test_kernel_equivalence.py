@@ -140,7 +140,7 @@ def test_predict_many_matches_serial_calls():
     _, vector = _model_pair(cluster, program)
     cands = _candidates(cluster, program)
     serial = [vector.predict(d) for d in cands]
-    assert vector.predict(cands, batch="serial") == serial
+    assert vector.predict(cands, batch=True).tolist() == serial
 
 
 def test_table_cache_does_not_change_results():

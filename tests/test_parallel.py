@@ -271,8 +271,8 @@ class TestPredictMany:
             balanced(cluster, program.n_rows),
             block(cluster, program.n_rows),  # shared row counts hit the memo
         ]
-        batched = model.predict(candidates, batch="serial")
-        assert batched == [model.predict(d) for d in candidates]
+        batched = model.predict(candidates, batch=True)
+        assert batched.tolist() == [model.predict(d) for d in candidates]
 
 
 def _points(run):

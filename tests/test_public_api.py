@@ -100,11 +100,9 @@ class TestConsolidatedPredict:
         cluster, program, model = seed_setup
         cands = [p.distribution for p in spectrum(cluster, program, 2)]
         singles = [model.predict(d) for d in cands]
-        serial = model.predict(cands, batch="serial")
         vector = model.predict(cands, batch=True)
-        assert serial == singles  # bit-identical path
-        for a, b in zip(singles, vector):
-            assert b == pytest.approx(a, rel=1e-12)
+        # A single prediction is a batch of one: bit-identical.
+        assert vector.tolist() == singles
 
     def test_report_total_matches_scalar(self, seed_setup):
         cluster, program, model = seed_setup

@@ -291,10 +291,11 @@ class TestCoordinator:
         assert rec.counters["serve/kernel_evaluations"] == 3
         assert rec.counters["serve/requests"] == 13
 
-    def test_serial_batch_mode_is_bit_identical(self):
-        coordinator = ServeCoordinator(
-            window_seconds=0.02, batch_mode="serial"
-        )
+    def test_coalesced_round_is_bit_identical(self):
+        """A coalesced round is one batched pass, and a single
+        prediction is a batch of one: every served figure equals its
+        one-shot ``model.predict`` exactly."""
+        coordinator = ServeCoordinator(window_seconds=0.02)
         cluster = config_dc()
         program = application_by_name("jacobi", SCALE).structure
         model = build_model(cluster, program)
@@ -643,12 +644,25 @@ class TestServeCli:
         parser = build_parser()
         args = parser.parse_args(
             ["serve", "--socket", "/tmp/x.sock", "--window-ms", "5",
-             "--batch-mode", "serial", "--max-requests", "3"]
+             "--max-requests", "3"]
         )
         assert args.command == "serve"
-        assert args.batch_mode == "serial"
+        assert args.window_ms == 5.0
         args = parser.parse_args(
             ["query", "predict", "jacobi", "--counts", "3,4,5",
              "--port", "7000"]
         )
         assert args.command == "query" and args.op == "predict"
+
+    def test_removed_batch_mode_rejected(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["serve", "--socket", "/tmp/x.sock",
+                 "--batch-mode", "serial"]
+            )
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --batch-mode" in (
+            capsys.readouterr().err
+        )

@@ -4,7 +4,8 @@ The 2-D analogue of ``test_kernel_equivalence.py``: the scalar
 reference loop and the vectorized numpy kernel must agree to <= 1e-12
 relative on any valid ``GenBlock2D``, across cluster configurations
 (including heterogeneous memory where some tiles stream out-of-core);
-batched scoring must be bitwise equal to the serial path; and each
+a single prediction is a batch of one, bitwise equal to its row of any
+batch; and each
 model keeps its own per-shape evaluation plans, outside the
 process-wide plan LRU.
 """
@@ -148,9 +149,10 @@ def test_batch_is_bitwise_equal_to_serial():
     _, numpy_m = _models()
     dists = _dists(numpy_m, rng_seed=1)
     batched = numpy_m.predict(dists, batch=True)
-    serial = numpy_m.predict(dists, batch="serial")
     assert isinstance(batched, np.ndarray)
-    assert batched.tolist() == serial
+    # A candidate's row does not depend on the rest of its batch.
+    reversed_batch = numpy_m.predict(dists[::-1], batch=True)
+    assert batched.tolist() == reversed_batch[::-1].tolist()
 
 
 def test_single_call_is_bitwise_equal_to_batch_row():
@@ -289,6 +291,45 @@ def test_report_plus_batch_rejected():
     d = block2d(model.spec.n_rows, model.spec.n_cols, (2, 4))
     with pytest.raises(ModelError):
         model.predict([d], batch=True, report=True)
+
+
+def _every_form(model, d, **kwargs):
+    """Call each prediction form on ``d``, yielding one thunk per form."""
+    yield lambda: model.predict(d, **kwargs)
+    yield lambda: model.predict(d, report=True, **kwargs)
+    yield lambda: model.predict([d], batch=True, **kwargs)
+
+
+@pytest.mark.parametrize("kernel_index", [0, 1], ids=["scalar", "numpy"])
+def test_layout_for_another_array_rejected(kernel_index):
+    """A layout whose bands sum to another array's size is refused by
+    every form, as ``TwoDEmulator.run`` refuses it."""
+    model = _models()[kernel_index]
+    spec = model.spec
+    for d in (
+        block2d(spec.n_rows + 7, spec.n_cols, (2, 4)),
+        block2d(spec.n_rows, spec.n_cols - 5, (4, 2)),
+    ):
+        for call in _every_form(model, d):
+            with pytest.raises(ModelError, match="does not cover the array"):
+                call()
+
+
+@pytest.mark.parametrize("kernel_index", [0, 1], ids=["scalar", "numpy"])
+@pytest.mark.parametrize("iterations", [0, -3])
+def test_iterations_below_one_rejected(kernel_index, iterations):
+    model = _models()[kernel_index]
+    d = block2d(model.spec.n_rows, model.spec.n_cols, (2, 4))
+    for call in _every_form(model, d, iterations=iterations):
+        with pytest.raises(ModelError, match="iterations must be >= 1"):
+            call()
+
+
+def test_removed_serial_batch_rejected():
+    _, model = _models()
+    d = block2d(model.spec.n_rows, model.spec.n_cols, (2, 4))
+    with pytest.raises(ModelError, match="batch must be True or False"):
+        model.predict([d], batch="serial")
 
 
 # -- telemetry ----------------------------------------------------------------
