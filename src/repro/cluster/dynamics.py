@@ -30,14 +30,20 @@ the conditions the same iterations of a continuous run would — the
 invariant the adaptive runtime's what-if emulations rely on.
 
 Dynamics are *non-stationary by construction*: the steady-state
-fast-forward and the compiled emulation plans refuse any run with an
-active spec (:func:`repro.sim.steady.supports_fast_forward`).
+fast-forward refuses any run with an active spec
+(:func:`repro.sim.steady.supports_fast_forward`).  None of the factors
+depends on timing, though, so the compiled emulation plans
+(:mod:`repro.sim.plan_sim`) still serve dynamic runs: their op tapes
+stay factor-free and the replay multiplies in each (rank, iteration)'s
+:meth:`DynamicsTimeline.compute_multipliers` and
+:meth:`DynamicsTimeline.disk_slowdowns` in the engine's operation
+order, so the results equal the event engine's bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -103,8 +109,7 @@ class LoadTrace:
     def series(self, n: int, *labels) -> np.ndarray:
         """The first ``n`` load fractions of the trajectory for the
         given seed labels (one sample per step)."""
-        sampler = self.sampler(*labels)
-        return np.array([sampler.step() for _ in range(n)], dtype=float)
+        return np.array(self.sampler(*labels).steps(n), dtype=float)
 
 
 class LoadSampler:
@@ -139,6 +144,41 @@ class LoadSampler:
     def factor(self) -> float:
         """Advance one step; returns the compute slowdown ``1/(1-load)``."""
         return 1.0 / (1.0 - self.step())
+
+    def steps(self, n: int) -> List[float]:
+        """The next ``n`` :meth:`step` values, bit for bit.
+
+        The innovations come from one vector draw (numpy's
+        ``Generator.normal`` fills a vector with the same sequence as
+        ``n`` scalar calls); the clipped AR(1) recurrence then runs on
+        Python floats in the scalar path's operation order.
+        """
+        trace = self._trace
+        if trace.mean <= 0.0:
+            return [0.0] * n
+        rho = trace.persistence
+        sigma = trace.volatility * trace.mean
+        innovations = self._rng.normal(
+            trace.mean * (1.0 - rho), sigma * (1.0 - rho), n
+        ).tolist()
+        ceiling = trace.ceiling
+        state = self._state
+        out = []
+        for innovation in innovations:
+            # np.clip's comparisons: a -0.0 stays, NaN passes through.
+            state = rho * state + innovation
+            if state < 0.0:
+                state = 0.0
+            elif state > ceiling:
+                state = ceiling
+            out.append(state)
+        self._state = state
+        return out
+
+    def factors(self, n: int) -> np.ndarray:
+        """The next ``n`` :meth:`factor` values as one vector, bit for
+        bit."""
+        return 1.0 / (1.0 - np.array(self.steps(n), dtype=float))
 
 
 def _check_node(node: int, what: str) -> None:
@@ -462,3 +502,13 @@ class DynamicsTimeline:
         """Duration multiplier for disk service on ``rank`` at the
         *global* ``iteration``."""
         return 1.0 / self.disk_factor[rank, self._col(iteration)]
+
+    def compute_multipliers(self) -> np.ndarray:
+        """``(P, T)`` :meth:`compute_multiplier` of every (rank,
+        iteration) of the segment, elementwise bit-identical."""
+        return 1.0 / (self.cpu_factor * (1.0 - self.load))
+
+    def disk_slowdowns(self) -> np.ndarray:
+        """``(P, T)`` :meth:`disk_slowdown` of every (rank, iteration)
+        of the segment, elementwise bit-identical."""
+        return 1.0 / self.disk_factor

@@ -247,24 +247,29 @@ class AdaptiveRuntime:
         search_wall = time.perf_counter() - wall_start
 
         remaining = max(program.iterations - 1, 0)
-        predicted_start = model.predict(
-            start, iterations=remaining, telemetry=telemetry
-        )
-        predicted_best = model.predict(
-            result.best, iterations=remaining, telemetry=telemetry
-        )
-        per_iteration_savings = (
-            (predicted_start - predicted_best) / remaining if remaining else 0.0
-        )
+        # With nothing left to run there is nothing to predict or win.
+        predicted_best = per_iteration_savings = 0.0
+        if remaining:
+            predicted_start = model.predict(
+                start, iterations=remaining, telemetry=telemetry
+            )
+            predicted_best = model.predict(
+                result.best, iterations=remaining, telemetry=telemetry
+            )
+            per_iteration_savings = (predicted_start - predicted_best) / remaining
 
         # 3. Amortisation decision.
         redistributor = RedistributionModel(self.cluster, program)
-        switch = result.best != start and redistributor.worth_switching(
-            start,
-            result.best,
-            per_iteration_savings,
-            remaining,
-            safety_factor=self.safety_factor,
+        switch = (
+            remaining > 0
+            and result.best != start
+            and redistributor.worth_switching(
+                start,
+                result.best,
+                per_iteration_savings,
+                remaining,
+                safety_factor=self.safety_factor,
+            )
         )
         chosen = result.best if switch else start
         redistribution_seconds = (

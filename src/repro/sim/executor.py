@@ -110,6 +110,14 @@ def _resolve_dynamics(
     return spec if spec else None
 
 
+def _iterations(program: ProgramStructure, iterations: Optional[int]) -> int:
+    """A run's iteration count: ``iterations``, or the program's own."""
+    n_iter = iterations if iterations is not None else program.iterations
+    if n_iter < 1:
+        raise SimulationError(f"iterations must be >= 1, got {n_iter}")
+    return n_iter
+
+
 def _tile_bounds(start: int, stop: int, tiles: int, tile: int) -> Tuple[int, int]:
     """Rows of ``[start, stop)`` handled by ``tile`` (even partition)."""
     count = stop - start
@@ -345,24 +353,27 @@ class ClusterEmulator:
         — every distributed variable forced out of core, prefetch
         issues turned into blocking reads (paper Figure 5).
         ``iterations`` overrides the program's iteration count (the
-        instrumented run uses 1).
+        instrumented run uses 1); it must be >= 1.
 
         A run takes one of two routes.  **Plan**: the configuration's
         compiled :class:`~repro.sim.plan_sim.EmulationPlan` replays
-        per-rank op tapes with the engine's exact arithmetic — a noisy
-        run replays all of its iterations, a deterministic one replays
-        the probe window and, once
+        factor-free per-rank op tapes with the engine's exact
+        arithmetic, applying each (rank, iteration)'s noise,
+        background-load and dynamics factors in the engine's order.  A
+        stationary deterministic run longer than the probe window
+        replays the probe and, once
         :func:`~repro.sim.steady.steady_deltas` finds it converged,
-        extrapolates the rest closed-form (``fast_forwarded``).  Either
-        way the result is bit-identical to the engine's.  **Engine**:
-        full event-by-event simulation.  The plan route needs a
-        stationary run: no observer, not instrumented, no cluster
-        dynamics or background load, a uniform iteration profile, the
-        program's own streaming style, offset 0 and more iterations
-        than the probe window.  Every other run, and any run the plan
-        cannot serve (a retired plan, a non-converging deterministic
-        probe), takes the engine; with ``telemetry`` each such run is
-        counted under ``sim/fallback/<reason>``.
+        extrapolates the rest closed-form (``fast_forwarded``); every
+        other run — noisy, background-loaded, dynamic, an offset
+        segment, or no longer than the probe — replays all of its
+        iterations, bit-identical to the engine.  **Engine**: full
+        event-by-event simulation.  The plan route refuses only what a
+        tape cannot express: an observer, an instrumented run, a
+        non-uniform iteration profile and an ``io_mode`` that overrides
+        the program's own streaming style.  Those runs, and any run the
+        plan cannot serve (a retired plan, a non-converging
+        deterministic probe), take the engine; with ``telemetry`` each
+        such run is counted under ``sim/fallback/<reason>``.
 
         ``fast_forward`` selects the routing: ``None`` follows the
         process-wide default (on; see :func:`set_fast_forward_default`),
@@ -374,7 +385,7 @@ class ClusterEmulator:
         factors and iteration profiles are indexed globally, so a
         segment sees exactly the conditions those iterations of a
         continuous run would (modulo cold pipeline/page-cache state at
-        the segment boundary).  Offset segments always take the engine.
+        the segment boundary).
 
         ``telemetry`` takes a :class:`repro.obs.Recorder` and records
         per-node phase totals (a :class:`PhaseAccumulator` chained into
@@ -399,16 +410,14 @@ class ClusterEmulator:
             raise SimulationError(
                 f"iteration_offset must be >= 0, got {iteration_offset}"
             )
-        n_iter = iterations if iterations is not None else self.program.iterations
+        n_iter = _iterations(self.program, iterations)
         use_fast = _FAST_FORWARD_DEFAULT if fast_forward is None else fast_forward
         reason = None
         if use_fast:
-            reason = self._plan_refusal(
-                n_iter, observer, instr, io_override, iteration_offset
-            )
+            reason = self._plan_refusal(observer, instr, io_override)
             if reason is None:
                 result, reason = self._plan_result(
-                    distribution, n_iter, telemetry
+                    distribution, n_iter, iteration_offset, telemetry
                 )
                 if result is not None:
                     if telemetry:
@@ -424,11 +433,9 @@ class ClusterEmulator:
 
     def _plan_refusal(
         self,
-        n_iter: int,
         observer: Optional[Observer],
         instrumented: bool,
         io_override: Optional[bool],
-        offset: int,
     ) -> Optional[str]:
         """Why a run may not take the plan route, or ``None`` when it
         may (the structural half of the gate; see :meth:`run`)."""
@@ -436,23 +443,16 @@ class ClusterEmulator:
             return "observer"
         if instrumented:
             return "instrumented"
-        if self.dynamics is not None:
-            return "dynamics"
-        if self.perturbation.background_load > 0.0:
-            return "background_load"
         if self.program.iteration_profile is not None:
             return "iteration_profile"
         # Plans are compiled for the program's own streaming style.
         if io_override is not None and io_override != bool(self.program.prefetch):
             return "io_mode"
-        if offset != 0:
-            return "offset"
-        if n_iter <= self.fast_forward_policy.probe_iterations:
-            return "short_run"
         return None
 
     def _plan_result(
-        self, distribution: GenBlock, n_iter: int, telemetry=None
+        self, distribution: GenBlock, n_iter: int, offset: int,
+        telemetry=None,
     ) -> Tuple[Optional[RunResult], Optional[str]]:
         """Serve one run that passed :meth:`_plan_refusal` from the
         compiled plan: ``(result, None)``, or ``(None, reason)`` when
@@ -467,9 +467,13 @@ class ClusterEmulator:
                 telemetry,
             )
             self._emulation_plan = plan
-        if not supports_fast_forward(self.program, self.perturbation):
-            # Noisy: every iteration draws, so replay all of them.
-            ends = plan.replay(distribution, n_iter)
+        probe = policy.probe_iterations
+        if n_iter <= probe or not supports_fast_forward(
+            self.program, self.perturbation, dynamics=self.dynamics
+        ):
+            # Iterations that differ (noise, background load, dynamics)
+            # or a run no longer than the probe: replay all of them.
+            ends = plan.replay(distribution, n_iter, self.dynamics, offset)
             if ends is None:
                 return None, "plan_dead"
             per_node = [e[-1] for e in ends]
@@ -480,7 +484,8 @@ class ClusterEmulator:
                 distribution=distribution,
                 iterations=n_iter,
             ), None
-        probe_ends = plan.replay(distribution, policy.probe_iterations)
+        # Stationary and deterministic: the offset changes nothing.
+        probe_ends = plan.replay(distribution, probe)
         if probe_ends is None:
             return None, "plan_dead"
         deltas = steady_deltas(probe_ends, policy)
@@ -1079,6 +1084,7 @@ def emulate(
     A hit performs no simulation, so only the counters move.
     """
     instr, _ = _resolve_io_mode(io_mode)
+    n_iter = _iterations(program, iterations)
     dyn = _resolve_dynamics(cluster, dynamics)
     # dyn is fully resolved; False stops the emulator's own
     # cluster-attached fallback from re-resolving a None.
@@ -1101,7 +1107,6 @@ def emulate(
     from repro.parallel.cache import RunCache, default_run_cache
 
     store = default_run_cache() if run_cache is None else run_cache
-    n_iter = iterations if iterations is not None else program.iterations
     use_fast = _FAST_FORWARD_DEFAULT if fast_forward is None else bool(fast_forward)
     key = RunCache.key(
         cluster,
@@ -1164,9 +1169,9 @@ def emulate_many(
     :meth:`ClusterEmulator.run`, only amortised differently.
 
     Keywords mirror :func:`emulate` (``io_mode``, ``dynamics``,
-    ``iteration_offset``); dynamic-cluster batches take the engine
-    since the compiled plan assumes a stationary iteration.  The run
-    cache is consulted up front
+    ``iteration_offset``); dynamic, background-loaded, offset and short
+    batches are plan-served like single runs, every iteration
+    replayed.  The run cache is consulted up front
     (duplicates inside the batch are deduplicated too) and all fresh
     results land back in one
     :meth:`~repro.parallel.cache.RunCache.put_many`.  ``run_cache``
@@ -1180,12 +1185,12 @@ def emulate_many(
     each engine-run candidate under ``sim/fallback/<reason>``.
     """
     instr, io_override = _resolve_io_mode(io_mode)
+    n_iter = _iterations(program, iterations)
     dyn = _resolve_dynamics(cluster, dynamics)
     distributions = list(distributions)
     emulator = ClusterEmulator(
         cluster, program, perturbation, dynamics=dyn if dyn is not None else False
     )
-    n_iter = iterations if iterations is not None else program.iterations
     use_fast = _FAST_FORWARD_DEFAULT if fast_forward is None else bool(fast_forward)
 
     store = None
@@ -1236,14 +1241,14 @@ def emulate_many(
     if pending:
         reason = None
         if use_fast:
-            reason = emulator._plan_refusal(
-                n_iter, None, instr, io_override, iteration_offset
-            )
+            reason = emulator._plan_refusal(None, instr, io_override)
         for i in pending:
             dist = distributions[i]
             result = None
             if use_fast and reason is None:
-                result, why = emulator._plan_result(dist, n_iter, telemetry)
+                result, why = emulator._plan_result(
+                    dist, n_iter, iteration_offset, telemetry
+                )
             else:
                 why = reason
             if result is not None:

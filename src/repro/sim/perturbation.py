@@ -157,6 +157,14 @@ class PerturbationModel:
             return 1.0
         return self._load.factor()
 
+    def background_factors(self, n: int) -> np.ndarray:
+        """The next ``n`` :meth:`background_factor` values as one
+        vector, bit for bit (see
+        :meth:`~repro.cluster.dynamics.LoadSampler.factors`)."""
+        if self._load is None:
+            return np.ones(n)
+        return self._load.factors(n)
+
     # -- convenience -------------------------------------------------------
 
     def perturb_compute(

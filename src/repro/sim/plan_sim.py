@@ -16,43 +16,59 @@ Lowering
     of yielding engine requests.  The ops are ``cpu(d)``; ``io(d)``, a
     synchronous read or write against the rank's disk ``free_at``;
     ``prefetch_issue(d)`` / ``prefetch_wait``; ``compute(base, draw, b,
-    rows)``, one block's share of a stage execution whose noise-free
-    cost is ``base`` and whose noise is the rank's ``draw``-th draw of
-    the iteration; and ``send`` / ``recv`` on iteration-relative
-    message channels, and ``end``.  Deterministic plans record compute
-    shares as plain ``cpu`` ops.  The drive stops after three
-    iterations once the last two have equal tapes and every disk stream
-    the last one touched was already warm when it began: from then on
-    every iteration repeats it, so the tape stores the iterations up to
-    the repeating one and serves runs of any length.  Otherwise the
-    drive covers every iteration the run needs.
+    rows)``, one block's share of the ``draw``-th stage execution of the
+    iteration, whose noise-free cost is ``base``; and ``send`` /
+    ``recv`` on iteration-relative message channels, and ``end``.
+    Tapes are *factor-free*: no noise, background load or cluster
+    dynamics is folded into a duration, so one tape serves every
+    perturbation draw, dynamics scenario and offset.  The drive stops
+    after three iterations once the last two have equal tapes and every
+    disk stream the last one touched was already warm when it began:
+    from then on every iteration repeats it, so the tape stores the
+    iterations up to the repeating one and serves runs of any length.
+    Otherwise the drive covers every iteration the run needs.
 
 Replay
     One walk serves every run: per iteration, ranks advance through
     their tapes round-robin until each is blocked on an undelivered
     message or done, with per-rank clock, disk ``free_at`` and pending
     prefetch.  Each op repeats the engine's IEEE-double operations in
-    the engine's order — ``now + ((max(now, free_at) + d) - now)`` for
-    synchronous I/O, ``((base * noise) * b) / rows`` for compute
-    shares, ``max(now, deliver)`` for receives, every non-positive
-    delay skipped — so replayed iteration ends are *bit-identical* to
-    the engine's.  Noise is the rank's RNG stream drawn once per stage
-    execution in program order; it does not depend on timing, so a
-    noisy replay draws each rank's ``n_iter * K`` factors as one
-    vector (:meth:`~repro.sim.perturbation.PerturbationModel.noise_factors`).
+    the engine's order — ``now + ((max(now, free_at) + d * slow) -
+    now)`` for synchronous I/O, ``(total * b) / rows`` for compute
+    shares with ``total = (((base * noise) * background) * dynamics)``,
+    ``max(now, deliver)`` for receives, every non-positive delay
+    skipped — so replayed iteration ends are *bit-identical* to the
+    engine's.  None of the factors depends on timing: noise and
+    background load are per-rank RNG streams drawn once per stage
+    execution in program order, drawn here as one vector per rank
+    (:meth:`~repro.sim.perturbation.PerturbationModel.noise_factors`,
+    :meth:`~repro.sim.perturbation.PerturbationModel.background_factors`);
+    ``dynamics = 1 / (cpu_factor * (1 - load))`` and ``slow = 1 /
+    disk_factor`` come per (rank, global iteration) from
+    :meth:`~repro.cluster.dynamics.DynamicsSpec.compile`.  An absent
+    factor is 1.0, and multiplying by 1.0 is exact.  A segment at
+    ``offset`` replays its tapes from iteration 0 — the engine, too,
+    starts each segment cold on the same noise streams — with the factor
+    columns of global iterations ``[offset, offset + n)``.
 
 Routes
-    :meth:`repro.sim.executor.ClusterEmulator.run` replays noisy
-    stationary runs in full and deterministic ones over the probe
-    window (then :func:`~repro.sim.steady.steady_deltas` and the
-    closed-form extrapolation); everything else runs the engine.
+    :meth:`repro.sim.executor.ClusterEmulator.run` replays stationary
+    deterministic runs over the probe window (then
+    :func:`~repro.sim.steady.steady_deltas` and the closed-form
+    extrapolation), and every other run — noisy, background-loaded,
+    dynamic, offset or no longer than the probe — in full.  Only
+    observed, instrumented, iteration-profile and ``io_mode``-override
+    runs take the engine.
 
 Safety
     The first candidate a plan sees is replayed over the probe window
-    and compared *for exact equality* with a real engine probe; any
-    mismatch, or any broken assumption later (a message channel or
-    comm skeleton that differs between candidates, a deadlocked walk),
-    retires the plan for good and the engine serves every later run.
+    and compared *for exact equality* with a real engine probe run
+    under that first run's own factors and offset, so the factor
+    arithmetic is checked in production too.  Any mismatch, or any
+    broken assumption later (a message channel or comm skeleton that
+    differs between candidates, a stage-execution count that varies
+    across iterations, a deadlocked walk), retires the plan for good
+    and the engine serves every later run.
 """
 
 from __future__ import annotations
@@ -139,18 +155,32 @@ class _Tape:
     later one, otherwise the tape covers exactly the stored ones.
     """
 
-    __slots__ = ("ops", "bounds", "repeats", "draws")
+    __slots__ = ("ops", "bounds", "repeats", "draws", "_bases")
 
     def __init__(self, ops: list, bounds: List[int], repeats: bool,
                  draws: int) -> None:
         self.ops = np.array(ops, dtype=_OP_DTYPE)
         self.bounds = tuple(bounds)
         self.repeats = repeats
-        #: Noise draws per iteration (stage executions), K.
+        #: Stage executions (noise draws) per iteration, K.
         self.draws = draws
+        self._bases: Optional[np.ndarray] = None
 
     def covers(self, n_iter: int) -> bool:
         return self.repeats or len(self.bounds) - 1 >= n_iter
+
+    def bases(self) -> np.ndarray:
+        """``(stored iterations, K)`` noise-free cost of each stage
+        execution (0.0 where it recorded no compute share)."""
+        if self._bases is None:
+            ops = self.ops
+            n_stored = len(self.bounds) - 1
+            iteration = np.repeat(np.arange(n_stored), np.diff(self.bounds))
+            compute = ops["kind"] == _COMPUTE
+            bases = np.zeros((n_stored, self.draws))
+            bases[iteration[compute], ops["arg"][compute]] = ops["x"][compute]
+            self._bases = bases
+        return self._bases
 
     def iterations(self) -> List[List[tuple]]:
         """The stored iterations as lists of op tuples (walk form)."""
@@ -185,7 +215,7 @@ class _TapeRecorder(_NodeCtx):
     """
 
     __slots__ = (
-        "owner", "ops", "bounds", "noisy", "draws", "draws_per_it",
+        "owner", "ops", "bounds", "draws", "draws_per_it",
         "it", "stream_state", "may_stop", "repeats",
     )
 
@@ -193,7 +223,6 @@ class _TapeRecorder(_NodeCtx):
         self.owner = owner
         self.ops: list = []
         self.bounds = [0]
-        self.noisy = owner.noisy
         self.draws = 0
         self.draws_per_it: Optional[int] = None
         self.it = 0
@@ -232,15 +261,10 @@ class _TapeRecorder(_NodeCtx):
         return ()
 
     def stage_seconds(self, base):
-        if not self.noisy:
-            # No draw is made: noise and background load are off.
-            return super().stage_seconds(base)
         self.draws += 1
         return base, self.draws - 1
 
     def compute(self, total, it, section, tile, stage, rows=1, of=1):
-        if not self.noisy:
-            return self.cpu(total * rows / of)
         base, draw = total
         if base > 0.0:
             first = self.it * (self.draws_per_it or 0)
@@ -267,11 +291,10 @@ class _TapeRecorder(_NodeCtx):
     def end_iteration(self, it):
         self.ops.append((_END, 0, 0.0, 0, 0))
         self.bounds.append(len(self.ops))
-        if self.noisy:
-            if self.draws_per_it is None:
-                self.draws_per_it = self.draws
-            elif self.draws != (self.it + 1) * self.draws_per_it:
-                raise _PlanUnsupported("noise draws vary across iterations")
+        if self.draws_per_it is None:
+            self.draws_per_it = self.draws
+        elif self.draws != (self.it + 1) * self.draws_per_it:
+            raise _PlanUnsupported("stage executions vary across iterations")
         before, after = self.stream_state, self.disk.stream_state()
         self.stream_state = after
         self.it += 1
@@ -311,9 +334,9 @@ class EmulationPlan:
         self.program = program
         self.perturbation = perturbation
         self.policy = policy
-        #: Noisy plans replay noise draws; deterministic ones record
-        #: compute shares as plain delays.
-        self.noisy = bool(perturbation.compute_noise)
+        # Which per-stage-execution factors a replay draws.
+        self._noisy = bool(perturbation.compute_noise)
+        self._loaded = perturbation.background_load > 0.0
         #: Why the plan retired itself, or ``None`` while it is live.
         self.dead: Optional[str] = None
         self._lock = threading.RLock()
@@ -342,29 +365,34 @@ class EmulationPlan:
     def probe_iterations(self) -> int:
         return self.policy.probe_iterations
 
-    def replay(self, distribution,
-               n_iter: int) -> Optional[List[List[float]]]:
-        """``[node][iteration]`` completion times of the first
-        ``n_iter`` iterations, bit-identical to the event engine, or
-        ``None`` when the plan cannot serve the candidate."""
+    def replay(self, distribution, n_iter: int, dynamics=None,
+               offset: int = 0) -> Optional[List[List[float]]]:
+        """``[node][iteration]`` completion times of ``n_iter``
+        iterations starting at global iteration ``offset`` under
+        ``dynamics`` (a :class:`~repro.cluster.dynamics.DynamicsSpec`
+        or ``None``), bit-identical to the event engine, or ``None``
+        when the plan cannot serve the candidate."""
         if self.dead is not None:
             return None
         if not self._compiled:
             with self._lock:
                 if not self._compiled and self.dead is None:
                     try:
-                        self._compile(distribution)
+                        self._compile(distribution, dynamics, offset)
                     except _PlanUnsupported as exc:
                         self.dead = str(exc)
                     self._compiled = True
         if self.dead is not None:
             return None
+        P = self.cluster.n_nodes
+        timeline = dynamics.compile(P, n_iter, offset) if dynamics else None
         try:
             tapes = [
-                self._tape(rank, distribution, n_iter)
-                for rank in range(self.cluster.n_nodes)
+                self._tape(rank, distribution, n_iter) for rank in range(P)
             ]
-            ends = self._walk(tapes, n_iter, self._noise(distribution, tapes, n_iter))
+            ends = self._walk(
+                tapes, n_iter, *self._factors(distribution, tapes, n_iter, timeline)
+            )
         except _PlanUnsupported as exc:
             self.dead = str(exc)
             return None
@@ -447,18 +475,24 @@ class EmulationPlan:
 
     # -- compilation ----------------------------------------------------------
 
-    def _compile(self, distribution) -> None:
+    def _compile(self, distribution, dynamics, offset: int) -> None:
         """Discover the channels and comm skeleton from the first
         candidate, then self-check its replayed probe against a real
-        engine probe for exact equality."""
+        engine probe, under the first run's own dynamics and offset,
+        for exact equality."""
         P = self.cluster.n_nodes
         probe = self.probe_iterations
         emulator = self._make_emulator()
         plans = emulator._plans(range(P), distribution.counts, False)
         tapes = [self._record(r, distribution, probe, plans[r]) for r in range(P)]
         self._skeleton = [tape.skeleton() for tape in tapes]
-        ends = self._walk(tapes, probe, self._noise(distribution, tapes, probe))
-        engine = emulator._simulate(distribution, None, False, probe)
+        timeline = dynamics.compile(P, probe, offset) if dynamics else None
+        ends = self._walk(
+            tapes, probe, *self._factors(distribution, tapes, probe, timeline)
+        )
+        engine = emulator._simulate(
+            distribution, None, False, probe, timeline=timeline, offset=offset
+        )
         if ends != engine.iteration_ends:
             raise _PlanUnsupported("self-check: replay differs from the engine")
         for rank, tape in enumerate(tapes):
@@ -466,22 +500,37 @@ class EmulationPlan:
 
     # -- replay ---------------------------------------------------------------
 
-    def _noise(self, distribution, tapes: List[_Tape],
-               n_iter: int) -> Optional[List[List[float]]]:
-        """Each rank's noise factors for ``n_iter`` iterations, drawn
-        from the stream its engine run would draw them from."""
-        if not self.noisy:
-            return None
+    def _factors(self, distribution, tapes: List[_Tape], n_iter: int,
+                 timeline) -> Tuple[List[List[float]], Optional[List[List[float]]]]:
+        """``(totals, slowdowns)`` of ``n_iter`` iterations: each
+        rank's perturbed stage-execution seconds, ``(((base * noise) *
+        background) * dynamics)`` in the engine's order, iteration-major,
+        and its per-iteration disk slowdowns (``None`` without
+        ``timeline``).  Noise and background load are drawn from the
+        streams the rank's engine run would draw them from."""
         emulator = self._make_emulator()
         label = "x".join(map(str, distribution.counts))
-        return [
-            emulator._perturbation_model(rank, label, False)
-            .noise_factors(n_iter * tape.draws).tolist()
-            for rank, tape in enumerate(tapes)
-        ]
+        compute = timeline.compute_multipliers() if timeline is not None else None
+        steps = np.arange(n_iter)
+        totals = []
+        for rank, tape in enumerate(tapes):
+            bases = tape.bases()
+            t = bases[np.minimum(steps, len(bases) - 1)]
+            if self._noisy or self._loaded:
+                model = emulator._perturbation_model(rank, label, False)
+                if self._noisy:
+                    t = t * model.noise_factors(t.size).reshape(t.shape)
+                if self._loaded:
+                    t = t * model.background_factors(t.size).reshape(t.shape)
+            if compute is not None:
+                t = t * compute[rank][:, None]
+            totals.append(t.ravel().tolist())
+        if timeline is None:
+            return totals, None
+        return totals, timeline.disk_slowdowns().tolist()
 
-    def _walk(self, tapes: List[_Tape], n_iter: int,
-              noise: Optional[List[List[float]]]) -> List[List[float]]:
+    def _walk(self, tapes: List[_Tape], n_iter: int, totals: List[List[float]],
+              slowdowns: Optional[List[List[float]]]) -> List[List[float]]:
         """Replay ``n_iter`` iterations; see the module docstring for
         the arithmetic each op repeats."""
         P = len(tapes)
@@ -506,25 +555,26 @@ class EmulationPlan:
                         continue
                     ops = ops_of[r]
                     now, fa, pf = clock[r], free[r], pend[r]
-                    nf = noise[r] if noise is not None else None
+                    tot = totals[r]
                     off = it * draws[r]
+                    sd = slowdowns[r][it] if slowdowns is not None else 1.0
                     start = i
                     while True:
                         kind, arg, x, b, rows = ops[i]
                         if kind == _CPU:
                             now = now + x
                         elif kind == _COMPUTE:
-                            d = ((x * nf[off + arg]) * b) / rows
+                            d = (tot[off + arg] * b) / rows
                             if d > 0.0:
                                 now = now + d
                         elif kind == _IO:
                             # max(now, fa), as the disk model takes it.
-                            fa = (fa if fa > now else now) + x
+                            fa = (fa if fa > now else now) + x * sd
                             d = fa - now
                             if d > 0.0:
                                 now = now + d
                         elif kind == _PF_ISSUE:
-                            fa = (fa if fa > now else now) + x
+                            fa = (fa if fa > now else now) + x * sd
                             pf = fa
                         elif kind == _PF_WAIT:
                             if pf > now:

@@ -31,12 +31,11 @@ falls back to full simulation.
 
 Refusing extrapolation does not mean the event engine runs.  The
 probe is replayed by the compiled
-:class:`~repro.sim.plan_sim.EmulationPlan`, and a run whose only
-disqualifier is computation noise is replayed from the same plan over
-*all* of its iterations, bit-identical to the engine (the noise is a
-per-rank RNG stream drawn once per stage execution, independent of
-timing).  :meth:`repro.sim.executor.ClusterEmulator.run` documents
-the routing.
+:class:`~repro.sim.plan_sim.EmulationPlan`, and a run disqualified by
+computation noise, background load or cluster dynamics is replayed
+from the same plan over *all* of its iterations, bit-identical to the
+engine (none of those factors depends on timing).
+:meth:`repro.sim.executor.ClusterEmulator.run` documents the routing.
 """
 
 from __future__ import annotations
@@ -105,14 +104,15 @@ def supports_fast_forward(program, perturbation, *, observer=None,
       iteration — the schedule never repeats.
     * Computation noise and background load draw from the run's RNG
       streams on every stage execution: iterations differ by design.
-      A noisy run is still plan-served — its every iteration replayed,
-      not extrapolated (see :meth:`ClusterEmulator.run
-      <repro.sim.executor.ClusterEmulator.run>`); background load
-      takes the engine.
     * Cluster dynamics (a truthy
       :class:`~repro.cluster.dynamics.DynamicsSpec`) make node speeds
       a function of the iteration index — the run is non-stationary
       and the steady cycle never forms.
+
+    Noisy, background-loaded and dynamic runs are still plan-served:
+    every iteration is replayed from the op tapes, not extrapolated
+    (see :meth:`ClusterEmulator.run
+    <repro.sim.executor.ClusterEmulator.run>`).
     """
     if observer is not None or instrumented:
         return False

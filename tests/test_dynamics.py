@@ -17,6 +17,7 @@ The golden guarantees this file pins down:
   stream (toggling ``compute_noise`` must not move the load trajectory).
 """
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -328,6 +329,73 @@ class TestBackgroundLoadDecoupling:
         model = PerturbationModel(PerturbationConfig(), ("a", "b"))
         assert model.background_factor() == 1.0
         assert model._load is None
+
+
+# ---------------------------------------------------------------------------
+# vector draws equal the scalar paths bit for bit
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestVectorDraws:
+    TRACES = [
+        LoadTrace(mean=0.5, volatility=0.2),
+        # Volatile enough to clip at 0 and at the ceiling.
+        LoadTrace(mean=0.6, volatility=3.0, ceiling=0.8),
+        LoadTrace(mean=0.0),
+    ]
+
+    @pytest.mark.parametrize("trace", TRACES)
+    @pytest.mark.parametrize("n", [0, 1, 10, 100, 1000])
+    def test_series_and_factors_match_the_scalar_steps(self, trace, n):
+        for labels in [("node", 0), ("node", 3), ("a", "b", 7)]:
+            scalar = trace.sampler(*labels)
+            steps = [scalar.step() for _ in range(n)]
+            assert _bits(trace.series(n, *labels)) == _bits(steps)
+            scalar = trace.sampler(*labels)
+            factors = [scalar.factor() for _ in range(n)]
+            assert _bits(trace.sampler(*labels).factors(n)) == _bits(factors)
+
+    def test_clipping_is_exercised(self):
+        trace = self.TRACES[1]
+        series = trace.series(1000, "node", 0)
+        assert (series == 0.0).any() and (series == trace.ceiling).any()
+
+    def test_vector_draws_continue_the_scalar_stream(self):
+        trace = self.TRACES[1]
+        a, b = trace.sampler("x"), trace.sampler("x")
+        scalar = [a.step() for _ in range(30)]
+        mixed = [b.step() for _ in range(7)] + b.steps(13) + [
+            b.step() for _ in range(10)
+        ]
+        assert _bits(mixed) == _bits(scalar)
+
+    @pytest.mark.parametrize("load", [0.0, 0.3])
+    def test_background_factors_match_the_scalar_draws(self, load):
+        pert = PerturbationConfig(background_load=load)
+        scalar = PerturbationModel(pert, ("c", "p", "d", 1))
+        vector = PerturbationModel(pert, ("c", "p", "d", 1))
+        expected = [scalar.background_factor() for _ in range(64)]
+        assert _bits(vector.background_factors(64)) == _bits(expected)
+
+    @pytest.mark.parametrize(
+        "scenario", ["drift", "load-spike", "node-loss", "disk-fade"]
+    )
+    def test_timeline_multipliers_match_the_scalar_ones(self, scenario):
+        timeline = dynamics_scenario(scenario, 8, start=3).compile(8, 20, 5)
+        compute = timeline.compute_multipliers()
+        slowdowns = timeline.disk_slowdowns()
+        for rank in range(8):
+            for it in range(5, 25):
+                j = it - 5
+                assert _bits(compute[rank, j]) == _bits(
+                    timeline.compute_multiplier(rank, it)
+                )
+                assert _bits(slowdowns[rank, j]) == _bits(
+                    timeline.disk_slowdown(rank, it)
+                )
 
 
 # ---------------------------------------------------------------------------

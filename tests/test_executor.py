@@ -4,7 +4,7 @@ import pytest
 
 from repro.distribution import GenBlock, block
 from repro.exceptions import SimulationError
-from repro.sim import ClusterEmulator, PerturbationConfig
+from repro.sim import ClusterEmulator, PerturbationConfig, emulate, emulate_many
 from repro.sim.trace import Op, TraceCollector
 from repro.util.units import mib
 from tests.conftest import make_cg_like, make_jacobi_like, make_pipeline_like
@@ -68,6 +68,24 @@ class TestValidation:
         em = ClusterEmulator(base_cluster, jacobi_like, IDEAL)
         with pytest.raises(SimulationError):
             em.run(block(base_cluster, jacobi_like.n_rows + 1))
+
+
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_nonpositive_iterations_raise(
+        self, base_cluster, jacobi_like, iterations
+    ):
+        d = block(base_cluster, jacobi_like.n_rows)
+        em = ClusterEmulator(base_cluster, jacobi_like, IDEAL)
+        calls = [
+            lambda: em.run(d, iterations=iterations),
+            lambda: emulate(base_cluster, jacobi_like, d, iterations=iterations),
+            lambda: emulate_many(
+                base_cluster, jacobi_like, [d], iterations=iterations
+            ),
+        ]
+        for call in calls:
+            with pytest.raises(SimulationError, match="iterations must be >= 1"):
+                call()
 
 
 class TestOutOfCoreExecution:

@@ -1,14 +1,17 @@
 """Differential suite: compiled op-tape replay vs the event engine.
 
 The compiled :class:`~repro.sim.plan_sim.EmulationPlan` replays per-rank
-op tapes with the engine's exact arithmetic, so a plan-served noisy run
-must equal ``emulate(..., fast_forward=False)`` bit for bit, and a
-deterministic one must reproduce the engine's probe window bit for bit
-before extrapolating.  Hypothesis draws the app, the Table-1 cluster, a
-Dirichlet layout with a one-row node, the streaming style, the run
-length, noise and the batch size.  Every candidate the plan cannot
-serve is counted under ``sim/fallback/<reason>`` and still equals the
-engine; a forced noise mismatch retires the plan at its self-check.
+op tapes with the engine's exact arithmetic, so a plan-served run whose
+iterations differ (noise, background load, cluster dynamics) or that is
+no longer than the probe must equal ``emulate(..., fast_forward=False)``
+bit for bit, and a stationary deterministic one must reproduce the
+engine's probe window bit for bit before extrapolating.  Hypothesis
+draws the app, the Table-1 cluster, a Dirichlet layout with a one-row
+node, the streaming style, the run length, noise and the batch size,
+and separately a dynamics scenario and its start, an offset, background
+load and short runs.  Every candidate the plan cannot serve is counted
+under ``sim/fallback/<reason>`` and still equals the engine; a forced
+noise or dynamics-factor mismatch retires the plan at its self-check.
 """
 
 import dataclasses
@@ -35,8 +38,10 @@ from repro.sim import (
     emulate,
     emulate_many,
 )
+from repro.cluster.dynamics import DynamicsTimeline
 from repro.sim.perturbation import PerturbationModel
 from repro.sim.trace import TraceCollector
+from repro.util.units import mib
 
 SCALE = 0.05
 APPS = {
@@ -79,6 +84,25 @@ def _assert_identical(a, b):
     assert a.fast_forwarded == b.fast_forwarded
 
 
+def _small_memory(cluster):
+    """``cluster`` with 2 MiB nodes: they stream their arrays from disk
+    in several blocks per tile."""
+    return cluster.with_nodes(
+        [node.with_(memory_bytes=mib(2)) for node in cluster.nodes],
+        name=f"{cluster.name}-2MiB",
+    )
+
+
+def _live_plan(cluster, program, perturbation):
+    """The configuration's plan, asserted live: no self-check mismatch,
+    comm change or varying stage-execution count retired it."""
+    plan = plan_sim.get_emulation_plan(
+        cluster, program, perturbation, FastForwardPolicy()
+    )
+    assert plan.dead is None
+    return plan
+
+
 @settings(
     deadline=None,
     max_examples=8,
@@ -110,6 +134,7 @@ def test_replay_matches_engine(app, config, seed, one_row, prefetch,
         telemetry=rec,
     )
     assert rec.counters["sim/batch/plan_runs"] == batch
+    _live_plan(cluster, program, pert)
     for dist, got in zip(dists, batched):
         single = emulate(
             cluster, program, dist, perturbation=pert, run_cache=False
@@ -125,6 +150,127 @@ def test_replay_matches_engine(app, config, seed, one_row, prefetch,
         for ends, ref_ends in zip(got.iteration_ends, ref.iteration_ends):
             assert ends[:PROBE] == ref_ends[:PROBE]
             np.testing.assert_allclose(ends, ref_ends, rtol=1e-9, atol=0)
+
+
+@settings(
+    deadline=None,
+    max_examples=10,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    app=st.sampled_from(sorted(APPS)),
+    config=st.sampled_from(["DC", "IO", "HY1", "HY2"]),
+    seed=st.integers(0, 2**16),
+    prefetch=st.booleans(),
+    scenario=st.sampled_from(["drift", "load-spike", "node-loss", "disk-fade"]),
+    start=st.integers(0, 12),
+    offset=st.integers(0, 10),
+    iterations=st.sampled_from([1, 3, PROBE, PROBE + 1, 2 * PROBE]),
+    noisy=st.booleans(),
+    background_load=st.sampled_from([0.0, 0.2]),
+    batch=st.sampled_from([1, 3]),
+    out_of_core=st.booleans(),
+)
+def test_dynamic_replay_matches_engine(app, config, seed, prefetch, scenario,
+                                       start, offset, iterations, noisy,
+                                       background_load, batch, out_of_core):
+    """Dynamics, offset segments, background load and short runs are
+    plan-served, every iteration replayed: the engine's result, bit for
+    bit."""
+    cluster = table1_configs()[config]
+    if out_of_core:
+        cluster = _small_memory(cluster)
+    program = _program(app, prefetch, 2 * PROBE)
+    P = cluster.n_nodes
+    spec = dynamics_scenario(scenario, P, start=start)
+    pert = (NOISY if noisy else DETERMINISTIC).without(
+        background_load=background_load
+    )
+    kw = dict(
+        perturbation=pert, dynamics=spec, iterations=iterations,
+        iteration_offset=offset, run_cache=False,
+    )
+    dists = [_layout(P, program.n_rows, seed + b, b % P) for b in range(batch)]
+    rec = Recorder()
+    batched = emulate_many(cluster, program, dists, telemetry=rec, **kw)
+    singles = [emulate(cluster, program, d, telemetry=rec, **kw) for d in dists]
+    assert rec.counters["sim/batch/plan_runs"] == batch
+    assert rec.counters["sim/plan_runs"] == batch
+    assert not [k for k in rec.counters if k.startswith("sim/fallback/")]
+    _live_plan(cluster, program, pert)
+    for dist, got, single in zip(dists, batched, singles):
+        _assert_identical(got, single)
+        ref = emulate(
+            cluster, program, dist, fast_forward=False, **kw
+        )
+        _assert_identical(got, ref)
+
+
+def test_disk_fade_scales_io_and_prefetch_ops():
+    """An out-of-core prefetching run under disk fade: the faded ranks'
+    tapes hold real ``io`` and ``prefetch_issue`` ops, the fade slows
+    those ranks, and the replay still equals the engine bit for bit."""
+    cluster = _small_memory(table1_configs()["IO"])
+    program = _program("jacobi", True, 3 * PROBE)
+    spec = dynamics_scenario("disk-fade", cluster.n_nodes, start=1)
+    dist = block(cluster, program.n_rows)
+    rec = Recorder()
+    faded = emulate(
+        cluster, program, dist, perturbation=DETERMINISTIC, dynamics=spec,
+        run_cache=False, telemetry=rec,
+    )
+    assert rec.counters["sim/plan_runs"] == 1
+    static = emulate(
+        cluster, program, dist, perturbation=DETERMINISTIC, run_cache=False
+    )
+    plan = _live_plan(cluster, program, DETERMINISTIC)
+    for deg in spec.disk_degradation:
+        tape = plan._tapes.get(plan._tape_key(deg.node, dist))
+        kinds = set(tape.ops["kind"].tolist())
+        assert {plan_sim._IO, plan_sim._PF_ISSUE} <= kinds
+        assert faded.per_node_seconds[deg.node] > static.per_node_seconds[deg.node]
+    ref = _engine(
+        cluster, program, dist, DETERMINISTIC, dynamics=spec
+    )
+    _assert_identical(faded, ref)
+
+
+def test_forced_dynamics_mismatch_retires_the_plan(monkeypatch):
+    """One perturbed element of the vector dynamics multipliers makes
+    the replay disagree with the engine probe, which runs under the
+    first run's own factors: the self-check retires the plan and every
+    candidate still gets the engine's result."""
+    real = DynamicsTimeline.compute_multipliers
+
+    def skewed(self):
+        factors = real(self)
+        factors[:, 0] *= 2.0
+        return factors
+
+    monkeypatch.setattr(DynamicsTimeline, "compute_multipliers", skewed)
+    cluster = dataclasses.replace(table1_configs()["HY1"], name="HY1-dyn-skewed")
+    program = _program("jacobi", False, 2 * PROBE)
+    spec = dynamics_scenario("drift", cluster.n_nodes, start=0)
+    dists = [
+        _layout(cluster.n_nodes, program.n_rows, seed, seed)
+        for seed in range(2)
+    ]
+    rec = Recorder()
+    got = emulate_many(
+        cluster, program, dists, perturbation=NOISY, dynamics=spec,
+        iteration_offset=3, run_cache=False, telemetry=rec,
+    )
+    plan = plan_sim.get_emulation_plan(
+        cluster, program, NOISY, FastForwardPolicy()
+    )
+    assert plan.dead is not None and plan.dead.startswith("self-check")
+    assert rec.counters["sim/fallback/plan_dead"] == len(dists)
+    assert rec.counters.get("sim/batch/plan_runs", 0) == 0
+    for dist, result in zip(dists, got):
+        ref = _engine(
+            cluster, program, dist, NOISY, dynamics=spec, iteration_offset=3
+        )
+        _assert_identical(result, ref)
 
 
 def test_forced_noise_mismatch_retires_the_plan(monkeypatch):
@@ -161,7 +307,7 @@ def test_forced_noise_mismatch_retires_the_plan(monkeypatch):
         _assert_identical(result, _engine(cluster, program, dist, NOISY))
 
 
-# -- fallback reasons -----------------------------------------------------------
+# -- plan-served and fallback reasons -------------------------------------------
 
 
 def _jacobi_hy1(iterations=2 * PROBE):
@@ -227,18 +373,50 @@ def _not_converged(monkeypatch):
     return cluster, program, DETERMINISTIC, {}
 
 
+#: Runs the plan replays in full, every iteration, bit for bit.
+SERVED = {
+    "dynamics": _dynamics,
+    "background_load": _background_load,
+    "offset": _offset,
+    "short_run": _short_run,
+}
+
 FALLBACKS = {
     "observer": _observer,
     "instrumented": _instrumented,
-    "dynamics": _dynamics,
-    "background_load": _background_load,
     "iteration_profile": _iteration_profile,
     "io_mode": _io_mode,
-    "offset": _offset,
-    "short_run": _short_run,
     "plan_dead": _plan_dead,
     "not_converged": _not_converged,
 }
+
+
+@pytest.mark.parametrize("case", sorted(SERVED))
+def test_plan_served_run_is_engine_identical(case):
+    cluster, program, pert, kw = SERVED[case]()
+    dists = [
+        block(cluster, program.n_rows),
+        _layout(cluster.n_nodes, program.n_rows, 7, 3),
+    ]
+    rec = Recorder()
+    singles = [
+        emulate(
+            cluster, program, d, perturbation=pert, run_cache=False,
+            telemetry=rec, **kw,
+        )
+        for d in dists
+    ]
+    batched = emulate_many(
+        cluster, program, dists, perturbation=pert, run_cache=False,
+        telemetry=rec, **kw,
+    )
+    counters = rec.counters
+    assert counters["sim/plan_runs"] == len(dists)
+    assert counters["sim/batch/plan_runs"] == len(dists)
+    assert not [k for k in counters if k.startswith("sim/fallback/")]
+    for d, single, got in zip(dists, singles, batched):
+        _assert_identical(got, single)
+        _assert_identical(single, _engine(cluster, program, d, pert, **kw))
 
 
 @pytest.mark.parametrize("reason", sorted(FALLBACKS))

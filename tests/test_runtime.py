@@ -149,6 +149,19 @@ class TestAdaptiveRuntime:
         # Starting at the optimum: no switch needed.
         assert not report.switched
 
+    def test_single_iteration_static_run(self):
+        """Nothing remains after the instrumented iteration: no
+        prediction is asked for, nothing is switched or run."""
+        cluster = config_dc()
+        program = make_jacobi_like(n_rows=2048, cols=512, iterations=1)
+        report = AdaptiveRuntime(cluster, program).run()
+        assert not report.switched
+        assert report.redistribution_seconds == 0.0
+        assert report.remaining_seconds == 0.0
+        assert report.predicted_remaining_seconds == 0.0
+        assert report.rounds[0].iterations == 0
+        assert report.static_seconds > 0.0
+
     def test_describe_renders(self):
         runtime, _ = self._runtime()
         text = runtime.run().describe()
