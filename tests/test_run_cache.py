@@ -5,10 +5,10 @@ import json
 import pytest
 
 from repro.apps import JacobiApp
-from repro.cluster import table1_configs
+from repro.cluster import dynamics_scenario, table1_configs
 from repro.distribution import block
-from repro.parallel.cache import RunCache
-from repro.sim import PerturbationConfig, emulate
+from repro.parallel.cache import RunCache, SweepCache, content_key
+from repro.sim import FastForwardPolicy, PerturbationConfig, emulate
 
 SCALE = 0.05
 ITERATIONS = 16
@@ -92,6 +92,29 @@ class TestKeyMemoisation:
         a = RunCache.key_base(cluster, program, ITERATIONS, DETERMINISTIC)
         b = RunCache.key_base(cluster, program, ITERATIONS, DETERMINISTIC)
         assert a == b
+
+    def test_keys_are_pinned(self):
+        """Keys are persisted by ``--run-cache``/``--sweep-cache``
+        files: however they are assembled, their bytes never change."""
+        cluster, program, d = _setup()
+        spec = dynamics_scenario("drift", cluster.n_nodes, start=2)
+        assert RunCache.key_base(
+            cluster, program, ITERATIONS, DETERMINISTIC
+        ) == "216598baa8b48271a6b171a80cebd5fa66903afdb6076824b9766a73bc852ac5"
+        assert RunCache.key_base(
+            cluster, program, ITERATIONS, DETERMINISTIC, instrumented=True,
+            fast_forward=False, dynamics=spec, io_mode="sync",
+            iteration_offset=3,
+        ) == "43795c196f2521d5ab155e1d304f8feca3f6f997498a1b92dad80c4ef1e3afdd"
+        assert RunCache.key(
+            cluster, program, d, ITERATIONS, DETERMINISTIC
+        ) == "ccfe25813256a3f3f9d63b860e4c48b54eac04581e718847eb422eb8feccdc02"
+        assert content_key(
+            cluster, program, DETERMINISTIC, FastForwardPolicy()
+        ) == "300946ab78411ad84363acc3ba902ca5719bc79baaa387ddf1b536e3701ffaee"
+        assert SweepCache.key(
+            cluster, program, d, DETERMINISTIC
+        ) == "9b9c5eb7a1ad8b4c48aca1edd00c22a9838626d5c96eecb5236c4e76ea940340"
 
 
 class TestDiskTier:
