@@ -128,8 +128,8 @@ class DiskModel:
         """Service one read of ``nbytes`` of ``name`` without queueing
         it: returns ``(duration, cached_fraction)`` and advances the
         variable's stream (page-cache warmth) exactly as
-        :meth:`submit_read` does.  The compiled emulation plans record
-        durations through this, then apply the queueing themselves."""
+        :meth:`submit_read` does.  The emulator's lowering takes durations
+        through this; the tape interpreters apply the queueing."""
         frac = self.hit_fraction(name)
         duration = self.read_duration(name, nbytes)
         if self.slowdown != 1.0:

@@ -106,7 +106,7 @@ class PhaseAccumulator:
     constant memory however long the run — and ``ITERATION_END``
     records count completed iterations per node, so per-iteration phase
     means are ``totals[(n, op)] / iterations[n]``.  This is what the
-    telemetry layer hangs off :attr:`_NodeCtx.observe`; unlike
+    telemetry layer chains onto an engine run's record stream; unlike
     :class:`TraceCollector` it is safe to leave attached to long runs.
     """
 

@@ -235,6 +235,37 @@ def test_disk_fade_scales_io_and_prefetch_ops():
     _assert_identical(faded, ref)
 
 
+def test_io_mode_overrides_replay_their_own_style():
+    """Plans are keyed by streaming style: an out-of-core prefetching
+    program run with ``io_mode="sync"`` replays sync tapes from its own
+    plan, and every style equals the engine bit for bit."""
+    cluster = _small_memory(table1_configs()["IO"])
+    program = _program("jacobi", True, 2 * PROBE)
+    dist = block(cluster, program.n_rows)
+    results = {}
+    for io_mode in ("auto", "sync", "prefetch"):
+        rec = Recorder()
+        results[io_mode] = emulate(
+            cluster, program, dist, perturbation=NOISY, io_mode=io_mode,
+            run_cache=False, telemetry=rec,
+        )
+        assert rec.counters["sim/plan_runs"] == 1
+        ref = _engine(cluster, program, dist, NOISY, io_mode=io_mode)
+        _assert_identical(results[io_mode], ref)
+    _assert_identical(results["auto"], results["prefetch"])
+    assert results["sync"].total_seconds != results["prefetch"].total_seconds
+    sync, prefetch = (
+        plan_sim.get_emulation_plan(
+            cluster, program, NOISY, FastForwardPolicy(), style
+        )
+        for style in (False, True)
+    )
+    assert sync is not prefetch
+    assert not sync.prefetch and prefetch.prefetch
+    kinds = sync._tapes.get(sync._tape_key(0, dist)).ops["kind"].tolist()
+    assert plan_sim._PF_ISSUE not in kinds
+
+
 def test_forced_dynamics_mismatch_retires_the_plan(monkeypatch):
     """One perturbed element of the vector dynamics multipliers makes
     the replay disagree with the engine probe, which runs under the
@@ -379,13 +410,13 @@ SERVED = {
     "background_load": _background_load,
     "offset": _offset,
     "short_run": _short_run,
+    "io_mode": _io_mode,
 }
 
 FALLBACKS = {
     "observer": _observer,
     "instrumented": _instrumented,
     "iteration_profile": _iteration_profile,
-    "io_mode": _io_mode,
     "plan_dead": _plan_dead,
     "not_converged": _not_converged,
 }
