@@ -91,6 +91,7 @@ class TestNonUniformIterations:
             [1.0, 2.0, 0.5, 1.5],
             [3.0, 1.0, 1.0],  # instrumented iteration is the heavy one
             [0.25, 0.25, 4.0],
+            [1.0, 2.0, 2.0, 3.0],  # equal neighbours, then a change
         ],
     )
     def test_model_exact_under_ideal_conditions(self, profile):
@@ -104,6 +105,17 @@ class TestNonUniformIterations:
         assert model.predict(d0) == pytest.approx(
             actual.total_seconds, rel=1e-9
         )
+
+    def test_iterations_past_the_profile_run_at_unit_cost(self):
+        # Iterations 2 and 3 are equal; 4 and 5 lie past the profile and
+        # run at 1.0x, so neither may replay the 3.0x iteration.
+        cluster, program = self._setup([1.0, 2.0, 3.0, 3.0])
+        d = block(cluster, program.n_rows)
+        emulator = ClusterEmulator(cluster, program, IDEAL)
+        durations = emulator.run(d, iterations=6).iteration_durations(0)
+        assert durations[3] == pytest.approx(durations[2], rel=1e-9)
+        assert durations[4] < durations[3]
+        assert durations[5] == pytest.approx(durations[4], rel=1e-9)
 
     def test_io_does_not_scale_with_profile(self):
         # Doubling compute must not double the run when I/O dominates.
