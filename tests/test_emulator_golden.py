@@ -12,7 +12,13 @@ float fix, bit for bit:
   with an iteration profile;
 * the full record stream of one observed run per app;
 * the MHETA inputs ``collect_inputs`` measures on IO and HY1, whose
-  timer noise is drawn in record order.
+  timer noise is drawn in record order;
+* the 2-D Jacobi emulator's ``fast_forward=False`` totals on IO and HY1
+  (whose 32 MiB nodes stream their 64 MiB tiles from disk) for the
+  1x8, 2x4 and 8x1 grids under ``block2d`` and ``balanced2d``, with
+  and without noise, plus one dynamic segment at a non-zero offset and
+  the instrumented iteration; and the 2-D model inputs
+  ``build_2d_model`` measures, to 1e-12 relative.
 
 A change to the emulator that moves any of them changes its semantics.
 """
@@ -28,6 +34,13 @@ from repro.distribution import block
 from repro.instrument import collect_inputs
 from repro.sim import PerturbationConfig, emulate
 from repro.sim.trace import TraceCollector
+from repro.twod import (
+    Jacobi2DSpec,
+    TwoDEmulator,
+    balanced2d,
+    block2d,
+    build_2d_model,
+)
 
 SCALE = 1.0
 ITERATIONS = 4
@@ -147,3 +160,115 @@ def test_collect_inputs(config, app):
     program = application_by_name(app, SCALE).prefetching()
     inputs = collect_inputs(cluster, program, block(cluster, program.n_rows))
     assert _digest([repr(inputs)]) == INPUTS[(config, app)]
+
+
+# -- 2-D Jacobi --------------------------------------------------------------
+
+SPEC_2D = Jacobi2DSpec(n_rows=8192, n_cols=8192, iterations=5)
+SHAPES_2D = ((1, 8), (2, 4), (8, 1))
+
+
+def _layouts_2d(cluster):
+    for shape in SHAPES_2D:
+        yield block2d(SPEC_2D.n_rows, SPEC_2D.n_cols, shape)
+        yield balanced2d(cluster, SPEC_2D.n_rows, SPEC_2D.n_cols, shape)
+
+
+def _totals_digest(totals) -> str:
+    return _digest(repr(float(total)) for total in totals)
+
+
+TOTALS_2D = {
+    "HY1": "2a6b83a99c9a2ccc1899007223e699bf7233df44bde107b340eee301711227d2",
+    "IO": "d5135fa3e52ee0296f2f4a841c208035843aeee297250af44bd275df64fcd73a",
+}
+
+
+@pytest.mark.parametrize("config", sorted(TOTALS_2D))
+def test_twod_engine_totals(config):
+    cluster = table1_configs()[config]
+    totals = [
+        TwoDEmulator(cluster, SPEC_2D, pert).run(dist, fast_forward=False)
+        for pert in (NOISY, QUIET)
+        for dist in _layouts_2d(cluster)
+    ]
+    assert _totals_digest(totals) == TOTALS_2D[config]
+
+
+INSTRUMENTED_2D = {
+    "HY1": "d41d37a74d56ea5c339678b464f5a5622a7c438d70aca42c2a82446a4779df3e",
+    "IO": "38879396de0e265b1e429e934ef9f3b3ee92186517ae8cecd52ca17cc5328684",
+}
+
+
+@pytest.mark.parametrize("config", sorted(INSTRUMENTED_2D))
+def test_twod_instrumented_totals(config):
+    cluster = table1_configs()[config]
+    emulator = TwoDEmulator(cluster, SPEC_2D, NOISY)
+    totals = [
+        emulator.run(
+            dist, iterations=1, io_mode="instrumented", fast_forward=False
+        )
+        for dist in _layouts_2d(cluster)
+    ]
+    assert _totals_digest(totals) == INSTRUMENTED_2D[config]
+
+
+DYNAMIC_2D = "d6069706304ea2f92cc94f0de79d3d55bb17d52459f5b413618ed4a752a1d5b5"
+
+
+def test_twod_dynamic_segment_totals():
+    cluster = table1_configs()["IO"]
+    spec = dynamics_scenario("disk-fade", cluster.n_nodes, start=1)
+    emulator = TwoDEmulator(
+        cluster, SPEC_2D, NOISY.without(background_load=0.2), dynamics=spec
+    )
+    totals = [
+        emulator.run(
+            dist, iterations=5, iteration_offset=3, fast_forward=False
+        )
+        for dist in _layouts_2d(cluster)
+    ]
+    assert _totals_digest(totals) == DYNAMIC_2D
+
+
+#: ``build_2d_model`` inputs under the 2x4 block layout:
+#: (compute_seconds, read_per_byte, write_per_byte), per rank.
+INPUTS_2D = {
+    "HY1": (
+        (1.0169583153671495, 0.6721189300448389, 0.3364296023301919,
+         0.2513396641114349, 0.5050154530424176, 0.5025971710713248,
+         0.4994933632260834, 0.5051600625788895),
+        (2.0080309357275388e-08, 2.0122216997722702e-08,
+         2.007865335505161e-08, 2.0049969820049013e-08,
+         5.029067483022635e-09, 5.032251247425368e-09,
+         5.008945784474181e-09, 5.028175639862606e-09),
+        (2.5079330022598986e-08, 2.508344035459629e-08,
+         2.516494948093381e-08, 2.5002754096481662e-08,
+         6.269058656230173e-09, 6.293540745894286e-09,
+         6.276834171993179e-09, 6.284221124302217e-09),
+    ),
+    "IO": (
+        (0.5074893227722714, 0.5032622185405835, 0.5043671605336952,
+         0.5001037381804463, 0.5052098661665279, 0.5058858730301239,
+         0.5048523014658853, 0.5058842403125507),
+        (4.0054783677796774e-08, 4.007934025147247e-08,
+         4.02457723559485e-08, 4.006723783316584e-08,
+         2.0064106781736952e-08, 2.004168484683112e-08,
+         2.0120695430236887e-08, 2.0098752242680002e-08),
+        (5.0250549626267034e-08, 5.01311485999454e-08,
+         5.025083288840806e-08, 5.0297378391485696e-08,
+         2.515368631965133e-08, 2.502838450100551e-08,
+         2.5131109212249562e-08, 2.4989008618529775e-08),
+    ),
+}
+
+
+@pytest.mark.parametrize("config", sorted(INPUTS_2D))
+def test_twod_model_inputs(config):
+    cluster = table1_configs()[config]
+    d0 = block2d(SPEC_2D.n_rows, SPEC_2D.n_cols, (2, 4))
+    inputs = build_2d_model(cluster, SPEC_2D, d0).inputs
+    got = (inputs.compute_seconds, inputs.read_per_byte, inputs.write_per_byte)
+    for values, expected in zip(got, INPUTS_2D[config]):
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0)
