@@ -99,10 +99,10 @@ def _add_common(parser: argparse.ArgumentParser, config: bool = True) -> None:
     )
     parser.add_argument(
         "--no-fast-forward", action="store_true",
-        help="disable the emulator's steady-state cycle fast-forward: "
-        "every run is simulated event by event (the fast path is "
-        "equivalent to <= 1e-9 relative and falls back automatically "
-        "for perturbed or non-converging runs)",
+        help="disable the emulator's compiled plans: every run is "
+        "simulated event by event (plan-served runs equal it bit for "
+        "bit, except that deterministic runs past the probe window "
+        "extrapolate their steady state, within 1e-9 relative)",
     )
     if config:
         parser.add_argument(

@@ -9,7 +9,9 @@ binomial-tree allreduce, ring allgather) — and appends the rank's ops
 to an op tape (:class:`_Tape`).  Two interpreters run tapes: the event
 engine (:meth:`ClusterEmulator._interpret`, one process per rank), the
 timing reference, and the compiled plans' walk
-(:mod:`repro.sim.plan_sim`), the fast path.
+(:mod:`repro.sim.plan_sim`), the fast path.  The op primitives live in
+:class:`_TapeLowering`, which the 2-D Jacobi emulator
+(:mod:`repro.twod.jacobi2d`) lowers through as well.
 
 The emulator is the reproduction's stand-in for the paper's real
 cluster: its output is the "Actual" series of Figures 9-11.
@@ -236,46 +238,30 @@ class _Tape:
         return [rows[b[i] : b[i + 1]] for i in range(len(b) - 1)]
 
 
-# -- lowering: the node program ---------------------------------------------------
+# -- lowering: the node programs ---------------------------------------------------
 
 
-class _Lowering:
-    """Lowers one rank's node program into a :class:`_Tape`.
+class _TapeLowering:
+    """Appends one rank's ops to a :class:`_Tape`.
 
-    Each iteration walks the program's parallel sections: tiles, their
-    stages, the ICLA blocks that stream out-of-core variables through
-    the rank's disk (synchronously, or with the one-block-ahead
-    prefetching of paper Figure 6), and the section's communication
-    pattern.  Nothing here depends on timing: a read's duration follows
-    from the bytes already streamed (page-cache warmth), and message
-    channels from the pattern.
+    The op primitives, the binomial allreduce and the repeat rule are
+    shared by every node program; a subclass lowers one iteration in
+    :meth:`_iteration`.  Nothing here depends on timing: a read's
+    duration follows from the bytes already streamed (page-cache
+    warmth), and message channels from the communication pattern.
     """
 
-    def __init__(self, emulator: "ClusterEmulator", rank: int, start: int,
-                 stop: int, memory: MemoryPlan, prefetch: bool, channel,
+    #: Whether two equal iterations may stand for every later one
+    #: (not under an iteration profile).
+    repeatable = True
+
+    def __init__(self, rank: int, P: int, net, disk: DiskModel, channel,
                  observe: bool) -> None:
-        program = emulator.program
-        self.program = program
-        self.P = emulator.cluster.n_nodes
         self.rank = rank
-        self.start, self.stop = start, stop
-        self.spec = emulator.cluster.nodes[rank]
-        self.net = emulator.cluster.network
-        self.placements = memory.placements
-        self.prefetch = prefetch
+        self.P = P
+        self.net = net
+        self.disk = disk
         self.channel = channel
-        self.sparse = bool(
-            emulator.perturbation.sparse_weights and program.row_weights is not None
-        )
-        self.cache_factor = emulator._factor_model().compute_factor
-        self.disk = DiskModel(
-            self.spec,
-            resident_bytes=memory.resident_bytes + program.replicated_bytes,
-            cache_enabled=emulator.perturbation.os_read_cache,
-        )
-        for name, placement in memory.placements.items():
-            if not placement.in_core:
-                self.disk.register_variable(name, placement.ocla_bytes)
         self.ops: list = []
         #: Noise-free cost of each stage execution, per iteration.
         self.bases: List[List[float]] = []
@@ -291,14 +277,12 @@ class _Lowering:
         ops, bounds = self.ops, [0]
         # Under an iteration profile two equal iterations say nothing
         # of the next one, so profiled programs lower every iteration.
-        may_stop = n_iter > _MIN_LOWERED and self.program.iteration_profile is None
+        may_stop = n_iter > _MIN_LOWERED and self.repeatable
         state = self.disk.stream_state()
         repeats = False
         for local in range(n_iter):
             self.bases.append([])
-            it = local + offset
-            for si, section in enumerate(self.program.sections):
-                self._section(it, si, section)
+            self._iteration(local + offset)
             self._open()
             self._close(Op.ITERATION_END, "", 0, None, None)
             ops.append((_END, 0, 0.0, 0, 0))
@@ -314,6 +298,10 @@ class _Lowering:
                 break
         records = tuple(self.templates) if self.templates is not None else ()
         return _Tape(ops, bounds, repeats, self.bases, records)
+
+    def _iteration(self, it: int) -> None:
+        """Lower global iteration ``it`` (without its ``end``)."""
+        raise NotImplementedError
 
     def _repeating(self, before: dict, after: dict, bounds: List[int]) -> bool:
         """Does the last lowered iteration repeat forever?  Yes when
@@ -389,6 +377,71 @@ class _Lowering:
         self._cpu(self.net.recv_overhead)
         self._close(Op.RECV, section, 0, None, None)
 
+    def _reduce_bcast(self, si, name, nbytes):
+        """Binomial-tree reduce to node 0, binomial broadcast back."""
+        rank, P = self.rank, self.P
+        self._open()
+        mask = 1
+        while mask < P:
+            if rank & mask:
+                self._send(rank - mask, (si, "red", mask), nbytes, name)
+                break
+            if rank | mask < P:
+                self._recv(rank | mask, (si, "red", mask), name)
+            mask <<= 1
+        mask = (1 << (P - 1).bit_length()) >> 1
+        while mask > 0:
+            if rank % (2 * mask) == 0:
+                if rank + mask < P:
+                    self._send(rank + mask, (si, "bc", mask), nbytes, name)
+            elif rank % (2 * mask) == mask:
+                self._recv(rank - mask, (si, "bc", mask), name)
+            mask >>= 1
+        self._close(Op.COLLECTIVE, name, 0, None, None, nbytes)
+
+
+class _Lowering(_TapeLowering):
+    """Lowers one rank's node program of a 1-D distribution.
+
+    Each iteration walks the program's parallel sections: tiles, their
+    stages, the ICLA blocks that stream out-of-core variables through
+    the rank's disk (synchronously, or with the one-block-ahead
+    prefetching of paper Figure 6), and the section's communication
+    pattern.
+    """
+
+    def __init__(self, emulator: "ClusterEmulator", rank: int, start: int,
+                 stop: int, memory: MemoryPlan, prefetch: bool, channel,
+                 observe: bool) -> None:
+        program = emulator.program
+        spec = emulator.cluster.nodes[rank]
+        disk = DiskModel(
+            spec,
+            resident_bytes=memory.resident_bytes + program.replicated_bytes,
+            cache_enabled=emulator.perturbation.os_read_cache,
+        )
+        for name, placement in memory.placements.items():
+            if not placement.in_core:
+                disk.register_variable(name, placement.ocla_bytes)
+        super().__init__(
+            rank, emulator.cluster.n_nodes, emulator.cluster.network, disk,
+            channel, observe,
+        )
+        self.program = program
+        self.repeatable = program.iteration_profile is None
+        self.start, self.stop = start, stop
+        self.spec = spec
+        self.placements = memory.placements
+        self.prefetch = prefetch
+        self.sparse = bool(
+            emulator.perturbation.sparse_weights and program.row_weights is not None
+        )
+        self.cache_factor = emulator._factor_model().compute_factor
+
+    def _iteration(self, it: int) -> None:
+        for si, section in enumerate(self.program.sections):
+            self._section(it, si, section)
+
     # -- sections and communication patterns ---------------------------------
 
     def _section(self, it, si, section):
@@ -431,28 +484,6 @@ class _Lowering:
             )
         for nb in neighbors:
             self._recv(nb, (si, "nn"), section.name)
-
-    def _reduce_bcast(self, si, name, nbytes):
-        """Binomial-tree reduce to node 0, binomial broadcast back."""
-        rank, P = self.rank, self.P
-        self._open()
-        mask = 1
-        while mask < P:
-            if rank & mask:
-                self._send(rank - mask, (si, "red", mask), nbytes, name)
-                break
-            if rank | mask < P:
-                self._recv(rank | mask, (si, "red", mask), name)
-            mask <<= 1
-        mask = (1 << (P - 1).bit_length()) >> 1
-        while mask > 0:
-            if rank % (2 * mask) == 0:
-                if rank + mask < P:
-                    self._send(rank + mask, (si, "bc", mask), nbytes, name)
-            elif rank % (2 * mask) == mask:
-                self._recv(rank - mask, (si, "bc", mask), name)
-            mask >>= 1
-        self._close(Op.COLLECTIVE, name, 0, None, None, nbytes)
 
     def _allgather(self, si, name, nbytes):
         """Ring allgather: P-1 steps, passing a fixed chunk around."""
@@ -747,33 +778,12 @@ class ClusterEmulator:
                 prefetch, telemetry,
             )
             self._emulation_plan = plan
-        probe = policy.probe_iterations
-        if n_iter <= probe or not supports_fast_forward(
-            self.program, self.perturbation, dynamics=self.dynamics
-        ):
-            # Iterations that differ (noise, background load, dynamics)
-            # or a run no longer than the probe: replay all of them.
-            ends = plan.replay(distribution, n_iter, self.dynamics, offset)
-            if ends is None:
-                return None, "plan_dead"
-            per_node = [e[-1] for e in ends]
-            return RunResult(
-                total_seconds=max(per_node),
-                per_node_seconds=per_node,
-                iteration_ends=ends,
-                distribution=distribution,
-                iterations=n_iter,
-            ), None
-        # Stationary and deterministic: the offset changes nothing.
-        probe_ends = plan.replay(distribution, probe)
-        if probe_ends is None:
-            return None, "plan_dead"
-        deltas = steady_deltas(probe_ends, policy)
-        if deltas is None:
-            return None, "not_converged"
-        return self._extrapolated_result(
-            distribution, probe_ends, deltas, n_iter
-        ), None
+        return _plan_route(
+            plan, distribution, n_iter, offset, self.dynamics,
+            supports_fast_forward(
+                self.program, self.perturbation, dynamics=self.dynamics
+            ),
+        )
 
     def _engine_run(
         self,
@@ -801,20 +811,26 @@ class ClusterEmulator:
             if reason is not None:
                 telemetry.count(f"sim/fallback/{reason}")
         P = self.cluster.n_nodes
-        memory = self._plans(range(P), distribution.counts, instrumented)
         channels: dict = {}
         channel = lambda key: channels.setdefault(key, len(channels))  # noqa: E731
-        prefetch = _streaming_style(self.program, io_override)
-        tapes = [
-            self._lower(
-                rank, distribution, n_iter, offset, instrumented, prefetch,
-                channel, observe=sim_observer is not None, memory=memory[rank],
-            )
-            for rank in range(P)
+        tapes = self._lower_tapes(
+            range(P), distribution, n_iter,
+            _streaming_style(self.program, io_override), channel,
+            offset=offset, instrumented=instrumented,
+            observe=sim_observer is not None,
+        )
+        samplers = [
+            self._sampler(rank, distribution, instrumented) for rank in range(P)
         ]
-        result = self._simulate(
-            distribution, tapes, n_iter, instrumented, timeline, offset,
-            sim_observer,
+        total, ends = _run_tapes(
+            tapes, n_iter, offset, samplers, timeline, sim_observer
+        )
+        result = RunResult(
+            total_seconds=total,
+            per_node_seconds=[e[-1] for e in ends],
+            iteration_ends=ends,
+            distribution=distribution,
+            iterations=n_iter,
         )
         if telemetry:
             self._record_run_telemetry(telemetry, phase, result, engine=True)
@@ -842,39 +858,6 @@ class ClusterEmulator:
             max(phase.iterations.values(), default=0),
         )
         phase.record_into(rec)
-
-    def _simulate(
-        self,
-        distribution: GenBlock,
-        tapes: List[_Tape],
-        n_iter: int,
-        instrumented: bool = False,
-        timeline: Optional[DynamicsTimeline] = None,
-        offset: int = 0,
-        observer: Optional[Observer] = None,
-    ) -> RunResult:
-        """Full event-by-event simulation of ``n_iter`` iterations: the
-        event engine interprets every rank's tape."""
-        engine = Engine()
-        label = "x".join(map(str, distribution.counts))
-        ends: List[List[float]] = [[] for _ in tapes]
-        for rank, tape in enumerate(tapes):
-            engine.add_process(
-                self._interpret(
-                    tape, rank, n_iter, offset,
-                    self._perturbation_model(rank, label, instrumented),
-                    timeline, observer, ends[rank],
-                ),
-                node=rank,
-            )
-        total = engine.run()
-        return RunResult(
-            total_seconds=total,
-            per_node_seconds=[e[-1] if e else 0.0 for e in ends],
-            iteration_ends=ends,
-            distribution=distribution,
-            iterations=n_iter,
-        )
 
     @staticmethod
     def _interpret(tape: _Tape, rank: int, n_iter: int, offset: int,
@@ -939,50 +922,39 @@ class ClusterEmulator:
                         now, nbytes, nrows,
                     ))
 
-    def _extrapolated_result(
-        self,
-        distribution: GenBlock,
-        probe_ends: List[List[float]],
-        deltas: List[float],
-        n_iter: int,
-    ) -> RunResult:
-        """Closed-form result from converged probe iteration ends."""
-        iteration_ends = [
-            extrapolate_ends(ends, delta, n_iter)
-            for ends, delta in zip(probe_ends, deltas)
-        ]
-        per_node = [ends[-1] if ends else 0.0 for ends in iteration_ends]
-        return RunResult(
-            total_seconds=max(per_node) if per_node else 0.0,
-            per_node_seconds=per_node,
-            iteration_ends=iteration_ends,
-            distribution=distribution,
-            iterations=n_iter,
-            fast_forwarded=True,
-        )
-
     # -- setup -------------------------------------------------------------------
 
-    def _lower(self, rank: int, distribution: GenBlock, n_iter: int,
-               offset: int, instrumented: bool, prefetch: bool, channel, *,
-               observe: bool = False,
-               memory: Optional[MemoryPlan] = None) -> _Tape:
-        """Lower ``rank``'s node program under ``distribution`` into a
-        tape of ``n_iter`` iterations from global iteration ``offset``
-        (see :class:`_Lowering`).  ``channel`` maps ``(src, dst, tag)``
-        to a channel id; ``observe`` adds the record markers.
+    # -- what a compiled plan asks of the emulator it serves ---------------------
 
-        A tape depends on ``distribution`` only through the rank's row
-        block — the compiled emulation plans
-        (:mod:`repro.sim.plan_sim`) key their tapes on it.
-        """
+    def _tape_key(self, rank: int, distribution: GenBlock) -> tuple:
+        """What ``rank``'s plan tape depends on: its row count, or its
+        row block when sparse row weights make positions matter."""
         start, stop = distribution.rows_of(rank)
-        if memory is None:
-            memory = self._plans([rank], [stop - start], instrumented)[0]
-        return _Lowering(
-            self, rank, start, stop, memory, prefetch and not instrumented,
-            channel, observe,
-        ).lower(n_iter, offset)
+        if self.perturbation.sparse_weights and self.program.row_weights is not None:
+            return (rank, start, stop)
+        return (rank, stop - start)
+
+    def _lower_tapes(self, ranks, distribution: GenBlock, n_iter: int,
+                     prefetch: bool, channel, *, offset: int = 0,
+                     instrumented: bool = False,
+                     observe: bool = False) -> List[_Tape]:
+        """Lower the node programs of ``ranks`` under ``distribution``
+        into tapes of ``n_iter`` iterations from global iteration
+        ``offset`` (see :class:`_Lowering`), their memory plans made in
+        one pass.  ``channel`` maps ``(src, dst, tag)`` to a channel id;
+        ``observe`` adds the record markers."""
+        ranks = list(ranks)
+        memory = self._plans(
+            ranks, [distribution.counts[r] for r in ranks], instrumented
+        )
+        tapes = []
+        for rank, plan in zip(ranks, memory):
+            start, stop = distribution.rows_of(rank)
+            tapes.append(_Lowering(
+                self, rank, start, stop, plan, prefetch and not instrumented,
+                channel, observe,
+            ).lower(n_iter, offset))
+        return tapes
 
     def _factor_model(self) -> PerturbationModel:
         """A label-free sampler for the deterministic cache factor."""
@@ -990,16 +962,15 @@ class ClusterEmulator:
             self._cache_model = PerturbationModel(self.perturbation)
         return self._cache_model
 
-    def _perturbation_model(
-        self, rank: int, counts_label: str, instrumented: bool
-    ) -> PerturbationModel:
+    def _sampler(self, rank: int, distribution: GenBlock,
+                 instrumented: bool = False) -> PerturbationModel:
         """The RNG-bearing perturbation sampler of one node in one run."""
         return PerturbationModel(
             self.perturbation,
             run_labels=(
                 self.cluster.name,
                 self.program.name,
-                counts_label,
+                "x".join(map(str, distribution.counts)),
                 rank,
                 "instr" if instrumented else "run",
             ),
@@ -1014,6 +985,76 @@ class ClusterEmulator:
             forced_out_of_core=instrumented,
             **(emulator_policy(self.program) if overhead else {}),
         ).plans()
+
+
+# -- shared by every emulator --------------------------------------------------
+
+
+def _run_tapes(tapes: List[_Tape], n_iter: int, offset: int, samplers,
+               timeline: Optional[DynamicsTimeline] = None,
+               observer: Optional[Observer] = None,
+               ) -> Tuple[float, List[List[float]]]:
+    """The event engine interpreting every rank's tape, rank ``r``
+    drawing from ``samplers[r]``: ``(total seconds, [rank][iteration]
+    ends)``."""
+    engine = Engine()
+    ends: List[List[float]] = [[] for _ in tapes]
+    for rank, tape in enumerate(tapes):
+        engine.add_process(
+            ClusterEmulator._interpret(
+                tape, rank, n_iter, offset, samplers[rank], timeline,
+                observer, ends[rank],
+            ),
+            node=rank,
+        )
+    # Dynamics multipliers are numpy scalars; totals are plain floats.
+    return float(engine.run()), ends
+
+
+def _plan_route(plan, distribution, n_iter: int, offset: int, dynamics,
+                stationary: bool) -> Tuple[Optional[RunResult], Optional[str]]:
+    """One run served by a compiled plan: ``(result, None)``, or
+    ``(None, reason)`` when the engine must run it.
+
+    A ``stationary`` deterministic run longer than the probe replays
+    the probe and extrapolates the rest once it converged (the offset
+    changes nothing); every other run replays all of its iterations.
+    """
+    policy = plan.policy
+    probe = policy.probe_iterations
+    if n_iter <= probe or not stationary:
+        # Iterations that differ (noise, background load, dynamics)
+        # or a run no longer than the probe: replay all of them.
+        ends = plan.replay(distribution, n_iter, dynamics, offset)
+        if ends is None:
+            return None, "plan_dead"
+        per_node = [e[-1] for e in ends]
+        return RunResult(
+            total_seconds=max(per_node),
+            per_node_seconds=per_node,
+            iteration_ends=ends,
+            distribution=distribution,
+            iterations=n_iter,
+        ), None
+    probe_ends = plan.replay(distribution, probe)
+    if probe_ends is None:
+        return None, "plan_dead"
+    deltas = steady_deltas(probe_ends, policy)
+    if deltas is None:
+        return None, "not_converged"
+    iteration_ends = [
+        extrapolate_ends(ends, delta, n_iter)
+        for ends, delta in zip(probe_ends, deltas)
+    ]
+    per_node = [ends[-1] for ends in iteration_ends]
+    return RunResult(
+        total_seconds=max(per_node),
+        per_node_seconds=per_node,
+        iteration_ends=iteration_ends,
+        distribution=distribution,
+        iterations=n_iter,
+        fast_forwarded=True,
+    ), None
 
 
 # -- module-level convenience ---------------------------------------------------

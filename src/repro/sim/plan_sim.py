@@ -8,11 +8,17 @@ row block alone.  An :class:`EmulationPlan` keeps each rank's tape once
 lowered and *walks* tapes with the engine's exact arithmetic.
 
 Lowering
-    A tape is lowered per ``(rank, rows)`` — or per ``(rank, start,
+    A plan serves one emulator configuration and asks that emulator
+    for its tapes, their keys and its noise streams, so 1-D programs
+    and 2-D Jacobi share the walk, the self-check and the tape LRU.  A
+    1-D tape is lowered per ``(rank, rows)`` — or per ``(rank, start,
     stop)`` when sparse row weights make absolute positions matter —
     by the emulator's one node program
     (:class:`repro.sim.executor._Lowering`), the same lowering whose
-    tapes the event engine interprets.  The ops are ``cpu(d)``;
+    tapes the event engine interprets.  A 2-D tape is lowered per
+    ``(rank, rows, cols)`` by :class:`repro.twod.jacobi2d._Lowering2D`,
+    and a 2-D plan serves one grid shape, which fixes every rank's
+    neighbours and so its comm skeleton.  The ops are ``cpu(d)``;
     ``io(d)``, a synchronous read or write against the rank's disk
     ``free_at``; ``prefetch_issue(d)`` / ``prefetch_wait``;
     ``compute(base, draw, b, rows)``, one block's share of the
@@ -53,13 +59,14 @@ Replay
     columns of global iterations ``[offset, offset + n)``.
 
 Routes
-    :meth:`repro.sim.executor.ClusterEmulator.run` replays stationary
+    :meth:`repro.sim.executor.ClusterEmulator.run` and
+    :meth:`repro.twod.jacobi2d.TwoDEmulator.run` replay stationary
     deterministic runs over the probe window (then
     :func:`~repro.sim.steady.steady_deltas` and the closed-form
     extrapolation), and every other run — noisy, background-loaded,
     dynamic, offset, ``io_mode``-overridden or no longer than the
-    probe — in full.  Only observed, instrumented and iteration-profile
-    runs take the engine.
+    probe — in full.  Only observed, instrumented and (1-D)
+    iteration-profile runs take the engine.
 
 Safety
     The first candidate a plan sees is lowered for the probe window,
@@ -90,6 +97,7 @@ from repro.sim.executor import (
     _RECV,
     _SEND,
     _streaming_style,
+    _run_tapes,
     _Tape,
 )
 from repro.sim.steady import FastForwardPolicy
@@ -134,21 +142,26 @@ def get_emulation_plan(cluster, program, perturbation,
     first use and cached in the shared plan LRU
     (:mod:`repro.core.plan`)."""
     from repro.core.plan import get_plan
+    from repro.sim.executor import ClusterEmulator
 
     return get_plan(
         key=emulation_plan_key(cluster, program, perturbation, policy, prefetch),
         factory=lambda: EmulationPlan(
-            cluster, program, perturbation, policy, prefetch
+            ClusterEmulator(
+                cluster, program, perturbation, policy, dynamics=False
+            ),
+            policy,
+            _streaming_style(program, prefetch),
         ),
         telemetry=telemetry,
     )
 
 
 def _skeleton(tape: _Tape) -> tuple:
-    """The communication ops of one iteration (all stored iterations
-    must agree)."""
+    """The channels of one iteration's communication ops, in order
+    (all stored iterations must agree)."""
     sigs = {
-        tuple(op[:3] for op in ops if op[0] >= _SEND)
+        tuple(op[:2] for op in ops if op[0] >= _SEND)
         for ops in tape.iterations()
     }
     if len(sigs) != 1:
@@ -160,23 +173,28 @@ def _skeleton(tape: _Tape) -> tuple:
 
 
 class EmulationPlan:
-    """One compiled tape replayer for ``(cluster, program,
-    perturbation, policy)`` and one streaming style (``prefetch``;
-    ``None`` follows the program); see the module docstring.
+    """One compiled tape replayer for ``emulator``'s configuration
+    (without dynamics: runs bring their own), ``policy`` and one
+    streaming style; see the module docstring.
+
+    The plan asks the emulator it serves for what differs between
+    workloads: ``_tape_key(rank, distribution)``, what a rank's tape
+    depends on; ``_lower_tapes(ranks, distribution, n_iter, prefetch,
+    channel)``, the ranks' tapes; and ``_sampler(rank, distribution)``,
+    a rank's noise and background-load streams.  The walk, the engine
+    self-check and the tape LRU are shared.
 
     The constructor is cheap: channel discovery and the engine
     self-check happen lazily on the first :meth:`replay` (they need a
     concrete candidate to lower).
     """
 
-    def __init__(self, cluster, program, perturbation,
-                 policy: FastForwardPolicy,
-                 prefetch: Optional[bool] = None) -> None:
-        self.cluster = cluster
-        self.program = program
-        self.perturbation = perturbation
+    def __init__(self, emulator, policy: FastForwardPolicy,
+                 prefetch: bool = False) -> None:
+        self.emulator = emulator
         self.policy = policy
-        self.prefetch = _streaming_style(program, prefetch)
+        self.prefetch = prefetch
+        perturbation = emulator.perturbation
         # Which per-stage-execution factors a replay draws.
         self._noisy = bool(perturbation.compute_noise)
         self._loaded = perturbation.background_load > 0.0
@@ -184,13 +202,7 @@ class EmulationPlan:
         self.dead: Optional[str] = None
         self._lock = threading.RLock()
         self._compiled = False
-        self._emulator = None
         self._tapes = LRUCache(TAPE_CACHE_ENTRIES, threadsafe=True)
-        # Absolute row positions only matter when the ground truth
-        # weighs rows non-uniformly.
-        self._position_dependent = bool(
-            perturbation.sparse_weights and program.row_weights is not None
-        )
         #: (src, dst, iteration-relative tag) -> channel id; filled
         #: while compiling, read-only afterwards.
         self._channels: Dict[tuple, int] = {}
@@ -227,7 +239,7 @@ class EmulationPlan:
                     self._compiled = True
         if self.dead is not None:
             return None
-        P = self.cluster.n_nodes
+        P = self.emulator.cluster.n_nodes
         timeline = dynamics.compile(P, n_iter, offset) if dynamics else None
         try:
             tapes = [
@@ -257,21 +269,8 @@ class EmulationPlan:
 
     # -- lowering -------------------------------------------------------------
 
-    def _make_emulator(self):
-        if self._emulator is None:
-            from repro.sim.executor import ClusterEmulator
-
-            self._emulator = ClusterEmulator(
-                self.cluster, self.program, self.perturbation, self.policy,
-                dynamics=False,
-            )
-        return self._emulator
-
     def _tape_key(self, rank: int, distribution) -> tuple:
-        start, stop = distribution.rows_of(rank)
-        if self._position_dependent:
-            return (rank, start, stop)
-        return (rank, stop - start)
+        return self.emulator._tape_key(rank, distribution)
 
     def _tape(self, rank: int, distribution, n_iter: int) -> _Tape:
         key = self._tape_key(rank, distribution)
@@ -280,7 +279,7 @@ class EmulationPlan:
             self.tape_hits += 1
             return tape
         self.tape_misses += 1
-        tape = self._lower(rank, distribution, n_iter)
+        (tape,) = self._lower([rank], distribution, n_iter)
         if _skeleton(tape) != self._skeleton[rank]:
             raise _PlanUnsupported(f"rank {rank} comm skeleton changed")
         self._tapes.put(key, tape)
@@ -294,19 +293,18 @@ class EmulationPlan:
             chan = self._channels[key] = len(self._channels)
         return chan
 
-    def _lower(self, rank: int, distribution, n_iter: int,
-               memory=None) -> _Tape:
-        """One rank's tape of ``n_iter`` iterations (fewer once an
+    def _lower(self, ranks, distribution, n_iter: int) -> List[_Tape]:
+        """The ranks' tapes of ``n_iter`` iterations (fewer once an
         iteration repeats) in the plan's streaming style."""
-        tape = self._make_emulator()._lower(
-            rank, distribution, n_iter, 0, False, self.prefetch,
-            self._channel, memory=memory,
+        tapes = self.emulator._lower_tapes(
+            ranks, distribution, n_iter, self.prefetch, self._channel
         )
-        if tape.repeats:
-            self.repeating_tapes += 1
-        else:
-            self.full_tapes += 1
-        return tape
+        for tape in tapes:
+            if tape.repeats:
+                self.repeating_tapes += 1
+            else:
+                self.full_tapes += 1
+        return tapes
 
     # -- compilation ----------------------------------------------------------
 
@@ -315,27 +313,26 @@ class EmulationPlan:
         candidate's tapes, then self-check their replayed probe against
         the event engine interpreting the same tapes, under the first
         run's own dynamics and offset, for exact equality."""
-        P = self.cluster.n_nodes
+        P = self.emulator.cluster.n_nodes
         probe = self.probe_iterations
-        emulator = self._make_emulator()
-        memory = emulator._plans(range(P), distribution.counts, False)
-        tapes = [
-            self._lower(r, distribution, probe, memory[r]) for r in range(P)
-        ]
+        tapes = self._lower(range(P), distribution, probe)
         self._skeleton = [_skeleton(tape) for tape in tapes]
         timeline = dynamics.compile(P, probe, offset) if dynamics else None
         ends = self._walk(
             tapes, probe, *self._factors(distribution, tapes, probe, timeline)
         )
-        engine = emulator._simulate(
-            distribution, tapes, probe, timeline=timeline, offset=offset
+        samplers = [
+            self.emulator._sampler(rank, distribution) for rank in range(P)
+        ]
+        _, engine_ends = _run_tapes(
+            tapes, probe, offset, samplers, timeline
         )
-        if ends != engine.iteration_ends:
+        if ends != engine_ends:
             raise _PlanUnsupported("self-check: replay differs from the engine")
         for rank, tape in enumerate(tapes):
             self._tapes.put(self._tape_key(rank, distribution), tape)
 
-    # -- replay ---------------------------------------------------------------
+# -- replay ---------------------------------------------------------------
 
     def _factors(self, distribution, tapes: List[_Tape], n_iter: int,
                  timeline) -> Tuple[List[List[float]], Optional[List[List[float]]]]:
@@ -345,8 +342,6 @@ class EmulationPlan:
         and its per-iteration disk slowdowns (``None`` without
         ``timeline``).  Noise and background load are drawn from the
         streams the rank's engine run would draw them from."""
-        emulator = self._make_emulator()
-        label = "x".join(map(str, distribution.counts))
         compute = timeline.compute_multipliers() if timeline is not None else None
         steps = np.arange(n_iter)
         totals = []
@@ -354,7 +349,7 @@ class EmulationPlan:
             bases = tape.bases
             t = bases[np.minimum(steps, len(bases) - 1)]
             if self._noisy or self._loaded:
-                model = emulator._perturbation_model(rank, label, False)
+                model = self.emulator._sampler(rank, distribution)
                 if self._noisy:
                     t = t * model.noise_factors(t.size).reshape(t.shape)
                 if self._loaded:

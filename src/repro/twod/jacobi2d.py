@@ -5,8 +5,14 @@ owns a ``rows x cols`` tile, exchanges four halos per iteration (north/
 south rows, east/west columns) and reduces a residual.  This module
 implements that workload twice, exactly like the 1-D core:
 
-* :class:`TwoDEmulator` — a discrete-event execution on the same engine,
-  disk model and perturbation layer as :mod:`repro.sim`;
+* :class:`TwoDEmulator` — each rank is lowered once into the 1-D
+  emulator's op vocabulary (:class:`_Lowering2D`: tile sweep, halo
+  sends and receives, binomial allreduce) on the same disk model and
+  perturbation layer as :mod:`repro.sim`.  The event engine interprets
+  those tapes (:meth:`ClusterEmulator._interpret
+  <repro.sim.executor.ClusterEmulator._interpret>`), and the shared
+  :class:`~repro.sim.plan_sim.EmulationPlan`, one per grid shape,
+  replays them bit for bit;
 * :class:`TwoDModel` — the analytical mirror, fed by one instrumented
   iteration plus the standard microbenchmarks.
 
@@ -32,14 +38,18 @@ from repro.instrument.collect import MeasurementConfig
 from repro.instrument.microbench import Microbenchmarks, run_microbenchmarks
 from repro.obs import Recorder, as_recorder
 from repro.sim.disk import DiskModel
-from repro.sim.engine import Delay, Engine, Recv, Send
-from repro.sim.perturbation import PerturbationConfig, PerturbationModel
-from repro.sim.steady import (
-    FastForwardPolicy,
-    extrapolate_ends,
-    steady_deltas,
-    supports_fast_forward,
+from repro.sim.executor import (
+    _plan_route,
+    _resolve_dynamics,
+    _resolve_io_mode,
+    _run_tapes,
+    _TapeLowering,
+    fast_forward_default,
 )
+from repro.sim.perturbation import PerturbationConfig, PerturbationModel
+from repro.sim.plan_sim import EmulationPlan
+from repro.sim.steady import FastForwardPolicy, supports_fast_forward
+from repro.sim.trace import EventRecord, Observer, Op
 from repro.twod.distribution2d import GenBlock2D
 from repro.util.rng import stream
 from repro.util.units import DOUBLE
@@ -78,8 +88,78 @@ class Jacobi2DSpec:
         return rows * cols * self.element_size
 
 
+#: Section, tile variable and allreduce message size of the 2-D tapes.
+_SECTION = "jacobi2d"
+_GRID = "grid2d"
+_RESIDUAL_BYTES = 8.0
+
+
+class _Lowering2D(_TapeLowering):
+    """Lowers one rank of 2-D Jacobi into the shared op vocabulary.
+
+    Per iteration: the tile sweep (one ``compute`` in core; out of
+    core, per ICLA chunk a read, the chunk's share of the compute and
+    a write-back), one halo send per neighbour in :data:`DIRECTIONS`
+    order (read from disk first when the tile is out of core), one
+    halo receive per neighbour, and the residual's binomial reduce and
+    broadcast.
+    """
+
+    def __init__(self, emulator: "TwoDEmulator", rank: int,
+                 dist: GenBlock2D, instrumented: bool, channel,
+                 observe: bool) -> None:
+        cluster, spec = emulator.cluster, emulator.spec
+        node = cluster[rank]
+        rows, cols = dist.tile(rank)
+        in_core, chunk_rows = emulator._block_rows(rank, dist, instrumented)
+        row_bytes = cols * spec.element_size
+        tile_bytes = spec.tile_bytes(rows, cols)
+        disk = DiskModel(
+            node,
+            resident_bytes=(tile_bytes if in_core else chunk_rows * row_bytes),
+            cache_enabled=emulator.perturbation.os_read_cache,
+        )
+        if not in_core:
+            disk.register_variable(_GRID, tile_bytes)
+        super().__init__(
+            rank, cluster.n_nodes, cluster.network, disk, channel, observe
+        )
+        ws = tile_bytes if in_core else chunk_rows * row_bytes
+        factor = emulator._factor_model().compute_factor(node, ws)
+        self.base = node.compute_seconds(rows * cols * spec.work_per_element) * factor
+        self.rows, self.chunk_rows, self.row_bytes = rows, chunk_rows, row_bytes
+        self.in_core = in_core
+        self.halos = [
+            (direction, other, dist.halo_elements(rank, direction) * spec.element_size)
+            for direction, other in dist.neighbors(rank)
+        ]
+
+    def _iteration(self, it: int) -> None:
+        base, rows = self.base, self.rows
+        self.bases[-1].append(base if base > 0.0 else 0.0)
+        if self.in_core:
+            self._compute(base, 0, _SECTION, 0, None)
+        else:
+            remaining = rows
+            while remaining > 0:
+                take = min(self.chunk_rows, remaining)
+                nbytes = take * self.row_bytes
+                self._read(_GRID, nbytes, _SECTION, 0, None, take)
+                self._compute(base, 0, _SECTION, 0, None, take, rows)
+                self._write(_GRID, nbytes, _SECTION, 0, None, take)
+                remaining -= take
+        source = None if self.in_core else _GRID
+        for direction, other, nbytes in self.halos:
+            self._send(other, ("halo", direction), nbytes, _SECTION, source)
+        for direction, other, _ in self.halos:
+            self._recv(other, ("halo", _OPPOSITE[direction]), _SECTION)
+        self._reduce_bcast("allreduce", _SECTION, _RESIDUAL_BYTES)
+
+
 class TwoDEmulator:
-    """Discrete-event execution of 2-D Jacobi under a GenBlock2D."""
+    """Emulated execution of 2-D Jacobi under a GenBlock2D: each rank
+    lowered to an op tape (:class:`_Lowering2D`), interpreted by the
+    event engine or replayed by a compiled plan."""
 
     def __init__(
         self,
@@ -88,8 +168,6 @@ class TwoDEmulator:
         perturbation: Optional[PerturbationConfig] = None,
         dynamics=None,
     ) -> None:
-        from repro.sim.executor import _resolve_dynamics
-
         self.cluster = cluster
         self.spec = spec
         self.perturbation = (
@@ -99,6 +177,9 @@ class TwoDEmulator:
         #: 1-D emulator: ``None`` honours ``cluster.dynamics``, an
         #: explicit spec overrides it, ``False`` forces static.
         self.dynamics = _resolve_dynamics(cluster, dynamics)
+        self._cache_model = None
+        # The last plan served, pinned with its (grid shape, policy).
+        self._plan = None
 
     # -- placement ---------------------------------------------------------
 
@@ -125,7 +206,7 @@ class TwoDEmulator:
         iterations: Optional[int] = None,
         io_mode: str = "auto",
         fast_forward: Optional[bool] = None,
-        observer: Optional["_TwoDCollector"] = None,
+        observer: Optional[Observer] = None,
         telemetry: Optional[Recorder] = None,
         iteration_offset: int = 0,
         policy: Optional[FastForwardPolicy] = None,
@@ -137,15 +218,21 @@ class TwoDEmulator:
         kernel streams synchronously, so ``io_mode="prefetch"`` is
         rejected.
 
-        Fast-forward follows the 1-D emulator exactly: structurally
-        eligible runs (:func:`supports_fast_forward` — an observer or
-        attached cluster dynamics disqualify) simulate only the probe
-        window, and if every rank's iteration-end deltas have settled
-        the rest is extrapolated closed-form; anything else falls back
-        to the full event loop, bit for bit.
+        Routes follow the 1-D emulator.  **Plan**: the compiled
+        :class:`~repro.sim.plan_sim.EmulationPlan` of the grid shape
+        walks each rank's factor-free tape, keyed by ``(rank, rows,
+        cols)``.  A stationary deterministic run longer than the probe
+        replays the probe and extrapolates the rest once it converged;
+        every other run (noisy, background-loaded, dynamic, an offset
+        segment, or no longer than the probe) replays all of its
+        iterations, bit-identical to the engine.  **Engine**: the event
+        engine interprets the tapes.  An observer, an instrumented run,
+        a retired plan and a non-converging probe take the engine; with
+        ``telemetry`` each such run is counted under
+        ``sim/twod/fallback/<reason>``, each plan-served one under
+        ``sim/twod/plan_runs``.  ``fast_forward=False`` (or the
+        process-wide default off) forces the engine.
         """
-        from repro.sim.executor import _resolve_io_mode
-
         instr, io_override = _resolve_io_mode(io_mode)
         if io_override:  # the 2-D kernel has no prefetch pipeline
             raise SimulationError(
@@ -161,95 +248,110 @@ class TwoDEmulator:
                 f"iteration_offset must be >= 0, got {iteration_offset}"
             )
         n_iter = iterations if iterations is not None else self.spec.iterations
+        if n_iter < 1:
+            raise SimulationError(f"iterations must be >= 1, got {n_iter}")
         if fast_forward is None:
-            from repro.sim.executor import fast_forward_default
-
             fast_forward = fast_forward_default()
         policy = policy if policy is not None else FastForwardPolicy()
-        timeline = None
-        if self.dynamics is not None:
-            timeline = self.dynamics.compile(
-                self.cluster.n_nodes, n_iter, iteration_offset
-            )
         rec = as_recorder(telemetry)
-        if (
-            fast_forward
-            and iteration_offset == 0
-            and n_iter > policy.probe_iterations
-            and supports_fast_forward(
-                self.spec,
-                self.perturbation,
-                observer=observer,
-                instrumented=instr,
-                dynamics=self.dynamics,
-            )
-        ):
-            ends: List[List[float]] = [[] for _ in range(dist.n_nodes)]
-            with rec.span("sim/twod/run"):
-                self._engine_run(
-                    dist, policy.probe_iterations, instr,
-                    observer, ends,
-                )
-                deltas = steady_deltas(ends, policy)
-                if deltas is not None:
-                    seconds = max(
-                        extrapolate_ends(ends[r], deltas[r], n_iter)[-1]
-                        for r in range(dist.n_nodes)
+        result = reason = None
+        with rec.span("sim/twod/run"):
+            if fast_forward:
+                if observer is not None:
+                    reason = "observer"
+                elif instr:
+                    reason = "instrumented"
+                else:
+                    result, reason = _plan_route(
+                        self._emulation_plan(dist.grid_shape, policy, rec),
+                        dist, n_iter, iteration_offset, self.dynamics,
+                        supports_fast_forward(
+                            self.spec, self.perturbation, dynamics=self.dynamics
+                        ),
                     )
-                    if rec:
-                        rec.count("sim/twod/runs")
-                        rec.count("sim/twod/fast_forwards")
-                        rec.set("sim/twod/nodes", dist.n_nodes)
-                        rec.set("sim/twod/iterations", n_iter)
-                        rec.observe("sim/twod/seconds", seconds)
-                    return seconds
-                # Non-converging probe: fall back to an untouched full
-                # simulation (probe state is discarded entirely).
+            if result is not None:
+                seconds = result.total_seconds
+            else:
                 seconds = self._engine_run(
-                    dist, n_iter, instr, observer, None,
-                    timeline=timeline, offset=iteration_offset,
-                )
-        else:
-            with rec.span("sim/twod/run"):
-                seconds = self._engine_run(
-                    dist, n_iter, instr, observer, None,
-                    timeline=timeline, offset=iteration_offset,
+                    dist, n_iter, instr, iteration_offset, observer
                 )
         if rec:
             rec.count("sim/twod/runs")
+            if result is not None:
+                rec.count("sim/twod/plan_runs")
+                if result.fast_forwarded:
+                    rec.count("sim/twod/fast_forwards")
+            elif reason is not None:
+                rec.count(f"sim/twod/fallback/{reason}")
             rec.set("sim/twod/nodes", dist.n_nodes)
             rec.set("sim/twod/iterations", n_iter)
             rec.observe("sim/twod/seconds", seconds)
         return seconds
 
-    def _engine_run(self, dist, n_iter, instrumented, collector, ends,
-                    timeline=None, offset=0):
-        engine = Engine()
-        for rank in range(dist.n_nodes):
-            engine.add_process(
-                self._node(rank, dist, n_iter, instrumented, collector, ends,
-                           timeline=timeline, offset=offset),
-                node=rank,
-            )
-        return engine.run()
-
-    def _node(self, rank, dist, n_iter, instrumented, collector, ends=None,
-              timeline=None, offset=0):
-        spec = self.spec
-        node = self.cluster[rank]
-        net = self.cluster.network
-        rows, cols = dist.tile(rank)
-        in_core, chunk_rows = self._block_rows(rank, dist, instrumented)
-        row_bytes = cols * spec.element_size
-        tile_bytes = spec.tile_bytes(rows, cols)
-        disk = DiskModel(
-            node,
-            resident_bytes=(tile_bytes if in_core else chunk_rows * row_bytes),
-            cache_enabled=self.perturbation.os_read_cache,
+    def _engine_run(self, dist, n_iter, instrumented, offset, observer) -> float:
+        """The event engine interpreting every rank's tape."""
+        P = self.cluster.n_nodes
+        timeline = None
+        if self.dynamics is not None:
+            timeline = self.dynamics.compile(P, n_iter, offset)
+        channels: dict = {}
+        channel = lambda key: channels.setdefault(key, len(channels))  # noqa: E731
+        tapes = self._lower_tapes(
+            range(P), dist, n_iter, False, channel, offset=offset,
+            instrumented=instrumented, observe=observer is not None,
         )
-        if not in_core:
-            disk.register_variable("grid2d", tile_bytes)
-        perturb = PerturbationModel(
+        samplers = [self._sampler(rank, dist, instrumented) for rank in range(P)]
+        return _run_tapes(tapes, n_iter, offset, samplers, timeline, observer)[0]
+
+    # -- what a compiled plan asks of the emulator it serves ---------------------
+
+    def _emulation_plan(self, grid_shape, policy, telemetry):
+        """The shared plan of ``grid_shape``: a rank's neighbours, and so
+        its comm skeleton, are fixed by the shape."""
+        pinned = self._plan
+        if pinned is not None and pinned[:2] == (grid_shape, policy):
+            return pinned[2]
+        from repro.core.plan import get_plan
+        from repro.parallel.cache import content_key
+
+        cluster, spec, perturbation = self.cluster, self.spec, self.perturbation
+        plan = get_plan(
+            key="emulate2d:" + content_key(
+                cluster, spec, perturbation, policy, grid_shape
+            ),
+            factory=lambda: EmulationPlan(
+                TwoDEmulator(cluster, spec, perturbation, dynamics=False),
+                policy,
+            ),
+            telemetry=telemetry,
+        )
+        self._plan = (grid_shape, policy, plan)
+        return plan
+
+    def _tape_key(self, rank: int, dist: GenBlock2D) -> tuple:
+        return (rank,) + dist.tile(rank)
+
+    def _lower_tapes(self, ranks, dist: GenBlock2D, n_iter: int,
+                     prefetch: bool, channel, *, offset: int = 0,
+                     instrumented: bool = False, observe: bool = False) -> list:
+        """Tapes of ``ranks`` (see :class:`_Lowering2D`); the 2-D kernel
+        has one streaming style, so ``prefetch`` changes nothing."""
+        return [
+            _Lowering2D(self, rank, dist, instrumented, channel, observe)
+            .lower(n_iter, offset)
+            for rank in ranks
+        ]
+
+    def _factor_model(self) -> PerturbationModel:
+        """A label-free sampler for the deterministic cache factor."""
+        if self._cache_model is None:
+            self._cache_model = PerturbationModel(self.perturbation)
+        return self._cache_model
+
+    def _sampler(self, rank: int, dist: GenBlock2D,
+                 instrumented: bool = False) -> PerturbationModel:
+        """The RNG-bearing perturbation sampler of one node in one run."""
+        return PerturbationModel(
             self.perturbation,
             run_labels=(
                 "2d",
@@ -259,118 +361,11 @@ class TwoDEmulator:
                 "instr" if instrumented else "run",
             ),
         )
-        now = 0.0
-
-        def cpu(seconds):
-            nonlocal now
-            if seconds > 0:
-                now = float((yield Delay(seconds)))
-
-        neighbors = dist.neighbors(rank)
-        for local_it in range(n_iter):
-            it = local_it + offset
-            if timeline is not None:
-                dyn_compute = timeline.compute_multiplier(rank, it)
-                disk.slowdown = timeline.disk_slowdown(rank, it)
-            else:
-                dyn_compute = 1.0
-            # -- stage: sweep the tile (streaming if out of core) ----------
-            work = rows * cols * spec.work_per_element
-            nominal = node.compute_seconds(work)
-            ws = chunk_rows * row_bytes if not in_core else tile_bytes
-            compute_total = perturb.perturb_compute(node, nominal, ws)
-            if dyn_compute != 1.0:
-                compute_total *= dyn_compute
-            compute_done = 0.0
-            if in_core:
-                start = now
-                yield from cpu(compute_total)
-                compute_done = compute_total
-                if collector is not None:
-                    collector.on_compute(rank, it, compute_total)
-            else:
-                remaining = rows
-                while remaining > 0:
-                    take = min(chunk_rows, remaining)
-                    nbytes = take * row_bytes
-                    op = disk.submit_read(now, "grid2d", nbytes)
-                    read_dur = op.done - now
-                    yield from cpu(read_dur)
-                    if collector is not None:
-                        collector.on_read(rank, read_dur, nbytes)
-                    share = compute_total * take / rows
-                    yield from cpu(share)
-                    compute_done += share
-                    if collector is not None:
-                        collector.on_compute(rank, it, share)
-                    wop = disk.submit_write(now, "grid2d", nbytes)
-                    write_dur = wop.done - now
-                    yield from cpu(write_dur)
-                    if collector is not None:
-                        collector.on_write(rank, write_dur, nbytes)
-                    remaining -= take
-            # -- halo exchange (sends in fixed order, then receives) -------
-            for direction, other in neighbors:
-                nbytes = dist.halo_elements(rank, direction) * spec.element_size
-                if not in_core:
-                    op = disk.submit_read(now, "grid2d", nbytes)
-                    dur = op.done - now
-                    yield from cpu(dur)
-                    if collector is not None:
-                        collector.on_read(rank, dur, nbytes)
-                yield from cpu(net.send_overhead)
-                yield Send(
-                    other,
-                    f"{it}:halo:{direction}",
-                    transfer=net.transfer_seconds(nbytes),
-                )
-            for direction, other in neighbors:
-                result = yield Recv(other, f"{it}:halo:{_OPPOSITE[direction]}")
-                now = float(result)
-                yield from cpu(net.recv_overhead)
-            # -- residual allreduce (binomial reduce + broadcast) -----------
-            yield from self._allreduce(rank, dist.n_nodes, it, net, cpu)
-            if ends is not None:
-                ends[rank].append(now)
-
-    def _allreduce(self, rank, P, it, net, cpu):
-        nbytes = 8.0
-        mask = 1
-        while mask < P:
-            if rank & mask:
-                yield from cpu(net.send_overhead)
-                yield Send(
-                    rank - mask,
-                    f"{it}:red:{mask}",
-                    transfer=net.transfer_seconds(nbytes),
-                )
-                break
-            partner = rank | mask
-            if partner < P:
-                result = yield Recv(partner, f"{it}:red:{mask}")
-                yield from cpu(net.recv_overhead)
-            mask <<= 1
-        pot = 1
-        while pot < P:
-            pot <<= 1
-        mask = pot >> 1
-        while mask > 0:
-            if rank % (2 * mask) == 0:
-                if rank + mask < P:
-                    yield from cpu(net.send_overhead)
-                    yield Send(
-                        rank + mask,
-                        f"{it}:bc:{mask}",
-                        transfer=net.transfer_seconds(nbytes),
-                    )
-            elif rank % (2 * mask) == mask:
-                result = yield Recv(rank - mask, f"{it}:bc:{mask}")
-                yield from cpu(net.recv_overhead)
-            mask >>= 1
 
 
 class _TwoDCollector:
-    """Instrumented-iteration measurements for the 2-D model."""
+    """Instrumented-iteration measurements for the 2-D model: an
+    :data:`~repro.sim.trace.Observer` of the run's records."""
 
     def __init__(self, measurement: MeasurementConfig, rng) -> None:
         self._m = measurement
@@ -389,18 +384,18 @@ class _TwoDCollector:
         )
         return duration * (1.0 + rel) + self._m.timer_overhead
 
-    def on_compute(self, rank, it, duration):
-        self.compute[rank] += self._measured(duration)
-
-    def on_read(self, rank, duration, nbytes):
-        self.read_seconds[rank] += self._measured(duration)
-        self.read_bytes[rank] += nbytes
-        self.read_ops[rank] += 1
-
-    def on_write(self, rank, duration, nbytes):
-        self.write_seconds[rank] += self._measured(duration)
-        self.write_bytes[rank] += nbytes
-        self.write_ops[rank] += 1
+    def __call__(self, record: EventRecord) -> None:
+        op, rank = record.op, record.node
+        if op == Op.COMPUTE:
+            self.compute[rank] += self._measured(record.end - record.start)
+        elif op == Op.READ:
+            self.read_seconds[rank] += self._measured(record.end - record.start)
+            self.read_bytes[rank] += record.nbytes
+            self.read_ops[rank] += 1
+        elif op == Op.WRITE:
+            self.write_seconds[rank] += self._measured(record.end - record.start)
+            self.write_bytes[rank] += record.nbytes
+            self.write_ops[rank] += 1
 
 
 @dataclass(frozen=True)

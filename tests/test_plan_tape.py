@@ -12,6 +12,9 @@ and separately a dynamics scenario and its start, an offset, background
 load and short runs.  Every candidate the plan cannot serve is counted
 under ``sim/fallback/<reason>`` and still equals the engine; a forced
 noise or dynamics-factor mismatch retires the plan at its self-check.
+The 2-D Jacobi emulator's tapes replay through the same plans: one
+case draws its grid, bands, node memory, noise, load, dynamics and run
+length.
 """
 
 import dataclasses
@@ -41,6 +44,7 @@ from repro.sim import (
 from repro.cluster.dynamics import DynamicsTimeline
 from repro.sim.perturbation import PerturbationModel
 from repro.sim.trace import TraceCollector
+from repro.twod import GenBlock2D, Jacobi2DSpec, TwoDEmulator, factor_pairs
 from repro.util.units import mib
 
 SCALE = 0.05
@@ -489,3 +493,99 @@ def test_fallback_is_counted_and_engine_identical(reason, monkeypatch):
     for d, got in zip(dists, singles):
         ref = _engine(cluster, program, d, pert, **kw)
         _assert_identical(got, ref)
+
+
+def test_totals_are_python_floats_on_every_route():
+    """Dynamics multipliers are numpy scalars; every route still
+    returns Python floats, so a result's ``repr`` and JSON do not
+    depend on the route."""
+    cluster = table1_configs()["HY1"]
+    program = _program("jacobi", False, 8)
+    spec = dynamics_scenario("drift", cluster.n_nodes, start=0)
+    dist = block(cluster, program.n_rows)
+    spec2d = Jacobi2DSpec(n_rows=400, n_cols=400, iterations=8)
+    dist2d = GenBlock2D([200, 200], [100] * 4)
+    for fast_forward in (True, False):
+        rec = Recorder()
+        result = emulate(
+            cluster, program, dist, perturbation=NOISY, dynamics=spec,
+            fast_forward=fast_forward, run_cache=False, telemetry=rec,
+        )
+        (batched,) = emulate_many(
+            cluster, program, [dist], perturbation=NOISY, dynamics=spec,
+            fast_forward=fast_forward, run_cache=False,
+        )
+        for got in (result, batched):
+            assert type(got.total_seconds) is float
+            assert {type(x) for x in got.per_node_seconds} == {float}
+        total = TwoDEmulator(cluster, spec2d, NOISY, dynamics=spec).run(
+            dist2d, fast_forward=fast_forward, telemetry=rec,
+        )
+        assert type(total) is float
+        plan_served = rec.counters.get("sim/plan_runs", 0) + rec.counters.get(
+            "sim/twod/plan_runs", 0
+        )
+        assert plan_served == (2 if fast_forward else 0)
+
+
+def _bands(shares, total):
+    return [int(c) for c in largest_remainder_round(np.asarray(shares), total, minimum=1)]
+
+
+@settings(
+    deadline=None,
+    max_examples=10,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    P=st.sampled_from([4, 6, 8]),
+    shape_index=st.integers(0, 3),
+    side=st.sampled_from([256, 512]),
+    row_shares=st.lists(st.floats(0.2, 1.0), min_size=8, max_size=8),
+    col_shares=st.lists(st.floats(0.2, 1.0), min_size=8, max_size=8),
+    memory=st.sampled_from([64 * 1024, 256 * 1024, mib(64)]),
+    noisy=st.booleans(),
+    background_load=st.sampled_from([0.0, 0.2]),
+    scenario=st.sampled_from([None, "drift", "load-spike", "disk-fade"]),
+    start=st.integers(0, 12),
+    offset=st.integers(0, 10),
+    iterations=st.integers(1, 40),
+)
+def test_twod_replay_matches_engine(P, shape_index, side, row_shares,
+                                    col_shares, memory, noisy,
+                                    background_load, scenario, start,
+                                    offset, iterations):
+    """2-D Jacobi tapes replay through the shared plan: whatever the
+    grid, bands, node memory (tiles in core, or streamed from disk in
+    chunks), noise, load, dynamics, offset and run length, a plan-
+    served run equals the engine bit for bit, or, deterministic and
+    stationary past the probe, extrapolates it within 1e-9."""
+    base = table1_configs()["HY1"]
+    cluster = base.with_nodes(
+        [node.with_(memory_bytes=memory) for node in base.nodes[:P]],
+        name=f"HY1-{P}-{memory}",
+    )
+    shapes = factor_pairs(P)
+    rows, cols = shapes[shape_index % len(shapes)]
+    dist = GenBlock2D(
+        _bands(row_shares[:rows], side), _bands(col_shares[:cols], side)
+    )
+    spec = Jacobi2DSpec(n_rows=side, n_cols=side, iterations=iterations)
+    pert = (NOISY if noisy else DETERMINISTIC).without(
+        background_load=background_load
+    )
+    dynamics = dynamics_scenario(scenario, P, start=start) if scenario else False
+    emulator = TwoDEmulator(cluster, spec, pert, dynamics=dynamics)
+    rec = Recorder()
+    got = emulator.run(dist, iteration_offset=offset, telemetry=rec)
+    ref = emulator.run(dist, iteration_offset=offset, fast_forward=False)
+    assert rec.counters["sim/twod/plan_runs"] == 1
+    assert not [k for k in rec.counters if k.startswith("sim/twod/fallback/")]
+    plan = emulator._emulation_plan(dist.grid_shape, FastForwardPolicy(), None)
+    assert plan.dead is None
+    if rec.counters.get("sim/twod/fast_forwards"):
+        assert not (noisy or background_load or scenario)
+        assert iterations > PROBE
+        assert abs(got - ref) <= 1e-9 * ref
+    else:
+        assert got == ref

@@ -361,16 +361,20 @@ class TestTwoDFastForward:
         assert rec.counters["sim/twod/fast_forwards"] == 1
         assert abs(fast - full) / abs(full) <= 1e-9
 
-    def test_perturbed_run_bypasses_bitwise(self):
+    def test_perturbed_run_is_plan_served_bitwise(self):
         from repro.cluster import table1_configs
+        from repro.obs import Recorder
 
         cluster = table1_configs()["HY1"]
         spec = self._spec()
         dist = block2d(spec.n_rows, spec.n_cols, (2, 4))
         emulator = TwoDEmulator(cluster, spec, PerturbationConfig())
         full = emulator.run(dist, fast_forward=False)
-        fast = emulator.run(dist, fast_forward=True)
+        rec = Recorder()
+        fast = emulator.run(dist, fast_forward=True, telemetry=rec)
         assert fast == full
+        assert rec.counters["sim/twod/plan_runs"] == 1
+        assert "sim/twod/fast_forwards" not in rec.counters
 
     def test_short_run_and_collector_bypass(self):
         from repro.cluster import table1_configs
@@ -416,3 +420,88 @@ class TestTwoDFastForward:
         rec2 = Recorder()
         emulator.run(dist, telemetry=rec2)
         assert rec2.counters["sim/twod/fast_forwards"] == 1
+
+
+class TestTwoDRoutes:
+    """Every 2-D run the plan does not serve takes the engine and is
+    counted under ``sim/twod/fallback/<reason>``; a forced self-check
+    mismatch retires the grid shape's plan."""
+
+    def _setup(self, name):
+        import dataclasses
+
+        from repro.cluster import table1_configs
+
+        # A cluster of its own: no other test shares its plans.
+        cluster = dataclasses.replace(table1_configs()["HY1"], name=name)
+        spec = Jacobi2DSpec(n_rows=400, n_cols=400, iterations=12)
+        return cluster, spec, block2d(spec.n_rows, spec.n_cols, (2, 4))
+
+    @pytest.mark.parametrize(
+        "reason", ["observer", "instrumented", "plan_dead", "not_converged"]
+    )
+    def test_fallback_is_counted_and_engine_identical(self, reason, monkeypatch):
+        import repro.sim.executor as executor_mod
+        from repro.obs import Recorder
+        from repro.sim import FastForwardPolicy
+        from repro.sim.trace import TraceCollector
+
+        cluster, spec, dist = self._setup(f"HY1-2d-{reason}")
+        pert = PerturbationConfig()
+        kw = {}
+        if reason == "observer":
+            kw["observer"] = TraceCollector()
+        elif reason == "instrumented":
+            kw.update(iterations=1, io_mode="instrumented")
+        elif reason == "plan_dead":
+            plan = TwoDEmulator(cluster, spec, pert)._emulation_plan(
+                dist.grid_shape, FastForwardPolicy(), None
+            )
+            monkeypatch.setattr(plan, "dead", "forced dead for test")
+        else:
+            pert = pert.without(compute_noise=False)
+            monkeypatch.setattr(
+                executor_mod, "steady_deltas", lambda ends, policy: None
+            )
+        emulator = TwoDEmulator(cluster, spec, pert)
+        rec = Recorder()
+        got = emulator.run(dist, telemetry=rec, **kw)
+        kw.pop("observer", None)
+        assert got == emulator.run(dist, fast_forward=False, **kw)
+        counters = rec.counters
+        assert counters[f"sim/twod/fallback/{reason}"] == 1
+        assert counters["sim/twod/runs"] == 1
+        assert [k for k in counters if k.startswith("sim/twod/fallback/")] == [
+            f"sim/twod/fallback/{reason}"
+        ]
+        assert "sim/twod/plan_runs" not in counters
+
+    def test_forced_noise_mismatch_retires_the_plan(self, monkeypatch):
+        """One perturbed element of the vector noise draw makes the
+        replay disagree with the engine probe, which runs under the
+        first run's own factors: the self-check retires the plan, and
+        every run still gets the engine's result."""
+        from repro.obs import Recorder
+        from repro.sim import FastForwardPolicy
+        from repro.sim.perturbation import PerturbationModel
+
+        real = PerturbationModel.noise_factors
+
+        def skewed(self, n):
+            factors = real(self, n)
+            factors[0] *= 2.0
+            return factors
+
+        monkeypatch.setattr(PerturbationModel, "noise_factors", skewed)
+        cluster, spec, dist = self._setup("HY1-2d-skewed")
+        emulator = TwoDEmulator(cluster, spec, PerturbationConfig())
+        rec = Recorder()
+        got = [emulator.run(dist, telemetry=rec) for _ in range(2)]
+        plan = emulator._emulation_plan(
+            dist.grid_shape, FastForwardPolicy(), None
+        )
+        assert plan.dead is not None and plan.dead.startswith("self-check")
+        assert rec.counters["sim/twod/fallback/plan_dead"] == 2
+        assert "sim/twod/plan_runs" not in rec.counters
+        ref = emulator.run(dist, fast_forward=False)
+        assert got == [ref, ref]
