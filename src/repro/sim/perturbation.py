@@ -164,17 +164,3 @@ class PerturbationModel:
         if self._load is None:
             return np.ones(n)
         return self._load.factors(n)
-
-    # -- convenience -------------------------------------------------------
-
-    def perturb_compute(
-        self, node: NodeSpec, nominal_seconds: float, working_set_bytes: float
-    ) -> float:
-        """Apply cache factor, jitter and background load to a nominal
-        compute duration."""
-        return (
-            nominal_seconds
-            * self.compute_factor(node, working_set_bytes)
-            * self.noise_factor()
-            * self.background_factor()
-        )
