@@ -147,10 +147,14 @@ def _add_kernel(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_jobs(parser: argparse.ArgumentParser, cache: bool = False) -> None:
+def _add_jobs(
+    parser: argparse.ArgumentParser,
+    cache: bool = False,
+    parts: str = "the embarrassingly parallel parts",
+) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the embarrassingly parallel parts "
+        help=f"worker processes for {parts} "
         "(1 = serial, 0 = one per CPU; results are bit-identical)",
     )
     if cache:
@@ -302,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(degenerate strips ride the 1-D spectrum path)",
     )
     _add_common(p)
-    _add_jobs(p)
+    _add_jobs(p, parts="the 1-D --verify emulations")
     _add_kernel(p)
     _add_telemetry(p)
 
@@ -660,7 +664,6 @@ def _cmd_search_twod(args, cluster, program) -> str:
             algorithm=name,
             shapes=shapes,
             batch_size=args.batch_size,
-            jobs=args.jobs,
         ).search(args.budget, telemetry=rec)
         out.append(str(result))
         for shape, value in sorted(result.per_shape.items()):

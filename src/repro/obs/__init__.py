@@ -2,7 +2,7 @@
 
 Create a :class:`Recorder`, pass it as the ``telemetry=`` keyword of
 any entry point (``MhetaModel.predict``, ``Searcher.search``,
-``emulate``, ``run_spectrum``, ``predict_sharded``, ...), and
+``emulate``, ``run_spectrum``, ``verify_distributions``, ...), and
 read the result with :meth:`Recorder.describe`, ``to_json`` or
 ``to_csv``::
 

@@ -12,11 +12,14 @@ parallel.  This package provides the shared machinery:
 * :class:`SweepCache` / :func:`content_key` — content-keyed
   memoisation of ``(cluster, program, distribution) -> (actual,
   predicted)`` pairs, in memory and optionally on disk;
+* :class:`RunCache` — bounded memoisation of whole emulator runs,
+  with the same optional on-disk tier;
 * :func:`verify_distributions` — parallel emulator verification of
-  search winners;
-* :func:`predict_sharded` — shard a large candidate batch
-  across workers, each scoring its slice with the vectorized
-  ``predict(batch=True)`` kernel.
+  search winners.
+
+Model predictions are not fanned out: one vectorized
+``predict(batch=True)`` pass in the calling process beats a process
+pool at every population size the searches produce.
 
 Determinism: every emulator run seeds its RNG streams from
 ``(cluster, program, distribution, node)`` labels (see
@@ -25,25 +28,21 @@ runs them or in which order — fan-out is bit-identical to serial
 execution by construction, and the equivalence is regression-tested.
 """
 
-from repro.parallel.runner import ParallelRunner, resolve_jobs, split_shards
+from repro.parallel.runner import ParallelRunner, resolve_jobs
 from repro.parallel.cache import (
     RunCache,
     SweepCache,
     content_key,
     default_run_cache,
 )
-from repro.parallel.predict import predict_2d_sharded, predict_sharded
 from repro.parallel.verify import verify_distributions
 
 __all__ = [
     "ParallelRunner",
     "resolve_jobs",
-    "split_shards",
     "RunCache",
     "SweepCache",
     "content_key",
     "default_run_cache",
-    "predict_sharded",
-    "predict_2d_sharded",
     "verify_distributions",
 ]

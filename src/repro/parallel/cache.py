@@ -29,10 +29,13 @@ import tempfile
 import threading
 import weakref
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, Optional, Tuple, Union,
+)
 
 import numpy as np
 
+from repro.exceptions import DistributionError
 from repro.util.lru import LRUCache
 
 __all__ = ["SweepCache", "RunCache", "content_key", "default_run_cache"]
@@ -90,7 +93,7 @@ def _file_lock(path: Path) -> Iterator[None]:
     """Exclusive inter-process lock covering updates of ``path``.
 
     ``os.replace`` makes each write atomic, but the read-merge-replace
-    in :meth:`SweepCache.save` is not: two processes that both read
+    in :func:`_save_entries` is not: two processes that both read
     before either replaces silently drop one side's entries.  An
     ``flock`` over the whole critical section serialises the merge.
     The lock is taken on the *parent directory's* fd: the data file's
@@ -113,6 +116,60 @@ def _file_lock(path: Path) -> Iterator[None]:
             fcntl.flock(fd, fcntl.LOCK_UN)
     finally:
         os.close(fd)
+
+
+def _load_entries(path: Path, decode: Callable[[Any], Any]) -> Dict[str, Any]:
+    """The on-disk tier's ``key -> decode(entry)`` mapping; an empty
+    mapping when the file is unreadable, so a half-written file from a
+    pre-atomic-write version, or one bad entry, never bricks every later
+    run.  Undecodable bytes and bad JSON are ValueErrors; a top-level
+    non-object or a wrong-shaped entry fails the decoder (a
+    :class:`DistributionError` for counts no distribution can have)."""
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        return {k: decode(v) for k, v in raw.items()}
+    except (
+        OSError, ValueError, TypeError, KeyError, AttributeError,
+        DistributionError,
+    ):
+        return {}
+
+
+def _save_entries(
+    path: Path,
+    entries: Iterable[Tuple[str, Any]],
+    decode: Callable[[Any], Any],
+    encode: Callable[[Any], Any],
+) -> None:
+    """Merge ``entries`` into the on-disk tier at ``path``.
+
+    The write is a read-merge-replace: entries another process wrote to
+    the file since it was loaded are re-read and kept (``entries`` win
+    on key collisions — stored values are deterministic, so colliding
+    values agree anyway).  The whole read-merge-replace runs under an
+    inter-process file lock and the merged payload lands via a
+    same-directory temp file + :func:`os.replace`, so a crash mid-write
+    can never leave a truncated file and two processes saving
+    interleaved lose nothing.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with _file_lock(path):
+        merged = _load_entries(path, decode)
+        merged.update(entries)
+        payload = {k: encode(v) for k, v in sorted(merged.items())}
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=path.name, suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(payload, indent=0, sort_keys=True) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
 
 # Identity-memoised canonical texts for the key hot path: every fresh
@@ -173,6 +230,13 @@ def content_key(*objects: Any) -> str:
     return digest
 
 
+def _float_pair(entry) -> Tuple[float, float]:
+    """An ``(actual, predicted)`` pair from its JSON list (or a stored
+    pair); anything but two numbers raises."""
+    actual, predicted = entry
+    return float(actual), float(predicted)
+
+
 class SweepCache:
     """Memoised ``(cluster, program, distribution) -> (actual, predicted)``.
 
@@ -218,20 +282,8 @@ class SweepCache:
         self._hits = 0
         self._misses = 0
         if self.path is not None and self.path.exists():
-            for k, pair in self._read_disk().items():
+            for k, pair in _load_entries(self.path, _float_pair).items():
                 self._put(k, pair)
-
-    def _read_disk(self) -> Dict[str, Tuple[float, float]]:
-        """Parse the on-disk file (empty mapping when unreadable — a
-        half-written file from a pre-atomic-write version must not brick
-        every later run)."""
-        try:
-            raw = json.loads(self.path.read_text(encoding="utf-8"))
-            return {k: (float(a), float(p)) for k, (a, p) in raw.items()}
-        except (OSError, ValueError, TypeError, AttributeError):
-            # Undecodable bytes and bad JSON are ValueErrors; a top-level
-            # non-object or a wrong-shaped entry fails the unpacking.
-            return {}
 
     def _put(self, key: str, pair: Tuple[float, float]) -> None:
         if isinstance(self._store, LRUCache):
@@ -308,48 +360,17 @@ class SweepCache:
             )
 
     def save(self) -> None:
-        """Persist to ``path`` (no-op for purely in-memory caches).
-
-        The write is a read-merge-replace: entries another process wrote
-        to the file since this cache loaded it are re-read and kept
-        (this cache's pairs win on key collisions — the pairs are
-        deterministic, so colliding values agree anyway).  The whole
-        read-merge-replace runs under an inter-process file lock and the
-        merged payload lands via a same-directory temp file +
-        :func:`os.replace`, so a crash mid-write can never leave a
-        truncated file and two processes saving interleaved lose
-        nothing.
-        """
+        """Persist to ``path`` (no-op for purely in-memory caches): an
+        atomic read-merge-replace under the parent-directory file lock
+        (:func:`_save_entries`), so entries another process wrote since
+        this cache loaded are kept and this cache's pairs win on key
+        collisions."""
         if self.path is None:
             return
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with _file_lock(self.path):
-                merged: Dict[str, Tuple[float, float]] = {}
-                if self.path.exists():
-                    merged.update(self._read_disk())
-                merged.update(
-                    (k, (float(v[0]), float(v[1])))
-                    for k, v in self._store.items()
-                )
-                payload = {k: list(v) for k, v in sorted(merged.items())}
-                fd, tmp = tempfile.mkstemp(
-                    dir=self.path.parent, prefix=self.path.name,
-                    suffix=".tmp",
-                )
-                try:
-                    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                        fh.write(
-                            json.dumps(payload, indent=0, sort_keys=True)
-                            + "\n"
-                        )
-                    os.replace(tmp, self.path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
+            _save_entries(
+                self.path, self._store.items(), _float_pair, _float_pair
+            )
 
 
 class RunCache:
@@ -392,7 +413,9 @@ class RunCache:
         self.path = Path(path) if path is not None else None
         self.loaded_from_disk = 0
         if self.path is not None and self.path.exists():
-            for k, result in self._read_disk().items():
+            for k, result in _load_entries(
+                self.path, self._deserialize
+            ).items():
                 self._store.put(k, result)
                 self.loaded_from_disk += 1
 
@@ -568,15 +591,6 @@ class RunCache:
             fast_forwarded=bool(fast),
         )
 
-    def _read_disk(self) -> Dict[str, Any]:
-        """Parse the on-disk file into frozen results (empty mapping
-        when unreadable, matching :meth:`SweepCache._read_disk`)."""
-        try:
-            raw = json.loads(self.path.read_text(encoding="utf-8"))
-            return {k: self._deserialize(v) for k, v in raw.items()}
-        except (OSError, ValueError, TypeError, KeyError, AttributeError):
-            return {}
-
     def save(self) -> None:
         """Persist to ``path`` (no-op for purely in-memory caches);
         read-merge-replace under the parent-directory lock, exactly
@@ -584,32 +598,12 @@ class RunCache:
         if self.path is None:
             return
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with _file_lock(self.path):
-                merged: Dict[str, Any] = {}
-                if self.path.exists():
-                    merged.update(self._read_disk())
-                merged.update(self._store.items())
-                payload = {
-                    k: self._serialize(v) for k, v in sorted(merged.items())
-                }
-                fd, tmp = tempfile.mkstemp(
-                    dir=self.path.parent, prefix=self.path.name,
-                    suffix=".tmp",
-                )
-                try:
-                    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                        fh.write(
-                            json.dumps(payload, indent=0, sort_keys=True)
-                            + "\n"
-                        )
-                    os.replace(tmp, self.path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
+            _save_entries(
+                self.path,
+                self._store.items(),
+                self._deserialize,
+                self._serialize,
+            )
 
 
 #: Process-wide shared run cache used by :func:`repro.sim.executor.emulate`

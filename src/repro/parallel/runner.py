@@ -21,28 +21,10 @@ from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from repro.obs import Recorder, as_recorder
 
-__all__ = ["ParallelRunner", "resolve_jobs", "split_shards"]
+__all__ = ["ParallelRunner", "resolve_jobs"]
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def split_shards(items: Iterable[T], shards: int) -> List[List[T]]:
-    """Split ``items`` into at most ``shards`` contiguous, near-equal
-    slices (the larger slices first), preserving order.  Empty input
-    yields no shards."""
-    work: List[T] = list(items)
-    if not work:
-        return []
-    n = min(max(int(shards), 1), len(work))
-    base, extra = divmod(len(work), n)
-    out: List[List[T]] = []
-    lo = 0
-    for i in range(n):
-        hi = lo + base + (1 if i < extra else 0)
-        out.append(work[lo:hi])
-        lo = hi
-    return out
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -107,22 +89,6 @@ class ParallelRunner:
         # Ordered chunked dispatch: worker w handles ~tasks/workers
         # tasks; record the per-worker share the chunking targets.
         rec.observe("parallel/tasks_per_worker", tasks / max(workers, 1))
-
-    def map_shards(
-        self, fn: Callable[[List[T]], List[R]], items: Iterable[T]
-    ) -> List[R]:
-        """Split ``items`` into one contiguous shard per worker, apply
-        ``fn`` (a list-to-list function, e.g. a batched model kernel) to
-        each shard, and concatenate the results in input order."""
-        shards = split_shards(items, self.jobs)
-        rec = self.telemetry
-        if rec:
-            for shard in shards:
-                rec.observe("parallel/shard_tasks", len(shard))
-        flat: List[R] = []
-        for result in self.map(fn, shards):
-            flat.extend(result)
-        return flat
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ParallelRunner(jobs={self.jobs})"

@@ -158,6 +158,12 @@ class BudgetedEvaluator:
     the budgeted path for full prediction reports (per-node breakdowns
     for bottleneck inspection) — report misses on unseen distributions
     are counted and capped exactly like scalar evaluations.
+
+    It serves any model whose ``predict`` takes ``batch=`` (the 1-D
+    :class:`MhetaModel`, the 2-D ``TwoDModel``) and any distribution
+    with a hashable ``counts`` key (``GenBlock.counts``, the
+    ``(row_counts, col_counts)`` pair of a ``GenBlock2D``); models
+    without ``batch=`` are scored one candidate at a time.
     """
 
     def __init__(
@@ -274,6 +280,19 @@ class BudgetedEvaluator:
         if cut < len(dists):
             raise _BudgetExhausted()
         return results
+
+
+def _record_search(rec: Recorder, name: str, budget: int, result) -> None:
+    """The ``search/*`` counters every searcher writes for one run:
+    runs, evaluations and cache hits, plus the searcher's budget, budget
+    spent and best predicted seconds.  ``result`` is any search result
+    with ``evaluations``, ``cache_hits`` and ``predicted_seconds``."""
+    rec.count("search/runs")
+    rec.count("search/evaluations", result.evaluations)
+    rec.count("search/cache_hits", result.cache_hits)
+    rec.set(f"search/{name}/budget", budget)
+    rec.set(f"search/{name}/budget_spent", result.evaluations)
+    rec.set(f"search/{name}/best_seconds", result.predicted_seconds)
 
 
 def evaluate_batch(
@@ -443,14 +462,7 @@ class SearchAlgorithm(abc.ABC):
             cache_hits=cache.hits,
         )
         if rec:
-            rec.count("search/runs")
-            rec.count("search/evaluations", result.evaluations)
-            rec.count("search/cache_hits", result.cache_hits)
-            rec.set(f"search/{self.name}/budget", budget)
-            rec.set(f"search/{self.name}/budget_spent", result.evaluations)
-            rec.set(
-                f"search/{self.name}/best_seconds", result.predicted_seconds
-            )
+            _record_search(rec, self.name, budget, result)
             for value in trajectory:
                 rec.observe("search/best_so_far", value)
         return result

@@ -59,6 +59,12 @@ class GenBlock2D:
         return len(self.row_counts), len(self.col_counts)
 
     @property
+    def counts(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Hashable key ``(row_counts, col_counts)``: both tuples, since
+        the concatenated bands of a 2x4 and a 4x2 layout can be equal."""
+        return self.row_counts, self.col_counts
+
+    @property
     def n_nodes(self) -> int:
         r, c = self.grid_shape
         return r * c

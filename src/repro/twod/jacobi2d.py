@@ -483,13 +483,6 @@ class TwoDModel:
         """Drop this model's plans (they rebuild lazily on next use)."""
         self._plans = {}
 
-    def __getstate__(self) -> dict:
-        # Plans hold scratch and memo buffers; workers rebuild them
-        # lazily after unpickling.
-        state = self.__dict__.copy()
-        state["_plans"] = {}
-        return state
-
     # -- per-node stage time ----------------------------------------------------
 
     def _stage_seconds(self, rank: int, dist: GenBlock2D) -> float:

@@ -4,27 +4,27 @@ The paper's reason for staying one-dimensional is that the 2-D search
 space "increases greatly" — every grid shape (R, C) multiplies a row-band
 axis by a column-band axis.  With the batched 2-D kernel
 (:mod:`repro.twod.plan2d`) an evaluation costs what the 1-D kernel costs,
-so the full 1-D search machinery can be pointed at 2-D layouts:
+so the 1-D search layer itself is pointed at 2-D layouts:
 
 * :class:`TwoDGbs` — batched coordinate descent per grid shape
   (steepest-descent single-band moves, scored one population per round
-  through ``predict(batch=True)``), the uniform searcher surface of
-  PR 5: ``TwoDGbs(model, *, knobs...)`` / ``search(budget, *,
-  telemetry=...)``;
+  through ``predict(batch=True)``).  It scores through the 1-D
+  :class:`EvaluationCache` and :class:`BudgetedEvaluator`, keyed by
+  ``GenBlock2D.counts`` = ``(row_counts, col_counts)``;
 * :class:`TwoDLayoutSearch` — any of the five 1-D searcher families run
-  over (row bands x column bands) per shape, through a
-  :class:`BudgetedEvaluator`-compatible adapter (:class:`_ShapeAdapter`)
-  that encodes a layout as one joint GEN_BLOCK over R + C positions and
-  decodes with per-axis repair;
+  over (row bands x column bands) per shape, through a model adapter
+  (:class:`_ShapeAdapter`) that encodes a layout as one joint GEN_BLOCK
+  over R + C positions and decodes with per-axis repair;
 * degenerate ``1 x P`` / ``P x 1`` shapes are *not* searched as 2-D at
   all: they are the 1-D strip layouts the spectrum path already covers,
   so they are scored by enumerating the Figure-8 anchor path along the
   single varying axis (:func:`strip_candidates`) and the 2-D budget is
   spent only on genuinely two-dimensional candidates.
 
-Telemetry rides along under ``span/search/twod`` with the standard
-``search/*`` counters, and large enumerations can shard across worker
-processes via :func:`repro.parallel.predict_2d_sharded` (``jobs=``).
+Both searchers share the surface ``Searcher(model, *, knobs...)`` /
+``search(budget, *, telemetry=...)`` returning a
+:class:`TwoDSearchResult`.  Telemetry rides along under
+``span/search/twod`` with the standard ``search/*`` counters.
 """
 
 from __future__ import annotations
@@ -39,12 +39,15 @@ from repro.exceptions import SearchError
 from repro.obs import Recorder, as_recorder
 from repro.program.variables import Access, Variable
 from repro.search import (
+    BudgetedEvaluator,
+    EvaluationCache,
     GeneralizedBinarySearch,
     GeneticSearch,
     RandomSearch,
     SimulatedAnnealingSearch,
     SpectrumSweep,
 )
+from repro.search.base import _BudgetExhausted, _record_search
 from repro.twod.distribution2d import (
     GenBlock2D,
     balanced2d,
@@ -309,92 +312,37 @@ class _ShapeAdapter:
         )
 
 
-# -- shared budget/caching over GenBlock2D candidates -------------------------
+# -- degenerate shapes, scored outside any budget ---------------------------
 
 
-class _Exhausted(Exception):
-    pass
+def _score_strips(
+    model: TwoDModel,
+    shape: Tuple[int, int],
+    cache: EvaluationCache,
+    steps_per_leg: int,
+) -> float:
+    """Score a degenerate shape's 1-D spectrum path outside the 2-D
+    budget: strip enumeration is the fixed, cheap price of covering a
+    shape the 1-D path already owns.  The candidates not yet in
+    ``cache`` are predicted in one batch and recorded there (so they
+    count as evaluations and compete for the best); the shape's best is
+    read back with ``cache.value``, which adds no cache hit."""
+    candidates = strip_candidates(model, shape, steps_per_leg)
+    fresh = [d for d in candidates if d.counts not in cache]
+    if fresh:
+        cache.put_many(
+            [d.counts for d in fresh], model.predict(fresh, batch=True)
+        )
+    return min(cache.value(d.counts) for d in candidates)
 
 
-class _Budget2D:
-    """Cache- and budget-aware population scoring over 2-D layouts: the
-    :class:`BudgetedEvaluator`'s batch contract, keyed by (row bands,
-    column bands).  Distinct misses are charged and sent through one
-    ``predict(batch=True)`` pass (sharded across workers when ``jobs >
-    1``); repeats are cache hits; the budget is a hard cap enforced by
-    truncating at the first unaffordable miss."""
-
-    def __init__(
-        self,
-        model: TwoDModel,
-        budget: int,
-        *,
-        jobs: int = 1,
-        telemetry: Optional[Recorder] = None,
-    ):
-        self._model = model
-        self._budget = budget
-        self._jobs = jobs
-        self._rec = as_recorder(telemetry)
-        self.cache: Dict[Tuple, float] = {}
-        self.hits = 0
-        self.best: Optional[GenBlock2D] = None
-        self.best_value = float("inf")
-
-    @property
-    def evaluations(self) -> int:
-        return len(self.cache)
-
-    @staticmethod
-    def _key(d: GenBlock2D) -> Tuple:
-        return (d.row_counts, d.col_counts)
-
-    def batch(self, dists: Sequence[GenBlock2D]) -> List[float]:
-        dists = list(dists)
-        keys = [self._key(d) for d in dists]
-        remaining = max(self._budget - self.evaluations, 0)
-        first_seen: Dict[Tuple, int] = {}
-        to_evaluate: List[GenBlock2D] = []
-        cut = len(dists)
-        for i, key in enumerate(keys):
-            if key in self.cache or key in first_seen:
-                continue
-            if len(to_evaluate) >= remaining:
-                cut = i
-                break
-            first_seen[key] = i
-            to_evaluate.append(dists[i])
-        if self._rec:
-            self._rec.observe("search/round_candidates", len(dists))
-            self._rec.observe(
-                "search/round_distinct_misses", len(to_evaluate)
-            )
-        if to_evaluate:
-            if self._jobs > 1:
-                from repro.parallel import predict_2d_sharded
-
-                values = predict_2d_sharded(
-                    self._model, to_evaluate, self._jobs
-                )
-            else:
-                values = self._model.predict(to_evaluate, batch=True)
-            for d, v in zip(to_evaluate, values):
-                v = float(v)
-                self.cache[self._key(d)] = v
-                if v < self.best_value:
-                    self.best, self.best_value = d, v
-        results = []
-        for i in range(cut):
-            key = keys[i]
-            if first_seen.get(key) != i:
-                self.hits += 1
-            results.append(self.cache[key])
-        if cut < len(dists):
-            raise _Exhausted()
-        return results
-
-    def __call__(self, dist: GenBlock2D) -> float:
-        return self.batch([dist])[0]
+def _best_layout(cache: EvaluationCache) -> Tuple[GenBlock2D, float]:
+    """The cache's best ``GenBlock2D`` and its predicted seconds."""
+    found = cache.best()
+    if found is None:
+        raise SearchError("2-D search performed no evaluations")
+    (rows, cols), value = found
+    return GenBlock2D(rows, cols), value
 
 
 # -- coordinate-descent GBS (batched) -----------------------------------------
@@ -413,11 +361,10 @@ class TwoDGbs:
     halves when no move improves (multi-resolution, as in 1-D GBS's
     shrinking hill-climb step).
 
-    Uniform searcher surface: ``TwoDGbs(model, *, knobs...)`` and
-    ``search(budget, *, telemetry=...)`` returning
-    :class:`TwoDSearchResult`.  Degenerate strip shapes are scored via
-    the 1-D spectrum path (:func:`strip_candidates`) without spending
-    the 2-D move budget.
+    Candidates are scored through a :class:`BudgetedEvaluator`, whose
+    budget is a hard cap on genuinely 2-D evaluations.  Degenerate strip
+    shapes are scored via the 1-D spectrum path
+    (:func:`strip_candidates`) without spending that budget.
     """
 
     name = "twod-gbs"
@@ -432,8 +379,6 @@ class TwoDGbs:
         shapes: Optional[Sequence[Tuple[int, int]]] = None,
         steps_per_leg: int = 8,
         batch_size: int = 64,
-        seed_label: str = "",
-        jobs: int = 1,
     ) -> None:
         self.model = model
         self.rounds = rounds
@@ -445,8 +390,6 @@ class TwoDGbs:
         )
         self.steps_per_leg = steps_per_leg
         self.batch_size = batch_size
-        self._seed_label = seed_label or self.name
-        self.jobs = jobs
 
     # -- axis refinement ---------------------------------------------------
 
@@ -475,7 +418,7 @@ class TwoDGbs:
         return moves
 
     def _descend(
-        self, evaluate: _Budget2D, start: GenBlock2D
+        self, evaluate: BudgetedEvaluator, start: GenBlock2D
     ) -> Tuple[GenBlock2D, float]:
         best = start
         best_val = evaluate(start)
@@ -515,21 +458,17 @@ class TwoDGbs:
         if budget < 1:
             raise SearchError("budget must be >= 1")
         rec = as_recorder(telemetry)
-        evaluate = _Budget2D(
-            self.model, budget, jobs=self.jobs, telemetry=rec
+        cache = EvaluationCache(self.model.predict)
+        evaluate = BudgetedEvaluator(
+            self.model, cache, budget, [], telemetry=rec
         )
         per_shape: Dict[Tuple[int, int], float] = {}
         with rec.span("search/twod"):
             for shape in self.shapes:
                 if is_degenerate(shape):
-                    value = _score_strips(
-                        self.model,
-                        shape,
-                        evaluate,
-                        self.steps_per_leg,
-                        self.jobs,
+                    per_shape[shape] = _score_strips(
+                        self.model, shape, cache, self.steps_per_leg
                     )
-                    per_shape[shape] = value
                     continue
                 spec = self.model.spec
                 starts = [block2d(spec.n_rows, spec.n_cols, shape)]
@@ -546,63 +485,36 @@ class TwoDGbs:
                     values = evaluate.batch(starts)
                     i = min(range(len(values)), key=values.__getitem__)
                     _, value = self._descend(evaluate, starts[i])
-                except _Exhausted:
+                except _BudgetExhausted:
                     value = min(
                         (
-                            evaluate.cache[k]
-                            for k in map(_Budget2D._key, starts)
-                            if k in evaluate.cache
+                            cache.value(d.counts)
+                            for d in starts
+                            if d.counts in cache
                         ),
                         default=float("inf"),
                     )
                 per_shape[shape] = value
-        if evaluate.best is None:
-            raise SearchError("2-D search performed no evaluations")
+        best, best_value = _best_layout(cache)
         result = TwoDSearchResult(
-            best=evaluate.best,
-            predicted_seconds=evaluate.best_value,
-            evaluations=evaluate.evaluations,
+            best=best,
+            predicted_seconds=best_value,
+            evaluations=cache.evaluations,
             per_shape=per_shape,
             algorithm=self.name,
-            cache_hits=evaluate.hits,
+            cache_hits=cache.hits,
         )
-        _record_search(rec, self, budget, result)
+        _record_twod_search(rec, self.name, budget, result)
         return result
 
 
-def _score_strips(
-    model: TwoDModel,
-    shape: Tuple[int, int],
-    evaluate: _Budget2D,
-    steps_per_leg: int,
-    jobs: int,
-) -> float:
-    """Score a degenerate shape's 1-D spectrum path outside the 2-D move
-    budget (the candidates still land in the shared cache and best)."""
-    candidates = strip_candidates(model, shape, steps_per_leg)
-    # Temporarily lift the cap: strip enumeration is the fixed, cheap
-    # price of covering a shape the 1-D path already owns.
-    saved = evaluate._budget
-    evaluate._budget = evaluate.evaluations + len(candidates)
-    try:
-        values = evaluate.batch(candidates)
-    finally:
-        evaluate._budget = saved
-    return min(values)
-
-
-def _record_search(
-    rec: Recorder, searcher, budget: int, result: TwoDSearchResult
+def _record_twod_search(
+    rec: Recorder, name: str, budget: int, result: TwoDSearchResult
 ) -> None:
     if not rec:
         return
-    rec.count("search/runs")
-    rec.count("search/evaluations", result.evaluations)
-    rec.count("search/cache_hits", result.cache_hits)
-    rec.set(f"search/{searcher.name}/budget", budget)
-    rec.set(f"search/{searcher.name}/budget_spent", result.evaluations)
-    rec.set(f"search/{searcher.name}/best_seconds", result.predicted_seconds)
-    for shape, value in result.per_shape.items():
+    _record_search(rec, name, budget, result)
+    for value in result.per_shape.values():
         if np.isfinite(value):
             rec.observe("search/twod/shape_best", value)
 
@@ -637,7 +549,6 @@ class TwoDLayoutSearch:
         steps_per_leg: int = 8,
         batch_size: int = 64,
         seed_label: str = "",
-        jobs: int = 1,
         **knobs,
     ) -> None:
         if algorithm not in SEARCHER_2D_FAMILIES:
@@ -655,7 +566,6 @@ class TwoDLayoutSearch:
         self.steps_per_leg = steps_per_leg
         self.batch_size = batch_size
         self._seed_label = seed_label or f"twod-{algorithm}"
-        self.jobs = jobs
         self.knobs = knobs
 
     def search(
@@ -672,27 +582,17 @@ class TwoDLayoutSearch:
         per_shape: Dict[Tuple[int, int], float] = {}
         best: Optional[GenBlock2D] = None
         best_val = float("inf")
-        evaluations = 0
         cache_hits = 0
         with rec.span("search/twod"):
             # Degenerate shapes: the 1-D spectrum path, one batch each.
+            cache = EvaluationCache(self.model.predict)
             for shape in strips:
-                candidates = strip_candidates(
-                    self.model, shape, self.steps_per_leg
+                per_shape[shape] = _score_strips(
+                    self.model, shape, cache, self.steps_per_leg
                 )
-                if self.jobs > 1:
-                    from repro.parallel import predict_2d_sharded
-
-                    values = predict_2d_sharded(
-                        self.model, candidates, self.jobs
-                    )
-                else:
-                    values = self.model.predict(candidates, batch=True)
-                evaluations += len(candidates)
-                i = int(np.argmin(values))
-                per_shape[shape] = float(values[i])
-                if values[i] < best_val:
-                    best, best_val = candidates[i], float(values[i])
+            if strips:
+                best, best_val = _best_layout(cache)
+            evaluations = cache.evaluations
             # Genuine 2-D shapes: the chosen family per shape.
             family = SEARCHER_2D_FAMILIES[self.algorithm]
             share = max(budget // max(len(genuine), 1), 1)
@@ -723,5 +623,5 @@ class TwoDLayoutSearch:
             algorithm=f"{self.name}-{self.algorithm}",
             cache_hits=cache_hits,
         )
-        _record_search(rec, self, budget, result)
+        _record_twod_search(rec, self.name, budget, result)
         return result

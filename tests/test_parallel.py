@@ -9,9 +9,7 @@ from repro.parallel import (
     ParallelRunner,
     SweepCache,
     content_key,
-    predict_sharded,
     resolve_jobs,
-    split_shards,
     verify_distributions,
 )
 from repro.apps import JacobiApp
@@ -21,10 +19,6 @@ SCALE = 0.02  # tiny problems: full protocol, milliseconds of wall time
 
 def _square(x):
     return x * x
-
-
-def _square_shard(shard):
-    return [x * x for x in shard]
 
 
 class TestParallelRunner:
@@ -50,40 +44,6 @@ class TestParallelRunner:
         assert resolve_jobs(1) == 1
         assert resolve_jobs(3) == 3
         assert resolve_jobs(0) >= 1  # one worker per CPU
-
-
-class TestShards:
-    def test_split_preserves_order_and_content(self):
-        items = list(range(10))
-        shards = split_shards(items, 3)
-        assert [x for shard in shards for x in shard] == items
-        assert [len(s) for s in shards] == [4, 3, 3]  # near-equal, large first
-
-    def test_split_never_exceeds_item_count(self):
-        assert split_shards([1, 2], 8) == [[1], [2]]
-        assert split_shards([], 4) == []
-        assert split_shards([1, 2, 3], 1) == [[1, 2, 3]]
-
-    def test_map_shards_matches_flat_map(self):
-        items = list(range(23))
-        for jobs in (1, 3):
-            got = ParallelRunner(jobs).map_shards(_square_shard, items)
-            assert got == [x * x for x in items]
-
-    def test_sharded_prediction_bit_identical(self):
-        cluster = config_dc()
-        program = JacobiApp.paper(scale=SCALE).structure
-        model = build_model(cluster, program)
-        dists = [
-            block(cluster, program.n_rows),
-            balanced(cluster, program.n_rows),
-            block(cluster, program.n_rows).moved(0, 1, 3),
-        ]
-        serial = predict_sharded(model, dists, jobs=1)
-        assert serial == [
-            float(v) for v in model.predict(dists, batch=True)
-        ]
-        assert predict_sharded(model, dists, jobs=2) == serial
 
 
 class TestContentKey:

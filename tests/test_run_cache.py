@@ -175,8 +175,10 @@ class TestDiskTier:
     @pytest.mark.parametrize(
         "content",
         [b"[1, 2]", b'{"k": [1]}', b'{"k": {"total_seconds": "x"}}',
-         b"\xff\xfe{}"],
-        ids=["list", "list-entry", "bad-entry", "bad-utf8"],
+         b"\xff\xfe{}", b'{"k": [1.0, [], [], [], 1, false]}',
+         b'{"k": [1.0, [], [], [-1, 3], 1, false]}'],
+        ids=["list", "list-entry", "bad-entry", "bad-utf8", "empty-counts",
+             "negative-counts"],
     )
     def test_malformed_file_loads_empty(self, tmp_path, content):
         path = tmp_path / "runs.json"

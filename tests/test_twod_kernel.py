@@ -12,8 +12,6 @@ process-wide plan LRU.
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -221,16 +219,6 @@ def test_plan_results_survive_release_and_recompile():
     model.release_plans()
     after = model.predict(dists, batch=True)
     assert (before == after).all()
-
-
-def test_pickled_model_drops_plans_and_recompiles():
-    _, model = _models()
-    dists = _dists(model, rng_seed=4)
-    want = model.predict(dists, batch=True)
-    clone = pickle.loads(pickle.dumps(model))
-    assert clone._plans == {}
-    got = clone.predict(dists, batch=True)
-    assert (want == got).all()
 
 
 def test_matrix_memo_is_bounded():
