@@ -11,6 +11,11 @@ proportional transfer, with network transfer overlapping whichever side
 is slower (store-and-forward through the wire: the pipe's throughput is
 set by its slowest stage).
 
+Which side of a move streams through disk is read from one placement
+pass per estimate: a single :func:`~repro.placement.plan_memory_arrays`
+call plans every node's rows under ``old`` and under ``new`` (``2P``
+pairs) against that node's own memory.
+
 This follows the redistribution-cost treatment of Morris & Lowenthal
 [23] (cited by the paper) adapted to the out-of-core setting: disk, not
 memory, is often the bottleneck end of the pipe.
@@ -19,14 +24,14 @@ memory, is often the bottleneck end of the pipe.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.cluster import ClusterSpec
 from repro.distribution.genblock import GenBlock
 from repro.exceptions import ModelError
-from repro.placement import plan_memory
+from repro.placement import plan_memory_arrays
 from repro.program.structure import ProgramStructure
 
 __all__ = ["RedistributionEstimate", "RedistributionModel"]
@@ -81,15 +86,6 @@ class RedistributionModel:
         self.cluster = cluster
         self.program = program
 
-    # -- helpers -----------------------------------------------------------
-
-    def _out_of_core(self, node: int, rows: int, variable: str) -> bool:
-        plan = plan_memory(
-            self.program, rows, self.cluster[node].memory_bytes
-        )
-        placement = plan.placements.get(variable)
-        return placement is not None and not placement.in_core
-
     # -- estimation ------------------------------------------------------------
 
     def estimate(self, old: GenBlock, new: GenBlock) -> RedistributionEstimate:
@@ -104,6 +100,13 @@ class RedistributionModel:
         """
         segments = _moved_segments(old, new)
         P = self.cluster.n_nodes
+        # One placement pass: pair ``k`` is node ``k`` under ``old``,
+        # pair ``P + k`` the same node under ``new``; row ``j`` of
+        # ``spilled`` is the program's ``j``-th distributed variable.
+        memory = [node.memory_bytes for node in self.cluster.nodes]
+        spilled = (~plan_memory_arrays(
+            self.program, old.counts + new.counts, memory + memory
+        ).in_core).tolist()
         out_bytes = [0.0] * P
         in_bytes = [0.0] * P
         busy = [0.0] * P
@@ -113,7 +116,7 @@ class RedistributionModel:
         for start, stop, src, dst in segments:
             rows = stop - start
             moved_rows += rows
-            for variable in self.program.distributed_variables:
+            for j, variable in enumerate(self.program.distributed_variables):
                 nbytes = rows * variable.row_bytes
                 if nbytes <= 0:
                     continue
@@ -123,10 +126,10 @@ class RedistributionModel:
                 dst_node = self.cluster[dst]
                 rates = [1.0 / max(net.latency_per_byte, 1e-30)]
                 overhead = net.send_overhead + net.recv_overhead + net.fixed_latency
-                if self._out_of_core(src, old[src], variable.name):
+                if spilled[j][src]:
                     rates.append(src_node.disk_read_bw)
                     overhead += src_node.disk_read_seek
-                if self._out_of_core(dst, new[dst], variable.name):
+                if spilled[j][P + dst]:
                     rates.append(dst_node.disk_write_bw)
                     overhead += dst_node.disk_write_seek
                 duration = overhead + nbytes / min(rates)
@@ -152,7 +155,25 @@ class RedistributionModel:
         """Amortisation test: switch when the redistribution pays for
         itself over the remaining iterations, with ``safety_factor``
         headroom for estimate error."""
+        return self._switch_cost(
+            old, new, per_iteration_savings, remaining_iterations,
+            safety_factor,
+        ) is not None
+
+    def _switch_cost(
+        self,
+        old: GenBlock,
+        new: GenBlock,
+        per_iteration_savings: float,
+        remaining_iterations: int,
+        safety_factor: float,
+    ) -> Optional[float]:
+        """The redistribution seconds ``old -> new`` when switching
+        passes :meth:`worth_switching`'s test, else ``None``: a switch
+        decision and the cost it charges read one estimate."""
         if per_iteration_savings <= 0 or remaining_iterations <= 0:
-            return False
+            return None
         cost = self.estimate(old, new).seconds
-        return per_iteration_savings * remaining_iterations > cost * safety_factor
+        if per_iteration_savings * remaining_iterations > cost * safety_factor:
+            return cost
+        return None
