@@ -521,6 +521,9 @@ def _record_twod_search(
 
 # -- all five families over the joint encoding --------------------------------
 
+#: The counters :func:`~repro.search.base._record_search` adds per run.
+_SEARCH_TOTALS = ("search/runs", "search/evaluations", "search/cache_hits")
+
 
 class TwoDLayoutSearch:
     """Run a 1-D searcher family over every grid shape's joint encoding.
@@ -593,7 +596,11 @@ class TwoDLayoutSearch:
             if strips:
                 best, best_val = _best_layout(cache)
             evaluations = cache.evaluations
-            # Genuine 2-D shapes: the chosen family per shape.
+            # Genuine 2-D shapes: the chosen family per shape.  Each
+            # family search counts its own run into the search/* totals;
+            # they are put back afterwards, so this search counts as one
+            # run with its own evaluations and cache hits.
+            totals = {k: rec.counters.get(k, 0) for k in _SEARCH_TOTALS}
             family = SEARCHER_2D_FAMILIES[self.algorithm]
             share = max(budget // max(len(genuine), 1), 1)
             for shape in genuine:
@@ -613,6 +620,8 @@ class TwoDLayoutSearch:
                 per_shape[shape] = value
                 if value < best_val:
                     best, best_val = dist, value
+            if rec:
+                rec.counters.update(totals)
         if best is None:
             raise SearchError("2-D search performed no evaluations")
         result = TwoDSearchResult(

@@ -322,6 +322,30 @@ class TestTwoDSearch:
             name.startswith("span/search/twod") for name in rec.series
         )
 
+    @pytest.mark.parametrize("algorithm", [None, "gbs", "genetic"])
+    def test_search_counts_one_run(self, algorithm):
+        """One 2-D search keeps the 1-D searchers' telemetry contract:
+        one run, and the result's own evaluations and cache hits (the
+        per-shape family searches do not add theirs on top)."""
+        from repro.obs import Recorder
+        from repro.twod import TwoDGbs, TwoDLayoutSearch
+
+        cluster = baseline_cluster()
+        spec = Jacobi2DSpec(n_rows=512, n_cols=512, iterations=3)
+        model = build_2d_model(
+            cluster, spec, block2d(spec.n_rows, spec.n_cols, (2, 4)),
+            perturbation=IDEAL, measurement=PERFECT,
+        )
+        searcher = (
+            TwoDGbs(model) if algorithm is None
+            else TwoDLayoutSearch(model, algorithm=algorithm)
+        )
+        rec = Recorder()
+        result = searcher.search(budget=60, telemetry=rec)
+        assert rec.counters["search/runs"] == 1
+        assert rec.counters["search/evaluations"] == result.evaluations
+        assert rec.counters["search/cache_hits"] == result.cache_hits
+
 
 def _search_fingerprint(result):
     """Everything a 2-D search answers, floats by ``repr`` (bit-exact)."""
