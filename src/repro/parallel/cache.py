@@ -119,20 +119,29 @@ def _file_lock(path: Path) -> Iterator[None]:
 
 
 def _load_entries(path: Path, decode: Callable[[Any], Any]) -> Dict[str, Any]:
-    """The on-disk tier's ``key -> decode(entry)`` mapping; an empty
-    mapping when the file is unreadable, so a half-written file from a
-    pre-atomic-write version, or one bad entry, never bricks every later
-    run.  Undecodable bytes and bad JSON are ValueErrors; a top-level
-    non-object or a wrong-shaped entry fails the decoder (a
-    :class:`DistributionError` for counts no distribution can have)."""
+    """The on-disk tier's ``key -> decode(entry)`` mapping.  An
+    unreadable file (undecodable bytes, bad JSON, a top-level
+    non-object) loads as an empty mapping, and an entry the decoder
+    rejects (wrong shape, or a :class:`DistributionError` for counts no
+    distribution can have) is skipped.  So a half-written file from a
+    pre-atomic-write version never bricks every later run, and one bad
+    entry costs only itself: the next save keeps every good one."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-        return {k: decode(v) for k, v in raw.items()}
-    except (
-        OSError, ValueError, TypeError, KeyError, AttributeError,
-        DistributionError,
-    ):
+    except (OSError, ValueError):
         return {}
+    if not isinstance(raw, dict):
+        return {}
+    entries = {}
+    for k, v in raw.items():
+        try:
+            entries[k] = decode(v)
+        except (
+            ValueError, TypeError, KeyError, AttributeError,
+            DistributionError,
+        ):
+            continue
+    return entries
 
 
 def _save_entries(

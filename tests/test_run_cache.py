@@ -187,5 +187,28 @@ class TestDiskTier:
         assert len(store) == 0
         assert store.loaded_from_disk == 0
 
+    def test_bad_entry_skipped_and_good_one_kept(self, tmp_path):
+        """One undecodable entry costs only itself: the good entry
+        loads, and a later save keeps it."""
+        cluster, program, d = _setup()
+        path = tmp_path / "runs.json"
+        a = RunCache(path=path)
+        emulate(cluster, program, d, perturbation=DETERMINISTIC, run_cache=a)
+        a.save()
+        content = json.loads(path.read_text())
+        (key_a,) = content
+        content["bad"] = [1.0, [], [], [], 1, False]  # empty counts
+        path.write_text(json.dumps(content))
+        b = RunCache(path=path)
+        assert len(b) == 1
+        assert b.loaded_from_disk == 1
+        assert b.get(key_a) is not None
+        key_c = "0" * 64
+        b.put(key_c, b.get(key_a))
+        b.save()
+        merged = json.loads(path.read_text())
+        assert set(merged) == {key_a, key_c}
+        assert RunCache(path=path).loaded_from_disk == 2
+
     def test_save_without_path_is_noop(self):
         RunCache().save()
