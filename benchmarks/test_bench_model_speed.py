@@ -1,9 +1,10 @@
 """Bench N1: MHETA evaluation cost (paper: ~5.4 ms per distribution).
 
-Two kernels share the model: the ``scalar`` reference (the seed
-implementation, per-tile Python loops) and the vectorised ``numpy``
-kernel (batched stage tables, max-plus section matrices, persistent
-``(node, rows)`` table cache).  This benchmark measures both —
+Two implementations score the same model inputs: the ``scalar``
+reference (the seed implementation, per-tile Python loops, kept as the
+test oracle ``tests/model_reference.py``) and the model's vectorised
+``numpy`` path (batched stage tables, max-plus section matrices,
+persistent ``(node, rows)`` table cache).  This benchmark measures both —
 *interleaved*, alternating kernels within each repetition so host noise
 hits them equally — and writes the machine-readable scoreboard
 ``BENCH_model_speed.json`` at the repo root:
@@ -32,6 +33,7 @@ from repro.experiments import build_model, model_evaluation_timing
 from repro.instrument.collect import collect_inputs
 from repro.search import GeneralizedBinarySearch
 from repro.apps import JacobiApp
+from tests.model_reference import ReferenceModel
 
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_model_speed.json"
 
@@ -40,13 +42,13 @@ JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_model_speed.json"
 #: scalar seed behaviour (uncached reference path).
 REQUIRED_SPEEDUP = 3.0
 
-#: kernel/cache configurations measured.  ``scalar-uncached`` is the
-#: seed behaviour; ``numpy-cached`` is the default.
+#: (model class, keyword) configurations measured.  ``scalar-uncached``
+#: is the seed behaviour; ``numpy-cached`` is the default.
 CONFIGS = {
-    "scalar-uncached": dict(kernel="scalar", table_cache=0),
-    "scalar-cached": dict(kernel="scalar"),
-    "numpy-uncached": dict(kernel="numpy", table_cache=0),
-    "numpy-cached": dict(kernel="numpy"),
+    "scalar-uncached": (ReferenceModel, dict(table_cache=0)),
+    "scalar-cached": (ReferenceModel, {}),
+    "numpy-uncached": (MhetaModel, dict(table_cache=0)),
+    "numpy-cached": (MhetaModel, {}),
 }
 
 
@@ -55,8 +57,8 @@ def _setup():
     program = JacobiApp.paper().structure
     inputs = collect_inputs(cluster, program, block(cluster, program.n_rows))
     models = {
-        label: MhetaModel(program, cluster, inputs, **kwargs)
-        for label, kwargs in CONFIGS.items()
+        label: model_cls(program, cluster, inputs, **kwargs)
+        for label, (model_cls, kwargs) in CONFIGS.items()
     }
     candidates = [
         p.distribution for p in spectrum(cluster, program, steps_per_leg=4)

@@ -2,8 +2,10 @@
 
 The paper declined 2-D distributions because "the search space increases
 greatly"; the batched 2-D kernel exists to make that search space
-affordable.  This benchmark measures the two kernels — the ``scalar``
-per-rank reference loop and the vectorized ``numpy`` kernel —
+affordable.  This benchmark measures two implementations — the
+``scalar`` per-rank reference loop (the test oracle
+``tests/model_reference.py``) and the model's vectorized ``numpy``
+path —
 *interleaved* so host noise hits them equally, and writes the
 machine-readable scoreboard ``BENCH_twod_speed.json`` at the repo root:
 
@@ -42,6 +44,7 @@ from repro.twod import (
     factor_pairs,
     is_degenerate,
 )
+from tests.model_reference import ReferenceModel2D
 
 JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_twod_speed.json"
 
@@ -55,7 +58,8 @@ TARGET_BATCHED_SPEEDUP = 10.0
 #: Golden equivalence bar for the batched kernels vs the scalar loop.
 GOLDEN_REL_TOL = 1e-12
 
-CONFIGS = ("scalar", "numpy")
+#: The measured implementations, by label.
+CONFIGS = {"scalar": ReferenceModel2D, "numpy": TwoDModel}
 
 
 def _setup():
@@ -70,8 +74,8 @@ def _setup():
         measurement=MeasurementConfig.perfect(),
     )
     models = {
-        kernel: TwoDModel(cluster, spec, base.inputs, kernel=kernel)
-        for kernel in CONFIGS
+        label: model_cls(cluster, spec, base.inputs)
+        for label, model_cls in CONFIGS.items()
     }
     rng = np.random.RandomState(0)
     candidates = []

@@ -35,7 +35,6 @@ import sys
 from typing import List, Optional
 
 from repro.cluster import table1_configs
-from repro.core.model import KERNELS
 from repro.apps import application_by_name
 from repro.distribution import balanced, block, in_core, in_core_balanced
 from repro.experiments import (
@@ -139,14 +138,6 @@ def _dynamics_spec(args, cluster):
     )
 
 
-def _add_kernel(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel", choices=KERNELS, default="numpy",
-        help="MHETA evaluation kernel: vectorised (numpy, default) or "
-        "the scalar reference; predictions agree to <= 1e-12 relative",
-    )
-
-
 def _add_jobs(
     parser: argparse.ArgumentParser,
     cache: bool = False,
@@ -242,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit 2-D column bands, comma-separated (requires --twod)",
     )
     _add_common(p)
-    _add_kernel(p)
     _add_telemetry(p)
 
     p = sub.add_parser(
@@ -307,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
     _add_jobs(p, parts="the 1-D --verify emulations")
-    _add_kernel(p)
     _add_telemetry(p)
 
     p = sub.add_parser(
@@ -369,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs(p, cache=True)
 
     p = sub.add_parser("timing", help="model evaluation cost (paper: ~5.4 ms)")
-    _add_kernel(p)
 
     p = sub.add_parser("spreads", help="best-vs-worst distribution spreads")
     p.add_argument("--steps", type=int, default=2)
@@ -392,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=40,
                    help="search budget for the searcher-counter section")
     _add_common(p)
-    _add_kernel(p)
     _add_telemetry(p)
 
     p = sub.add_parser(
@@ -411,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--model-cache", type=int, default=16, metavar="N",
-        help="resident (app, config, scale, kernel) models kept warm",
+        help="resident (app, config, scale) models kept warm",
     )
     p.add_argument(
         "--sweep-cache", default=None, metavar="PATH",
@@ -428,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit after handling N requests (smoke tests / CI)",
     )
     _add_jobs(p)
-    _add_kernel(p)
     _add_telemetry(p)
     p.add_argument(
         "--no-fast-forward", action="store_true",
@@ -589,7 +575,7 @@ def _twod_model(args, cluster, program, shape):
         n_rows=side, n_cols=side, iterations=program.iterations
     )
     d0 = block2d(spec.n_rows, spec.n_cols, shape)
-    return build_2d_model(cluster, spec, d0, kernel=args.kernel), spec
+    return build_2d_model(cluster, spec, d0), spec
 
 
 def _cmd_predict_twod(args, cluster, program) -> str:
@@ -619,7 +605,7 @@ def _cmd_predict_twod(args, cluster, program) -> str:
     report = model.predict(dist, report=True, telemetry=rec)
     out = [
         f"jacobi-2d on {args.config} ({shape[0]}x{shape[1]} grid, "
-        f"{spec.n_rows}x{spec.n_cols} array, kernel={args.kernel})",
+        f"{spec.n_rows}x{spec.n_cols} array)",
         f"rows={list(dist.row_counts)} cols={list(dist.col_counts)}",
         f"predicted: {report.total_seconds:.3f}s",
     ]
@@ -692,12 +678,9 @@ def _cmd_predict(args) -> str:
     if args.twod:
         return _cmd_predict_twod(args, cluster, program)
     if args.inputs:
-        model = MhetaModel(
-            program, cluster, MhetaInputs.load(args.inputs),
-            kernel=args.kernel,
-        )
+        model = MhetaModel(program, cluster, MhetaInputs.load(args.inputs))
     else:
-        model = build_model(cluster, program, kernel=args.kernel)
+        model = build_model(cluster, program)
     distribution = _anchor(args.dist, cluster, program)
     rec = _telemetry_recorder(args)
     report = model.predict(distribution, report=True, telemetry=rec)
@@ -738,7 +721,7 @@ def _cmd_search(args) -> str:
     program = _program(args.app, args.scale)
     if args.twod:
         return _cmd_search_twod(args, cluster, program)
-    model = build_model(cluster, program, kernel=args.kernel)
+    model = build_model(cluster, program)
     rec = _telemetry_recorder(args)
     names = list(ALGORITHMS) if args.algorithm == "all" else [args.algorithm]
     results = [
@@ -838,7 +821,7 @@ def _cmd_stats(args) -> str:
     distribution = _anchor(args.dist, cluster, program)
     rec = Recorder()
 
-    model = build_model(cluster, program, kernel=args.kernel)
+    model = build_model(cluster, program)
     report = model.predict(distribution, report=True, telemetry=rec)
     # Second pass over the same distribution: section-table cache hits.
     model.predict(distribution, telemetry=rec)
@@ -993,7 +976,6 @@ def _cmd_serve(args) -> str:
 
         run_cache = RunCache(path=args.run_cache)
     coordinator = ServeCoordinator(
-        kernel=args.kernel,
         window_seconds=args.window_ms / 1000.0,
         max_batch=args.max_batch,
         jobs=args.jobs,
@@ -1134,7 +1116,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print()
             print(bands.chart())
     elif args.command == "timing":
-        print(model_evaluation_timing(kernel=args.kernel).describe())
+        print(model_evaluation_timing().describe())
     elif args.command == "spreads":
         print(
             distribution_spread(

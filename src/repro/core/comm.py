@@ -231,7 +231,7 @@ class SectionTimeline:
         from_right = (tile_sums + post)[..., 1:] + (x + or_)
         return diag, from_left, from_right
 
-    # -- batched sections (the ``kernel="numpy"`` path) ----------------------
+    # -- batched sections (the model's prediction path) ---------------------
     #
     # A whole population of candidate distributions advances together:
     # clocks are ``(B, P)`` arrays, section matrices ``(B, P, P)``

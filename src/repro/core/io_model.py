@@ -1,15 +1,16 @@
 """Stage-time model: computation scaling plus Equations 1 and 2.
 
 ``sync_io_seconds`` and ``prefetch_io_seconds`` are the paper's closed
-forms.  :class:`StageTimeModel` is what :class:`~repro.core.MhetaModel`
-actually evaluates: the same equations applied block-by-block, mirroring
-the runtime's ICLA streaming loop exactly (including the final partial
-block and, for prefetching, the unrolled loop of paper Figure 6 where
-the disk seek of a prefetched block hides inside the overlap window).
-For equal-size blocks and ``To = 0`` both formulations coincide with
-Equation 1; the unit tests pin that equivalence down.  The fast kernels
-evaluate the same block loops in closed form over the row-count arrays
-of many (node, rows) pairs at once (:meth:`StageTimeModel.section_tile_times`).
+forms.  :class:`StageTimeModel` applies the same equations block by
+block, mirroring the runtime's ICLA streaming loop exactly (including
+the final partial block and, for prefetching, the unrolled loop of paper
+Figure 6 where the disk seek of a prefetched block hides inside the
+overlap window).  For equal-size blocks and ``To = 0`` both formulations
+coincide with Equation 1; the unit tests pin that equivalence down.
+:class:`~repro.core.MhetaModel` evaluates those block loops in closed
+form over the row-count arrays of many (node, rows) pairs at once
+(:meth:`StageTimeModel.section_tile_times`); the per-tile scalar
+assembly they replace is the test oracle in ``tests/model_reference.py``.
 
 Computation scales with assigned work: ``Tc' = Tc * W'/W`` where ``W``
 is the row count the instrumented distribution assigned (Section 4.2.1).
@@ -19,7 +20,6 @@ defeats it (Section 5.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -35,7 +35,6 @@ __all__ = [
     "sync_io_seconds",
     "prefetch_io_seconds",
     "StageTimeModel",
-    "StageTimes",
 ]
 
 
@@ -88,18 +87,6 @@ def prefetch_io_seconds(
         + read_icla_seconds
         + (n_io - 1) * effective
     )
-
-
-@dataclass(frozen=True)
-class StageTimes:
-    """Predicted time for one stage on one tile of one node."""
-
-    compute_seconds: float
-    io_seconds: float
-
-    @property
-    def total(self) -> float:
-        return self.compute_seconds + self.io_seconds
 
 
 def _block_rows(tile_rows: int, block_rows: int) -> List[int]:
@@ -178,65 +165,6 @@ class StageTimeModel:
         disk = self._inputs.micro.disks[node]
         return disk.write_seek + nbytes * self._write_pb(node, variable)
 
-    # -- stage assembly ----------------------------------------------------------
-
-    def tile_stage_times(
-        self,
-        node: int,
-        rows: int,
-        section: ParallelSection,
-        stage: Stage,
-        tile_rows: int,
-        plan: MemoryPlan,
-    ) -> StageTimes:
-        """Predicted computation + I/O for ``stage`` over one tile's
-        ``tile_rows`` of ``rows`` total node rows."""
-        compute_total = self.scaled_compute(node, section, stage, rows)
-        tile_compute = (
-            compute_total * (tile_rows / rows) if rows > 0 else 0.0
-        )
-        variables = self._program.variable_map
-
-        def _ooc(name: str) -> bool:
-            p = plan.placements.get(name)
-            return p is not None and not p.in_core
-
-        reads_ooc = [v for v in stage.reads if _ooc(v)]
-        writes_ooc = [v for v in stage.writes if _ooc(v)]
-        primary = reads_ooc[0] if reads_ooc else None
-
-        if primary is None or tile_rows == 0:
-            io = 0.0
-            for name in writes_ooc:
-                io += self._stream_seconds(
-                    node, name, plan, tile_rows, read=False, write=True
-                )
-            return StageTimes(compute_seconds=tile_compute, io_seconds=io)
-
-        io = 0.0
-        for name in reads_ooc[1:]:
-            io += self._stream_seconds(
-                node, name, plan, tile_rows, read=True, write=False
-            )
-        write_back = (
-            primary in stage.writes and variables[primary].writes_back
-        )
-        if self._program.prefetch:
-            io += self._prefetch_loop_seconds(
-                node, primary, plan, tile_rows, tile_compute, write_back
-            )
-        else:
-            io += self._sync_loop_seconds(
-                node, primary, plan, tile_rows, write_back
-            )
-        for name in writes_ooc:
-            if name == primary:
-                continue
-            io += self._stream_seconds(
-                node, name, plan, tile_rows, read=False, write=True
-            )
-        return StageTimes(compute_seconds=tile_compute, io_seconds=io)
-
     # -- streaming loops ------------------------------------------------------------
 
     def _stream_seconds(
@@ -307,9 +235,9 @@ class StageTimeModel:
 
         Telemetry-only: the phase breakdown reports ``io_prefetch`` from
         this and ``io_sync`` as the remainder of the stage tables' I/O,
-        so the two always sum to the table I/O exactly regardless of
-        kernel.  Scalar replay of the same per-tile loop the reference
-        kernel uses — cheap at report granularity, never on a hot path.
+        so the two always sum to the table I/O exactly.  Scalar replay of
+        the per-tile loop the tables evaluate in closed form — cheap at
+        report granularity, never on a hot path.
         """
         if not self._program.prefetch:
             return 0.0
@@ -410,7 +338,7 @@ class StageTimeModel:
             )
 
         # Adding to an exact 0.0 start leaves the first term unchanged,
-        # so these sums match the scalar kernel's per-term accumulation.
+        # so these sums match the scalar reference's per-term accumulation.
         totals = computes = 0.0
         for stage in section.stages:
             compute = arrays["compute"][(section.name, stage.name)][nodes]

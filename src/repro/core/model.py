@@ -8,23 +8,17 @@ communication comes from :class:`~repro.core.comm.SectionTimeline`
 (Equation 3/4 waits, reduction, allgather).  The predicted application
 time is the slowest node's clock after the final iteration.
 
-Two evaluation kernels produce those clocks:
-
-* ``kernel="scalar"`` — the reference implementation: per-tile,
-  per-stage, per-block Python loops, kept exactly as originally
-  written so the fast path always has a bit-stable baseline to be
-  checked against.
-* ``kernel="numpy"`` (default) — the vectorised kernel, which scores a
-  whole candidate population at once: every missing ``(node, rows)``
-  table of a call is built in one batched pass of closed-form array
-  expressions over ``(pairs, tiles)``
-  (:meth:`StageTimeModel.section_tile_times`), sections become ``(B,
-  P, P)`` max-plus matrices (:meth:`SectionTimeline.compile_matrix_batch`)
-  and :func:`steady_walk` advances ``(B, P)`` clocks.  A single
-  prediction is a batch of one, so ``predict(d)`` equals its row of
-  any batch bit for bit.  The kernel agrees with the scalar reference
-  to rounding (<= 1e-12 relative, pinned by the golden equivalence
-  suite in ``tests/test_kernel_equivalence.py``).
+One batched numpy path produces those clocks, scoring a whole
+candidate population at once: every missing ``(node, rows)`` table of a
+call is built in one batched pass of closed-form array expressions over
+``(pairs, tiles)`` (:meth:`StageTimeModel.section_tile_times`), sections
+become ``(B, P, P)`` max-plus matrices
+(:meth:`SectionTimeline.compile_matrix_batch`) and :func:`steady_walk`
+advances ``(B, P)`` clocks.  A single prediction is a batch of one, so
+``predict(d)`` equals its row of any batch bit for bit.  The original
+per-tile, per-stage, per-block Python loops live on only as the test
+oracle ``tests/model_reference.py``, which this path matches to rounding
+(<= 1e-12 relative, pinned by ``tests/test_kernel_equivalence.py``).
 
 The per-node stage tables depend only on ``(node, rows)`` — not on what
 the *other* nodes were assigned — so a bounded LRU inside the model
@@ -66,27 +60,15 @@ from repro.util.lru import LRUCache
 
 __all__ = [
     "MhetaModel",
-    "KERNELS",
     "DEFAULT_TABLE_CACHE_ENTRIES",
     "steady_walk",
 ]
-
-#: Selectable evaluation kernels, shared by the 1-D and 2-D models, the
-#: CLI and the serve protocol: ``"numpy"`` is the vectorised fast path,
-#: ``"scalar"`` the per-node reference loop it is tested against.
-KERNELS = ("numpy", "scalar")
 
 #: Default bound of the per-``(node, rows)`` table cache.  Generous for
 #: any search (a 200-evaluation sweep over 8 nodes touches at most 1600
 #: distinct keys) while keeping long unattended sweeps at a fixed memory
 #: ceiling.
 DEFAULT_TABLE_CACHE_ENTRIES = 4096
-
-
-def _tile_rows(rows: int, tiles: int, tile: int) -> int:
-    lo = (rows * tile) // tiles
-    hi = (rows * (tile + 1)) // tiles
-    return hi - lo
 
 
 def _pattern_message_counts(
@@ -153,9 +135,10 @@ def _pattern_message_counts(
     raise ModelError(f"unknown communication pattern: {pattern}")
 
 
-#: Convergence tolerances of every steady-state walk (scalar, 1-D and
-#: 2-D): an increment vector has repeated once each component is within
-#: ``_ATOL + _RTOL * |previous|`` of the previous iteration's.
+#: Convergence tolerances of every steady-state walk (1-D, 2-D and the
+#: scalar test oracles): an increment vector has repeated once each
+#: component is within ``_ATOL + _RTOL * |previous|`` of the previous
+#: iteration's.
 _ATOL = 1e-12
 _RTOL = 1e-9
 
@@ -169,10 +152,10 @@ def steady_walk(
     fused ``ops`` until each candidate's increment vector repeats, then
     extrapolate linearly.
 
-    Candidates converge individually, by the scalar walk's rule and
-    tolerances: the moment candidate ``b``'s increment repeats, its
-    totals ``last + steady * (iterations left)`` are frozen while the
-    rest keep walking.  Frozen rows keep advancing (max-plus ops are
+    Candidates converge individually, by the scalar reference walk's
+    rule and tolerances: the moment candidate ``b``'s increment
+    repeats, its totals ``last + steady * (iterations left)`` are
+    frozen while the rest keep walking.  Frozen rows keep advancing (max-plus ops are
     stable), but their recorded result no longer changes, so a
     candidate's result does not depend on its batch.  While nothing has
     frozen, a largest increment change within ``_ATOL`` converges every
@@ -222,16 +205,14 @@ def steady_walk(
 
 @dataclass(frozen=True)
 class _SectionTables:
-    """One section's evaluation tables for one distribution: per-node,
-    per-tile stage times (total and compute-only) and the per-node
-    message source-read cost.  Nested lists for the scalar kernel,
-    ``(P, tiles)`` / ``(P,)`` array views for the numpy kernel's
-    report."""
+    """One section's evaluation tables for one distribution, for the
+    report: ``(P, tiles)`` per-node, per-tile stage times (total and
+    compute-only) and the ``(P,)`` per-node message source-read cost."""
 
     section: ParallelSection
-    tile_totals: Sequence
-    tile_compute: Sequence
-    source_read: Sequence
+    tile_totals: np.ndarray
+    tile_compute: np.ndarray
+    source_read: np.ndarray
 
 
 class MhetaModel:
@@ -243,9 +224,6 @@ class MhetaModel:
         As in the paper: the application structure, the per-node memory
         capacities (or the cluster they come from), and the measured
         internal MHETA file.
-    kernel:
-        ``"numpy"`` (vectorised, default) or ``"scalar"`` (the reference
-        implementation).
     table_cache:
         Bound of the persistent ``(node, rows) -> tables`` LRU shared by
         every prediction this model makes.  ``0`` disables cross-call
@@ -257,7 +235,6 @@ class MhetaModel:
         program: ProgramStructure,
         memories: Union[ClusterSpec, Sequence[int]],
         inputs: MhetaInputs,
-        kernel: str = "numpy",
         table_cache: int = DEFAULT_TABLE_CACHE_ENTRIES,
     ) -> None:
         if isinstance(memories, ClusterSpec):
@@ -274,23 +251,18 @@ class MhetaModel:
                 f"inputs were collected for {inputs.program_name!r}, "
                 f"not {program.name!r}"
             )
-        if kernel not in KERNELS:
-            raise ModelError(
-                f"unknown kernel {kernel!r}; choose from {KERNELS}"
-            )
         if table_cache < 0:
             raise ModelError("table_cache must be >= 0")
         self.program = program
         self.inputs = inputs
-        self.kernel = kernel
         self.oracle = OutOfCoreOracle(program, memory_list)
         self.stage_model = StageTimeModel(program, inputs)
         self.timeline = SectionTimeline(inputs.micro, len(memory_list))
         self._tables_cache: Optional[LRUCache] = (
             LRUCache(table_cache) if table_cache > 0 else None
         )
-        # Tile-axis layout of the flattened per-node tables the numpy
-        # kernel caches: section ``si`` owns columns
+        # Tile-axis layout of the flattened per-node tables the cache
+        # holds: section ``si`` owns columns
         # ``offsets[si]:offsets[si + 1]``.
         tiles = [s.tiles for s in program.sections]
         self._tile_offsets = [0]
@@ -411,16 +383,11 @@ class MhetaModel:
     def _predict_batch(
         self, distributions: Sequence[GenBlock], n_iter: int
     ) -> np.ndarray:
-        """Score a whole candidate population: one :meth:`_evaluate`
-        pass for the numpy kernel, a loop of scalar predictions (the
-        golden reference, bit for bit) for ``kernel="scalar"``."""
+        """Score a whole candidate population in one :meth:`_evaluate`
+        pass."""
         dists = list(distributions)
         if not dists:
             return np.empty(0)
-        if self.kernel == "scalar":
-            return np.array(
-                [self._predict(d, n_iter, want_report=False) for d in dists]
-            )
         return self._evaluate(self._batch_counts(dists), n_iter)[1].max(
             axis=1
         )
@@ -428,7 +395,8 @@ class MhetaModel:
     def _evaluate(
         self, counts: np.ndarray, n_iter: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The numpy kernel over a validated ``(B, P)`` row-count matrix.
+        """The batched evaluation of a validated ``(B, P)`` row-count
+        matrix.
 
         Each distinct ``(node, rows)`` pair across the *whole batch* is
         looked up in the shared table LRU once, and every miss is built
@@ -459,9 +427,10 @@ class MhetaModel:
                 self._batch_ops(tile_totals, source), n_iter, (B, P)
             )
             return flat, totals, steady
-        # Non-uniform iterations: each iteration's ops scale the
-        # computation share (see _walk_scalar) and every iteration is
-        # walked explicitly.
+        # Non-uniform iterations (paper Section 3.1's deferred case):
+        # each iteration's ops scale the computation share, and every
+        # iteration is walked explicitly — no steady state exists to
+        # extrapolate.
         tile_compute = flat[:, :, T:2 * T]
         clocks = np.zeros((B, P))
         for scale in self._iteration_scales(n_iter):
@@ -548,43 +517,6 @@ class MhetaModel:
 
     # -- table construction -----------------------------------------------------
 
-    def _source_read(self, n: int, section: ParallelSection, plan) -> float:
-        """Disk read charged for materialising one outgoing message."""
-        src = section.comm.source_variable
-        if (
-            src is not None
-            and section.comm.pattern is CommPattern.NEAREST_NEIGHBOR
-        ):
-            placement = plan.placements.get(src)
-            if placement is not None and not placement.in_core:
-                return self.stage_model.read_block_seconds(
-                    n, src, section.comm.message_bytes
-                )
-        return 0.0
-
-    def _node_tables(self, n: int, rows: int, plan):
-        """Per section, for one node: tile stage-times (total and
-        compute-only) plus the message source-read cost — scalar
-        reference path."""
-        out = []
-        for section in self.program.sections:
-            totals: List[float] = []
-            computes: List[float] = []
-            for tile in range(section.tiles):
-                trows = _tile_rows(rows, section.tiles, tile)
-                c_sum = 0.0
-                t_sum = 0.0
-                for stage in section.stages:
-                    st = self.stage_model.tile_stage_times(
-                        n, rows, section, stage, trows, plan
-                    )
-                    c_sum += st.compute_seconds
-                    t_sum += st.total
-                totals.append(t_sum)
-                computes.append(c_sum)
-            out.append((totals, computes, self._source_read(n, section, plan)))
-        return out
-
     def _build_tables(self, nodes: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Stage-time tables of ``K`` (node, rows) pairs in one batched
         pass, as ``(K, 2 * total_tiles + sections)`` rows laid out
@@ -656,39 +588,9 @@ class MhetaModel:
                     cache.put(keys[i], entry)
         return np.stack(entries)
 
-    def _section_tables(self, distribution: GenBlock) -> List[_SectionTables]:
-        """Scalar kernel: per section, the per-node tile stage-times
-        (split by compute and I/O) and message source-read costs.  These
-        are the same for every iteration, so the iteration loop only
-        replays the communication timeline.  Per-``(node, rows)`` work
-        is memoised in the model's bounded LRU."""
-        P = self.n_nodes
-        cache = self._tables_cache
-        counts = distribution.counts
-        per_node = []
-        for n in range(P):
-            key = (n, counts[n])
-            entry = cache.get(key) if cache is not None else None
-            if entry is None:
-                entry = self._node_tables(
-                    n, counts[n], self.oracle.plan(n, counts[n])
-                )
-                if cache is not None:
-                    cache.put(key, entry)
-            per_node.append(entry)
-        return [
-            _SectionTables(
-                section=section,
-                tile_totals=[per_node[n][si][0] for n in range(P)],
-                tile_compute=[per_node[n][si][1] for n in range(P)],
-                source_read=[per_node[n][si][2] for n in range(P)],
-            )
-            for si, section in enumerate(self.program.sections)
-        ]
-
     def _table_views(self, per_node: np.ndarray) -> List[_SectionTables]:
-        """Numpy kernel: per-section views of one candidate's stacked
-        ``(P, columns)`` tables, for the report."""
+        """Per-section views of one candidate's stacked ``(P, columns)``
+        tables, for the report."""
         T, offsets = self._total_tiles, self._tile_offsets
         return [
             _SectionTables(
@@ -702,98 +604,7 @@ class MhetaModel:
             )
         ]
 
-    # -- the scalar walk --------------------------------------------------------
-
-    def _walk_scalar(
-        self, tables: List[_SectionTables], n_iter: int
-    ) -> Tuple[List[float], List[float]]:
-        """Reference per-node clock walk (plain Python lists)."""
-        P = self.n_nodes
-        clocks = [0.0] * P
-        iter_ends: List[List[float]] = []
-        profile = self.program.iteration_profile
-        if profile is None:
-            # Iterations are identical in cost, but the per-node clocks
-            # need a few iterations for their wait pattern to settle
-            # (pipeline fill, neighbour-wait coupling).  Walk iterations
-            # until the per-iteration increment vector repeats exactly,
-            # then extrapolate the rest linearly; a cycle is guaranteed
-            # quickly in practice, and the walk is capped by n_iter.
-            prev_steady = None
-            simulate = 0
-            while simulate < n_iter:
-                for t in tables:
-                    clocks = self.timeline.advance(
-                        t.section.comm.pattern,
-                        clocks,
-                        t.tile_totals,
-                        t.section.comm.message_bytes,
-                        t.source_read,
-                    )
-                iter_ends.append(list(clocks))
-                simulate += 1
-                if len(iter_ends) >= 2:
-                    steady_now = [
-                        iter_ends[-1][n] - iter_ends[-2][n] for n in range(P)
-                    ]
-                    if prev_steady is not None and all(
-                        abs(a - b) <= _ATOL + _RTOL * abs(b)
-                        for a, b in zip(steady_now, prev_steady)
-                    ):
-                        break
-                    prev_steady = steady_now
-            if n_iter == 1 or len(iter_ends) < 2:
-                totals = iter_ends[0]
-                steady = list(iter_ends[0])
-            else:
-                steady = [
-                    iter_ends[-1][n] - iter_ends[-2][n] for n in range(P)
-                ]
-                totals = [
-                    iter_ends[-1][n] + steady[n] * (n_iter - simulate)
-                    for n in range(P)
-                ]
-            return totals, steady
-        # Non-uniform iterations (paper Section 3.1's deferred case):
-        # each iteration scales its computation share, and every
-        # iteration is walked explicitly — no steady state exists to
-        # extrapolate.
-        for mult in self._iteration_scales(n_iter):
-            for t in tables:
-                scaled = [
-                    [
-                        total + (mult - 1.0) * compute
-                        for total, compute in zip(
-                            t.tile_totals[n], t.tile_compute[n]
-                        )
-                    ]
-                    for n in range(P)
-                ]
-                clocks = self.timeline.advance(
-                    t.section.comm.pattern,
-                    clocks,
-                    scaled,
-                    t.section.comm.message_bytes,
-                    t.source_read,
-                )
-            iter_ends.append(list(clocks))
-        totals = iter_ends[-1]
-        if n_iter >= 2:
-            steady = [
-                iter_ends[-1][n] - iter_ends[-2][n] for n in range(P)
-            ]
-        else:
-            steady = list(iter_ends[0])
-        return totals, steady
-
     # -- assembly ---------------------------------------------------------------
-
-    @staticmethod
-    def _row_sum(row) -> float:
-        """Sum one node's per-tile table (list or ndarray)."""
-        if isinstance(row, np.ndarray):
-            return float(row.sum())
-        return sum(row)
 
     def _predict(
         self,
@@ -802,29 +613,36 @@ class MhetaModel:
         want_report: bool,
         telemetry: Optional[Recorder] = None,
     ):
-        if self.kernel == "scalar":
-            self._check(distribution)
-            tables = self._section_tables(distribution)
-            totals, steady = self._walk_scalar(tables, n_iter)
-            if not want_report:
-                return max(totals)
-        else:
-            # A single prediction is a batch of one.
-            flat, totals, steady = self._evaluate(
-                self._batch_counts([distribution]), n_iter
-            )
-            if not want_report:
-                return float(totals[0].max())
-            tables = self._table_views(flat[0])
-            totals, steady = totals[0], steady[0]
-        P = self.n_nodes
+        # A single prediction is a batch of one.
+        flat, totals, steady = self._evaluate(
+            self._batch_counts([distribution]), n_iter
+        )
+        if not want_report:
+            return float(totals[0].max())
+        return self._report(
+            distribution, self._table_views(flat[0]), totals[0], steady[0],
+            n_iter, telemetry,
+        )
 
+    def _report(
+        self,
+        distribution: GenBlock,
+        tables: List[_SectionTables],
+        totals,
+        steady,
+        n_iter: int,
+        telemetry: Optional[Recorder],
+    ) -> PredictionReport:
+        """Assemble the per-node, per-section report of one prediction
+        from its tables and its per-node ``totals`` / ``steady``
+        increments."""
+        P = self.n_nodes
         nodes = []
         for n in range(P):
             sections = []
             for t in tables:
-                compute = self._row_sum(t.tile_compute[n])
-                io = self._row_sum(t.tile_totals[n]) - compute
+                compute = float(t.tile_compute[n].sum())
+                io = float(t.tile_totals[n].sum()) - compute
                 sections.append(
                     SectionBreakdown(
                         section=t.section.name,
@@ -936,8 +754,8 @@ class MhetaModel:
         }
         bottleneck = 0
         for n in range(P):
-            comp_iter = sum(self._row_sum(t.tile_compute[n]) for t in tables)
-            local_iter = sum(self._row_sum(t.tile_totals[n]) for t in tables)
+            comp_iter = sum(float(t.tile_compute[n].sum()) for t in tables)
+            local_iter = sum(float(t.tile_totals[n].sum()) for t in tables)
             io_iter = local_iter - comp_iter
             plan = self.oracle.plan(n, counts[n])
             prefetch_iter = sum(

@@ -132,16 +132,11 @@ def build_model(
     cluster: ClusterSpec,
     program: ProgramStructure,
     perturbation: Optional[PerturbationConfig] = None,
-    kernel: str = "numpy",
 ) -> MhetaModel:
-    """Instrument one Blk iteration and construct the MHETA model.
-
-    ``kernel`` selects the evaluation path (``"numpy"`` vectorised,
-    ``"scalar"`` reference); the two agree to <= 1e-12 relative error.
-    """
+    """Instrument one Blk iteration and construct the MHETA model."""
     d0 = block(cluster, program.n_rows)
     inputs = collect_inputs(cluster, program, d0, perturbation=perturbation)
-    return MhetaModel(program, cluster, inputs, kernel=kernel)
+    return MhetaModel(program, cluster, inputs)
 
 
 def _emulate_task(

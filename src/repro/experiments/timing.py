@@ -60,17 +60,15 @@ def model_evaluation_timing(
     program: Optional[ProgramStructure] = None,
     model: Optional[MhetaModel] = None,
     repeats: int = 5,
-    kernel: str = "numpy",
 ) -> TimingResult:
     """Measure per-distribution prediction cost on Jacobi/HY1 (an
-    arbitrary representative pair, overridable).  ``kernel`` selects
-    the evaluation path when no ``model`` is supplied."""
+    arbitrary representative pair, overridable)."""
     if cluster is None:
         cluster = config_hy1()
     if program is None:
         program = JacobiApp.paper().structure
     if model is None:
-        model = build_model(cluster, program, kernel=kernel)
+        model = build_model(cluster, program)
     candidates = [
         p.distribution for p in spectrum(cluster, program, steps_per_leg=4)
     ]

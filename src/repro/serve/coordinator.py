@@ -9,9 +9,9 @@ model state — the same shape an inference server takes.
 Where the speed comes from:
 
 * **Resident models.**  Building a model instruments an iteration (an
-  emulator run); the coordinator builds each ``(app, config, scale,
-  kernel)`` model once and keeps it in a bounded LRU, so its persistent
-  table cache stays warm across every later query.
+  emulator run); the coordinator builds each ``(app, config, scale)``
+  model once and keeps it in a bounded LRU, so its persistent table
+  cache stays warm across every later query.
 * **Micro-batched predictions.**  Concurrent ``predict``/``verify``
   queries gather for a short window (:class:`~repro.serve.batcher.
   MicroBatcher`), identical queries coalesce to one computation, and
@@ -39,7 +39,6 @@ recorders are merged back after each call returns.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
@@ -87,8 +86,6 @@ class ServeCoordinator:
 
     Parameters
     ----------
-    kernel:
-        Default evaluation kernel for queries that do not name one.
     window_seconds / max_batch:
         Gather window and distinct-key ceiling of the predict/verify
         micro-batcher.
@@ -116,7 +113,6 @@ class ServeCoordinator:
     def __init__(
         self,
         *,
-        kernel: str = "numpy",
         window_seconds: float = 0.002,
         max_batch: int = 256,
         jobs: int = 1,
@@ -125,7 +121,6 @@ class ServeCoordinator:
         model_cache_entries: int = 16,
         telemetry: Optional[Recorder] = None,
     ) -> None:
-        self.kernel = kernel
         self.jobs = jobs
         self.sweep_cache = sweep_cache
         self.run_cache = run_cache
@@ -184,7 +179,7 @@ class ServeCoordinator:
 
         cluster = table1_configs()[query.config]
         program = application_by_name(query.app, query.scale).structure
-        model = build_model(cluster, program, kernel=query.kernel)
+        model = build_model(cluster, program)
         return _ModelEntry(model, cluster, program)
 
     async def _run_blocking(self, fn, *args):
@@ -196,10 +191,6 @@ class ServeCoordinator:
 
     async def handle(self, query: Query) -> Dict[str, Any]:
         """Answer one parsed query (the transport-independent core)."""
-        if query.kernel is None:
-            # Name the default kernel, so a query that omits it shares
-            # the resident model and coalesce key of one that names it.
-            query = dataclasses.replace(query, kernel=self.kernel)
         rec = self.telemetry
         started = time.perf_counter()
         try:
@@ -533,8 +524,8 @@ class ServeCoordinator:
             entry = self._models.get(key)
             if entry is None:
                 continue
-            app, config, scale, kernel = key
-            models["/".join([app, config, str(scale), kernel])] = {
+            app, config, scale = key
+            models["/".join([app, config, str(scale)])] = {
                 "table_cache": entry.model.table_cache_stats,
                 "eval_cache_entries": len(entry.eval_cache),
                 "eval_cache_hits": entry.eval_cache.hits,

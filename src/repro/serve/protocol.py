@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.core.model import KERNELS
 from repro.exceptions import ServeError
 
 __all__ = [
@@ -114,7 +113,6 @@ class Query:
     app: Optional[str] = None
     config: str = "HY1"
     scale: float = 0.1
-    kernel: Optional[str] = None
     dist: Optional[str] = None
     counts: Optional[Tuple[int, ...]] = None
     budget: int = 150
@@ -132,11 +130,6 @@ class Query:
             return cls(op=op)
         app = _require_choice(payload, "app", APPS)
         config = _require_choice(payload, "config", CONFIGS, default="HY1")
-        kernel = payload.get("kernel")
-        if kernel is not None and kernel not in KERNELS:
-            raise ServeError(
-                f"unknown kernel {kernel!r}; choose from {KERNELS}"
-            )
         try:
             scale = float(payload.get("scale", 0.1))
         except (TypeError, ValueError):
@@ -193,7 +186,6 @@ class Query:
             app=app,
             config=config,
             scale=scale,
-            kernel=kernel,
             dist=dist,
             counts=counts,
             budget=budget,
@@ -204,7 +196,7 @@ class Query:
 
     def model_key(self) -> Tuple:
         """Key of the resident model this query runs against."""
-        return (self.app, self.config, self.scale, self.kernel)
+        return (self.app, self.config, self.scale)
 
     def coalesce_key(self) -> Tuple:
         """Everything the answer depends on.  Two queries with equal

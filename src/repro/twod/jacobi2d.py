@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.cluster.cluster import ClusterSpec
 from repro.core.comm import SectionTimeline
-from repro.core.model import KERNELS
 from repro.exceptions import ModelError, SimulationError
 from repro.instrument.collect import MeasurementConfig
 from repro.instrument.microbench import Microbenchmarks, run_microbenchmarks
@@ -433,11 +432,11 @@ class TwoDModel:
 
     Mirrors :class:`repro.core.model.MhetaModel`'s surface: the
     consolidated :meth:`predict` entry point (single, ``report=True``,
-    ``batch=True``) and the ``kernel="numpy"|"scalar"`` knob.  The
-    scalar kernel is the per-rank reference loop; the numpy kernel
-    scores whole candidate populations through the max-plus iteration
-    matrices of :mod:`repro.twod.plan2d`, one private plan per grid
-    shape, and answers a single prediction as a batch of one.
+    ``batch=True``).  It scores whole candidate populations through the
+    max-plus iteration matrices of :mod:`repro.twod.plan2d`, one private
+    plan per grid shape, and answers a single prediction as a batch of
+    one.  The per-rank scalar loop it replaced is the test oracle in
+    ``tests/model_reference.py``.
     """
 
     def __init__(
@@ -445,17 +444,10 @@ class TwoDModel:
         cluster: ClusterSpec,
         spec: Jacobi2DSpec,
         inputs: TwoDInputs,
-        *,
-        kernel: str = "numpy",
     ) -> None:
-        if kernel not in KERNELS:
-            raise ModelError(
-                f"unknown kernel {kernel!r}; choose from {KERNELS}"
-            )
         self.cluster = cluster
         self.spec = spec
         self.inputs = inputs
-        self.kernel = kernel
         self._timeline = SectionTimeline(inputs.micro, cluster.n_nodes)
         # grid shape -> this model's evaluation plan for that shape.
         self._plans: Dict[Tuple[int, int], object] = {}
@@ -482,38 +474,6 @@ class TwoDModel:
     def release_plans(self) -> None:
         """Drop this model's plans (they rebuild lazily on next use)."""
         self._plans = {}
-
-    # -- per-node stage time ----------------------------------------------------
-
-    def _stage_seconds(self, rank: int, dist: GenBlock2D) -> float:
-        spec = self.spec
-        rows, cols = dist.tile(rank)
-        area = rows * cols
-        area0 = self.inputs.distribution0.tile_elements(rank)
-        if area0 <= 0:
-            raise ModelError(f"node {rank}: empty instrumented tile")
-        compute = self.inputs.compute_seconds[rank] * (area / area0)
-        node = self.cluster[rank]
-        tile_bytes = spec.tile_bytes(rows, cols)
-        if tile_bytes <= node.memory_bytes:
-            return compute
-        disk = self.inputs.micro.disks[rank]
-        row_bytes = cols * spec.element_size
-        chunk_rows = max(1, int(node.memory_bytes // max(row_bytes, 1e-12)))
-        chunk_rows = min(chunk_rows, rows)
-        n_io = -(-rows // chunk_rows)
-        io = n_io * (disk.read_seek + disk.write_seek) + tile_bytes * (
-            self.inputs.read_per_byte[rank] + self.inputs.write_per_byte[rank]
-        )
-        return compute + io
-
-    def _halo_read_seconds(self, rank: int, dist: GenBlock2D, nbytes: float) -> float:
-        rows, cols = dist.tile(rank)
-        node = self.cluster[rank]
-        if self.spec.tile_bytes(rows, cols) <= node.memory_bytes:
-            return 0.0
-        disk = self.inputs.micro.disks[rank]
-        return disk.read_seek + nbytes * self.inputs.read_per_byte[rank]
 
     # -- prediction ------------------------------------------------------------
 
@@ -572,20 +532,20 @@ class TwoDModel:
             raise ModelError("distribution does not cover the array")
 
     def _predict_one(self, dist: GenBlock2D, n_iter: int) -> float:
-        if self.kernel == "scalar":
-            return max(self._scalar_totals(dist, n_iter))
         # Batch of one: bitwise equal to that candidate's batch row.
         return float(self._predict_batch([dist], n_iter)[0])
 
+    def _rank_totals(self, dist: GenBlock2D, n_iter: int) -> np.ndarray:
+        """Every rank's predicted clock total (the prediction is their
+        max)."""
+        self._validate(dist)
+        plan = self.ensure_plan(dist.grid_shape)
+        rowc = np.asarray([dist.row_counts], dtype=np.int64)
+        colc = np.asarray([dist.col_counts], dtype=np.int64)
+        return plan.execute(rowc, colc, n_iter, reduce=False)[0]
+
     def _report(self, dist: GenBlock2D, n_iter: int) -> TwoDReport:
-        if self.kernel == "scalar":
-            totals = self._scalar_totals(dist, n_iter)
-        else:
-            self._validate(dist)
-            plan = self.ensure_plan(dist.grid_shape)
-            rowc = np.asarray([dist.row_counts], dtype=np.int64)
-            colc = np.asarray([dist.col_counts], dtype=np.int64)
-            totals = plan.execute(rowc, colc, n_iter, reduce=False)[0]
+        totals = self._rank_totals(dist, n_iter)
         nodes = tuple(
             TwoDNodeReport(
                 rank=r,
@@ -608,10 +568,6 @@ class TwoDModel:
         shape (populations may mix shapes; results come back in input
         order)."""
         out = np.empty(len(dists))
-        if self.kernel == "scalar":
-            for i, d in enumerate(dists):
-                out[i] = max(self._scalar_totals(d, n_iter))
-            return out
         groups: Dict[Tuple[int, int], List[int]] = {}
         for i, d in enumerate(dists):
             self._validate(d)
@@ -627,70 +583,6 @@ class TwoDModel:
             out[idxs] = plan.execute(rowc, colc, n_iter)
         return out
 
-    def _scalar_totals(self, dist: GenBlock2D, n_iter: int) -> List[float]:
-        """The per-rank reference loop: every rank's predicted clock
-        total (the scalar prediction is their max)."""
-        self._validate(dist)
-        P = self.cluster.n_nodes
-        net = self.inputs.micro
-        stage = [self._stage_seconds(rank, dist) for rank in range(P)]
-
-        clocks = [0.0] * P
-        prev_steady = None
-        ends: List[List[float]] = []
-        simulate = 0
-        while simulate < n_iter:
-            clocks = self._iterate(dist, stage, clocks, net)
-            ends.append(list(clocks))
-            simulate += 1
-            if len(ends) >= 2:
-                steady = [ends[-1][n] - ends[-2][n] for n in range(P)]
-                if prev_steady is not None and all(
-                    abs(a - b) <= 1e-12 + 1e-9 * abs(b)
-                    for a, b in zip(steady, prev_steady)
-                ):
-                    break
-                prev_steady = steady
-        if n_iter == 1 or len(ends) < 2:
-            return list(ends[0])
-        steady = [ends[-1][n] - ends[-2][n] for n in range(P)]
-        return [
-            ends[-1][n] + steady[n] * (n_iter - simulate) for n in range(P)
-        ]
-
-    def _iterate(self, dist, stage, start, net):
-        """One iteration's max-plus mirror: stage, halos, allreduce."""
-        P = len(start)
-        os_ = net.send_overhead
-        or_ = net.recv_overhead
-        # Halo exchange: sends in DIRECTIONS order, then receives.
-        deliver: Dict[Tuple[int, str], float] = {}
-        ready = [0.0] * P
-        for rank in range(P):
-            t = start[rank] + stage[rank]
-            for direction, _other in dist.neighbors(rank):
-                nbytes = dist.halo_elements(rank, direction) * self.spec.element_size
-                t += self._halo_read_seconds(rank, dist, nbytes)
-                t += os_
-                deliver[(rank, direction)] = t + net.transfer_seconds(nbytes)
-            ready[rank] = t
-        after_halo = list(ready)
-        for rank in range(P):
-            t = ready[rank]
-            for direction, other in dist.neighbors(rank):
-                t = max(t, deliver[(other, _OPPOSITE[direction])]) + or_
-            after_halo[rank] = t
-        # Residual allreduce: reuse the 1-D reduction mirror.
-        from repro.program.sections import CommPattern
-
-        return self._timeline.advance(
-            CommPattern.REDUCTION,
-            after_halo,
-            [[0.0]] * P,
-            8.0,
-            [0.0] * P,
-        )
-
 
 def build_2d_model(
     cluster: ClusterSpec,
@@ -699,7 +591,6 @@ def build_2d_model(
     perturbation: Optional[PerturbationConfig] = None,
     measurement: Optional[MeasurementConfig] = None,
     micro: Optional[Microbenchmarks] = None,
-    kernel: str = "numpy",
 ) -> TwoDModel:
     """Instrument one 2-D iteration under ``d0`` and build the model."""
     measurement = measurement or MeasurementConfig()
@@ -732,4 +623,4 @@ def build_2d_model(
         write_per_byte=tuple(write_pb),
         micro=micro,
     )
-    return TwoDModel(cluster, spec, inputs, kernel=kernel)
+    return TwoDModel(cluster, spec, inputs)

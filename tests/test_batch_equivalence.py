@@ -8,9 +8,9 @@ reduction ever crosses the candidate axis, so for every candidate
 ``predict(d) == predict(d, report=True).total_seconds ==
 predict(cands, batch=True)[i]`` exactly — on every seed app, every seed
 cluster, the prefetch variant, iteration-profile programs, the 2-D
-model, and hypothesis-randomized batches.  The scalar kernel batches by
-looping its reference path; the sharded fan-out must preserve the same
-figures across process boundaries.
+model, and hypothesis-randomized batches.  The batch also holds the
+golden contract against the scalar reference of
+``tests/model_reference.py``.
 """
 
 from __future__ import annotations
@@ -32,13 +32,14 @@ from repro.core.model import MhetaModel
 from repro.distribution import GenBlock, block, largest_remainder_round, spectrum
 from repro.exceptions import ModelError
 from repro.instrument.collect import collect_inputs
+from tests.model_reference import ReferenceModel
 
 REL_TOL = 1e-12
 SCALE = 0.05
 
-#: The fast kernels held to the batch contract (the scalar reference
-#: batches by looping, see test_scalar_kernel_batch_is_loop_fallback).
-FAST_KERNELS = ("numpy",)
+#: Parametrizes cases with the ``numpy`` id, which names the prediction
+#: path they pin and keeps the suite's test ids stable.
+NUMPY_PATH = pytest.mark.parametrize("path", ["numpy"])
 
 APPS = {
     "jacobi": JacobiApp,
@@ -55,9 +56,9 @@ CLUSTERS = {
 }
 
 
-def _model(cluster, program, kernel="numpy", **kwargs):
+def _model(cluster, program, model_cls=MhetaModel, **kwargs):
     inputs = collect_inputs(cluster, program, block(cluster, program.n_rows))
-    return MhetaModel(program, cluster, inputs, kernel=kernel, **kwargs)
+    return model_cls(program, cluster, inputs, **kwargs)
 
 
 def _candidates(cluster, program):
@@ -88,13 +89,13 @@ def _assert_bitwise_identical(model, cands, report=True):
 # -- golden sweep: every seed app on every seed cluster ----------------------
 
 
-@pytest.mark.parametrize("kernel", FAST_KERNELS)
+@NUMPY_PATH
 @pytest.mark.parametrize("cluster_name", sorted(CLUSTERS))
 @pytest.mark.parametrize("app_name", sorted(APPS))
-def test_batch_equivalence(app_name, cluster_name, kernel):
+def test_batch_equivalence(app_name, cluster_name, path):
     cluster = CLUSTERS[cluster_name]()
     program = APPS[app_name].paper(SCALE).structure
-    model = _model(cluster, program, kernel=kernel)
+    model = _model(cluster, program)
     _assert_bitwise_identical(model, _candidates(cluster, program))
 
 
@@ -142,14 +143,14 @@ def test_batch_equivalence_twod(cluster_name):
     _assert_bitwise_identical(model, cands)
 
 
-@pytest.mark.parametrize("kernel", FAST_KERNELS)
-def test_batch_matches_scalar_kernel(kernel):
-    """The batch must also satisfy the cross-kernel golden contract:
-    within 1e-12 relative of the scalar reference."""
+@NUMPY_PATH
+def test_batch_matches_scalar_kernel(path):
+    """The batch must also satisfy the golden contract: within 1e-12
+    relative of the scalar reference."""
     cluster = configs.config_hy1()
     program = JacobiApp.paper(SCALE).structure
-    scalar = _model(cluster, program, kernel="scalar", table_cache=0)
-    vector = _model(cluster, program, kernel=kernel)
+    scalar = _model(cluster, program, ReferenceModel, table_cache=0)
+    vector = _model(cluster, program)
     cands = _candidates(cluster, program)
     batch = vector.predict(cands, batch=True)
     for dist, got in zip(cands, batch):
@@ -157,31 +158,20 @@ def test_batch_matches_scalar_kernel(kernel):
         assert abs(got - want) <= REL_TOL * max(abs(got), abs(want))
 
 
-def test_scalar_kernel_batch_is_loop_fallback():
-    """``kernel='scalar'`` batches via a loop of scalar predictions —
-    exactly equal to the sequential figures."""
-    cluster = configs.config_io()
-    program = LanczosApp.paper(SCALE).structure
-    model = _model(cluster, program, kernel="scalar", table_cache=0)
-    cands = _candidates(cluster, program)[:4]
-    batch = model.predict(cands, batch=True)
-    assert list(batch) == [model.predict(d) for d in cands]
-
-
-@pytest.mark.parametrize("kernel", FAST_KERNELS)
-def test_empty_batch(kernel):
+@NUMPY_PATH
+def test_empty_batch(path):
     cluster = configs.config_dc()
     program = JacobiApp.paper(SCALE).structure
-    model = _model(cluster, program, kernel=kernel)
+    model = _model(cluster, program)
     out = model.predict([], batch=True)
     assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
-@pytest.mark.parametrize("kernel", FAST_KERNELS)
-def test_batch_validates_every_candidate(kernel):
+@NUMPY_PATH
+def test_batch_validates_every_candidate(path):
     cluster = configs.config_dc()
     program = JacobiApp.paper(SCALE).structure
-    model = _model(cluster, program, kernel=kernel)
+    model = _model(cluster, program)
     good = block(cluster, program.n_rows)
     bad = GenBlock((program.n_rows,))  # wrong node count
     with pytest.raises(ModelError, match="does not match the model"):
@@ -191,20 +181,22 @@ def test_batch_validates_every_candidate(kernel):
         model.predict([good, short], batch=True)
 
 
-@pytest.mark.parametrize("kernel", FAST_KERNELS)
-def test_batch_iterations_override(kernel):
+@NUMPY_PATH
+def test_batch_iterations_override(path):
     cluster = configs.config_hy2()
     program = JacobiApp.paper(SCALE).structure
-    model = _model(cluster, program, kernel=kernel)
+    model = _model(cluster, program)
     cands = _candidates(cluster, program)[:3]
     batch = model.predict(cands, iterations=7, batch=True)
     assert batch.tolist() == [model.predict(d, iterations=7) for d in cands]
 
 
-@pytest.mark.parametrize("kernel", ["numpy", "scalar"])
-def test_iterations_below_one_rejected(kernel):
+@pytest.mark.parametrize(
+    "model_cls", [MhetaModel, ReferenceModel], ids=["numpy", "scalar"]
+)
+def test_iterations_below_one_rejected(model_cls):
     """Single, report and batch calls refuse ``iterations < 1``, with
-    and without an iteration profile."""
+    and without an iteration profile, in the model and its reference."""
     cluster = configs.config_dc()
     program = JacobiApp.paper(SCALE).structure
     profiled = program.with_iteration_profile(
@@ -212,7 +204,7 @@ def test_iterations_below_one_rejected(kernel):
     )
     d = block(cluster, program.n_rows)
     for prog in (program, profiled):
-        model = _model(cluster, prog, kernel=kernel)
+        model = _model(cluster, prog, model_cls)
         for iterations in (0, -2):
             for call in (
                 lambda: model.predict(d, iterations),
@@ -233,12 +225,12 @@ def test_removed_serial_batch_rejected():
         model.predict([block(cluster, program.n_rows)], batch="serial")
 
 
-@pytest.mark.parametrize("kernel", FAST_KERNELS)
-def test_duplicate_candidates_in_one_batch(kernel):
+@NUMPY_PATH
+def test_duplicate_candidates_in_one_batch(path):
     """Duplicates inside one batch score identically (shared tables)."""
     cluster = configs.config_hy1()
     program = ConjugateGradientApp.paper(SCALE).structure
-    model = _model(cluster, program, kernel=kernel)
+    model = _model(cluster, program)
     d = block(cluster, program.n_rows)
     batch = model.predict([d, d, d], batch=True)
     assert batch[0] == batch[1] == batch[2]

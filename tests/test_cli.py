@@ -28,12 +28,20 @@ class TestParser:
             build_parser().parse_args(["sweep", "fft"])
 
     def test_removed_plan_kernel_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["search", "jacobi", "--config", "DC", "--kernel", "plan"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice: 'plan'" in err
-        assert "'numpy', 'scalar'" in err
+        """The prediction path is not a choice: ``--kernel`` is an
+        unrecognized argument on every subcommand that once took it."""
+        for argv in (
+            ["predict", "jacobi"],
+            ["search", "jacobi"],
+            ["timing"],
+            ["stats", "jacobi"],
+            ["serve"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([*argv, "--kernel", "numpy"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "unrecognized arguments: --kernel numpy" in err
 
 
 class TestCommands:
@@ -180,10 +188,9 @@ class TestTwoDCli:
         out = run_cli(
             capsys,
             "predict", "jacobi", "--config", "DC",
-            "--twod", "2x4", "--kernel", "numpy", "--verify", *SCALE,
+            "--twod", "2x4", "--verify", *SCALE,
         )
         assert "2x4 grid" in out
-        assert "kernel=numpy" in out
         assert "predicted:" in out
         assert "rank 7" in out  # per-rank report lines
         assert "error" in out  # --verify ran the 2-D emulator
@@ -227,7 +234,7 @@ class TestTwoDCli:
         out = run_cli(
             capsys,
             "search", "jacobi", "--config", "DC",
-            "--twod", "all", "--kernel", "numpy",
+            "--twod", "all",
             "--budget", "60", "--telemetry", "text", *SCALE,
         )
         for shape in ("1x8", "2x4", "4x2", "8x1"):

@@ -1,12 +1,14 @@
-"""Golden equivalence: the numpy prediction kernel vs the scalar reference.
+"""Golden equivalence: the model's numpy path vs the scalar reference.
 
-The vectorised kernel (max-plus section matrices, batched stage tables,
-the persistent ``(node, rows)`` table cache) must reproduce the scalar
-path to within floating-point re-association noise.  Every optimisation
-in the numpy path is max-plus linear — only the *order* of summations
-differs — so the contract is tight: ``REL_TOL = 1e-12`` relative error
-on every seed program, cluster, distribution family, prefetch variant
-and iteration-profile program.
+The vectorised prediction path (max-plus section matrices, batched
+stage tables, the persistent ``(node, rows)`` table cache) must
+reproduce the scalar test oracle (:class:`tests.model_reference.
+ReferenceModel`) to within floating-point re-association noise.  Every
+optimisation in the numpy path is max-plus linear — only the *order* of
+summations differs — so the contract is tight: ``REL_TOL = 1e-12``
+relative error on every seed program, cluster, distribution family,
+prefetch variant and iteration-profile program, and the same GBS answer
+on every seed app.
 """
 
 from __future__ import annotations
@@ -29,13 +31,16 @@ from repro.distribution import GenBlock, block, largest_remainder_round, spectru
 from repro.instrument.collect import collect_inputs
 from repro.placement import plan_memory, plan_memory_arrays
 from repro.program.variables import Access, Variable
+from repro.search import GeneralizedBinarySearch
+from tests.model_reference import ReferenceModel
 from tests.placement_reference import plan_memory_reference
 
 REL_TOL = 1e-12
 SCALE = 0.05
 
-#: The fast kernels pinned to the scalar reference.
-FAST_KERNELS = ("numpy",)
+#: Parametrizes the sweeps with the ``numpy`` id, which names the
+#: prediction path they pin and keeps the suite's test ids stable.
+NUMPY_PATH = pytest.mark.parametrize("path", ["numpy"])
 
 APPS = {
     "jacobi": JacobiApp,
@@ -52,19 +57,18 @@ CLUSTERS = {
 }
 
 
-def _model_pair(cluster, program, kernel="numpy"):
-    """(scalar reference, vectorized kernel) over identical inputs."""
+def _model_pair(cluster, program):
+    """(scalar reference, the model) over identical inputs."""
     inputs = collect_inputs(cluster, program, block(cluster, program.n_rows))
-    scalar = MhetaModel(program, cluster, inputs, kernel="scalar",
-                        table_cache=0)
-    vector = MhetaModel(program, cluster, inputs, kernel=kernel)
+    scalar = ReferenceModel(program, cluster, inputs, table_cache=0)
+    vector = MhetaModel(program, cluster, inputs)
     return scalar, vector
 
 
 def _assert_close(a: float, b: float) -> None:
     assert a > 0 and b > 0
     assert abs(a - b) <= REL_TOL * max(abs(a), abs(b)), (
-        f"kernels diverge: scalar={a!r} numpy={b!r} "
+        f"paths diverge: scalar={a!r} numpy={b!r} "
         f"rel={abs(a - b) / max(abs(a), abs(b)):.3e}"
     )
 
@@ -80,48 +84,48 @@ def _candidates(cluster, program):
 # -- golden sweep: every seed app on every seed cluster ----------------------
 
 
-@pytest.mark.parametrize("kernel", FAST_KERNELS)
+@NUMPY_PATH
 @pytest.mark.parametrize("cluster_name", sorted(CLUSTERS))
 @pytest.mark.parametrize("app_name", sorted(APPS))
-def test_golden_equivalence(app_name, cluster_name, kernel):
+def test_golden_equivalence(app_name, cluster_name, path):
     cluster = CLUSTERS[cluster_name]()
     program = APPS[app_name].paper(SCALE).structure
-    scalar, vector = _model_pair(cluster, program, kernel)
+    scalar, vector = _model_pair(cluster, program)
     for dist in _candidates(cluster, program):
         _assert_close(scalar.predict(dist),
                       vector.predict(dist))
 
 
-@pytest.mark.parametrize("kernel", FAST_KERNELS)
+@NUMPY_PATH
 @pytest.mark.parametrize("cluster_name", ["IO", "HY1"])
 @pytest.mark.parametrize("app_name", ["jacobi", "rna"])
-def test_golden_equivalence_prefetch(app_name, cluster_name, kernel):
-    """The prefetch I/O model (Equation 2) through both kernels."""
+def test_golden_equivalence_prefetch(app_name, cluster_name, path):
+    """The prefetch I/O model (Equation 2) through both paths."""
     cluster = CLUSTERS[cluster_name]()
     program = APPS[app_name].paper(SCALE).prefetching()
-    scalar, vector = _model_pair(cluster, program, kernel)
+    scalar, vector = _model_pair(cluster, program)
     for dist in _candidates(cluster, program):
         _assert_close(scalar.predict(dist),
                       vector.predict(dist))
 
 
-@pytest.mark.parametrize("kernel", FAST_KERNELS)
+@NUMPY_PATH
 @pytest.mark.parametrize("cluster_name", ["DC", "HY2"])
-def test_golden_equivalence_iteration_profile(cluster_name, kernel):
+def test_golden_equivalence_iteration_profile(cluster_name, path):
     """Per-iteration work profiles force the full iteration walk (no
-    steady-state extrapolation) in both kernels."""
+    steady-state extrapolation) in both paths."""
     cluster = CLUSTERS[cluster_name]()
     base = JacobiApp.paper(SCALE).structure
     profile = 1.0 + 0.5 * np.sin(np.arange(base.iterations))
     program = base.with_iteration_profile(profile)
-    scalar, vector = _model_pair(cluster, program, kernel)
+    scalar, vector = _model_pair(cluster, program)
     for dist in _candidates(cluster, program):
         _assert_close(scalar.predict(dist),
                       vector.predict(dist))
 
 
 def test_golden_equivalence_report_totals():
-    """`predict` (full report) agrees across kernels, per node."""
+    """`predict` (full report) agrees across paths, per node."""
     cluster = configs.config_hy1()
     program = ConjugateGradientApp.paper(SCALE).structure
     scalar, vector = _model_pair(cluster, program)
@@ -148,13 +152,28 @@ def test_table_cache_does_not_change_results():
     cluster = configs.config_io()
     program = LanczosApp.paper(SCALE).structure
     inputs = collect_inputs(cluster, program, block(cluster, program.n_rows))
-    cached = MhetaModel(program, cluster, inputs, kernel="numpy")
-    uncached = MhetaModel(program, cluster, inputs, kernel="numpy",
-                          table_cache=0)
+    cached = MhetaModel(program, cluster, inputs)
+    uncached = MhetaModel(program, cluster, inputs, table_cache=0)
     for dist in _candidates(cluster, program):
         assert cached.predict(dist) == uncached.predict(dist)
     stats = cached.table_cache_stats
     assert stats["hits"] > 0
+
+
+@pytest.mark.parametrize("app_name", sorted(APPS))
+def test_gbs_agrees_with_reference(app_name):
+    """GBS over the model and GBS over the scalar reference pick the
+    same winner after the same number of evaluations, with predicted
+    seconds within ``REL_TOL`` (HY2, every seed app, the CLI's default
+    budget)."""
+    cluster = configs.config_hy2()
+    program = APPS[app_name].paper(SCALE).structure
+    scalar, vector = _model_pair(cluster, program)
+    want = GeneralizedBinarySearch(scalar, cluster).search(budget=150)
+    got = GeneralizedBinarySearch(vector, cluster).search(budget=150)
+    assert got.best == want.best
+    assert got.evaluations == want.evaluations
+    _assert_close(want.predicted_seconds, got.predicted_seconds)
 
 
 # -- randomized distributions -------------------------------------------------
@@ -182,7 +201,7 @@ def _jacobi_pair(cluster_name):
 )
 def test_random_distributions_agree(weights, cluster_name):
     """Arbitrary GEN_BLOCK shapes — including wildly skewed ones a search
-    would never visit — keep the kernels within tolerance."""
+    would never visit — keep the two paths within tolerance."""
     program, scalar, vector = _jacobi_pair(cluster_name)
     counts = largest_remainder_round(
         np.array(weights), program.n_rows, minimum=1
@@ -194,12 +213,12 @@ def test_random_distributions_agree(weights, cluster_name):
 
 # -- batched table pass and vectorised placement -----------------------------
 #
-# The numpy kernel builds every missing (node, rows) stage-time
-# table of a predict call in one ``MhetaModel._build_tables`` pass, over
+# The model builds every missing (node, rows) stage-time table of a
+# predict call in one ``MhetaModel._build_tables`` pass, over
 # ``plan_memory_arrays``.  These cases pin that pass to the scalar
-# per-pair tables, to itself across batches, and the vectorised
-# placement to the original per-variable loop kept in
-# ``tests/placement_reference.py``.
+# per-pair tables of ``tests/model_reference.py``, to itself across
+# batches, and the vectorised placement to the original per-variable
+# loop kept in ``tests/placement_reference.py``.
 
 _TABLE_APPS = {
     "jacobi": lambda: JacobiApp.paper(SCALE).structure,
@@ -261,10 +280,11 @@ def test_batched_tables_match_scalar_and_batch_independent(data, app):
         )
         for _ in range(P)
     ]
-    model = MhetaModel(program, memories, inputs, kernel="numpy")
+    model = MhetaModel(program, memories, inputs)
+    reference = ReferenceModel(program, memories, inputs, table_cache=0)
     batch = model._build_tables(np.array(nodes), np.array(rows))
     for k, (n, r) in enumerate(zip(nodes, rows)):
-        ref = model._node_tables(n, r, model.oracle.plan(n, r))
+        ref = reference._node_tables(n, r, reference.oracle.plan(n, r))
         want = np.concatenate(
             [np.array(t) for t, _, _ in ref]
             + [np.array(c) for _, c, _ in ref]

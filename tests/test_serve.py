@@ -98,12 +98,14 @@ class TestProtocol:
             )
 
     def test_removed_plan_kernel_rejected(self):
-        with pytest.raises(
-            ServeError, match=r"unknown kernel 'plan'; choose from .*numpy"
-        ):
-            Query.from_payload(
-                {"op": "predict", "app": "jacobi", "kernel": "plan"}
-            )
+        """``kernel`` is no longer a query field: a query carrying one
+        parses to the query that omits it, so the two coalesce."""
+        base = {"op": "predict", "app": "jacobi", "config": "DC"}
+        plain = Query.from_payload(base)
+        for kernel in ("plan", "scalar", "numpy"):
+            named = Query.from_payload({**base, "kernel": kernel})
+            assert named == plain
+            assert named.coalesce_key() == plain.coalesce_key()
 
     def test_bad_search_budget_rejected(self):
         with pytest.raises(ServeError):
@@ -504,8 +506,8 @@ class TestCoordinator:
         assert isinstance(good, dict) and good["predicted_seconds"] > 0
 
     def test_default_kernel_query_shares_resident_model(self):
-        """A query naming the server's default kernel and one naming no
-        kernel run against the same resident model."""
+        """A query that still names a kernel is answered as if it had
+        not: it runs against the resident model of one naming none."""
         rec = Recorder()
         coordinator = ServeCoordinator(window_seconds=0.005, telemetry=rec)
 
@@ -513,7 +515,7 @@ class TestCoordinator:
             async with _serve_fixture(coordinator) as client:
                 named = await client.predict(
                     "jacobi", config="DC", scale=SCALE, dist="blk",
-                    kernel="numpy",
+                    kernel="scalar",
                 )
                 default = await client.predict(
                     "jacobi", config="DC", scale=SCALE, dist="blk",

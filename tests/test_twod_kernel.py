@@ -1,8 +1,9 @@
-"""Golden equivalence and plan contract for the batched 2-D kernel.
+"""Golden equivalence and plan contract for the batched 2-D model.
 
 The 2-D analogue of ``test_kernel_equivalence.py``: the scalar
-reference loop and the vectorized numpy kernel must agree to <= 1e-12
-relative on any valid ``GenBlock2D``, across cluster configurations
+reference loop (:class:`tests.model_reference.ReferenceModel2D`) and
+the model's vectorized numpy path must agree to <= 1e-12 relative on
+any valid ``GenBlock2D``, across cluster configurations
 (including heterogeneous memory where some tiles stream out-of-core);
 a single prediction is a batch of one, bitwise equal to its row of any
 batch; and each
@@ -33,6 +34,7 @@ from repro.twod import (
     factor_pairs,
 )
 from repro.util.units import mib
+from tests.model_reference import ReferenceModel2D
 
 IDEAL = PerturbationConfig.none()
 PERFECT = MeasurementConfig.perfect()
@@ -77,9 +79,9 @@ def _models(cluster_name="mixed2d"):
         base = build_2d_model(
             cluster, spec, d0, perturbation=IDEAL, measurement=PERFECT
         )
-        _MODEL_CACHE[cluster_name] = tuple(
-            TwoDModel(cluster, spec, base.inputs, kernel=k)
-            for k in ("scalar", "numpy")
+        _MODEL_CACHE[cluster_name] = (
+            ReferenceModel2D(cluster, spec, base.inputs),
+            TwoDModel(cluster, spec, base.inputs),
         )
     scalar, numpy_m = _MODEL_CACHE[cluster_name]
     numpy_m.release_plans()  # every test starts with no plans built
@@ -257,13 +259,6 @@ def test_plan_stats_shape():
 
 
 # -- errors -------------------------------------------------------------------
-
-
-def test_unknown_kernel_rejected():
-    _, model = _models()
-    for kernel in ("cuda", "plan"):
-        with pytest.raises(ModelError, match="choose from"):
-            TwoDModel(model.cluster, model.spec, model.inputs, kernel=kernel)
 
 
 def test_wrong_coverage_rejected():
