@@ -72,6 +72,9 @@ class AdaptiveRound:
     #: layout governed (until the next round fired, or the run ended).
     segment_seconds: float
     iterations: int
+    #: The round's model prediction for that segment: its layout over
+    #: its iterations (0 for an empty segment).
+    predicted_seconds: float
 
     @property
     def overhead_seconds(self) -> float:
@@ -96,6 +99,8 @@ class AdaptiveReport:
     redistribution_seconds: float  #: 0 when never switching
     remaining_seconds: float  #: plain (non-instrumented) iterations
     static_seconds: float  #: the whole run under the start distribution
+    #: Sum of the rounds' segment predictions, so it predicts exactly
+    #: what ``remaining_seconds`` measures.
     predicted_remaining_seconds: float
     #: Per-round records; a stationary run has exactly one round.
     rounds: Tuple[AdaptiveRound, ...] = ()
@@ -246,30 +251,13 @@ class AdaptiveRuntime:
         )
         search_wall = time.perf_counter() - wall_start
 
-        remaining = max(program.iterations - 1, 0)
-        # With nothing left to run there is nothing to predict or win.
-        predicted_best = per_iteration_savings = 0.0
-        if remaining:
-            predicted_start = model.predict(
-                start, iterations=remaining, telemetry=telemetry
-            )
-            predicted_best = model.predict(
-                result.best, iterations=remaining, telemetry=telemetry
-            )
-            per_iteration_savings = (predicted_start - predicted_best) / remaining
-
         # 3. Amortisation decision.
-        cost = (
-            RedistributionModel(self.cluster, program)._switch_cost(
-                start, result.best, per_iteration_savings, remaining,
-                self.safety_factor,
-            )
-            if result.best != start
-            else None
+        remaining = max(program.iterations - 1, 0)
+        switch, redistribution_seconds = self._decide_switch(
+            self.cluster, model, start, result.best, remaining
         )
-        switch = cost is not None
         chosen = result.best if switch else start
-        redistribution_seconds = cost if switch else 0.0
+        predicted_remaining = self._predict_segment(model, chosen, remaining)
 
         # 4. Remaining iterations under the chosen distribution.  Both
         # what-if candidates (stay vs switch) go through one batched
@@ -319,6 +307,7 @@ class AdaptiveRuntime:
             redistribution_seconds=redistribution_seconds,
             segment_seconds=remaining_seconds,
             iterations=remaining,
+            predicted_seconds=predicted_remaining,
         )
         return AdaptiveReport(
             start_distribution=start,
@@ -330,7 +319,7 @@ class AdaptiveRuntime:
             redistribution_seconds=redistribution_seconds,
             remaining_seconds=remaining_seconds,
             static_seconds=static_seconds,
-            predicted_remaining_seconds=predicted_best,
+            predicted_remaining_seconds=predicted_remaining,
             rounds=(round0,),
         )
 
@@ -369,20 +358,31 @@ class AdaptiveRuntime:
             search_wall,
         )
 
-    def _decide_switch(self, snapshot, model, dist, candidate, remaining):
-        """Amortisation decision on a round's snapshot cluster."""
+    def _decide_switch(self, cluster, model, dist, candidate, remaining):
+        """Amortisation decision on a round's cluster (the live one, or
+        a dynamic round's snapshot): one batched stay/move prediction
+        over the ``remaining`` iterations and one redistribution
+        estimate.  Returns ``(switch, redistribution seconds)``."""
         if remaining <= 0 or candidate == dist:
-            return False, 0.0, 0.0
+            return False, 0.0
         predicted_stay, predicted_move = model.predict(
             [dist, candidate], iterations=remaining, batch=True
         ).tolist()
         savings = (predicted_stay - predicted_move) / remaining
-        cost = RedistributionModel(snapshot, self.program)._switch_cost(
+        cost = RedistributionModel(cluster, self.program)._switch_cost(
             dist, candidate, savings, remaining, self.safety_factor
         )
         if cost is None:
-            return False, 0.0, predicted_stay
-        return True, cost, predicted_move
+            return False, 0.0
+        return True, cost
+
+    @staticmethod
+    def _predict_segment(model, layout, iterations) -> float:
+        """What ``model`` predicts for a segment of ``iterations`` plain
+        iterations under ``layout`` (0 when nothing ran)."""
+        if not iterations:
+            return 0.0
+        return model.predict(layout, iterations=iterations)
 
     def _run_dynamic(self, start, rec, telemetry) -> AdaptiveReport:
         """Multi-round protocol: segments of ``check_interval``
@@ -395,7 +395,6 @@ class AdaptiveRuntime:
 
         rounds: List[AdaptiveRound] = []
         current = start
-        predicted_remaining = 0.0
 
         # Round 0 consumes iteration 0 (instrumented).
         (
@@ -406,7 +405,7 @@ class AdaptiveRuntime:
             search_wall,
         ) = self._instrument_round(start, 0, telemetry)
         iteration = 1
-        switch, redist_cost, predicted_remaining = self._decide_switch(
+        switch, redist_cost = self._decide_switch(
             snapshot, model, start, result.best, n_total - iteration
         )
         if switch:
@@ -426,6 +425,7 @@ class AdaptiveRuntime:
                 redistribution_seconds=redist_cost,
                 segment_seconds=0.0,
                 iterations=0,
+                predicted_seconds=0.0,
             )
         )
         # Per-node steady iteration seconds the current model expects
@@ -441,6 +441,9 @@ class AdaptiveRuntime:
                 rounds[-1],
                 segment_seconds=segment_seconds,
                 iterations=segment_iters,
+                predicted_seconds=self._predict_segment(
+                    model, current, segment_iters
+                ),
             )
 
         while iteration < n_total:
@@ -484,7 +487,7 @@ class AdaptiveRuntime:
             ) = self._instrument_round(current, iteration, telemetry)
             at = iteration
             iteration += 1  # the instrumented iteration
-            switch, redist_cost, predicted_remaining = self._decide_switch(
+            switch, redist_cost = self._decide_switch(
                 snapshot, model, current, result.best, n_total - iteration
             )
             previous = current
@@ -505,6 +508,7 @@ class AdaptiveRuntime:
                     redistribution_seconds=redist_cost,
                     segment_seconds=0.0,
                     iterations=0,
+                    predicted_seconds=0.0,
                 )
             )
             reference = model.predict(current, report=True)
@@ -550,6 +554,8 @@ class AdaptiveRuntime:
             redistribution_seconds=total_redist,
             remaining_seconds=total_segments,
             static_seconds=static_seconds,
-            predicted_remaining_seconds=predicted_remaining,
+            predicted_remaining_seconds=sum(
+                r.predicted_seconds for r in rounds
+            ),
             rounds=tuple(rounds),
         )

@@ -307,6 +307,20 @@ class TestAdaptivePayoff:
     def test_stationary_stays_one_round(self):
         assert self._run("stationary").n_rounds == 1
 
+    def test_prediction_covers_every_segment(self):
+        """The report predicts what ``remaining_seconds`` measures: each
+        round's layout over the iterations its segment ran, summed
+        over rounds (not the last round's prediction alone)."""
+        report = self._run("drift")
+        assert report.n_rounds >= 2
+        assert report.predicted_remaining_seconds == sum(
+            r.predicted_seconds for r in report.rounds
+        )
+        assert all(r.predicted_seconds > 0 for r in report.rounds)
+        assert report.remaining_seconds == pytest.approx(
+            report.predicted_remaining_seconds, rel=0.15
+        )
+
 
 class TestAdaptiveRuntime:
     def _runtime(self, cluster=None, **kwargs):
@@ -336,6 +350,19 @@ class TestAdaptiveRuntime:
         report = runtime.run()
         assert report.remaining_seconds == pytest.approx(
             report.predicted_remaining_seconds, rel=0.10
+        )
+
+    def test_refused_switch_predicts_the_kept_layout(self):
+        """A switch the safety factor refuses leaves the start layout
+        running, so that is the layout the report predicts."""
+        cluster = config_dc()
+        program = make_jacobi_like(n_rows=2048, cols=512, iterations=8)
+        report = AdaptiveRuntime(cluster, program, safety_factor=1e9).run()
+        assert not report.switched
+        (round0,) = report.rounds
+        assert report.predicted_remaining_seconds == round0.predicted_seconds
+        assert report.remaining_seconds == pytest.approx(
+            report.predicted_remaining_seconds, rel=0.01
         )
 
     def test_homogeneous_cluster_keeps_start(self):
