@@ -12,12 +12,7 @@ clusters: on a homogeneous cluster whose nodes drift mid-run (where a
 one-shot adaptive start has nothing to win), the multi-round runtime
 must detect the drift, re-search, and beat riding the job out statically
 — with every overhead (instrumented iterations, redistribution) charged.
-It writes the machine-readable scoreboard ``BENCH_adaptive.json``.
 """
-
-import json
-import os
-from pathlib import Path
 
 from repro.cluster import (
     baseline_cluster,
@@ -26,13 +21,7 @@ from repro.cluster import (
     dynamics_scenario,
 )
 from repro.runtime import AdaptiveRuntime
-from repro.apps import JacobiApp, application_by_name
-
-JSON_PATH = Path(__file__).resolve().parents[1] / "BENCH_adaptive.json"
-
-#: CI runs the payoff bench reduced via ADAPTIVE_BENCH_SCALE; the
-#: committed scoreboard records the full paper-scale run.
-DYN_SCALE = float(os.environ.get("ADAPTIVE_BENCH_SCALE", "1.0"))
+from repro.apps import JacobiApp
 
 
 def _run(cluster):
@@ -70,7 +59,7 @@ def test_adaptive_runtime_hy1(benchmark, save_result):
 
 def _run_dynamic(scenario):
     cluster = baseline_cluster()
-    program = application_by_name("jacobi", DYN_SCALE).structure
+    program = JacobiApp.paper().structure
     spec = dynamics_scenario(scenario, cluster.n_nodes)
     runtime = AdaptiveRuntime(
         cluster, program, dynamics=spec,
@@ -101,35 +90,4 @@ def test_adaptive_payoff_under_drift(benchmark, save_result):
     assert control.n_rounds == 1
     assert control.rounds[0].trigger == "start"
 
-    rounds = [
-        {
-            "index": r.index,
-            "trigger": r.trigger,
-            "at_iteration": r.at_iteration,
-            "drift": round(r.drift, 4),
-            "switched": r.switched,
-            "redistribution_seconds": r.redistribution_seconds,
-            "segment_seconds": r.segment_seconds,
-            "iterations": r.iterations,
-        }
-        for r in report.rounds
-    ]
-    payload = {
-        "scenario": "drift",
-        "cluster": "baseline (homogeneous)",
-        "app": "jacobi",
-        "scale": DYN_SCALE,
-        "adaptive_seconds": report.adaptive_seconds,
-        "static_seconds": report.static_seconds,
-        "speedup_vs_static": report.speedup_vs_static,
-        "instrumented_seconds": report.instrumented_seconds,
-        "redistribution_seconds": report.redistribution_seconds,
-        "n_rounds": report.n_rounds,
-        "rounds": rounds,
-        "stationary_control_rounds": control.n_rounds,
-    }
-    JSON_PATH.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
     save_result("adaptive_drift", report.describe())

@@ -401,14 +401,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="resident (app, config, scale) models kept warm",
     )
     p.add_argument(
-        "--sweep-cache", default=None, metavar="PATH",
-        help="on-disk (actual, predicted) tier shared by a fleet of "
-        "server processes (merge-on-save, atomic writes)",
-    )
-    p.add_argument(
         "--run-cache", default=None, metavar="PATH",
-        help="on-disk RunCache tier for the raw emulation results "
-        "behind verify queries (same merge-on-save discipline)",
+        help="on-disk RunCache tier for the emulation results behind "
+        "verify queries, shared by a fleet of server processes "
+        "(merge-on-save, atomic writes)",
     )
     p.add_argument(
         "--max-requests", type=int, default=None, metavar="N",
@@ -967,9 +963,6 @@ def _cmd_serve(args) -> str:
     from repro.serve import ServeCoordinator
 
     rec = Recorder()
-    from repro.parallel import SweepCache
-
-    cache = SweepCache(args.sweep_cache) if args.sweep_cache else None
     run_cache = None
     if getattr(args, "run_cache", None):
         from repro.parallel.cache import RunCache
@@ -979,7 +972,6 @@ def _cmd_serve(args) -> str:
         window_seconds=args.window_ms / 1000.0,
         max_batch=args.max_batch,
         jobs=args.jobs,
-        sweep_cache=cache,
         run_cache=run_cache,
         model_cache_entries=args.model_cache,
         telemetry=rec,

@@ -145,9 +145,6 @@ class GenBlock:
 
     # -- derived distributions -------------------------------------------------
 
-    def with_counts(self, counts: Sequence[int]) -> "GenBlock":
-        return GenBlock(counts)
-
     def moved(self, src: int, dst: int, rows: int) -> "GenBlock":
         """Return a copy with ``rows`` moved from ``src``'s block to
         ``dst``'s (the basic step of local-search algorithms).  Raises if

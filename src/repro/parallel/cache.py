@@ -272,8 +272,7 @@ class SweepCache:
     report two disagreeing figures for the same cache.
 
     All operations (and the read-merge-write in :meth:`save`) run under
-    an ``RLock``, so one cache may be shared between the serving
-    coordinator's event loop and its executor thread.
+    an ``RLock``, so one cache may be shared between threads.
     """
 
     def __init__(

@@ -123,10 +123,6 @@ class ParallelSection:
         object.__setattr__(self, "stages", tuple(self.stages))
 
     @property
-    def is_pipelined(self) -> bool:
-        return self.comm.pattern is CommPattern.PIPELINE
-
-    @property
     def touched(self) -> Tuple[str, ...]:
         """All variable names referenced by any stage, in first-seen order."""
         seen: list = []

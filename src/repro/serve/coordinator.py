@@ -22,11 +22,10 @@ Where the speed comes from:
   in-flight run and repeats hit a bounded result cache.
 * **Warm cache tiers.**  Per-model :class:`~repro.search.base.
   EvaluationCache` entries persist across requests (a repeat candidate
-  never reaches the kernel), emulator runs share the process-wide
-  :class:`~repro.parallel.cache.RunCache`, and an optional on-disk
-  :class:`~repro.parallel.cache.SweepCache` lets a fleet of server
-  processes share ``(actual, predicted)`` history (its merge-on-save
-  makes interleaved saves safe).
+  never reaches the kernel), and emulator runs share a
+  :class:`~repro.parallel.cache.RunCache`, whose optional on-disk tier
+  lets a fleet of server processes share emulation history (its
+  merge-on-save makes interleaved saves safe).
 
 Model and emulator work runs on a single executor thread so the event
 loop keeps accepting and coalescing while a pass computes; the caches
@@ -63,8 +62,8 @@ __all__ = ["ServeCoordinator", "ServerHandle"]
 #: a plain dict by design — see ``repro.search.base``).
 EVAL_CACHE_CEILING = 100_000
 
-#: Periodic persistence of the shared disk tier: every N stored pairs.
-SWEEP_CACHE_SAVE_EVERY = 64
+#: Periodic persistence of the shared disk tier: every N emulated runs.
+RUN_CACHE_SAVE_EVERY = 64
 
 
 class _ModelEntry:
@@ -92,17 +91,13 @@ class ServeCoordinator:
     jobs:
         Worker processes for the emulator fan-out of ``verify`` rounds
         (:func:`repro.parallel.verify_distributions`); ``1`` = serial.
-    sweep_cache:
-        Optional :class:`~repro.parallel.cache.SweepCache`; ``verify``
-        answers are looked up there first and stored back, and the
-        cache is saved (merge + atomic replace) every
-        ``SWEEP_CACHE_SAVE_EVERY`` stores and at shutdown.
     run_cache:
         Optional :class:`~repro.parallel.cache.RunCache` used by the
         batched emulation passes behind ``verify`` (``None`` keeps the
         process-default in-memory cache).  When constructed with a
-        ``path`` it is persisted on the same cadence as the sweep
-        cache, so a fleet shares raw emulation history too.
+        ``path`` it is saved (merge + atomic replace) every
+        ``RUN_CACHE_SAVE_EVERY`` emulated runs and at shutdown, so a
+        fleet shares emulation history.
     model_cache_entries:
         Bound of the resident-model LRU.
     telemetry:
@@ -116,13 +111,11 @@ class ServeCoordinator:
         window_seconds: float = 0.002,
         max_batch: int = 256,
         jobs: int = 1,
-        sweep_cache=None,
         run_cache=None,
         model_cache_entries: int = 16,
         telemetry: Optional[Recorder] = None,
     ) -> None:
         self.jobs = jobs
-        self.sweep_cache = sweep_cache
         self.run_cache = run_cache
         self.telemetry = as_recorder(telemetry)
         self._models = LRUCache(model_cache_entries, threadsafe=True)
@@ -139,7 +132,6 @@ class ServeCoordinator:
         )
         self._search_results = LRUCache(256)
         self._search_inflight: Dict[Tuple, asyncio.Future] = {}
-        self._sweep_stores = 0
         self._run_cache_stores = 0
         self.requests_handled = 0
         self._shutdown = asyncio.Event()
@@ -319,7 +311,6 @@ class ServeCoordinator:
                 values = await self._verify(
                     entry,
                     [dists[i] for i in idxs],
-                    [predicted[i] for i in idxs],
                     dynamics=self._dynamics_spec(entry, scenario),
                 )
                 for i, value in zip(idxs, values):
@@ -363,67 +354,34 @@ class ServeCoordinator:
         return spec if spec else None
 
     async def _verify(
-        self, entry: _ModelEntry, dists, predicted: List[float], *,
-        dynamics=None,
+        self, entry: _ModelEntry, dists, *, dynamics=None
     ) -> List[float]:
         """Emulated actual seconds for a round's verify queries, through
-        the on-disk sweep tier and the parallel runner.
+        the run cache and the parallel runner.
 
-        The sweep tier's keys ignore dynamics, so dynamic-scenario
-        verifies bypass it entirely (neither served from it nor stored
-        into it) — only the content-keyed run cache, whose keys *do*
-        fold in the spec, may short-circuit those emulations.
+        The run cache's keys fold in the dynamics spec, so static and
+        dynamic-scenario verifies of one layout never share an entry.
         """
         rec = self.telemetry
-        sweep = self.sweep_cache if dynamics is None else None
-        actuals: List[Optional[float]] = [None] * len(dists)
-        pending: List[int] = []
-        for i, d in enumerate(dists):
-            pair = (
-                sweep.lookup(entry.cluster, entry.program, d)
-                if sweep is not None
-                else None
-            )
-            if pair is not None:
-                actuals[i] = pair[0]
-            else:
-                pending.append(i)
-        if pending:
-            worker_rec = Recorder() if rec else None
-            emulated = await self._run_blocking(
-                self._emulate_pending,
-                entry,
-                [dists[i] for i in pending],
-                worker_rec,
-                dynamics,
-            )
-            if rec and worker_rec is not None:
-                rec.merge(worker_rec)
-            for i, actual in zip(pending, emulated):
-                actuals[i] = actual
-                if sweep is not None:
-                    sweep.store(
-                        entry.cluster, entry.program, dists[i],
-                        actual, predicted[i],
-                    )
-                    self._sweep_stores += 1
-            if sweep is not None and self._sweep_stores >= SWEEP_CACHE_SAVE_EVERY:
-                self._sweep_stores = 0
-                await self._run_blocking(sweep.save)
-            run_cache = self.run_cache
-            if run_cache is not None and run_cache.path is not None:
-                self._run_cache_stores += len(pending)
-                if self._run_cache_stores >= SWEEP_CACHE_SAVE_EVERY:
-                    self._run_cache_stores = 0
-                    await self._run_blocking(run_cache.save)
+        worker_rec = Recorder() if rec else None
+        actuals = await self._run_blocking(
+            self._emulate, entry, dists, worker_rec, dynamics
+        )
+        if rec and worker_rec is not None:
+            rec.merge(worker_rec)
+        run_cache = self.run_cache
+        if run_cache is not None and run_cache.path is not None:
+            self._run_cache_stores += len(dists)
+            if self._run_cache_stores >= RUN_CACHE_SAVE_EVERY:
+                self._run_cache_stores = 0
+                await self._run_blocking(run_cache.save)
         if rec:
-            rec.count("serve/verify_emulated", len(pending))
-            rec.count("serve/verify_sweep_hits", len(dists) - len(pending))
+            rec.count("serve/verify_emulated", len(dists))
             if dynamics is not None:
                 rec.count("serve/verify_dynamic", len(dists))
-        return actuals  # type: ignore[return-value]
+        return actuals
 
-    def _emulate_pending(
+    def _emulate(
         self, entry: _ModelEntry, dists, telemetry=None, dynamics=None
     ) -> List[float]:
         # One coalesced verify round = one batched emulation pass (the
@@ -540,8 +498,6 @@ class ServeCoordinator:
             if self.telemetry
             else None,
         }
-        if self.sweep_cache is not None:
-            stats["sweep_cache"] = self.sweep_cache.stats
         if self.run_cache is not None:
             stats["run_cache"] = self.run_cache.stats
         return stats
@@ -637,8 +593,6 @@ class ServeCoordinator:
     async def aclose(self) -> None:
         """Drain the batcher, persist the disk tier, stop the executor."""
         await self._batcher.drain()
-        if self.sweep_cache is not None:
-            await self._run_blocking(self.sweep_cache.save)
         if self.run_cache is not None and self.run_cache.path is not None:
             await self._run_blocking(self.run_cache.save)
         self._executor.shutdown(wait=True)

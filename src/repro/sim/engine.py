@@ -27,7 +27,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Generator, Iterable, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.exceptions import SimulationError
 
@@ -289,11 +289,3 @@ class _RecvResult:
     def __float__(self) -> float:
         # The clock may be a numpy scalar; __float__ must return a float.
         return float(self.time)
-
-
-def run_processes(processes: Iterable[Tuple[int, Process]]) -> float:
-    """Convenience: run ``(node, process)`` pairs to completion."""
-    engine = Engine()
-    for node, proc in processes:
-        engine.add_process(proc, node)
-    return engine.run()

@@ -160,11 +160,40 @@ class TestTelemetryContract:
         assert rec.gauges["model/table_cache/size"] >= 1
 
     def test_disabled_telemetry_changes_nothing(self, seed_setup):
+        """A disabled recorder records nothing, and single and batched
+        ``predict``, a GBS search and ``emulate_many`` each answer bit
+        for bit as ``telemetry=None`` does."""
+        from repro.sim import emulate_many
+
         cluster, program, model = seed_setup
+        cands = [p.distribution for p in spectrum(cluster, program, 2)]
         d = block(cluster, program.n_rows)
-        assert model.predict(d, telemetry=None) == model.predict(
-            d, telemetry=Recorder(enabled=False)
+        off = Recorder(enabled=False)
+
+        def search(telemetry):
+            result = GeneralizedBinarySearch(model, cluster).search(
+                budget=30, telemetry=telemetry
+            )
+            return result.best.counts, result.predicted_seconds, (
+                result.evaluations, result.cache_hits, result.trajectory
+            )
+
+        def emulated(telemetry):
+            runs = emulate_many(
+                cluster, program, cands[:4], run_cache=False,
+                telemetry=telemetry,
+            )
+            return [(r.total_seconds, r.per_node_seconds) for r in runs]
+
+        assert model.predict(d, telemetry=off) == model.predict(
+            d, telemetry=None
         )
+        assert model.predict(cands, batch=True, telemetry=off).tolist() == (
+            model.predict(cands, batch=True, telemetry=None).tolist()
+        )
+        assert search(off) == search(None)
+        assert emulated(off) == emulated(None)
+        assert not off.counters and not off.gauges and not off.series
 
 
 class TestUniformSearcherSignatures:

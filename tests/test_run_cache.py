@@ -87,6 +87,36 @@ class TestKeyMemoisation:
         }
         assert len(keys) == 8
 
+    def test_dynamics_is_part_of_the_key(self):
+        """Static and dynamic runs of one layout never share an entry:
+        one store serves each scenario its own emulation."""
+        cluster, program, d = _setup()
+        specs = [
+            None,
+            dynamics_scenario("drift", cluster.n_nodes, start=2),
+            dynamics_scenario("load-spike", cluster.n_nodes, start=2),
+        ]
+        keys = {
+            RunCache.key(
+                cluster, program, d, ITERATIONS, DETERMINISTIC, dynamics=spec
+            )
+            for spec in specs
+        }
+        assert len(keys) == len(specs)
+        store = RunCache()
+
+        def total(spec):
+            return emulate(
+                cluster, program, d, perturbation=DETERMINISTIC,
+                dynamics=spec, run_cache=store,
+            ).total_seconds
+
+        totals = [total(spec) for spec in specs]
+        assert len(store) == len(specs)
+        assert len(set(totals)) == len(specs)
+        assert [total(spec) for spec in specs] == totals
+        assert store.hits == len(specs)
+
     def test_repeated_key_base_is_stable(self):
         cluster, program, _ = _setup()
         a = RunCache.key_base(cluster, program, ITERATIONS, DETERMINISTIC)
@@ -94,7 +124,7 @@ class TestKeyMemoisation:
         assert a == b
 
     def test_keys_are_pinned(self):
-        """Keys are persisted by ``--run-cache``/``--sweep-cache``
+        """Keys are persisted by ``--run-cache``/``--cache``
         files: however they are assembled, their bytes never change."""
         cluster, program, d = _setup()
         spec = dynamics_scenario("drift", cluster.n_nodes, start=2)

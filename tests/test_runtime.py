@@ -286,8 +286,9 @@ class TestAdaptiveGolden:
 
 class TestAdaptivePayoff:
     """The multi-round payoff on a homogeneous cluster whose nodes drift
-    mid-run, with every overhead charged (the reduced-scale gate of
-    ``benchmarks/test_bench_adaptive.py``)."""
+    mid-run, with every overhead charged, and its stationary control
+    arm: the claim ``benchmarks/test_bench_adaptive.py`` checks at paper
+    scale, here at a quarter of it."""
 
     @staticmethod
     def _run(scenario):
