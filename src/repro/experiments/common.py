@@ -9,9 +9,10 @@ actual execution times" (Section 5.2.1).
 
 ``run_spectrum`` is the primitive every sweep experiment reduces to.
 It deduplicates spectrum points, predicts them in one batched
-:meth:`~repro.core.model.MhetaModel.predict` call, optionally fans
-the independent emulator runs out over a process pool
-(:class:`~repro.parallel.ParallelRunner`) and consults a content-keyed
+:meth:`~repro.core.model.MhetaModel.predict` call, emulates them in
+one batched :func:`~repro.sim.emulate_many` pass per shard
+(:func:`~repro.parallel.verify_distributions`, optionally sharded over
+a process pool) and consults a content-keyed
 :class:`~repro.parallel.SweepCache`.  All of that is bit-identical to
 the plain serial loop: per-run seeded RNG streams make emulator runs
 order- and process-independent, and results are reassembled in point
@@ -32,9 +33,8 @@ from repro.exceptions import ExperimentError
 from repro.instrument.collect import collect_inputs
 from repro.obs import Recorder, as_recorder
 from repro.parallel.cache import SweepCache
-from repro.parallel.runner import ParallelRunner
+from repro.parallel.verify import verify_distributions
 from repro.program.structure import ProgramStructure
-from repro.sim.executor import emulate
 from repro.sim.perturbation import PerturbationConfig
 
 __all__ = ["PointComparison", "SpectrumRun", "build_model", "run_spectrum"]
@@ -139,18 +139,6 @@ def build_model(
     return MhetaModel(program, cluster, inputs)
 
 
-def _emulate_task(
-    spec: Tuple[ClusterSpec, ProgramStructure, Optional[PerturbationConfig], Tuple[int, ...]]
-) -> float:
-    """Process-pool task: one independent emulator run (module-level so
-    it pickles).  Goes through :func:`repro.sim.emulate`, so identical
-    configurations across panels hit the process-wide run cache."""
-    cluster, program, perturbation, counts = spec
-    return emulate(
-        cluster, program, GenBlock(counts), perturbation=perturbation
-    ).total_seconds
-
-
 def run_spectrum(
     cluster: ClusterSpec,
     program: ProgramStructure,
@@ -164,11 +152,11 @@ def run_spectrum(
 ) -> SpectrumRun:
     """Compare actual vs predicted over the distribution spectrum.
 
-    ``jobs`` fans the per-point emulator runs out over a process pool
-    (``1`` = serial); ``cache`` memoises ``(actual, predicted)`` pairs
+    ``jobs`` shards the emulator runs over a process pool (``1`` =
+    one in-process batch); ``cache`` memoises ``(actual, predicted)`` pairs
     across calls.  Neither changes the numbers — only the wall clock.
     ``telemetry`` (a :class:`repro.obs.Recorder`) receives sweep-level
-    counters plus whatever the model and runner record.
+    counters plus whatever the model and verification record.
     """
     rec = as_recorder(telemetry)
     points = list(spectrum(cluster, program, steps_per_leg, full_path))
@@ -203,9 +191,9 @@ def run_spectrum(
             batch=True,
             telemetry=telemetry,
         ).tolist()
-        actual = ParallelRunner(jobs, telemetry=telemetry).map(
-            _emulate_task,
-            [(cluster, program, perturbation, k) for k in pending],
+        actual = verify_distributions(
+            cluster, program, [GenBlock(k) for k in pending], jobs,
+            perturbation, telemetry=telemetry,
         )
         for key, a, p in zip(pending, actual, predicted):
             pairs[key] = (a, p)

@@ -37,7 +37,7 @@ from repro.instrument.inputs import (
 )
 from repro.instrument.microbench import Microbenchmarks, run_microbenchmarks
 from repro.program.structure import ProgramStructure
-from repro.sim.executor import ClusterEmulator
+from repro.sim.executor import ClusterEmulator, RunResult
 from repro.sim.perturbation import PerturbationConfig
 from repro.sim.trace import EventRecord, Op
 from repro.util.rng import stream
@@ -57,6 +57,10 @@ class MeasurementConfig:
     def perfect(cls) -> "MeasurementConfig":
         """Idealised timers (used to validate the model equations)."""
         return cls(relative_bias=0.0, relative_sigma=0.0, timer_overhead=0.0)
+
+
+#: The ``[seconds, bytes, accesses]`` cell of an unaccessed variable.
+_NO_IO = (0.0, 0.0, 0)
 
 
 class _Accumulator:
@@ -102,6 +106,30 @@ class _Accumulator:
         cell[2] += 1
 
 
+def _measure(emulator, distribution, measurement: MeasurementConfig, rng):
+    """Run ``emulator``'s instrumented iteration under ``distribution``
+    with timer hooks on every compute, read and write: ``(accumulator,
+    run)``."""
+    acc = _Accumulator(measurement, rng)
+    hooks = HookRegistry()
+    hooks.register(Op.COMPUTE, acc.on_compute)
+    hooks.register(Op.READ, acc.on_read)
+    hooks.register(Op.WRITE, acc.on_write)
+    run = emulator.run(
+        distribution, observer=hooks, io_mode="instrumented", iterations=1
+    )
+    return acc, run
+
+
+def _per_byte(cell, seek: float, unmeasured: float) -> float:
+    """Seconds per byte of one ``[seconds, bytes, accesses]`` I/O cell,
+    net of one seek per access; ``unmeasured`` when no byte moved."""
+    seconds, nbytes, accesses = cell
+    if nbytes > 0:
+        return max(seconds - accesses * seek, 0.0) / nbytes
+    return unmeasured
+
+
 def collect_inputs(
     cluster: ClusterSpec,
     program: ProgramStructure,
@@ -117,6 +145,22 @@ def collect_inputs(
     (the paper instruments under ``Blk``).  ``micro`` may be supplied to
     reuse previously measured microbenchmarks.
     """
+    return _collect(
+        cluster, program, distribution0, perturbation=perturbation,
+        measurement=measurement, micro=micro,
+    )[0]
+
+
+def _collect(
+    cluster: ClusterSpec,
+    program: ProgramStructure,
+    distribution0: GenBlock,
+    *,
+    perturbation: Optional[PerturbationConfig] = None,
+    measurement: Optional[MeasurementConfig] = None,
+    micro: Optional[Microbenchmarks] = None,
+) -> Tuple[MhetaInputs, RunResult]:
+    """:func:`collect_inputs`, plus the instrumented run it measured."""
     if distribution0.n_rows != program.n_rows:
         raise InstrumentationError(
             "instrumented distribution does not cover the program's rows"
@@ -124,16 +168,9 @@ def collect_inputs(
     measurement = measurement or MeasurementConfig()
     micro = micro or run_microbenchmarks(cluster)
 
-    rng = stream("measurement", cluster.name, program.name)
-    acc = _Accumulator(measurement, rng)
-    hooks = HookRegistry()
-    hooks.register(Op.COMPUTE, acc.on_compute)
-    hooks.register(Op.READ, acc.on_read)
-    hooks.register(Op.WRITE, acc.on_write)
-
-    emulator = ClusterEmulator(cluster, program, perturbation)
-    emulator.run(
-        distribution0, observer=hooks, io_mode="instrumented", iterations=1
+    acc, run = _measure(
+        ClusterEmulator(cluster, program, perturbation), distribution0,
+        measurement, stream("measurement", cluster.name, program.name),
     )
 
     nodes = []
@@ -155,38 +192,25 @@ def collect_inputs(
         io: Dict[str, VariableIOCost] = {}
         disk = micro.disks[rank]
         for variable in program.distributed_variables:
-            r_total, r_bytes, r_n = acc.io.get(
-                (rank, variable.name, "read"), (0.0, 0.0, 0)
-            )
-            w_total, w_bytes, w_n = acc.io.get(
-                (rank, variable.name, "write"), (0.0, 0.0, 0)
-            )
-            if r_n == 0 and w_n == 0:
+            read = acc.io.get((rank, variable.name, "read"), _NO_IO)
+            write = acc.io.get((rank, variable.name, "write"), _NO_IO)
+            if read[2] == 0 and write[2] == 0:
                 continue
-            read_pb = (
-                max(r_total - r_n * disk.read_seek, 0.0) / r_bytes
-                if r_bytes > 0
-                else 0.0
-            )
-            write_pb = (
-                max(w_total - w_n * disk.write_seek, 0.0) / w_bytes
-                if w_bytes > 0
-                else 0.0
-            )
             io[variable.name] = VariableIOCost(
-                read_seconds_per_byte=read_pb,
-                write_seconds_per_byte=write_pb,
-                bytes_observed=r_bytes + w_bytes,
-                accesses_observed=r_n + w_n,
+                read_seconds_per_byte=_per_byte(read, disk.read_seek, 0.0),
+                write_seconds_per_byte=_per_byte(write, disk.write_seek, 0.0),
+                bytes_observed=read[1] + write[1],
+                accesses_observed=read[2] + write[2],
             )
         nodes.append(
             NodeCosts(rows0=distribution0[rank], stages=stages, io=io)
         )
 
-    return MhetaInputs(
+    inputs = MhetaInputs(
         program_name=program.name,
         prefetch=program.prefetch,
         distribution0=tuple(distribution0.counts),
         micro=micro,
         nodes=tuple(nodes),
     )
+    return inputs, run

@@ -40,7 +40,7 @@ from repro.cluster.cluster import ClusterSpec
 from repro.core.model import MhetaModel
 from repro.distribution.factories import block
 from repro.distribution.genblock import GenBlock
-from repro.instrument.collect import collect_inputs
+from repro.instrument.collect import _collect, collect_inputs
 from repro.obs import Recorder, as_recorder
 from repro.program.structure import ProgramStructure
 from repro.runtime.redistribution import RedistributionModel
@@ -219,26 +219,16 @@ class AdaptiveRuntime:
         if self.dynamics is not None:
             return self._run_dynamic(start, rec, telemetry)
 
-        # Every emulated phase goes through the shared content-keyed
-        # run cache, so repeated adaptive experiments (benchmark
-        # panels, variant comparisons) stop re-simulating identical
-        # configurations.
+        # Every plain emulated phase goes through the shared
+        # content-keyed run cache, so repeated adaptive experiments
+        # (benchmark panels, variant comparisons) stop re-simulating
+        # identical configurations.
 
         # 1. Instrumented first iteration (slower than a plain one: the
-        # forced I/O and blocking prefetches are part of the price).
-        instrumented_run = emulate(
-            self.cluster,
-            program,
-            start,
-            perturbation=self.perturbation,
-            io_mode="instrumented",
-            iterations=1,
-        )
-        inputs = collect_inputs(
-            self.cluster,
-            program,
-            start,
-            perturbation=self.perturbation,
+        # forced I/O and blocking prefetches are part of the price); the
+        # run the measurements come from is the one the job pays for.
+        inputs, instrumented_run = _collect(
+            self.cluster, program, start, perturbation=self.perturbation
         )
         instrumented_seconds = instrumented_run.total_seconds
 

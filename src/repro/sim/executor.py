@@ -11,7 +11,9 @@ engine (:meth:`ClusterEmulator._interpret`, one process per rank), the
 timing reference, and the compiled plans' walk
 (:mod:`repro.sim.plan_sim`), the fast path.  The op primitives live in
 :class:`_TapeLowering`, which the 2-D Jacobi emulator
-(:mod:`repro.twod.jacobi2d`) lowers through as well.
+(:mod:`repro.twod.jacobi2d`) lowers through as well, and the route
+between the two interpreters in :class:`_Emulator`, which every
+emulator's runs take.
 
 The emulator is the reproduction's stand-in for the paper's real
 cluster: its output is the "Actual" series of Figures 9-11.
@@ -38,7 +40,7 @@ from repro.sim.engine import Delay, Engine, Recv, Send
 from repro.sim.memory import emulator_policy
 from repro.sim.perturbation import PerturbationConfig, PerturbationModel
 from repro.sim.steady import (
-    FastForwardPolicy,
+    FAST_FORWARD_POLICY,
     extrapolate_ends,
     steady_deltas,
     supports_fast_forward,
@@ -598,10 +600,196 @@ class _Lowering(_TapeLowering):
             self._write(name, blocks[-1] * row_bytes, *where, blocks[-1])
 
 
-# -- the emulator -----------------------------------------------------------------
+# -- the emulators ----------------------------------------------------------------
 
 
-class ClusterEmulator:
+class _Emulator:
+    """The route every emulator's runs take.
+
+    :meth:`_route` serves one run.  A run the structure allows
+    (:meth:`_plan_refusal`) goes to the configuration's compiled
+    :class:`~repro.sim.plan_sim.EmulationPlan` (:meth:`_emulation_plan`,
+    then :func:`_plan_route`); every other run, and any run the plan
+    cannot serve, is interpreted by the event engine and, with
+    ``telemetry``, counted under ``<prefix>/fallback/<reason>``.
+
+    A subclass says what its runs are made of, which is also what a
+    compiled plan asks of the emulator it serves: ``_lower_tapes``,
+    ``_tape_key`` and ``_sampler``, plus ``_plan_pin``, what one plan
+    covers besides the configuration.
+    """
+
+    #: Prefix of the fallback counters.
+    _prefix = "sim"
+    #: Prefix of the plans' keys in the shared plan LRU.
+    _plan_prefix = "emulate:"
+    #: Whether an engine run feeds a :class:`PhaseAccumulator` and
+    #: records the per-run ``sim/`` telemetry.
+    _phase_telemetry = True
+
+    def __init__(self, cluster: ClusterSpec, workload,
+                 perturbation: Optional[PerturbationConfig],
+                 dynamics) -> None:
+        self.cluster = cluster
+        #: What runs: a program, or a 2-D Jacobi spec.
+        self.workload = workload
+        self.perturbation = (
+            perturbation if perturbation is not None else PerturbationConfig()
+        )
+        #: Effective time-varying behaviour: an explicit spec, the
+        #: cluster's attached one, or ``None`` (static).  ``False``
+        #: forces static even on a dynamic cluster.
+        self.dynamics = _resolve_dynamics(cluster, dynamics)
+        # The last plan served, pinned with what it covers: the plan
+        # LRU lookup hashes the whole configuration on every call,
+        # which would otherwise dominate a warm plan-served run.
+        self._plan = None
+        self._cache_model = None
+
+    def _route(
+        self,
+        distribution,
+        n_iter: int,
+        *,
+        instrumented: bool = False,
+        prefetch: bool = False,
+        offset: int = 0,
+        observer: Optional[Observer] = None,
+        telemetry=None,
+        fast_forward: Optional[bool] = None,
+    ) -> Tuple[RunResult, bool]:
+        """One run: ``(result, served by the plan)``.
+
+        ``fast_forward`` ``False``, or ``None`` with the process-wide
+        default off, sends the run to the engine without asking the
+        plan (and counts no fallback).
+        """
+        if offset < 0:
+            raise SimulationError(
+                f"iteration_offset must be >= 0, got {offset}"
+            )
+        reason = None
+        if _FAST_FORWARD_DEFAULT if fast_forward is None else fast_forward:
+            reason = self._plan_refusal(observer, instrumented)
+            if reason is None:
+                result, reason = _plan_route(
+                    self._emulation_plan(distribution, prefetch, telemetry),
+                    distribution, n_iter, offset, self.dynamics,
+                    supports_fast_forward(
+                        self.workload, self.perturbation, dynamics=self.dynamics
+                    ),
+                )
+                if result is not None:
+                    return result, True
+        phase: Optional[PhaseAccumulator] = None
+        if telemetry:
+            if reason is not None:
+                telemetry.count(f"{self._prefix}/fallback/{reason}")
+            if self._phase_telemetry:
+                phase = PhaseAccumulator()
+        sim_observer = chain_observers(phase, observer)
+        P = self.cluster.n_nodes
+        timeline: Optional[DynamicsTimeline] = None
+        if self.dynamics is not None:
+            timeline = self.dynamics.compile(P, n_iter, offset)
+        channels: dict = {}
+        channel = lambda key: channels.setdefault(key, len(channels))  # noqa: E731
+        tapes = self._lower_tapes(
+            range(P), distribution, n_iter, prefetch, channel, offset=offset,
+            instrumented=instrumented, observe=sim_observer is not None,
+        )
+        samplers = [
+            self._sampler(rank, distribution, instrumented) for rank in range(P)
+        ]
+        total, ends = _run_tapes(
+            tapes, n_iter, offset, samplers, timeline, sim_observer
+        )
+        result = RunResult(
+            total_seconds=total,
+            per_node_seconds=[e[-1] for e in ends],
+            iteration_ends=ends,
+            distribution=distribution,
+            iterations=n_iter,
+        )
+        if phase is not None:
+            self._record_run_telemetry(telemetry, phase, result)
+        return result, False
+
+    def _plan_refusal(
+        self, observer: Optional[Observer], instrumented: bool
+    ) -> Optional[str]:
+        """Why a run may not take the plan route, or ``None`` when it
+        may (the structural half of the gate)."""
+        if observer is not None:
+            return "observer"
+        if instrumented:
+            return "instrumented"
+        if self.workload.iteration_profile is not None:
+            return "iteration_profile"
+        return None
+
+    def _plan_key(self, pin) -> str:
+        """Key of the plan covering ``pin`` in the shared plan LRU."""
+        from repro.parallel.cache import content_key
+
+        return self._plan_prefix + content_key(
+            self.cluster, self.workload, self.perturbation, pin
+        )
+
+    def _emulation_plan(self, distribution, prefetch: bool, telemetry=None):
+        """The compiled plan serving ``distribution`` in streaming style
+        ``prefetch``: the shared plan LRU's (:mod:`repro.core.plan`),
+        compiled on first use, pinned here until the pin changes."""
+        pin = self._plan_pin(distribution, prefetch)
+        pinned = self._plan
+        if pinned is None or pinned[0] != pin:
+            from repro.core.plan import get_plan
+            from repro.sim.plan_sim import EmulationPlan
+
+            cluster, workload = self.cluster, self.workload
+            perturbation = self.perturbation
+            pinned = self._plan = (pin, get_plan(
+                key=self._plan_key(pin),
+                factory=lambda: EmulationPlan(
+                    type(self)(cluster, workload, perturbation, dynamics=False),
+                    prefetch,
+                ),
+                telemetry=telemetry,
+            ))
+        return pinned[1]
+
+    def _factor_model(self) -> PerturbationModel:
+        """A label-free sampler for the deterministic cache factor."""
+        if self._cache_model is None:
+            self._cache_model = PerturbationModel(self.perturbation)
+        return self._cache_model
+
+    @staticmethod
+    def _record_run_telemetry(
+        rec, phase: Optional[PhaseAccumulator], result: RunResult
+    ) -> None:
+        """The per-run ``sim/`` telemetry; ``phase`` is what an engine
+        run fed, ``None`` for a plan-served run."""
+        rec.count("sim/runs")
+        if result.fast_forwarded:
+            rec.count("sim/fast_forwarded")
+        elif phase is not None:
+            rec.count("sim/full_runs")
+        rec.set("sim/iterations", result.iterations)
+        rec.set("sim/total_seconds", result.total_seconds)
+        # Phase totals cover what the engine simulated: every iteration
+        # of an engine run, none of a plan-served one.
+        if phase is None:
+            rec.set("sim/iterations_simulated", 0)
+            return
+        rec.set(
+            "sim/iterations_simulated",
+            max(phase.iterations.values(), default=0),
+        )
+        phase.record_into(rec)
+
+
+class ClusterEmulator(_Emulator):
     """Emulate ``program`` on ``cluster``.
 
     Parameters
@@ -612,6 +800,10 @@ class ClusterEmulator:
         Ground-truth effect configuration; defaults to all effects on
         (the honest emulator).  :meth:`PerturbationConfig.none` yields an
         idealised machine that matches MHETA's assumptions exactly.
+    dynamics:
+        ``None`` honours ``cluster.dynamics``, an explicit
+        :class:`~repro.cluster.dynamics.DynamicsSpec` overrides it,
+        ``False`` forces the static path.
     """
 
     def __init__(
@@ -619,28 +811,10 @@ class ClusterEmulator:
         cluster: ClusterSpec,
         program: ProgramStructure,
         perturbation: Optional[PerturbationConfig] = None,
-        fast_forward_policy: Optional[FastForwardPolicy] = None,
         dynamics=None,
     ) -> None:
-        self.cluster = cluster
+        super().__init__(cluster, program, perturbation, dynamics)
         self.program = program
-        self.perturbation = (
-            perturbation if perturbation is not None else PerturbationConfig()
-        )
-        self.fast_forward_policy = (
-            fast_forward_policy
-            if fast_forward_policy is not None
-            else FastForwardPolicy()
-        )
-        #: Effective time-varying behaviour: an explicit spec, the
-        #: cluster's attached one, or ``None`` (static).  ``False``
-        #: forces static even on a dynamic cluster.
-        self.dynamics = _resolve_dynamics(cluster, dynamics)
-        # Resolved lazily and pinned: the plan LRU lookup hashes the
-        # whole (cluster, program, perturbation) content on every call,
-        # which would otherwise dominate a warm plan-served run.
-        self._emulation_plan = None
-        self._cache_model = None
 
     # -- public API ------------------------------------------------------------
 
@@ -667,8 +841,8 @@ class ClusterEmulator:
         instrumented run uses 1); it must be >= 1.
 
         Each rank's node program is lowered to an op tape, and a run
-        takes one of two routes to interpret it.  **Plan**: the
-        configuration's compiled
+        takes one of two routes to interpret it (:meth:`_route`).
+        **Plan**: the configuration's compiled
         :class:`~repro.sim.plan_sim.EmulationPlan` for the run's
         streaming style walks factor-free per-rank tapes with the
         engine's exact arithmetic, applying each (rank, iteration)'s
@@ -718,142 +892,17 @@ class ClusterEmulator:
                 f"distribution covers {distribution.n_rows} rows, program "
                 f"has {self.program.n_rows}"
             )
-        if iteration_offset < 0:
-            raise SimulationError(
-                f"iteration_offset must be >= 0, got {iteration_offset}"
-            )
-        n_iter = _iterations(self.program, iterations)
-        use_fast = _FAST_FORWARD_DEFAULT if fast_forward is None else fast_forward
-        reason = None
-        if use_fast:
-            reason = self._plan_refusal(observer, instr)
-            if reason is None:
-                result, reason = self._plan_result(
-                    distribution, n_iter, iteration_offset,
-                    _streaming_style(self.program, io_override), telemetry,
-                )
-                if result is not None:
-                    if telemetry:
-                        telemetry.count("sim/plan_runs")
-                        self._record_run_telemetry(
-                            telemetry, None, result, engine=False
-                        )
-                    return result
-        return self._engine_run(
-            distribution, n_iter, instr, io_override, iteration_offset,
-            observer, telemetry, reason,
+        result, served = self._route(
+            distribution, _iterations(self.program, iterations),
+            instrumented=instr,
+            prefetch=_streaming_style(self.program, io_override),
+            offset=iteration_offset, observer=observer, telemetry=telemetry,
+            fast_forward=fast_forward,
         )
-
-    def _plan_refusal(
-        self, observer: Optional[Observer], instrumented: bool
-    ) -> Optional[str]:
-        """Why a run may not take the plan route, or ``None`` when it
-        may (the structural half of the gate; see :meth:`run`)."""
-        if observer is not None:
-            return "observer"
-        if instrumented:
-            return "instrumented"
-        if self.program.iteration_profile is not None:
-            return "iteration_profile"
-        return None
-
-    def _plan_result(
-        self, distribution: GenBlock, n_iter: int, offset: int,
-        prefetch: bool, telemetry=None,
-    ) -> Tuple[Optional[RunResult], Optional[str]]:
-        """Serve one run that passed :meth:`_plan_refusal` from the
-        plan compiled for streaming style ``prefetch``: ``(result,
-        None)``, or ``(None, reason)`` when the engine must run it."""
-        policy = self.fast_forward_policy
-        plan = self._emulation_plan
-        if plan is None or plan.policy != policy or plan.prefetch != prefetch:
-            from repro.sim.plan_sim import get_emulation_plan
-
-            plan = get_emulation_plan(
-                self.cluster, self.program, self.perturbation, policy,
-                prefetch, telemetry,
-            )
-            self._emulation_plan = plan
-        return _plan_route(
-            plan, distribution, n_iter, offset, self.dynamics,
-            supports_fast_forward(
-                self.program, self.perturbation, dynamics=self.dynamics
-            ),
-        )
-
-    def _engine_run(
-        self,
-        distribution: GenBlock,
-        n_iter: int,
-        instrumented: bool,
-        io_override: Optional[bool],
-        offset: int,
-        observer: Optional[Observer],
-        telemetry,
-        reason: Optional[str],
-    ) -> RunResult:
-        """Full event-by-event simulation; ``reason`` names why the
-        plan route did not serve it (``None`` when it was not asked)."""
-        timeline: Optional[DynamicsTimeline] = None
-        if self.dynamics is not None:
-            timeline = self.dynamics.compile(
-                self.cluster.n_nodes, n_iter, offset
-            )
-        phase: Optional[PhaseAccumulator] = None
-        sim_observer = observer
-        if telemetry:
-            phase = PhaseAccumulator()
-            sim_observer = chain_observers(phase, observer)
-            if reason is not None:
-                telemetry.count(f"sim/fallback/{reason}")
-        P = self.cluster.n_nodes
-        channels: dict = {}
-        channel = lambda key: channels.setdefault(key, len(channels))  # noqa: E731
-        tapes = self._lower_tapes(
-            range(P), distribution, n_iter,
-            _streaming_style(self.program, io_override), channel,
-            offset=offset, instrumented=instrumented,
-            observe=sim_observer is not None,
-        )
-        samplers = [
-            self._sampler(rank, distribution, instrumented) for rank in range(P)
-        ]
-        total, ends = _run_tapes(
-            tapes, n_iter, offset, samplers, timeline, sim_observer
-        )
-        result = RunResult(
-            total_seconds=total,
-            per_node_seconds=[e[-1] for e in ends],
-            iteration_ends=ends,
-            distribution=distribution,
-            iterations=n_iter,
-        )
-        if telemetry:
-            self._record_run_telemetry(telemetry, phase, result, engine=True)
+        if served and telemetry:
+            telemetry.count("sim/plan_runs")
+            self._record_run_telemetry(telemetry, None, result)
         return result
-
-    @staticmethod
-    def _record_run_telemetry(
-        rec, phase: Optional[PhaseAccumulator], result: RunResult, *,
-        engine: bool,
-    ) -> None:
-        rec.count("sim/runs")
-        if result.fast_forwarded:
-            rec.count("sim/fast_forwarded")
-        elif engine:
-            rec.count("sim/full_runs")
-        rec.set("sim/iterations", result.iterations)
-        rec.set("sim/total_seconds", result.total_seconds)
-        # Phase totals cover what the engine simulated: every iteration
-        # of an engine run, none of a plan-served one.
-        if phase is None:
-            rec.set("sim/iterations_simulated", 0)
-            return
-        rec.set(
-            "sim/iterations_simulated",
-            max(phase.iterations.values(), default=0),
-        )
-        phase.record_into(rec)
 
     @staticmethod
     def _interpret(tape: _Tape, rank: int, n_iter: int, offset: int,
@@ -918,9 +967,11 @@ class ClusterEmulator:
                         now, nbytes, nrows,
                     ))
 
-    # -- setup -------------------------------------------------------------------
-
     # -- what a compiled plan asks of the emulator it serves ---------------------
+
+    def _plan_pin(self, distribution, prefetch: bool) -> bool:
+        """A 1-D plan covers one streaming style."""
+        return prefetch
 
     def _tape_key(self, rank: int, distribution: GenBlock) -> tuple:
         """What ``rank``'s plan tape depends on: its row count, or its
@@ -951,12 +1002,6 @@ class ClusterEmulator:
                 channel, observe,
             ).lower(n_iter, offset))
         return tapes
-
-    def _factor_model(self) -> PerturbationModel:
-        """A label-free sampler for the deterministic cache factor."""
-        if self._cache_model is None:
-            self._cache_model = PerturbationModel(self.perturbation)
-        return self._cache_model
 
     def _sampler(self, rank: int, distribution: GenBlock,
                  instrumented: bool = False) -> PerturbationModel:
@@ -1016,8 +1061,7 @@ def _plan_route(plan, distribution, n_iter: int, offset: int, dynamics,
     the probe and extrapolates the rest once it converged (the offset
     changes nothing); every other run replays all of its iterations.
     """
-    policy = plan.policy
-    probe = policy.probe_iterations
+    probe = FAST_FORWARD_POLICY.probe_iterations
     if n_iter <= probe or not stationary:
         # Iterations that differ (noise, background load, dynamics)
         # or a run no longer than the probe: replay all of them.
@@ -1035,7 +1079,7 @@ def _plan_route(plan, distribution, n_iter: int, offset: int, dynamics,
     probe_ends = plan.replay(distribution, probe)
     if probe_ends is None:
         return None, "plan_dead"
-    deltas = steady_deltas(probe_ends, policy)
+    deltas = steady_deltas(probe_ends, FAST_FORWARD_POLICY)
     if deltas is None:
         return None, "not_converged"
     iteration_ends = [
@@ -1190,12 +1234,12 @@ def emulate_many(
     """Emulate a whole population of candidates in one batched pass.
 
     The results are bit-identical to looping :func:`emulate` over
-    ``distributions`` (pinned by the golden batch suite): the batch
-    resolves the routing gate and the compiled
+    ``distributions`` (pinned by the golden batch suite): every
+    candidate takes the route of :meth:`ClusterEmulator.run` on one
+    emulator, which pins the compiled
     :class:`~repro.sim.plan_sim.EmulationPlan` once, candidates share
     the plan's memoised per-rank op tapes, and every candidate the
-    plan cannot serve runs the engine — the routes of
-    :meth:`ClusterEmulator.run`, only amortised differently.
+    plan cannot serve runs the engine.
 
     Keywords mirror :func:`emulate` (``io_mode``, ``dynamics``,
     ``iteration_offset``); ``io_mode``-overridden, dynamic,
@@ -1266,30 +1310,15 @@ def emulate_many(
         pending.append(i)
 
     plan_served = 0
-    fallbacks = 0
     if pending:
-        reason = None
-        if use_fast:
-            reason = emulator._plan_refusal(None, instr)
         prefetch = _streaming_style(program, io_override)
         for i in pending:
-            dist = distributions[i]
-            result = None
-            if use_fast and reason is None:
-                result, why = emulator._plan_result(
-                    dist, n_iter, iteration_offset, prefetch, telemetry
-                )
-            else:
-                why = reason
-            if result is not None:
-                plan_served += 1
-            else:
-                result = emulator._engine_run(
-                    dist, n_iter, instr, io_override, iteration_offset,
-                    None, telemetry, why,
-                )
-                fallbacks += 1
-            results[i] = result
+            results[i], served = emulator._route(
+                distributions[i], n_iter, instrumented=instr,
+                prefetch=prefetch, offset=iteration_offset,
+                telemetry=telemetry, fast_forward=use_fast,
+            )
+            plan_served += served
 
         if store is not None:
             store.put_many(
@@ -1306,7 +1335,7 @@ def emulate_many(
         telemetry.count("sim/batch/candidates", len(distributions))
         telemetry.count("sim/batch/cache_hits", cache_hits)
         telemetry.count("sim/batch/plan_runs", plan_served)
-        telemetry.count("sim/batch/fallbacks", fallbacks)
+        telemetry.count("sim/batch/fallbacks", len(pending) - plan_served)
         if store is not None:
             telemetry.count("sim/run_cache/hits", cache_hits)
             telemetry.count("sim/run_cache/misses", len(pending))

@@ -2,7 +2,7 @@
 
 The event engine interprets each rank's op tape event by event, and
 pays a heap push, a generator resume and a request dispatch per event.
-For a fixed ``(cluster, program, perturbation, policy)`` and streaming
+For a fixed ``(cluster, program, perturbation)`` and streaming
 style nothing a rank does depends on timing: it is a function of its
 row block alone.  An :class:`EmulationPlan` keeps each rank's tape once
 lowered and *walks* tapes with the engine's exact arithmetic.
@@ -59,9 +59,12 @@ Replay
     columns of global iterations ``[offset, offset + n)``.
 
 Routes
-    :meth:`repro.sim.executor.ClusterEmulator.run` and
-    :meth:`repro.twod.jacobi2d.TwoDEmulator.run` replay stationary
-    deterministic runs over the probe window (then
+    One router, :meth:`repro.sim.executor._Emulator._route`, serves
+    :meth:`~repro.sim.executor.ClusterEmulator.run`, every
+    :func:`~repro.sim.executor.emulate_many` candidate and
+    :meth:`repro.twod.jacobi2d.TwoDEmulator.run`.  It replays
+    stationary deterministic runs over the probe window of
+    :data:`~repro.sim.steady.FAST_FORWARD_POLICY` (then
     :func:`~repro.sim.steady.steady_deltas` and the closed-form
     extrapolation), and every other run — noisy, background-loaded,
     dynamic, offset, ``io_mode``-overridden or no longer than the
@@ -100,7 +103,7 @@ from repro.sim.executor import (
     _run_tapes,
     _Tape,
 )
-from repro.sim.steady import FastForwardPolicy
+from repro.sim.steady import FAST_FORWARD_POLICY
 from repro.util.lru import LRUCache
 
 __all__ = [
@@ -123,37 +126,26 @@ class _PlanUnsupported(Exception):
 
 
 def emulation_plan_key(cluster, program, perturbation,
-                       policy: FastForwardPolicy,
                        prefetch: Optional[bool] = None) -> str:
     """Content key of one emulation plan in the shared plan LRU."""
-    from repro.parallel.cache import content_key
+    from repro.sim.executor import ClusterEmulator
 
-    return "emulate:" + content_key(
-        cluster, program, perturbation, policy, _streaming_style(program, prefetch)
-    )
+    emulator = ClusterEmulator(cluster, program, perturbation, dynamics=False)
+    return emulator._plan_key(_streaming_style(program, prefetch))
 
 
 def get_emulation_plan(cluster, program, perturbation,
-                       policy: FastForwardPolicy,
                        prefetch: Optional[bool] = None,
                        telemetry=None) -> "EmulationPlan":
     """The process-wide :class:`EmulationPlan` for the configuration
     and streaming style (``None``: the program's own), compiled on
     first use and cached in the shared plan LRU
-    (:mod:`repro.core.plan`)."""
-    from repro.core.plan import get_plan
+    (:mod:`repro.core.plan`) — the plan the emulator's own runs use."""
     from repro.sim.executor import ClusterEmulator
 
-    return get_plan(
-        key=emulation_plan_key(cluster, program, perturbation, policy, prefetch),
-        factory=lambda: EmulationPlan(
-            ClusterEmulator(
-                cluster, program, perturbation, policy, dynamics=False
-            ),
-            policy,
-            _streaming_style(program, prefetch),
-        ),
-        telemetry=telemetry,
+    emulator = ClusterEmulator(cluster, program, perturbation, dynamics=False)
+    return emulator._emulation_plan(
+        None, _streaming_style(program, prefetch), telemetry
     )
 
 
@@ -174,8 +166,8 @@ def _skeleton(tape: _Tape) -> tuple:
 
 class EmulationPlan:
     """One compiled tape replayer for ``emulator``'s configuration
-    (without dynamics: runs bring their own), ``policy`` and one
-    streaming style; see the module docstring.
+    (without dynamics: runs bring their own) and one streaming style;
+    see the module docstring.
 
     The plan asks the emulator it serves for what differs between
     workloads: ``_tape_key(rank, distribution)``, what a rank's tape
@@ -189,10 +181,8 @@ class EmulationPlan:
     concrete candidate to lower).
     """
 
-    def __init__(self, emulator, policy: FastForwardPolicy,
-                 prefetch: bool = False) -> None:
+    def __init__(self, emulator, prefetch: bool = False) -> None:
         self.emulator = emulator
-        self.policy = policy
         self.prefetch = prefetch
         perturbation = emulator.perturbation
         # Which per-stage-execution factors a replay draws.
@@ -218,7 +208,7 @@ class EmulationPlan:
 
     @property
     def probe_iterations(self) -> int:
-        return self.policy.probe_iterations
+        return FAST_FORWARD_POLICY.probe_iterations
 
     def replay(self, distribution, n_iter: int, dynamics=None,
                offset: int = 0) -> Optional[List[List[float]]]:

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 __all__ = [
+    "FAST_FORWARD_POLICY",
     "FastForwardPolicy",
     "supports_fast_forward",
     "steady_deltas",
@@ -88,6 +89,10 @@ class FastForwardPolicy:
         """Iterations the probe must simulate: warmup deltas to discard
         plus ``stable`` deltas to judge (one delta needs two ends)."""
         return self.warmup + self.stable + 1
+
+
+#: The cycle detector every emulation plan probes with.
+FAST_FORWARD_POLICY = FastForwardPolicy()
 
 
 def supports_fast_forward(program, perturbation, *, observer=None,

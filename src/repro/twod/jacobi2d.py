@@ -8,13 +8,14 @@ implements that workload twice, exactly like the 1-D core:
 * :class:`TwoDEmulator` — each rank is lowered once into the 1-D
   emulator's op vocabulary (:class:`_Lowering2D`: tile sweep, halo
   sends and receives, binomial allreduce) on the same disk model and
-  perturbation layer as :mod:`repro.sim`.  The event engine interprets
-  those tapes (:meth:`ClusterEmulator._interpret
-  <repro.sim.executor.ClusterEmulator._interpret>`), and the shared
+  perturbation layer as :mod:`repro.sim`.  Runs take the 1-D
+  emulators' one route (:class:`~repro.sim.executor._Emulator`): the
+  event engine interprets those tapes, and the shared
   :class:`~repro.sim.plan_sim.EmulationPlan`, one per grid shape,
   replays them bit for bit;
 * :class:`TwoDModel` — the analytical mirror, fed by one instrumented
-  iteration plus the standard microbenchmarks.
+  iteration, measured by the 1-D collector's accumulator, plus the
+  standard microbenchmarks.
 
 Under ideal conditions (perturbations off, perfect timers) the two agree
 exactly, extending the reproduction's central invariant to 2-D — the
@@ -24,7 +25,6 @@ it.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -33,22 +33,23 @@ import numpy as np
 from repro.cluster.cluster import ClusterSpec
 from repro.core.comm import SectionTimeline
 from repro.exceptions import ModelError, SimulationError
-from repro.instrument.collect import MeasurementConfig
+from repro.instrument.collect import (
+    _NO_IO,
+    MeasurementConfig,
+    _measure,
+    _per_byte,
+)
 from repro.instrument.microbench import Microbenchmarks, run_microbenchmarks
 from repro.obs import Recorder, as_recorder
 from repro.sim.disk import DiskModel
 from repro.sim.executor import (
-    _plan_route,
-    _resolve_dynamics,
+    _Emulator,
+    _iterations,
     _resolve_io_mode,
-    _run_tapes,
     _TapeLowering,
-    fast_forward_default,
 )
 from repro.sim.perturbation import PerturbationConfig, PerturbationModel
-from repro.sim.plan_sim import EmulationPlan
-from repro.sim.steady import FastForwardPolicy, supports_fast_forward
-from repro.sim.trace import EventRecord, Observer, Op
+from repro.sim.trace import Observer
 from repro.twod.distribution2d import GenBlock2D
 from repro.util.rng import stream
 from repro.util.units import DOUBLE
@@ -87,8 +88,10 @@ class Jacobi2DSpec:
         return rows * cols * self.element_size
 
 
-#: Section, tile variable and allreduce message size of the 2-D tapes.
+#: Section, sweep stage, tile variable and allreduce message size of
+#: the 2-D tapes.
 _SECTION = "jacobi2d"
+_SWEEP = "sweep"
 _GRID = "grid2d"
 _RESIDUAL_BYTES = 8.0
 
@@ -137,15 +140,15 @@ class _Lowering2D(_TapeLowering):
         base, rows = self.base, self.rows
         self.bases[-1].append(base if base > 0.0 else 0.0)
         if self.in_core:
-            self._compute(base, 0, _SECTION, 0, None)
+            self._compute(base, 0, _SECTION, 0, _SWEEP)
         else:
             remaining = rows
             while remaining > 0:
                 take = min(self.chunk_rows, remaining)
                 nbytes = take * self.row_bytes
-                self._read(_GRID, nbytes, _SECTION, 0, None, take)
-                self._compute(base, 0, _SECTION, 0, None, take, rows)
-                self._write(_GRID, nbytes, _SECTION, 0, None, take)
+                self._read(_GRID, nbytes, _SECTION, 0, _SWEEP, take)
+                self._compute(base, 0, _SECTION, 0, _SWEEP, take, rows)
+                self._write(_GRID, nbytes, _SECTION, 0, _SWEEP, take)
                 remaining -= take
         source = None if self.in_core else _GRID
         for direction, other, nbytes in self.halos:
@@ -155,10 +158,17 @@ class _Lowering2D(_TapeLowering):
         self._reduce_bcast("allreduce", _SECTION, _RESIDUAL_BYTES)
 
 
-class TwoDEmulator:
+class TwoDEmulator(_Emulator):
     """Emulated execution of 2-D Jacobi under a GenBlock2D: each rank
     lowered to an op tape (:class:`_Lowering2D`), interpreted by the
-    event engine or replayed by a compiled plan."""
+    event engine or replayed by a compiled plan, on the 1-D emulator's
+    route.  ``dynamics`` follows the 1-D emulator: ``None`` honours
+    ``cluster.dynamics``, an explicit spec overrides it, ``False``
+    forces static."""
+
+    _prefix = "sim/twod"
+    _plan_prefix = "emulate2d:"
+    _phase_telemetry = False
 
     def __init__(
         self,
@@ -167,18 +177,8 @@ class TwoDEmulator:
         perturbation: Optional[PerturbationConfig] = None,
         dynamics=None,
     ) -> None:
-        self.cluster = cluster
+        super().__init__(cluster, spec, perturbation, dynamics)
         self.spec = spec
-        self.perturbation = (
-            perturbation if perturbation is not None else PerturbationConfig()
-        )
-        #: Resolved cluster dynamics (``None`` = static), following the
-        #: 1-D emulator: ``None`` honours ``cluster.dynamics``, an
-        #: explicit spec overrides it, ``False`` forces static.
-        self.dynamics = _resolve_dynamics(cluster, dynamics)
-        self._cache_model = None
-        # The last plan served, pinned with its (grid shape, policy).
-        self._plan = None
 
     # -- placement ---------------------------------------------------------
 
@@ -208,7 +208,6 @@ class TwoDEmulator:
         observer: Optional[Observer] = None,
         telemetry: Optional[Recorder] = None,
         iteration_offset: int = 0,
-        policy: Optional[FastForwardPolicy] = None,
     ) -> float:
         """Total emulated seconds of ``n_iter`` 2-D Jacobi iterations.
 
@@ -242,90 +241,31 @@ class TwoDEmulator:
             raise SimulationError("grid shape does not cover the cluster")
         if dist.n_rows != self.spec.n_rows or dist.n_cols != self.spec.n_cols:
             raise SimulationError("distribution does not cover the array")
-        if iteration_offset < 0:
-            raise SimulationError(
-                f"iteration_offset must be >= 0, got {iteration_offset}"
-            )
-        n_iter = iterations if iterations is not None else self.spec.iterations
-        if n_iter < 1:
-            raise SimulationError(f"iterations must be >= 1, got {n_iter}")
-        if fast_forward is None:
-            fast_forward = fast_forward_default()
-        policy = policy if policy is not None else FastForwardPolicy()
+        n_iter = _iterations(self.spec, iterations)
         rec = as_recorder(telemetry)
-        result = reason = None
         with rec.span("sim/twod/run"):
-            if fast_forward:
-                if observer is not None:
-                    reason = "observer"
-                elif instr:
-                    reason = "instrumented"
-                else:
-                    result, reason = _plan_route(
-                        self._emulation_plan(dist.grid_shape, policy, rec),
-                        dist, n_iter, iteration_offset, self.dynamics,
-                        supports_fast_forward(
-                            self.spec, self.perturbation, dynamics=self.dynamics
-                        ),
-                    )
-            if result is not None:
-                seconds = result.total_seconds
-            else:
-                seconds = self._engine_run(
-                    dist, n_iter, instr, iteration_offset, observer
-                )
+            result, served = self._route(
+                dist, n_iter, instrumented=instr, offset=iteration_offset,
+                observer=observer, telemetry=rec, fast_forward=fast_forward,
+            )
+        seconds = result.total_seconds
         if rec:
             rec.count("sim/twod/runs")
-            if result is not None:
+            if served:
                 rec.count("sim/twod/plan_runs")
                 if result.fast_forwarded:
                     rec.count("sim/twod/fast_forwards")
-            elif reason is not None:
-                rec.count(f"sim/twod/fallback/{reason}")
             rec.set("sim/twod/nodes", dist.n_nodes)
             rec.set("sim/twod/iterations", n_iter)
             rec.observe("sim/twod/seconds", seconds)
         return seconds
 
-    def _engine_run(self, dist, n_iter, instrumented, offset, observer) -> float:
-        """The event engine interpreting every rank's tape."""
-        P = self.cluster.n_nodes
-        timeline = None
-        if self.dynamics is not None:
-            timeline = self.dynamics.compile(P, n_iter, offset)
-        channels: dict = {}
-        channel = lambda key: channels.setdefault(key, len(channels))  # noqa: E731
-        tapes = self._lower_tapes(
-            range(P), dist, n_iter, False, channel, offset=offset,
-            instrumented=instrumented, observe=observer is not None,
-        )
-        samplers = [self._sampler(rank, dist, instrumented) for rank in range(P)]
-        return _run_tapes(tapes, n_iter, offset, samplers, timeline, observer)[0]
-
     # -- what a compiled plan asks of the emulator it serves ---------------------
 
-    def _emulation_plan(self, grid_shape, policy, telemetry):
-        """The shared plan of ``grid_shape``: a rank's neighbours, and so
-        its comm skeleton, are fixed by the shape."""
-        pinned = self._plan
-        if pinned is not None and pinned[:2] == (grid_shape, policy):
-            return pinned[2]
-        from repro.core.plan import get_plan
-        from repro.parallel.cache import content_key
-
-        cluster, spec, perturbation = self.cluster, self.spec, self.perturbation
-        plan = get_plan(
-            key="emulate2d:" + content_key(
-                cluster, spec, perturbation, policy, grid_shape
-            ),
-            factory=lambda: EmulationPlan(
-                TwoDEmulator(cluster, spec, perturbation, dynamics=False),
-                policy,
-            ),
-            telemetry=telemetry,
-        )
-        self._plan = (grid_shape, policy, plan)
-        return plan
+    def _plan_pin(self, dist: GenBlock2D, prefetch: bool) -> Tuple[int, int]:
+        """A 2-D plan covers one grid shape: a rank's neighbours, and
+        so its comm skeleton, are fixed by the shape."""
+        return dist.grid_shape
 
     def _tape_key(self, rank: int, dist: GenBlock2D) -> tuple:
         return (rank,) + dist.tile(rank)
@@ -341,12 +281,6 @@ class TwoDEmulator:
             for rank in ranks
         ]
 
-    def _factor_model(self) -> PerturbationModel:
-        """A label-free sampler for the deterministic cache factor."""
-        if self._cache_model is None:
-            self._cache_model = PerturbationModel(self.perturbation)
-        return self._cache_model
-
     def _sampler(self, rank: int, dist: GenBlock2D,
                  instrumented: bool = False) -> PerturbationModel:
         """The RNG-bearing perturbation sampler of one node in one run."""
@@ -360,41 +294,6 @@ class TwoDEmulator:
                 "instr" if instrumented else "run",
             ),
         )
-
-
-class _TwoDCollector:
-    """Instrumented-iteration measurements for the 2-D model: an
-    :data:`~repro.sim.trace.Observer` of the run's records."""
-
-    def __init__(self, measurement: MeasurementConfig, rng) -> None:
-        self._m = measurement
-        self._rng = rng
-        self.compute: Dict[int, float] = defaultdict(float)
-        self.read_seconds: Dict[int, float] = defaultdict(float)
-        self.read_bytes: Dict[int, float] = defaultdict(float)
-        self.read_ops: Dict[int, int] = defaultdict(int)
-        self.write_seconds: Dict[int, float] = defaultdict(float)
-        self.write_bytes: Dict[int, float] = defaultdict(float)
-        self.write_ops: Dict[int, int] = defaultdict(int)
-
-    def _measured(self, duration: float) -> float:
-        rel = self._m.relative_bias + self._rng.normal(
-            0.0, self._m.relative_sigma
-        )
-        return duration * (1.0 + rel) + self._m.timer_overhead
-
-    def __call__(self, record: EventRecord) -> None:
-        op, rank = record.op, record.node
-        if op == Op.COMPUTE:
-            self.compute[rank] += self._measured(record.end - record.start)
-        elif op == Op.READ:
-            self.read_seconds[rank] += self._measured(record.end - record.start)
-            self.read_bytes[rank] += record.nbytes
-            self.read_ops[rank] += 1
-        elif op == Op.WRITE:
-            self.write_seconds[rank] += self._measured(record.end - record.start)
-            self.write_bytes[rank] += record.nbytes
-            self.write_ops[rank] += 1
 
 
 @dataclass(frozen=True)
@@ -595,32 +494,31 @@ def build_2d_model(
     """Instrument one 2-D iteration under ``d0`` and build the model."""
     measurement = measurement or MeasurementConfig()
     micro = micro or run_microbenchmarks(cluster)
-    rng = stream("2d-measurement", cluster.name, spec.n_rows, spec.n_cols)
-    collector = _TwoDCollector(measurement, rng)
-    emulator = TwoDEmulator(cluster, spec, perturbation)
-    emulator.run(d0, iterations=1, io_mode="instrumented", observer=collector)
+    acc, _ = _measure(
+        TwoDEmulator(cluster, spec, perturbation), d0, measurement,
+        stream("2d-measurement", cluster.name, spec.n_rows, spec.n_cols),
+    )
     P = cluster.n_nodes
-    read_pb = []
-    write_pb = []
-    for rank in range(P):
-        disk = micro.disks[rank]
-        rb = collector.read_bytes[rank]
-        wb = collector.write_bytes[rank]
-        read_pb.append(
-            max(collector.read_seconds[rank] - collector.read_ops[rank] * disk.read_seek, 0.0) / rb
-            if rb > 0
-            else disk.read_byte_latency
-        )
-        write_pb.append(
-            max(collector.write_seconds[rank] - collector.write_ops[rank] * disk.write_seek, 0.0) / wb
-            if wb > 0
-            else disk.write_byte_latency
-        )
+    disks = micro.disks
     inputs = TwoDInputs(
         distribution0=d0,
-        compute_seconds=tuple(collector.compute[r] for r in range(P)),
-        read_per_byte=tuple(read_pb),
-        write_per_byte=tuple(write_pb),
+        compute_seconds=tuple(
+            acc.compute.get((r, _SECTION, _SWEEP), (0.0, 0))[0] for r in range(P)
+        ),
+        read_per_byte=tuple(
+            _per_byte(
+                acc.io.get((r, _GRID, "read"), _NO_IO), disks[r].read_seek,
+                disks[r].read_byte_latency,
+            )
+            for r in range(P)
+        ),
+        write_per_byte=tuple(
+            _per_byte(
+                acc.io.get((r, _GRID, "write"), _NO_IO), disks[r].write_seek,
+                disks[r].write_byte_latency,
+            )
+            for r in range(P)
+        ),
         micro=micro,
     )
     return TwoDModel(cluster, spec, inputs)

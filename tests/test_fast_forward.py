@@ -33,7 +33,7 @@ from repro.sim import (
     set_fast_forward_default,
     supports_fast_forward,
 )
-from repro.sim.steady import extrapolate_ends, steady_deltas
+from repro.sim.steady import FAST_FORWARD_POLICY, extrapolate_ends, steady_deltas
 from repro.sim.trace import TraceCollector
 
 SCALE = 0.05
@@ -150,7 +150,7 @@ class TestFallbacks:
     def test_short_run_bypasses(self):
         cluster, program = self._cluster_program()
         emulator = ClusterEmulator(cluster, program, DETERMINISTIC)
-        policy = emulator.fast_forward_policy
+        policy = FAST_FORWARD_POLICY
         short = emulator.run(
             block(cluster, program.n_rows),
             iterations=policy.probe_iterations,

@@ -1,5 +1,10 @@
 """Tests for the fan-out execution layer (repro.parallel)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import config_dc, config_io
@@ -158,6 +163,45 @@ class TestSweepCache:
         assert merged.lookup(cluster, program, d2) == (2.0, 2.2)
         # The atomic-replace path leaves no temp litter behind.
         assert [p.name for p in tmp_path.iterdir()] == ["fleet-cache.json"]
+
+    def test_two_processes_saving_interleaved(self, tmp_path):
+        # The same merge with two real processes, both loaded before
+        # either saves.
+        path = tmp_path / "shared.json"
+        script = (
+            "import sys\n"
+            "from repro.parallel import SweepCache\n"
+            "from repro.distribution import GenBlock\n"
+            "tag, value = sys.argv[1], float(sys.argv[2])\n"
+            f"cache = SweepCache({str(path)!r})\n"
+            "cache.store('cluster', tag, GenBlock([5, 3]), value, value)\n"
+            "input()  # hold: both processes have loaded before either saves\n"
+            "cache.save()\n"
+            "print('saved')\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, tag, value],
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+            for tag, value in (("a", "1.0"), ("b", "2.0"))
+        ]
+        for proc in procs:  # release both: saves interleave
+            proc.stdin.write("\n")
+            proc.stdin.flush()
+        for proc in procs:
+            out, _ = proc.communicate(timeout=60)
+            assert proc.returncode == 0, out
+            assert "saved" in out
+        merged = SweepCache(path)
+        assert merged.lookup("cluster", "a", GenBlock([5, 3])) == (1.0, 1.0)
+        assert merged.lookup("cluster", "b", GenBlock([5, 3])) == (2.0, 2.0)
 
     def test_save_tolerates_corrupt_disk_file(self, tmp_path):
         cluster = config_dc()

@@ -17,7 +17,7 @@ from repro.cluster import configs
 from repro.core.plan import discard_plan, plan_cache_stats, reset_plan_cache
 from repro.distribution import block
 from repro.obs import Recorder
-from repro.sim import FastForwardPolicy, PerturbationConfig, emulate_many
+from repro.sim import PerturbationConfig, emulate_many
 from repro.sim.plan_sim import emulation_plan_key, get_emulation_plan
 
 SCALE = 0.05
@@ -32,7 +32,7 @@ def _clean_plan_cache():
 
 
 def _config(app=JacobiApp, config=configs.config_hy1):
-    return config(), app.paper(SCALE).structure, NOISY, FastForwardPolicy()
+    return config(), app.paper(SCALE).structure, NOISY
 
 
 def test_equivalent_models_share_one_plan():
@@ -72,7 +72,7 @@ def test_discard_plan_drops_cache_entry():
 
 
 def test_compile_span_and_counters_recorded():
-    cluster, program, perturbation, _ = _config()
+    cluster, program, perturbation = _config()
     rec = Recorder()
     emulate_many(
         cluster, program, [block(cluster, program.n_rows)],

@@ -101,7 +101,7 @@ def _live_plan(cluster, program, perturbation):
     """The configuration's plan, asserted live: no self-check mismatch,
     comm change or varying stage-execution count retired it."""
     plan = plan_sim.get_emulation_plan(
-        cluster, program, perturbation, FastForwardPolicy()
+        cluster, program, perturbation
     )
     assert plan.dead is None
     return plan
@@ -260,7 +260,7 @@ def test_io_mode_overrides_replay_their_own_style():
     assert results["sync"].total_seconds != results["prefetch"].total_seconds
     sync, prefetch = (
         plan_sim.get_emulation_plan(
-            cluster, program, NOISY, FastForwardPolicy(), style
+            cluster, program, NOISY, style
         )
         for style in (False, True)
     )
@@ -296,7 +296,7 @@ def test_forced_dynamics_mismatch_retires_the_plan(monkeypatch):
         iteration_offset=3, run_cache=False, telemetry=rec,
     )
     plan = plan_sim.get_emulation_plan(
-        cluster, program, NOISY, FastForwardPolicy()
+        cluster, program, NOISY
     )
     assert plan.dead is not None and plan.dead.startswith("self-check")
     assert rec.counters["sim/fallback/plan_dead"] == len(dists)
@@ -333,7 +333,7 @@ def test_forced_noise_mismatch_retires_the_plan(monkeypatch):
         telemetry=rec,
     )
     plan = plan_sim.get_emulation_plan(
-        cluster, program, NOISY, FastForwardPolicy()
+        cluster, program, NOISY
     )
     assert plan.dead is not None and plan.dead.startswith("self-check")
     assert rec.counters["sim/fallback/plan_dead"] == len(dists)
@@ -394,7 +394,7 @@ def _short_run():
 def _plan_dead(monkeypatch):
     cluster, program = _jacobi_hy1()
     plan = plan_sim.get_emulation_plan(
-        cluster, program, NOISY, FastForwardPolicy()
+        cluster, program, NOISY
     )
     monkeypatch.setattr(plan, "dead", "forced dead for test")
     return cluster, program, NOISY, {}
@@ -581,7 +581,7 @@ def test_twod_replay_matches_engine(P, shape_index, side, row_shares,
     ref = emulator.run(dist, iteration_offset=offset, fast_forward=False)
     assert rec.counters["sim/twod/plan_runs"] == 1
     assert not [k for k in rec.counters if k.startswith("sim/twod/fallback/")]
-    plan = emulator._emulation_plan(dist.grid_shape, FastForwardPolicy(), None)
+    plan = emulator._emulation_plan(dist, False)
     assert plan.dead is None
     if rec.counters.get("sim/twod/fast_forwards"):
         assert not (noisy or background_load or scenario)

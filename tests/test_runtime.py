@@ -284,6 +284,33 @@ class TestAdaptiveGolden:
         assert repr(report.static_seconds) == "702.4075395238709"
 
 
+class TestStaticInstrumentedIteration:
+    @pytest.mark.parametrize("config, app, seconds", [
+        (config_io, "jacobi", "1.805250578621409"),
+        (config_dc, "cg", "0.7774266438954048"),
+    ])
+    def test_one_instrumented_engine_run(self, monkeypatch, config, app, seconds):
+        """A static run pays for the instrumented iteration its
+        measurements come from, and emulates it once."""
+        import repro.parallel.cache as cache_mod
+
+        monkeypatch.setattr(cache_mod, "_DEFAULT_RUN_CACHE", cache_mod.RunCache())
+        instrumented = []
+        lower = ClusterEmulator._lower_tapes
+
+        def counting(self, *args, **kwargs):
+            if kwargs.get("instrumented"):
+                instrumented.append(args[2])
+            return lower(self, *args, **kwargs)
+
+        monkeypatch.setattr(ClusterEmulator, "_lower_tapes", counting)
+        report = AdaptiveRuntime(
+            config(), application_by_name(app, 0.25).structure
+        ).run()
+        assert instrumented == [1]
+        assert repr(report.instrumented_seconds) == seconds
+
+
 class TestAdaptivePayoff:
     """The multi-round payoff on a homogeneous cluster whose nodes drift
     mid-run, with every overhead charged, and its stationary control

@@ -22,7 +22,6 @@ from repro.exceptions import ServeError
 from repro.experiments import build_model
 from repro.obs import Recorder
 from repro.apps import JacobiApp, application_by_name
-from repro.parallel import SweepCache
 from repro.serve import (
     AsyncServeClient,
     MicroBatcher,
@@ -577,45 +576,6 @@ class TestCoordinator:
 
 # ---------------------------------------------------------------------------
 # two processes sharing the on-disk sweep tier
-
-
-class TestFleetSharedSweepCache:
-    def test_two_processes_saving_interleaved(self, tmp_path):
-        path = tmp_path / "shared.json"
-        script = (
-            "import sys\n"
-            "from repro.parallel import SweepCache\n"
-            "from repro.distribution import GenBlock\n"
-            "tag, value = sys.argv[1], float(sys.argv[2])\n"
-            f"cache = SweepCache({str(path)!r})\n"
-            "cache.store('cluster', tag, GenBlock([5, 3]), value, value)\n"
-            "input()  # hold: both processes have loaded before either saves\n"
-            "cache.save()\n"
-            "print('saved')\n"
-        )
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        procs = [
-            subprocess.Popen(
-                [sys.executable, "-c", script, tag, value],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                env=env,
-            )
-            for tag, value in (("a", "1.0"), ("b", "2.0"))
-        ]
-        for proc in procs:  # release both: saves interleave
-            proc.stdin.write("\n")
-            proc.stdin.flush()
-        for proc in procs:
-            out, _ = proc.communicate(timeout=60)
-            assert proc.returncode == 0, out
-            assert "saved" in out
-        merged = SweepCache(path)
-        assert merged.lookup("cluster", "a", GenBlock([5, 3])) == (1.0, 1.0)
-        assert merged.lookup("cluster", "b", GenBlock([5, 3])) == (2.0, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -518,7 +518,6 @@ class TestTwoDFastForward:
     def test_short_run_and_collector_bypass(self):
         from repro.cluster import table1_configs
         from repro.obs import Recorder
-        from repro.util.rng import stream
 
         cluster = table1_configs()["HY1"]
         spec = self._spec()
@@ -530,9 +529,9 @@ class TestTwoDFastForward:
         emulator.run(dist, iterations=3, fast_forward=True, telemetry=rec)
         assert "sim/twod/fast_forwards" not in rec.counters
         # A collector is an observer: it must see every iteration.
-        from repro.twod.jacobi2d import _TwoDCollector
+        from repro.sim.trace import TraceCollector
 
-        collector = _TwoDCollector(PERFECT, stream("t2dff", 0))
+        collector = TraceCollector()
         rec2 = Recorder()
         emulator.run(
             dist, fast_forward=True, observer=collector, telemetry=rec2
@@ -582,7 +581,6 @@ class TestTwoDRoutes:
     def test_fallback_is_counted_and_engine_identical(self, reason, monkeypatch):
         import repro.sim.executor as executor_mod
         from repro.obs import Recorder
-        from repro.sim import FastForwardPolicy
         from repro.sim.trace import TraceCollector
 
         cluster, spec, dist = self._setup(f"HY1-2d-{reason}")
@@ -594,7 +592,7 @@ class TestTwoDRoutes:
             kw.update(iterations=1, io_mode="instrumented")
         elif reason == "plan_dead":
             plan = TwoDEmulator(cluster, spec, pert)._emulation_plan(
-                dist.grid_shape, FastForwardPolicy(), None
+                dist, False
             )
             monkeypatch.setattr(plan, "dead", "forced dead for test")
         else:
@@ -621,7 +619,6 @@ class TestTwoDRoutes:
         first run's own factors: the self-check retires the plan, and
         every run still gets the engine's result."""
         from repro.obs import Recorder
-        from repro.sim import FastForwardPolicy
         from repro.sim.perturbation import PerturbationModel
 
         real = PerturbationModel.noise_factors
@@ -636,9 +633,7 @@ class TestTwoDRoutes:
         emulator = TwoDEmulator(cluster, spec, PerturbationConfig())
         rec = Recorder()
         got = [emulator.run(dist, telemetry=rec) for _ in range(2)]
-        plan = emulator._emulation_plan(
-            dist.grid_shape, FastForwardPolicy(), None
-        )
+        plan = emulator._emulation_plan(dist, False)
         assert plan.dead is not None and plan.dead.startswith("self-check")
         assert rec.counters["sim/twod/fallback/plan_dead"] == 2
         assert "sim/twod/plan_runs" not in rec.counters
