@@ -3,7 +3,8 @@
 The paper's operational claim is that the model is cheap enough to
 consult on the fly.  The harness times warm single predictions over the
 spectrum candidates of jacobi on HY1 and writes the rendered figure to
-``benchmarks/results/model_speed_harness.txt``.
+``benchmarks/results/model_speed_harness.txt``.  Every figure in it is
+host wall time, so the file is git-ignored rather than committed.
 """
 
 from repro.experiments import model_evaluation_timing

@@ -96,13 +96,6 @@ def _add_common(parser: argparse.ArgumentParser, config: bool = True) -> None:
         "--scale", type=float, default=0.1,
         help="problem-size scale (1.0 = paper scale; default 0.1)",
     )
-    parser.add_argument(
-        "--no-fast-forward", action="store_true",
-        help="disable the emulator's compiled plans: every run is "
-        "simulated event by event (plan-served runs equal it bit for "
-        "bit, except that deterministic runs past the probe window "
-        "extrapolate their steady state, within 1e-9 relative)",
-    )
     if config:
         parser.add_argument(
             "--config", default="HY1", help=f"configuration {CONFIGS}"
@@ -314,11 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="explicit GEN_BLOCK row counts (repeatable; added after "
         "the --dist anchors)",
     )
-    p.add_argument(
-        "--batch", type=int, default=0, metavar="B",
-        help="candidates per batched emulation pass (0 = the whole "
-        "population in one pass; results are identical either way)",
-    )
     p.add_argument("--prefetch", action="store_true")
     p.add_argument(
         "--run-cache", default=None, metavar="PATH",
@@ -412,10 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_jobs(p)
     _add_telemetry(p)
-    p.add_argument(
-        "--no-fast-forward", action="store_true",
-        help="disable the emulator fast path for verify queries",
-    )
 
     from repro.cluster.configs import DYNAMICS_SCENARIOS
 
@@ -768,7 +752,6 @@ def _cmd_emulate(args) -> str:
         iterations=args.iterations,
         io_mode=args.io_mode,
         dynamics=dynamics,
-        fast_forward=False if args.no_fast_forward else None,
         telemetry=rec,
     )
     out = [
@@ -776,8 +759,7 @@ def _cmd_emulate(args) -> str:
         + (f" (dynamics: {dynamics.name or 'custom'})" if dynamics else ""),
         f"  distribution : {list(dist.counts)}",
         f"  iterations   : {result.iterations}",
-        f"  total        : {result.total_seconds:.6f} s"
-        + ("  (fast-forwarded)" if result.fast_forwarded else ""),
+        f"  total        : {result.total_seconds:.6f} s",
         "  per node     : "
         + ", ".join(f"{s:.3f}" for s in result.per_node_seconds),
     ]
@@ -880,7 +862,7 @@ def _cmd_stats(args) -> str:
 def _cmd_verify(args) -> str:
     """Batched ground-truth emulation of a population of candidates."""
     from repro.distribution import GenBlock
-    from repro.sim.executor import emulate_many
+    from repro.parallel import verify_distributions
 
     cluster = _cluster(args.config)
     program = _program(args.app, args.scale, args.prefetch)
@@ -914,27 +896,10 @@ def _cmd_verify(args) -> str:
 
         store = RunCache(path=args.run_cache)
     rec = _telemetry_recorder(args)
-
-    if args.jobs != 1:
-        from repro.parallel import verify_distributions
-
-        seconds = verify_distributions(
-            cluster, program, dists,
-            jobs=args.jobs, run_cache=store, telemetry=rec,
-        )
-        flags = [""] * len(dists)
-    else:
-        batch = args.batch if args.batch > 0 else len(dists)
-        seconds, flags = [], []
-        for lo in range(0, len(dists), batch):
-            for result in emulate_many(
-                cluster, program, dists[lo:lo + batch],
-                run_cache=store, telemetry=rec,
-            ):
-                seconds.append(result.total_seconds)
-                flags.append(
-                    "  (fast-forwarded)" if result.fast_forwarded else ""
-                )
+    seconds = verify_distributions(
+        cluster, program, dists,
+        jobs=args.jobs, run_cache=store, telemetry=rec,
+    )
     if store is not None:
         store.save()
 
@@ -943,10 +908,9 @@ def _cmd_verify(args) -> str:
         f"verify {args.app} on {args.config} "
         f"(scale {args.scale}, {len(dists)} candidates)"
     ]
-    for label, d, actual, flag in zip(labels, dists, seconds, flags):
+    for label, d, actual in zip(labels, dists, seconds):
         lines.append(
-            f"  {label:<{width}s}  {actual:12.6f}s  "
-            f"{list(d.counts)}{flag}"
+            f"  {label:<{width}s}  {actual:12.6f}s  {list(d.counts)}"
         )
     tele = _render_telemetry(rec, args)
     if tele:
@@ -1070,10 +1034,6 @@ def _cmd_query(args) -> str:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "no_fast_forward", False):
-        from repro.sim import set_fast_forward_default
-
-        set_fast_forward_default(False)
     if args.command == "table1":
         print(table1())
     elif args.command == "sweep":

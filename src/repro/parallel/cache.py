@@ -435,7 +435,6 @@ class RunCache:
         perturbation,
         *,
         instrumented: bool = False,
-        fast_forward: bool = True,
         dynamics=None,
         io_mode: str = "auto",
         iteration_offset: int = 0,
@@ -453,7 +452,8 @@ class RunCache:
         """
         payload = [
             "run", cluster, program, int(iterations), perturbation,
-            bool(instrumented), bool(fast_forward),
+            # A retired routing flag's slot: ``--run-cache`` files keep keys.
+            bool(instrumented), True,
         ]
         if dynamics is not None:
             payload.extend(["dynamics", dynamics])
@@ -479,18 +479,11 @@ class RunCache:
         perturbation,
         *,
         instrumented: bool = False,
-        fast_forward: bool = True,
         dynamics=None,
         io_mode: str = "auto",
         iteration_offset: int = 0,
     ) -> str:
-        """Content hash of everything an emulated run depends on.
-
-        ``fast_forward`` is part of the key because the extrapolated
-        tail matches full simulation only to ~1e-9 relative — a caller
-        that explicitly asked for full simulation must never receive a
-        fast-forwarded result (or vice versa).
-        """
+        """Content hash of everything an emulated run depends on."""
         return RunCache.key_from_base(
             RunCache.key_base(
                 cluster,
@@ -498,7 +491,6 @@ class RunCache:
                 iterations,
                 perturbation,
                 instrumented=instrumented,
-                fast_forward=fast_forward,
                 dynamics=dynamics,
                 io_mode=io_mode,
                 iteration_offset=iteration_offset,

@@ -5,12 +5,15 @@ fastest; the honest experiment then runs the emulator on each winner to
 see what it *actually* costs (benchmarks' ``search_comparison`` table,
 the CLI's ``search --verify``).
 
-Since the plan-compiled emulator, one verification round is one
-*batched* :func:`~repro.sim.executor.emulate_many` pass: the whole
-population shares a single compiled :class:`EmulationPlan` and walks
-its coupled recurrence as one ``(B, P)`` array sweep.  ``jobs > 1``
-shards the population into contiguous batches, one batched pass per
-worker, so results stay independent of ``jobs``.
+One verification round is one batched
+:func:`~repro.sim.executor.emulate_many` pass: the population shares a
+single emulator, which pins the configuration's compiled
+:class:`~repro.sim.plan_sim.EmulationPlan` once and routes each
+candidate on its own.  ``jobs > 1`` looks the population up in the run
+cache first, deals the misses round-robin (the ``j``-th miss to shard
+``j % n_shards``) to one batched pass per worker, and puts the
+workers' results back into the cache, so results and the cache's
+contents stay independent of ``jobs``.
 """
 
 from __future__ import annotations
@@ -35,18 +38,19 @@ def _verify_batch_task(
         object,
         Tuple[Tuple[int, ...], ...],
     ]
-) -> List[float]:
+) -> list:
     from repro.sim.executor import emulate_many
 
     cluster, program, perturbation, dynamics, counts_batch = spec
-    results = emulate_many(
+    # The parent owns the run cache: it looked these up and stores them.
+    return emulate_many(
         cluster,
         program,
         [GenBlock(counts) for counts in counts_batch],
         perturbation=perturbation,
         dynamics=dynamics,
+        run_cache=False,
     )
-    return [r.total_seconds for r in results]
 
 
 def verify_distributions(
@@ -66,14 +70,15 @@ def verify_distributions(
     distribution, node)``, so the result is independent of ``jobs``.
     ``dynamics`` follows the :func:`emulate` convention (``None`` =
     use ``cluster.dynamics``, ``False`` = force static, or an explicit
-    :class:`~repro.cluster.dynamics.DynamicsSpec`).  ``run_cache`` is
-    forwarded to :func:`emulate_many` (``None`` means the process
-    default :class:`RunCache`, ``False`` disables caching).
+    :class:`~repro.cluster.dynamics.DynamicsSpec`).  ``run_cache``
+    follows :func:`emulate_many` (``None`` means the process default
+    :class:`RunCache`, ``False`` disables caching); every ``jobs``
+    value reads it and leaves it holding the same entries.
     """
+    from repro.sim.executor import _run_keys, _run_store, emulate_many
+
     rec = as_recorder(telemetry)
     if jobs == 1 or len(distributions) <= 1:
-        from repro.sim.executor import emulate_many
-
         with rec.span("parallel/verify"):
             results = [
                 r.total_seconds
@@ -91,12 +96,27 @@ def verify_distributions(
             rec.count("verify/runs", len(results))
         return results
 
-    n_shards = min(max(int(jobs), 1), max(len(distributions), 1))
-    shards: List[List[Tuple[int, ...]]] = [[] for _ in range(n_shards)]
-    for i, d in enumerate(distributions):
-        shards[i % n_shards].append(tuple(d.counts))
+    store = _run_store(run_cache)
+    totals: List[Optional[float]] = [None] * len(distributions)
+    keys: List[Optional[str]] = [None] * len(distributions)
+    if store is not None:
+        keys = _run_keys(
+            cluster, program, distributions,
+            perturbation=perturbation, dynamics=dynamics,
+        )
+        for i, key in enumerate(keys):
+            hit = store.get(key)
+            if hit is not None:
+                totals[i] = hit.total_seconds
+    misses = [i for i, total in enumerate(totals) if total is None]
+
+    n_shards = min(max(int(jobs), 1), max(len(misses), 1))
+    shards: List[List[int]] = [[] for _ in range(n_shards)]
+    for j, i in enumerate(misses):
+        shards[j % n_shards].append(i)
     tasks = [
-        (cluster, program, perturbation, dynamics, tuple(shard))
+        (cluster, program, perturbation, dynamics,
+         tuple(tuple(distributions[i].counts) for i in shard))
         for shard in shards
         if shard
     ]
@@ -104,10 +124,14 @@ def verify_distributions(
         shard_results = ParallelRunner(jobs, telemetry=telemetry).map(
             _verify_batch_task, tasks
         )
-    results: List[float] = [0.0] * len(distributions)
-    for shard_index, seconds in enumerate(shard_results):
-        for j, value in enumerate(seconds):
-            results[shard_index + j * n_shards] = value
+    fresh = []
+    for shard, results in zip(shards, shard_results):
+        for i, result in zip(shard, results):
+            totals[i] = result.total_seconds
+            fresh.append((keys[i], result))
+    if store is not None:
+        store.put_many(fresh)
     if rec:
-        rec.count("verify/runs", len(results))
-    return results
+        rec.count("verify/runs", len(totals))
+        rec.count("verify/cache_hits", len(totals) - len(misses))
+    return totals

@@ -32,8 +32,6 @@ from repro.sim.executor import (
     RunResult,
     emulate,
     emulate_many,
-    fast_forward_default,
-    set_fast_forward_default,
 )
 from repro.sim.plan_sim import EmulationPlan, get_emulation_plan
 from repro.sim.analysis import NodeBreakdown, RunAnalysis, analyse_run
@@ -59,8 +57,6 @@ __all__ = [
     "emulate_many",
     "EmulationPlan",
     "get_emulation_plan",
-    "fast_forward_default",
-    "set_fast_forward_default",
     "NodeBreakdown",
     "RunAnalysis",
     "analyse_run",

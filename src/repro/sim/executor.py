@@ -58,31 +58,10 @@ __all__ = [
     "RunResult",
     "emulate",
     "emulate_many",
-    "set_fast_forward_default",
-    "fast_forward_default",
 ]
 
 #: CPU cost of issuing one asynchronous read (system-call overhead).
 PREFETCH_ISSUE_OVERHEAD = 20e-6
-
-#: Process-wide default for ``ClusterEmulator.run(fast_forward=None)``.
-#: The CLI's ``--no-fast-forward`` flips it off for a whole invocation.
-_FAST_FORWARD_DEFAULT = True
-
-
-def set_fast_forward_default(enabled: bool) -> bool:
-    """Set the process-wide fast-forward default; returns the previous
-    value (so tests can restore it)."""
-    global _FAST_FORWARD_DEFAULT
-    previous = _FAST_FORWARD_DEFAULT
-    _FAST_FORWARD_DEFAULT = bool(enabled)
-    return previous
-
-
-def fast_forward_default() -> bool:
-    """The current process-wide fast-forward default."""
-    return _FAST_FORWARD_DEFAULT
-
 
 #: Valid ``io_mode`` values for the consolidated emulation API.
 IO_MODES = ("auto", "sync", "prefetch", "instrumented")
@@ -610,8 +589,10 @@ class _Emulator:
     (:meth:`_plan_refusal`) goes to the configuration's compiled
     :class:`~repro.sim.plan_sim.EmulationPlan` (:meth:`_emulation_plan`,
     then :func:`_plan_route`); every other run, and any run the plan
-    cannot serve, is interpreted by the event engine and, with
-    ``telemetry``, counted under ``<prefix>/fallback/<reason>``.
+    cannot serve, is interpreted by the event engine
+    (:meth:`_engine_run`) and, with ``telemetry``, counted under
+    ``<prefix>/fallback/<reason>``.  No caller selects the engine: it
+    serves exactly the fallbacks, and the tests' engine oracle.
 
     A subclass says what its runs are made of, which is also what a
     compiled plan asks of the emulator it serves: ``_lower_tapes``,
@@ -656,37 +637,53 @@ class _Emulator:
         offset: int = 0,
         observer: Optional[Observer] = None,
         telemetry=None,
-        fast_forward: Optional[bool] = None,
     ) -> Tuple[RunResult, bool]:
         """One run: ``(result, served by the plan)``.
 
-        ``fast_forward`` ``False``, or ``None`` with the process-wide
-        default off, sends the run to the engine without asking the
-        plan (and counts no fallback).
+        Every run the plan does not serve is an engine run with a
+        reason, counted under ``<prefix>/fallback/<reason>``.
         """
         if offset < 0:
             raise SimulationError(
                 f"iteration_offset must be >= 0, got {offset}"
             )
-        reason = None
-        if _FAST_FORWARD_DEFAULT if fast_forward is None else fast_forward:
-            reason = self._plan_refusal(observer, instrumented)
-            if reason is None:
-                result, reason = _plan_route(
-                    self._emulation_plan(distribution, prefetch, telemetry),
-                    distribution, n_iter, offset, self.dynamics,
-                    supports_fast_forward(
-                        self.workload, self.perturbation, dynamics=self.dynamics
-                    ),
-                )
-                if result is not None:
-                    return result, True
-        phase: Optional[PhaseAccumulator] = None
+        reason = self._plan_refusal(observer, instrumented)
+        if reason is None:
+            result, reason = _plan_route(
+                self._emulation_plan(distribution, prefetch, telemetry),
+                distribution, n_iter, offset, self.dynamics,
+                supports_fast_forward(
+                    self.workload, self.perturbation, dynamics=self.dynamics
+                ),
+            )
+            if result is not None:
+                return result, True
         if telemetry:
-            if reason is not None:
-                telemetry.count(f"{self._prefix}/fallback/{reason}")
-            if self._phase_telemetry:
-                phase = PhaseAccumulator()
+            telemetry.count(f"{self._prefix}/fallback/{reason}")
+        return self._engine_run(
+            distribution, n_iter, instrumented=instrumented,
+            prefetch=prefetch, offset=offset, observer=observer,
+            telemetry=telemetry,
+        ), False
+
+    def _engine_run(
+        self,
+        distribution,
+        n_iter: int,
+        *,
+        instrumented: bool = False,
+        prefetch: bool = False,
+        offset: int = 0,
+        observer: Optional[Observer] = None,
+        telemetry=None,
+    ) -> RunResult:
+        """One run on the event engine: fresh tapes and samplers,
+        interpreted event by event.  The only place a run is built on
+        the engine; with ``telemetry`` it records the run's phase
+        totals."""
+        phase: Optional[PhaseAccumulator] = None
+        if telemetry and self._phase_telemetry:
+            phase = PhaseAccumulator()
         sim_observer = chain_observers(phase, observer)
         P = self.cluster.n_nodes
         timeline: Optional[DynamicsTimeline] = None
@@ -713,7 +710,7 @@ class _Emulator:
         )
         if phase is not None:
             self._record_run_telemetry(telemetry, phase, result)
-        return result, False
+        return result
 
     def _plan_refusal(
         self, observer: Optional[Observer], instrumented: bool
@@ -824,7 +821,6 @@ class ClusterEmulator(_Emulator):
         *,
         iterations: Optional[int] = None,
         io_mode: str = "auto",
-        fast_forward: Optional[bool] = None,
         observer: Optional[Observer] = None,
         telemetry=None,
         iteration_offset: int = 0,
@@ -859,12 +855,8 @@ class ClusterEmulator(_Emulator):
         iteration profile.  Those runs, and any run the plan cannot
         serve (a retired plan, a non-converging deterministic probe),
         take the engine; with ``telemetry`` each such run is counted
-        under ``sim/fallback/<reason>``.
-
-        ``fast_forward`` selects the routing: ``None`` follows the
-        process-wide default (on; see :func:`set_fast_forward_default`),
-        ``False`` forces the engine (the reference every plan-served
-        result equals).
+        under ``sim/fallback/<reason>``.  The route alone picks the
+        interpreter.
 
         ``iteration_offset`` emulates a mid-run segment: iterations
         ``[offset, offset + n)`` of the global schedule.  Dynamics
@@ -897,7 +889,6 @@ class ClusterEmulator(_Emulator):
             instrumented=instr,
             prefetch=_streaming_style(self.program, io_override),
             offset=iteration_offset, observer=observer, telemetry=telemetry,
-            fast_forward=fast_forward,
         )
         if served and telemetry:
             telemetry.count("sim/plan_runs")
@@ -1109,6 +1100,37 @@ def _copy_result(result: RunResult) -> RunResult:
     )
 
 
+def _run_store(run_cache):
+    """The run cache a ``run_cache=`` argument names: the process-wide
+    store for ``None``, none for ``False``, else the store itself."""
+    if run_cache is False:
+        return None
+    if run_cache is None:
+        from repro.parallel.cache import default_run_cache
+
+        return default_run_cache()
+    return run_cache
+
+
+def _run_keys(cluster, program, distributions, *, iterations=None,
+              io_mode: str = "auto", perturbation=None, dynamics=None,
+              iteration_offset: int = 0) -> List[str]:
+    """The run-cache key of each of ``distributions`` under the
+    :func:`emulate_many` keywords: one
+    :meth:`~repro.parallel.cache.RunCache.key_base` digest over the
+    resolved configuration, plus each candidate's row counts."""
+    from repro.parallel.cache import RunCache
+
+    base = RunCache.key_base(
+        cluster, program, _iterations(program, iterations),
+        perturbation if perturbation is not None else PerturbationConfig(),
+        instrumented=_resolve_io_mode(io_mode)[0],
+        dynamics=_resolve_dynamics(cluster, dynamics), io_mode=io_mode,
+        iteration_offset=iteration_offset,
+    )
+    return [RunCache.key_from_base(base, d.counts) for d in distributions]
+
+
 def emulate(
     cluster: ClusterSpec,
     program: ProgramStructure,
@@ -1118,7 +1140,6 @@ def emulate(
     io_mode: str = "auto",
     perturbation: Optional[PerturbationConfig] = None,
     dynamics=None,
-    fast_forward: Optional[bool] = None,
     run_cache: Union[None, bool, "object"] = None,
     telemetry=None,
     observer: Optional[Observer] = None,
@@ -1171,16 +1192,14 @@ def emulate(
             distribution,
             iterations=iterations,
             io_mode=io_mode,
-            fast_forward=fast_forward,
             observer=observer,
             telemetry=telemetry,
             iteration_offset=iteration_offset,
         )
 
-    from repro.parallel.cache import RunCache, default_run_cache
+    from repro.parallel.cache import RunCache
 
-    store = default_run_cache() if run_cache is None else run_cache
-    use_fast = _FAST_FORWARD_DEFAULT if fast_forward is None else bool(fast_forward)
+    store = _run_store(run_cache)
     key = RunCache.key(
         cluster,
         program,
@@ -1188,7 +1207,6 @@ def emulate(
         n_iter,
         emulator.perturbation,
         instrumented=instr,
-        fast_forward=use_fast,
         dynamics=dyn,
         io_mode=io_mode,
         iteration_offset=iteration_offset,
@@ -1204,7 +1222,6 @@ def emulate(
         distribution,
         iterations=iterations,
         io_mode=io_mode,
-        fast_forward=fast_forward,
         telemetry=telemetry,
         iteration_offset=iteration_offset,
     )
@@ -1226,7 +1243,6 @@ def emulate_many(
     io_mode: str = "auto",
     perturbation: Optional[PerturbationConfig] = None,
     dynamics=None,
-    fast_forward: Optional[bool] = None,
     run_cache: Union[None, bool, "object"] = None,
     telemetry=None,
     iteration_offset: int = 0,
@@ -1264,34 +1280,20 @@ def emulate_many(
     emulator = ClusterEmulator(
         cluster, program, perturbation, dynamics=dyn if dyn is not None else False
     )
-    use_fast = _FAST_FORWARD_DEFAULT if fast_forward is None else bool(fast_forward)
-
-    store = None
-    if run_cache is not False:
-        from repro.parallel.cache import default_run_cache
-
-        store = default_run_cache() if run_cache is None else run_cache
-
+    store = _run_store(run_cache)
     results: List[Optional[RunResult]] = [None] * len(distributions)
     keys: List[Optional[str]] = [None] * len(distributions)
     cache_hits = 0
     if store is not None:
-        from repro.parallel.cache import RunCache
-
-        base = RunCache.key_base(
-            cluster,
-            program,
-            n_iter,
-            emulator.perturbation,
-            instrumented=instr,
-            fast_forward=use_fast,
-            dynamics=dyn,
-            io_mode=io_mode,
+        # Resolved values resolve to themselves.
+        keys = _run_keys(
+            cluster, program, distributions, iterations=n_iter,
+            io_mode=io_mode, perturbation=emulator.perturbation,
+            dynamics=dyn if dyn is not None else False,
             iteration_offset=iteration_offset,
         )
-        for i, dist in enumerate(distributions):
-            keys[i] = RunCache.key_from_base(base, dist.counts)
-            hit = store.get(keys[i])
+        for i, key in enumerate(keys):
+            hit = store.get(key)
             if hit is not None:
                 results[i] = hit
                 cache_hits += 1
@@ -1316,7 +1318,7 @@ def emulate_many(
             results[i], served = emulator._route(
                 distributions[i], n_iter, instrumented=instr,
                 prefetch=prefetch, offset=iteration_offset,
-                telemetry=telemetry, fast_forward=use_fast,
+                telemetry=telemetry,
             )
             plan_served += served
 

@@ -22,12 +22,13 @@ The fast path exploits this in two steps:
 
 Eligibility is decided *structurally* first
 (:func:`supports_fast_forward`): stochastic effects (computation
-noise, background load), a non-uniform iteration profile, cluster
-dynamics, an attached observer (which must see every event) or an
-instrumented run disqualify extrapolation up front.  Convergence
-detection is the second, empirical gate: a workload that passes the
-structural check but whose deltas have not settled in the probe window
-falls back to full simulation.
+noise, background load), a non-uniform iteration profile or cluster
+dynamics disqualify extrapolation up front.  (An observed or
+instrumented run never gets that far: the route sends it to the event
+engine as a counted fallback.)  Convergence detection is the second,
+empirical gate: a workload that passes the structural check but whose
+deltas have not settled in the probe window falls back to full
+simulation.
 
 Refusing extrapolation does not mean the event engine runs.  The
 probe is replayed by the compiled
@@ -95,16 +96,10 @@ class FastForwardPolicy:
 FAST_FORWARD_POLICY = FastForwardPolicy()
 
 
-def supports_fast_forward(program, perturbation, *, observer=None,
-                          instrumented: bool = False,
-                          dynamics=None) -> bool:
+def supports_fast_forward(program, perturbation, *, dynamics=None) -> bool:
     """Structural eligibility for extrapolation: is this run
-    iteration-invariant and unobserved, so that cycle fast-forward
-    *could* apply?
+    stationary, so that cycle fast-forward *could* apply?
 
-    * An observer must see every event of every iteration; skipping
-      iterations would drop records.
-    * Instrumented runs are single-iteration measurement passes.
     * A non-uniform ``iteration_profile`` changes the work per
       iteration — the schedule never repeats.
     * Computation noise and background load draw from the run's RNG
@@ -114,13 +109,14 @@ def supports_fast_forward(program, perturbation, *, observer=None,
       a function of the iteration index — the run is non-stationary
       and the steady cycle never forms.
 
-    Noisy, background-loaded and dynamic runs are still plan-served:
-    every iteration is replayed from the op tapes, not extrapolated
-    (see :meth:`ClusterEmulator.run
+    Observed and instrumented runs never reach this question: the
+    route refuses them the plan first
+    (:meth:`~repro.sim.executor._Emulator._plan_refusal`).  Noisy,
+    background-loaded and dynamic runs are still plan-served: every
+    iteration is replayed from the op tapes, not extrapolated (see
+    :meth:`ClusterEmulator.run
     <repro.sim.executor.ClusterEmulator.run>`).
     """
-    if observer is not None or instrumented:
-        return False
     if program.iteration_profile is not None:
         return False
     if perturbation.compute_noise:

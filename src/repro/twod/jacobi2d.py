@@ -204,7 +204,6 @@ class TwoDEmulator(_Emulator):
         *,
         iterations: Optional[int] = None,
         io_mode: str = "auto",
-        fast_forward: Optional[bool] = None,
         observer: Optional[Observer] = None,
         telemetry: Optional[Recorder] = None,
         iteration_offset: int = 0,
@@ -228,8 +227,7 @@ class TwoDEmulator(_Emulator):
         a retired plan and a non-converging probe take the engine; with
         ``telemetry`` each such run is counted under
         ``sim/twod/fallback/<reason>``, each plan-served one under
-        ``sim/twod/plan_runs``.  ``fast_forward=False`` (or the
-        process-wide default off) forces the engine.
+        ``sim/twod/plan_runs``.
         """
         instr, io_override = _resolve_io_mode(io_mode)
         if io_override:  # the 2-D kernel has no prefetch pipeline
@@ -246,7 +244,7 @@ class TwoDEmulator(_Emulator):
         with rec.span("sim/twod/run"):
             result, served = self._route(
                 dist, n_iter, instrumented=instr, offset=iteration_offset,
-                observer=observer, telemetry=rec, fast_forward=fast_forward,
+                observer=observer, telemetry=rec,
             )
         seconds = result.total_seconds
         if rec:

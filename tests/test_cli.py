@@ -43,6 +43,22 @@ class TestParser:
             err = capsys.readouterr().err
             assert "unrecognized arguments: --kernel numpy" in err
 
+    def test_removed_routing_flags_rejected(self, capsys):
+        """The route alone picks plan or engine: ``--no-fast-forward``
+        is gone from every subcommand, and ``verify`` has no
+        ``--batch`` (each candidate is routed on its own)."""
+        for argv, removed in (
+            (["emulate", "jacobi"], ["--no-fast-forward"]),
+            (["search", "jacobi"], ["--no-fast-forward"]),
+            (["serve"], ["--no-fast-forward"]),
+            (["verify", "jacobi"], ["--batch", "2"]),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args([*argv, *removed])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {' '.join(removed)}" in err
+
 
 class TestCommands:
     def test_table1(self, capsys):

@@ -43,6 +43,7 @@ from repro.sim.executor import ClusterEmulator, emulate, emulate_many
 from repro.sim.perturbation import PerturbationModel
 from repro.sim.steady import supports_fast_forward
 from repro.runtime import AdaptiveRuntime
+from tests.emulator_reference import engine_run
 
 SCALE = 0.02
 
@@ -176,7 +177,7 @@ class TestFastForwardRefusal:
         assert static.fast_forwarded  # sanity: the static run does
         dyn = emulate(
             cluster, program, d, perturbation=quiet,
-            dynamics=_drift_spec(), fast_forward=True, run_cache=False,
+            dynamics=_drift_spec(), run_cache=False,
         )
         assert not dyn.fast_forwarded
 
@@ -267,10 +268,7 @@ class TestSegmentReplay:
             cluster, program, d, dynamics=spec, iterations=4,
             iteration_offset=0, run_cache=False,
         )
-        static = emulate(
-            cluster, program, d, iterations=4, fast_forward=False,
-            run_cache=False,
-        )
+        static = engine_run(ClusterEmulator(cluster, program), d, iterations=4)
         post = emulate(
             cluster, program, d, dynamics=spec, iterations=4,
             iteration_offset=50, run_cache=False,

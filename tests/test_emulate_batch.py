@@ -27,7 +27,8 @@ from repro.cluster import table1_configs
 from repro.distribution import GenBlock, block
 from repro.obs import Recorder
 from repro.parallel.cache import RunCache
-from repro.sim import PerturbationConfig, emulate, emulate_many
+from repro.sim import ClusterEmulator, PerturbationConfig, emulate, emulate_many
+from tests.emulator_reference import engine_run
 
 SCALE = 0.05
 ITERATIONS = 16  # > probe window (default policy simulates 7)
@@ -174,13 +175,8 @@ class TestBatchFallbacks:
             perturbation=DETERMINISTIC, run_cache=False,
         )
         assert not any(b.fast_forwarded for b in batch)
-        full = [
-            emulate(
-                cluster, program, d, perturbation=DETERMINISTIC,
-                fast_forward=False, run_cache=False,
-            )
-            for d in dists
-        ]
+        emulator = ClusterEmulator(cluster, program, DETERMINISTIC)
+        full = [engine_run(emulator, d) for d in dists]
         _assert_bitwise(batch, full)
 
     def test_dead_plan_serves_batches_through_the_engine(self):
@@ -279,10 +275,7 @@ class TestEventRecordAllocationPin:
         cluster = table1_configs()["HY1"]
         program = JacobiApp.paper(SCALE).structure.with_iterations(ITERATIONS)
         d = block(cluster, program.n_rows)
-        emulate(
-            cluster, program, d,
-            perturbation=DETERMINISTIC, fast_forward=False, run_cache=False,
-        )
+        engine_run(ClusterEmulator(cluster, program, DETERMINISTIC), d)
         emulate_many(
             cluster, program, [d],
             perturbation=DETERMINISTIC, run_cache=False,

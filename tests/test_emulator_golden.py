@@ -5,16 +5,16 @@ plan suites compare the fast path against the engine, and the engine
 against nothing.  These SHA-256 digests over the ``repr`` of every
 float fix, bit for bit:
 
-* ``fast_forward=False`` iteration ends of the five apps on the IO and
-  HY1 clusters (whose 32 MiB nodes stream their arrays from disk at
-  full scale) under every ``io_mode``, with and without computation
-  noise, plus one dynamic segment at a non-zero offset and one program
-  with an iteration profile;
+* the engine's iteration ends (:func:`tests.emulator_reference.engine_run`)
+  of the five apps on the IO and HY1 clusters (whose 32 MiB nodes
+  stream their arrays from disk at full scale) under every ``io_mode``,
+  with and without computation noise, plus one dynamic segment at a
+  non-zero offset and one program with an iteration profile;
 * the full record stream of one observed run per app;
 * the MHETA inputs ``collect_inputs`` measures on IO and HY1, whose
   timer noise is drawn in record order;
-* the 2-D Jacobi emulator's ``fast_forward=False`` totals on IO and HY1
-  (whose 32 MiB nodes stream their 64 MiB tiles from disk) for the
+* the 2-D Jacobi emulator's engine totals on IO and HY1 (whose
+  32 MiB nodes stream their 64 MiB tiles from disk) for the
   1x8, 2x4 and 8x1 grids under ``block2d`` and ``balanced2d``, with
   and without noise, plus one dynamic segment at a non-zero offset and
   the instrumented iteration; and the 2-D model inputs
@@ -32,8 +32,9 @@ from repro.apps import application_by_name
 from repro.cluster import dynamics_scenario, table1_configs
 from repro.distribution import block
 from repro.instrument import collect_inputs
-from repro.sim import PerturbationConfig, emulate
+from repro.sim import ClusterEmulator, PerturbationConfig, emulate
 from repro.sim.trace import TraceCollector
+from tests.emulator_reference import engine_run
 from repro.twod import (
     Jacobi2DSpec,
     TwoDEmulator,
@@ -70,11 +71,9 @@ def _ends_digest(results) -> str:
     )
 
 
-def _engine(cluster, program, **kw):
-    return emulate(
-        cluster, program, block(cluster, program.n_rows),
-        fast_forward=False, run_cache=False, **kw,
-    )
+def _engine(cluster, program, *, perturbation=None, dynamics=None, **kw):
+    emulator = ClusterEmulator(cluster, program, perturbation, dynamics=dynamics)
+    return engine_run(emulator, block(cluster, program.n_rows), **kw)
 
 
 ENDS = {
@@ -141,9 +140,11 @@ RECORDS = {
 def test_observed_record_stream(app):
     cluster = table1_configs()["IO"]
     trace = TraceCollector()
-    _engine(
-        cluster, _program(app, 3), io_mode="prefetch", perturbation=NOISY,
-        observer=trace,
+    program = _program(app, 3)
+    # An observed run always takes the engine.
+    emulate(
+        cluster, program, block(cluster, program.n_rows), io_mode="prefetch",
+        perturbation=NOISY, observer=trace,
     )
     assert _digest(repr(record) for record in trace.records) == RECORDS[app]
 
@@ -188,7 +189,7 @@ TOTALS_2D = {
 def test_twod_engine_totals(config):
     cluster = table1_configs()[config]
     totals = [
-        TwoDEmulator(cluster, SPEC_2D, pert).run(dist, fast_forward=False)
+        engine_run(TwoDEmulator(cluster, SPEC_2D, pert), dist).total_seconds
         for pert in (NOISY, QUIET)
         for dist in _layouts_2d(cluster)
     ]
@@ -206,9 +207,9 @@ def test_twod_instrumented_totals(config):
     cluster = table1_configs()[config]
     emulator = TwoDEmulator(cluster, SPEC_2D, NOISY)
     totals = [
-        emulator.run(
-            dist, iterations=1, io_mode="instrumented", fast_forward=False
-        )
+        engine_run(
+            emulator, dist, iterations=1, io_mode="instrumented"
+        ).total_seconds
         for dist in _layouts_2d(cluster)
     ]
     assert _totals_digest(totals) == INSTRUMENTED_2D[config]
@@ -224,9 +225,9 @@ def test_twod_dynamic_segment_totals():
         cluster, SPEC_2D, NOISY.without(background_load=0.2), dynamics=spec
     )
     totals = [
-        emulator.run(
-            dist, iterations=5, iteration_offset=3, fast_forward=False
-        )
+        engine_run(
+            emulator, dist, iterations=5, iteration_offset=3
+        ).total_seconds
         for dist in _layouts_2d(cluster)
     ]
     assert _totals_digest(totals) == DYNAMIC_2D

@@ -24,17 +24,17 @@ from repro.apps import (
 from repro.cluster import table1_configs
 from repro.distribution import block
 from repro.parallel.cache import RunCache
+from repro.obs import Recorder
 from repro.sim import (
     ClusterEmulator,
     FastForwardPolicy,
     PerturbationConfig,
     emulate,
-    fast_forward_default,
-    set_fast_forward_default,
     supports_fast_forward,
 )
 from repro.sim.steady import FAST_FORWARD_POLICY, extrapolate_ends, steady_deltas
 from repro.sim.trace import TraceCollector
+from tests.emulator_reference import engine_run
 
 SCALE = 0.05
 ITERATIONS = 16  # > probe window (default policy simulates 7)
@@ -62,8 +62,8 @@ def _rel_close(a, b, tol=1e-9):
 def _run_pair(cluster, program, perturbation=DETERMINISTIC):
     emulator = ClusterEmulator(cluster, program, perturbation)
     d = block(cluster, program.n_rows)
-    full = emulator.run(d, fast_forward=False)
-    fast = emulator.run(d, fast_forward=True)
+    full = engine_run(emulator, d)
+    fast = emulator.run(d)
     return full, fast
 
 
@@ -135,9 +135,14 @@ class TestFallbacks:
 
     def test_instrumented_bypasses(self):
         cluster, program = self._cluster_program()
-        assert not supports_fast_forward(
-            program, DETERMINISTIC, instrumented=True
+        rec = Recorder()
+        result = emulate(
+            cluster, program, block(cluster, program.n_rows),
+            perturbation=DETERMINISTIC, io_mode="instrumented",
+            run_cache=False, telemetry=rec,
         )
+        assert not result.fast_forwarded
+        assert rec.counters["sim/fallback/instrumented"] == 1
 
     def test_iteration_profile_bypasses(self):
         cluster, program = self._cluster_program()
@@ -165,20 +170,6 @@ class TestFallbacks:
         full, fast = _run_pair(cluster, program)
         assert not fast.fast_forwarded
         assert fast.iteration_ends == full.iteration_ends
-
-    def test_explicit_flag_and_process_default(self):
-        cluster, program = self._cluster_program()
-        emulator = ClusterEmulator(cluster, program, DETERMINISTIC)
-        d = block(cluster, program.n_rows)
-        assert not emulator.run(d, fast_forward=False).fast_forwarded
-        previous = set_fast_forward_default(False)
-        try:
-            assert not fast_forward_default()
-            assert not emulator.run(d).fast_forwarded
-            # An explicit True overrides the process default.
-            assert emulator.run(d, fast_forward=True).fast_forwarded
-        finally:
-            set_fast_forward_default(previous)
 
 
 class TestSteadyDetection:
@@ -277,29 +268,8 @@ class TestEmulateAndRunCache:
             cluster, program, d, 10, PerturbationConfig()
         )
         assert base != RunCache.key(
-            cluster, program, d, 10, DETERMINISTIC, fast_forward=False
-        )
-        assert base != RunCache.key(
             cluster, program, d, 10, DETERMINISTIC, instrumented=True
         )
-
-    def test_fast_forward_mode_does_not_share_entries(self):
-        cluster, program, d = self._workload()
-        cache = RunCache()
-        fast = emulate(
-            cluster, program, d, perturbation=DETERMINISTIC, run_cache=cache
-        )
-        full = emulate(
-            cluster,
-            program,
-            d,
-            perturbation=DETERMINISTIC,
-            run_cache=cache,
-            fast_forward=False,
-        )
-        assert cache.hits == 0 and cache.misses == 2
-        assert fast.fast_forwarded and not full.fast_forwarded
-        assert _rel_close(fast.total_seconds, full.total_seconds)
 
     def test_cache_false_bypasses(self):
         cluster, program, d = self._workload()

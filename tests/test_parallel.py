@@ -18,6 +18,7 @@ from repro.parallel import (
     verify_distributions,
 )
 from repro.apps import JacobiApp
+from repro.sim import PerturbationConfig
 
 SCALE = 0.02  # tiny problems: full protocol, milliseconds of wall time
 
@@ -334,3 +335,44 @@ class TestVerifyDistributions:
         direct = [emulator.run(d).total_seconds for d in dists]
         assert verify_distributions(cluster, program, dists, jobs=1) == direct
         assert verify_distributions(cluster, program, dists, jobs=2) == direct
+
+    def test_sharded_run_reads_and_fills_the_run_cache(self):
+        """``jobs=2`` leaves the run cache holding what ``jobs=1``
+        leaves, and a repeat is served from it without a worker."""
+        from repro.obs import Recorder
+        from repro.parallel import RunCache
+
+        cluster = config_dc()
+        program = JacobiApp.paper(scale=SCALE).structure.with_iterations(3)
+        dists = [
+            block(cluster, program.n_rows),
+            balanced(cluster, program.n_rows),
+            GenBlock((1,) * (cluster.n_nodes - 1)
+                     + (program.n_rows - cluster.n_nodes + 1,)),
+        ]
+        keys = [
+            RunCache.key(cluster, program, d, 3, PerturbationConfig())
+            for d in dists
+        ]
+        serial, sharded = RunCache(), RunCache()
+        totals = verify_distributions(
+            cluster, program, dists, jobs=1, run_cache=serial
+        )
+        assert verify_distributions(
+            cluster, program, dists, jobs=2, run_cache=sharded
+        ) == totals
+        assert len(sharded) == len(serial) == len(dists)
+        for key in keys:
+            a, b = serial.get(key), sharded.get(key)
+            assert b is not None
+            assert (a.total_seconds, a.per_node_seconds, a.iteration_ends) == (
+                b.total_seconds, b.per_node_seconds, b.iteration_ends
+            )
+        rec = Recorder()
+        hits = sharded.hits
+        assert verify_distributions(
+            cluster, program, dists, jobs=2, run_cache=sharded, telemetry=rec
+        ) == totals
+        assert sharded.hits - hits == len(dists)
+        assert rec.counters["verify/cache_hits"] == len(dists)
+        assert rec.counters.get("parallel/tasks", 0) == 0

@@ -3,18 +3,21 @@
 The compiled :class:`~repro.sim.plan_sim.EmulationPlan` replays per-rank
 op tapes with the engine's exact arithmetic, so a plan-served run whose
 iterations differ (noise, background load, cluster dynamics) or that is
-no longer than the probe must equal ``emulate(..., fast_forward=False)``
-bit for bit, and a stationary deterministic one must reproduce the
-engine's probe window bit for bit before extrapolating.  Hypothesis
+no longer than the probe must equal the engine oracle
+(:func:`tests.emulator_reference.engine_run`) bit for bit, and a
+stationary deterministic one must reproduce the engine's probe window
+bit for bit before extrapolating.  Hypothesis
 draws the app, the Table-1 cluster, a Dirichlet layout with a one-row
 node, the streaming style, the run length, noise and the batch size,
 and separately a dynamics scenario and its start, an offset, background
 load and short runs.  Every candidate the plan cannot serve is counted
-under ``sim/fallback/<reason>`` and still equals the engine; a forced
-noise or dynamics-factor mismatch retires the plan at its self-check.
-The 2-D Jacobi emulator's tapes replay through the same plans: one
-case draws its grid, bands, node memory, noise, load, dynamics and run
-length.
+under ``sim/fallback/<reason>`` and still equals the engine, so every
+run is either plan-served or a counted fallback; a forced noise or
+dynamics-factor mismatch retires the plan at its self-check.  The 2-D
+Jacobi emulator's tapes replay through the same plans: one case draws
+its grid, bands, node memory, noise, load, dynamics and run length.
+The CLI's paper-scale 2-D search winners, 2-D block layouts and 1-D
+dynamic runs are pinned to the engine exactly.
 """
 
 import dataclasses
@@ -31,11 +34,13 @@ from repro.apps import (
     JacobiApp,
     MultigridApp,
     RnaPipelineApp,
+    application_by_name,
 )
 from repro.cluster import dynamics_scenario, table1_configs
 from repro.distribution import GenBlock, block, largest_remainder_round
 from repro.obs import Recorder
 from repro.sim import (
+    ClusterEmulator,
     FastForwardPolicy,
     PerturbationConfig,
     emulate,
@@ -44,8 +49,17 @@ from repro.sim import (
 from repro.cluster.dynamics import DynamicsTimeline
 from repro.sim.perturbation import PerturbationModel
 from repro.sim.trace import TraceCollector
-from repro.twod import GenBlock2D, Jacobi2DSpec, TwoDEmulator, factor_pairs
+from repro.twod import (
+    GenBlock2D,
+    Jacobi2DSpec,
+    TwoDEmulator,
+    TwoDLayoutSearch,
+    block2d,
+    build_2d_model,
+    factor_pairs,
+)
 from repro.util.units import mib
+from tests.emulator_reference import engine_run
 
 SCALE = 0.05
 APPS = {
@@ -74,11 +88,36 @@ def _layout(P, n_rows, seed, one_row):
     return GenBlock(tuple(int(c) for c in counts))
 
 
-def _engine(cluster, program, dist, perturbation, **kw):
-    return emulate(
-        cluster, program, dist, perturbation=perturbation,
-        fast_forward=False, run_cache=False, **kw,
+def _engine(cluster, program, dist, perturbation, *, dynamics=None,
+            observer=None, **kw):
+    """The engine oracle's run (an observer changes no timing)."""
+    emulator = ClusterEmulator(cluster, program, perturbation, dynamics=dynamics)
+    return engine_run(emulator, dist, **kw)
+
+
+def _fallbacks(counters, prefix="sim"):
+    return sum(
+        n for k, n in counters.items() if k.startswith(f"{prefix}/fallback/")
     )
+
+
+def _assert_runs_accounted(counters):
+    """Every 1-D run is plan-served or a counted fallback."""
+    assert counters.get("sim/runs", 0) == (
+        counters.get("sim/plan_runs", 0) + _fallbacks(counters)
+    )
+
+
+def _assert_twod_runs_accounted(counters):
+    """Every 2-D run is plan-served or a counted fallback."""
+    assert counters["sim/twod/runs"] == (
+        counters.get("sim/twod/plan_runs", 0) + _fallbacks(counters, "sim/twod")
+    )
+
+
+def _assert_batch_accounted(counters):
+    """Every engine-run batch candidate is a counted fallback."""
+    assert counters["sim/batch/fallbacks"] == _fallbacks(counters)
 
 
 def _assert_identical(a, b):
@@ -138,6 +177,7 @@ def test_replay_matches_engine(app, config, seed, one_row, prefetch,
         telemetry=rec,
     )
     assert rec.counters["sim/batch/plan_runs"] == batch
+    _assert_batch_accounted(rec.counters)
     _live_plan(cluster, program, pert)
     for dist, got in zip(dists, batched):
         single = emulate(
@@ -195,17 +235,20 @@ def test_dynamic_replay_matches_engine(app, config, seed, prefetch, scenario,
         iteration_offset=offset, run_cache=False,
     )
     dists = [_layout(P, program.n_rows, seed + b, b % P) for b in range(batch)]
-    rec = Recorder()
-    batched = emulate_many(cluster, program, dists, telemetry=rec, **kw)
+    brec, rec = Recorder(), Recorder()
+    batched = emulate_many(cluster, program, dists, telemetry=brec, **kw)
     singles = [emulate(cluster, program, d, telemetry=rec, **kw) for d in dists]
-    assert rec.counters["sim/batch/plan_runs"] == batch
+    assert brec.counters["sim/batch/plan_runs"] == batch
     assert rec.counters["sim/plan_runs"] == batch
-    assert not [k for k in rec.counters if k.startswith("sim/fallback/")]
+    _assert_batch_accounted(brec.counters)
+    _assert_runs_accounted(rec.counters)
+    assert not _fallbacks(brec.counters) + _fallbacks(rec.counters)
     _live_plan(cluster, program, pert)
     for dist, got, single in zip(dists, batched, singles):
         _assert_identical(got, single)
-        ref = emulate(
-            cluster, program, dist, fast_forward=False, **kw
+        ref = _engine(
+            cluster, program, dist, pert, dynamics=spec,
+            iterations=iterations, iteration_offset=offset,
         )
         _assert_identical(got, ref)
 
@@ -224,6 +267,7 @@ def test_disk_fade_scales_io_and_prefetch_ops():
         run_cache=False, telemetry=rec,
     )
     assert rec.counters["sim/plan_runs"] == 1
+    _assert_runs_accounted(rec.counters)
     static = emulate(
         cluster, program, dist, perturbation=DETERMINISTIC, run_cache=False
     )
@@ -254,6 +298,7 @@ def test_io_mode_overrides_replay_their_own_style():
             run_cache=False, telemetry=rec,
         )
         assert rec.counters["sim/plan_runs"] == 1
+        _assert_runs_accounted(rec.counters)
         ref = _engine(cluster, program, dist, NOISY, io_mode=io_mode)
         _assert_identical(results[io_mode], ref)
     _assert_identical(results["auto"], results["prefetch"])
@@ -301,6 +346,7 @@ def test_forced_dynamics_mismatch_retires_the_plan(monkeypatch):
     assert plan.dead is not None and plan.dead.startswith("self-check")
     assert rec.counters["sim/fallback/plan_dead"] == len(dists)
     assert rec.counters.get("sim/batch/plan_runs", 0) == 0
+    _assert_batch_accounted(rec.counters)
     for dist, result in zip(dists, got):
         ref = _engine(
             cluster, program, dist, NOISY, dynamics=spec, iteration_offset=3
@@ -338,6 +384,7 @@ def test_forced_noise_mismatch_retires_the_plan(monkeypatch):
     assert plan.dead is not None and plan.dead.startswith("self-check")
     assert rec.counters["sim/fallback/plan_dead"] == len(dists)
     assert rec.counters.get("sim/batch/plan_runs", 0) == 0
+    _assert_batch_accounted(rec.counters)
     for dist, result in zip(dists, got):
         _assert_identical(result, _engine(cluster, program, dist, NOISY))
 
@@ -433,7 +480,7 @@ def test_plan_served_run_is_engine_identical(case):
         block(cluster, program.n_rows),
         _layout(cluster.n_nodes, program.n_rows, 7, 3),
     ]
-    rec = Recorder()
+    rec, brec = Recorder(), Recorder()
     singles = [
         emulate(
             cluster, program, d, perturbation=pert, run_cache=False,
@@ -443,12 +490,13 @@ def test_plan_served_run_is_engine_identical(case):
     ]
     batched = emulate_many(
         cluster, program, dists, perturbation=pert, run_cache=False,
-        telemetry=rec, **kw,
+        telemetry=brec, **kw,
     )
-    counters = rec.counters
-    assert counters["sim/plan_runs"] == len(dists)
-    assert counters["sim/batch/plan_runs"] == len(dists)
-    assert not [k for k in counters if k.startswith("sim/fallback/")]
+    assert rec.counters["sim/plan_runs"] == len(dists)
+    assert brec.counters["sim/batch/plan_runs"] == len(dists)
+    _assert_runs_accounted(rec.counters)
+    _assert_batch_accounted(brec.counters)
+    assert not _fallbacks(rec.counters) + _fallbacks(brec.counters)
     for d, single, got in zip(dists, singles, batched):
         _assert_identical(got, single)
         _assert_identical(single, _engine(cluster, program, d, pert, **kw))
@@ -473,23 +521,23 @@ def test_fallback_is_counted_and_engine_identical(reason, monkeypatch):
         )
         for d in dists
     ]
-    expected = len(dists)
+    recorders = [rec]
     if "observer" not in kw:  # emulate_many takes no observer
+        brec = Recorder()
         batched = emulate_many(
             cluster, program, dists, perturbation=pert, run_cache=False,
-            telemetry=rec, **kw,
+            telemetry=brec, **kw,
         )
         for a, b in zip(batched, singles):
             _assert_identical(a, b)
-        expected *= 2
-        assert rec.counters["sim/batch/fallbacks"] == len(dists)
-    counters = rec.counters
-    assert counters[f"sim/fallback/{reason}"] == expected
-    assert not [
-        k for k in counters
-        if k.startswith("sim/fallback/") and k != f"sim/fallback/{reason}"
-    ]
-    assert "sim/plan_runs" not in counters
+        assert brec.counters["sim/batch/fallbacks"] == len(dists)
+        _assert_batch_accounted(brec.counters)
+        recorders.append(brec)
+    _assert_runs_accounted(rec.counters)
+    for counters in (r.counters for r in recorders):
+        assert counters[f"sim/fallback/{reason}"] == len(dists)
+        assert _fallbacks(counters) == len(dists)
+        assert "sim/plan_runs" not in counters
     for d, got in zip(dists, singles):
         ref = _engine(cluster, program, d, pert, **kw)
         _assert_identical(got, ref)
@@ -505,27 +553,27 @@ def test_totals_are_python_floats_on_every_route():
     dist = block(cluster, program.n_rows)
     spec2d = Jacobi2DSpec(n_rows=400, n_cols=400, iterations=8)
     dist2d = GenBlock2D([200, 200], [100] * 4)
-    for fast_forward in (True, False):
-        rec = Recorder()
-        result = emulate(
-            cluster, program, dist, perturbation=NOISY, dynamics=spec,
-            fast_forward=fast_forward, run_cache=False, telemetry=rec,
-        )
-        (batched,) = emulate_many(
-            cluster, program, [dist], perturbation=NOISY, dynamics=spec,
-            fast_forward=fast_forward, run_cache=False,
-        )
-        for got in (result, batched):
-            assert type(got.total_seconds) is float
-            assert {type(x) for x in got.per_node_seconds} == {float}
-        total = TwoDEmulator(cluster, spec2d, NOISY, dynamics=spec).run(
-            dist2d, fast_forward=fast_forward, telemetry=rec,
-        )
-        assert type(total) is float
-        plan_served = rec.counters.get("sim/plan_runs", 0) + rec.counters.get(
-            "sim/twod/plan_runs", 0
-        )
-        assert plan_served == (2 if fast_forward else 0)
+    rec = Recorder()
+    result = emulate(
+        cluster, program, dist, perturbation=NOISY, dynamics=spec,
+        run_cache=False, telemetry=rec,
+    )
+    (batched,) = emulate_many(
+        cluster, program, [dist], perturbation=NOISY, dynamics=spec,
+        run_cache=False,
+    )
+    emulator = ClusterEmulator(cluster, program, NOISY, dynamics=spec)
+    for got in (result, batched, engine_run(emulator, dist)):
+        assert type(got.total_seconds) is float
+        assert {type(x) for x in got.per_node_seconds} == {float}
+    emulator2d = TwoDEmulator(cluster, spec2d, NOISY, dynamics=spec)
+    total = emulator2d.run(dist2d, telemetry=rec)
+    assert type(total) is float
+    assert type(engine_run(emulator2d, dist2d).total_seconds) is float
+    assert rec.counters["sim/plan_runs"] == 1
+    assert rec.counters["sim/twod/plan_runs"] == 1
+    _assert_runs_accounted(rec.counters)
+    _assert_twod_runs_accounted(rec.counters)
 
 
 def _bands(shares, total):
@@ -578,9 +626,9 @@ def test_twod_replay_matches_engine(P, shape_index, side, row_shares,
     emulator = TwoDEmulator(cluster, spec, pert, dynamics=dynamics)
     rec = Recorder()
     got = emulator.run(dist, iteration_offset=offset, telemetry=rec)
-    ref = emulator.run(dist, iteration_offset=offset, fast_forward=False)
+    ref = engine_run(emulator, dist, iteration_offset=offset).total_seconds
     assert rec.counters["sim/twod/plan_runs"] == 1
-    assert not [k for k in rec.counters if k.startswith("sim/twod/fallback/")]
+    _assert_twod_runs_accounted(rec.counters)
     plan = emulator._emulation_plan(dist, False)
     assert plan.dead is None
     if rec.counters.get("sim/twod/fast_forwards"):
@@ -589,3 +637,72 @@ def test_twod_replay_matches_engine(P, shape_index, side, row_shares,
         assert abs(got - ref) <= 1e-9 * ref
     else:
         assert got == ref
+
+
+# -- the CLI's paper-scale runs, against the engine -----------------------------
+
+
+def _paper_2d_spec():
+    """The 2-D spec ``repro search jacobi --scale 1.0 --twod`` builds."""
+    program = application_by_name("jacobi", 1.0).structure
+    return Jacobi2DSpec(
+        n_rows=program.n_rows, n_cols=program.n_rows,
+        iterations=program.iterations,
+    )
+
+
+def _assert_twod_plan_is_engine(cluster, spec, dist):
+    emulator = TwoDEmulator(cluster, spec)
+    rec = Recorder()
+    got = emulator.run(dist, telemetry=rec)
+    assert rec.counters["sim/twod/plan_runs"] == 1
+    _assert_twod_runs_accounted(rec.counters)
+    assert got == engine_run(emulator, dist).total_seconds
+
+
+@pytest.mark.parametrize("config", ["IO", "HY1"])
+def test_twod_search_winner_is_engine_identical(config):
+    """``repro search jacobi --config C --scale 1.0 --twod all --verify``:
+    the 32 MiB nodes stream their tiles from disk, and the verified
+    winner's plan-served total is the engine's."""
+    cluster = table1_configs()[config]
+    spec = _paper_2d_spec()
+    d0 = min(factor_pairs(cluster.n_nodes), key=lambda s: abs(s[0] - s[1]))
+    model = build_2d_model(
+        cluster, spec, block2d(spec.n_rows, spec.n_cols, d0)
+    )
+    best = TwoDLayoutSearch(model, algorithm="gbs").search(150).best
+    _assert_twod_plan_is_engine(cluster, spec, best)
+
+
+@pytest.mark.parametrize("shape", factor_pairs(8))
+@pytest.mark.parametrize("config", ["IO", "HY1"])
+def test_twod_paper_block_layout_is_engine_identical(config, shape):
+    cluster = table1_configs()[config]
+    spec = _paper_2d_spec()
+    _assert_twod_plan_is_engine(
+        cluster, spec, block2d(spec.n_rows, spec.n_cols, shape)
+    )
+
+
+@pytest.mark.parametrize(
+    "scenario", ["drift", "load-spike", "node-loss", "disk-fade"]
+)
+def test_paper_scale_dynamic_run_is_engine_identical(scenario):
+    """``repro emulate jacobi --config IO --scale 1.0 --iterations 30
+    --dynamics S --dynamics-start 5``: the dynamic run replays I/O and
+    prefetch ops, bit for bit the engine's."""
+    cluster = table1_configs()["IO"]
+    program = application_by_name("jacobi", 1.0).structure
+    spec = dynamics_scenario(scenario, cluster.n_nodes, start=5)
+    dist = block(cluster, program.n_rows)
+    rec = Recorder()
+    got = emulate(
+        cluster, program, dist, iterations=30, dynamics=spec,
+        run_cache=False, telemetry=rec,
+    )
+    assert rec.counters["sim/plan_runs"] == 1
+    _assert_runs_accounted(rec.counters)
+    _assert_identical(
+        got, _engine(cluster, program, dist, None, dynamics=spec, iterations=30)
+    )

@@ -65,12 +65,10 @@ class TestKeyMemoisation:
     def test_key_base_composition_matches_key(self):
         cluster, program, d = _setup()
         direct = RunCache.key(
-            cluster, program, d, ITERATIONS, DETERMINISTIC,
-            instrumented=False, fast_forward=True,
+            cluster, program, d, ITERATIONS, DETERMINISTIC, instrumented=False,
         )
         base = RunCache.key_base(
-            cluster, program, ITERATIONS, DETERMINISTIC,
-            instrumented=False, fast_forward=True,
+            cluster, program, ITERATIONS, DETERMINISTIC, instrumented=False,
         )
         assert RunCache.key_from_base(base, d.counts) == direct
 
@@ -79,13 +77,12 @@ class TestKeyMemoisation:
         keys = {
             RunCache.key_base(
                 cluster, program, it, DETERMINISTIC,
-                instrumented=instr, fast_forward=ff,
+                instrumented=instr,
             )
             for it in (8, 16)
             for instr in (False, True)
-            for ff in (False, True)
         }
-        assert len(keys) == 8
+        assert len(keys) == 4
 
     def test_dynamics_is_part_of_the_key(self):
         """Static and dynamic runs of one layout never share an entry:
@@ -133,9 +130,8 @@ class TestKeyMemoisation:
         ) == "216598baa8b48271a6b171a80cebd5fa66903afdb6076824b9766a73bc852ac5"
         assert RunCache.key_base(
             cluster, program, ITERATIONS, DETERMINISTIC, instrumented=True,
-            fast_forward=False, dynamics=spec, io_mode="sync",
-            iteration_offset=3,
-        ) == "43795c196f2521d5ab155e1d304f8feca3f6f997498a1b92dad80c4ef1e3afdd"
+            dynamics=spec, io_mode="sync", iteration_offset=3,
+        ) == "42382e1720c9474fcfede9f6d0e964558ddc5a29e822742714b155400203a146"
         assert RunCache.key(
             cluster, program, d, ITERATIONS, DETERMINISTIC
         ) == "ccfe25813256a3f3f9d63b860e4c48b54eac04581e718847eb422eb8feccdc02"
@@ -160,8 +156,7 @@ class TestDiskTier:
         reloaded = RunCache(path=path)
         assert reloaded.loaded_from_disk == 1
         key = RunCache.key(
-            cluster, program, d, ITERATIONS, DETERMINISTIC,
-            instrumented=False, fast_forward=True,
+            cluster, program, d, ITERATIONS, DETERMINISTIC, instrumented=False,
         )
         hit = reloaded.get(key)
         assert hit is not None
@@ -190,8 +185,7 @@ class TestDiskTier:
         assert len(merged) == 2
         # The first process's entry survived the second's save.
         key_a = RunCache.key(
-            cluster, program, d, ITERATIONS, DETERMINISTIC,
-            instrumented=False, fast_forward=True,
+            cluster, program, d, ITERATIONS, DETERMINISTIC, instrumented=False,
         )
         assert key_a in merged and key_b in merged
 

@@ -18,6 +18,7 @@ from repro.twod import (
 )
 from repro.twod.search_space import one_d_candidates, two_d_candidates
 from repro.util.units import mib
+from tests.emulator_reference import engine_run
 
 IDEAL = PerturbationConfig.none()
 PERFECT = MeasurementConfig.perfect()
@@ -494,9 +495,9 @@ class TestTwoDFastForward:
             else balanced2d(cluster, spec.n_rows, spec.n_cols, shape)
         )
         emulator = TwoDEmulator(cluster, spec, deterministic)
-        full = emulator.run(dist, fast_forward=False)
+        full = engine_run(emulator, dist).total_seconds
         rec = Recorder()
-        fast = emulator.run(dist, fast_forward=True, telemetry=rec)
+        fast = emulator.run(dist, telemetry=rec)
         assert rec.counters["sim/twod/fast_forwards"] == 1
         assert abs(fast - full) / abs(full) <= 1e-9
 
@@ -508,9 +509,9 @@ class TestTwoDFastForward:
         spec = self._spec()
         dist = block2d(spec.n_rows, spec.n_cols, (2, 4))
         emulator = TwoDEmulator(cluster, spec, PerturbationConfig())
-        full = emulator.run(dist, fast_forward=False)
+        full = engine_run(emulator, dist).total_seconds
         rec = Recorder()
-        fast = emulator.run(dist, fast_forward=True, telemetry=rec)
+        fast = emulator.run(dist, telemetry=rec)
         assert fast == full
         assert rec.counters["sim/twod/plan_runs"] == 1
         assert "sim/twod/fast_forwards" not in rec.counters
@@ -526,38 +527,15 @@ class TestTwoDFastForward:
         emulator = TwoDEmulator(cluster, spec, deterministic)
         rec = Recorder()
         # Too few iterations for the probe window.
-        emulator.run(dist, iterations=3, fast_forward=True, telemetry=rec)
+        emulator.run(dist, iterations=3, telemetry=rec)
         assert "sim/twod/fast_forwards" not in rec.counters
         # A collector is an observer: it must see every iteration.
         from repro.sim.trace import TraceCollector
 
         collector = TraceCollector()
         rec2 = Recorder()
-        emulator.run(
-            dist, fast_forward=True, observer=collector, telemetry=rec2
-        )
+        emulator.run(dist, observer=collector, telemetry=rec2)
         assert "sim/twod/fast_forwards" not in rec2.counters
-
-    def test_respects_global_default(self):
-        from repro.cluster import table1_configs
-        from repro.obs import Recorder
-        from repro.sim import set_fast_forward_default
-
-        cluster = table1_configs()["HY1"]
-        spec = self._spec()
-        deterministic = PerturbationConfig().without(compute_noise=False)
-        dist = block2d(spec.n_rows, spec.n_cols, (2, 4))
-        emulator = TwoDEmulator(cluster, spec, deterministic)
-        set_fast_forward_default(False)
-        try:
-            rec = Recorder()
-            emulator.run(dist, telemetry=rec)
-            assert "sim/twod/fast_forwards" not in rec.counters
-        finally:
-            set_fast_forward_default(True)
-        rec2 = Recorder()
-        emulator.run(dist, telemetry=rec2)
-        assert rec2.counters["sim/twod/fast_forwards"] == 1
 
 
 class TestTwoDRoutes:
@@ -604,7 +582,7 @@ class TestTwoDRoutes:
         rec = Recorder()
         got = emulator.run(dist, telemetry=rec, **kw)
         kw.pop("observer", None)
-        assert got == emulator.run(dist, fast_forward=False, **kw)
+        assert got == engine_run(emulator, dist, **kw).total_seconds
         counters = rec.counters
         assert counters[f"sim/twod/fallback/{reason}"] == 1
         assert counters["sim/twod/runs"] == 1
@@ -637,5 +615,5 @@ class TestTwoDRoutes:
         assert plan.dead is not None and plan.dead.startswith("self-check")
         assert rec.counters["sim/twod/fallback/plan_dead"] == 2
         assert "sim/twod/plan_runs" not in rec.counters
-        ref = emulator.run(dist, fast_forward=False)
+        ref = engine_run(emulator, dist).total_seconds
         assert got == [ref, ref]
