@@ -13,7 +13,8 @@ candidate on its own.  ``jobs > 1`` looks the population up in the run
 cache first, deals the misses round-robin (the ``j``-th miss to shard
 ``j % n_shards``) to one batched pass per worker, and puts the
 workers' results back into the cache, so results and the cache's
-contents stay independent of ``jobs``.
+contents stay independent of ``jobs``.  So does the telemetry: each
+worker's recorder is merged into the caller's.
 """
 
 from __future__ import annotations
@@ -37,20 +38,25 @@ def _verify_batch_task(
         Optional[PerturbationConfig],
         object,
         Tuple[Tuple[int, ...], ...],
+        bool,
     ]
-) -> list:
+) -> Tuple[list, Optional[Recorder]]:
+    """One shard's batched pass: its results and, if ``record``, telemetry."""
     from repro.sim.executor import emulate_many
 
-    cluster, program, perturbation, dynamics, counts_batch = spec
+    cluster, program, perturbation, dynamics, counts_batch, record = spec
+    rec = Recorder() if record else None
     # The parent owns the run cache: it looked these up and stores them.
-    return emulate_many(
+    results = emulate_many(
         cluster,
         program,
         [GenBlock(counts) for counts in counts_batch],
         perturbation=perturbation,
         dynamics=dynamics,
         run_cache=False,
+        telemetry=rec,
     )
+    return results, rec
 
 
 def verify_distributions(
@@ -116,7 +122,7 @@ def verify_distributions(
         shards[j % n_shards].append(i)
     tasks = [
         (cluster, program, perturbation, dynamics,
-         tuple(tuple(distributions[i].counts) for i in shard))
+         tuple(tuple(distributions[i].counts) for i in shard), bool(rec))
         for shard in shards
         if shard
     ]
@@ -125,7 +131,9 @@ def verify_distributions(
             _verify_batch_task, tasks
         )
     fresh = []
-    for shard, results in zip(shards, shard_results):
+    for shard, (results, worker_rec) in zip(shards, shard_results):
+        if worker_rec is not None:
+            rec.merge(worker_rec)
         for i, result in zip(shard, results):
             totals[i] = result.total_seconds
             fresh.append((keys[i], result))

@@ -244,25 +244,35 @@ class _TapeLowering:
         self.bases: List[List[float]] = []
         #: Record template -> index, on observed lowerings only.
         self.templates: Optional[dict] = {} if observe else None
+        #: ``(op index, variable or None for a write, bytes)`` of the
+        #: first iteration's disk ops, when :meth:`lower` reuses it.
+        self._served: Optional[list] = None
 
     def lower(self, n_iter: int, offset: int) -> _Tape:
         """``n_iter`` iterations from global iteration ``offset`` —
         fewer once one repeats: after three iterations, when the last
         two are equal and every disk stream the last one touched was
         already warm when it began, every later iteration equals it
-        (never for a program with an iteration profile)."""
+        (never for a program with an iteration profile).  Without a
+        profile an iteration depends on history only through page-cache
+        warmth, so only the first goes through :meth:`_iteration`; each
+        later one repeats its ops with the disk ops served again."""
         ops, bounds = self.ops, [0]
         # Under an iteration profile two equal iterations say nothing
         # of the next one, so profiled programs lower every iteration.
         may_stop = n_iter > _MIN_LOWERED and self.repeatable
         state = self.disk.stream_state()
         repeats = False
+        self._served = [] if self.repeatable else None
         for local in range(n_iter):
-            self.bases.append([])
-            self._iteration(local + offset)
-            self._open()
-            self._close(Op.ITERATION_END, "", 0, None, None)
-            ops.append((_END, 0, 0.0, 0, 0))
+            if local and self._served is not None:
+                self._repeat_first(bounds[1])
+            else:
+                self.bases.append([])
+                self._iteration(local + offset)
+                self._open()
+                self._close(Op.ITERATION_END, "", 0, None, None)
+                ops.append((_END, 0, 0.0, 0, 0))
             bounds.append(len(ops))
             before, state = state, self.disk.stream_state()
             if may_stop and local + 1 >= _MIN_LOWERED and self._repeating(
@@ -279,6 +289,16 @@ class _TapeLowering:
     def _iteration(self, it: int) -> None:
         """Lower global iteration ``it`` (without its ``end``)."""
         raise NotImplementedError
+
+    def _repeat_first(self, stop: int) -> None:
+        """Append the first iteration (``ops[:stop]``) again, each disk
+        op's duration served anew in the order it was first served."""
+        ops = self.ops
+        start = len(ops)
+        ops.extend(ops[:stop])
+        for i, var, nbytes in self._served:
+            ops[start + i] = (ops[i][0], 0, self._service(var, nbytes), 0, 0)
+        self.bases.append(self.bases[0])
 
     def _repeating(self, before: dict, after: dict, bounds: List[int]) -> bool:
         """Does the last lowered iteration repeat forever?  Yes when
@@ -307,14 +327,26 @@ class _TapeLowering:
         if seconds > 0.0:
             self.ops.append((_CPU, 0, seconds, 0, 0))
 
+    def _service(self, var, nbytes) -> float:
+        """Service time of a read of ``nbytes`` of ``var``, or of a
+        write when ``var`` is ``None``; a read advances its stream."""
+        if var is None:
+            return self.disk.write_service(nbytes)
+        return self.disk.read_service(var, nbytes)[0]
+
+    def _disk_op(self, kind, var, nbytes) -> None:
+        if self._served is not None:
+            self._served.append((len(self.ops), var, nbytes))
+        self.ops.append((kind, 0, self._service(var, nbytes), 0, 0))
+
     def _read(self, var, nbytes, section, tile, stage, rows=0):
         self._open()
-        self.ops.append((_IO, 0, self.disk.read_service(var, nbytes)[0], 0, 0))
+        self._disk_op(_IO, var, nbytes)
         self._close(Op.READ, section, tile, stage, var, nbytes, rows)
 
     def _write(self, var, nbytes, section, tile, stage, rows=0):
         self._open()
-        self.ops.append((_IO, 0, self.disk.write_service(nbytes), 0, 0))
+        self._disk_op(_IO, None, nbytes)
         self._close(Op.WRITE, section, tile, stage, var, nbytes, rows)
 
     def _compute(self, base, draw, section, tile, stage, rows=1, of=1):
@@ -327,9 +359,7 @@ class _TapeLowering:
     def _prefetch_issue(self, var, nbytes, section, tile, stage, rows):
         self._open()
         self._cpu(PREFETCH_ISSUE_OVERHEAD)
-        self.ops.append(
-            (_PF_ISSUE, 0, self.disk.read_service(var, nbytes)[0], 0, 0)
-        )
+        self._disk_op(_PF_ISSUE, var, nbytes)
         self._close(Op.PREFETCH_ISSUE, section, tile, stage, var, nbytes, rows)
 
     def _prefetch_wait(self, var, nbytes, section, tile, stage, rows):
@@ -699,7 +729,8 @@ class _Emulator:
             self._sampler(rank, distribution, instrumented) for rank in range(P)
         ]
         total, ends = _run_tapes(
-            tapes, n_iter, offset, samplers, timeline, sim_observer
+            tapes, [tape.iterations() for tape in tapes], n_iter, offset,
+            samplers, timeline, sim_observer,
         )
         result = RunResult(
             total_seconds=total,
@@ -896,9 +927,11 @@ class ClusterEmulator(_Emulator):
         return result
 
     @staticmethod
-    def _interpret(tape: _Tape, rank: int, n_iter: int, offset: int,
-                   perturb: PerturbationModel, timeline, observer, ends):
-        """The engine process of one rank: interpret its tape.
+    def _interpret(tape: _Tape, iterations: List[List[tuple]], rank: int,
+                   n_iter: int, offset: int, perturb: PerturbationModel,
+                   timeline, observer, ends):
+        """The engine process of one rank: interpret its tape (stored
+        ``iterations`` unpacked).
 
         Each stage execution's duration is ``base * noise *
         background``, times the iteration's dynamics multiplier, drawn
@@ -906,7 +939,6 @@ class ClusterEmulator(_Emulator):
         queues behind the rank's disk as
         :class:`~repro.sim.disk.DiskModel` schedules it.
         """
-        iterations = tape.iterations()
         last = len(iterations) - 1
         bases = tape.bases.tolist()
         noise, background = perturb.noise_factor, perturb.background_factor
@@ -1022,20 +1054,20 @@ class ClusterEmulator(_Emulator):
 # -- shared by every emulator --------------------------------------------------
 
 
-def _run_tapes(tapes: List[_Tape], n_iter: int, offset: int, samplers,
-               timeline: Optional[DynamicsTimeline] = None,
+def _run_tapes(tapes: List[_Tape], iterations: list, n_iter: int, offset: int,
+               samplers, timeline: Optional[DynamicsTimeline] = None,
                observer: Optional[Observer] = None,
                ) -> Tuple[float, List[List[float]]]:
-    """The event engine interpreting every rank's tape, rank ``r``
-    drawing from ``samplers[r]``: ``(total seconds, [rank][iteration]
-    ends)``."""
+    """The event engine interpreting every rank's tape (``iterations``:
+    each one's stored iterations, unpacked), rank ``r`` drawing from
+    ``samplers[r]``: ``(total seconds, [rank][iteration] ends)``."""
     engine = Engine()
     ends: List[List[float]] = [[] for _ in tapes]
     for rank, tape in enumerate(tapes):
         engine.add_process(
             ClusterEmulator._interpret(
-                tape, rank, n_iter, offset, samplers[rank], timeline,
-                observer, ends[rank],
+                tape, iterations[rank], rank, n_iter, offset, samplers[rank],
+                timeline, observer, ends[rank],
             ),
             node=rank,
         )

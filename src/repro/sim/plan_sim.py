@@ -28,12 +28,18 @@ Lowering
     background load or cluster dynamics is folded into a duration, so
     one tape serves every perturbation draw, dynamics scenario and
     offset.  A plan is compiled per streaming style (``io_mode``
-    ``"sync"`` or ``"prefetch"``, or the program's own).  The lowering
-    stops after three iterations once the last two are equal and every
-    disk stream the last one touched was already warm when it began:
-    from then on every iteration repeats it, so the tape stores the
-    iterations up to the repeating one and serves runs of any length.
-    Otherwise it covers every iteration the run needs.
+    ``"sync"`` or ``"prefetch"``, or the program's own).  Without an
+    iteration profile (every 2-D rank) only a rank's first iteration is
+    lowered op by op: each later one repeats its ops with the disk ops
+    served again, in order, so page-cache warmth advances as it would.
+    The lowering stops after three iterations once the last two are
+    equal and every disk stream the last one touched was already warm
+    when it began: from then on every iteration repeats it, so the
+    tape stores the iterations up to the repeating one and serves runs
+    of any length.  Otherwise it covers every iteration the run needs.
+    A replay lowers every rank its LRU misses in one call (one
+    placement pass) and unpacks each tape once for the skeleton check
+    and the walk.
 
 Replay
     One walk serves every run: per iteration, ranks advance through
@@ -149,12 +155,11 @@ def get_emulation_plan(cluster, program, perturbation,
     )
 
 
-def _skeleton(tape: _Tape) -> tuple:
+def _skeleton(iterations: List[List[tuple]]) -> tuple:
     """The channels of one iteration's communication ops, in order
-    (all stored iterations must agree)."""
+    (all of a tape's stored ``iterations`` must agree)."""
     sigs = {
-        tuple(op[:2] for op in ops if op[0] >= _SEND)
-        for ops in tape.iterations()
+        tuple(op[:2] for op in ops if op[0] >= _SEND) for ops in iterations
     }
     if len(sigs) != 1:
         raise _PlanUnsupported("comm skeleton varies across iterations")
@@ -216,7 +221,7 @@ class EmulationPlan:
         iterations starting at global iteration ``offset`` under
         ``dynamics`` (a :class:`~repro.cluster.dynamics.DynamicsSpec`
         or ``None``), bit-identical to the event engine, or ``None``
-        when the plan cannot serve the candidate."""
+        when the plan cannot serve the candidate (tapes: :meth:`_fetch`)."""
         if self.dead is not None:
             return None
         if not self._compiled:
@@ -232,11 +237,10 @@ class EmulationPlan:
         P = self.emulator.cluster.n_nodes
         timeline = dynamics.compile(P, n_iter, offset) if dynamics else None
         try:
-            tapes = [
-                self._tape(rank, distribution, n_iter) for rank in range(P)
-            ]
+            tapes, iterations = self._fetch(distribution, n_iter)
             ends = self._walk(
-                tapes, n_iter, *self._factors(distribution, tapes, n_iter, timeline)
+                tapes, iterations, n_iter,
+                *self._factors(distribution, tapes, n_iter, timeline),
             )
         except _PlanUnsupported as exc:
             self.dead = str(exc)
@@ -262,18 +266,28 @@ class EmulationPlan:
     def _tape_key(self, rank: int, distribution) -> tuple:
         return self.emulator._tape_key(rank, distribution)
 
-    def _tape(self, rank: int, distribution, n_iter: int) -> _Tape:
-        key = self._tape_key(rank, distribution)
-        tape = self._tapes.get(key)
-        if tape is not None and tape.covers(n_iter):
-            self.tape_hits += 1
-            return tape
-        self.tape_misses += 1
-        (tape,) = self._lower([rank], distribution, n_iter)
-        if _skeleton(tape) != self._skeleton[rank]:
-            raise _PlanUnsupported(f"rank {rank} comm skeleton changed")
-        self._tapes.put(key, tape)
-        return tape
+    def _fetch(self, distribution, n_iter: int) -> tuple:
+        """Every rank's tape covering ``n_iter`` iterations, and each
+        tape's iterations unpacked once: kept tapes from the LRU, the
+        misses lowered in one call and checked against the skeleton."""
+        P = self.emulator.cluster.n_nodes
+        keys = [self._tape_key(rank, distribution) for rank in range(P)]
+        tapes = [self._tapes.get(key) for key in keys]
+        misses = [
+            rank for rank, tape in enumerate(tapes)
+            if tape is None or not tape.covers(n_iter)
+        ]
+        self.tape_hits += P - len(misses)
+        self.tape_misses += len(misses)
+        lowered = self._lower(misses, distribution, n_iter) if misses else ()
+        for rank, tape in zip(misses, lowered):
+            tapes[rank] = tape
+        iterations = [tape.iterations() for tape in tapes]
+        for rank in misses:
+            if _skeleton(iterations[rank]) != self._skeleton[rank]:
+                raise _PlanUnsupported(f"rank {rank} comm skeleton changed")
+            self._tapes.put(keys[rank], tapes[rank])
+        return tapes, iterations
 
     def _channel(self, key: tuple) -> int:
         chan = self._channels.get(key)
@@ -306,16 +320,18 @@ class EmulationPlan:
         P = self.emulator.cluster.n_nodes
         probe = self.probe_iterations
         tapes = self._lower(range(P), distribution, probe)
-        self._skeleton = [_skeleton(tape) for tape in tapes]
+        iterations = [tape.iterations() for tape in tapes]
+        self._skeleton = [_skeleton(its) for its in iterations]
         timeline = dynamics.compile(P, probe, offset) if dynamics else None
         ends = self._walk(
-            tapes, probe, *self._factors(distribution, tapes, probe, timeline)
+            tapes, iterations, probe,
+            *self._factors(distribution, tapes, probe, timeline),
         )
         samplers = [
             self.emulator._sampler(rank, distribution) for rank in range(P)
         ]
         _, engine_ends = _run_tapes(
-            tapes, probe, offset, samplers, timeline
+            tapes, iterations, probe, offset, samplers, timeline
         )
         if ends != engine_ends:
             raise _PlanUnsupported("self-check: replay differs from the engine")
@@ -351,12 +367,12 @@ class EmulationPlan:
             return totals, None
         return totals, timeline.disk_slowdowns().tolist()
 
-    def _walk(self, tapes: List[_Tape], n_iter: int, totals: List[List[float]],
+    def _walk(self, tapes: List[_Tape], iters: List[List[List[tuple]]],
+              n_iter: int, totals: List[List[float]],
               slowdowns: Optional[List[List[float]]]) -> List[List[float]]:
-        """Replay ``n_iter`` iterations; see the module docstring for
-        the arithmetic each op repeats."""
+        """Replay ``n_iter`` iterations of ``tapes`` (``iters``: unpacked);
+        see the module docstring for the arithmetic each op repeats."""
         P = len(tapes)
-        iters = [tape.iterations() for tape in tapes]
         last = [len(its) - 1 for its in iters]
         draws = [tape.draws for tape in tapes]
         n_chan = len(self._channels)

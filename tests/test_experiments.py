@@ -1,5 +1,8 @@
 """Tests for the experiment harness (small-scale runs of every artefact)."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cluster import config_dc, config_io, table1_configs
@@ -111,6 +114,49 @@ class TestFig9:
             steps_per_leg=1,
         )
         assert all(run.app_name == "jacobi" for run in bands.runs)
+
+
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
+
+@pytest.fixture(scope="module")
+def fig9_all():
+    """One Figure-9 ``all`` sweep at paper scale (68 spectra)."""
+    return fig9_accuracy(panel="all", steps_per_leg=3)
+
+
+def _app_mean(bands, app):
+    errors = [
+        p.error_percent for run in bands.runs if run.app_name == app
+        for p in run.points
+    ]
+    return sum(errors) / len(errors)
+
+
+def _committed_overall(name):
+    """The ``overall`` mean error a committed Figure-9 panel printed."""
+    text = (RESULTS / f"{name}.txt").read_text()
+    return re.search(r"overall: ([0-9.]+)% average", text).group(1)
+
+
+class TestFig9Headline:
+    """The paper's Figure-9 claims at the paper's own scale: ~98 % mean
+    accuracy over four applications on seventeen architectures, with
+    RNA among the best-predicted and CG the worst."""
+
+    def test_all_panel_bounds(self, fig9_all):
+        assert len(fig9_all.runs) == 17 * 4
+        assert 0.1 < fig9_all.overall_average_percent < 7.0
+        assert max(fig9_all.maximum) < 40.0
+
+    def test_rna_beats_cg(self, fig9_all):
+        assert _app_mean(fig9_all, "rna") < _app_mean(fig9_all, "cg")
+
+    @pytest.mark.parametrize("app", ["rna", "cg"])
+    def test_app_mean_matches_its_committed_panel(self, fig9_all, app):
+        assert f"{_app_mean(fig9_all, app):.2f}" == _committed_overall(
+            f"fig9_{app}"
+        )
 
 
 class TestConfigCurves:

@@ -376,3 +376,40 @@ class TestVerifyDistributions:
         assert sharded.hits - hits == len(dists)
         assert rec.counters["verify/cache_hits"] == len(dists)
         assert rec.counters.get("parallel/tasks", 0) == 0
+
+    @pytest.mark.parametrize("profiled", [False, True])
+    def test_sharded_run_reports_the_workers_telemetry(self, profiled):
+        """``jobs=2`` reports the batch and fallback counts ``jobs=1``
+        does: each worker's recorder is merged into the caller's."""
+        from repro.obs import Recorder
+
+        cluster = config_dc()
+        program = JacobiApp.paper(scale=SCALE).structure.with_iterations(3)
+        if profiled:  # every candidate is an engine fallback
+            program = program.with_iteration_profile([1.0, 2.0, 1.5])
+        dists = [
+            block(cluster, program.n_rows),
+            balanced(cluster, program.n_rows),
+            GenBlock((1,) * (cluster.n_nodes - 1)
+                     + (program.n_rows - cluster.n_nodes + 1,)),
+        ]
+        counters = []
+        for jobs in (1, 2):
+            rec = Recorder()
+            verify_distributions(
+                cluster, program, dists, jobs=jobs, run_cache=False,
+                telemetry=rec,
+            )
+            counters.append(rec.counters)
+        serial, sharded = counters
+        for name in ("candidates", "plan_runs", "fallbacks"):
+            assert sharded.get(f"sim/batch/{name}") == serial.get(
+                f"sim/batch/{name}"
+            ), name
+        assert serial["sim/batch/candidates"] == len(dists)
+
+        def fallbacks(c):
+            return sum(n for k, n in c.items() if k.startswith("sim/fallback/"))
+
+        assert fallbacks(sharded) == fallbacks(serial)
+        assert fallbacks(serial) == (len(dists) if profiled else 0)

@@ -17,7 +17,11 @@ dynamics-factor mismatch retires the plan at its self-check.  The 2-D
 Jacobi emulator's tapes replay through the same plans: one case draws
 its grid, bands, node memory, noise, load, dynamics and run length.
 The CLI's paper-scale 2-D search winners, 2-D block layouts and 1-D
-dynamic runs are pinned to the engine exactly.
+dynamic runs are pinned to the engine exactly.  The lowering reuses a
+repeatable program's first iteration; its tapes must equal, byte for
+byte, those of :func:`tests.emulator_reference.lower_in_full`, which
+lowers every iteration (1-D draws over apps, ``io_mode``, observation,
+offset, length and memory; the 2-D draw over grids and memory).
 """
 
 import dataclasses
@@ -49,6 +53,7 @@ from repro.sim import (
 from repro.cluster.dynamics import DynamicsTimeline
 from repro.sim.perturbation import PerturbationModel
 from repro.sim.trace import TraceCollector
+from repro.twod.jacobi2d import _Lowering2D
 from repro.twod import (
     GenBlock2D,
     Jacobi2DSpec,
@@ -59,7 +64,7 @@ from repro.twod import (
     factor_pairs,
 )
 from repro.util.units import mib
-from tests.emulator_reference import engine_run
+from tests.emulator_reference import engine_run, lower_in_full
 
 SCALE = 0.05
 APPS = {
@@ -251,6 +256,126 @@ def test_dynamic_replay_matches_engine(app, config, seed, prefetch, scenario,
             iterations=iterations, iteration_offset=offset,
         )
         _assert_identical(got, ref)
+
+
+def _assert_lowering_exact(emulator, dist, n_iter, *, io_mode="auto",
+                           offset=0, observe=False):
+    """Every rank's tape, lowered as the emulator lowers it (the first
+    iteration reused), equals :func:`lower_in_full`'s: the same packed
+    ops, bounds, bases, repeat flag and record templates."""
+    P = emulator.cluster.n_nodes
+    instrumented, io_override = executor_mod._resolve_io_mode(io_mode)
+    twod = isinstance(emulator, TwoDEmulator)
+    prefetch = (
+        False if twod
+        else executor_mod._streaming_style(emulator.program, io_override)
+    )
+    channels, full_channels = {}, {}
+    tapes = emulator._lower_tapes(
+        range(P), dist, n_iter, prefetch,
+        lambda key: channels.setdefault(key, len(channels)),
+        offset=offset, instrumented=instrumented, observe=observe,
+    )
+    channel = lambda key: full_channels.setdefault(key, len(full_channels))  # noqa: E731
+    if twod:
+        lowerings = [
+            _Lowering2D(emulator, rank, dist, instrumented, channel, observe)
+            for rank in range(P)
+        ]
+    else:
+        memory = emulator._plans(range(P), dist.counts, instrumented)
+        lowerings = [
+            executor_mod._Lowering(
+                emulator, rank, *dist.rows_of(rank), memory[rank],
+                prefetch and not instrumented, channel, observe,
+            )
+            for rank in range(P)
+        ]
+    for tape, lowering in zip(tapes, lowerings):
+        full = lower_in_full(lowering, n_iter, offset)
+        assert tape.ops.tobytes() == full.ops.tobytes()
+        assert tape.bounds == full.bounds
+        assert tape.bases.shape == full.bases.shape
+        assert tape.bases.tobytes() == full.bases.tobytes()
+        assert tape.repeats == full.repeats
+        assert tape.records == full.records
+    assert channels == full_channels
+
+
+@settings(
+    deadline=None,
+    max_examples=12,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    app=st.sampled_from(["jacobi", "cg", "lanczos", "rna", "multigrid"]),
+    config=st.sampled_from(["DC", "IO", "HY1", "HY2"]),
+    seed=st.integers(0, 2**16),
+    io_mode=st.sampled_from(["auto", "sync", "prefetch", "instrumented"]),
+    prefetching=st.booleans(),
+    observe=st.booleans(),
+    offset=st.integers(0, 10),
+    iterations=st.integers(1, 40),
+    out_of_core=st.booleans(),
+    profiled=st.booleans(),
+)
+def test_lowering_reuses_first_iteration_exactly(app, config, seed, io_mode,
+                                                 prefetching, observe, offset,
+                                                 iterations, out_of_core,
+                                                 profiled):
+    """A repeatable program lowers its first iteration only and re-serves
+    the disk ops of every later one: whatever the app, streaming style,
+    instrumentation, observation, offset, run length and node memory,
+    each rank's tape is the one a full lowering of every iteration
+    makes, byte for byte.  A profiled program lowers every iteration."""
+    cluster = table1_configs()[config]
+    if out_of_core:
+        cluster = _small_memory(cluster)
+    application = application_by_name(app, SCALE)
+    program = application.prefetching() if prefetching else application.structure
+    program = program.with_iterations(iterations)
+    if profiled:
+        program = program.with_iteration_profile(
+            1.0 + 0.5 * (np.arange(iterations) % 3)
+        )
+    dist = _layout(cluster.n_nodes, program.n_rows, seed, seed % cluster.n_nodes)
+    _assert_lowering_exact(
+        ClusterEmulator(cluster, program), dist, iterations, io_mode=io_mode,
+        offset=offset, observe=observe,
+    )
+
+
+def test_replay_lowers_every_missing_tape_in_one_call(monkeypatch):
+    """A replay whose every rank misses the tape LRU lowers them all in
+    one ``_lower_tapes`` call (one memory-placement pass)."""
+    cluster = table1_configs()["HY1"]
+    program = _program("cg", False, PROBE + 1)
+    P = cluster.n_nodes
+    # A plan of its own: its tape LRU holds only what this test lowers.
+    plan = plan_sim.EmulationPlan(
+        ClusterEmulator(cluster, program, NOISY, dynamics=False)
+    )
+    first = block(cluster, program.n_rows)
+    assert plan.replay(first, PROBE + 1) is not None
+    calls = []
+    lower = ClusterEmulator._lower_tapes
+
+    def counting(self, ranks, *args, **kwargs):
+        calls.append(list(ranks))
+        return lower(self, ranks, *args, **kwargs)
+
+    monkeypatch.setattr(ClusterEmulator, "_lower_tapes", counting)
+    misses = plan.tape_misses
+    # Every rank's row count differs from the block layout's.
+    counts = list(first.counts)
+    counts[0] += P - 1
+    second = GenBlock(tuple(counts[:1] + [c - 1 for c in counts[1:]]))
+    got = plan.replay(second, PROBE + 1)
+    assert plan.dead is None
+    assert calls == [list(range(P))]
+    assert plan.tape_misses == misses + P
+    ref = _engine(cluster, program, second, NOISY)
+    assert got == ref.iteration_ends
 
 
 def test_disk_fade_scales_io_and_prefetch_ops():
@@ -624,6 +749,7 @@ def test_twod_replay_matches_engine(P, shape_index, side, row_shares,
     )
     dynamics = dynamics_scenario(scenario, P, start=start) if scenario else False
     emulator = TwoDEmulator(cluster, spec, pert, dynamics=dynamics)
+    _assert_lowering_exact(emulator, dist, iterations, offset=offset)
     rec = Recorder()
     got = emulator.run(dist, iteration_offset=offset, telemetry=rec)
     ref = engine_run(emulator, dist, iteration_offset=offset).total_seconds
