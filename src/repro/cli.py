@@ -48,13 +48,7 @@ from repro.experiments import (
     table1,
 )
 from repro.runtime import AdaptiveRuntime
-from repro.search import (
-    GeneralizedBinarySearch,
-    GeneticSearch,
-    RandomSearch,
-    SimulatedAnnealingSearch,
-    SpectrumSweep,
-)
+from repro.search import SEARCHERS, GeneralizedBinarySearch
 from repro.obs import Recorder
 from repro.sim import ClusterEmulator
 
@@ -63,7 +57,7 @@ __all__ = ["main", "build_parser"]
 APPS = ("jacobi", "cg", "lanczos", "rna", "multigrid")
 CONFIGS = ("DC", "IO", "HY1", "HY2")
 ANCHORS = ("blk", "bal", "ic", "icbal")
-ALGORITHMS = ("gbs", "genetic", "annealing", "random", "sweep")
+ALGORITHMS = tuple(SEARCHERS)
 
 
 def _cluster(name: str):
@@ -683,17 +677,6 @@ def _cmd_predict(args) -> str:
     return "\n".join(out)
 
 
-#: Uniform searcher constructors: every algorithm takes
-#: ``(model, cluster, *, batch_size=...)`` since the API consolidation.
-SEARCHER_FACTORIES = {
-    "gbs": GeneralizedBinarySearch,
-    "genetic": GeneticSearch,
-    "annealing": SimulatedAnnealingSearch,
-    "random": RandomSearch,
-    "sweep": SpectrumSweep,
-}
-
-
 def _cmd_search(args) -> str:
     from repro.parallel import verify_distributions
 
@@ -705,7 +688,7 @@ def _cmd_search(args) -> str:
     rec = _telemetry_recorder(args)
     names = list(ALGORITHMS) if args.algorithm == "all" else [args.algorithm]
     results = [
-        SEARCHER_FACTORIES[n](
+        SEARCHERS[n](
             model, cluster, batch_size=args.batch_size
         ).search(budget=args.budget, telemetry=rec)
         for n in names

@@ -40,11 +40,6 @@ from repro.util.lru import LRUCache
 
 __all__ = ["SweepCache", "RunCache", "content_key", "default_run_cache"]
 
-#: Miss marker for store lookups (a stored pair is never ``None``, but
-#: detecting absence by sentinel keeps lookup semantics uniform with
-#: :class:`repro.util.lru.LRUCache`).
-_MISS = object()
-
 
 def _canonical(obj: Any) -> Any:
     """Reduce ``obj`` to JSON-encodable structure that captures content."""
@@ -258,64 +253,25 @@ class SweepCache:
         since load — merged with this cache's entries) atomically, so
         repeated benchmark/CLI invocations skip redundant emulation and
         a fleet of processes can share one history file.
-    max_entries:
-        Optional bound on the in-memory store.  When set, the cache
-        keeps only the ``max_entries`` most recently used pairs
-        (least-recently-used eviction), so unattended long-running
-        sweeps hold memory at a fixed ceiling; ``None`` (default) keeps
-        everything, as before.
 
-    Hit/miss accounting has one source of truth: the backing
-    :class:`~repro.util.lru.LRUCache` counters when the store is
-    bounded, the cache's own counters otherwise — ``hits``/``misses``
-    read whichever applies, so telemetry and ``repro stats`` can never
-    report two disagreeing figures for the same cache.
-
-    All operations (and the read-merge-write in :meth:`save`) run under
-    an ``RLock``, so one cache may be shared between threads.
+    The store is one unbounded dict, and ``hits``/``misses`` count
+    :meth:`lookup` results.  All operations (and the read-merge-write
+    in :meth:`save`) run under an ``RLock``, so one cache may be shared
+    between threads.
     """
 
-    def __init__(
-        self,
-        path: Optional[Union[str, Path]] = None,
-        max_entries: Optional[int] = None,
-    ) -> None:
+    def __init__(self, path: Optional[Union[str, Path]] = None) -> None:
         self.path = Path(path) if path is not None else None
         self._lock = threading.RLock()
-        self._store: Union[Dict[str, Tuple[float, float]], LRUCache]
-        if max_entries is None:
-            self._store = {}
-        else:
-            self._store = LRUCache(max_entries, threadsafe=True)
-        self._hits = 0
-        self._misses = 0
+        self._store: Dict[str, Tuple[float, float]] = {}
+        self.hits = 0
+        self.misses = 0
         if self.path is not None and self.path.exists():
-            for k, pair in _load_entries(self.path, _float_pair).items():
-                self._put(k, pair)
-
-    def _put(self, key: str, pair: Tuple[float, float]) -> None:
-        if isinstance(self._store, LRUCache):
-            self._store.put(key, pair)
-        else:
-            self._store[key] = pair
-
-    @property
-    def hits(self) -> int:
-        """Lookup hits — delegated to the LRU when the store is bounded."""
-        if isinstance(self._store, LRUCache):
-            return self._store.hits
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        """Lookup misses — delegated to the LRU when the store is bounded."""
-        if isinstance(self._store, LRUCache):
-            return self._store.misses
-        return self._misses
+            self._store.update(_load_entries(self.path, _float_pair))
 
     @property
     def stats(self) -> dict:
-        """Counter snapshot (one consistent source of truth)."""
+        """Counter snapshot."""
         return {
             "size": len(self),
             "hits": self.hits,
@@ -334,22 +290,14 @@ class SweepCache:
     def lookup(
         self, cluster, program, distribution, perturbation=None
     ) -> Optional[Tuple[float, float]]:
-        """Return the cached ``(actual, predicted)`` pair, or ``None``.
-
-        A bounded store counts the hit/miss itself (that *is* the
-        authoritative counter, see the class docstring); the unbounded
-        dict path counts here.
-        """
+        """Return the cached ``(actual, predicted)`` pair, or ``None``."""
         key = self.key(cluster, program, distribution, perturbation)
         with self._lock:
-            pair = self._store.get(key, _MISS)
-            if isinstance(self._store, LRUCache):
-                # LRUCache.get already counted; normalise the sentinel.
-                return None if pair is _MISS else pair
-            if pair is _MISS:
-                self._misses += 1
-                return None
-            self._hits += 1
+            pair = self._store.get(key)
+            if pair is None:
+                self.misses += 1
+            else:
+                self.hits += 1
             return pair
 
     def store(
@@ -362,10 +310,8 @@ class SweepCache:
         perturbation=None,
     ) -> None:
         with self._lock:
-            self._put(
-                self.key(cluster, program, distribution, perturbation),
-                (float(actual), float(predicted)),
-            )
+            key = self.key(cluster, program, distribution, perturbation)
+            self._store[key] = (float(actual), float(predicted))
 
     def save(self) -> None:
         """Persist to ``path`` (no-op for purely in-memory caches): an

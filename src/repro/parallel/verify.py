@@ -10,11 +10,13 @@ One verification round is one batched
 single emulator, which pins the configuration's compiled
 :class:`~repro.sim.plan_sim.EmulationPlan` once and routes each
 candidate on its own.  ``jobs > 1`` looks the population up in the run
-cache first, deals the misses round-robin (the ``j``-th miss to shard
-``j % n_shards``) to one batched pass per worker, and puts the
-workers' results back into the cache, so results and the cache's
-contents stay independent of ``jobs``.  So does the telemetry: each
-worker's recorder is merged into the caller's.
+cache first, folds identical misses into one, deals the distinct
+misses round-robin (the ``j``-th to shard ``j % n_shards``) to one
+batched pass per worker, and puts the workers' results back into the
+cache, so results and the cache's contents stay independent of
+``jobs``.  So does the telemetry: the caller counts the population and
+its lookup as :func:`~repro.sim.executor.emulate_many` would, and each
+worker's recorder adds its pass, plan runs and fallbacks.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ def _verify_batch_task(
         run_cache=False,
         telemetry=rec,
     )
+    if rec is not None:
+        # The parent counts the whole population and its cache hits.
+        rec.counters.pop("sim/batch/candidates")
+        rec.counters.pop("sim/batch/cache_hits")
     return results, rec
 
 
@@ -114,7 +120,13 @@ def verify_distributions(
             hit = store.get(key)
             if hit is not None:
                 totals[i] = hit.total_seconds
-    misses = [i for i, total in enumerate(totals) if total is None]
+    hits = sum(total is not None for total in totals)
+    # Identical counts are one emulation, as in ``emulate_many``.
+    first_index: dict = {}
+    for i, total in enumerate(totals):
+        if total is None:
+            first_index.setdefault(tuple(distributions[i].counts), i)
+    misses = list(first_index.values())
 
     n_shards = min(max(int(jobs), 1), max(len(misses), 1))
     shards: List[List[int]] = [[] for _ in range(n_shards)]
@@ -139,7 +151,15 @@ def verify_distributions(
             fresh.append((keys[i], result))
     if store is not None:
         store.put_many(fresh)
+    for i, dist in enumerate(distributions):
+        if totals[i] is None:
+            totals[i] = totals[first_index[tuple(dist.counts)]]
     if rec:
+        rec.count("sim/batch/candidates", len(distributions))
+        rec.count("sim/batch/cache_hits", hits)
+        if store is not None:
+            rec.count("sim/run_cache/hits", hits)
+            rec.count("sim/run_cache/misses", len(misses))
         rec.count("verify/runs", len(totals))
-        rec.count("verify/cache_hits", len(totals) - len(misses))
+        rec.count("verify/cache_hits", hits)
     return totals

@@ -1,37 +1,36 @@
-"""AdaptiveRuntime: instrument, search, redistribute, run — repeatedly.
+"""AdaptiveRuntime: instrument, search, redistribute, run — in rounds.
 
-The end-to-end system of paper Section 6, against the emulated cluster:
+The end-to-end system of paper Section 6, against the emulated cluster,
+is one loop of rounds.  Each round
 
-1. run the **first iteration instrumented** under the starting
-   distribution (Blk unless told otherwise), paying the measured
+1. runs one **instrumented iteration** under the current distribution
+   (Blk at the start unless told otherwise), paying the measured
    instrumented-iteration time;
-2. build MHETA from the measurements and **search** for a better
+2. builds MHETA from the measurements and **searches** for a better
    distribution (GBS by default; any
    :class:`~repro.search.base.SearchAlgorithm` works), paying the
    measured search wall time;
-3. estimate the **redistribution cost** and switch only if it amortises
-   over the remaining iterations;
-4. run the remaining iterations under the chosen distribution.
+3. estimates the **redistribution cost** and switches only if it
+   amortises over the remaining iterations;
+4. runs plain iterations under the chosen distribution, in segments.
 
-On a *dynamic* cluster (a truthy
+On a static cluster the first round runs every remaining iteration as
+one segment, and the run ends there.  On a *dynamic* cluster (a truthy
 :class:`~repro.cluster.dynamics.DynamicsSpec`, attached to the cluster
-or passed explicitly) the runtime earns its name: the remaining
-iterations run in segments of ``check_interval``, each segment's
-observed per-node times are compared against the current model's
-per-node prediction, and when the worst relative deviation exceeds
-``drift_threshold`` a new round fires — one instrumented iteration on
-the cluster's *current* effective speeds, a fresh MHETA search, and a
-redistribution charged against the predicted remaining gain.  Every
-round is recorded as an :class:`AdaptiveRound` in the report.
+or passed explicitly) the runtime earns its name: the segments are
+``check_interval`` iterations long, each segment's observed per-node
+times are compared against the round's per-node prediction, and when
+the worst relative deviation exceeds ``drift_threshold`` the next round
+fires — measured on the cluster's *current* effective speeds.
 
-The report compares the adaptive end-to-end time against staying on the
-starting distribution — quantifying what the paper's proposed
-infrastructure would buy.
+The report is its rounds: every total is a sum over the
+:class:`AdaptiveRound` records, and the adaptive end-to-end time is
+compared against staying on the starting distribution — quantifying
+what the paper's proposed infrastructure would buy.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -46,7 +45,11 @@ from repro.program.structure import ProgramStructure
 from repro.runtime.redistribution import RedistributionModel
 from repro.search.base import SearchAlgorithm
 from repro.search.gbs import GeneralizedBinarySearch
-from repro.sim.executor import _resolve_dynamics, emulate, emulate_many
+# ``emulate``, ``emulate_many`` and ``collect_inputs`` stay attributes of
+# this module, looked up at call time: the end-to-end benchmark's tracer
+# (``benchmarks/e2e/worker.py::install_patches``) patches them here by
+# name.
+from repro.sim.executor import _resolve_dynamics, emulate, emulate_many  # noqa: F401
 from repro.sim.perturbation import PerturbationConfig
 from repro.util.units import seconds_to_human
 
@@ -88,22 +91,51 @@ class AdaptiveRound:
 
 @dataclass(frozen=True)
 class AdaptiveReport:
-    """Outcome of one adaptive run."""
+    """Outcome of one adaptive run: its rounds, and every total summed
+    over them in round order."""
 
     start_distribution: GenBlock
-    chosen_distribution: GenBlock
-    switched: bool
-    instrumented_seconds: float  #: all instrumented iterations, summed
-    search_wall_seconds: float  #: real time spent searching, summed
-    search_evaluations: int
-    redistribution_seconds: float  #: 0 when never switching
-    remaining_seconds: float  #: plain (non-instrumented) iterations
     static_seconds: float  #: the whole run under the start distribution
-    #: Sum of the rounds' segment predictions, so it predicts exactly
-    #: what ``remaining_seconds`` measures.
-    predicted_remaining_seconds: float
-    #: Per-round records; a stationary run has exactly one round.
-    rounds: Tuple[AdaptiveRound, ...] = ()
+    #: Per-round records; a static or stationary run has exactly one.
+    rounds: Tuple[AdaptiveRound, ...]
+
+    @property
+    def chosen_distribution(self) -> GenBlock:
+        """The layout the last round left running."""
+        return self.rounds[-1].to_distribution
+
+    @property
+    def switched(self) -> bool:
+        return any(r.switched for r in self.rounds)
+
+    @property
+    def instrumented_seconds(self) -> float:
+        return sum(r.instrumented_seconds for r in self.rounds)
+
+    @property
+    def search_wall_seconds(self) -> float:
+        """Real time spent searching."""
+        return sum(r.search_wall_seconds for r in self.rounds)
+
+    @property
+    def search_evaluations(self) -> int:
+        return sum(r.search_evaluations for r in self.rounds)
+
+    @property
+    def redistribution_seconds(self) -> float:
+        """0 when never switching."""
+        return sum(r.redistribution_seconds for r in self.rounds)
+
+    @property
+    def remaining_seconds(self) -> float:
+        """Plain (non-instrumented) iterations."""
+        return sum(r.segment_seconds for r in self.rounds)
+
+    @property
+    def predicted_remaining_seconds(self) -> float:
+        """The rounds' segment predictions, so it predicts exactly what
+        ``remaining_seconds`` measures."""
+        return sum(r.predicted_seconds for r in self.rounds)
 
     @property
     def adaptive_seconds(self) -> float:
@@ -121,7 +153,7 @@ class AdaptiveReport:
 
     @property
     def n_rounds(self) -> int:
-        return len(self.rounds) if self.rounds else 1
+        return len(self.rounds)
 
     def describe(self) -> str:
         lines = [
@@ -162,11 +194,12 @@ class AdaptiveRuntime:
 
     ``dynamics`` follows the emulator convention: ``None`` honours
     whatever :class:`~repro.cluster.dynamics.DynamicsSpec` is attached
-    to ``cluster``, an explicit spec overrides it, and ``False`` forces
-    the static single-round protocol.  ``check_interval`` (iterations
-    between drift checks) and ``drift_threshold`` (worst per-node
-    relative deviation of observed vs predicted iteration time that
-    fires a new round) only matter on dynamic clusters.
+    to ``cluster``, an explicit spec overrides it, and ``False`` runs
+    the static protocol on the cluster without its attached dynamics.
+    ``check_interval`` (iterations between drift checks) and
+    ``drift_threshold`` (worst per-node relative deviation of observed
+    vs predicted iteration time that fires a new round) only matter on
+    dynamic clusters.
     """
 
     def __init__(
@@ -206,7 +239,7 @@ class AdaptiveRuntime:
         *,
         telemetry: Optional[Recorder] = None,
     ) -> AdaptiveReport:
-        """Execute the full adaptive protocol and report.
+        """Execute the adaptive protocol and report.
 
         ``telemetry`` (a :class:`repro.obs.Recorder`) receives the
         searcher's counters plus the protocol-level phase gauges
@@ -214,125 +247,163 @@ class AdaptiveRuntime:
         """
         rec = as_recorder(telemetry)
         program = self.program
+        n_total = program.iterations
         if start is None:
             start = block(self.cluster, program.n_rows)
-        if self.dynamics is not None:
-            return self._run_dynamic(start, rec, telemetry)
+        # The emulator convention: False leaves attached dynamics out.
+        dynamics = self.dynamics or False
+        # A static cluster runs everything after round 0 as one segment.
+        interval = n_total if self.dynamics is None else self.check_interval
 
-        # Every plain emulated phase goes through the shared
-        # content-keyed run cache, so repeated adaptive experiments
-        # (benchmark panels, variant comparisons) stop re-simulating
-        # identical configurations.
-
-        # 1. Instrumented first iteration (slower than a plain one: the
-        # forced I/O and blocking prefetches are part of the price); the
-        # run the measurements come from is the one the job pays for.
-        inputs, instrumented_run = _collect(
-            self.cluster, program, start, perturbation=self.perturbation
-        )
-        instrumented_seconds = instrumented_run.total_seconds
-
-        # 2. Search with MHETA.
-        model = MhetaModel(program, self.cluster, inputs)
-        search = self._search or GeneralizedBinarySearch(model, self.cluster)
-        wall_start = time.perf_counter()
-        result = search.search(
-            budget=self.search_budget, start=start, telemetry=telemetry
-        )
-        search_wall = time.perf_counter() - wall_start
-
-        # 3. Amortisation decision.
-        remaining = max(program.iterations - 1, 0)
-        switch, redistribution_seconds = self._decide_switch(
-            self.cluster, model, start, result.best, remaining
-        )
-        chosen = result.best if switch else start
-        predicted_remaining = self._predict_segment(model, chosen, remaining)
-
-        # 4. Remaining iterations under the chosen distribution.  Both
-        # what-if candidates (stay vs switch) go through one batched
-        # emulation pass — the plan walks them as a single (2, P)
-        # recurrence and the RunCache dedups a kept start for free.
-        if remaining:
-            what_if = emulate_many(
-                self.cluster,
-                program,
-                [start, result.best],
-                perturbation=self.perturbation,
-                iterations=remaining,
-                telemetry=telemetry,
+        rounds: List[AdaptiveRound] = []
+        current = start
+        iteration = 0
+        trigger, drift = "start", 0.0
+        while True:
+            (
+                instrumented_seconds,
+                snapshot,
+                model,
+                result,
+                search_wall,
+            ) = self._instrument_round(current, iteration, telemetry)
+            at = iteration
+            iteration += 1  # the instrumented iteration
+            switch, redist_cost = self._decide_switch(
+                snapshot, model, current, result.best, n_total - iteration
             )
-            remaining_seconds = what_if[
-                1 if chosen == result.best else 0
-            ].total_seconds
-        else:
-            remaining_seconds = 0.0
+            previous = current
+            if switch:
+                current = result.best
+            # Per-node steady iteration seconds the round's model
+            # expects for its layout: the drift reference.
+            expected = (
+                [
+                    n.iteration_seconds
+                    for n in model.predict(current, report=True).nodes
+                ]
+                if self.dynamics is not None
+                else None
+            )
 
-        # Baseline: the whole job statically on the start distribution.
+            segment_seconds = 0.0
+            segment_iters = 0
+            fired = None  # the drift that ends this round early
+            while iteration < n_total:
+                seg = min(interval, n_total - iteration)
+                seg_run = emulate(
+                    self.cluster,
+                    program,
+                    current,
+                    perturbation=self.perturbation,
+                    dynamics=dynamics,
+                    iterations=seg,
+                    iteration_offset=iteration,
+                    telemetry=telemetry,
+                )
+                segment_seconds += seg_run.total_seconds
+                segment_iters += seg
+                iteration += seg
+                # Re-instrumenting burns one of the remaining iterations;
+                # with fewer than two left there is nothing to win back.
+                if expected is None or n_total - iteration < 2:
+                    continue
+                worst = max(
+                    abs(seg_run.per_node_seconds[node] / seg - want) / want
+                    for node, want in enumerate(expected)
+                    if want > 0.0
+                )
+                if worst > self.drift_threshold:
+                    fired = worst
+                    break
+
+            rounds.append(
+                AdaptiveRound(
+                    index=len(rounds),
+                    at_iteration=at,
+                    trigger=trigger,
+                    drift=drift,
+                    instrumented_seconds=instrumented_seconds,
+                    search_wall_seconds=search_wall,
+                    search_evaluations=result.evaluations,
+                    from_distribution=previous,
+                    to_distribution=current,
+                    switched=switch,
+                    redistribution_seconds=redist_cost,
+                    segment_seconds=segment_seconds,
+                    iterations=segment_iters,
+                    predicted_seconds=(
+                        model.predict(current, iterations=segment_iters)
+                        if segment_iters
+                        else 0.0
+                    ),
+                )
+            )
+            if fired is None:
+                break
+            trigger, drift = "drift", fired
+
+        # Baseline: the whole job on the start distribution, under the
+        # same dynamics.
         static_seconds = emulate(
-            self.cluster, program, start, perturbation=self.perturbation
+            self.cluster,
+            program,
+            start,
+            perturbation=self.perturbation,
+            dynamics=dynamics,
         ).total_seconds
-
+        report = AdaptiveReport(
+            start_distribution=start,
+            static_seconds=static_seconds,
+            rounds=tuple(rounds),
+        )
         if rec:
             rec.count("adaptive/runs")
-            rec.set("adaptive/rounds", 1)
-            rec.set("adaptive/instrumented_seconds", instrumented_seconds)
-            rec.set("adaptive/search_wall_seconds", search_wall)
-            rec.set("adaptive/redistribution_seconds", redistribution_seconds)
-            rec.set("adaptive/remaining_seconds", remaining_seconds)
+            rec.set("adaptive/rounds", report.n_rounds)
+            rec.set("adaptive/instrumented_seconds", report.instrumented_seconds)
+            rec.set("adaptive/search_wall_seconds", report.search_wall_seconds)
+            rec.set(
+                "adaptive/redistribution_seconds",
+                report.redistribution_seconds,
+            )
+            rec.set("adaptive/remaining_seconds", report.remaining_seconds)
             rec.set("adaptive/static_seconds", static_seconds)
-            rec.set("adaptive/switched", 1.0 if switch else 0.0)
-
-        round0 = AdaptiveRound(
-            index=0,
-            at_iteration=0,
-            trigger="start",
-            drift=0.0,
-            instrumented_seconds=instrumented_seconds,
-            search_wall_seconds=search_wall,
-            search_evaluations=result.evaluations,
-            from_distribution=start,
-            to_distribution=chosen,
-            switched=switch,
-            redistribution_seconds=redistribution_seconds,
-            segment_seconds=remaining_seconds,
-            iterations=remaining,
-            predicted_seconds=predicted_remaining,
-        )
-        return AdaptiveReport(
-            start_distribution=start,
-            chosen_distribution=chosen,
-            switched=switch,
-            instrumented_seconds=instrumented_seconds,
-            search_wall_seconds=search_wall,
-            search_evaluations=result.evaluations,
-            redistribution_seconds=redistribution_seconds,
-            remaining_seconds=remaining_seconds,
-            static_seconds=static_seconds,
-            predicted_remaining_seconds=predicted_remaining,
-            rounds=(round0,),
-        )
-
-    # -- dynamic clusters ---------------------------------------------------
+            rec.set("adaptive/switched", 1.0 if report.switched else 0.0)
+        return report
 
     def _instrument_round(self, dist: GenBlock, iteration: int, telemetry):
         """One round's measurement pass: pay an instrumented iteration
-        on the live (dynamic) cluster, then fit MHETA on the cluster's
-        effective speeds at ``iteration``."""
-        instrumented_run = emulate(
-            self.cluster,
-            self.program,
-            dist,
-            perturbation=self.perturbation,
-            dynamics=self.dynamics,
-            io_mode="instrumented",
-            iterations=1,
-            iteration_offset=iteration,
-        )
-        snapshot = self.dynamics.effective_cluster(self.cluster, iteration)
-        inputs = collect_inputs(
-            snapshot, self.program, dist, perturbation=self.perturbation
-        )
+        at ``iteration``, fit MHETA on the cluster as it stands then,
+        and search from ``dist``.
+
+        A static round's measured run is the paid one, on the cluster
+        without attached dynamics.  A dynamic round pays its iteration
+        on the live cluster and measures the cluster's effective speeds
+        at ``iteration``."""
+        if self.dynamics is None:
+            snapshot = (
+                self.cluster.with_dynamics(None)
+                if self.cluster.dynamics
+                else self.cluster
+            )
+            inputs, instrumented_run = _collect(
+                snapshot, self.program, dist, perturbation=self.perturbation
+            )
+        else:
+            instrumented_run = emulate(
+                self.cluster,
+                self.program,
+                dist,
+                perturbation=self.perturbation,
+                dynamics=self.dynamics,
+                io_mode="instrumented",
+                iterations=1,
+                iteration_offset=iteration,
+            )
+            snapshot = self.dynamics.effective_cluster(self.cluster, iteration)
+            inputs = collect_inputs(
+                snapshot, self.program, dist, perturbation=self.perturbation
+            )
         model = MhetaModel(self.program, snapshot, inputs)
         search = self._search or GeneralizedBinarySearch(model, snapshot)
         wall_start = time.perf_counter()
@@ -349,10 +420,10 @@ class AdaptiveRuntime:
         )
 
     def _decide_switch(self, cluster, model, dist, candidate, remaining):
-        """Amortisation decision on a round's cluster (the live one, or
-        a dynamic round's snapshot): one batched stay/move prediction
-        over the ``remaining`` iterations and one redistribution
-        estimate.  Returns ``(switch, redistribution seconds)``."""
+        """Amortisation decision on a round's cluster: one batched
+        stay/move prediction over the ``remaining`` iterations and one
+        redistribution estimate.  Returns ``(switch, redistribution
+        seconds)``."""
         if remaining <= 0 or candidate == dist:
             return False, 0.0
         predicted_stay, predicted_move = model.predict(
@@ -365,187 +436,3 @@ class AdaptiveRuntime:
         if cost is None:
             return False, 0.0
         return True, cost
-
-    @staticmethod
-    def _predict_segment(model, layout, iterations) -> float:
-        """What ``model`` predicts for a segment of ``iterations`` plain
-        iterations under ``layout`` (0 when nothing ran)."""
-        if not iterations:
-            return 0.0
-        return model.predict(layout, iterations=iterations)
-
-    def _run_dynamic(self, start, rec, telemetry) -> AdaptiveReport:
-        """Multi-round protocol: segments of ``check_interval``
-        iterations, drift checks against the round's model, and a fresh
-        instrument-search-switch round whenever drift exceeds the
-        threshold and enough iterations remain to pay for it."""
-        program = self.program
-        n_total = program.iterations
-        n_nodes = self.cluster.n_nodes
-
-        rounds: List[AdaptiveRound] = []
-        current = start
-
-        # Round 0 consumes iteration 0 (instrumented).
-        (
-            instrumented_seconds,
-            snapshot,
-            model,
-            result,
-            search_wall,
-        ) = self._instrument_round(start, 0, telemetry)
-        iteration = 1
-        switch, redist_cost = self._decide_switch(
-            snapshot, model, start, result.best, n_total - iteration
-        )
-        if switch:
-            current = result.best
-        rounds.append(
-            AdaptiveRound(
-                index=0,
-                at_iteration=0,
-                trigger="start",
-                drift=0.0,
-                instrumented_seconds=instrumented_seconds,
-                search_wall_seconds=search_wall,
-                search_evaluations=result.evaluations,
-                from_distribution=start,
-                to_distribution=current,
-                switched=switch,
-                redistribution_seconds=redist_cost,
-                segment_seconds=0.0,
-                iterations=0,
-                predicted_seconds=0.0,
-            )
-        )
-        # Per-node steady iteration seconds the current model expects
-        # for the current layout — the drift reference.
-        reference = model.predict(current, report=True)
-        expected = [n.iteration_seconds for n in reference.nodes]
-
-        segment_seconds = 0.0  # accumulated within the current round
-        segment_iters = 0
-
-        def close_round() -> None:
-            rounds[-1] = dataclasses.replace(
-                rounds[-1],
-                segment_seconds=segment_seconds,
-                iterations=segment_iters,
-                predicted_seconds=self._predict_segment(
-                    model, current, segment_iters
-                ),
-            )
-
-        while iteration < n_total:
-            seg = min(self.check_interval, n_total - iteration)
-            seg_run = emulate(
-                self.cluster,
-                program,
-                current,
-                perturbation=self.perturbation,
-                dynamics=self.dynamics,
-                iterations=seg,
-                iteration_offset=iteration,
-                telemetry=telemetry,
-            )
-            segment_seconds += seg_run.total_seconds
-            segment_iters += seg
-            iteration += seg
-            if iteration >= n_total:
-                break
-
-            observed = [
-                seg_run.per_node_seconds[node] / seg for node in range(n_nodes)
-            ]
-            drift = max(
-                abs(observed[node] - expected[node]) / expected[node]
-                for node in range(n_nodes)
-                if expected[node] > 0.0
-            )
-            # Re-instrumenting burns one of the remaining iterations;
-            # with fewer than two left there is nothing to win back.
-            if drift <= self.drift_threshold or n_total - iteration < 2:
-                continue
-
-            close_round()
-            (
-                instrumented_seconds,
-                snapshot,
-                model,
-                result,
-                search_wall,
-            ) = self._instrument_round(current, iteration, telemetry)
-            at = iteration
-            iteration += 1  # the instrumented iteration
-            switch, redist_cost = self._decide_switch(
-                snapshot, model, current, result.best, n_total - iteration
-            )
-            previous = current
-            if switch:
-                current = result.best
-            rounds.append(
-                AdaptiveRound(
-                    index=len(rounds),
-                    at_iteration=at,
-                    trigger="drift",
-                    drift=drift,
-                    instrumented_seconds=instrumented_seconds,
-                    search_wall_seconds=search_wall,
-                    search_evaluations=result.evaluations,
-                    from_distribution=previous,
-                    to_distribution=current,
-                    switched=switch,
-                    redistribution_seconds=redist_cost,
-                    segment_seconds=0.0,
-                    iterations=0,
-                    predicted_seconds=0.0,
-                )
-            )
-            reference = model.predict(current, report=True)
-            expected = [n.iteration_seconds for n in reference.nodes]
-            segment_seconds = 0.0
-            segment_iters = 0
-
-        close_round()
-
-        # Baseline: the whole job statically on the start distribution,
-        # under the same dynamics.
-        static_seconds = emulate(
-            self.cluster,
-            program,
-            start,
-            perturbation=self.perturbation,
-            dynamics=self.dynamics,
-        ).total_seconds
-
-        total_instrumented = sum(r.instrumented_seconds for r in rounds)
-        total_search = sum(r.search_wall_seconds for r in rounds)
-        total_redist = sum(r.redistribution_seconds for r in rounds)
-        total_segments = sum(r.segment_seconds for r in rounds)
-        switched = any(r.switched for r in rounds)
-
-        if rec:
-            rec.count("adaptive/runs")
-            rec.set("adaptive/rounds", len(rounds))
-            rec.set("adaptive/instrumented_seconds", total_instrumented)
-            rec.set("adaptive/search_wall_seconds", total_search)
-            rec.set("adaptive/redistribution_seconds", total_redist)
-            rec.set("adaptive/remaining_seconds", total_segments)
-            rec.set("adaptive/static_seconds", static_seconds)
-            rec.set("adaptive/switched", 1.0 if switched else 0.0)
-
-        return AdaptiveReport(
-            start_distribution=start,
-            chosen_distribution=current,
-            switched=switched,
-            instrumented_seconds=total_instrumented,
-            search_wall_seconds=total_search,
-            search_evaluations=sum(r.search_evaluations for r in rounds),
-            redistribution_seconds=total_redist,
-            remaining_seconds=total_segments,
-            static_seconds=static_seconds,
-            predicted_remaining_seconds=sum(
-                r.predicted_seconds for r in rounds
-            ),
-            rounds=tuple(rounds),
-        )

@@ -25,11 +25,22 @@ from repro.search.annealing import SimulatedAnnealingSearch
 from repro.search.random_search import RandomSearch
 from repro.search.exhaustive import SpectrumSweep
 
+#: Every searcher by the name the CLI, the server and the 2-D layout
+#: search expose; each takes ``(model, cluster, *, batch_size=...)``.
+SEARCHERS = {
+    "gbs": GeneralizedBinarySearch,
+    "genetic": GeneticSearch,
+    "annealing": SimulatedAnnealingSearch,
+    "random": RandomSearch,
+    "sweep": SpectrumSweep,
+}
+
 __all__ = [
     "BudgetedEvaluator",
     "EvaluationCache",
     "SearchAlgorithm",
     "SearchResult",
+    "SEARCHERS",
     "GeneralizedBinarySearch",
     "GeneticSearch",
     "SimulatedAnnealingSearch",

@@ -443,22 +443,9 @@ class ServeCoordinator:
     def _run_search(
         self, entry: _ModelEntry, query: Query, telemetry: Optional[Recorder]
     ) -> Dict[str, Any]:
-        from repro.search import (
-            GeneralizedBinarySearch,
-            GeneticSearch,
-            RandomSearch,
-            SimulatedAnnealingSearch,
-            SpectrumSweep,
-        )
+        from repro.search import SEARCHERS
 
-        factories = {
-            "gbs": GeneralizedBinarySearch,
-            "genetic": GeneticSearch,
-            "annealing": SimulatedAnnealingSearch,
-            "random": RandomSearch,
-            "sweep": SpectrumSweep,
-        }
-        searcher = factories[query.algorithm](
+        searcher = SEARCHERS[query.algorithm](
             entry.model, entry.cluster, batch_size=query.batch_size
         )
         result = searcher.search(budget=query.budget, telemetry=telemetry)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.exceptions import ServeError
+from repro.search import SEARCHERS
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -56,7 +57,7 @@ OPS = ("predict", "search", "verify", "stats", "ping", "shutdown")
 APPS = ("jacobi", "cg", "lanczos", "rna", "multigrid")
 CONFIGS = ("DC", "IO", "HY1", "HY2")
 ANCHORS = ("blk", "bal", "ic", "icbal")
-ALGORITHMS = ("gbs", "genetic", "annealing", "random", "sweep")
+ALGORITHMS = tuple(SEARCHERS)
 #: Named dynamics scenarios ``verify`` accepts (mirrors
 #: ``repro.cluster.configs.DYNAMICS_SCENARIOS``; duplicated here so the
 #: wire layer stays import-light and parse errors stay local).

@@ -38,15 +38,7 @@ from repro.distribution.genblock import GenBlock, largest_remainder_round
 from repro.exceptions import SearchError
 from repro.obs import Recorder, as_recorder
 from repro.program.variables import Access, Variable
-from repro.search import (
-    BudgetedEvaluator,
-    EvaluationCache,
-    GeneralizedBinarySearch,
-    GeneticSearch,
-    RandomSearch,
-    SimulatedAnnealingSearch,
-    SpectrumSweep,
-)
+from repro.search import SEARCHERS, BudgetedEvaluator, EvaluationCache
 from repro.search.base import _BudgetExhausted, _record_search
 from repro.twod.distribution2d import (
     GenBlock2D,
@@ -66,15 +58,9 @@ __all__ = [
 ]
 
 
-#: The five 1-D searcher families :class:`TwoDLayoutSearch` can drive
-#: over each grid shape (the same names the CLI exposes for 1-D).
-SEARCHER_2D_FAMILIES = {
-    "gbs": GeneralizedBinarySearch,
-    "genetic": GeneticSearch,
-    "annealing": SimulatedAnnealingSearch,
-    "random": RandomSearch,
-    "sweep": SpectrumSweep,
-}
+#: The 1-D searcher families :class:`TwoDLayoutSearch` can drive over
+#: each grid shape: :data:`repro.search.SEARCHERS` itself.
+SEARCHER_2D_FAMILIES = SEARCHERS
 
 
 def is_degenerate(shape: Tuple[int, int]) -> bool:

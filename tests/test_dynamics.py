@@ -448,6 +448,26 @@ class TestAdaptiveDynamics:
         assert stationary.chosen_distribution == static.chosen_distribution
         assert stationary.n_rounds == static.n_rounds == 1
 
+    def test_dynamics_false_runs_the_plain_cluster(self):
+        """``dynamics=False`` leaves the attached dynamics out of every
+        emulation: the report matches the plain cluster's."""
+        plain = config_hy1()
+        program = application_by_name("jacobi", SCALE).structure
+        attached = plain.with_dynamics(
+            dynamics_scenario("drift", plain.n_nodes, start=5)
+        )
+        forced, static = (
+            AdaptiveRuntime(
+                cluster, program, search_budget=20, dynamics=dynamics
+            ).run()
+            for cluster, dynamics in ((attached, False), (plain, None))
+        )
+        assert forced.static_seconds == static.static_seconds
+        assert forced.remaining_seconds == static.remaining_seconds
+        assert forced.instrumented_seconds == static.instrumented_seconds
+        assert forced.chosen_distribution == static.chosen_distribution
+        assert forced.n_rounds == 1
+
     def test_bad_knobs_rejected(self):
         cluster = config_dc()
         program = _program()

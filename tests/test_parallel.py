@@ -115,33 +115,6 @@ class TestSweepCache:
             is None
         )
 
-    def test_max_entries_bounds_store(self):
-        cluster = config_dc()
-        program = JacobiApp.paper(scale=SCALE).structure
-        rows = program.n_rows
-        n = len(cluster.nodes)
-        dists = [
-            GenBlock([rows - i * (n - 1)] + [i] * (n - 1)) for i in range(6)
-        ]
-        cache = SweepCache(max_entries=3)
-        for i, d in enumerate(dists):
-            cache.store(cluster, program, d, float(i), float(i))
-        assert len(cache) == 3
-        # The three most recent survive; the oldest were evicted.
-        assert cache.lookup(cluster, program, dists[-1]) == (5.0, 5.0)
-        assert cache.lookup(cluster, program, dists[0]) is None
-
-    def test_max_entries_round_trip_to_disk(self, tmp_path):
-        cluster = config_dc()
-        program = JacobiApp.paper(scale=SCALE).structure
-        d = block(cluster, program.n_rows)
-        path = tmp_path / "bounded-cache.json"
-        cache = SweepCache(path, max_entries=8)
-        cache.store(cluster, program, d, 3.0, 3.5)
-        cache.save()
-        reloaded = SweepCache(path, max_entries=8)
-        assert reloaded.lookup(cluster, program, d) == (3.0, 3.5)
-
     def test_interleaved_saves_merge_instead_of_clobbering(self, tmp_path):
         # Regression: save() used to overwrite the file with this
         # cache's view only, silently dropping entries a concurrent
@@ -235,24 +208,6 @@ class TestSweepCache:
         cache.store(cluster, program, d, 1.0, 1.0)
         cache.save()
         assert SweepCache(path).lookup(cluster, program, d) == (1.0, 1.0)
-
-    def test_bounded_counters_single_source_of_truth(self):
-        # Regression: a bounded SweepCache used to increment its own
-        # hit/miss counters *and* the backing LRU's, so `repro stats`
-        # could report two disagreeing figures for one cache.
-        cluster = config_dc()
-        program = JacobiApp.paper(scale=SCALE).structure
-        d1 = block(cluster, program.n_rows)
-        d2 = balanced(cluster, program.n_rows)
-        cache = SweepCache(max_entries=4)
-        cache.lookup(cluster, program, d1)        # miss
-        cache.store(cluster, program, d1, 1.0, 1.0)
-        cache.lookup(cluster, program, d1)        # hit
-        cache.lookup(cluster, program, d2)        # miss
-        assert (cache.hits, cache.misses) == (1, 2)
-        assert cache.hits == cache._store.hits
-        assert cache.misses == cache._store.misses
-        assert cache.stats == {"size": 1, "hits": 1, "misses": 2}
 
     def test_unbounded_counters_unchanged(self):
         cluster = config_dc()
@@ -413,3 +368,41 @@ class TestVerifyDistributions:
 
         assert fallbacks(sharded) == fallbacks(serial)
         assert fallbacks(serial) == (len(dists) if profiled else 0)
+
+    def test_sharded_run_counts_its_lookup_like_jobs_1(self):
+        """With warm entries and a duplicate in the population,
+        ``jobs=2`` reports the batch and run-cache counts ``jobs=1``
+        does; only the passes differ, one per shard."""
+        from repro.obs import Recorder
+        from repro.parallel import RunCache
+
+        cluster = config_dc()
+        program = JacobiApp.paper(scale=SCALE).structure.with_iterations(3)
+        n = cluster.n_nodes
+        warm = [block(cluster, program.n_rows), balanced(cluster, program.n_rows)]
+        skewed = GenBlock((1,) * (n - 1) + (program.n_rows - n + 1,))
+        other = GenBlock((program.n_rows - n + 1,) + (1,) * (n - 1))
+        dists = warm + [skewed, other, skewed]
+        counters, totals = [], []
+        for jobs in (1, 2):
+            cache = RunCache()
+            verify_distributions(cluster, program, warm, run_cache=cache)
+            rec = Recorder()
+            totals.append(verify_distributions(
+                cluster, program, dists, jobs=jobs, run_cache=cache,
+                telemetry=rec,
+            ))
+            counters.append(rec.counters)
+        serial, sharded = counters
+        assert totals[0] == totals[1]
+        for name in ("sim/batch/candidates", "sim/batch/cache_hits",
+                     "sim/run_cache/hits", "sim/run_cache/misses"):
+            assert sharded.get(name) == serial.get(name), name
+
+        def emulated(c):
+            return c["sim/batch/plan_runs"] + c["sim/batch/fallbacks"]
+
+        assert emulated(sharded) == emulated(serial) == 2
+        assert serial["sim/batch/candidates"] == len(dists)
+        assert serial["sim/run_cache/hits"] == len(warm)
+        assert (serial["sim/batch/passes"], sharded["sim/batch/passes"]) == (1, 2)

@@ -310,6 +310,57 @@ class TestStaticInstrumentedIteration:
         assert instrumented == [1]
         assert repr(report.instrumented_seconds) == seconds
 
+    def test_one_plain_segment(self, monkeypatch):
+        """After the instrumented iteration a static run emulates the
+        remaining iterations once, under the chosen layout only; the
+        other emulation is the static baseline."""
+        import repro.parallel.cache as cache_mod
+
+        monkeypatch.setattr(cache_mod, "_DEFAULT_RUN_CACHE", cache_mod.RunCache())
+        runs = []
+        route = ClusterEmulator._route
+
+        def recording(self, distribution, n_iter, **kwargs):
+            if not kwargs.get("instrumented"):
+                runs.append((tuple(distribution.counts), n_iter))
+            return route(self, distribution, n_iter, **kwargs)
+
+        monkeypatch.setattr(ClusterEmulator, "_route", recording)
+        cluster = config_dc()
+        program = make_jacobi_like(n_rows=2048, cols=512, iterations=40)
+        report = AdaptiveRuntime(cluster, program).run()
+        assert report.switched
+        assert runs == [
+            (report.chosen_distribution.counts, 39),
+            (report.start_distribution.counts, 40),
+        ]
+
+
+def assert_totals_are_round_sums(report):
+    """Every report total is its rounds' sum, exactly, in round order."""
+    rounds = report.rounds
+    assert report.n_rounds == len(rounds) >= 1
+    assert report.chosen_distribution == rounds[-1].to_distribution
+    assert report.switched == any(r.switched for r in rounds)
+    for total, part in [
+        ("instrumented_seconds", "instrumented_seconds"),
+        ("search_wall_seconds", "search_wall_seconds"),
+        ("search_evaluations", "search_evaluations"),
+        ("redistribution_seconds", "redistribution_seconds"),
+        ("remaining_seconds", "segment_seconds"),
+        ("predicted_remaining_seconds", "predicted_seconds"),
+    ]:
+        parts = [getattr(r, part) for r in rounds]
+        assert getattr(report, total) == sum(parts), total
+        if len(rounds) == 1:
+            assert repr(getattr(report, total)) == repr(parts[0]), total
+    assert report.adaptive_seconds == (
+        report.instrumented_seconds
+        + report.search_wall_seconds
+        + report.redistribution_seconds
+        + report.remaining_seconds
+    )
+
 
 class TestAdaptivePayoff:
     """The multi-round payoff on a homogeneous cluster whose nodes drift
@@ -331,6 +382,7 @@ class TestAdaptivePayoff:
         report = self._run("drift")
         assert report.n_rounds >= 2
         assert report.adaptive_seconds < report.static_seconds
+        assert_totals_are_round_sums(report)
 
     def test_stationary_stays_one_round(self):
         assert self._run("stationary").n_rounds == 1
@@ -366,6 +418,7 @@ class TestAdaptiveRuntime:
     def test_report_totals_consistent(self):
         runtime, _ = self._runtime()
         report = runtime.run()
+        assert_totals_are_round_sums(report)
         assert report.adaptive_seconds == pytest.approx(
             report.instrumented_seconds
             + report.search_wall_seconds
