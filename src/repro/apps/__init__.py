@@ -41,9 +41,20 @@ __all__ = [
     "RnaPipelineApp",
     "LanczosApp",
     "MultigridApp",
+    "APPLICATIONS",
     "paper_applications",
     "application_by_name",
 ]
+
+#: Every application by its paper name, in the order the CLI and the
+#: service list them.
+APPLICATIONS = {
+    "jacobi": JacobiApp,
+    "cg": ConjugateGradientApp,
+    "lanczos": LanczosApp,
+    "rna": RnaPipelineApp,
+    "multigrid": MultigridApp,
+}
 
 
 def paper_applications(scale: float = 1.0):
@@ -59,17 +70,11 @@ def paper_applications(scale: float = 1.0):
 
 
 def application_by_name(name: str, scale: float = 1.0) -> Application:
-    """Look up an application by its paper name."""
-    table = {
-        "jacobi": JacobiApp,
-        "cg": ConjugateGradientApp,
-        "lanczos": LanczosApp,
-        "rna": RnaPipelineApp,
-        "multigrid": MultigridApp,
-    }
+    """Look up an application by its paper name (case-insensitive)."""
     try:
-        return table[name.lower()].paper(scale)
+        return APPLICATIONS[name.lower()].paper(scale)
     except KeyError:
         raise KeyError(
-            f"unknown application {name!r}; choose from {sorted(table)}"
+            f"unknown application {name!r}; "
+            f"choose from {sorted(APPLICATIONS)}"
         )

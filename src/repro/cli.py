@@ -8,7 +8,14 @@ any Python:
   application on one configuration;
 * ``predict``     — MHETA's per-node prediction report for one
   distribution;
+* ``instrument``  — run the instrumented iteration and write the
+  internal MHETA file;
+* ``analyse``     — per-node time breakdown of one emulated run;
+* ``emulate``     — one ground-truth emulated run, optionally on a
+  dynamic cluster;
 * ``search``      — run one search algorithm with MHETA;
+* ``verify``      — batched ground-truth emulation of candidate
+  distributions;
 * ``adaptive``    — the Section-6 adaptive runtime end to end;
 * ``accuracy``    — one Figure-9 panel;
 * ``timing``      — the evaluation-cost measurement;
@@ -23,9 +30,10 @@ any Python:
 * ``query``       — client for a running ``serve`` instance.
 
 Every command takes ``--scale`` (default 0.1: seconds of wall time;
-``--scale 1.0`` is paper scale).  ``sweep``, ``predict``, ``search``,
-``adaptive`` and ``stats`` take ``--telemetry {text,json,csv}`` to dump
-the run's :class:`repro.obs.Recorder` after the normal output.
+``--scale 1.0`` is paper scale).  ``sweep``, ``predict``, ``emulate``,
+``search``, ``verify``, ``adaptive``, ``stats`` and ``serve`` take
+``--telemetry {text,json,csv}`` to dump the run's
+:class:`repro.obs.Recorder` after the normal output.
 """
 
 from __future__ import annotations
@@ -34,9 +42,10 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.cluster import table1_configs
-from repro.apps import application_by_name
-from repro.distribution import balanced, block, in_core, in_core_balanced
+from repro.cluster import DYNAMICS_SCENARIOS, TABLE1_CONFIGS, dynamics_scenario
+from repro.apps import APPLICATIONS, application_by_name
+from repro.distribution import ANCHORS, anchor_distribution, block
+from repro.exceptions import DistributionError
 from repro.experiments import (
     build_model,
     dedicated_assumption_study,
@@ -47,24 +56,25 @@ from repro.experiments import (
     run_spectrum,
     table1,
 )
+from repro.experiments.common import percent_difference
 from repro.runtime import AdaptiveRuntime
 from repro.search import SEARCHERS, GeneralizedBinarySearch
 from repro.obs import Recorder
-from repro.sim import ClusterEmulator
+from repro.serve.protocol import OPS
+from repro.sim import IO_MODES, ClusterEmulator
 
 __all__ = ["main", "build_parser"]
-
-APPS = ("jacobi", "cg", "lanczos", "rna", "multigrid")
-CONFIGS = ("DC", "IO", "HY1", "HY2")
-ANCHORS = ("blk", "bal", "ic", "icbal")
-ALGORITHMS = tuple(SEARCHERS)
 
 
 def _cluster(name: str):
     try:
-        return table1_configs()[name.upper()]
+        factory = TABLE1_CONFIGS[name.upper()]
     except KeyError:
-        raise SystemExit(f"unknown configuration {name!r}; choose from {CONFIGS}")
+        raise SystemExit(
+            f"unknown configuration {name!r}; "
+            f"choose from {tuple(TABLE1_CONFIGS)}"
+        )
+    return factory()
 
 
 def _program(app: str, scale: float, prefetch: bool = False):
@@ -72,17 +82,14 @@ def _program(app: str, scale: float, prefetch: bool = False):
     return application.prefetching() if prefetch else application.structure
 
 
-def _anchor(name: str, cluster, program):
-    name = name.lower()
-    if name == "blk":
-        return block(cluster, program.n_rows)
-    if name == "bal":
-        return balanced(cluster, program.n_rows)
-    if name == "ic":
-        return in_core(cluster, program)
-    if name == "icbal":
-        return in_core_balanced(cluster, program)
-    raise SystemExit(f"unknown distribution {name!r}; choose from {ANCHORS}")
+def _parse_counts(text: str):
+    """``--counts`` text -> a tuple of row counts."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise SystemExit(
+            f"--counts expects comma-separated integers, got {text!r}"
+        )
 
 
 def _add_common(parser: argparse.ArgumentParser, config: bool = True) -> None:
@@ -92,13 +99,12 @@ def _add_common(parser: argparse.ArgumentParser, config: bool = True) -> None:
     )
     if config:
         parser.add_argument(
-            "--config", default="HY1", help=f"configuration {CONFIGS}"
+            "--config", default="HY1",
+            help=f"configuration {tuple(TABLE1_CONFIGS)}",
         )
 
 
 def _add_dynamics(parser: argparse.ArgumentParser) -> None:
-    from repro.cluster.configs import DYNAMICS_SCENARIOS
-
     parser.add_argument(
         "--dynamics", choices=DYNAMICS_SCENARIOS, default=None,
         metavar="SCENARIO",
@@ -115,13 +121,10 @@ def _add_dynamics(parser: argparse.ArgumentParser) -> None:
 
 def _dynamics_spec(args, cluster):
     """Resolve ``--dynamics``/``--dynamics-start`` to a DynamicsSpec."""
-    name = getattr(args, "dynamics", None)
-    if name is None:
+    if args.dynamics is None:
         return None
-    from repro.cluster.configs import dynamics_scenario
-
     return dynamics_scenario(
-        name, cluster.n_nodes, start=args.dynamics_start
+        args.dynamics, cluster.n_nodes, start=args.dynamics_start
     )
 
 
@@ -156,16 +159,21 @@ def _telemetry_recorder(args) -> Optional[Recorder]:
     return Recorder() if getattr(args, "telemetry", None) else None
 
 
-def _render_telemetry(rec: Optional[Recorder], args) -> str:
-    """Render a recorder per ``--telemetry``; empty string when off."""
-    if rec is None:
-        return ""
+def _render_telemetry(rec: Recorder, args) -> str:
+    """Render a recorder per ``--telemetry`` (text when unset)."""
     fmt = args.telemetry
     if fmt == "json":
         return rec.to_json()
     if fmt == "csv":
         return rec.to_csv()
     return rec.describe()
+
+
+def _with_telemetry(text: str, rec: Optional[Recorder], args) -> str:
+    """``text``, then the ``--telemetry`` dump when a recorder ran."""
+    if rec is None:
+        return text
+    return text + "\n\n" + _render_telemetry(rec, args)
 
 
 def _sweep_cache(args):
@@ -185,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table1", help="print the Table-1 configurations")
 
     p = sub.add_parser("sweep", help="actual vs predicted over the spectrum")
-    p.add_argument("app", choices=APPS)
+    p.add_argument("app", choices=APPLICATIONS)
     p.add_argument("--steps", type=int, default=2)
     p.add_argument("--prefetch", action="store_true")
     p.add_argument("--chart", action="store_true", help="ASCII chart too")
@@ -194,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry(p)
 
     p = sub.add_parser("predict", help="MHETA prediction for one distribution")
-    p.add_argument("app", choices=APPS)
-    p.add_argument("--dist", default="blk", help=f"one of {ANCHORS}")
+    p.add_argument("app", choices=APPLICATIONS)
+    p.add_argument("--dist", default="blk", help=f"one of {tuple(ANCHORS)}")
     p.add_argument(
         "--verify", action="store_true",
         help="also run the emulator and report the error",
@@ -227,15 +235,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the instrumented iteration and write the internal "
         "MHETA file",
     )
-    p.add_argument("app", choices=APPS)
+    p.add_argument("app", choices=APPLICATIONS)
     p.add_argument("output", help="path for the internal MHETA file (JSON)")
     _add_common(p)
 
     p = sub.add_parser(
         "analyse", help="per-node time breakdown of an emulated run"
     )
-    p.add_argument("app", choices=APPS)
-    p.add_argument("--dist", default="blk", help=f"one of {ANCHORS}")
+    p.add_argument("app", choices=APPLICATIONS)
+    p.add_argument("--dist", default="blk", help=f"one of {tuple(ANCHORS)}")
     _add_common(p)
 
     p = sub.add_parser(
@@ -243,14 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="one ground-truth emulated run (optionally on a dynamic "
         "cluster)",
     )
-    p.add_argument("app", choices=APPS)
-    p.add_argument("--dist", default="blk", help=f"one of {ANCHORS}")
+    p.add_argument("app", choices=APPLICATIONS)
+    p.add_argument("--dist", default="blk", help=f"one of {tuple(ANCHORS)}")
     p.add_argument(
         "--iterations", type=int, default=None, metavar="N",
         help="override the program's iteration count",
     )
     p.add_argument(
-        "--io-mode", choices=("auto", "sync", "prefetch", "instrumented"),
+        "--io-mode", choices=IO_MODES,
         default="auto",
         help="I/O handling: auto (the program's own mode), forced "
         "sync/prefetch, or the instrumented measurement pass",
@@ -261,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry(p)
 
     p = sub.add_parser("search", help="distribution search driven by MHETA")
-    p.add_argument("app", choices=APPS)
+    p.add_argument("app", choices=APPLICATIONS)
     p.add_argument(
-        "--algorithm", choices=ALGORITHMS + ("all",), default="gbs"
+        "--algorithm", choices=(*SEARCHERS, "all"), default="gbs"
     )
     p.add_argument("--budget", type=int, default=150)
     p.add_argument(
@@ -290,10 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="batched ground-truth emulation of candidate distributions",
     )
-    p.add_argument("app", choices=APPS)
+    p.add_argument("app", choices=APPLICATIONS)
     p.add_argument(
         "--dist", default="blk,bal,ic,icbal", metavar="A[,A...]",
-        help=f"comma-separated anchors from {ANCHORS} "
+        help=f"comma-separated anchors from {tuple(ANCHORS)} "
         "(default: all four)",
     )
     p.add_argument(
@@ -312,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry(p)
 
     p = sub.add_parser("adaptive", help="the Section-6 adaptive runtime")
-    p.add_argument("app", choices=APPS)
+    p.add_argument("app", choices=APPLICATIONS)
     p.add_argument(
         "--check-interval", type=int, default=10, metavar="N",
         help="iterations between drift checks on dynamic clusters "
@@ -357,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         "stats",
         help="instrumented seed run: phase breakdown + full telemetry",
     )
-    p.add_argument("app", nargs="?", default="jacobi", choices=APPS)
-    p.add_argument("--dist", default="blk", help=f"one of {ANCHORS}")
+    p.add_argument("app", nargs="?", default="jacobi", choices=APPLICATIONS)
+    p.add_argument("--dist", default="blk", help=f"one of {tuple(ANCHORS)}")
     p.add_argument("--budget", type=int, default=40,
                    help="search budget for the searcher-counter section")
     _add_common(p)
@@ -395,25 +403,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs(p)
     _add_telemetry(p)
 
-    from repro.cluster.configs import DYNAMICS_SCENARIOS
-
     p = sub.add_parser(
         "query",
         help="query a running `repro serve` instance",
     )
-    p.add_argument(
-        "op", choices=("predict", "search", "verify", "stats", "ping",
-                       "shutdown"),
-    )
-    p.add_argument("app", nargs="?", choices=APPS)
-    p.add_argument("--dist", default=None, help=f"one of {ANCHORS}")
+    p.add_argument("op", choices=OPS)
+    p.add_argument("app", nargs="?", choices=APPLICATIONS)
+    p.add_argument("--dist", default=None, help=f"one of {tuple(ANCHORS)}")
     p.add_argument(
         "--counts", default=None, metavar="N,N,...",
         help="explicit GEN_BLOCK row counts (overrides --dist)",
     )
-    p.add_argument("--config", default="HY1", help=f"configuration {CONFIGS}")
+    p.add_argument(
+        "--config", default="HY1",
+        help=f"configuration {tuple(TABLE1_CONFIGS)}",
+    )
     p.add_argument("--scale", type=float, default=0.1)
-    p.add_argument("--algorithm", choices=ALGORITHMS, default="gbs")
+    p.add_argument("--algorithm", choices=SEARCHERS, default="gbs")
     p.add_argument("--budget", type=int, default=150)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument(
@@ -475,9 +481,7 @@ def _cmd_sweep(args) -> str:
     )
     if getattr(args, "chart", False):
         table = table + "\n\n" + run.chart()
-    if rec is not None:
-        table = table + "\n\n" + _render_telemetry(rec, args)
-    return table
+    return _with_telemetry(table, rec, args)
 
 
 def _cmd_instrument(args) -> str:
@@ -501,7 +505,7 @@ def _cmd_analyse(args) -> str:
 
     cluster = _cluster(args.config)
     program = _program(args.app, args.scale)
-    distribution = _anchor(args.dist, cluster, program)
+    distribution = anchor_distribution(args.dist.lower(), cluster, program)
     trace = TraceCollector()
     result = ClusterEmulator(cluster, program).run(
         distribution, observer=trace
@@ -591,16 +595,9 @@ def _cmd_predict_twod(args, cluster, program) -> str:
         )
     if args.verify:
         actual = TwoDEmulator(cluster, spec).run(dist, telemetry=rec)
-        error = (
-            abs(report.total_seconds - actual)
-            / min(report.total_seconds, actual)
-            * 100.0
-        )
+        error = percent_difference(actual, report.total_seconds)
         out.append(f"actual: {actual:.3f}s -> error {error:.2f}%")
-    if rec is not None:
-        out.append("")
-        out.append(_render_telemetry(rec, args))
-    return "\n".join(out)
+    return _with_telemetry("\n".join(out), rec, args)
 
 
 def _cmd_search_twod(args, cluster, program) -> str:
@@ -616,7 +613,7 @@ def _cmd_search_twod(args, cluster, program) -> str:
         d0_shape = shapes[0]
     model, spec = _twod_model(args, cluster, program, d0_shape)
     rec = _telemetry_recorder(args)
-    names = list(ALGORITHMS) if args.algorithm == "all" else [args.algorithm]
+    names = list(SEARCHERS) if args.algorithm == "all" else [args.algorithm]
     out = []
     for name in names:
         result = TwoDLayoutSearch(
@@ -637,10 +634,7 @@ def _cmd_search_twod(args, cluster, program) -> str:
                 f"  emulator verifies {actual:.3f}s "
                 f"(predicted {result.predicted_seconds:.3f}s)"
             )
-    if rec is not None:
-        out.append("")
-        out.append(_render_telemetry(rec, args))
-    return "\n".join(out)
+    return _with_telemetry("\n".join(out), rec, args)
 
 
 def _cmd_predict(args) -> str:
@@ -655,7 +649,7 @@ def _cmd_predict(args) -> str:
         model = MhetaModel(program, cluster, MhetaInputs.load(args.inputs))
     else:
         model = build_model(cluster, program)
-    distribution = _anchor(args.dist, cluster, program)
+    distribution = anchor_distribution(args.dist.lower(), cluster, program)
     rec = _telemetry_recorder(args)
     report = model.predict(distribution, report=True, telemetry=rec)
     out = [report.describe()]
@@ -663,18 +657,13 @@ def _cmd_predict(args) -> str:
         from repro.sim import emulate
 
         actual = emulate(cluster, program, distribution, telemetry=rec)
-        error = (
-            abs(report.total_seconds - actual.total_seconds)
-            / min(report.total_seconds, actual.total_seconds)
-            * 100.0
+        error = percent_difference(
+            actual.total_seconds, report.total_seconds
         )
         out.append(
             f"actual: {actual.total_seconds:.3f}s -> error {error:.2f}%"
         )
-    if rec is not None:
-        out.append("")
-        out.append(_render_telemetry(rec, args))
-    return "\n".join(out)
+    return _with_telemetry("\n".join(out), rec, args)
 
 
 def _cmd_search(args) -> str:
@@ -686,7 +675,7 @@ def _cmd_search(args) -> str:
         return _cmd_search_twod(args, cluster, program)
     model = build_model(cluster, program)
     rec = _telemetry_recorder(args)
-    names = list(ALGORITHMS) if args.algorithm == "all" else [args.algorithm]
+    names = list(SEARCHERS) if args.algorithm == "all" else [args.algorithm]
     results = [
         SEARCHERS[n](
             model, cluster, batch_size=args.batch_size
@@ -714,10 +703,7 @@ def _cmd_search(args) -> str:
                 f"{result.algorithm}: emulator verifies {actual:.3f}s "
                 f"(predicted {result.predicted_seconds:.3f}s)"
             )
-    if rec is not None:
-        out.append("")
-        out.append(_render_telemetry(rec, args))
-    return "\n".join(out)
+    return _with_telemetry("\n".join(out), rec, args)
 
 
 def _cmd_emulate(args) -> str:
@@ -725,7 +711,7 @@ def _cmd_emulate(args) -> str:
 
     cluster = _cluster(args.config)
     program = _program(args.app, args.scale, args.prefetch)
-    dist = _anchor(args.dist, cluster, program)
+    dist = anchor_distribution(args.dist.lower(), cluster, program)
     dynamics = _dynamics_spec(args, cluster)
     rec = _telemetry_recorder(args)
     result = emulate(
@@ -746,10 +732,7 @@ def _cmd_emulate(args) -> str:
         "  per node     : "
         + ", ".join(f"{s:.3f}" for s in result.per_node_seconds),
     ]
-    if rec is not None:
-        out.append("")
-        out.append(_render_telemetry(rec, args))
-    return "\n".join(out)
+    return _with_telemetry("\n".join(out), rec, args)
 
 
 def _cmd_adaptive(args) -> str:
@@ -764,10 +747,7 @@ def _cmd_adaptive(args) -> str:
         check_interval=args.check_interval,
         drift_threshold=args.drift_threshold,
     )
-    out = runtime.run(telemetry=rec).describe()
-    if rec is not None:
-        out = out + "\n\n" + _render_telemetry(rec, args)
-    return out
+    return _with_telemetry(runtime.run(telemetry=rec).describe(), rec, args)
 
 
 def _cmd_stats(args) -> str:
@@ -779,7 +759,7 @@ def _cmd_stats(args) -> str:
 
     cluster = _cluster(args.config)
     program = _program(args.app, args.scale)
-    distribution = _anchor(args.dist, cluster, program)
+    distribution = anchor_distribution(args.dist.lower(), cluster, program)
     rec = Recorder()
 
     model = build_model(cluster, program)
@@ -837,7 +817,7 @@ def _cmd_stats(args) -> str:
         f"  run cache   {_fmt_cache(default_run_cache().stats)}",
         f"  plan cache  {_fmt_cache(plan_cache_stats())}",
         "",
-        _render_telemetry(rec, args) if args.telemetry else rec.describe(),
+        _render_telemetry(rec, args),
     ]
     return "\n".join(lines)
 
@@ -850,14 +830,11 @@ def _cmd_verify(args) -> str:
     cluster = _cluster(args.config)
     program = _program(args.app, args.scale, args.prefetch)
     dists, labels = [], []
-    for name in [n for n in args.dist.split(",") if n]:
-        dists.append(_anchor(name, cluster, program))
-        labels.append(name.lower())
+    for name in [n.lower() for n in args.dist.split(",") if n]:
+        dists.append(anchor_distribution(name, cluster, program))
+        labels.append(name)
     for spec in args.counts or []:
-        try:
-            counts = tuple(int(v) for v in spec.replace(" ", "").split(","))
-        except ValueError:
-            raise SystemExit(f"--counts expects comma-separated integers, got {spec!r}")
+        counts = _parse_counts(spec)
         if len(counts) != len(cluster.nodes):
             raise SystemExit(
                 f"--counts needs {len(cluster.nodes)} entries for "
@@ -895,11 +872,7 @@ def _cmd_verify(args) -> str:
         lines.append(
             f"  {label:<{width}s}  {actual:12.6f}s  {list(d.counts)}"
         )
-    tele = _render_telemetry(rec, args)
-    if tele:
-        lines.append("")
-        lines.append(tele)
-    return "\n".join(lines)
+    return _with_telemetry("\n".join(lines), rec, args)
 
 
 def _cmd_serve(args) -> str:
@@ -949,9 +922,7 @@ def _cmd_serve(args) -> str:
         f"repro serve: stopped after "
         f"{coordinator.requests_handled} requests"
     )
-    if getattr(args, "telemetry", None):
-        out = out + "\n\n" + _render_telemetry(rec, args)
-    return out
+    return _with_telemetry(out, rec if args.telemetry else None, args)
 
 
 def _cmd_query(args) -> str:
@@ -962,7 +933,9 @@ def _cmd_query(args) -> str:
     payload = {"op": args.op}
     if args.op in ("predict", "search", "verify"):
         if not args.app:
-            raise SystemExit(f"op {args.op!r} requires an app {APPS}")
+            raise SystemExit(
+                f"op {args.op!r} requires an app {tuple(APPLICATIONS)}"
+            )
         payload.update(
             app=args.app, config=args.config.upper(), scale=args.scale
         )
@@ -973,9 +946,7 @@ def _cmd_query(args) -> str:
                 batch_size=args.batch_size,
             )
         elif args.counts is not None:
-            payload["counts"] = [
-                int(c) for c in args.counts.split(",") if c.strip()
-            ]
+            payload["counts"] = list(_parse_counts(args.counts))
         else:
             payload["dist"] = args.dist or "blk"
         if getattr(args, "dynamics", None) is not None:
@@ -1015,63 +986,58 @@ def _cmd_query(args) -> str:
     return "\n".join(lines)
 
 
+def _cmd_accuracy(args) -> str:
+    cache = _sweep_cache(args)
+    bands = fig9_accuracy(
+        panel=args.panel,
+        scale=args.scale,
+        steps_per_leg=args.steps,
+        jobs=args.jobs,
+        cache=cache,
+    )
+    if cache is not None:
+        cache.save()
+    if args.chart:
+        return bands.describe() + "\n\n" + bands.chart()
+    return bands.describe()
+
+
+#: Each subcommand's handler: parsed arguments -> the text to print.
+_COMMANDS = {
+    "table1": lambda args: table1(),
+    "sweep": _cmd_sweep,
+    "predict": _cmd_predict,
+    "instrument": _cmd_instrument,
+    "analyse": _cmd_analyse,
+    "search": _cmd_search,
+    "verify": _cmd_verify,
+    "emulate": _cmd_emulate,
+    "adaptive": _cmd_adaptive,
+    "accuracy": _cmd_accuracy,
+    "timing": lambda args: model_evaluation_timing().describe(),
+    "spreads": lambda args: distribution_spread(
+        steps_per_leg=args.steps, scale=args.scale, jobs=args.jobs
+    ).describe(),
+    "ablation": lambda args: error_ablation(
+        steps_per_leg=args.steps, scale=args.scale
+    ).describe(),
+    "robustness": lambda args: dedicated_assumption_study(
+        scale=args.scale
+    ).describe(),
+    "stats": _cmd_stats,
+    "serve": _cmd_serve,
+    "query": _cmd_query,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "table1":
-        print(table1())
-    elif args.command == "sweep":
-        print(_cmd_sweep(args))
-    elif args.command == "predict":
-        print(_cmd_predict(args))
-    elif args.command == "instrument":
-        print(_cmd_instrument(args))
-    elif args.command == "analyse":
-        print(_cmd_analyse(args))
-    elif args.command == "search":
-        print(_cmd_search(args))
-    elif args.command == "verify":
-        print(_cmd_verify(args))
-    elif args.command == "emulate":
-        print(_cmd_emulate(args))
-    elif args.command == "adaptive":
-        print(_cmd_adaptive(args))
-    elif args.command == "accuracy":
-        cache = _sweep_cache(args)
-        bands = fig9_accuracy(
-            panel=args.panel,
-            scale=args.scale,
-            steps_per_leg=args.steps,
-            jobs=args.jobs,
-            cache=cache,
-        )
-        if cache is not None:
-            cache.save()
-        print(bands.describe())
-        if args.chart:
-            print()
-            print(bands.chart())
-    elif args.command == "timing":
-        print(model_evaluation_timing().describe())
-    elif args.command == "spreads":
-        print(
-            distribution_spread(
-                steps_per_leg=args.steps, scale=args.scale, jobs=args.jobs
-            ).describe()
-        )
-    elif args.command == "ablation":
-        print(
-            error_ablation(steps_per_leg=args.steps, scale=args.scale).describe()
-        )
-    elif args.command == "robustness":
-        print(dedicated_assumption_study(scale=args.scale).describe())
-    elif args.command == "stats":
-        print(_cmd_stats(args))
-    elif args.command == "serve":
-        print(_cmd_serve(args))
-    elif args.command == "query":
-        print(_cmd_query(args))
-    else:  # pragma: no cover - argparse enforces choices
-        return 2
+    try:
+        print(_COMMANDS[args.command](args))
+    except DistributionError as exc:
+        # An unknown --dist anchor ends the run with its message, like
+        # the other usage errors.
+        raise SystemExit(str(exc)) from None
     return 0
 
 

@@ -23,6 +23,7 @@ from repro.cluster.dynamics import (
 from repro.cluster.cluster import ClusterSpec
 from repro.cluster.configs import (
     DYNAMICS_SCENARIOS,
+    TABLE1_CONFIGS,
     baseline_node,
     baseline_cluster,
     config_dc,
@@ -55,6 +56,7 @@ __all__ = [
     "config_io",
     "config_hy1",
     "config_hy2",
+    "TABLE1_CONFIGS",
     "table1_configs",
     "architecture_suite",
     "prefetch_suite",

@@ -37,6 +37,7 @@ __all__ = [
     "config_io",
     "config_hy1",
     "config_hy2",
+    "TABLE1_CONFIGS",
     "table1_configs",
     "architecture_suite",
     "prefetch_suite",
@@ -142,14 +143,19 @@ def config_hy2() -> ClusterSpec:
     return ClusterSpec(name="HY2", nodes=tuple(nodes))
 
 
+#: The paper's Table-1 configuration names, each mapped to the factory
+#: that builds it.
+TABLE1_CONFIGS = {
+    "DC": config_dc,
+    "IO": config_io,
+    "HY1": config_hy1,
+    "HY2": config_hy2,
+}
+
+
 def table1_configs() -> Dict[str, ClusterSpec]:
     """The four named configurations of the paper's Table 1."""
-    return {
-        "DC": config_dc(),
-        "IO": config_io(),
-        "HY1": config_hy1(),
-        "HY2": config_hy2(),
-    }
+    return {name: factory() for name, factory in TABLE1_CONFIGS.items()}
 
 
 def _random_architecture(index: int, label: str) -> ClusterSpec:

@@ -9,6 +9,8 @@ four anchor distributions of paper Figure 8 (``Blk``, ``Bal``, ``I-C``,
 
 from repro.distribution.genblock import GenBlock, largest_remainder_round
 from repro.distribution.factories import (
+    ANCHORS,
+    anchor_distribution,
     block,
     balanced,
     in_core,
@@ -25,6 +27,8 @@ from repro.distribution.ops import (
 __all__ = [
     "GenBlock",
     "largest_remainder_round",
+    "ANCHORS",
+    "anchor_distribution",
     "block",
     "balanced",
     "in_core",

@@ -24,6 +24,8 @@ from repro.exceptions import DistributionError
 from repro.program.structure import ProgramStructure
 
 __all__ = [
+    "ANCHORS",
+    "anchor_distribution",
     "block",
     "balanced",
     "in_core",
@@ -212,3 +214,24 @@ def _enforce_minimum(
             counts[donor] -= 1
             counts[i] += 1
     return counts
+
+
+#: The four anchors by their short names, each a ``(cluster, program)
+#: -> GenBlock`` factory.
+ANCHORS = {
+    "blk": lambda cluster, program: block(cluster, program.n_rows),
+    "bal": lambda cluster, program: balanced(cluster, program.n_rows),
+    "ic": in_core,
+    "icbal": in_core_balanced,
+}
+
+
+def anchor_distribution(
+    name: str, cluster: ClusterSpec, program: ProgramStructure
+) -> GenBlock:
+    """The anchor called ``name`` (an exact key of :data:`ANCHORS`)."""
+    if name not in ANCHORS:
+        raise DistributionError(
+            f"unknown distribution {name!r}; choose from {tuple(ANCHORS)}"
+        )
+    return ANCHORS[name](cluster, program)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import ClusterSpec
-from repro.cluster.configs import table1_configs
+from repro.cluster.configs import TABLE1_CONFIGS
 from repro.apps import paper_applications
 from repro.experiments.common import SpectrumRun, run_spectrum
 from repro.parallel.runner import ParallelRunner
@@ -105,7 +105,7 @@ def config_curves(
     results are bit-identical to the serial run.
     """
     if cluster is None:
-        cluster = table1_configs()[config_name]
+        cluster = TABLE1_CONFIGS[config_name]()
     wanted = set(apps) if apps is not None else None
     tasks = [
         (cluster, app.structure, steps_per_leg, perturbation)

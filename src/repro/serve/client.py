@@ -23,7 +23,7 @@ import socket
 from typing import Any, Dict, Optional
 
 from repro.exceptions import ServeError
-from repro.serve.protocol import encode_message
+from repro.serve.protocol import _MAX_LINE_BYTES, encode_message
 
 __all__ = ["ServeClient", "AsyncServeClient"]
 
@@ -138,9 +138,13 @@ class AsyncServeClient(_QueryMixin):
         socket_path: Optional[str] = None,
     ) -> "AsyncServeClient":
         if socket_path is not None:
-            reader, writer = await asyncio.open_unix_connection(socket_path)
+            reader, writer = await asyncio.open_unix_connection(
+                socket_path, limit=_MAX_LINE_BYTES
+            )
         else:
-            reader, writer = await asyncio.open_connection(host, port)
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=_MAX_LINE_BYTES
+            )
         return cls(reader, writer)
 
     async def _read_loop(self) -> None:

@@ -42,10 +42,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.distribution import GenBlock, anchor_distribution
 from repro.exceptions import ReproError, ServeError
+from repro.experiments.common import percent_difference
 from repro.obs import Recorder, as_recorder
 from repro.serve.batcher import MicroBatcher
 from repro.serve.protocol import (
+    _MAX_LINE_BYTES,
     PROTOCOL_VERSION,
     Query,
     decode_message,
@@ -166,10 +169,10 @@ class ServeCoordinator:
 
     def _build_entry(self, query: Query) -> _ModelEntry:
         from repro.apps import application_by_name
-        from repro.cluster import table1_configs
+        from repro.cluster import TABLE1_CONFIGS
         from repro.experiments import build_model
 
-        cluster = table1_configs()[query.config]
+        cluster = TABLE1_CONFIGS[query.config]()
         program = application_by_name(query.app, query.scale).structure
         model = build_model(cluster, program)
         return _ModelEntry(model, cluster, program)
@@ -231,26 +234,6 @@ class ServeCoordinator:
                         results[i] = exc
         return results  # type: ignore[return-value]
 
-    def _resolve(self, entry: _ModelEntry, query: Query):
-        from repro.distribution import (
-            balanced,
-            block,
-            GenBlock,
-            in_core,
-            in_core_balanced,
-        )
-
-        if query.counts is not None:
-            return GenBlock(query.counts)
-        name = query.dist or "blk"
-        if name == "blk":
-            return block(entry.cluster, entry.program.n_rows)
-        if name == "bal":
-            return balanced(entry.cluster, entry.program.n_rows)
-        if name == "ic":
-            return in_core(entry.cluster, entry.program)
-        return in_core_balanced(entry.cluster, entry.program)
-
     async def _score_group(
         self,
         entry: _ModelEntry,
@@ -270,7 +253,13 @@ class ServeCoordinator:
         dists = []
         for pos, query in enumerate(queries):
             try:
-                d = self._resolve(entry, query)
+                d = (
+                    GenBlock(query.counts)
+                    if query.counts is not None
+                    else anchor_distribution(
+                        query.dist or "blk", entry.cluster, entry.program
+                    )
+                )
                 if d.n_nodes != len(entry.cluster.nodes):
                     raise ServeError(
                         "counts do not match the cluster's node count"
@@ -325,10 +314,8 @@ class ServeCoordinator:
             if query.op == "verify":
                 actual = actuals[pos]
                 result["actual_seconds"] = actual
-                result["error_percent"] = (
-                    abs(predicted[pos] - actual)
-                    / min(predicted[pos], actual)
-                    * 100.0
+                result["error_percent"] = percent_difference(
+                    actual, predicted[pos]
                 )
                 if query.dynamics is not None:
                     result["dynamics"] = query.dynamics
@@ -497,6 +484,14 @@ class ServeCoordinator:
         write_lock = asyncio.Lock()
         tasks: set = set()
 
+        async def _send(response: Dict[str, Any]) -> None:
+            async with write_lock:
+                writer.write(encode_message(response))
+                try:
+                    await writer.drain()
+                except ConnectionError:
+                    pass
+
         async def _answer(message: Dict[str, Any]) -> None:
             request_id = message.get("id")
             try:
@@ -507,18 +502,22 @@ class ServeCoordinator:
                 if self.telemetry:
                     self.telemetry.count("serve/errors")
                 response = error_response(request_id, str(exc))
-            async with write_lock:
-                writer.write(encode_message(response))
-                try:
-                    await writer.drain()
-                except ConnectionError:
-                    pass
+            await _send(response)
 
         try:
             while True:
                 try:
                     line = await reader.readline()
                 except ConnectionError:
+                    break
+                except ValueError:
+                    # A line past the stream limit: answer it, then
+                    # close this connection (its framing is lost).
+                    await _send(
+                        error_response(
+                            None, f"message exceeds {_MAX_LINE_BYTES} bytes"
+                        )
+                    )
                     break
                 except asyncio.CancelledError:
                     # Loop/server teardown cancels idle connection
@@ -531,11 +530,7 @@ class ServeCoordinator:
                 try:
                     message = decode_message(line)
                 except ServeError as exc:
-                    async with write_lock:
-                        writer.write(
-                            encode_message(error_response(None, str(exc)))
-                        )
-                        await writer.drain()
+                    await _send(error_response(None, str(exc)))
                     continue
                 # One task per request: pipelined queries from a single
                 # connection coalesce exactly like separate clients.
@@ -562,11 +557,11 @@ class ServeCoordinator:
         """Start listening; returns a handle with the bound address."""
         if socket_path is not None:
             server = await asyncio.start_unix_server(
-                self._serve_connection, path=socket_path
+                self._serve_connection, socket_path, limit=_MAX_LINE_BYTES
             )
             return ServerHandle(self, server, socket_path=socket_path)
         server = await asyncio.start_server(
-            self._serve_connection, host=host, port=port
+            self._serve_connection, host, port, limit=_MAX_LINE_BYTES
         )
         bound = server.sockets[0].getsockname()
         return ServerHandle(self, server, host=bound[0], port=bound[1])

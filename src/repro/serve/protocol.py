@@ -31,13 +31,15 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from repro.apps import APPLICATIONS
+from repro.cluster.configs import DYNAMICS_SCENARIOS, TABLE1_CONFIGS
+from repro.distribution import ANCHORS
 from repro.exceptions import ServeError
 from repro.search import SEARCHERS
 
 __all__ = [
     "PROTOCOL_VERSION",
     "OPS",
-    "DYNAMICS",
     "Query",
     "encode_message",
     "decode_message",
@@ -54,15 +56,8 @@ PROTOCOL_VERSION = 1
 #: ``shutdown`` asks the server to drain and exit.
 OPS = ("predict", "search", "verify", "stats", "ping", "shutdown")
 
-APPS = ("jacobi", "cg", "lanczos", "rna", "multigrid")
-CONFIGS = ("DC", "IO", "HY1", "HY2")
-ANCHORS = ("blk", "bal", "ic", "icbal")
-ALGORITHMS = tuple(SEARCHERS)
-#: Named dynamics scenarios ``verify`` accepts (mirrors
-#: ``repro.cluster.configs.DYNAMICS_SCENARIOS``; duplicated here so the
-#: wire layer stays import-light and parse errors stay local).
-DYNAMICS = ("drift", "load-spike", "node-loss", "disk-fade", "stationary")
-
+#: Longest accepted message line; also the stream limit of the server
+#: and of the asyncio client.
 _MAX_LINE_BYTES = 1 << 20
 
 
@@ -73,7 +68,7 @@ def encode_message(message: Dict[str, Any]) -> bytes:
 
 def decode_message(line: bytes) -> Dict[str, Any]:
     """Parse one received line; raises :class:`ServeError` on garbage."""
-    if len(line) > _MAX_LINE_BYTES:
+    if len(line.rstrip(b"\n")) > _MAX_LINE_BYTES:
         raise ServeError(f"message exceeds {_MAX_LINE_BYTES} bytes")
     try:
         message = json.loads(line.decode("utf-8"))
@@ -93,9 +88,11 @@ def error_response(request_id: Any, error: str) -> Dict[str, Any]:
 
 
 def _require_choice(payload: Dict[str, Any], field: str, choices, default=None):
+    """``payload[field]`` (else ``default``): a name in ``choices``."""
     value = payload.get(field, default)
     if value is None:
         raise ServeError(f"{field!r} is required for op {payload.get('op')!r}")
+    choices = tuple(choices)
     if value not in choices:
         raise ServeError(f"unknown {field} {value!r}; choose from {choices}")
     return value
@@ -129,8 +126,10 @@ class Query:
             raise ServeError(f"unknown op {op!r}; choose from {OPS}")
         if op in ("stats", "ping", "shutdown"):
             return cls(op=op)
-        app = _require_choice(payload, "app", APPS)
-        config = _require_choice(payload, "config", CONFIGS, default="HY1")
+        app = _require_choice(payload, "app", APPLICATIONS)
+        config = _require_choice(
+            payload, "config", TABLE1_CONFIGS, default="HY1"
+        )
         try:
             scale = float(payload.get("scale", 0.1))
         except (TypeError, ValueError):
@@ -150,13 +149,14 @@ class Query:
                 raise ServeError(
                     f"'dynamics' is only valid for op 'verify', not {op!r}"
                 )
-            if dynamics not in DYNAMICS:
+            if dynamics not in DYNAMICS_SCENARIOS:
                 raise ServeError(
-                    f"unknown dynamics {dynamics!r}; choose from {DYNAMICS}"
+                    f"unknown dynamics {dynamics!r}; "
+                    f"choose from {DYNAMICS_SCENARIOS}"
                 )
         if op == "search":
             algorithm = _require_choice(
-                payload, "algorithm", ALGORITHMS, default="gbs"
+                payload, "algorithm", SEARCHERS, default="gbs"
             )
             try:
                 budget = int(payload.get("budget", 150))

@@ -41,7 +41,6 @@ from repro.twod.jacobi2d import (
 from repro.twod.plan2d import EvaluationPlan2D
 from repro.twod.search_space import SearchSpaceComparison, search_space_growth
 from repro.twod.search2d import (
-    SEARCHER_2D_FAMILIES,
     TwoDGbs,
     TwoDLayoutSearch,
     TwoDSearchResult,
@@ -63,7 +62,6 @@ __all__ = [
     "EvaluationPlan2D",
     "SearchSpaceComparison",
     "search_space_growth",
-    "SEARCHER_2D_FAMILIES",
     "TwoDGbs",
     "TwoDLayoutSearch",
     "TwoDSearchResult",

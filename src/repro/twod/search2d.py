@@ -52,15 +52,9 @@ __all__ = [
     "TwoDSearchResult",
     "TwoDGbs",
     "TwoDLayoutSearch",
-    "SEARCHER_2D_FAMILIES",
     "strip_candidates",
     "is_degenerate",
 ]
-
-
-#: The 1-D searcher families :class:`TwoDLayoutSearch` can drive over
-#: each grid shape: :data:`repro.search.SEARCHERS` itself.
-SEARCHER_2D_FAMILIES = SEARCHERS
 
 
 def is_degenerate(shape: Tuple[int, int]) -> bool:
@@ -521,7 +515,7 @@ class TwoDLayoutSearch:
     spectrum path instead (see :func:`strip_candidates`) and do not
     consume the per-shape search budget.
 
-    ``algorithm`` is one of :data:`SEARCHER_2D_FAMILIES`; extra keyword
+    ``algorithm`` is one of :data:`repro.search.SEARCHERS`; extra keyword
     knobs pass through to the family constructor (e.g. ``population=``
     for the GA, ``steps=`` for annealing).
     """
@@ -540,10 +534,10 @@ class TwoDLayoutSearch:
         seed_label: str = "",
         **knobs,
     ) -> None:
-        if algorithm not in SEARCHER_2D_FAMILIES:
+        if algorithm not in SEARCHERS:
             raise SearchError(
                 f"unknown 2-D search family {algorithm!r}; choose from "
-                f"{sorted(SEARCHER_2D_FAMILIES)}"
+                f"{sorted(SEARCHERS)}"
             )
         self.model = model
         self.algorithm = algorithm
@@ -587,7 +581,7 @@ class TwoDLayoutSearch:
             # they are put back afterwards, so this search counts as one
             # run with its own evaluations and cache hits.
             totals = {k: rec.counters.get(k, 0) for k in _SEARCH_TOTALS}
-            family = SEARCHER_2D_FAMILIES[self.algorithm]
+            family = SEARCHERS[self.algorithm]
             share = max(budget // max(len(genuine), 1), 1)
             for shape in genuine:
                 adapter = _ShapeAdapter(self.model, shape)

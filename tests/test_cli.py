@@ -90,6 +90,18 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["predict", "jacobi", "--dist", "zigzag", *SCALE])
 
+    def test_query_bad_counts_exits_with_the_verify_message(self):
+        """``query`` parses ``--counts`` as ``verify`` does, before it
+        connects: a bad entry is a clean exit, not a traceback."""
+        message = "--counts expects comma-separated integers, got '1,x,3'"
+        for argv in (
+            ["query", "predict", "jacobi", "--port", "9"],
+            ["verify", "jacobi", *SCALE],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--counts", "1,x,3"])
+            assert str(exc.value) == message
+
     def test_predict_unknown_config(self):
         with pytest.raises(SystemExit):
             main(["predict", "jacobi", "--config", "XX", *SCALE])

@@ -6,6 +6,7 @@ simultaneously must coalesce (asserted via the telemetry counters)
 while every answer stays equal to its one-shot library counterpart.
 """
 
+import argparse
 import asyncio
 import os
 import signal
@@ -16,12 +17,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.cluster import config_dc, table1_configs
-from repro.distribution import GenBlock, balanced, block
+from repro.apps import APPLICATIONS
+from repro.cluster import DYNAMICS_SCENARIOS, TABLE1_CONFIGS, config_dc
+from repro.distribution import ANCHORS, GenBlock, balanced, block
 from repro.exceptions import ServeError
 from repro.experiments import build_model
 from repro.obs import Recorder
 from repro.apps import JacobiApp, application_by_name
+from repro.search import SEARCHERS
 from repro.serve import (
     AsyncServeClient,
     MicroBatcher,
@@ -30,6 +33,7 @@ from repro.serve import (
     decode_message,
     encode_message,
 )
+from repro.serve.protocol import OPS
 
 SCALE = 0.02  # tiny problems: full protocol, milliseconds of wall time
 
@@ -129,6 +133,58 @@ class TestProtocol:
         p = Query.from_payload({"op": "predict", "app": "rna"})
         v = Query.from_payload({"op": "verify", "app": "rna"})
         assert p.coalesce_key() != v.coalesce_key()
+
+    def test_cli_and_protocol_read_the_registries(self):
+        """Every name the CLI offers and the protocol accepts comes from
+        the registry of the package that owns the thing."""
+        from repro.cli import build_parser
+
+        expected = {
+            "app": [tuple(APPLICATIONS)],
+            "algorithm": [tuple(SEARCHERS), (*SEARCHERS, "all")],
+            "dynamics": [DYNAMICS_SCENARIOS],
+            "op": [OPS],
+        }
+        seen = {dest: 0 for dest in expected}
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        for command in commands.choices.values():
+            for action in command._actions:
+                if action.dest in expected:
+                    assert tuple(action.choices) in expected[action.dest]
+                    seen[action.dest] += 1
+        assert seen == {"app": 10, "algorithm": 2, "dynamics": 3, "op": 1}
+
+        def parse(**fields):
+            return Query.from_payload({"app": "jacobi", **fields})
+
+        for app in APPLICATIONS:
+            assert parse(op="predict", app=app).app == app
+        for config in TABLE1_CONFIGS:
+            assert parse(op="predict", config=config).config == config
+        for dist in ANCHORS:
+            assert parse(op="predict", dist=dist).dist == dist
+        for algorithm in SEARCHERS:
+            query = parse(op="search", algorithm=algorithm)
+            assert query.algorithm == algorithm
+        for dynamics in DYNAMICS_SCENARIOS:
+            assert parse(op="verify", dynamics=dynamics).dynamics == dynamics
+
+        # The protocol takes exact names: no case folding.
+        for field, value in (
+            ("app", "fft"),
+            ("config", "hy1"),
+            ("dist", "BLK"),
+            ("algorithm", "tabu"),
+            ("dynamics", "quake"),
+        ):
+            op = {"algorithm": "search", "dynamics": "verify"}.get(
+                field, "predict"
+            )
+            with pytest.raises(ServeError, match=f"unknown {field}"):
+                parse(op=op, **{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +613,65 @@ class TestCoordinator:
         assert rec.counters["serve/models_built"] == 1
         assert stats["models_resident"] == len(stats["models"]) == 1
         assert named["predicted_seconds"] == default["predicted_seconds"]
+
+    def test_line_limit_is_the_protocol_bound(self):
+        """A 100 KB line, past asyncio's default 64 KiB stream limit,
+        and a line of exactly 1 MiB are ordinary queries.  A line past
+        the protocol's 1 MiB bound gets an error and closes only its
+        own connection."""
+        coordinator = ServeCoordinator(window_seconds=0.005)
+
+        async def main():
+            handle = await coordinator.start(port=0)
+            await handle.server.start_serving()
+            try:
+                async with await AsyncServeClient.open(
+                    handle.host, handle.port
+                ) as client:
+                    padded = await client.request(
+                        {"op": "ping", "pad": "x" * 100_000}
+                    )
+                reader, writer = await asyncio.open_connection(
+                    handle.host, handle.port
+                )
+                exact = encode_message({"id": 1, "op": "ping", "pad": ""})
+                exact = exact.replace(
+                    b'""', b'"' + b"x" * ((1 << 20) + 1 - len(exact)) + b'"'
+                )
+                assert len(exact) == (1 << 20) + 1  # the newline on top
+                writer.write(exact)
+                writer.write(
+                    encode_message({"op": "ping", "pad": "x" * (1 << 20)})
+                )
+                await writer.drain()
+                # The two answers may arrive in either order.
+                answers = {}
+                for _ in range(2):
+                    answer = decode_message(await reader.readline())
+                    answers[answer["id"]] = answer
+                try:
+                    closed = await reader.read() == b""
+                except ConnectionResetError:
+                    closed = True
+                writer.close()
+                async with await AsyncServeClient.open(
+                    handle.host, handle.port
+                ) as client:
+                    fresh = await client.ping()
+            finally:
+                await handle.aclose()
+            return padded, answers[1], answers[None], closed, fresh
+
+        padded, at_limit, overrun, closed, fresh = run(main())
+        assert padded["pong"] is True
+        assert at_limit["result"]["pong"] is True
+        assert overrun == {
+            "id": None,
+            "ok": False,
+            "error": f"message exceeds {1 << 20} bytes",
+        }
+        assert closed
+        assert fresh["pong"] is True
 
     def test_stats_snapshot_reports_residency(self):
         coordinator = ServeCoordinator(window_seconds=0.005)
