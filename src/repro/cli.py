@@ -45,7 +45,7 @@ from typing import List, Optional
 from repro.cluster import DYNAMICS_SCENARIOS, TABLE1_CONFIGS, dynamics_scenario
 from repro.apps import APPLICATIONS, application_by_name
 from repro.distribution import ANCHORS, anchor_distribution, block
-from repro.exceptions import DistributionError
+from repro.exceptions import DistributionError, ServeError
 from repro.experiments import (
     build_model,
     dedicated_assumption_study,
@@ -951,11 +951,21 @@ def _cmd_query(args) -> str:
             payload["dist"] = args.dist or "blk"
         if getattr(args, "dynamics", None) is not None:
             payload["dynamics"] = args.dynamics
-    client = ServeClient(
-        host=args.host, port=args.port, socket_path=args.socket
-    )
+    # A server that cannot be reached or answers ``ok: false`` ends the
+    # query with one line, like the other usage errors.
+    where = args.socket or f"{args.host}:{args.port}"
+    try:
+        client = ServeClient(
+            host=args.host, port=args.port, socket_path=args.socket
+        )
+    except OSError as exc:
+        raise SystemExit(f"cannot reach repro serve at {where}: {exc}") from None
     try:
         result = client.request(payload)
+    except ServeError as exc:
+        raise SystemExit(f"query {args.op!r} failed: {exc}") from None
+    except OSError as exc:
+        raise SystemExit(f"lost repro serve at {where}: {exc}") from None
     finally:
         client.close()
     if args.json:

@@ -64,11 +64,20 @@ _NO_IO = (0.0, 0.0, 0)
 
 
 class _Accumulator:
-    """Aggregates hook records into per-node costs."""
+    """Aggregates hook records into per-node costs.
+
+    Each hook queues its record's cell and true duration; :meth:`settle`
+    then draws the timer jitter of the whole run as one vector, one
+    normal per queued record in arrival order (the same values as one
+    scalar draw per record), and folds the measured durations into
+    their cells in that order.
+    """
 
     def __init__(self, measurement: MeasurementConfig, rng) -> None:
         self._m = measurement
         self._rng = rng
+        # (cell, true duration, bytes or None for a compute record)
+        self._queued: list = []
         # (node, section, stage) -> [total_compute, n_records]
         self.compute: Dict[Tuple[int, str, str], list] = defaultdict(
             lambda: [0.0, 0]
@@ -78,38 +87,45 @@ class _Accumulator:
             lambda: [0.0, 0.0, 0]
         )
 
-    def _measured(self, true_duration: float) -> float:
-        rel = self._m.relative_bias + self._rng.normal(0.0, self._m.relative_sigma)
-        return true_duration * (1.0 + rel) + self._m.timer_overhead
-
     def on_compute(self, record: EventRecord) -> None:
         if record.stage is None:
             return
         cell = self.compute[(record.node, record.section, record.stage)]
-        cell[0] += self._measured(record.duration)
-        cell[1] += 1
+        self._queued.append((cell, record.duration, None))
 
     def on_read(self, record: EventRecord) -> None:
         if record.variable is None:
             return
         cell = self.io[(record.node, record.variable, "read")]
-        cell[0] += self._measured(record.duration)
-        cell[1] += record.nbytes
-        cell[2] += 1
+        self._queued.append((cell, record.duration, record.nbytes))
 
     def on_write(self, record: EventRecord) -> None:
         if record.variable is None:
             return
         cell = self.io[(record.node, record.variable, "write")]
-        cell[0] += self._measured(record.duration)
-        cell[1] += record.nbytes
-        cell[2] += 1
+        self._queued.append((cell, record.duration, record.nbytes))
+
+    def settle(self) -> None:
+        """Measure every queued record: ``true * (1 + bias + jitter) +
+        overhead`` into its cell."""
+        m, queued = self._m, self._queued
+        rels = (
+            m.relative_bias + self._rng.normal(0.0, m.relative_sigma, len(queued))
+        ).tolist()
+        for (cell, duration, nbytes), rel in zip(queued, rels):
+            cell[0] += duration * (1.0 + rel) + m.timer_overhead
+            if nbytes is None:
+                cell[1] += 1
+            else:
+                cell[1] += nbytes
+                cell[2] += 1
+        queued.clear()
 
 
 def _measure(emulator, distribution, measurement: MeasurementConfig, rng):
     """Run ``emulator``'s instrumented iteration under ``distribution``
     with timer hooks on every compute, read and write: ``(accumulator,
-    run)``."""
+    run)``.  The run marks and records only those three op kinds."""
     acc = _Accumulator(measurement, rng)
     hooks = HookRegistry()
     hooks.register(Op.COMPUTE, acc.on_compute)
@@ -118,6 +134,7 @@ def _measure(emulator, distribution, measurement: MeasurementConfig, rng):
     run = emulator.run(
         distribution, observer=hooks, io_mode="instrumented", iterations=1
     )
+    acc.settle()
     return acc, run
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Callable, DefaultDict, List
 
-from repro.sim.trace import EventRecord
+from repro.sim.trace import ALL_OPS, EventRecord
 
 __all__ = ["HookRegistry"]
 
@@ -52,6 +52,15 @@ class HookRegistry:
             self._handlers[op].remove(handler)
         except ValueError:
             pass
+
+    @property
+    def kinds(self) -> frozenset:
+        """The op kinds some hook reads (every kind once a catch-all
+        hook is registered): an emulator builds records of these kinds
+        only."""
+        if self._catch_all:
+            return ALL_OPS
+        return frozenset(op for op, handlers in self._handlers.items() if handlers)
 
     def __call__(self, record: EventRecord) -> None:
         for handler in self._handlers.get(record.op, ()):  # post hooks

@@ -4,22 +4,22 @@ The paper measures "some basic communication costs, such as send and
 receive overheads and send latency per byte between nodes" with
 microbenchmarks, plus per-node disk seek overheads, and assumes they are
 constant in the dedicated environment (Section 4.1).  We do the same
-against the emulated hardware: ping-pong message experiments run on the
-event engine recover the network parameters, and two-point disk probes
+against the emulated hardware: two timed one-way sends between nodes 0
+and 1 recover the network parameters, and two-point disk probes
 recover each node's seek overhead and per-byte transfer latency.  The
-values are *measured through the same interfaces applications use*, not
-read out of the configuration objects.
+values are *measured through the same interfaces applications use*
+(the network's costs, the disk model), not read out of the
+configuration objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from repro.cluster.cluster import ClusterSpec
 from repro.exceptions import InstrumentationError
 from repro.sim.disk import DiskModel
-from repro.sim.engine import Delay, Engine, Recv, Send
 from repro.sim.executor import PREFETCH_ISSUE_OVERHEAD
 
 __all__ = ["NodeDiskBench", "Microbenchmarks", "run_microbenchmarks"]
@@ -55,6 +55,20 @@ class Microbenchmarks:
         return self.fixed_latency + nbytes * self.byte_latency
 
 
+def _ping(net, nbytes: float) -> Tuple[float, float, float]:
+    """One timed send of ``nbytes`` from node 0 to node 1, both idle
+    at time 0: ``(send end, arrival, receive end)``.
+
+    The sender's CPU is busy for the send overhead, the message
+    arrives after its transfer time, and the receiver's CPU is then
+    busy for the receive overhead: each clock is the one before plus
+    that cost, the sums the event engine forms for this exchange.
+    """
+    send_end = 0.0 + net.send_overhead
+    arrival = send_end + net.transfer_seconds(nbytes)
+    return send_end, arrival, arrival + net.recv_overhead
+
+
 def _measure_network(cluster: ClusterSpec) -> Tuple[float, float, float, float]:
     """One-way timed sends at two sizes between nodes 0 and 1 recover
     (send_overhead, recv_overhead, byte_latency, fixed_latency)."""
@@ -62,35 +76,12 @@ def _measure_network(cluster: ClusterSpec) -> Tuple[float, float, float, float]:
         # Single-node cluster: communication costs never apply.
         return 0.0, 0.0, 0.0, 0.0
     net = cluster.network
-    marks: Dict[str, float] = {}
-
-    def sender(nbytes: float, tag: str):
-        t = yield Delay(0.0)
-        marks[f"{tag}:send_begin"] = t
-        t = yield Delay(net.send_overhead)  # the send call occupies the CPU
-        marks[f"{tag}:send_end"] = t
-        yield Send(1, tag, transfer=net.transfer_seconds(nbytes))
-
-    def receiver(tag: str):
-        result = yield Recv(0, tag)
-        marks[f"{tag}:arrival"] = float(result)
-        t = yield Delay(net.recv_overhead)
-        marks[f"{tag}:recv_done"] = t
-
-    probes: List[Tuple[float, str]] = [
-        (_SMALL_BYTES, "small"),
-        (_LARGE_BYTES, "large"),
-    ]
-    for nbytes, tag in probes:
-        engine = Engine()
-        engine.add_process(sender(nbytes, tag), node=0)
-        engine.add_process(receiver(tag), node=1)
-        engine.run()
-
-    send_overhead = marks["small:send_end"] - marks["small:send_begin"]
-    recv_overhead = marks["small:recv_done"] - marks["small:arrival"]
-    flight_small = marks["small:arrival"] - marks["small:send_end"]
-    flight_large = marks["large:arrival"] - marks["large:send_end"]
+    send_end, arrival_small, recv_done = _ping(net, _SMALL_BYTES)
+    _, arrival_large, _ = _ping(net, _LARGE_BYTES)
+    send_overhead = send_end - 0.0  # the send began at time 0
+    recv_overhead = recv_done - arrival_small
+    flight_small = arrival_small - send_end
+    flight_large = arrival_large - send_end
     byte_latency = (flight_large - flight_small) / (_LARGE_BYTES - _SMALL_BYTES)
     fixed_latency = flight_small - _SMALL_BYTES * byte_latency
     if byte_latency < 0 or fixed_latency < -1e-12:

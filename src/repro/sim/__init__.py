@@ -19,9 +19,14 @@ applications under a given data distribution on a
 The emulator is deliberately finer-grained than MHETA so that the
 model's reported ~98% accuracy — and its failure modes from paper
 Section 5.4 — are measured, not assumed.
+
+Each rank's node program is lowered to an op tape
+(:mod:`repro.sim.executor`).  A run is either replayed by the
+configuration's compiled plan (:mod:`repro.sim.plan_sim`) or
+interpreted by the event engine, one flat loop over a heap of rank
+wake-ups; the route, not the caller, picks which.
 """
 
-from repro.sim.engine import Engine, Delay, Send, Recv, Spawn
 from repro.sim.disk import DiskModel
 from repro.sim.memory import MemoryPlan, VariablePlacement, plan_memory
 from repro.sim.perturbation import PerturbationConfig, PerturbationModel
@@ -37,11 +42,6 @@ from repro.sim.plan_sim import EmulationPlan, get_emulation_plan
 from repro.sim.analysis import NodeBreakdown, RunAnalysis, analyse_run
 
 __all__ = [
-    "Engine",
-    "Delay",
-    "Send",
-    "Recv",
-    "Spawn",
     "DiskModel",
     "MemoryPlan",
     "VariablePlacement",

@@ -7,8 +7,9 @@ node's disk (synchronously or with one-block-ahead prefetching), and
 the section's communication pattern (boundary exchange, pipeline,
 binomial-tree allreduce, ring allgather) — and appends the rank's ops
 to an op tape (:class:`_Tape`).  Two interpreters run tapes: the event
-engine (:meth:`ClusterEmulator._interpret`, one process per rank), the
-timing reference, and the compiled plans' walk
+engine (:func:`_run_tapes`, one flat loop over a heap of rank
+wake-ups), which serves observed and instrumented runs, the counted
+fallbacks and the plans' self-check, and the compiled plans' walk
 (:mod:`repro.sim.plan_sim`), the fast path.  The op primitives live in
 :class:`_TapeLowering`, which the 2-D Jacobi emulator
 (:mod:`repro.twod.jacobi2d`) lowers through as well, and the route
@@ -22,6 +23,7 @@ cluster: its output is the "Actual" series of Figures 9-11.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
@@ -36,7 +38,6 @@ from repro.program.sections import CommPattern
 from repro.program.stages import Stage
 from repro.program.structure import ProgramStructure
 from repro.sim.disk import DiskModel
-from repro.sim.engine import Delay, Engine, Recv, Send
 from repro.sim.memory import emulator_policy
 from repro.sim.perturbation import PerturbationConfig, PerturbationModel
 from repro.sim.steady import (
@@ -51,6 +52,7 @@ from repro.sim.trace import (
     Op,
     PhaseAccumulator,
     chain_observers,
+    observed_kinds,
 )
 
 __all__ = [
@@ -164,8 +166,9 @@ class RunResult:
 #:
 #: Tapes lowered for an observed run also hold ``open`` (remember the
 #: clock) and ``close`` (emit the tape's record template ``arg``,
-#: from the remembered clock to now) markers; only the engine
-#: interpreter reads them.
+#: from the remembered clock to now) markers around the ops of every
+#: kind the observer reads; only the event engine (:func:`_run_tapes`)
+#: reads them, and they never advance the clock.
 _CPU, _IO, _PF_ISSUE, _PF_WAIT, _COMPUTE, _SEND, _RECV, _END, _OPEN, _CLOSE = range(10)
 
 #: Packed storage of a tape: 21 bytes per op.
@@ -233,7 +236,7 @@ class _TapeLowering:
     repeatable = True
 
     def __init__(self, rank: int, P: int, net, disk: DiskModel, channel,
-                 observe: bool) -> None:
+                 observe) -> None:
         self.rank = rank
         self.P = P
         self.net = net
@@ -242,8 +245,11 @@ class _TapeLowering:
         self.ops: list = []
         #: Noise-free cost of each stage execution, per iteration.
         self.bases: List[List[float]] = []
+        #: The op kinds whose records the run's observer reads; only
+        #: those get ``open`` / ``close`` markers.
+        self.observe = frozenset(observe)
         #: Record template -> index, on observed lowerings only.
-        self.templates: Optional[dict] = {} if observe else None
+        self.templates: Optional[dict] = {} if self.observe else None
         #: ``(op index, variable or None for a write, bytes)`` of the
         #: first iteration's disk ops, when :meth:`lower` reuses it.
         self._served: Optional[list] = None
@@ -270,7 +276,7 @@ class _TapeLowering:
             else:
                 self.bases.append([])
                 self._iteration(local + offset)
-                self._open()
+                self._open(Op.ITERATION_END)
                 self._close(Op.ITERATION_END, "", 0, None, None)
                 ops.append((_END, 0, 0.0, 0, 0))
             bounds.append(len(ops))
@@ -313,12 +319,12 @@ class _TapeLowering:
 
     # -- primitives -------------------------------------------------------------
 
-    def _open(self) -> None:
-        if self.templates is not None:
+    def _open(self, op) -> None:
+        if op in self.observe:
             self.ops.append((_OPEN, 0, 0.0, 0, 0))
 
     def _close(self, op, section, tile, stage, variable, nbytes=0.0, rows=0):
-        if self.templates is not None:
+        if op in self.observe:
             key = (op, section, tile, stage, variable, nbytes, rows)
             index = self.templates.setdefault(key, len(self.templates))
             self.ops.append((_CLOSE, index, 0.0, 0, 0))
@@ -340,30 +346,30 @@ class _TapeLowering:
         self.ops.append((kind, 0, self._service(var, nbytes), 0, 0))
 
     def _read(self, var, nbytes, section, tile, stage, rows=0):
-        self._open()
+        self._open(Op.READ)
         self._disk_op(_IO, var, nbytes)
         self._close(Op.READ, section, tile, stage, var, nbytes, rows)
 
     def _write(self, var, nbytes, section, tile, stage, rows=0):
-        self._open()
+        self._open(Op.WRITE)
         self._disk_op(_IO, None, nbytes)
         self._close(Op.WRITE, section, tile, stage, var, nbytes, rows)
 
     def _compute(self, base, draw, section, tile, stage, rows=1, of=1):
         """``rows`` of the ``of`` rows of stage execution ``draw``."""
-        self._open()
+        self._open(Op.COMPUTE)
         if base > 0.0:
             self.ops.append((_COMPUTE, draw, base, rows, of))
         self._close(Op.COMPUTE, section, tile, stage, None)
 
     def _prefetch_issue(self, var, nbytes, section, tile, stage, rows):
-        self._open()
+        self._open(Op.PREFETCH_ISSUE)
         self._cpu(PREFETCH_ISSUE_OVERHEAD)
         self._disk_op(_PF_ISSUE, var, nbytes)
         self._close(Op.PREFETCH_ISSUE, section, tile, stage, var, nbytes, rows)
 
     def _prefetch_wait(self, var, nbytes, section, tile, stage, rows):
-        self._open()
+        self._open(Op.PREFETCH_WAIT)
         self.ops.append((_PF_WAIT, 0, 0.0, 0, 0))
         self._close(Op.PREFETCH_WAIT, section, tile, stage, var, nbytes, rows)
 
@@ -372,14 +378,14 @@ class _TapeLowering:
         # out-of-core array on this node (paper Section 4.2.2).
         if disk_source is not None:
             self._read(disk_source, nbytes, section, 0, None)
-        self._open()
+        self._open(Op.SEND)
         self._cpu(self.net.send_overhead)
         chan = self.channel((self.rank, dst, tag))
         self.ops.append((_SEND, chan, self.net.transfer_seconds(nbytes), dst, 0))
         self._close(Op.SEND, section, 0, None, None, nbytes)
 
     def _recv(self, src, tag, section):
-        self._open()
+        self._open(Op.RECV)
         self.ops.append((_RECV, self.channel((src, self.rank, tag)), 0.0, src, 0))
         self._cpu(self.net.recv_overhead)
         self._close(Op.RECV, section, 0, None, None)
@@ -387,7 +393,7 @@ class _TapeLowering:
     def _reduce_bcast(self, si, name, nbytes):
         """Binomial-tree reduce to node 0, binomial broadcast back."""
         rank, P = self.rank, self.P
-        self._open()
+        self._open(Op.COLLECTIVE)
         mask = 1
         while mask < P:
             if rank & mask:
@@ -419,7 +425,7 @@ class _Lowering(_TapeLowering):
 
     def __init__(self, emulator: "ClusterEmulator", rank: int, start: int,
                  stop: int, memory: MemoryPlan, prefetch: bool, channel,
-                 observe: bool) -> None:
+                 observe) -> None:
         program = emulator.program
         spec = emulator.cluster.nodes[rank]
         disk = DiskModel(
@@ -495,7 +501,7 @@ class _Lowering(_TapeLowering):
     def _allgather(self, si, name, nbytes):
         """Ring allgather: P-1 steps, passing a fixed chunk around."""
         rank, P = self.rank, self.P
-        self._open()
+        self._open(Op.COLLECTIVE)
         for step in range(P - 1):
             self._send((rank + 1) % P, (si, "ag", step), nbytes, name)
             self._recv((rank - 1) % P, (si, "ag", step), name)
@@ -707,30 +713,21 @@ class _Emulator:
         observer: Optional[Observer] = None,
         telemetry=None,
     ) -> RunResult:
-        """One run on the event engine: fresh tapes and samplers,
-        interpreted event by event.  The only place a run is built on
-        the engine; with ``telemetry`` it records the run's phase
-        totals."""
+        """One run on the event engine (:func:`_run_tapes`): fresh tapes
+        and samplers, interpreted event by event.  The only place a run
+        is built on the engine; with ``telemetry`` it records the run's
+        phase totals."""
         phase: Optional[PhaseAccumulator] = None
         if telemetry and self._phase_telemetry:
             phase = PhaseAccumulator()
-        sim_observer = chain_observers(phase, observer)
-        P = self.cluster.n_nodes
-        timeline: Optional[DynamicsTimeline] = None
-        if self.dynamics is not None:
-            timeline = self.dynamics.compile(P, n_iter, offset)
-        channels: dict = {}
-        channel = lambda key: channels.setdefault(key, len(channels))  # noqa: E731
-        tapes = self._lower_tapes(
-            range(P), distribution, n_iter, prefetch, channel, offset=offset,
-            instrumented=instrumented, observe=sim_observer is not None,
+        tapes, samplers, timeline = self._engine_inputs(
+            distribution, n_iter, instrumented=instrumented,
+            prefetch=prefetch, offset=offset,
+            observe=observed_kinds(phase, observer),
         )
-        samplers = [
-            self._sampler(rank, distribution, instrumented) for rank in range(P)
-        ]
         total, ends = _run_tapes(
             tapes, [tape.iterations() for tape in tapes], n_iter, offset,
-            samplers, timeline, sim_observer,
+            samplers, timeline, chain_observers(phase, observer),
         )
         result = RunResult(
             total_seconds=total,
@@ -742,6 +739,28 @@ class _Emulator:
         if phase is not None:
             self._record_run_telemetry(telemetry, phase, result)
         return result
+
+    def _engine_inputs(self, distribution, n_iter: int, *,
+                       instrumented: bool, prefetch: bool, offset: int,
+                       observe) -> tuple:
+        """``(tapes, samplers, timeline)`` of one engine run: every
+        rank's fresh tape, with ``open`` / ``close`` markers around the
+        op kinds in ``observe``, its noise sampler, and the dynamics
+        timeline (``None`` on a static cluster)."""
+        P = self.cluster.n_nodes
+        timeline: Optional[DynamicsTimeline] = None
+        if self.dynamics is not None:
+            timeline = self.dynamics.compile(P, n_iter, offset)
+        channels: dict = {}
+        channel = lambda key: channels.setdefault(key, len(channels))  # noqa: E731
+        tapes = self._lower_tapes(
+            range(P), distribution, n_iter, prefetch, channel, offset=offset,
+            instrumented=instrumented, observe=observe,
+        )
+        samplers = [
+            self._sampler(rank, distribution, instrumented) for rank in range(P)
+        ]
+        return tapes, samplers, timeline
 
     def _plan_refusal(
         self, observer: Optional[Observer], instrumented: bool
@@ -926,70 +945,6 @@ class ClusterEmulator(_Emulator):
             self._record_run_telemetry(telemetry, None, result)
         return result
 
-    @staticmethod
-    def _interpret(tape: _Tape, iterations: List[List[tuple]], rank: int,
-                   n_iter: int, offset: int, perturb: PerturbationModel,
-                   timeline, observer, ends):
-        """The engine process of one rank: interpret its tape (stored
-        ``iterations`` unpacked).
-
-        Each stage execution's duration is ``base * noise *
-        background``, times the iteration's dynamics multiplier, drawn
-        through the scalar samplers in program order; a disk operation
-        queues behind the rank's disk as
-        :class:`~repro.sim.disk.DiskModel` schedules it.
-        """
-        last = len(iterations) - 1
-        bases = tape.bases.tolist()
-        noise, background = perturb.noise_factor, perturb.background_factor
-        now = free = pending = 0.0
-        dyn = slow = 1.0
-        opened: List[float] = []
-        for local in range(n_iter):
-            it = local + offset
-            if timeline is not None:
-                dyn = timeline.compute_multiplier(rank, it)
-                slow = timeline.disk_slowdown(rank, it)
-            stored = min(local, last)
-            totals = []
-            for base in bases[stored]:
-                seconds = base * noise() * background()
-                if dyn != 1.0:
-                    seconds *= dyn
-                totals.append(seconds)
-            for kind, arg, x, b, rows in iterations[stored]:
-                if kind == _CPU:
-                    now = float((yield Delay(x)))
-                elif kind == _COMPUTE:
-                    seconds = totals[arg] * b / rows
-                    if seconds > 0.0:
-                        now = float((yield Delay(seconds)))
-                elif kind == _IO or kind == _PF_ISSUE:
-                    if slow != 1.0:
-                        x *= slow
-                    free = max(now, free) + x
-                    if kind == _PF_ISSUE:
-                        pending = free
-                    elif free - now > 0.0:
-                        now = float((yield Delay(free - now)))
-                elif kind == _PF_WAIT:
-                    if pending > now:
-                        now = float((yield Delay(pending - now)))
-                elif kind == _SEND:
-                    yield Send(b, (local, arg), transfer=x)
-                elif kind == _RECV:
-                    now = float((yield Recv(b, (local, arg))))
-                elif kind == _END:
-                    ends.append(now)
-                elif kind == _OPEN:
-                    opened.append(now)
-                else:  # _CLOSE
-                    op, section, tile, stage, var, nbytes, nrows = tape.records[arg]
-                    observer(EventRecord(
-                        op, rank, it, section, tile, stage, var, opened.pop(),
-                        now, nbytes, nrows,
-                    ))
-
     # -- what a compiled plan asks of the emulator it serves ---------------------
 
     def _plan_pin(self, distribution, prefetch: bool) -> bool:
@@ -1007,12 +962,13 @@ class ClusterEmulator(_Emulator):
     def _lower_tapes(self, ranks, distribution: GenBlock, n_iter: int,
                      prefetch: bool, channel, *, offset: int = 0,
                      instrumented: bool = False,
-                     observe: bool = False) -> List[_Tape]:
+                     observe=()) -> List[_Tape]:
         """Lower the node programs of ``ranks`` under ``distribution``
         into tapes of ``n_iter`` iterations from global iteration
         ``offset`` (see :class:`_Lowering`), their memory plans made in
         one pass.  ``channel`` maps ``(src, dst, tag)`` to a channel id;
-        ``observe`` adds the record markers."""
+        ``observe``, a set of :class:`~repro.sim.trace.Op` kinds, adds
+        the record markers of those kinds."""
         ranks = list(ranks)
         memory = self._plans(
             ranks, [distribution.counts[r] for r in ranks], instrumented
@@ -1060,19 +1016,147 @@ def _run_tapes(tapes: List[_Tape], iterations: list, n_iter: int, offset: int,
                ) -> Tuple[float, List[List[float]]]:
     """The event engine interpreting every rank's tape (``iterations``:
     each one's stored iterations, unpacked), rank ``r`` drawing from
-    ``samplers[r]``: ``(total seconds, [rank][iteration] ends)``."""
-    engine = Engine()
-    ends: List[List[float]] = [[] for _ in tapes]
-    for rank, tape in enumerate(tapes):
-        engine.add_process(
-            ClusterEmulator._interpret(
-                tape, iterations[rank], rank, n_iter, offset, samplers[rank],
-                timeline, observer, ends[rank],
-            ),
-            node=rank,
+    ``samplers[r]``: ``(total seconds, [rank][iteration] ends)``.
+
+    One flat loop over a heap of rank wake-ups keyed ``(time, seq)``,
+    ties broken by insertion sequence.  A woken rank runs its ops until
+    it must wait: a positive delay is pushed (a zero one is not), and a
+    receive on an empty channel parks the rank until the matching send
+    wakes it at ``max(deliver, now)``; messages queue per channel in
+    FIFO order.  A delay that ends strictly before every other wake-up
+    continues the rank at once, which is the push's own pop (``seq``
+    still advances).  Each iteration's stage-execution seconds are
+    ``base * noise * background``, times the dynamics multiplier,
+    drawn through the scalar samplers in program order when the rank
+    enters the iteration; a disk operation queues behind the rank's
+    disk as :class:`~repro.sim.disk.DiskModel` schedules it.  ``close``
+    markers hand ``observer`` an :class:`~repro.sim.trace.EventRecord`
+    at the moment the op ends, so records arrive in event order.
+    Receivers left waiting when no wake-up remains raise
+    :class:`SimulationError` (deadlock).
+    """
+    P = len(tapes)
+    bases = [tape.bases.tolist() for tape in tapes]
+    last = [len(its) - 1 for its in iterations]
+    ends: List[List[float]] = [[] for _ in range(P)]
+    ops_of: list = [None] * P
+    totals: list = [None] * P
+    slow = [1.0] * P
+
+    def enter(r: int, local: int) -> None:
+        """Rank ``r`` begins local iteration ``local``: its ops and its
+        stage executions' perturbed seconds."""
+        stored = min(local, last[r])
+        dyn = 1.0
+        if timeline is not None:
+            it = local + offset
+            dyn = timeline.compute_multiplier(r, it)
+            slow[r] = float(timeline.disk_slowdown(r, it))
+        noise, background = samplers[r].noise_factor, samplers[r].background_factor
+        tot = []
+        for base in bases[r][stored]:
+            seconds = base * noise() * background()
+            if dyn != 1.0:
+                seconds *= dyn
+            tot.append(float(seconds))
+        totals[r] = tot
+        ops_of[r] = iterations[r][stored]
+
+    for r in range(P):
+        enter(r, 0)
+    pos = [0] * P
+    local_of = [0] * P
+    free = [0.0] * P
+    pend = [0.0] * P
+    opened: List[List[float]] = [[] for _ in range(P)]
+    mail: dict = {}  # (local, channel) -> deliver times, FIFO
+    waiting: dict = {}  # (local, channel) -> the rank parked on it
+    heap = [(0.0, r + 1, r) for r in range(P)]  # sorted, so a heap
+    seq = P
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        now, _, r = pop(heap)
+        ops, i, local = ops_of[r], pos[r], local_of[r]
+        tot, sd, fa, pf = totals[r], slow[r], free[r], pend[r]
+        while True:
+            kind, arg, x, b, rows = ops[i]
+            i += 1
+            if kind == _COMPUTE:
+                d = tot[arg] * b / rows
+            elif kind == _CPU:
+                d = x
+            elif kind == _IO:
+                if sd != 1.0:
+                    x *= sd
+                fa = (fa if fa > now else now) + x
+                d = fa - now
+            elif kind == _SEND:
+                key = (local, arg)
+                deliver = now + x
+                waiter = waiting.pop(key, None)
+                if waiter is None:
+                    mail.setdefault(key, []).append(deliver)
+                else:
+                    seq += 1
+                    push(heap, (deliver if deliver > now else now, seq, waiter))
+                continue
+            elif kind == _RECV:
+                key = (local, arg)
+                queue = mail.pop(key, None)
+                if not queue:
+                    waiting[key] = r
+                    break
+                deliver = queue.pop(0)
+                if queue:
+                    mail[key] = queue
+                if deliver > now:
+                    seq += 1
+                    if heap and heap[0][0] <= deliver:
+                        push(heap, (deliver, seq, r))
+                        break
+                    now = deliver
+                continue
+            elif kind == _END:
+                ends[r].append(now)
+                local += 1
+                if local == n_iter:
+                    break
+                enter(r, local)
+                ops, tot, sd, i = ops_of[r], totals[r], slow[r], 0
+                continue
+            elif kind == _PF_ISSUE:
+                if sd != 1.0:
+                    x *= sd
+                fa = pf = (fa if fa > now else now) + x
+                continue
+            elif kind == _PF_WAIT:
+                d = pf - now
+            elif kind == _OPEN:
+                opened[r].append(now)
+                continue
+            else:  # _CLOSE
+                op, section, tile, stage, var, nbytes, nrows = tapes[r].records[arg]
+                observer(EventRecord(
+                    op, r, local + offset, section, tile, stage, var,
+                    opened[r].pop(), now, nbytes, nrows,
+                ))
+                continue
+            if d > 0.0:
+                t = now + d
+                seq += 1
+                if heap and heap[0][0] <= t:
+                    push(heap, (t, seq, r))
+                    break
+                now = t
+        pos[r], local_of[r], free[r], pend[r] = i, local, fa, pf
+    if waiting:
+        detail = ", ".join(
+            f"node{r}<-node{ops_of[r][pos[r] - 1][3]} (channel {chan}, "
+            f"iteration {local + offset})"
+            for (local, chan), r in list(waiting.items())[:5]
         )
-    # Dynamics multipliers are numpy scalars; totals are plain floats.
-    return float(engine.run()), ends
+        raise SimulationError(f"deadlock: receivers blocked on {detail}")
+    return max((e[-1] for e in ends), default=0.0), ends
 
 
 def _plan_route(plan, distribution, n_iter: int, offset: int, dynamics,

@@ -1,7 +1,9 @@
 """Compiled emulation plans: replay the emulator from per-rank op tapes.
 
-The event engine interprets each rank's op tape event by event, and
-pays a heap push, a generator resume and a request dispatch per event.
+The event engine (:func:`repro.sim.executor._run_tapes`) interprets
+each rank's op tape event by event, and pays heap pushes and pops
+for its delays and wake-ups and a scalar noise draw per stage
+execution.
 For a fixed ``(cluster, program, perturbation)`` and streaming
 style nothing a rank does depends on timing: it is a function of its
 row block alone.  An :class:`EmulationPlan` keeps each rank's tape once
@@ -80,13 +82,19 @@ Routes
 Safety
     The first candidate a plan sees is lowered for the probe window,
     walked, and compared *for exact equality* with the event engine
-    interpreting the same tapes under that first run's own factors and
-    offset — the walk's vector factor path against the engine's scalar
-    draws, and the walk's arithmetic against the engine's events — so
-    the replay is checked in production too.  Any mismatch, or any
+    (:func:`~repro.sim.executor._run_tapes`) interpreting the same
+    tapes under that first run's own factors and offset — the walk's
+    vector factor path against the engine's scalar draws, and the
+    walk's round-robin arithmetic against the engine's heap of events —
+    so the replay is checked in production too.  Any mismatch, or any
     broken assumption later (a message channel or comm skeleton that
     differs between candidates, a deadlocked walk), retires the plan
-    for good and the engine serves every later run.
+    for good and the engine serves every later run.  The first run
+    reuses the tapes the self-check unpacked, but walks its own
+    iterations again: its walk is not derived from the probe's.  The
+    engine itself is checked, records included, against the generator
+    engine it replaced (``tests/emulator_reference.py``) by the test
+    suite's differential harness.
 """
 
 from __future__ import annotations
@@ -224,11 +232,13 @@ class EmulationPlan:
         when the plan cannot serve the candidate (tapes: :meth:`_fetch`)."""
         if self.dead is not None:
             return None
+        # The compiling run's tapes, unpacked: its own fetch reuses them.
+        unpacked: dict = {}
         if not self._compiled:
             with self._lock:
                 if not self._compiled and self.dead is None:
                     try:
-                        self._compile(distribution, dynamics, offset)
+                        unpacked = self._compile(distribution, dynamics, offset)
                     except _PlanUnsupported as exc:
                         self.dead = str(exc)
                     self._compiled = True
@@ -237,7 +247,7 @@ class EmulationPlan:
         P = self.emulator.cluster.n_nodes
         timeline = dynamics.compile(P, n_iter, offset) if dynamics else None
         try:
-            tapes, iterations = self._fetch(distribution, n_iter)
+            tapes, iterations = self._fetch(distribution, n_iter, unpacked)
             ends = self._walk(
                 tapes, iterations, n_iter,
                 *self._factors(distribution, tapes, n_iter, timeline),
@@ -266,10 +276,13 @@ class EmulationPlan:
     def _tape_key(self, rank: int, distribution) -> tuple:
         return self.emulator._tape_key(rank, distribution)
 
-    def _fetch(self, distribution, n_iter: int) -> tuple:
+    def _fetch(self, distribution, n_iter: int, unpacked: dict) -> tuple:
         """Every rank's tape covering ``n_iter`` iterations, and each
         tape's iterations unpacked once: kept tapes from the LRU, the
-        misses lowered in one call and checked against the skeleton."""
+        misses lowered in one call and checked against the skeleton.
+        ``unpacked`` maps a rank to a ``(tape, iterations)`` pair
+        unpacked already (the compiling run's tapes), used while that
+        tape is still the rank's."""
         P = self.emulator.cluster.n_nodes
         keys = [self._tape_key(rank, distribution) for rank in range(P)]
         tapes = [self._tapes.get(key) for key in keys]
@@ -282,7 +295,10 @@ class EmulationPlan:
         lowered = self._lower(misses, distribution, n_iter) if misses else ()
         for rank, tape in zip(misses, lowered):
             tapes[rank] = tape
-        iterations = [tape.iterations() for tape in tapes]
+        iterations = []
+        for rank, tape in enumerate(tapes):
+            kept, its = unpacked.get(rank, (None, None))
+            iterations.append(its if kept is tape else tape.iterations())
         for rank in misses:
             if _skeleton(iterations[rank]) != self._skeleton[rank]:
                 raise _PlanUnsupported(f"rank {rank} comm skeleton changed")
@@ -312,11 +328,12 @@ class EmulationPlan:
 
     # -- compilation ----------------------------------------------------------
 
-    def _compile(self, distribution, dynamics, offset: int) -> None:
+    def _compile(self, distribution, dynamics, offset: int) -> dict:
         """Discover the channels and comm skeleton from the first
         candidate's tapes, then self-check their replayed probe against
         the event engine interpreting the same tapes, under the first
-        run's own dynamics and offset, for exact equality."""
+        run's own dynamics and offset, for exact equality.  Returns
+        each rank's ``(tape, unpacked iterations)``."""
         P = self.emulator.cluster.n_nodes
         probe = self.probe_iterations
         tapes = self._lower(range(P), distribution, probe)
@@ -337,8 +354,9 @@ class EmulationPlan:
             raise _PlanUnsupported("self-check: replay differs from the engine")
         for rank, tape in enumerate(tapes):
             self._tapes.put(self._tape_key(rank, distribution), tape)
+        return dict(enumerate(zip(tapes, iterations)))
 
-# -- replay ---------------------------------------------------------------
+    # -- replay ---------------------------------------------------------------
 
     def _factors(self, distribution, tapes: List[_Tape], n_iter: int,
                  timeline) -> Tuple[List[List[float]], Optional[List[List[float]]]]:

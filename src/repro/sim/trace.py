@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional
 
 __all__ = [
     "Op",
+    "ALL_OPS",
     "EventRecord",
     "TraceCollector",
     "PhaseAccumulator",
@@ -34,6 +35,13 @@ class Op:
     RECV = "recv"
     COLLECTIVE = "collective"
     ITERATION_END = "iteration_end"
+
+
+#: Every kind of traced operation.
+ALL_OPS = frozenset({
+    Op.COMPUTE, Op.READ, Op.WRITE, Op.PREFETCH_ISSUE, Op.PREFETCH_WAIT,
+    Op.SEND, Op.RECV, Op.COLLECTIVE, Op.ITERATION_END,
+})
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,6 +148,20 @@ class PhaseAccumulator:
             )
         for node, iters in sorted(self.iterations.items()):
             rec.set(f"{prefix}/node{node}/iterations", iters)
+
+
+def observed_kinds(*observers: Optional[Observer]) -> frozenset:
+    """The op kinds whose records ``observers`` read: the ``kinds`` an
+    observer names (a :class:`~repro.instrument.hooks.HookRegistry`
+    does), every kind for any other observer (a
+    :class:`PhaseAccumulator` or :class:`TraceCollector` reads them
+    all), none for ``None`` entries.  An emulator marks only these
+    ops, so records of other kinds are never built."""
+    kinds: frozenset = frozenset()
+    for obs in observers:
+        if obs is not None:
+            kinds |= getattr(obs, "kinds", ALL_OPS)
+    return kinds
 
 
 def chain_observers(*observers: Optional[Observer]) -> Optional[Observer]:

@@ -109,7 +109,7 @@ class _Lowering2D(_TapeLowering):
 
     def __init__(self, emulator: "TwoDEmulator", rank: int,
                  dist: GenBlock2D, instrumented: bool, channel,
-                 observe: bool) -> None:
+                 observe) -> None:
         cluster, spec = emulator.cluster, emulator.spec
         node = cluster[rank]
         rows, cols = dist.tile(rank)
@@ -270,7 +270,7 @@ class TwoDEmulator(_Emulator):
 
     def _lower_tapes(self, ranks, dist: GenBlock2D, n_iter: int,
                      prefetch: bool, channel, *, offset: int = 0,
-                     instrumented: bool = False, observe: bool = False) -> list:
+                     instrumented: bool = False, observe=()) -> list:
         """Tapes of ``ranks`` (see :class:`_Lowering2D`); the 2-D kernel
         has one streaming style, so ``prefetch`` changes nothing."""
         return [

@@ -1,10 +1,34 @@
 """Tests for the command-line interface."""
 
+import json
+import socket
+import threading
+
 import pytest
 
 from repro.cli import build_parser, main
 
 SCALE = ["--scale", "0.03"]
+
+
+def _answering_server(path, response):
+    """A one-shot unix-socket server: it reads one request line and
+    answers ``response`` under the request's id."""
+    server = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    server.bind(path)
+    server.listen(1)
+
+    def serve():
+        conn, _ = server.accept()
+        with conn, conn.makefile("rb") as lines:
+            request = json.loads(lines.readline())
+            answer = {"id": request["id"], **response}
+            conn.sendall((json.dumps(answer) + "\n").encode())
+        server.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return thread
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +125,34 @@ class TestCommands:
             with pytest.raises(SystemExit) as exc:
                 main([*argv, "--counts", "1,x,3"])
             assert str(exc.value) == message
+
+    def test_query_error_answer_exits_with_its_message(self, tmp_path):
+        """An ``ok: false`` answer ends ``query`` with the server's
+        message on one line, not a traceback."""
+        sock = str(tmp_path / "serve.sock")
+        error = "counts do not match the cluster's node count"
+        server = _answering_server(sock, {"ok": False, "error": error})
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "query", "predict", "jacobi", "--counts", "1,2,3",
+                "--socket", sock, *SCALE,
+            ])
+        server.join(timeout=10)
+        assert str(exc.value) == f"query 'predict' failed: {error}"
+
+    def test_query_refused_connection_exits_with_one_line(self):
+        """A port nobody listens on ends ``query`` with one line."""
+        bound = socket.socket()  # bound, never listening: refused
+        bound.bind(("127.0.0.1", 0))
+        port = bound.getsockname()[1]
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["query", "ping", "--port", str(port)])
+        finally:
+            bound.close()
+        message = str(exc.value)
+        assert message.startswith(f"cannot reach repro serve at 127.0.0.1:{port}: ")
+        assert "refused" in message and "\n" not in message
 
     def test_predict_unknown_config(self):
         with pytest.raises(SystemExit):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.sim.engine import Delay, Engine, Recv, Send, Spawn
+from tests.event_engine import Delay, Engine, Recv, Send, Spawn
 
 
 def run(*procs):

@@ -7,7 +7,7 @@ from repro.core import MhetaModel
 from repro.distribution import block
 from repro.instrument.collect import MeasurementConfig, collect_inputs
 from repro.sim import ClusterEmulator, PerturbationConfig
-from repro.sim.engine import Delay, Engine, Recv, Send
+from tests.event_engine import Delay, Engine, Recv, Send
 from tests.conftest import make_cg_like, make_jacobi_like, make_pipeline_like
 
 IDEAL = PerturbationConfig.none()

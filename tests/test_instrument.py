@@ -15,7 +15,14 @@ from repro.instrument import (
 )
 from repro.instrument.collect import MeasurementConfig
 from repro.sim import ClusterEmulator, PerturbationConfig
-from repro.sim.trace import EventRecord, Op
+from repro.sim.trace import (
+    ALL_OPS,
+    EventRecord,
+    Op,
+    PhaseAccumulator,
+    TraceCollector,
+    observed_kinds,
+)
 from repro.util.units import mib
 from tests.conftest import make_cg_like, make_jacobi_like
 
@@ -64,6 +71,29 @@ class TestHookRegistry:
 
     def test_unregister_missing_is_noop(self):
         HookRegistry().unregister(Op.READ, lambda r: None)
+
+    def test_kinds_are_the_registered_ones(self):
+        hooks = HookRegistry()
+        seen = []
+        assert hooks.kinds == frozenset()
+        hooks.register(Op.READ, seen.append)
+        hooks.register(Op.COMPUTE, seen.append)
+        assert hooks.kinds == {Op.READ, Op.COMPUTE}
+        hooks.unregister(Op.READ, seen.append)
+        assert hooks.kinds == {Op.COMPUTE}
+        hooks.register_all(seen.append)
+        assert hooks.kinds == ALL_OPS
+
+    def test_observed_kinds(self):
+        """A registry is read for its kinds; any other observer, and any
+        chain holding one, reads every kind."""
+        hooks = HookRegistry()
+        hooks.register(Op.WRITE, lambda r: None)
+        assert observed_kinds(None) == frozenset()
+        assert observed_kinds(hooks) == {Op.WRITE}
+        assert observed_kinds(TraceCollector()) == ALL_OPS
+        assert observed_kinds(PhaseAccumulator(), hooks) == ALL_OPS
+        assert observed_kinds(lambda r: None, None) == ALL_OPS
 
 
 class TestMicrobenchmarks:
@@ -182,6 +212,72 @@ class TestCollect:
         cost = inputs.nodes[0].stages[key]
         assert cost.blocks_measured >= 2
         assert cost.overlap_per_block > 0.0
+
+    def test_observed_run_builds_only_the_records_its_hooks_read(
+        self, base_cluster, jacobi_like
+    ):
+        """An instrumented run observed by a registry builds records of
+        the hooked kinds only: the subsequence of a full trace's records
+        of those kinds, in the same order, and the timing is the full
+        trace's."""
+        d0 = block(base_cluster, jacobi_like.n_rows)
+        emulator = ClusterEmulator(base_cluster, jacobi_like)
+        trace = TraceCollector()
+        full = emulator.run(
+            d0, observer=trace, io_mode="instrumented", iterations=1
+        )
+        built, seen = [], []
+
+        class Counting(HookRegistry):
+            def __call__(self, record):
+                built.append(record.op)
+                super().__call__(record)
+
+        hooks = Counting()
+        hooks.register(Op.COMPUTE, seen.append)
+        hooks.register(Op.WRITE, seen.append)
+        part = emulator.run(
+            d0, observer=hooks, io_mode="instrumented", iterations=1
+        )
+        assert set(built) == {Op.COMPUTE, Op.WRITE}
+        assert seen == [
+            r for r in trace.records if r.op in (Op.COMPUTE, Op.WRITE)
+        ]
+        assert len(seen) < len(trace.records)
+        assert part.iteration_ends == full.iteration_ends
+
+    def test_jitter_is_one_vector_draw(self, base_cluster, jacobi_like,
+                                       monkeypatch):
+        """The timer jitter of the instrumented run is drawn in one
+        call, one normal per measured record."""
+        import repro.instrument.collect as collect_mod
+
+        sizes = []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def normal(self, loc, scale, size=None):
+                sizes.append(size)
+                return self.rng.normal(loc, scale, size)
+
+        real = collect_mod.stream
+        monkeypatch.setattr(
+            collect_mod, "stream", lambda *labels: Recording(real(*labels))
+        )
+        d0 = block(base_cluster, jacobi_like.n_rows)
+        trace = TraceCollector()
+        ClusterEmulator(base_cluster, jacobi_like, IDEAL).run(
+            d0, observer=trace, io_mode="instrumented", iterations=1
+        )
+        measured = [
+            r for r in trace.records
+            if (r.op == Op.COMPUTE and r.stage is not None)
+            or (r.op in (Op.READ, Op.WRITE) and r.variable is not None)
+        ]
+        collect_inputs(base_cluster, jacobi_like, d0, perturbation=IDEAL)
+        assert sizes == [len(measured)]
 
     def test_wrong_distribution_raises(self, base_cluster, jacobi_like):
         bad = block(base_cluster, jacobi_like.n_rows + 8)

@@ -42,6 +42,7 @@ from repro.apps import (
 )
 from repro.cluster import dynamics_scenario, table1_configs
 from repro.distribution import GenBlock, block, largest_remainder_round
+from repro.instrument import HookRegistry
 from repro.obs import Recorder
 from repro.sim import (
     ClusterEmulator,
@@ -52,7 +53,7 @@ from repro.sim import (
 )
 from repro.cluster.dynamics import DynamicsTimeline
 from repro.sim.perturbation import PerturbationModel
-from repro.sim.trace import TraceCollector
+from repro.sim.trace import ALL_OPS, TraceCollector
 from repro.twod.jacobi2d import _Lowering2D
 from repro.twod import (
     GenBlock2D,
@@ -259,10 +260,11 @@ def test_dynamic_replay_matches_engine(app, config, seed, prefetch, scenario,
 
 
 def _assert_lowering_exact(emulator, dist, n_iter, *, io_mode="auto",
-                           offset=0, observe=False):
+                           offset=0, observe=()):
     """Every rank's tape, lowered as the emulator lowers it (the first
     iteration reused), equals :func:`lower_in_full`'s: the same packed
-    ops, bounds, bases, repeat flag and record templates."""
+    ops, bounds, bases, repeat flag and record templates (``observe``:
+    the op kinds marked)."""
     P = emulator.cluster.n_nodes
     instrumented, io_override = executor_mod._resolve_io_mode(io_mode)
     twod = isinstance(emulator, TwoDEmulator)
@@ -313,7 +315,7 @@ def _assert_lowering_exact(emulator, dist, n_iter, *, io_mode="auto",
     seed=st.integers(0, 2**16),
     io_mode=st.sampled_from(["auto", "sync", "prefetch", "instrumented"]),
     prefetching=st.booleans(),
-    observe=st.booleans(),
+    observe=st.sets(st.sampled_from(sorted(ALL_OPS))),
     offset=st.integers(0, 10),
     iterations=st.integers(1, 40),
     out_of_core=st.booleans(),
@@ -376,6 +378,112 @@ def test_replay_lowers_every_missing_tape_in_one_call(monkeypatch):
     assert plan.tape_misses == misses + P
     ref = _engine(cluster, program, second, NOISY)
     assert got == ref.iteration_ends
+
+
+def test_first_replay_unpacks_each_tape_once(monkeypatch):
+    """A fresh plan's first replay walks the tapes its self-check
+    unpacked: one ``_Tape.iterations`` call per rank, not two; a later
+    replay unpacks the kept tapes once more."""
+    cluster = table1_configs()["HY1"]
+    program = _program("cg", False, PROBE)
+    P = cluster.n_nodes
+    plan = plan_sim.EmulationPlan(
+        ClusterEmulator(cluster, program, NOISY, dynamics=False)
+    )
+    calls = []
+    unpack = executor_mod._Tape.iterations
+
+    def counting(self):
+        calls.append(self)
+        return unpack(self)
+
+    monkeypatch.setattr(executor_mod._Tape, "iterations", counting)
+    dist = block(cluster, program.n_rows)
+    got = plan.replay(dist, PROBE)
+    assert plan.dead is None
+    assert len(calls) == P
+    assert plan.replay(dist, PROBE) == got
+    assert len(calls) == 2 * P
+    monkeypatch.undo()
+    assert got == _engine(cluster, program, dist, NOISY).iteration_ends
+
+
+@settings(
+    deadline=None,
+    max_examples=30,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    workload=st.sampled_from(
+        ["jacobi", "cg", "lanczos", "rna", "multigrid", "jacobi2d"]
+    ),
+    config=st.sampled_from(["DC", "IO", "HY1", "HY2"]),
+    seed=st.integers(0, 2**16),
+    io_mode=st.sampled_from(executor_mod.IO_MODES),
+    iterations=st.integers(1, 12),
+    offset=st.integers(0, 10),
+    scenario=st.sampled_from(
+        [None, "drift", "load-spike", "node-loss", "disk-fade"]
+    ),
+    noisy=st.booleans(),
+    observed=st.one_of(
+        st.none(), st.sets(st.sampled_from(sorted(ALL_OPS)), min_size=1)
+    ),
+)
+def test_event_loop_matches_generator_engine(workload, config, seed, io_mode,
+                                             iterations, offset, scenario,
+                                             noisy, observed):
+    """The library's event engine, one flat loop over the tapes
+    (``_run_tapes``), is the generator engine of
+    :mod:`tests.emulator_reference`: whatever the app or 2-D Jacobi,
+    cluster, layout, ``io_mode``, run length, offset, dynamics, noise
+    and observer, the totals and iteration ends are equal bit for bit.
+    An observer that reads some op kinds (a ``HookRegistry``) gets
+    exactly the oracle's full record stream filtered to those kinds, in
+    the same order."""
+    cluster = table1_configs()[config]
+    P = cluster.n_nodes
+    pert = NOISY if noisy else DETERMINISTIC
+    dynamics = (
+        dynamics_scenario(scenario, P, start=seed % 12) if scenario else False
+    )
+    instrumented, io_override = executor_mod._resolve_io_mode(io_mode)
+    if workload == "jacobi2d":
+        # 32 MiB nodes hold an 8192^2 grid's tiles only out of core.
+        side = 8192 if seed % 2 else 1024
+        spec = Jacobi2DSpec(n_rows=side, n_cols=side, iterations=iterations)
+        shapes = factor_pairs(P)
+        dist = block2d(side, side, shapes[seed % len(shapes)])
+        emulator = TwoDEmulator(cluster, spec, pert, dynamics=dynamics)
+        prefetch = False
+    else:
+        application = application_by_name(workload, SCALE)
+        program = (
+            application.prefetching() if seed % 2 else application.structure
+        ).with_iterations(iterations)
+        dist = _layout(P, program.n_rows, seed, seed % P)
+        emulator = ClusterEmulator(cluster, program, pert, dynamics=dynamics)
+        prefetch = executor_mod._streaming_style(program, io_override)
+    full = TraceCollector() if observed is not None else None
+    ref = engine_run(
+        emulator, dist, iterations=iterations, io_mode=io_mode,
+        iteration_offset=offset, observer=full,
+    )
+    seen, hooks = [], None
+    if observed is not None:
+        hooks = HookRegistry()
+        for kind in observed:
+            hooks.register(kind, seen.append)
+    got = emulator._engine_run(
+        dist, iterations, instrumented=instrumented, prefetch=prefetch,
+        offset=offset, observer=hooks,
+    )
+    assert got.total_seconds == ref.total_seconds
+    assert got.iteration_ends == ref.iteration_ends
+    # Dynamics multipliers are numpy scalars; the clocks stay floats.
+    assert {type(e) for ends in got.iteration_ends for e in ends} == {float}
+    if observed is not None:
+        assert seen == [r for r in full.records if r.op in observed]
 
 
 def test_disk_fade_scales_io_and_prefetch_ops():

@@ -10,7 +10,7 @@ from repro.core.io_model import prefetch_io_seconds, sync_io_seconds
 from repro.core.comm import pipeline_waits
 from repro.distribution import GenBlock, interpolate, largest_remainder_round
 from repro.placement import plan_memory
-from repro.sim.engine import Delay, Engine, Recv, Send
+from tests.event_engine import Delay, Engine, Recv, Send
 from tests.conftest import make_cg_like, make_jacobi_like
 
 COMMON = settings(
