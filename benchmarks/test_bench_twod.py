@@ -90,10 +90,10 @@ def test_twod_beats_strips_when_comm_bound(benchmark, save_result):
 
 
 def test_twod_search(benchmark, save_result):
-    """Coordinate-descent GBS over 2-D layouts: finds a strong layout,
-    but needs an order of magnitude more evaluations than 1-D GBS —
-    the paper's search-space argument, experienced."""
-    from repro.twod import TwoDGbs
+    """The default 2-D search (coordinate descent per grid shape): finds
+    a strong layout, but needs an order of magnitude more evaluations
+    than 1-D GBS — the paper's search-space argument, experienced."""
+    from repro.twod import TwoDLayoutSearch
 
     cluster = config_dc()
     spec = Jacobi2DSpec(n_rows=8192, n_cols=8192, iterations=100)
@@ -102,7 +102,7 @@ def test_twod_search(benchmark, save_result):
         model = build_2d_model(
             cluster, spec, block2d(spec.n_rows, spec.n_cols, (2, 4))
         )
-        result = TwoDGbs(model).search(budget=1500)
+        result = TwoDLayoutSearch(model).search(budget=1500)
         emulator = TwoDEmulator(cluster, spec)
         verified = emulator.run(result.best)
         blk = emulator.run(block2d(spec.n_rows, spec.n_cols, (2, 4)))

@@ -23,7 +23,7 @@ from repro.cluster import ClusterSpec, baseline_cluster, config_dc
 from repro.twod import (
     Jacobi2DSpec,
     TwoDEmulator,
-    TwoDGbs,
+    TwoDLayoutSearch,
     balanced2d,
     block2d,
     build_2d_model,
@@ -103,7 +103,7 @@ def main() -> None:
 
     # -- 3: ...and the batched kernel that pays for it --------------------
     search_model = build_2d_model(cluster, spec, block2d(n, n, (2, 4)))
-    result = TwoDGbs(search_model).search(budget=400)
+    result = TwoDLayoutSearch(search_model).search(budget=400)
     print(
         f"\nBatched 2-D search over all grid shapes ({result.evaluations} "
         f"evaluations through the batched kernel):\n  {result}"

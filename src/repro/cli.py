@@ -625,7 +625,9 @@ def _cmd_search_twod(args, cluster, program) -> str:
         out.append(str(result))
         for shape, value in sorted(result.per_shape.items()):
             marker = " <-" if shape == result.best.grid_shape else ""
-            out.append(f"  {shape[0]}x{shape[1]}: {value:.3f}s{marker}")
+            # A shape the budget ran out on before it was searched is inf.
+            shown = f"{value:.3f}s" if value < float("inf") else "not searched"
+            out.append(f"  {shape[0]}x{shape[1]}: {shown}{marker}")
         if args.verify:
             actual = TwoDEmulator(cluster, spec).run(
                 result.best, telemetry=rec

@@ -898,12 +898,12 @@ class ClusterEmulator(_Emulator):
         :func:`~repro.sim.steady.steady_deltas` finds it converged,
         extrapolates the rest closed-form (``fast_forwarded``); every
         other run — noisy, background-loaded, dynamic, an offset
-        segment, or no longer than the probe — replays all of its
-        iterations, bit-identical to the engine.  **Engine**: the event
-        engine interprets the tapes event by event.  The plan route
+        segment, no longer than the probe, or whose probe did not
+        converge — replays all of its iterations, bit-identical to the
+        engine.  **Engine**: the event engine interprets the tapes
+        event by event.  The plan route
         refuses an observer, an instrumented run and a non-uniform
-        iteration profile.  Those runs, and any run the plan cannot
-        serve (a retired plan, a non-converging deterministic probe),
+        iteration profile.  Those runs, and any run on a retired plan,
         take the engine; with ``telemetry`` each such run is counted
         under ``sim/fallback/<reason>``.  The route alone picks the
         interpreter.
@@ -1162,45 +1162,42 @@ def _run_tapes(tapes: List[_Tape], iterations: list, n_iter: int, offset: int,
 def _plan_route(plan, distribution, n_iter: int, offset: int, dynamics,
                 stationary: bool) -> Tuple[Optional[RunResult], Optional[str]]:
     """One run served by a compiled plan: ``(result, None)``, or
-    ``(None, reason)`` when the engine must run it.
+    ``(None, "plan_dead")`` when the plan is retired and the engine
+    must run it.
 
     A ``stationary`` deterministic run longer than the probe replays
     the probe and extrapolates the rest once it converged (the offset
-    changes nothing); every other run replays all of its iterations.
+    changes nothing); every other run, and one whose probe did not
+    converge, replays all of its iterations.
     """
     probe = FAST_FORWARD_POLICY.probe_iterations
-    if n_iter <= probe or not stationary:
-        # Iterations that differ (noise, background load, dynamics)
-        # or a run no longer than the probe: replay all of them.
+    ends, fast_forwarded = None, False
+    if n_iter > probe and stationary:
+        probe_ends = plan.replay(distribution, probe)
+        if probe_ends is None:
+            return None, "plan_dead"
+        deltas = steady_deltas(probe_ends, FAST_FORWARD_POLICY)
+        if deltas is not None:
+            ends = [
+                extrapolate_ends(e, delta, n_iter)
+                for e, delta in zip(probe_ends, deltas)
+            ]
+            fast_forwarded = True
+    if ends is None:
+        # Iterations that differ (noise, background load, dynamics), a
+        # run no longer than the probe, or a probe that did not
+        # converge: replay all of them.
         ends = plan.replay(distribution, n_iter, dynamics, offset)
         if ends is None:
             return None, "plan_dead"
-        per_node = [e[-1] for e in ends]
-        return RunResult(
-            total_seconds=max(per_node),
-            per_node_seconds=per_node,
-            iteration_ends=ends,
-            distribution=distribution,
-            iterations=n_iter,
-        ), None
-    probe_ends = plan.replay(distribution, probe)
-    if probe_ends is None:
-        return None, "plan_dead"
-    deltas = steady_deltas(probe_ends, FAST_FORWARD_POLICY)
-    if deltas is None:
-        return None, "not_converged"
-    iteration_ends = [
-        extrapolate_ends(ends, delta, n_iter)
-        for ends, delta in zip(probe_ends, deltas)
-    ]
-    per_node = [ends[-1] for ends in iteration_ends]
+    per_node = [e[-1] for e in ends]
     return RunResult(
         total_seconds=max(per_node),
         per_node_seconds=per_node,
-        iteration_ends=iteration_ends,
+        iteration_ends=ends,
         distribution=distribution,
         iterations=n_iter,
-        fast_forwarded=True,
+        fast_forwarded=fast_forwarded,
     ), None
 
 

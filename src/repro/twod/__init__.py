@@ -12,16 +12,18 @@ declines, for the stencil workload where 2-D decomposition matters
 * :mod:`repro.twod.distribution2d` — ``GenBlock2D``: an R x C processor
   grid with variable row bands and column bands (the 2-D analogue of
   GEN_BLOCK);
-* :mod:`repro.twod.jacobi2d` — a 2-D Jacobi emulator (built directly on
-  the discrete-event engine: four-neighbour halo exchanges, out-of-core
-  row-band streaming) and its MHETA-style analytical model, exact under
-  ideal conditions like the 1-D pair;
+* :mod:`repro.twod.jacobi2d` — a 2-D Jacobi emulator (each rank lowered
+  into the 1-D emulator's op tapes — tile sweep, out-of-core row-band
+  streaming, four-neighbour halo exchanges, the residual allreduce — and
+  run on its one route) and its MHETA-style analytical model, exact
+  under ideal conditions like the 1-D pair;
 * :mod:`repro.twod.search_space` — the quantitative version of the
   paper's "search space increases greatly" argument: candidate counts
   and evaluation budgets for 1-D vs 2-D at equal resolution;
-* :mod:`repro.twod.search2d` — a working 2-D search (per-shape
-  coordinate-descent GBS), demonstrating both that 2-D layouts *can* be
-  searched and what that costs relative to the 1-D spectrum bisection.
+* :mod:`repro.twod.search2d` — a working 2-D search (every searcher
+  family over every grid shape; the default is a per-shape coordinate
+  descent), demonstrating both that 2-D layouts *can* be searched and
+  what that costs relative to the 1-D spectrum bisection.
 """
 
 from repro.twod.distribution2d import (
@@ -38,10 +40,8 @@ from repro.twod.jacobi2d import (
     TwoDReport,
     build_2d_model,
 )
-from repro.twod.plan2d import EvaluationPlan2D
 from repro.twod.search_space import SearchSpaceComparison, search_space_growth
 from repro.twod.search2d import (
-    TwoDGbs,
     TwoDLayoutSearch,
     TwoDSearchResult,
     is_degenerate,
@@ -59,10 +59,8 @@ __all__ = [
     "TwoDReport",
     "TwoDNodeReport",
     "build_2d_model",
-    "EvaluationPlan2D",
     "SearchSpaceComparison",
     "search_space_growth",
-    "TwoDGbs",
     "TwoDLayoutSearch",
     "TwoDSearchResult",
     "is_degenerate",

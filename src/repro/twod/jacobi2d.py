@@ -31,7 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.cluster import ClusterSpec
-from repro.core.comm import SectionTimeline
+from repro.core.comm import SectionTimeline, maxplus_compose_batch
+from repro.core.model import steady_walk
 from repro.exceptions import ModelError, SimulationError
 from repro.instrument.collect import (
     _NO_IO,
@@ -41,6 +42,7 @@ from repro.instrument.collect import (
 )
 from repro.instrument.microbench import Microbenchmarks, run_microbenchmarks
 from repro.obs import Recorder, as_recorder
+from repro.program.sections import CommPattern
 from repro.sim.disk import DiskModel
 from repro.sim.executor import (
     _Emulator,
@@ -221,11 +223,11 @@ class TwoDEmulator(_Emulator):
         cols)``.  A stationary deterministic run longer than the probe
         replays the probe and extrapolates the rest once it converged;
         every other run (noisy, background-loaded, dynamic, an offset
-        segment, or no longer than the probe) replays all of its
-        iterations, bit-identical to the engine.  **Engine**: the event
-        engine interprets the tapes.  An observer, an instrumented run,
-        a retired plan and a non-converging probe take the engine; with
-        ``telemetry`` each such run is counted under
+        segment, no longer than the probe, or whose probe did not
+        converge) replays all of its iterations, bit-identical to the
+        engine.  **Engine**: the event engine interprets the tapes.  An
+        observer, an instrumented run and a retired plan take the
+        engine; with ``telemetry`` each such run is counted under
         ``sim/twod/fallback/<reason>``, each plan-served one under
         ``sim/twod/plan_runs``.
         """
@@ -324,16 +326,89 @@ class TwoDReport:
     nodes: Tuple[TwoDNodeReport, ...]
 
 
+#: Halo axis of a send (north/south move a tile *row* of ``cols``
+#: elements; west/east move a column of ``rows``).
+_NS = 0
+_WE = 1
+
+
+@dataclass(frozen=True)
+class _GridTables:
+    """One grid shape's candidate-independent index tables: where each
+    rank sits, the halo axis of its sends in :data:`DIRECTIONS` order,
+    and the receiver-centric halo edges of the iteration matrix."""
+
+    gi: np.ndarray  #: grid row of each rank
+    gj: np.ndarray  #: grid column of each rank
+    pos_axis: np.ndarray  #: (P, 4) halo axis of rank r's p-th send
+    pos_valid: np.ndarray  #: (P, 4) whether that send exists
+    degree: np.ndarray  #: neighbours per rank
+    recv_e: np.ndarray  #: receiver of each edge
+    send_e: np.ndarray  #: sender of each edge
+    recv_coeff: np.ndarray  #: receive overheads still ahead of the edge
+    send_pos: np.ndarray  #: the edge's position in its sender's sends
+
+
+def _grid_tables(R: int, C: int, recv_overhead: float) -> _GridTables:
+    P = R * C
+    probe = GenBlock2D([1] * R, [1] * C)
+    pos_axis = np.zeros((P, 4), dtype=np.int64)
+    pos_valid = np.zeros((P, 4), dtype=bool)
+    pos_of = {}
+    degree = np.zeros(P, dtype=np.int64)
+    for r in range(P):
+        for p, (direction, _other) in enumerate(probe.neighbors(r)):
+            pos_axis[r, p] = _NS if direction in ("north", "south") else _WE
+            pos_valid[r, p] = True
+            pos_of[(r, direction)] = p
+        degree[r] = len(probe.neighbors(r))
+    recv_e, send_e, recv_coeff, send_pos = [], [], [], []
+    for r in range(P):
+        for i, (direction, other) in enumerate(probe.neighbors(r)):
+            recv_e.append(r)
+            send_e.append(other)
+            # t = max(t, deliver_i) + or_ folded over the k receives
+            # leaves deliver_i carrying (k - i) receive overheads.
+            recv_coeff.append((degree[r] - i) * recv_overhead)
+            send_pos.append(pos_of[(other, _OPPOSITE[direction])])
+    ranks = np.arange(P)
+    return _GridTables(
+        gi=ranks // C,
+        gj=ranks % C,
+        pos_axis=pos_axis,
+        pos_valid=pos_valid,
+        degree=degree,
+        recv_e=np.array(recv_e, dtype=np.int64),
+        send_e=np.array(send_e, dtype=np.int64),
+        recv_coeff=np.array(recv_coeff, dtype=float),
+        send_pos=np.array(send_pos, dtype=np.int64),
+    )
+
+
 class TwoDModel:
     """The MHETA equations over 2-D tiles.
 
     Mirrors :class:`repro.core.model.MhetaModel`'s surface: the
     consolidated :meth:`predict` entry point (single, ``report=True``,
-    ``batch=True``).  It scores whole candidate populations through the
-    max-plus iteration matrices of :mod:`repro.twod.plan2d`, one private
-    plan per grid shape, and answers a single prediction as a batch of
-    one.  The per-rank scalar loop it replaced is the test oracle in
-    ``tests/model_reference.py``.
+    ``batch=True``), a single prediction answered as a batch of one.
+
+    The model's iteration — stage sweep, four-direction halo exchange,
+    residual allreduce — applies only ``max`` and ``+ constant`` to the
+    per-rank clocks on a schedule that never depends on the clock
+    values, so one iteration is a max-plus linear map of the clocks.
+    For a candidate layout the map factors as ``M = M_red (x) A``:
+    ``A`` is the 5-point-stencil halo matrix (diagonal = the rank's
+    stage + its full send sequence + its receive overheads; one
+    off-diagonal entry per grid neighbour = the sender's cumulative
+    send-order offset + the in-flight transfer + the receiver's
+    remaining receive overheads) and ``M_red`` the constant
+    reduce+broadcast matrix the 1-D kernel extracts by basis replay.  A
+    whole ``(B, P)`` population builds its ``A`` from closed-form stage
+    tables and the grid shape's index tables (:class:`_GridTables`, one
+    per shape, held here) in a handful of array operations, then walks
+    ``M`` with the 1-D kernel's steady-state walk
+    (:func:`repro.core.model.steady_walk`).  The per-rank scalar loop
+    it replaced is the test oracle in ``tests/model_reference.py``.
     """
 
     def __init__(
@@ -346,31 +421,25 @@ class TwoDModel:
         self.spec = spec
         self.inputs = inputs
         self._timeline = SectionTimeline(inputs.micro, cluster.n_nodes)
-        # grid shape -> this model's evaluation plan for that shape.
-        self._plans: Dict[Tuple[int, int], object] = {}
+        # Per-rank constants of the stage tables (float64 row vectors).
+        micro = inputs.micro
+        d0 = inputs.distribution0
+        area0 = np.array(
+            [d0.tile_elements(r) for r in range(cluster.n_nodes)], dtype=float
+        )
+        self._rate = np.asarray(inputs.compute_seconds, dtype=float) / area0
+        self._mem = cluster.memory_bytes.astype(float)
+        self._rseek = np.array([d.read_seek for d in micro.disks])
+        self._wseek = np.array([d.write_seek for d in micro.disks])
+        self._rpb = np.asarray(inputs.read_per_byte, dtype=float)
+        self._wpb = np.asarray(inputs.write_per_byte, dtype=float)
+        # grid shape -> its index tables, built on first use.
+        self._grids: Dict[Tuple[int, int], _GridTables] = {}
+        self._m_red: Optional[np.ndarray] = None
 
     @property
     def n_nodes(self) -> int:
         return self.cluster.n_nodes
-
-    # -- evaluation plans -------------------------------------------------------
-
-    def ensure_plan(self, grid_shape: Optional[Tuple[int, int]] = None):
-        """Resolve the evaluation plan for ``grid_shape`` (default: the
-        instrumented baseline's shape), building it on first use."""
-        if grid_shape is None:
-            grid_shape = self.inputs.distribution0.grid_shape
-        plan = self._plans.get(grid_shape)
-        if plan is None:
-            from repro.twod.plan2d import EvaluationPlan2D
-
-            plan = EvaluationPlan2D(self, grid_shape)
-            self._plans[grid_shape] = plan
-        return plan
-
-    def release_plans(self) -> None:
-        """Drop this model's plans (they rebuild lazily on next use)."""
-        self._plans = {}
 
     # -- prediction ------------------------------------------------------------
 
@@ -436,10 +505,9 @@ class TwoDModel:
         """Every rank's predicted clock total (the prediction is their
         max)."""
         self._validate(dist)
-        plan = self.ensure_plan(dist.grid_shape)
         rowc = np.asarray([dist.row_counts], dtype=np.int64)
         colc = np.asarray([dist.col_counts], dtype=np.int64)
-        return plan.execute(rowc, colc, n_iter, reduce=False)[0]
+        return self._walk(dist.grid_shape, rowc, colc, n_iter)[0]
 
     def _report(self, dist: GenBlock2D, n_iter: int) -> TwoDReport:
         totals = self._rank_totals(dist, n_iter)
@@ -470,15 +538,117 @@ class TwoDModel:
             self._validate(d)
             groups.setdefault(d.grid_shape, []).append(i)
         for shape, idxs in groups.items():
-            plan = self.ensure_plan(shape)
             rowc = np.asarray(
                 [dists[i].row_counts for i in idxs], dtype=np.int64
             )
             colc = np.asarray(
                 [dists[i].col_counts for i in idxs], dtype=np.int64
             )
-            out[idxs] = plan.execute(rowc, colc, n_iter)
+            totals = self._walk(shape, rowc, colc, n_iter)
+            out[idxs] = _max_over_ranks(totals)
         return out
+
+    # -- the batched kernel ------------------------------------------------------
+
+    def _grid(self, shape: Tuple[int, int]) -> _GridTables:
+        grid = self._grids.get(shape)
+        if grid is None:
+            grid = self._grids[shape] = _grid_tables(
+                *shape, self.inputs.micro.recv_overhead
+            )
+        return grid
+
+    def _stage_tables(self, rows_t: np.ndarray, cols_t: np.ndarray):
+        """Vectorized per-rank closed forms over ``(B, P)`` tiles:
+        stage seconds plus the two per-axis halo-read costs."""
+        esize = float(self.spec.element_size)
+        rate, mem = self._rate, self._mem
+        rseek, wseek, rpb, wpb = self._rseek, self._wseek, self._rpb, self._wpb
+        area = (rows_t * cols_t).astype(float)
+        compute = rate * area
+        tile_bytes = area * esize
+        in_core = tile_bytes <= mem
+        row_bytes = cols_t.astype(float) * esize
+        chunk = np.floor(mem / np.maximum(row_bytes, 1e-12))
+        chunk = np.minimum(np.maximum(chunk, 1.0), np.maximum(rows_t, 1))
+        n_io = np.ceil(rows_t / chunk)
+        io = n_io * (rseek + wseek) + tile_bytes * (rpb + wpb)
+        stage = np.where(in_core, compute, compute + io)
+        ns_nbytes = cols_t * esize
+        we_nbytes = rows_t * esize
+        halo_ns = np.where(in_core, 0.0, rseek + ns_nbytes * rpb)
+        halo_we = np.where(in_core, 0.0, rseek + we_nbytes * rpb)
+        return stage, halo_ns, halo_we, ns_nbytes, we_nbytes
+
+    def _matrices(
+        self, grid: _GridTables, rowc: np.ndarray, colc: np.ndarray
+    ) -> np.ndarray:
+        """The composed ``(B, P, P)`` per-iteration matrices."""
+        micro = self.inputs.micro
+        B = rowc.shape[0]
+        P = self.cluster.n_nodes
+        rows_t = rowc[:, grid.gi]
+        cols_t = colc[:, grid.gj]
+        stage, halo_ns, halo_we, ns_nbytes, we_nbytes = self._stage_tables(
+            rows_t, cols_t
+        )
+        # Send sequence: per position, disk halo read + send overhead,
+        # accumulated in DIRECTIONS order (the emulator's fixed order).
+        ns = grid.pos_axis == _NS  # (P, 4)
+        step = np.where(ns, halo_ns[:, :, None], halo_we[:, :, None])
+        step = np.where(grid.pos_valid, step + micro.send_overhead, 0.0)
+        sendcum = np.cumsum(step, axis=2)
+        nbytes = np.where(ns, ns_nbytes[:, :, None], we_nbytes[:, :, None])
+        transfer = micro.fixed_latency + nbytes * micro.byte_latency
+        deliver = stage[:, :, None] + sendcum + transfer
+        A = np.full((B, P, P), -np.inf)
+        diag = stage + sendcum[:, :, -1] + grid.degree * micro.recv_overhead
+        A[:, np.arange(P), np.arange(P)] = diag
+        if len(grid.recv_e):
+            A[:, grid.recv_e, grid.send_e] = (
+                deliver[:, grid.send_e, grid.send_pos] + grid.recv_coeff
+            )
+        if P == 1:
+            return A
+        if self._m_red is None:
+            # Basis replay, cached on the timeline like the 1-D sections.
+            self._m_red = self._timeline._maxplus_matrix(
+                CommPattern.REDUCTION, _RESIDUAL_BYTES
+            )
+        return maxplus_compose_batch(
+            np.broadcast_to(self._m_red, (B, P, P)), A
+        )
+
+    def _walk(
+        self,
+        shape: Tuple[int, int],
+        rowc: np.ndarray,
+        colc: np.ndarray,
+        n_iter: int,
+    ) -> np.ndarray:
+        """Per-rank ``(B, P)`` clock totals of a validated population of
+        one grid shape: ``(B, R)`` row bands, ``(B, C)`` column bands."""
+        M = self._matrices(self._grid(shape), rowc, colc)
+        totals, _ = steady_walk(
+            [lambda clocks: (M + clocks[:, None, :]).max(axis=2)],
+            n_iter,
+            M.shape[:2],
+        )
+        return totals
+
+
+def _max_over_ranks(totals: np.ndarray) -> np.ndarray:
+    """``(B,)`` maxima of ``(B, P)`` rank totals by a pairwise-halving
+    tree (``totals`` is walk scratch and is overwritten)."""
+    P = totals.shape[1]
+    if P == 1:
+        return totals[:, 0].copy()
+    m = P
+    while m > 2:
+        h = m // 2
+        np.maximum(totals[:, : m - h], totals[:, h:m], out=totals[:, : m - h])
+        m -= h
+    return np.maximum(totals[:, 0], totals[:, 1])
 
 
 def build_2d_model(

@@ -2,17 +2,18 @@
 
 The paper's reason for staying one-dimensional is that the 2-D search
 space "increases greatly" — every grid shape (R, C) multiplies a row-band
-axis by a column-band axis.  With the batched 2-D kernel
-(:mod:`repro.twod.plan2d`) an evaluation costs what the 1-D kernel costs,
-so the 1-D search layer itself is pointed at 2-D layouts:
+axis by a column-band axis.  :class:`~repro.twod.jacobi2d.TwoDModel`
+scores a whole candidate population in one vectorized pass, so a 2-D
+evaluation costs what a 1-D one costs and the 1-D search layer itself is
+pointed at 2-D layouts.  :class:`TwoDLayoutSearch` runs one of the
+:data:`repro.search.SEARCHERS` families over every grid shape:
 
-* :class:`TwoDGbs` — batched coordinate descent per grid shape
-  (steepest-descent single-band moves, scored one population per round
-  through ``predict(batch=True)``).  It scores through the 1-D
-  :class:`EvaluationCache` and :class:`BudgetedEvaluator`, keyed by
-  ``GenBlock2D.counts`` = ``(row_counts, col_counts)``;
-* :class:`TwoDLayoutSearch` — any of the five 1-D searcher families run
-  over (row bands x column bands) per shape, through a model adapter
+* ``gbs`` (the default) — batched coordinate descent per grid shape
+  from the better of the Blk/Bal 2-D anchors: steepest-descent
+  single-band moves, scored one population per round through one
+  :class:`EvaluationCache` and :class:`BudgetedEvaluator` shared by all
+  shapes, keyed by ``GenBlock2D.counts`` = ``(row_counts, col_counts)``;
+* the other families — run per shape through a model adapter
   (:class:`_ShapeAdapter`) that encodes a layout as one joint GEN_BLOCK
   over R + C positions and decodes with per-axis repair;
 * degenerate ``1 x P`` / ``P x 1`` shapes are *not* searched as 2-D at
@@ -21,8 +22,7 @@ so the 1-D search layer itself is pointed at 2-D layouts:
   single varying axis (:func:`strip_candidates`) and the 2-D budget is
   spent only on genuinely two-dimensional candidates.
 
-Both searchers share the surface ``Searcher(model, *, knobs...)`` /
-``search(budget, *, telemetry=...)`` returning a
+``search(budget, *, telemetry=...)`` returns a
 :class:`TwoDSearchResult`.  Telemetry rides along under
 ``span/search/twod`` with the standard ``search/*`` counters.
 """
@@ -50,7 +50,6 @@ from repro.twod.jacobi2d import TwoDModel
 
 __all__ = [
     "TwoDSearchResult",
-    "TwoDGbs",
     "TwoDLayoutSearch",
     "strip_candidates",
     "is_degenerate",
@@ -202,17 +201,6 @@ class _JointProgram:
         return 0.0
 
 
-@dataclass(frozen=True)
-class _JointNodeReport:
-    total_seconds: float
-
-
-@dataclass(frozen=True)
-class _JointReport:
-    total_seconds: float
-    nodes: Tuple[_JointNodeReport, ...]
-
-
 class _ShapeAdapter:
     """A :class:`TwoDModel` at one grid shape, presented as the 1-D
     model surface the searchers and :class:`BudgetedEvaluator` consume.
@@ -226,10 +214,7 @@ class _ShapeAdapter:
     decodes to a valid layout, deterministically.
 
     ``predict(joint)`` and ``predict(joints, batch=True)`` score through
-    the underlying batched kernel; ``predict(joint, report=True)`` aggregates the per-rank
-    clock totals to per-band ones (row band i = the slowest rank in grid
-    row i, and symmetrically for columns) so GBS's bottleneck hill climb
-    moves band units away from the slowest band.
+    the underlying batched kernel.
     """
 
     def __init__(self, model: TwoDModel, grid_shape: Tuple[int, int]):
@@ -272,23 +257,14 @@ class _ShapeAdapter:
         iterations: Optional[int] = None,
         *,
         batch: bool = False,
-        report: bool = False,
         telemetry: Optional[Recorder] = None,
     ):
         if batch:
             return self._model.predict(
                 [self.decode(j) for j in joint], iterations, batch=True
             )
-        dist = self.decode(joint)
-        if not report:
-            return self._model.predict(dist, iterations, telemetry=telemetry)
-        rep = self._model.predict(dist, iterations, report=True)
-        R, C = self.grid_shape
-        totals = np.array([n.total_seconds for n in rep.nodes]).reshape(R, C)
-        axis_totals = np.concatenate([totals.max(axis=1), totals.max(axis=0)])
-        return _JointReport(
-            total_seconds=rep.total_seconds,
-            nodes=tuple(_JointNodeReport(float(t)) for t in axis_totals),
+        return self._model.predict(
+            self.decode(joint), iterations, telemetry=telemetry
         )
 
 
@@ -325,167 +301,71 @@ def _best_layout(cache: EvaluationCache) -> Tuple[GenBlock2D, float]:
     return GenBlock2D(rows, cols), value
 
 
-# -- coordinate-descent GBS (batched) -----------------------------------------
+# -- the gbs family: coordinate descent (batched) -----------------------------
+
+#: Rounds of (rows, then columns) refinement per grid shape.
+_ROUNDS = 3
+#: The first move unit of an axis is its total over this (halving to 1).
+_RESOLUTION = 16
 
 
-class TwoDGbs:
-    """Batched coordinate descent over GenBlock2D layouts.
-
-    One model serves every grid shape: the instrumented calibration is a
-    per-element compute rate, which transfers across shapes (the plan
-    for each shape is compiled once and cached).  For each shape the
-    search starts from the better of the Blk/Bal 2-D anchors and runs
-    steepest-descent single-band moves — per round, *all* ``src -> dst``
-    unit moves along the active axis are scored in one
-    ``predict(batch=True)`` pass, the best is applied, and the move unit
-    halves when no move improves (multi-resolution, as in 1-D GBS's
-    shrinking hill-climb step).
-
-    Candidates are scored through a :class:`BudgetedEvaluator`, whose
-    budget is a hard cap on genuinely 2-D evaluations.  Degenerate strip
-    shapes are scored via the 1-D spectrum path
-    (:func:`strip_candidates`) without spending that budget.
-    """
-
-    name = "twod-gbs"
-
-    def __init__(
-        self,
-        model: TwoDModel,
-        cluster=None,  # accepted for driver uniformity; the model has it
-        *,
-        rounds: int = 3,
-        resolution: int = 16,
-        shapes: Optional[Sequence[Tuple[int, int]]] = None,
-        steps_per_leg: int = 8,
-        batch_size: int = 64,
-    ) -> None:
-        self.model = model
-        self.rounds = rounds
-        self.resolution = resolution
-        self.shapes = (
-            list(shapes)
-            if shapes is not None
-            else factor_pairs(model.cluster.n_nodes)
-        )
-        self.steps_per_leg = steps_per_leg
-        self.batch_size = batch_size
-
-    # -- axis refinement ---------------------------------------------------
-
-    def _axis_moves(
-        self, current: GenBlock2D, axis: str, unit: int
-    ) -> List[GenBlock2D]:
-        bands = list(
-            current.row_counts if axis == "rows" else current.col_counts
-        )
-        n = len(bands)
-        moves = []
-        for src in range(n):
-            if bands[src] - unit < 1:
+def _axis_moves(
+    current: GenBlock2D, axis: str, unit: int
+) -> List[GenBlock2D]:
+    """Every ``src -> dst`` move of ``unit`` rows (or columns) between
+    two bands of ``axis`` that leaves each band at least one."""
+    bands = list(current.row_counts if axis == "rows" else current.col_counts)
+    n = len(bands)
+    moves = []
+    for src in range(n):
+        if bands[src] - unit < 1:
+            continue
+        for dst in range(n):
+            if src == dst:
                 continue
-            for dst in range(n):
-                if src == dst:
-                    continue
-                trial = list(bands)
-                trial[src] -= unit
-                trial[dst] += unit
-                moves.append(
-                    GenBlock2D(trial, current.col_counts)
-                    if axis == "rows"
-                    else GenBlock2D(current.row_counts, trial)
-                )
-        return moves
+            trial = list(bands)
+            trial[src] -= unit
+            trial[dst] += unit
+            moves.append(
+                GenBlock2D(trial, current.col_counts)
+                if axis == "rows"
+                else GenBlock2D(current.row_counts, trial)
+            )
+    return moves
 
-    def _descend(
-        self, evaluate: BudgetedEvaluator, start: GenBlock2D
-    ) -> Tuple[GenBlock2D, float]:
-        best = start
-        best_val = evaluate(start)
-        for axis, total in (
-            ("rows", start.n_rows),
-            ("cols", start.n_cols),
-        ) * self.rounds:
-            unit = max(total // self.resolution, 1)
-            while True:
-                moves = self._axis_moves(best, axis, unit)
-                if moves:
-                    improved = False
-                    for lo in range(0, len(moves), self.batch_size):
-                        chunk = moves[lo : lo + self.batch_size]
-                        values = evaluate.batch(chunk)
-                        i = min(
-                            range(len(values)), key=values.__getitem__
-                        )
-                        if values[i] < best_val - 1e-12:
-                            best, best_val = chunk[i], values[i]
-                            improved = True
-                    if improved:
-                        continue
-                if unit == 1:
-                    break
-                unit = max(unit // 2, 1)
-        return best, best_val
 
-    # -- the search --------------------------------------------------------
-
-    def search(
-        self,
-        budget: int = 400,
-        *,
-        telemetry: Optional[Recorder] = None,
-    ) -> TwoDSearchResult:
-        if budget < 1:
-            raise SearchError("budget must be >= 1")
-        rec = as_recorder(telemetry)
-        cache = EvaluationCache(self.model.predict)
-        evaluate = BudgetedEvaluator(
-            self.model, cache, budget, [], telemetry=rec
-        )
-        per_shape: Dict[Tuple[int, int], float] = {}
-        with rec.span("search/twod"):
-            for shape in self.shapes:
-                if is_degenerate(shape):
-                    per_shape[shape] = _score_strips(
-                        self.model, shape, cache, self.steps_per_leg
-                    )
-                    continue
-                spec = self.model.spec
-                starts = [block2d(spec.n_rows, spec.n_cols, shape)]
-                if not self.model.cluster.is_cpu_homogeneous:
-                    starts.append(
-                        balanced2d(
-                            self.model.cluster,
-                            spec.n_rows,
-                            spec.n_cols,
-                            shape,
-                        )
-                    )
-                try:
-                    values = evaluate.batch(starts)
+def _descend(
+    evaluate: BudgetedEvaluator, start: GenBlock2D, batch_size: int
+) -> float:
+    """Steepest descent from ``start``: per round, *all* single-band
+    moves along the active axis are scored in batches of
+    ``batch_size``, the best is applied, and the move unit halves when
+    no move improves (multi-resolution, as in 1-D GBS's shrinking
+    hill-climb step).  Returns the best value reached."""
+    best = start
+    best_val = evaluate(start)
+    for axis, total in (
+        ("rows", start.n_rows),
+        ("cols", start.n_cols),
+    ) * _ROUNDS:
+        unit = max(total // _RESOLUTION, 1)
+        while True:
+            moves = _axis_moves(best, axis, unit)
+            if moves:
+                improved = False
+                for lo in range(0, len(moves), batch_size):
+                    chunk = moves[lo : lo + batch_size]
+                    values = evaluate.batch(chunk)
                     i = min(range(len(values)), key=values.__getitem__)
-                    _, value = self._descend(evaluate, starts[i])
-                except _BudgetExhausted:
-                    value = min(
-                        (
-                            cache.value(d.counts)
-                            for d in starts
-                            if d.counts in cache
-                        ),
-                        default=float("inf"),
-                    )
-                per_shape[shape] = value
-        best, best_value = _best_layout(cache)
-        result = TwoDSearchResult(
-            best=best,
-            predicted_seconds=best_value,
-            evaluations=cache.evaluations,
-            per_shape=per_shape,
-            algorithm=self.name,
-            cache_hits=cache.hits,
-        )
-        _record_twod_search(rec, self.name, budget, result)
-        return result
+                    if values[i] < best_val - 1e-12:
+                        best, best_val = chunk[i], values[i]
+                        improved = True
+                if improved:
+                    continue
+            if unit == 1:
+                break
+            unit = max(unit // 2, 1)
+    return best_val
 
 
 def _record_twod_search(
@@ -499,23 +379,39 @@ def _record_twod_search(
             rec.observe("search/twod/shape_best", value)
 
 
-# -- all five families over the joint encoding --------------------------------
+# -- the search over every grid shape -----------------------------------------
 
 #: The counters :func:`~repro.search.base._record_search` adds per run.
 _SEARCH_TOTALS = ("search/runs", "search/evaluations", "search/cache_hits")
 
 
+def _shares(budget: int, n_shapes: int) -> List[int]:
+    """Each genuine shape's evaluation budget: an even split, and at
+    most ``budget`` in total — below one evaluation per shape the first
+    ``budget`` shapes get one each and the rest none."""
+    if budget >= n_shapes:
+        return [budget // max(n_shapes, 1)] * n_shapes
+    return [1] * budget + [0] * (n_shapes - budget)
+
+
 class TwoDLayoutSearch:
-    """Run a 1-D searcher family over every grid shape's joint encoding.
+    """Run a searcher family over every grid shape.
 
-    The budget is split evenly across the genuinely 2-D shapes (factor
-    pairs with both axes > 1); each shape gets a fresh
-    :class:`_ShapeAdapter` and a fresh family instance seeded
-    deterministically per shape.  Degenerate strip shapes ride the 1-D
-    spectrum path instead (see :func:`strip_candidates`) and do not
-    consume the per-shape search budget.
+    ``algorithm`` is one of :data:`repro.search.SEARCHERS`.  The default,
+    ``gbs``, is the coordinate descent (:func:`_descend`): the shapes,
+    in order, share one :class:`EvaluationCache` and one
+    :class:`BudgetedEvaluator`, so a genuine shape's candidates are
+    evaluated only while the cache holds fewer than ``budget``
+    evaluations.  Strip shapes are scored inline, outside that cap
+    (:func:`_score_strips`); a genuine shape the budget runs out on
+    reports its best start, or ``inf``.  It takes no knobs.
 
-    ``algorithm`` is one of :data:`repro.search.SEARCHERS`; extra keyword
+    Any other family runs per genuine shape (both axes > 1) over the
+    joint encoding: each shape gets a fresh :class:`_ShapeAdapter`, a
+    fresh family instance seeded deterministically per shape, and an
+    even share of the budget (see :func:`_shares`; a shape with no
+    share reports ``inf``).  Strip shapes ride the 1-D spectrum path
+    (see :func:`strip_candidates`) outside the shares.  Extra keyword
     knobs pass through to the family constructor (e.g. ``population=``
     for the GA, ``steps=`` for annealing).
     """
@@ -539,6 +435,10 @@ class TwoDLayoutSearch:
                 f"unknown 2-D search family {algorithm!r}; choose from "
                 f"{sorted(SEARCHERS)}"
             )
+        if algorithm == "gbs" and knobs:
+            raise SearchError(
+                f"the 2-D gbs family takes no knobs, got {sorted(knobs)}"
+            )
         self.model = model
         self.algorithm = algorithm
         self.shapes = (
@@ -560,51 +460,16 @@ class TwoDLayoutSearch:
         if budget < 1:
             raise SearchError("budget must be >= 1")
         rec = as_recorder(telemetry)
-        genuine = [s for s in self.shapes if not is_degenerate(s)]
-        strips = [s for s in self.shapes if is_degenerate(s)]
-        per_shape: Dict[Tuple[int, int], float] = {}
-        best: Optional[GenBlock2D] = None
-        best_val = float("inf")
-        cache_hits = 0
         with rec.span("search/twod"):
-            # Degenerate shapes: the 1-D spectrum path, one batch each.
-            cache = EvaluationCache(self.model.predict)
-            for shape in strips:
-                per_shape[shape] = _score_strips(
-                    self.model, shape, cache, self.steps_per_leg
-                )
-            if strips:
-                best, best_val = _best_layout(cache)
-            evaluations = cache.evaluations
-            # Genuine 2-D shapes: the chosen family per shape.  Each
-            # family search counts its own run into the search/* totals;
-            # they are put back afterwards, so this search counts as one
-            # run with its own evaluations and cache hits.
-            totals = {k: rec.counters.get(k, 0) for k in _SEARCH_TOTALS}
-            family = SEARCHERS[self.algorithm]
-            share = max(budget // max(len(genuine), 1), 1)
-            for shape in genuine:
-                adapter = _ShapeAdapter(self.model, shape)
-                searcher = family(
-                    adapter,
-                    adapter.cluster,
-                    batch_size=self.batch_size,
-                    seed_label=f"{self._seed_label}:{shape[0]}x{shape[1]}",
-                    **self.knobs,
-                )
-                res = searcher.search(share, telemetry=telemetry)
-                evaluations += res.evaluations
-                cache_hits += res.cache_hits
-                dist = adapter.decode(res.best)
-                value = float(res.predicted_seconds)
-                per_shape[shape] = value
-                if value < best_val:
-                    best, best_val = dist, value
-            if rec:
-                rec.counters.update(totals)
-        if best is None:
-            raise SearchError("2-D search performed no evaluations")
-        result = TwoDSearchResult(
+            if self.algorithm == "gbs":
+                result = self._descent(budget, rec)
+            else:
+                result = self._per_shape(budget, telemetry, rec)
+        _record_twod_search(rec, self.name, budget, result)
+        return result
+
+    def _result(self, best, best_val, evaluations, cache_hits, per_shape):
+        return TwoDSearchResult(
             best=best,
             predicted_seconds=best_val,
             evaluations=evaluations,
@@ -612,5 +477,91 @@ class TwoDLayoutSearch:
             algorithm=f"{self.name}-{self.algorithm}",
             cache_hits=cache_hits,
         )
-        _record_twod_search(rec, self.name, budget, result)
-        return result
+
+    def _descent(self, budget: int, rec: Recorder) -> TwoDSearchResult:
+        """The gbs family: every shape, in order, on one budgeted cache."""
+        model = self.model
+        spec = model.spec
+        cache = EvaluationCache(model.predict)
+        evaluate = BudgetedEvaluator(model, cache, budget, [], telemetry=rec)
+        per_shape: Dict[Tuple[int, int], float] = {}
+        for shape in self.shapes:
+            if is_degenerate(shape):
+                per_shape[shape] = _score_strips(
+                    model, shape, cache, self.steps_per_leg
+                )
+                continue
+            starts = [block2d(spec.n_rows, spec.n_cols, shape)]
+            if not model.cluster.is_cpu_homogeneous:
+                starts.append(
+                    balanced2d(model.cluster, spec.n_rows, spec.n_cols, shape)
+                )
+            try:
+                values = evaluate.batch(starts)
+                i = min(range(len(values)), key=values.__getitem__)
+                value = _descend(evaluate, starts[i], self.batch_size)
+            except _BudgetExhausted:
+                value = min(
+                    (
+                        cache.value(d.counts)
+                        for d in starts
+                        if d.counts in cache
+                    ),
+                    default=float("inf"),
+                )
+            per_shape[shape] = value
+        best, best_val = _best_layout(cache)
+        return self._result(
+            best, best_val, cache.evaluations, cache.hits, per_shape
+        )
+
+    def _per_shape(
+        self, budget: int, telemetry, rec: Recorder
+    ) -> TwoDSearchResult:
+        """Any other family: strips first, then each genuine shape's own
+        family search on its share of the budget."""
+        genuine = [s for s in self.shapes if not is_degenerate(s)]
+        strips = [s for s in self.shapes if is_degenerate(s)]
+        per_shape: Dict[Tuple[int, int], float] = {}
+        best: Optional[GenBlock2D] = None
+        best_val = float("inf")
+        cache_hits = 0
+        # Degenerate shapes: the 1-D spectrum path, one batch each.
+        cache = EvaluationCache(self.model.predict)
+        for shape in strips:
+            per_shape[shape] = _score_strips(
+                self.model, shape, cache, self.steps_per_leg
+            )
+        if strips:
+            best, best_val = _best_layout(cache)
+        evaluations = cache.evaluations
+        # Genuine 2-D shapes: the chosen family per shape.  Each family
+        # search counts its own run into the search/* totals; they are
+        # put back afterwards, so this search counts as one run with its
+        # own evaluations and cache hits.
+        totals = {k: rec.counters.get(k, 0) for k in _SEARCH_TOTALS}
+        family = SEARCHERS[self.algorithm]
+        for shape, share in zip(genuine, _shares(budget, len(genuine))):
+            if share == 0:
+                per_shape[shape] = float("inf")
+                continue
+            adapter = _ShapeAdapter(self.model, shape)
+            searcher = family(
+                adapter,
+                adapter.cluster,
+                batch_size=self.batch_size,
+                seed_label=f"{self._seed_label}:{shape[0]}x{shape[1]}",
+                **self.knobs,
+            )
+            res = searcher.search(share, telemetry=telemetry)
+            evaluations += res.evaluations
+            cache_hits += res.cache_hits
+            value = float(res.predicted_seconds)
+            per_shape[shape] = value
+            if value < best_val:
+                best, best_val = adapter.decode(res.best), value
+        if rec:
+            rec.counters.update(totals)
+        if best is None:
+            raise SearchError("2-D search performed no evaluations")
+        return self._result(best, best_val, evaluations, cache_hits, per_shape)

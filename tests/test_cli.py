@@ -310,6 +310,15 @@ class TestTwoDCli:
         assert "twod-gbs" in out
         assert "2x4:" in out
 
+    def test_search_twod_starved_shape_is_not_searched(self, capsys):
+        out = run_cli(
+            capsys,
+            "search", "jacobi", "--config", "DC",
+            "--twod", "all", "--budget", "60", *SCALE,
+        )
+        assert "4x2: not searched" in out
+        assert "inf" not in out
+
     def test_search_twod_all_shapes_with_telemetry(self, capsys):
         out = run_cli(
             capsys,

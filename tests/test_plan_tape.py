@@ -695,6 +695,7 @@ SERVED = {
     "offset": _offset,
     "short_run": _short_run,
     "io_mode": _io_mode,
+    "not_converged": _not_converged,
 }
 
 FALLBACKS = {
@@ -702,13 +703,16 @@ FALLBACKS = {
     "instrumented": _instrumented,
     "iteration_profile": _iteration_profile,
     "plan_dead": _plan_dead,
-    "not_converged": _not_converged,
 }
 
 
 @pytest.mark.parametrize("case", sorted(SERVED))
-def test_plan_served_run_is_engine_identical(case):
-    cluster, program, pert, kw = SERVED[case]()
+def test_plan_served_run_is_engine_identical(case, monkeypatch):
+    setup = SERVED[case]
+    if case == "not_converged":
+        cluster, program, pert, kw = setup(monkeypatch)
+    else:
+        cluster, program, pert, kw = setup()
     dists = [
         block(cluster, program.n_rows),
         _layout(cluster.n_nodes, program.n_rows, 7, 3),
@@ -738,7 +742,7 @@ def test_plan_served_run_is_engine_identical(case):
 @pytest.mark.parametrize("reason", sorted(FALLBACKS))
 def test_fallback_is_counted_and_engine_identical(reason, monkeypatch):
     setup = FALLBACKS[reason]
-    if reason in ("plan_dead", "not_converged"):
+    if reason == "plan_dead":
         cluster, program, pert, kw = setup(monkeypatch)
     else:
         cluster, program, pert, kw = setup()

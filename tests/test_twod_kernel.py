@@ -6,8 +6,7 @@ the model's vectorized numpy path must agree to <= 1e-12 relative on
 any valid ``GenBlock2D``, across cluster configurations
 (including heterogeneous memory where some tiles stream out-of-core);
 a single prediction is a batch of one, bitwise equal to its row of any
-batch; and each
-model keeps its own per-shape evaluation plans, outside the
+batch; and each model keeps its own per-shape index tables, outside the
 process-wide plan LRU.
 """
 
@@ -84,7 +83,7 @@ def _models(cluster_name="mixed2d"):
             TwoDModel(cluster, spec, base.inputs),
         )
     scalar, numpy_m = _MODEL_CACHE[cluster_name]
-    numpy_m.release_plans()  # every test starts with no plans built
+    numpy_m._grids.clear()  # every test starts with no index tables built
     return scalar, numpy_m
 
 
@@ -184,15 +183,21 @@ def test_iterations_override_changes_result():
     assert 0 < short < full
 
 
-# -- per-model plans -----------------------------------------------------------
+# -- per-model index tables ----------------------------------------------------
 
 
 def test_distinct_shapes_compile_distinct_plans():
+    """Each grid shape's index tables are built once, on first use."""
     _, model = _models()
     shapes = factor_pairs(model.n_nodes)
-    plans = {id(model.ensure_plan(shape)) for shape in shapes}
-    assert len(plans) == len(shapes)
-    assert model.ensure_plan(shapes[0]) is model.ensure_plan(shapes[0])
+    model.predict(
+        [block2d(model.spec.n_rows, model.spec.n_cols, s) for s in shapes],
+        batch=True,
+    )
+    assert sorted(model._grids) == sorted(shapes)
+    tables = dict(model._grids)
+    model.predict(_dists(model, rng_seed=4), batch=True)
+    assert all(model._grids[s] is tables[s] for s in shapes)
 
 
 def test_numpy_kernel_builds_private_plans():
@@ -204,58 +209,14 @@ def test_numpy_kernel_builds_private_plans():
     assert plan_cache_stats()["size"] == 0  # nothing went process-wide
 
 
-def test_release_plans_discards_cache_entries():
-    _, model = _models()
-    model.ensure_plan((2, 4))
-    model.ensure_plan((4, 2))
-    assert len(model._plans) == 2
-    model.release_plans()
-    assert model._plans == {}
-    model.release_plans()  # releasing twice is a no-op
-
-
 def test_plan_results_survive_release_and_recompile():
+    """Rebuilt index tables give the same answers bit for bit."""
     _, model = _models()
     dists = _dists(model, rng_seed=3)
     before = model.predict(dists, batch=True)
-    model.release_plans()
+    model._grids.clear()
     after = model.predict(dists, batch=True)
     assert (before == after).all()
-
-
-def test_matrix_memo_is_bounded():
-    _, model = _models()
-    spec = model.spec
-    rng = np.random.RandomState(11)
-    compiled = model.ensure_plan((2, 4))
-    seen = set()
-    while len(seen) < 12:
-        rows = tuple(
-            largest_remainder_round(
-                rng.uniform(0.5, 2.0, size=2), spec.n_rows, minimum=1
-            )
-        )
-        cols = tuple(
-            largest_remainder_round(
-                rng.uniform(0.5, 2.0, size=4), spec.n_cols, minimum=1
-            )
-        )
-        if (rows, cols) in seen:
-            continue
-        seen.add((rows, cols))
-        model.predict([GenBlock2D(rows, cols)], batch=True)
-    assert len(compiled._m_memo) <= 8
-
-
-def test_plan_stats_shape():
-    _, model = _models()
-    model.predict(
-        _dists(model, rng_seed=5, per_shape=1), batch=True
-    )
-    stats = model.ensure_plan((2, 4)).stats
-    assert stats["mode"] == "matrix2d"
-    assert stats["grid_shape"] == (2, 4)
-    assert stats["executes"] >= 1
 
 
 # -- errors -------------------------------------------------------------------
@@ -266,7 +227,10 @@ def test_wrong_coverage_rejected():
     with pytest.raises(ModelError):
         model.predict(block2d(model.spec.n_rows, model.spec.n_cols, (2, 2)))
     with pytest.raises(ModelError):
-        model.ensure_plan((3, 3))
+        model.predict(
+            [block2d(model.spec.n_rows, model.spec.n_cols, (3, 3))],
+            batch=True,
+        )
 
 
 def test_report_plus_batch_rejected():
@@ -325,5 +289,5 @@ def test_batch_telemetry_counters():
     model.predict(dists, batch=True, telemetry=rec)
     assert rec.counters["model/predictions"] == len(dists)
     assert rec.counters["model/batch_predictions"] == 1
-    # Per-model plans: nothing process-wide to report.
+    # Per-model index tables: nothing process-wide to report.
     assert not any(k.startswith("model/plan_cache") for k in rec.gauges)
