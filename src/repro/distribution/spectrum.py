@@ -16,7 +16,9 @@ paper exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
+
+import numpy as np
 
 from repro.cluster.cluster import ClusterSpec
 from repro.distribution.factories import (
@@ -26,11 +28,18 @@ from repro.distribution.factories import (
     in_core_balanced,
     in_core_capacity_rows,
 )
-from repro.distribution.genblock import GenBlock, largest_remainder_round
+from repro.distribution.genblock import GenBlock
 from repro.exceptions import DistributionError
 from repro.program.structure import ProgramStructure
 
-__all__ = ["SpectrumPoint", "interpolate", "spectrum", "has_memory_pressure"]
+__all__ = [
+    "SpectrumPoint",
+    "interpolate",
+    "interpolate_many",
+    "interpolation_grid",
+    "spectrum",
+    "has_memory_pressure",
+]
 
 
 @dataclass(frozen=True)
@@ -43,17 +52,60 @@ class SpectrumPoint:
     distribution: GenBlock
 
 
-def interpolate(a: GenBlock, b: GenBlock, alpha: float) -> GenBlock:
-    """Blend two distributions: ``(1-alpha)*a + alpha*b`` rounded back to
-    integer blocks with the exact row total preserved."""
+def interpolation_grid(
+    a: GenBlock, b: GenBlock, alphas: Sequence[float]
+) -> np.ndarray:
+    """Blend two distributions at every ``alpha`` in one numpy pass:
+    row ``k`` of the ``(len(alphas), P)`` int64 result is
+    ``(1-alphas[k])*a + alphas[k]*b`` rounded back to integer blocks with
+    the exact row total preserved.
+
+    Each row repeats :func:`largest_remainder_round`'s IEEE operations
+    (``minimum=0``), so it equals that scalar rounding of the same blend
+    bit for bit: scale by the row sum, floor, and hand the remainder to
+    the largest fractions, ordered by a stable sort so the lower node
+    wins a tie, as ``lexsort`` breaks it."""
     if a.n_nodes != b.n_nodes:
         raise DistributionError("cannot interpolate across node counts")
     if a.n_rows != b.n_rows:
         raise DistributionError("cannot interpolate across row totals")
-    if not 0.0 <= alpha <= 1.0:
-        raise DistributionError(f"alpha must be in [0, 1], got {alpha}")
-    mix = (1.0 - alpha) * a.as_array + alpha * b.as_array
-    return GenBlock(largest_remainder_round(mix, a.n_rows, minimum=0))
+    alphas = np.asarray(alphas, dtype=float)
+    outside = ~((alphas >= 0.0) & (alphas <= 1.0))
+    if outside.any():
+        raise DistributionError(
+            f"alpha must be in [0, 1], got {alphas[outside][0]}"
+        )
+    total = a.n_rows
+    mix = (1.0 - alphas)[:, None] * a.counts_np + alphas[:, None] * b.counts_np
+    sums = mix.sum(axis=1)
+    empty = sums <= 0
+    if empty.any():
+        mix[empty] = 1.0
+        sums = mix.sum(axis=1)
+    scaled = mix / sums[:, None] * total
+    floors = np.floor(scaled)
+    counts = floors.astype(np.int64)
+    remainder = total - counts.sum(axis=1)
+    fracs = scaled - floors
+    order = np.argsort(-fracs, axis=1, kind="stable")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(a.n_nodes), axis=1)
+    counts += rank < remainder[:, None]
+    return counts
+
+
+def interpolate_many(
+    a: GenBlock, b: GenBlock, alphas: Sequence[float]
+) -> List[GenBlock]:
+    """:func:`interpolate` at every ``alpha``, from one
+    :func:`interpolation_grid` validated once."""
+    return GenBlock.from_rows(interpolation_grid(a, b, alphas), a.n_rows)
+
+
+def interpolate(a: GenBlock, b: GenBlock, alpha: float) -> GenBlock:
+    """Blend two distributions: ``(1-alpha)*a + alpha*b`` rounded back to
+    integer blocks with the exact row total preserved."""
+    return interpolate_many(a, b, [alpha])[0]
 
 
 def has_memory_pressure(
@@ -77,15 +129,10 @@ def _leg(
     steps: int,
 ) -> List[Tuple[str, str, GenBlock]]:
     """Points strictly after ``a`` up to and including ``b``."""
-    out: List[Tuple[str, str, GenBlock]] = []
-    for k in range(1, steps + 1):
-        alpha = k / steps
-        if k == steps:
-            label = end_label
-        else:
-            label = f"{start_label}>{end_label} {k}/{steps}"
-        out.append((label, start_label, interpolate(a, b, alpha)))
-    return out
+    dists = interpolate_many(a, b, np.arange(1, steps + 1) / steps)
+    labels = [f"{start_label}>{end_label} {k}/{steps}" for k in range(1, steps)]
+    labels.append(end_label)
+    return [(label, start_label, d) for label, d in zip(labels, dists)]
 
 
 def spectrum(

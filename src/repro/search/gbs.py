@@ -8,17 +8,19 @@ in the lowest execution time"), and (2) it needs few evaluations because
 each is cheap.
 
 Strategy: along every leg of the anchor path Blk -> I-C -> I-C/Bal ->
-Bal, score the leg's full interpolation grid (spacing ``resolution``)
-in one batched evaluation — the population goes through
-``evaluate.batch``, which deduplicates the rounded GEN_BLOCKs (grid
-neighbours collide after integer rounding, legs share their anchor
-endpoints) and feeds the distinct misses to the model's vectorized
-``predict(batch=True)`` in a single pass — then finish with a
-row-exchange hill climb between the predicted bottleneck node and the
-node with the most slack.  Scoring the whole grid costs the same batch
-the old two-probe bisection spread over many rounds of Python-level
-calls, needs no unimodality assumption, and cannot miss a dip between
-probe points.
+Bal, build the leg's full interpolation grid (spacing ``resolution``)
+in one numpy pass (:func:`~repro.distribution.spectrum.interpolate_many`:
+every blend is rounded at once, bit-identical to rounding each point
+on its own, and the grid is validated once) and score it in one
+batched evaluation.  The population goes through ``evaluate.batch``,
+which deduplicates the rounded GEN_BLOCKs (grid neighbours collide
+after integer rounding, legs share their anchor endpoints) and feeds
+the distinct misses to the model's vectorized ``predict(batch=True)``
+in a single pass.  A row-exchange hill climb between the predicted
+bottleneck node and the node with the most slack finishes the search.
+Scoring the whole grid costs the same batch the old two-probe
+bisection spread over many rounds of Python-level calls, needs no
+unimodality assumption, and cannot miss a dip between probe points.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from repro.cluster.cluster import ClusterSpec
 from repro.core.model import MhetaModel
 from repro.distribution.factories import balanced, block, in_core, in_core_balanced
 from repro.distribution.genblock import GenBlock
-from repro.distribution.spectrum import has_memory_pressure, interpolate
+from repro.distribution.spectrum import has_memory_pressure, interpolate_many
 from repro.search.base import SearchAlgorithm, evaluate_batch
 
 __all__ = ["GeneralizedBinarySearch"]
@@ -82,9 +84,7 @@ class GeneralizedBinarySearch(SearchAlgorithm):
     ) -> Tuple[GenBlock, float]:
         """Score the leg's full interpolation grid in one batched pass."""
         steps = max(int(round(1.0 / self.resolution)), 1)
-        grid = [a]
-        grid.extend(interpolate(a, b, k / steps) for k in range(1, steps))
-        grid.append(b)
+        grid = [a, *interpolate_many(a, b, np.arange(1, steps) / steps), b]
         values = evaluate_batch(evaluate, grid)
         best_i = min(range(len(values)), key=values.__getitem__)
         return grid[best_i], values[best_i]

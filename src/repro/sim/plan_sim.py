@@ -80,19 +80,23 @@ Routes
     iteration-profile runs take the engine.
 
 Safety
-    The first candidate a plan sees is lowered for the probe window,
-    walked, and compared *for exact equality* with the event engine
+    The first candidate a plan sees is lowered for the longer of the
+    probe window and its own run, and walked once under that run's own
+    factors, dynamics and offset.  The walk's probe-window ends are
+    compared *for exact equality* with the event engine
     (:func:`~repro.sim.executor._run_tapes`) interpreting the same
-    tapes under that first run's own factors and offset — the walk's
-    vector factor path against the engine's scalar draws, and the
-    walk's round-robin arithmetic against the engine's heap of events —
-    so the replay is checked in production too.  Any mismatch, or any
-    broken assumption later (a message channel or comm skeleton that
-    differs between candidates, a deadlocked walk), retires the plan
-    for good and the engine serves every later run.  The first run
-    reuses the tapes the self-check unpacked, but walks its own
-    iterations again: its walk is not derived from the probe's.  The
-    engine itself is checked, records included, against the generator
+    tapes over the probe window — the walk's vector factor path
+    against the engine's scalar draws, and the walk's round-robin
+    arithmetic against the engine's heap of events — so the replay is
+    checked in production too; the run's answer is the first ``n_iter``
+    ends of that one walk.  That is sound because the walk is causal:
+    an iteration's ends depend only on earlier iterations, and every
+    factor vector and dynamics column is a prefix-stable draw, so the
+    first ``k`` ends of a longer walk equal a ``k``-iteration walk.
+    Any mismatch, or any broken assumption later (a message channel or
+    comm skeleton that differs between candidates, a deadlocked walk),
+    retires the plan for good and the engine serves every later run.
+    The engine itself is checked, records included, against the generator
     engine it replaced (``tests/emulator_reference.py``) by the test
     suite's differential harness.
 """
@@ -232,22 +236,26 @@ class EmulationPlan:
         when the plan cannot serve the candidate (tapes: :meth:`_fetch`)."""
         if self.dead is not None:
             return None
-        # The compiling run's tapes, unpacked: its own fetch reuses them.
-        unpacked: dict = {}
         if not self._compiled:
             with self._lock:
                 if not self._compiled and self.dead is None:
                     try:
-                        unpacked = self._compile(distribution, dynamics, offset)
+                        ends = self._compile(
+                            distribution, n_iter, dynamics, offset
+                        )
                     except _PlanUnsupported as exc:
                         self.dead = str(exc)
+                        ends = None
                     self._compiled = True
+                    if ends is not None:
+                        self.replays += 1
+                    return ends
         if self.dead is not None:
             return None
         P = self.emulator.cluster.n_nodes
         timeline = dynamics.compile(P, n_iter, offset) if dynamics else None
         try:
-            tapes, iterations = self._fetch(distribution, n_iter, unpacked)
+            tapes, iterations = self._fetch(distribution, n_iter)
             ends = self._walk(
                 tapes, iterations, n_iter,
                 *self._factors(distribution, tapes, n_iter, timeline),
@@ -276,13 +284,10 @@ class EmulationPlan:
     def _tape_key(self, rank: int, distribution) -> tuple:
         return self.emulator._tape_key(rank, distribution)
 
-    def _fetch(self, distribution, n_iter: int, unpacked: dict) -> tuple:
+    def _fetch(self, distribution, n_iter: int) -> tuple:
         """Every rank's tape covering ``n_iter`` iterations, and each
         tape's iterations unpacked once: kept tapes from the LRU, the
-        misses lowered in one call and checked against the skeleton.
-        ``unpacked`` maps a rank to a ``(tape, iterations)`` pair
-        unpacked already (the compiling run's tapes), used while that
-        tape is still the rank's."""
+        misses lowered in one call and checked against the skeleton."""
         P = self.emulator.cluster.n_nodes
         keys = [self._tape_key(rank, distribution) for rank in range(P)]
         tapes = [self._tapes.get(key) for key in keys]
@@ -295,10 +300,7 @@ class EmulationPlan:
         lowered = self._lower(misses, distribution, n_iter) if misses else ()
         for rank, tape in zip(misses, lowered):
             tapes[rank] = tape
-        iterations = []
-        for rank, tape in enumerate(tapes):
-            kept, its = unpacked.get(rank, (None, None))
-            iterations.append(its if kept is tape else tape.iterations())
+        iterations = [tape.iterations() for tape in tapes]
         for rank in misses:
             if _skeleton(iterations[rank]) != self._skeleton[rank]:
                 raise _PlanUnsupported(f"rank {rank} comm skeleton changed")
@@ -328,33 +330,39 @@ class EmulationPlan:
 
     # -- compilation ----------------------------------------------------------
 
-    def _compile(self, distribution, dynamics, offset: int) -> dict:
-        """Discover the channels and comm skeleton from the first
-        candidate's tapes, then self-check their replayed probe against
-        the event engine interpreting the same tapes, under the first
-        run's own dynamics and offset, for exact equality.  Returns
-        each rank's ``(tape, unpacked iterations)``."""
+    def _compile(self, distribution, n_iter: int, dynamics,
+                 offset: int) -> List[List[float]]:
+        """Serve the first run: discover the channels and comm skeleton
+        from its tapes, lowered for ``m = max(probe, n_iter)``
+        iterations, and walk them once under the run's own factors,
+        dynamics and offset.  The walk's first ``probe`` iteration ends
+        are self-checked against the event engine interpreting the same
+        tapes over the probe window, for exact equality; the first
+        ``n_iter`` ends are the run's."""
         P = self.emulator.cluster.n_nodes
         probe = self.probe_iterations
-        tapes = self._lower(range(P), distribution, probe)
+        m = max(probe, n_iter)
+        tapes = self._lower(range(P), distribution, m)
         iterations = [tape.iterations() for tape in tapes]
         self._skeleton = [_skeleton(its) for its in iterations]
-        timeline = dynamics.compile(P, probe, offset) if dynamics else None
+        timeline = dynamics.compile(P, m, offset) if dynamics else None
         ends = self._walk(
-            tapes, iterations, probe,
-            *self._factors(distribution, tapes, probe, timeline),
+            tapes, iterations, m,
+            *self._factors(distribution, tapes, m, timeline),
         )
         samplers = [
             self.emulator._sampler(rank, distribution) for rank in range(P)
         ]
+        if dynamics and m != probe:
+            timeline = dynamics.compile(P, probe, offset)
         _, engine_ends = _run_tapes(
             tapes, iterations, probe, offset, samplers, timeline
         )
-        if ends != engine_ends:
+        if [e[:probe] for e in ends] != engine_ends:
             raise _PlanUnsupported("self-check: replay differs from the engine")
         for rank, tape in enumerate(tapes):
             self._tapes.put(self._tape_key(rank, distribution), tape)
-        return dict(enumerate(zip(tapes, iterations)))
+        return [e[:n_iter] for e in ends]
 
     # -- replay ---------------------------------------------------------------
 

@@ -335,13 +335,18 @@ def _axis_moves(
 
 
 def _descend(
-    evaluate: BudgetedEvaluator, start: GenBlock2D, batch_size: int
+    evaluate: BudgetedEvaluator,
+    cache: EvaluationCache,
+    start: GenBlock2D,
+    batch_size: int,
 ) -> float:
     """Steepest descent from ``start``: per round, *all* single-band
     moves along the active axis are scored in batches of
     ``batch_size``, the best is applied, and the move unit halves when
     no move improves (multi-resolution, as in 1-D GBS's shrinking
-    hill-climb step).  Returns the best value reached."""
+    hill-climb step).  Returns the best value reached, also when the
+    budget runs out inside a batch: the moves that batch evaluated
+    before the cut (recorded in ``cache``) count as reached."""
     best = start
     best_val = evaluate(start)
     for axis, total in (
@@ -355,7 +360,15 @@ def _descend(
                 improved = False
                 for lo in range(0, len(moves), batch_size):
                     chunk = moves[lo : lo + batch_size]
-                    values = evaluate.batch(chunk)
+                    try:
+                        values = evaluate.batch(chunk)
+                    except _BudgetExhausted:
+                        reached = [
+                            cache.value(d.counts)
+                            for d in chunk
+                            if d.counts in cache
+                        ]
+                        return min([best_val, *reached])
                     i = min(range(len(values)), key=values.__getitem__)
                     if values[i] < best_val - 1e-12:
                         best, best_val = chunk[i], values[i]
@@ -404,7 +417,8 @@ class TwoDLayoutSearch:
     evaluated only while the cache holds fewer than ``budget``
     evaluations.  Strip shapes are scored inline, outside that cap
     (:func:`_score_strips`); a genuine shape the budget runs out on
-    reports its best start, or ``inf``.  It takes no knobs.
+    reports the best layout its descent reached, its best start if the
+    budget ran out among the starts, or ``inf``.  It takes no knobs.
 
     Any other family runs per genuine shape (both axes > 1) over the
     joint encoding: each shape gets a fresh :class:`_ShapeAdapter`, a
@@ -499,7 +513,7 @@ class TwoDLayoutSearch:
             try:
                 values = evaluate.batch(starts)
                 i = min(range(len(values)), key=values.__getitem__)
-                value = _descend(evaluate, starts[i], self.batch_size)
+                value = _descend(evaluate, cache, starts[i], self.batch_size)
             except _BudgetExhausted:
                 value = min(
                     (

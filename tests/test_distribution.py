@@ -192,6 +192,33 @@ class TestInterpolate:
             interpolate(GenBlock([5, 5]), GenBlock([5, 6]), 0.5)
 
 
+class TestFromRows:
+    def test_builds_one_block_per_row(self):
+        got = GenBlock.from_rows(np.array([[3, 7], [5, 5]]), 10)
+        assert got == [GenBlock([3, 7]), GenBlock([5, 5])]
+        assert GenBlock.from_rows(np.zeros((0, 2), dtype=np.int64), 10) == []
+
+    def test_owns_its_rows(self):
+        grid = np.array([[3, 7]])
+        (dist,) = GenBlock.from_rows(grid, 10)
+        grid[0, 0] = 4
+        assert dist.counts == (3, 7) and dist.counts_np.tolist() == [3, 7]
+
+    @pytest.mark.parametrize(
+        "grid, n_rows",
+        [
+            (np.array([3, 7]), 10),  # not 2-D
+            (np.zeros((1, 0), dtype=np.int64), 0),  # no node
+            (np.array([[3.0, 7.0]]), 10),  # not integer
+            (np.array([[-1, 11]]), 10),  # negative
+            (np.array([[3, 7], [3, 6]]), 10),  # a row of another total
+        ],
+    )
+    def test_rejects_invalid_grids(self, grid, n_rows):
+        with pytest.raises(DistributionError):
+            GenBlock.from_rows(grid, n_rows)
+
+
 class TestSpectrum:
     def test_full_path_anchor_labels(self, hetero_cluster):
         program = make_jacobi_like(n_rows=4096, cols=4096)

@@ -408,6 +408,81 @@ def test_first_replay_unpacks_each_tape_once(monkeypatch):
     assert got == _engine(cluster, program, dist, NOISY).iteration_ends
 
 
+def test_first_replay_walks_once(monkeypatch):
+    """A fresh plan's first replay is one walk: the compile's self-check
+    and the run's answer share it, for runs shorter and longer than the
+    probe window alike."""
+    cluster = table1_configs()["HY1"]
+    calls = []
+    walk = plan_sim.EmulationPlan._walk
+
+    def counting(self, tapes, iters, n_iter, *factors):
+        calls.append(n_iter)
+        return walk(self, tapes, iters, n_iter, *factors)
+
+    monkeypatch.setattr(plan_sim.EmulationPlan, "_walk", counting)
+    for n_iter in (PROBE - 2, 2 * PROBE):
+        program = _program("cg", False, n_iter)
+        plan = plan_sim.EmulationPlan(
+            ClusterEmulator(cluster, program, NOISY, dynamics=False)
+        )
+        dist = block(cluster, program.n_rows)
+        calls.clear()
+        got = plan.replay(dist, n_iter)
+        assert plan.dead is None
+        assert calls == [max(PROBE, n_iter)]
+        assert all(len(ends) == n_iter for ends in got)
+        assert got == _engine(cluster, program, dist, NOISY).iteration_ends
+
+
+@settings(
+    deadline=None,
+    max_examples=12,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    app=st.sampled_from(sorted(APPS)),
+    config=st.sampled_from(["DC", "IO", "HY1", "HY2"]),
+    seed=st.integers(0, 2**16),
+    k=st.integers(1, 2 * PROBE),
+    extra=st.integers(0, 2 * PROBE),
+    noisy=st.booleans(),
+    background_load=st.sampled_from([0.0, 0.2]),
+    scenario=st.sampled_from([None, "drift", "load-spike", "disk-fade"]),
+    offset=st.integers(0, 10),
+)
+def test_first_replay_prefix_equals_shorter_replay(app, config, seed, k,
+                                                   extra, noisy,
+                                                   background_load, scenario,
+                                                   offset):
+    """On fresh plans, the first ``k`` ends of an ``m``-iteration replay
+    equal a ``k``-iteration replay: the walk is causal and every factor
+    draw is prefix-stable, which is what lets the first run answer from
+    its self-check's walk."""
+    cluster = table1_configs()[config]
+    m = k + extra
+    program = _program(app, False, m)
+    P = cluster.n_nodes
+    pert = (NOISY if noisy else DETERMINISTIC).without(
+        background_load=background_load
+    )
+    spec = dynamics_scenario(scenario, P, start=2) if scenario else None
+    dist = _layout(P, program.n_rows, seed, seed % P)
+
+    def fresh():
+        return plan_sim.EmulationPlan(
+            ClusterEmulator(cluster, program, pert, dynamics=False)
+        )
+
+    long_plan = fresh()
+    long_ends = long_plan.replay(dist, m, spec, offset)
+    short_ends = fresh().replay(dist, k, spec, offset)
+    assert long_ends is not None and short_ends is not None
+    assert [ends[:k] for ends in long_ends] == short_ends
+    # A compiled plan's own replay of k iterations agrees too.
+    assert long_plan.replay(dist, k, spec, offset) == short_ends
+
+
 @settings(
     deadline=None,
     max_examples=30,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core.io_model import prefetch_io_seconds, sync_io_seconds
 from repro.core.comm import pipeline_waits
 from repro.distribution import GenBlock, interpolate, largest_remainder_round
+from repro.distribution.spectrum import interpolation_grid
 from repro.placement import plan_memory
 from tests.event_engine import Delay, Engine, Recv, Send
 from tests.conftest import make_cg_like, make_jacobi_like
@@ -121,6 +122,65 @@ class TestInterpolateProperties:
     def test_self_interpolation_identity(self, a):
         d = GenBlock(a)
         assert interpolate(d, d, 0.37) == d
+
+
+@st.composite
+def grid_legs(draw):
+    """Two anchors of one row total and a leg's step count: random
+    anchors, equal anchors, mirrored anchors (whose blends tie in their
+    fractions) and all-zero anchors (the ``shares.sum() <= 0`` branch)."""
+    P = draw(st.integers(1, 16))
+    steps = draw(st.integers(1, 128))
+    kind = draw(st.sampled_from(["random", "equal", "mirrored", "zero"]))
+    if kind == "zero":
+        return np.zeros(P, dtype=np.int64), np.zeros(P, dtype=np.int64), steps
+    n_rows = draw(st.integers(P, 10**6))
+    weights = st.lists(st.integers(0, 1000), min_size=P, max_size=P)
+
+    def anchor():
+        return largest_remainder_round(np.array(draw(weights), float), n_rows)
+
+    a = anchor()
+    b = {"random": anchor, "equal": lambda: a, "mirrored": lambda: a[::-1]}[
+        kind
+    ]()
+    return a, b, steps
+
+
+class TestInterpolationGridProperties:
+    @COMMON
+    @given(leg=grid_legs())
+    def test_rows_equal_scalar_rounding(self, leg):
+        a, b, steps = leg
+        da, db = GenBlock(a), GenBlock(b)
+        grid = interpolation_grid(da, db, np.arange(steps + 1) / steps)
+        assert grid.dtype == np.int64 and grid.shape == (steps + 1, len(a))
+        for k, row in enumerate(grid):
+            alpha = k / steps
+            mix = (1.0 - alpha) * da.as_array + alpha * db.as_array
+            expected = largest_remainder_round(mix, da.n_rows, minimum=0)
+            np.testing.assert_array_equal(row, expected)
+
+    @COMMON
+    @given(leg=grid_legs())
+    def test_batch_built_blocks_equal_scalar_built(self, leg):
+        a, b, steps = leg
+        grid = interpolation_grid(
+            GenBlock(a), GenBlock(b), np.arange(1, steps + 1) / steps
+        )
+        batch = GenBlock.from_rows(grid, int(a.sum()))
+        assert len(batch) == len(grid)
+        for row, got in zip(grid, batch):
+            want = GenBlock(row)
+            assert got.counts == want.counts
+            assert all(type(c) is int for c in got.counts)
+            assert got.counts_np.dtype == want.counts_np.dtype == np.int64
+            assert not got.counts_np.flags.writeable
+            assert not want.counts_np.flags.writeable
+            np.testing.assert_array_equal(got.counts_np, want.counts_np)
+            assert got._n_rows == want._n_rows
+            assert type(got._n_rows) is int
+            assert got == want and hash(got) == hash(want)
 
 
 # -- Equations -------------------------------------------------------------------

@@ -707,7 +707,7 @@ class TestServeCli:
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        server = subprocess.Popen(
+        with subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",
                 "--socket", sock, "--window-ms", "1",
@@ -717,33 +717,33 @@ class TestServeCli:
             stderr=subprocess.STDOUT,
             text=True,
             env=env,
-        )
-        try:
-            deadline = time.monotonic() + 30
-            while not os.path.exists(sock):
-                assert server.poll() is None, server.stdout.read()
-                assert time.monotonic() < deadline, "server never bound"
-                time.sleep(0.05)
-            with ServeClient(socket_path=sock) as client:
-                assert client.ping()["pong"] is True
-                result = client.predict(
-                    "jacobi", config="DC", scale=SCALE, dist="blk"
-                )
-                assert result["predicted_seconds"] > 0
-                verified = client.verify(
-                    "jacobi", config="DC", scale=SCALE, dist="blk"
-                )
-                assert verified["actual_seconds"] > 0
-                assert client.stats()["run_cache"]["size"] == 1
-                client.shutdown()
-            server.wait(timeout=30)
-            assert server.returncode == 0
-            # The verify's emulation was persisted at shutdown.
-            assert len(RunCache(path=runs_path)) == 1
-        finally:
-            if server.poll() is None:  # pragma: no cover - cleanup path
-                server.send_signal(signal.SIGKILL)
-                server.wait()
+        ) as server:
+            try:
+                deadline = time.monotonic() + 30
+                while not os.path.exists(sock):
+                    assert server.poll() is None, server.stdout.read()
+                    assert time.monotonic() < deadline, "server never bound"
+                    time.sleep(0.05)
+                with ServeClient(socket_path=sock) as client:
+                    assert client.ping()["pong"] is True
+                    result = client.predict(
+                        "jacobi", config="DC", scale=SCALE, dist="blk"
+                    )
+                    assert result["predicted_seconds"] > 0
+                    verified = client.verify(
+                        "jacobi", config="DC", scale=SCALE, dist="blk"
+                    )
+                    assert verified["actual_seconds"] > 0
+                    assert client.stats()["run_cache"]["size"] == 1
+                    client.shutdown()
+                server.wait(timeout=30)
+                assert server.returncode == 0
+                # The verify's emulation was persisted at shutdown.
+                assert len(RunCache(path=runs_path)) == 1
+            finally:
+                if server.poll() is None:  # pragma: no cover - cleanup path
+                    server.send_signal(signal.SIGKILL)
+                    server.wait()
 
     def test_parser_accepts_serve_and_query(self):
         from repro.cli import build_parser
