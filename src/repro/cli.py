@@ -754,9 +754,8 @@ def _cmd_adaptive(args) -> str:
 
 def _cmd_stats(args) -> str:
     """One instrumented seed run exercising the whole telemetry surface:
-    a reported prediction (phase breakdown), repeated predictions (table
-    cache hits), two identical emulations (run-cache miss then hit), and
-    a small search (searcher counters)."""
+    a reported prediction (phase breakdown), two identical emulations
+    (run-cache miss then hit), and a small search (searcher counters)."""
     from repro.sim import emulate
 
     cluster = _cluster(args.config)
@@ -766,8 +765,6 @@ def _cmd_stats(args) -> str:
 
     model = build_model(cluster, program)
     report = model.predict(distribution, report=True, telemetry=rec)
-    # Second pass over the same distribution: section-table cache hits.
-    model.predict(distribution, telemetry=rec)
 
     # Emulate twice: first call misses the run cache, second hits it.
     emulate(cluster, program, distribution, telemetry=rec)
@@ -815,7 +812,6 @@ def _cmd_stats(args) -> str:
     lines += [
         "",
         "cache tiers:",
-        f"  table LRU   {_fmt_cache(model.table_cache_stats)}",
         f"  run cache   {_fmt_cache(default_run_cache().stats)}",
         f"  plan cache  {_fmt_cache(plan_cache_stats())}",
         "",

@@ -9,7 +9,7 @@ communication comes from :class:`~repro.core.comm.SectionTimeline`
 time is the slowest node's clock after the final iteration.
 
 One batched numpy path produces those clocks, scoring a whole
-candidate population at once: every missing ``(node, rows)`` table of a
+candidate population at once: every distinct ``(node, rows)`` table of a
 call is built in one batched pass of closed-form array expressions over
 ``(pairs, tiles)`` (:meth:`StageTimeModel.section_tile_times`), sections
 become ``(B, P, P)`` max-plus matrices
@@ -21,10 +21,9 @@ oracle ``tests/model_reference.py``, which this path matches to rounding
 (<= 1e-12 relative, pinned by ``tests/test_kernel_equivalence.py``).
 
 The per-node stage tables depend only on ``(node, rows)`` — not on what
-the *other* nodes were assigned — so a bounded LRU inside the model
-reuses them across *every* prediction: a hill-climb move changes two
-nodes' row counts, so P-2 nodes hit the cache even through
-single-candidate :meth:`predict` calls.
+the *other* nodes were assigned — so a call builds each distinct pair
+of its batch once and keeps nothing between calls: a cold search reuses
+too few pairs across calls for a store to pay for itself.
 
 The model deliberately knows nothing about relative CPU powers, disk
 bandwidths, page caches, or per-row work variation: everything
@@ -56,19 +55,11 @@ from repro.instrument.inputs import MhetaInputs
 from repro.obs import Recorder
 from repro.program.sections import CommPattern, ParallelSection
 from repro.program.structure import ProgramStructure
-from repro.util.lru import LRUCache
 
 __all__ = [
     "MhetaModel",
-    "DEFAULT_TABLE_CACHE_ENTRIES",
     "steady_walk",
 ]
-
-#: Default bound of the per-``(node, rows)`` table cache.  Generous for
-#: any search (a 200-evaluation sweep over 8 nodes touches at most 1600
-#: distinct keys) while keeping long unattended sweeps at a fixed memory
-#: ceiling.
-DEFAULT_TABLE_CACHE_ENTRIES = 4096
 
 
 def _pattern_message_counts(
@@ -224,10 +215,6 @@ class MhetaModel:
         As in the paper: the application structure, the per-node memory
         capacities (or the cluster they come from), and the measured
         internal MHETA file.
-    table_cache:
-        Bound of the persistent ``(node, rows) -> tables`` LRU shared by
-        every prediction this model makes.  ``0`` disables cross-call
-        reuse: every call builds the tables it needs afresh.
     """
 
     def __init__(
@@ -235,7 +222,6 @@ class MhetaModel:
         program: ProgramStructure,
         memories: Union[ClusterSpec, Sequence[int]],
         inputs: MhetaInputs,
-        table_cache: int = DEFAULT_TABLE_CACHE_ENTRIES,
     ) -> None:
         if isinstance(memories, ClusterSpec):
             memory_list = [n.memory_bytes for n in memories.nodes]
@@ -251,19 +237,13 @@ class MhetaModel:
                 f"inputs were collected for {inputs.program_name!r}, "
                 f"not {program.name!r}"
             )
-        if table_cache < 0:
-            raise ModelError("table_cache must be >= 0")
         self.program = program
         self.inputs = inputs
         self.oracle = OutOfCoreOracle(program, memory_list)
         self.stage_model = StageTimeModel(program, inputs)
         self.timeline = SectionTimeline(inputs.micro, len(memory_list))
-        self._tables_cache: Optional[LRUCache] = (
-            LRUCache(table_cache) if table_cache > 0 else None
-        )
-        # Tile-axis layout of the flattened per-node tables the cache
-        # holds: section ``si`` owns columns
-        # ``offsets[si]:offsets[si + 1]``.
+        # Tile-axis layout of the flattened per-node tables: section
+        # ``si`` owns columns ``offsets[si]:offsets[si + 1]``.
         tiles = [s.tiles for s in program.sections]
         self._tile_offsets = [0]
         for t in tiles:
@@ -273,14 +253,6 @@ class MhetaModel:
     @property
     def n_nodes(self) -> int:
         return self.oracle.n_nodes
-
-    @property
-    def table_cache_stats(self) -> dict:
-        """Hit/miss/eviction counters of the persistent table cache."""
-        if self._tables_cache is None:
-            return {"size": 0, "maxsize": 0, "hits": 0, "misses": 0,
-                    "evictions": 0}
-        return self._tables_cache.stats
 
     # -- prediction -------------------------------------------------------------
 
@@ -331,22 +303,13 @@ class MhetaModel:
                 telemetry.count("model/batch_predictions")
                 telemetry.observe("model/batch_size", len(dists))
                 telemetry.count("model/predictions", len(dists))
-                self._record_cache_gauges(telemetry)
             return out
         result = self._predict(
             distribution, n_iter, want_report=report, telemetry=telemetry
         )
         if telemetry:
             telemetry.count("model/predictions")
-            self._record_cache_gauges(telemetry)
         return result
-
-    def _record_cache_gauges(self, rec: Recorder) -> None:
-        stats = self.table_cache_stats
-        rec.set("model/table_cache/size", stats["size"])
-        rec.set("model/table_cache/hits", stats["hits"])
-        rec.set("model/table_cache/misses", stats["misses"])
-        rec.set("model/table_cache/evictions", stats["evictions"])
 
     def _check(self, distribution: GenBlock) -> None:
         if distribution.n_nodes != self.n_nodes:
@@ -399,9 +362,9 @@ class MhetaModel:
         matrix.
 
         Each distinct ``(node, rows)`` pair across the *whole batch* is
-        looked up in the shared table LRU once, and every miss is built
-        in one batched table pass (:meth:`_tables`); then every section
-        is evaluated over the candidate axis in a single array pass.
+        built once, all of them in one batched table pass
+        (:meth:`_build_tables`); then every section is evaluated over
+        the candidate axis in a single array pass.
         Candidates never mix (no reduction crosses the batch axis), so a
         candidate's row does not depend on the rest of its batch.
 
@@ -415,10 +378,9 @@ class MhetaModel:
         keys, inverse = np.unique(
             counts + stride * np.arange(P), return_inverse=True
         )
-        flat = self._tables(
-            (keys // stride).tolist(), (keys % stride).tolist(),
-            self._tables_cache,
-        )[inverse.reshape(B, P)]
+        flat = self._build_tables(keys // stride, keys % stride)[
+            inverse.reshape(B, P)
+        ]
         T = self._total_tiles
         tile_totals = flat[:, :, :T]
         source = flat[:, :, 2 * T:]
@@ -561,32 +523,6 @@ class MhetaModel:
                     else 0.0
                 )
         return out
-
-    def _tables(
-        self, nodes: Sequence[int], rows: Sequence[int], cache
-    ) -> np.ndarray:
-        """Stacked :meth:`_build_tables` rows of every ``(node, rows)``
-        pair: from ``cache`` where present, all misses built in one pass.
-        Each new entry is its own compact read-only row (it never pins
-        the batch arrays), shared by every later prediction."""
-        keys = list(zip(nodes, rows))
-        entries = (
-            cache.get_many(keys) if cache is not None else [None] * len(keys)
-        )
-        missing = [i for i, e in enumerate(entries) if e is None]
-        if missing:
-            idx = np.array(missing)
-            built = self._build_tables(
-                np.asarray(nodes, dtype=np.int64)[idx],
-                np.asarray(rows, dtype=np.int64)[idx],
-            )
-            for row, i in zip(built, missing):
-                entry = row.copy()
-                entry.setflags(write=False)
-                entries[i] = entry
-                if cache is not None:
-                    cache.put(keys[i], entry)
-        return np.stack(entries)
 
     def _table_views(self, per_node: np.ndarray) -> List[_SectionTables]:
         """Per-section views of one candidate's stacked ``(P, columns)``

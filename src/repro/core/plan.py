@@ -10,6 +10,7 @@ process-wide through one bounded LRU keyed by a content key.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from typing import Callable, Optional
 
 from repro.obs import Recorder
@@ -18,6 +19,7 @@ from repro.util.lru import LRUCache
 __all__ = [
     "DEFAULT_PLAN_CACHE_ENTRIES",
     "get_plan",
+    "compile_timer",
     "discard_plan",
     "plan_cache_stats",
     "reset_plan_cache",
@@ -40,23 +42,34 @@ def get_plan(
     telemetry: Optional[Recorder] = None,
 ):
     """The plan cached under ``key``: a cache hit when an equivalent
-    configuration compiled one earlier in this process, otherwise
-    ``factory()`` timed under ``span/plan/compile``."""
-    global _compiles, _compile_seconds
+    configuration built one earlier in this process, otherwise
+    ``factory()``, counted as a compile.  The factory only constructs
+    the plan; the plan times its own compile (:func:`compile_timer`)."""
+    global _compiles
     plan = _plan_cache.get(key)
     if plan is None:
-        t0 = time.perf_counter()
-        if telemetry:
-            with telemetry.span("plan/compile"):
-                plan = factory()
-        else:
-            plan = factory()
+        plan = factory()
         _compiles += 1
-        _compile_seconds += time.perf_counter() - t0
         _plan_cache.put(key, plan)
         if telemetry:
             telemetry.count("model/plan_cache/compiles")
     return plan
+
+
+@contextmanager
+def compile_timer(telemetry: Optional[Recorder] = None):
+    """Time one plan compile into the process-wide ``compile_seconds``
+    and, with ``telemetry``, under ``span/plan/compile``."""
+    global _compile_seconds
+    t0 = time.perf_counter()
+    try:
+        if telemetry:
+            with telemetry.span("plan/compile"):
+                yield
+        else:
+            yield
+    finally:
+        _compile_seconds += time.perf_counter() - t0
 
 
 def discard_plan(key: str) -> bool:
@@ -65,8 +78,9 @@ def discard_plan(key: str) -> bool:
 
 
 def plan_cache_stats() -> dict:
-    """Hit/miss/compile counters of the process-wide plan cache, in the
-    same shape the table-LRU counters use (plus compile totals)."""
+    """The process-wide plan cache's LRU counters (size, hits, misses,
+    evictions), plus the plans built (``compiles``) and the seconds
+    their compiles took (``compile_seconds``)."""
     stats = _plan_cache.stats
     stats["compiles"] = _compiles
     stats["compile_seconds"] = _compile_seconds

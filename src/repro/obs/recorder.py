@@ -16,7 +16,7 @@ cover everything the reproduction needs:
     slash-joined hierarchical path (``predict/tables``) and feed the
     wall time into ``observe("span/" + path, dt)``.
 
-Names are flat slash-separated strings (``model/table_cache/hits``);
+Names are flat slash-separated strings (``model/plan_cache/compiles``);
 there is no registry and no schema — a name exists once something
 records to it.
 

@@ -339,9 +339,9 @@ class RunCache:
     benchmark rounds — gets the stored run back instead.
 
     Keys follow the same content-hash discipline as :func:`content_key`
-    everywhere else, and the store is the same bounded LRU as the
-    prediction table cache (:class:`repro.util.lru.LRUCache`), so long
-    sweeps hold memory at a fixed ceiling.
+    everywhere else, and the store is the shared bounded LRU
+    (:class:`repro.util.lru.LRUCache`), so long sweeps hold memory at a
+    fixed ceiling.
 
     The stored payload is *frozen* — its mutable list fields are
     converted to tuples on :meth:`put` and fresh lists are rebuilt on

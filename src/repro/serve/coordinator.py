@@ -10,8 +10,7 @@ Where the speed comes from:
 
 * **Resident models.**  Building a model instruments an iteration (an
   emulator run); the coordinator builds each ``(app, config, scale)``
-  model once and keeps it in a bounded LRU, so its persistent table
-  cache stays warm across every later query.
+  model once and keeps it in a bounded LRU for every later query.
 * **Micro-batched predictions.**  Concurrent ``predict``/``verify``
   queries gather for a short window (:class:`~repro.serve.batcher.
   MicroBatcher`), identical queries coalesce to one computation, and
@@ -458,7 +457,6 @@ class ServeCoordinator:
                 continue
             app, config, scale = key
             models["/".join([app, config, str(scale)])] = {
-                "table_cache": entry.model.table_cache_stats,
                 "eval_cache_entries": len(entry.eval_cache),
                 "eval_cache_hits": entry.eval_cache.hits,
             }

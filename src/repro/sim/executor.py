@@ -171,7 +171,7 @@ class RunResult:
 #: reads them, and they never advance the clock.
 _CPU, _IO, _PF_ISSUE, _PF_WAIT, _COMPUTE, _SEND, _RECV, _END, _OPEN, _CLOSE = range(10)
 
-#: Packed storage of a tape: 21 bytes per op.
+#: Packed storage of a kept tape (:meth:`_Tape.pack`): 21 bytes per op.
 _OP_DTYPE = np.dtype(
     [("kind", "i1"), ("arg", "i4"), ("x", "f8"), ("b", "i4"), ("rows", "i4")]
 )
@@ -189,13 +189,18 @@ class _Tape:
     later one, otherwise the tape covers exactly the stored ones.
     ``bases[i, k]`` is the noise-free cost of stage execution ``k`` of
     stored iteration ``i`` (0.0 where it has no compute share).
+
+    ``ops`` is the list of op tuples its lowering built, which the
+    interpreters read as is, until :meth:`pack` stores it packed
+    (21 B/op): a compiled plan packs a tape once, when it keeps it,
+    and no other tape is ever packed.
     """
 
     __slots__ = ("ops", "bounds", "repeats", "bases", "draws", "records")
 
     def __init__(self, ops: list, bounds: List[int], repeats: bool,
                  bases: List[List[float]], records: tuple = ()) -> None:
-        self.ops = np.array(ops, dtype=_OP_DTYPE)
+        self.ops = ops
         self.bounds = tuple(bounds)
         self.repeats = repeats
         self.bases = np.array(bases, dtype=float)
@@ -207,13 +212,18 @@ class _Tape:
     def covers(self, n_iter: int) -> bool:
         return self.repeats or len(self.bounds) - 1 >= n_iter
 
+    def pack(self) -> None:
+        """Store the ops packed, dropping the list."""
+        self.ops = np.array(self.ops, dtype=_OP_DTYPE)
+
     def iterations(self) -> List[List[tuple]]:
         """The stored iterations as lists of op tuples."""
-        ops = self.ops
-        rows = list(zip(
-            ops["kind"].tolist(), ops["arg"].tolist(), ops["x"].tolist(),
-            ops["b"].tolist(), ops["rows"].tolist(),
-        ))
+        rows = self.ops
+        if not isinstance(rows, list):
+            rows = list(zip(
+                rows["kind"].tolist(), rows["arg"].tolist(),
+                rows["x"].tolist(), rows["b"].tolist(), rows["rows"].tolist(),
+            ))
         b = self.bounds
         return [rows[b[i] : b[i + 1]] for i in range(len(b) - 1)]
 
@@ -691,6 +701,7 @@ class _Emulator:
                 supports_fast_forward(
                     self.workload, self.perturbation, dynamics=self.dynamics
                 ),
+                telemetry,
             )
             if result is not None:
                 return result, True
@@ -1015,7 +1026,7 @@ def _run_tapes(tapes: List[_Tape], iterations: list, n_iter: int, offset: int,
                observer: Optional[Observer] = None,
                ) -> Tuple[float, List[List[float]]]:
     """The event engine interpreting every rank's tape (``iterations``:
-    each one's stored iterations, unpacked), rank ``r`` drawing from
+    each one's stored iterations as op tuples), rank ``r`` drawing from
     ``samplers[r]``: ``(total seconds, [rank][iteration] ends)``.
 
     One flat loop over a heap of rank wake-ups keyed ``(time, seq)``,
@@ -1160,10 +1171,11 @@ def _run_tapes(tapes: List[_Tape], iterations: list, n_iter: int, offset: int,
 
 
 def _plan_route(plan, distribution, n_iter: int, offset: int, dynamics,
-                stationary: bool) -> Tuple[Optional[RunResult], Optional[str]]:
+                stationary: bool, telemetry=None,
+                ) -> Tuple[Optional[RunResult], Optional[str]]:
     """One run served by a compiled plan: ``(result, None)``, or
     ``(None, "plan_dead")`` when the plan is retired and the engine
-    must run it.
+    must run it (``telemetry`` times a fresh plan's compile).
 
     A ``stationary`` deterministic run longer than the probe replays
     the probe and extrapolates the rest once it converged (the offset
@@ -1173,7 +1185,7 @@ def _plan_route(plan, distribution, n_iter: int, offset: int, dynamics,
     probe = FAST_FORWARD_POLICY.probe_iterations
     ends, fast_forwarded = None, False
     if n_iter > probe and stationary:
-        probe_ends = plan.replay(distribution, probe)
+        probe_ends = plan.replay(distribution, probe, telemetry=telemetry)
         if probe_ends is None:
             return None, "plan_dead"
         deltas = steady_deltas(probe_ends, FAST_FORWARD_POLICY)
@@ -1187,7 +1199,9 @@ def _plan_route(plan, distribution, n_iter: int, offset: int, dynamics,
         # Iterations that differ (noise, background load, dynamics), a
         # run no longer than the probe, or a probe that did not
         # converge: replay all of them.
-        ends = plan.replay(distribution, n_iter, dynamics, offset)
+        ends = plan.replay(
+            distribution, n_iter, dynamics, offset, telemetry=telemetry
+        )
         if ends is None:
             return None, "plan_dead"
     per_node = [e[-1] for e in ends]

@@ -40,8 +40,10 @@ Lowering
     tape stores the iterations up to the repeating one and serves runs
     of any length.  Otherwise it covers every iteration the run needs.
     A replay lowers every rank its LRU misses in one call (one
-    placement pass) and unpacks each tape once for the skeleton check
-    and the walk.
+    placement pass) and reads each fresh tape's op list, as its
+    lowering built it, for the skeleton check and the walk.  A tape is
+    packed (21 B/op) once, when the plan keeps it in its LRU; a replay
+    that hits a kept tape unpacks it once.  Engine runs never pack.
 
 Replay
     One walk serves every run: per iteration, ranks advance through
@@ -108,6 +110,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.plan import compile_timer
 from repro.sim.executor import (
     _COMPUTE,
     _CPU,
@@ -228,21 +231,26 @@ class EmulationPlan:
         return FAST_FORWARD_POLICY.probe_iterations
 
     def replay(self, distribution, n_iter: int, dynamics=None,
-               offset: int = 0) -> Optional[List[List[float]]]:
+               offset: int = 0, *, telemetry=None,
+               ) -> Optional[List[List[float]]]:
         """``[node][iteration]`` completion times of ``n_iter``
         iterations starting at global iteration ``offset`` under
         ``dynamics`` (a :class:`~repro.cluster.dynamics.DynamicsSpec`
         or ``None``), bit-identical to the event engine, or ``None``
-        when the plan cannot serve the candidate (tapes: :meth:`_fetch`)."""
+        when the plan cannot serve the candidate (tapes: :meth:`_fetch`).
+        The first replay compiles the plan, timed by
+        :func:`repro.core.plan.compile_timer` (``telemetry``: under
+        ``span/plan/compile``)."""
         if self.dead is not None:
             return None
         if not self._compiled:
             with self._lock:
                 if not self._compiled and self.dead is None:
                     try:
-                        ends = self._compile(
-                            distribution, n_iter, dynamics, offset
-                        )
+                        with compile_timer(telemetry):
+                            ends = self._compile(
+                                distribution, n_iter, dynamics, offset
+                            )
                     except _PlanUnsupported as exc:
                         self.dead = str(exc)
                         ends = None
@@ -286,8 +294,10 @@ class EmulationPlan:
 
     def _fetch(self, distribution, n_iter: int) -> tuple:
         """Every rank's tape covering ``n_iter`` iterations, and each
-        tape's iterations unpacked once: kept tapes from the LRU, the
-        misses lowered in one call and checked against the skeleton."""
+        tape's iterations as op tuples: kept tapes from the LRU,
+        unpacked once; the misses lowered in one call, read from their
+        lowering's list, checked against the skeleton, then packed into
+        the LRU."""
         P = self.emulator.cluster.n_nodes
         keys = [self._tape_key(rank, distribution) for rank in range(P)]
         tapes = [self._tapes.get(key) for key in keys]
@@ -304,8 +314,13 @@ class EmulationPlan:
         for rank in misses:
             if _skeleton(iterations[rank]) != self._skeleton[rank]:
                 raise _PlanUnsupported(f"rank {rank} comm skeleton changed")
-            self._tapes.put(keys[rank], tapes[rank])
+            self._keep(keys[rank], tapes[rank])
         return tapes, iterations
+
+    def _keep(self, key: tuple, tape: _Tape) -> None:
+        """Put ``tape`` in the LRU, packed: its only packing."""
+        tape.pack()
+        self._tapes.put(key, tape)
 
     def _channel(self, key: tuple) -> int:
         chan = self._channels.get(key)
@@ -361,7 +376,7 @@ class EmulationPlan:
         if [e[:probe] for e in ends] != engine_ends:
             raise _PlanUnsupported("self-check: replay differs from the engine")
         for rank, tape in enumerate(tapes):
-            self._tapes.put(self._tape_key(rank, distribution), tape)
+            self._keep(self._tape_key(rank, distribution), tape)
         return [e[:n_iter] for e in ends]
 
     # -- replay ---------------------------------------------------------------
@@ -396,8 +411,9 @@ class EmulationPlan:
     def _walk(self, tapes: List[_Tape], iters: List[List[List[tuple]]],
               n_iter: int, totals: List[List[float]],
               slowdowns: Optional[List[List[float]]]) -> List[List[float]]:
-        """Replay ``n_iter`` iterations of ``tapes`` (``iters``: unpacked);
-        see the module docstring for the arithmetic each op repeats."""
+        """Replay ``n_iter`` iterations of ``tapes`` (``iters``: their
+        iterations as op tuples); see the module docstring for the
+        arithmetic each op repeats."""
         P = len(tapes)
         last = [len(its) - 1 for its in iters]
         draws = [tape.draws for tape in tapes]

@@ -121,8 +121,8 @@ def _tile_rows(rows: int, tiles: int, tile: int) -> int:
 class ReferenceModel(MhetaModel):
     """Scalar reference of :class:`MhetaModel`: per-tile, per-stage,
     per-block Python loops and a per-node clock walk in plain lists.
-    Its table cache (``table_cache=``, as for the model) holds each
-    ``(node, rows)`` pair's nested lists."""
+    Each prediction builds every node's tables afresh, as nested
+    lists."""
 
     def _predict_batch(
         self, distributions: List[GenBlock], n_iter: int
@@ -197,22 +197,13 @@ class ReferenceModel(MhetaModel):
         """Per section, the per-node tile stage-times (split by compute
         and I/O) and message source-read costs, as nested lists.  These
         are the same for every iteration, so the iteration loop only
-        replays the communication timeline.  Per-``(node, rows)`` work
-        is memoised in the model's bounded LRU."""
+        replays the communication timeline."""
         P = self.n_nodes
-        cache = self._tables_cache
         counts = distribution.counts
-        per_node = []
-        for n in range(P):
-            key = (n, counts[n])
-            entry = cache.get(key) if cache is not None else None
-            if entry is None:
-                entry = self._node_tables(
-                    n, counts[n], self.oracle.plan(n, counts[n])
-                )
-                if cache is not None:
-                    cache.put(key, entry)
-            per_node.append(entry)
+        per_node = [
+            self._node_tables(n, counts[n], self.oracle.plan(n, counts[n]))
+            for n in range(P)
+        ]
         return [
             _SectionTables(
                 section=section,

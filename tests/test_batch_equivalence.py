@@ -149,7 +149,7 @@ def test_batch_matches_scalar_kernel(path):
     relative of the scalar reference."""
     cluster = configs.config_hy1()
     program = JacobiApp.paper(SCALE).structure
-    scalar = _model(cluster, program, ReferenceModel, table_cache=0)
+    scalar = _model(cluster, program, ReferenceModel)
     vector = _model(cluster, program)
     cands = _candidates(cluster, program)
     batch = vector.predict(cands, batch=True)
@@ -234,18 +234,6 @@ def test_duplicate_candidates_in_one_batch(path):
     d = block(cluster, program.n_rows)
     batch = model.predict([d, d, d], batch=True)
     assert batch[0] == batch[1] == batch[2]
-
-
-def test_batch_without_table_cache():
-    """``table_cache=0`` builds transient tables; results unchanged."""
-    cluster = configs.config_io()
-    program = JacobiApp.paper(SCALE).structure
-    cached = _model(cluster, program)
-    uncached = _model(cluster, program, table_cache=0)
-    cands = _candidates(cluster, program)
-    a = cached.predict(cands, batch=True)
-    b = uncached.predict(cands, batch=True)
-    assert list(a) == list(b)
 
 
 # -- randomized batches -------------------------------------------------------

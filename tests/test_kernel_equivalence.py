@@ -1,7 +1,7 @@
 """Golden equivalence: the model's numpy path vs the scalar reference.
 
 The vectorised prediction path (max-plus section matrices, batched
-stage tables, the persistent ``(node, rows)`` table cache) must
+stage tables built once per distinct ``(node, rows)`` pair) must
 reproduce the scalar test oracle (:class:`tests.model_reference.
 ReferenceModel`) to within floating-point re-association noise.  Every
 optimisation in the numpy path is max-plus linear — only the *order* of
@@ -60,7 +60,7 @@ CLUSTERS = {
 def _model_pair(cluster, program):
     """(scalar reference, the model) over identical inputs."""
     inputs = collect_inputs(cluster, program, block(cluster, program.n_rows))
-    scalar = ReferenceModel(program, cluster, inputs, table_cache=0)
+    scalar = ReferenceModel(program, cluster, inputs)
     vector = MhetaModel(program, cluster, inputs)
     return scalar, vector
 
@@ -138,26 +138,13 @@ def test_golden_equivalence_report_totals():
 
 
 def test_predict_many_matches_serial_calls():
-    """The batched path (shared LRU) is bit-identical to serial calls."""
+    """The batched path is bit-identical to serial calls."""
     cluster = configs.config_hy1()
     program = JacobiApp.paper(SCALE).structure
     _, vector = _model_pair(cluster, program)
     cands = _candidates(cluster, program)
     serial = [vector.predict(d) for d in cands]
     assert vector.predict(cands, batch=True).tolist() == serial
-
-
-def test_table_cache_does_not_change_results():
-    """Cached and cache-disabled numpy models agree bit-for-bit."""
-    cluster = configs.config_io()
-    program = LanczosApp.paper(SCALE).structure
-    inputs = collect_inputs(cluster, program, block(cluster, program.n_rows))
-    cached = MhetaModel(program, cluster, inputs)
-    uncached = MhetaModel(program, cluster, inputs, table_cache=0)
-    for dist in _candidates(cluster, program):
-        assert cached.predict(dist) == uncached.predict(dist)
-    stats = cached.table_cache_stats
-    assert stats["hits"] > 0
 
 
 @pytest.mark.parametrize("app_name", sorted(APPS))
@@ -213,7 +200,7 @@ def test_random_distributions_agree(weights, cluster_name):
 
 # -- batched table pass and vectorised placement -----------------------------
 #
-# The model builds every missing (node, rows) stage-time table of a
+# The model builds every distinct (node, rows) stage-time table of a
 # predict call in one ``MhetaModel._build_tables`` pass, over
 # ``plan_memory_arrays``.  These cases pin that pass to the scalar
 # per-pair tables of ``tests/model_reference.py``, to itself across
@@ -281,7 +268,7 @@ def test_batched_tables_match_scalar_and_batch_independent(data, app):
         for _ in range(P)
     ]
     model = MhetaModel(program, memories, inputs)
-    reference = ReferenceModel(program, memories, inputs, table_cache=0)
+    reference = ReferenceModel(program, memories, inputs)
     batch = model._build_tables(np.array(nodes), np.array(rows))
     for k, (n, r) in enumerate(zip(nodes, rows)):
         ref = reference._node_tables(n, r, reference.oracle.plan(n, r))

@@ -4,7 +4,7 @@ Compiled :class:`~repro.sim.plan_sim.EmulationPlan` objects are shared
 through one bounded LRU keyed by a content key of the configuration.
 These tests pin the LRU itself: sharing between equivalent
 configurations, distinct keys for distinct ones, ``discard_plan``, the
-``plan_cache_stats`` keys, and the compile counter and span.  The
+``plan_cache_stats`` keys, and the compile counter, timer and span.  The
 replay contract of the plans lives in ``test_plan_tape.py``.
 """
 
@@ -44,7 +44,20 @@ def test_equivalent_models_share_one_plan():
     stats = plan_cache_stats()
     assert stats["compiles"] == 1
     assert stats["hits"] == 1
-    assert stats["compile_seconds"] > 0.0
+
+
+def test_compile_time_is_the_first_replays():
+    """Building a plan compiles nothing yet; its first replay compiles
+    it and adds the compile's seconds, and a later replay adds none."""
+    cluster, program, perturbation = _config()
+    plan = get_emulation_plan(cluster, program, perturbation)
+    assert plan_cache_stats()["compile_seconds"] == 0.0
+    dist = block(cluster, program.n_rows)
+    assert plan.replay(dist, 3) is not None
+    compiled = plan_cache_stats()["compile_seconds"]
+    assert compiled > 0.0
+    assert plan.replay(dist, 3) is not None
+    assert plan_cache_stats()["compile_seconds"] == compiled
 
 
 def test_distinct_triples_compile_distinct_plans():

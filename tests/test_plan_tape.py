@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 
 import repro.sim.executor as executor_mod
 import repro.sim.plan_sim as plan_sim
+from repro.core.plan import reset_plan_cache
 from repro.apps import (
     ConjugateGradientApp,
     JacobiApp,
@@ -149,7 +150,30 @@ def _live_plan(cluster, program, perturbation):
         cluster, program, perturbation
     )
     assert plan.dead is None
+    _assert_kept_packed(plan)
     return plan
+
+
+def _assert_kept_packed(plan):
+    """Every tape a plan keeps is stored packed."""
+    assert len(plan._tapes)
+    for _key, tape in plan._tapes.items():
+        assert tape.ops.dtype == executor_mod._OP_DTYPE
+
+
+def _assert_packs_exactly(tape):
+    """A fresh tape holds its lowering's op list, every field a Python
+    ``int`` (``x`` a ``float``, so no numpy scalar reaches a walk), and
+    packing it changes no op."""
+    assert isinstance(tape.ops, list)
+    fresh = tape.iterations()
+    for ops in fresh:
+        for kind, arg, x, b, rows in ops:
+            assert type(x) is float
+            assert {type(kind), type(arg), type(b), type(rows)} == {int}
+    tape.pack()
+    assert tape.ops.dtype == executor_mod._OP_DTYPE
+    assert tape.iterations() == fresh
 
 
 @settings(
@@ -264,7 +288,8 @@ def _assert_lowering_exact(emulator, dist, n_iter, *, io_mode="auto",
     """Every rank's tape, lowered as the emulator lowers it (the first
     iteration reused), equals :func:`lower_in_full`'s: the same packed
     ops, bounds, bases, repeat flag and record templates (``observe``:
-    the op kinds marked)."""
+    the op kinds marked), and packs op for op
+    (:func:`_assert_packs_exactly`)."""
     P = emulator.cluster.n_nodes
     instrumented, io_override = executor_mod._resolve_io_mode(io_mode)
     twod = isinstance(emulator, TwoDEmulator)
@@ -295,6 +320,8 @@ def _assert_lowering_exact(emulator, dist, n_iter, *, io_mode="auto",
         ]
     for tape, lowering in zip(tapes, lowerings):
         full = lower_in_full(lowering, n_iter, offset)
+        _assert_packs_exactly(tape)
+        full.pack()
         assert tape.ops.tobytes() == full.ops.tobytes()
         assert tape.bounds == full.bounds
         assert tape.bases.shape == full.bases.shape
@@ -781,8 +808,25 @@ FALLBACKS = {
 }
 
 
+def _spy_tape_reads(monkeypatch) -> list:
+    """Record, per ``_Tape.iterations`` call, whether the tape read was
+    a fresh one (its lowering's op list) or a kept, packed one."""
+    reads = []
+    iterations = executor_mod._Tape.iterations
+
+    def spy(self):
+        reads.append(isinstance(self.ops, list))
+        return iterations(self)
+
+    monkeypatch.setattr(executor_mod._Tape, "iterations", spy)
+    return reads
+
+
 @pytest.mark.parametrize("case", sorted(SERVED))
 def test_plan_served_run_is_engine_identical(case, monkeypatch):
+    """Each served run equals the engine; the singles compile a fresh
+    plan and walk fresh tapes first, and the batch then replays the
+    tapes the plan kept, packed, to the same ends."""
     setup = SERVED[case]
     if case == "not_converged":
         cluster, program, pert, kw = setup(monkeypatch)
@@ -793,6 +837,8 @@ def test_plan_served_run_is_engine_identical(case, monkeypatch):
         _layout(cluster.n_nodes, program.n_rows, 7, 3),
     ]
     rec, brec = Recorder(), Recorder()
+    reset_plan_cache()
+    reads = _spy_tape_reads(monkeypatch)
     singles = [
         emulate(
             cluster, program, d, perturbation=pert, run_cache=False,
@@ -800,6 +846,8 @@ def test_plan_served_run_is_engine_identical(case, monkeypatch):
         )
         for d in dists
     ]
+    assert reads[0]
+    first_batch_read = len(reads)
     batched = emulate_many(
         cluster, program, dists, perturbation=pert, run_cache=False,
         telemetry=brec, **kw,
@@ -809,6 +857,12 @@ def test_plan_served_run_is_engine_identical(case, monkeypatch):
     _assert_runs_accounted(rec.counters)
     _assert_batch_accounted(brec.counters)
     assert not _fallbacks(rec.counters) + _fallbacks(brec.counters)
+    batch_reads = reads[first_batch_read:]
+    assert batch_reads and not any(batch_reads)
+    style = True if kw.get("io_mode") == "prefetch" else None
+    _assert_kept_packed(
+        plan_sim.get_emulation_plan(cluster, program, pert, style)
+    )
     for d, single, got in zip(dists, singles, batched):
         _assert_identical(got, single)
         _assert_identical(single, _engine(cluster, program, d, pert, **kw))
@@ -816,11 +870,17 @@ def test_plan_served_run_is_engine_identical(case, monkeypatch):
 
 @pytest.mark.parametrize("reason", sorted(FALLBACKS))
 def test_fallback_is_counted_and_engine_identical(reason, monkeypatch):
+    """Each fallback is counted and equals the engine, and no tape an
+    engine run lowers is ever packed."""
     setup = FALLBACKS[reason]
     if reason == "plan_dead":
         cluster, program, pert, kw = setup(monkeypatch)
     else:
         cluster, program, pert, kw = setup()
+    packed = []
+    monkeypatch.setattr(
+        executor_mod._Tape, "pack", lambda tape: packed.append(tape)
+    )
     dists = [
         block(cluster, program.n_rows),
         _layout(cluster.n_nodes, program.n_rows, 7, 3),
@@ -850,6 +910,7 @@ def test_fallback_is_counted_and_engine_identical(reason, monkeypatch):
         assert counters[f"sim/fallback/{reason}"] == len(dists)
         assert _fallbacks(counters) == len(dists)
         assert "sim/plan_runs" not in counters
+    assert packed == []
     for d, got in zip(dists, singles):
         ref = _engine(cluster, program, d, pert, **kw)
         _assert_identical(got, ref)

@@ -157,7 +157,10 @@ class TestTelemetryContract:
         model.predict(d, telemetry=rec)
         model.predict(d, telemetry=rec)
         assert rec.counters["model/predictions"] == 2
-        assert rec.gauges["model/table_cache/size"] >= 1
+        assert not [
+            name for name in rec.gauges
+            if name.startswith("model/table_cache/")
+        ]
 
     def test_disabled_telemetry_changes_nothing(self, seed_setup):
         """A disabled recorder records nothing, and single and batched
